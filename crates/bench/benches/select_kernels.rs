@@ -1,14 +1,17 @@
 //! Microbenchmarks for the selection kernels and the allocation-free
 //! run-ingest hot path (PR 3).
 //!
-//! Three questions, answered on 1M-key u64 runs (the paper's experiment
+//! Four questions, answered on 1M-key u64 runs (the paper's experiment
 //! scale):
 //!
 //! 1. **Partition kernel** — scalar Dutch-national-flag vs. the branchless
 //!    BlockQuicksort-style three-way partition, on identical data and pivot.
 //! 2. **Multi-selection** — `multiselect` of `s = 1000` regular ranks under
 //!    the scalar `Quickselect` strategy vs. the `BlockQuickselect` strategy.
-//! 3. **End-to-end `sample_run`** — the seed path (fresh buffer per run +
+//! 3. **Duplicate-heavy multi-selection** — the same rank set over constant
+//!    and three-valued runs, whose splitters collapse so `multiselect` falls
+//!    back from the splitter tree to the plain rank recursion.
+//! 4. **End-to-end `sample_run`** — the seed path (fresh buffer per run +
 //!    scalar kernel) vs. the new hot path (recycled buffer + `RunSampler`
 //!    rank cache + block kernel), which is what the acceptance criterion
 //!    ("≥ 1.5× on 1M-key u64 runs") measures.
@@ -122,6 +125,50 @@ fn bench_multiselect_strategies(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_duplicate_heavy_multiselect(c: &mut Criterion) {
+    let n = run_len();
+    let s = sample_size() as usize;
+    let ranks = regular_sample_ranks(n, s);
+    let shapes: [(&str, Vec<u64>); 2] = [
+        ("constant", vec![42; n]),
+        ("three_valued", keys(4, n).iter().map(|k| k % 3).collect()),
+    ];
+
+    let mut group = c.benchmark_group(format!("multiselect_{s}_of_{n}_dup"));
+    group.sample_size(15);
+    for (shape, data) in &shapes {
+        let reference = {
+            let mut work = data.clone();
+            multiselect_with(&mut work, &ranks, SelectionStrategy::Quickselect)
+        };
+        for strategy in SelectionStrategy::ALL {
+            let mut work = data.clone();
+            assert_eq!(
+                multiselect_with(&mut work, &ranks, strategy),
+                reference,
+                "{strategy:?} selected different values on the {shape} run"
+            );
+        }
+        for strategy in [
+            SelectionStrategy::Quickselect,
+            SelectionStrategy::BlockQuickselect,
+            SelectionStrategy::FloydRivest,
+        ] {
+            group.bench_with_input(
+                BenchmarkId::new(*shape, format!("{strategy:?}")),
+                &strategy,
+                |b, &strategy| {
+                    b.iter(|| {
+                        let mut work = data.clone();
+                        black_box(multiselect_with(&mut work, &ranks, strategy))
+                    })
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
 fn bench_sample_run_pipeline(c: &mut Criterion) {
     let n = run_len();
     let s = sample_size();
@@ -176,6 +223,7 @@ criterion_group!(
     benches,
     bench_partition_kernels,
     bench_multiselect_strategies,
+    bench_duplicate_heavy_multiselect,
     bench_sample_run_pipeline
 );
 criterion_main!(benches);

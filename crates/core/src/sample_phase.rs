@@ -12,15 +12,20 @@
 //! `sample_run` (and [`RunSampler::sample`]) borrows the run as `&mut [K]`
 //! and the selection happens **in place**: on return the slice is *partially
 //! reordered* (each sample value sits at its exact rank, with `<=` on the
-//! left and `>=` on the right).  Nothing in the slice is consumed, which is
-//! what makes the allocation-free ingest loop legal: callers read the next
-//! run **into the same buffer** (`RunStore::read_run_into`) and sample it
-//! again, recycling one `m`-element allocation across the whole pass.  A
-//! caller that needs the run's original order must copy it first — every
-//! OPAQ phase only ever needs each run once, so none do.  [`RunSampler`]
-//! additionally caches the regular-rank table between runs of equal length,
-//! so steady-state per-run work allocates only the `s`-sized `values`/`gaps`
-//! vectors that outlive the call inside the returned [`RunSample`].
+//! left and `>=` on the right).  The sampler relies on that layout itself:
+//! the run minimum is read from the keys before the first sample, about
+//! `m/s` of them, instead of from a second pass over all `m`.  Nothing in
+//! the slice is consumed, which is what makes the ingest loop legal: callers
+//! read the next run **into the same buffer** (`RunStore::read_run_into`)
+//! and sample it again, recycling one `m`-element allocation across the
+//! whole pass.  A caller that needs the run's original order must copy it
+//! first — every OPAQ phase only ever needs each run once, so none do.
+//! [`RunSampler`] additionally caches the regular-rank table between runs of
+//! equal length, so steady-state per-run work allocates only the `s`-sized
+//! `values`/`gaps` vectors that outlive the call inside the returned
+//! [`RunSample`], plus the selection's own scratch: on runs of at least
+//! `opaq_select::SPLITTER_TREE_MIN_LEN` keys with `s >= 8`, a one-byte bucket
+//! label per key that is freed before the call returns.
 
 use crate::{Key, OpaqError, OpaqResult};
 use opaq_select::{multiselect_into, regular_sample_ranks, SelectionStrategy};
@@ -126,9 +131,14 @@ impl RunSampler {
             self.ranks = regular_sample_ranks(m, s_eff);
             self.cached_m = m;
         }
-        let run_min = *run.iter().min().expect("non-empty run has a minimum");
         let mut values = Vec::with_capacity(self.ranks.len());
         multiselect_into(run, &self.ranks, self.strategy, &mut values);
+        // Selection left nothing but keys `<=` the first sample before it,
+        // so the run minimum is among the first `ranks[0] + 1` keys.
+        let run_min = *run[..=self.ranks[0]]
+            .iter()
+            .min()
+            .expect("non-empty run has a minimum");
         let mut gaps = Vec::with_capacity(self.ranks.len());
         let mut prev_rank_1based = 0u64;
         for &r in &self.ranks {

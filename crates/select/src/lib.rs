@@ -15,8 +15,16 @@
 //!   Floyd and Rivest (cited as `[FR75]`).
 //! * [`quickselect`] — a pragmatic randomized quickselect used as the default
 //!   strategy (small constants, in-place).
-//! * [`multiselect`] — simultaneous selection of many order statistics by
-//!   recursive partitioning, the workhorse of the sample phase.
+//! * [`multiselect`] — simultaneous selection of many order statistics, the
+//!   workhorse of the sample phase.  Small inputs use the paper's recursive
+//!   partitioning directly.  Slices of at least [`SPLITTER_TREE_MIN_LEN`]
+//!   keys with at least eight ranks are first *classified*: 255 splitters
+//!   from a sorted oversample form an implicit search tree, each key's bucket
+//!   goes into a one-byte oracle (the only run-sized scratch: one byte per
+//!   key), the oracle drives an in-place permutation into value-ordered
+//!   buckets, and the recursion then runs only inside each bucket on the
+//!   ranks that fall in it.  Runs with too few distinct splitters (constant
+//!   or few-valued data) fall back to the plain recursion.
 //! * [`partition`] — three-way partitioning primitives shared by the
 //!   algorithms above, duplicate-robust by construction: the scalar Dutch
 //!   national flag scan *and* a branchless BlockQuicksort-style kernel
@@ -24,9 +32,9 @@
 //!   per-element comparison branch with offset-buffer fills and bulk swaps.
 //!
 //! All algorithms operate in place on `&mut [T]` where `T: Ord`, never
-//! allocate proportionally to the input (apart from recursion bookkeeping),
-//! and are exact: they place the requested order statistic at its index and
-//! return a reference to it.  Because selection is exact, **every strategy
+//! allocate proportionally to the input (apart from recursion bookkeeping
+//! and the multi-selection oracle above), and are exact: they place the
+//! requested order statistic at its index and return a reference to it.  Because selection is exact, **every strategy
 //! returns the same values** — the choice only affects constant factors, so
 //! OPAQ sketches are bit-identical across strategies and kernels.
 
@@ -41,7 +49,9 @@ pub mod quickselect;
 
 pub use floyd_rivest::floyd_rivest_select;
 pub use median_of_medians::median_of_medians_select;
-pub use multiselect::{multiselect, multiselect_into, multiselect_with, regular_sample_ranks};
+pub use multiselect::{
+    multiselect, multiselect_into, multiselect_with, regular_sample_ranks, SPLITTER_TREE_MIN_LEN,
+};
 pub use quickselect::{quickselect, quickselect_block};
 
 /// Strategy used for single-rank selection inside the multi-selection driver

@@ -4,11 +4,43 @@
 //! every run.  The paper's recipe (§2.1) is recursive median splitting: find
 //! the median of the run, split, recurse on both halves until the sub-lists
 //! reach size `m/s`, then take each sub-list maximum.  That is exactly
-//! multi-selection, and the general formulation implemented here — recurse on
-//! the *middle requested rank*, then solve the left ranks in the left part and
-//! the right ranks in the right part — achieves the same `O(m log s)` bound
-//! while supporting arbitrary rank sets (the quantile-phase unit tests use
+//! multi-selection, and its general formulation — recurse on the *middle
+//! requested rank*, then solve the left ranks in the left part and the right
+//! ranks in the right part — achieves the same `O(m log s)` bound while
+//! supporting arbitrary rank sets (the quantile-phase unit tests use
 //! irregular rank sets too).
+//!
+//! Taken literally that recursion makes about `log₂ s` partition passes over
+//! the whole run, and a 1M-key run does not fit in cache, so every level pays
+//! a full trip to memory.  Large rank sets on large slices therefore take a
+//! *splitter-tree* path that replaces the top levels with one classification
+//! pass, after the classifier of Super Scalar Sample Sort (Sanders & Winkel,
+//! ESA 2004) and the in-place distribution of IPS⁴o (Axtmann et al.,
+//! ESA 2017):
+//!
+//! 1. **Classify.**  An evenly spaced oversample of `16 × 256` keys is sorted
+//!    and every 16th key becomes one of 255 splitters, laid out as an
+//!    implicit (Eytzinger) search tree.  Each key descends the tree with
+//!    branch-free comparisons, eight keys interleaved, and its bucket number
+//!    lands in a one-byte *oracle*.  Bucket `i` holds the keys in
+//!    `(splitter[i-1], splitter[i]]`, so buckets are ordered by value.
+//! 2. **Permute.**  The oracle drives an American-flag cycle walk that moves
+//!    every key into its bucket in place — no second run-sized buffer.
+//! 3. **Recurse inside buckets.**  The rank recursion above runs inside each
+//!    bucket on the ranks that fall in it: a few ranks over a few thousand
+//!    cache-resident keys.
+//!
+//! The only scratch is the oracle (one byte per key) and the oversample.
+//! The result is the same as the plain recursion's: every requested rank
+//! holds its exact order statistic, with `<=` on its left and `>=` on its
+//! right.  So the selected values, and every OPAQ sketch built from them, do
+//! not depend on which path ran.
+//!
+//! Slices shorter than [`SPLITTER_TREE_MIN_LEN`] and rank sets of fewer than
+//! eight ranks keep the plain recursion, which is cheaper there.  So do runs
+//! whose oversample yields fewer than 32 distinct splitters (constant or
+//! few-valued data): their keys would collapse into a handful of buckets,
+//! and classifying them costs more than it saves.
 
 use crate::SelectionStrategy;
 
@@ -68,9 +100,12 @@ pub fn multiselect_with<T: Ord + Copy>(
 /// entry point used by the sample phase.
 ///
 /// When `ranks` is already strictly increasing (as produced by
-/// [`regular_sample_ranks`]) this performs **no allocation at all** beyond
-/// what `out` already owns; unsorted rank sets fall back to one scratch copy
-/// for sorting.
+/// [`regular_sample_ranks`]) no rank copy is made; unsorted rank sets fall
+/// back to one scratch copy for sorting.  Slices of at least
+/// [`SPLITTER_TREE_MIN_LEN`] keys with eight or more ranks also allocate the
+/// splitter tree's scratch (one byte per key plus a 4096-key oversample),
+/// freed before the call returns; smaller calls allocate nothing beyond what
+/// `out` already owns.
 pub fn multiselect_into<T: Ord + Copy>(
     data: &mut [T],
     ranks: &[usize],
@@ -82,7 +117,7 @@ pub fn multiselect_into<T: Ord + Copy>(
         // Pre-sorted (and therefore duplicate-free): select straight off the
         // caller's slice.
         check_bounds(ranks, data.len());
-        recurse(data, 0, ranks, strategy);
+        select_sorted(data, ranks, strategy);
         out.extend(ranks.iter().map(|&r| data[r]));
     } else {
         let mut sorted_ranks: Vec<usize> = ranks.to_vec();
@@ -95,7 +130,7 @@ pub fn multiselect_into<T: Ord + Copy>(
             );
         }
         check_bounds(&sorted_ranks, data.len());
-        recurse(data, 0, &sorted_ranks, strategy);
+        select_sorted(data, &sorted_ranks, strategy);
         out.extend(sorted_ranks.iter().map(|&r| data[r]));
     }
 }
@@ -106,6 +141,186 @@ fn check_bounds(sorted_ranks: &[usize], len: usize) {
             max < len,
             "rank {max} out of bounds for slice of length {len}"
         );
+    }
+}
+
+/// Slices shorter than this keep the plain rank recursion.  The splitter
+/// tree's 4096-key oversample and 256 buckets pay off only on slices many
+/// times their size.  With one rank per 1000 keys the tree path measured
+/// about 2× faster on 1M-key runs and 2.5× at this floor; at 16k keys the
+/// two paths tied.
+pub const SPLITTER_TREE_MIN_LEN: usize = 1 << 16;
+
+/// Rank sets smaller than this keep the plain rank recursion: with few
+/// ranks it makes only a few passes, which beat classify-and-permute.
+const SPLITTER_TREE_MIN_RANKS: usize = 8;
+
+/// Depth of the splitter tree; it has `BUCKETS - 1` splitters.
+const LOG_BUCKETS: usize = 8;
+const BUCKETS: usize = 1 << LOG_BUCKETS;
+
+/// Oversample keys per bucket.
+const OVERSAMPLE: usize = 16;
+
+/// Fewer distinct splitters than this means a few-valued run: a handful of
+/// buckets would hold nearly every key, so classifying buys nothing.
+const MIN_DISTINCT_SPLITTERS: usize = BUCKETS / 8;
+
+/// Keys classified side by side, so their tree descents overlap.
+const UNROLL: usize = 8;
+
+/// Place every rank of `ranks` (sorted, unique, in bounds): the
+/// splitter-tree path where it pays, the plain recursion otherwise.
+fn select_sorted<T: Ord + Copy>(data: &mut [T], ranks: &[usize], strategy: SelectionStrategy) {
+    if data.len() < SPLITTER_TREE_MIN_LEN || ranks.len() < SPLITTER_TREE_MIN_RANKS {
+        recurse(data, 0, ranks, strategy);
+        return;
+    }
+    let Some(tree) = splitter_tree(data) else {
+        recurse(data, 0, ranks, strategy);
+        return;
+    };
+    let mut oracle = vec![0u8; data.len() + 1];
+    let bounds = classify(data, &tree, &mut oracle[..data.len()]);
+    permute(data, &oracle, &bounds);
+    drop(oracle);
+
+    // Buckets are value-ordered, so each rank is solved inside its bucket.
+    let mut first = 0;
+    for b in 0..BUCKETS {
+        let (lo, hi) = (bounds[b], bounds[b + 1]);
+        let last = first + ranks[first..].partition_point(|&r| r < hi);
+        recurse(&mut data[lo..hi], lo, &ranks[first..last], strategy);
+        first = last;
+    }
+}
+
+/// Build the splitter tree from an evenly spaced, sorted oversample of
+/// `data`, or `None` when it has fewer than [`MIN_DISTINCT_SPLITTERS`]
+/// distinct splitters.
+///
+/// The tree is implicit (Eytzinger order): node `i` has children `2i` and
+/// `2i + 1`, the root is node 1 and node 0 is unused.  An in-order walk
+/// yields the splitters in ascending order.
+fn splitter_tree<T: Ord + Copy>(data: &[T]) -> Option<[T; BUCKETS]> {
+    let samples = OVERSAMPLE * BUCKETS;
+    let stride = data.len() / samples;
+    debug_assert!(stride > 0, "slice below the splitter-tree floor");
+    let mut sample: Vec<T> = (0..samples)
+        .map(|i| data[i * stride + stride / 2])
+        .collect();
+    sample.sort_unstable();
+    let splitters: Vec<T> = (1..BUCKETS).map(|b| sample[b * OVERSAMPLE]).collect();
+    let distinct = 1 + splitters.windows(2).filter(|w| w[0] < w[1]).count();
+    if distinct < MIN_DISTINCT_SPLITTERS {
+        return None;
+    }
+    let mut tree = [splitters[0]; BUCKETS];
+    fill_tree(&mut tree, 1, &splitters);
+    Some(tree)
+}
+
+/// Lay the sorted `splitters` out under node `node` in Eytzinger order.
+fn fill_tree<T: Copy>(tree: &mut [T; BUCKETS], node: usize, splitters: &[T]) {
+    if splitters.is_empty() {
+        return;
+    }
+    let mid = splitters.len() / 2;
+    tree[node] = splitters[mid];
+    fill_tree(tree, 2 * node, &splitters[..mid]);
+    fill_tree(tree, 2 * node + 1, &splitters[mid + 1..]);
+}
+
+/// The bucket of `key`: the number of splitters strictly below it.
+///
+/// Nodes stay below `BUCKETS` while descending, so masking the index changes
+/// nothing but lets the compiler drop the bounds check.
+#[inline(always)]
+fn bucket_of<T: Ord>(tree: &[T; BUCKETS], key: &T) -> usize {
+    let mut node = 1;
+    for _ in 0..LOG_BUCKETS {
+        node = 2 * node + usize::from(tree[node & (BUCKETS - 1)] < *key);
+    }
+    node - BUCKETS
+}
+
+/// Write every key's bucket into `oracle` and return the bucket bounds:
+/// bucket `b` will occupy `bounds[b]..bounds[b + 1]`.
+fn classify<T: Ord>(data: &[T], tree: &[T; BUCKETS], oracle: &mut [u8]) -> [usize; BUCKETS + 1] {
+    let mut counts = [0usize; BUCKETS];
+    let mut keys = data.chunks_exact(UNROLL);
+    let mut bytes = oracle.chunks_exact_mut(UNROLL);
+    for (keys, bytes) in (&mut keys).zip(&mut bytes) {
+        // The descents are independent, so the eight loads per level
+        // overlap instead of waiting on each other.
+        let mut nodes = [1usize; UNROLL];
+        for _ in 0..LOG_BUCKETS {
+            for (node, key) in nodes.iter_mut().zip(keys) {
+                *node = 2 * *node + usize::from(tree[*node & (BUCKETS - 1)] < *key);
+            }
+        }
+        for (byte, node) in bytes.iter_mut().zip(nodes) {
+            let bucket = node - BUCKETS;
+            *byte = bucket as u8;
+            counts[bucket & (BUCKETS - 1)] += 1;
+        }
+    }
+    for (byte, key) in bytes.into_remainder().iter_mut().zip(keys.remainder()) {
+        let bucket = bucket_of(tree, key);
+        *byte = bucket as u8;
+        counts[bucket] += 1;
+    }
+    let mut bounds = [0usize; BUCKETS + 1];
+    for (b, &count) in counts.iter().enumerate() {
+        bounds[b + 1] = bounds[b] + count;
+    }
+    bounds
+}
+
+/// Move every key into its bucket, in place: bucket `b` ends up in
+/// `data[bounds[b]..bounds[b + 1]]`.
+///
+/// American-flag cycle walk: take the first unplaced key of a bucket, drop
+/// it at the write head of the bucket the oracle names, pick up the key it
+/// displaces, and so on until a key of the starting bucket comes back.  Every
+/// slot before a write head is final and never read again, so the oracle
+/// needs no updates.
+///
+/// The walk is a chain of dependent loads: where the next key goes depends
+/// on the bucket of the key just displaced.  `waiting[c]` caches the bucket
+/// of the key at head `c`, loaded from the oracle when the head last moved,
+/// so each step of the chain reads a 256-byte table instead of waiting for
+/// an oracle load from far away.  `oracle` has one spare byte at the end so
+/// that load never runs off it.
+fn permute<T: Copy>(data: &mut [T], oracle: &[u8], bounds: &[usize; BUCKETS + 1]) {
+    debug_assert_eq!(oracle.len(), data.len() + 1);
+    let mut heads = [0usize; BUCKETS];
+    heads.copy_from_slice(&bounds[..BUCKETS]);
+    let mut waiting = [0u8; BUCKETS];
+    for (waiting, &head) in waiting.iter_mut().zip(&heads) {
+        *waiting = oracle[head];
+    }
+    for b in 0..BUCKETS {
+        let end = bounds[b + 1];
+        while heads[b] < end {
+            let start = heads[b];
+            let mut bucket = usize::from(waiting[b]);
+            heads[b] = start + 1;
+            waiting[b] = oracle[start + 1];
+            if bucket == b {
+                continue;
+            }
+            let mut key = data[start];
+            while bucket != b {
+                let slot = heads[bucket];
+                let displaced_bucket = waiting[bucket];
+                heads[bucket] = slot + 1;
+                waiting[bucket] = oracle[slot + 1];
+                key = std::mem::replace(&mut data[slot], key);
+                bucket = usize::from(displaced_bucket);
+            }
+            data[start] = key;
+        }
     }
 }
 
@@ -224,6 +439,43 @@ mod tests {
     fn multiselect_single_element_slice() {
         let mut data = vec![42_u8];
         assert_eq!(multiselect(&mut data, &[0]), vec![42]);
+    }
+
+    #[test]
+    fn splitter_tree_collapses_on_few_valued_runs() {
+        let len = SPLITTER_TREE_MIN_LEN;
+        let constant = vec![9_u64; len];
+        assert!(splitter_tree(&constant).is_none());
+        let few: Vec<u64> = (0..len as u64).map(|i| (i * 2654435761) % 3).collect();
+        assert!(splitter_tree(&few).is_none());
+        let uniform: Vec<u64> = (0..len as u64)
+            .map(|i| (i * 2654435761) % 1_000_003)
+            .collect();
+        assert!(splitter_tree(&uniform).is_some());
+    }
+
+    #[test]
+    fn buckets_are_value_ordered_and_in_place() {
+        let len = SPLITTER_TREE_MIN_LEN + 12_345;
+        let mut data: Vec<u64> = (0..len as u64).map(|i| (i * 2654435761) % 50_021).collect();
+        let mut expected = data.clone();
+        expected.sort_unstable();
+        let tree = splitter_tree(&data).expect("enough distinct splitters");
+        let mut oracle = vec![0u8; len + 1];
+        let bounds = classify(&data, &tree, &mut oracle[..len]);
+        for (key, &bucket) in data.iter().zip(&oracle) {
+            assert_eq!(usize::from(bucket), bucket_of(&tree, key));
+        }
+        permute(&mut data, &oracle, &bounds);
+        for b in 0..BUCKETS {
+            let bucket = &data[bounds[b]..bounds[b + 1]];
+            assert!(
+                bucket.iter().all(|key| bucket_of(&tree, key) == b),
+                "bucket {b}"
+            );
+        }
+        data.sort_unstable();
+        assert_eq!(data, expected, "permute must only move keys");
     }
 
     proptest! {

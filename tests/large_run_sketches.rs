@@ -1,0 +1,142 @@
+//! Sketches built from runs long enough for the sample phase's splitter-tree
+//! multi-selection (`opaq::select::SPLITTER_TREE_MIN_LEN` keys and up).
+//!
+//! Selection is exact, so the sketch must not depend on the kernel: every
+//! strategy must build the same sketch, equal to the one assembled from fully
+//! sorted runs, and its decile bounds must satisfy Lemma 3 against a full
+//! sort of the dataset.
+
+use opaq::core::{RunSample, RunSampler};
+use opaq::datagen::{DatasetSpec, Distribution};
+use opaq::select::{regular_sample_ranks, SPLITTER_TREE_MIN_LEN};
+use opaq::{MemRunStore, OpaqConfig, OpaqEstimator, QuantileSketch, SelectionStrategy};
+
+/// Three equal runs above the floor, so Lemma 3's `n/s` bound applies as is.
+const M: u64 = SPLITTER_TREE_MIN_LEN as u64 + 34_464;
+const N: u64 = 3 * M;
+const S: u64 = 400;
+
+fn datasets() -> Vec<DatasetSpec> {
+    let spec = |distribution, duplicate_fraction| DatasetSpec {
+        n: N,
+        distribution,
+        duplicate_fraction,
+        seed: 29,
+    };
+    vec![
+        DatasetSpec::paper_uniform(N, 29),
+        DatasetSpec::paper_zipf(N, 29),
+        spec(Distribution::Sorted, 0.0),
+        spec(Distribution::ReverseSorted, 0.0),
+    ]
+}
+
+/// The sketch assembled from fully sorted runs: the regular samples read
+/// straight off each sorted run.
+fn sorted_run_sketch(data: &[u64]) -> QuantileSketch<u64> {
+    let samples = data
+        .chunks(M as usize)
+        .map(|run| {
+            let mut run = run.to_vec();
+            run.sort_unstable();
+            let m = run.len();
+            let ranks = regular_sample_ranks(m, (S as usize).min(m));
+            let mut prev = 0;
+            let gaps = ranks
+                .iter()
+                .map(|&r| {
+                    let gap = (r + 1 - prev) as u64;
+                    prev = r + 1;
+                    gap
+                })
+                .collect();
+            RunSample {
+                values: ranks.iter().map(|&r| run[r]).collect(),
+                gaps,
+                run_min: run[0],
+                run_len: m as u64,
+            }
+        })
+        .collect();
+    QuantileSketch::from_run_samples(samples).unwrap()
+}
+
+#[test]
+fn every_strategy_builds_the_sorted_run_sketch() {
+    for spec in datasets() {
+        let data = spec.generate();
+        let expected = sorted_run_sketch(&data);
+        let store = MemRunStore::new(data, M);
+        for strategy in SelectionStrategy::ALL {
+            let config = OpaqConfig::builder()
+                .run_length(M)
+                .sample_size(S)
+                .strategy(strategy)
+                .build()
+                .unwrap();
+            let sketch = OpaqEstimator::new(config).build_sketch(&store).unwrap();
+            assert!(
+                sketch == expected,
+                "{} with {strategy:?} built a different sketch",
+                spec.label()
+            );
+        }
+    }
+}
+
+#[test]
+fn run_sampler_keeps_the_run_minimum_exact() {
+    for spec in datasets() {
+        let data = spec.generate();
+        let mut sampler = RunSampler::new(S, SelectionStrategy::default()).unwrap();
+        // The last run is shorter than the floor and takes the plain
+        // recursion.
+        for run in data.chunks(M as usize).chain([&data[..5_000]]) {
+            let mut work = run.to_vec();
+            let sample = sampler.sample(&mut work).unwrap();
+            assert_eq!(Some(&sample.run_min), run.iter().min(), "{}", spec.label());
+        }
+    }
+}
+
+/// Lemma 3: every decile's bounds bracket the exact decile, and each bound
+/// lies within `n/s` ranks of it.
+#[test]
+fn decile_bounds_satisfy_lemma_3() {
+    for spec in datasets() {
+        let data = spec.generate();
+        let mut sorted = data.clone();
+        sorted.sort_unstable();
+        let store = MemRunStore::new(data, M);
+        let config = OpaqConfig::builder()
+            .run_length(M)
+            .sample_size(S)
+            .build()
+            .unwrap();
+        let sketch = OpaqEstimator::new(config).build_sketch(&store).unwrap();
+        let slack = (N / S) as usize;
+        for est in sketch.estimate_q_quantiles(10).unwrap() {
+            let t = (est.target_rank - 1) as usize;
+            let exact = sorted[t];
+            let lowest = sorted[t.saturating_sub(slack)];
+            let highest = sorted[(t + slack).min(sorted.len() - 1)];
+            assert!(
+                est.lower <= exact && exact <= est.upper,
+                "{} decile {}: [{}, {}] misses {exact}",
+                spec.label(),
+                est.phi,
+                est.lower,
+                est.upper
+            );
+            assert!(
+                lowest <= est.lower && est.upper <= highest,
+                "{} decile {}: [{}, {}] is more than n/s ranks from rank {}",
+                spec.label(),
+                est.phi,
+                est.lower,
+                est.upper,
+                est.target_rank
+            );
+        }
+    }
+}
