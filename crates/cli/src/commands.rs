@@ -11,16 +11,15 @@ use opaq_metrics::trace::{format_nanos, Stage};
 use opaq_metrics::{SloThresholds, TextTable};
 use opaq_net::json::write_escaped;
 use opaq_net::{
-    bootstrap, ChaosConfig, HashRing, HttpClient, HttpServer, HttpWorkloadSpec, Json,
-    ReplicaWorkloadSpec, ReplicationStats, Replicator, RingConfig, RingMembership,
-    RoutedWorkloadSpec, ServerConfig, Telemetry,
+    bootstrap, run_load, HashRing, HttpClient, HttpServer, Json, LoadReport, LoadSpec,
+    ReplicationStats, Replicator, RingConfig, RingMembership, ServerConfig, Telemetry, Topology,
 };
 use opaq_parallel::ShardedOpaq;
 use opaq_query::QueryPlan;
 use opaq_select::SelectionStrategy;
 use opaq_serve::{
     execute_on, DatasetId, QueryEngine, QueryOutput, QueryRequest, RefreshPool, SketchCatalog,
-    TenantId, WorkloadSpec,
+    TenantId,
 };
 use opaq_storage::{FileRunStore, FileRunStoreBuilder, RunStore};
 use std::io::{BufRead, Write};
@@ -59,46 +58,40 @@ COMMANDS:
              [--strategy ...]
              exact quantile with one estimation pass plus one refinement pass
   serve-bench [--tenants M] [--clients N] [--ops K] [--keys-per-tenant D]
-             [--run-length M] [--sample-size S] [--refreshes R] [--budget B]
-             [--seed S] [--ttl-ms T] [--quick] [--http] [--qps Q]
-             [--slo-p99-ms M] [--bench-out FILE] [--replicas N] [--chaos]
-             [--groups G] [--vnodes V]
-             replay a mixed read/refresh workload against the multi-tenant
-             serving catalog: N client threads issue K typed queries each
-             across M tenants while refreshes publish new sketch versions
-             live; prints per-tenant p50/p90/p99/p999 latencies, throughput
-             and the torn-read count (non-zero fails the command).
-             --budget B caps resident sample points to force spill/reload;
+             [--run-length M] [--sample-size S] [--refreshes R] [--seed S]
+             [--quick] [--http [--groups G] [--replicas R] [--chaos]]
+             [--budget B] [--ttl-ms T] [--qps Q] [--slo-p99-ms M]
+             [--bench-out FILE]
+             replay a mixed read/refresh workload against the serving stack:
+             N client threads issue K requests each across M tenants (every
+             fifth a tenant-* coalesce plan) while refreshes publish new
+             sketch versions live.  Every answer is verified byte-for-byte
+             against the sketch version it claims; prints per-tenant
+             p50/p90/p99/p999 latencies, throughput and the torn-read count.
              --quick shrinks everything for smoke runs.
-             --http runs the same mix over real TCP through `opaq-net`: a
-             loopback HTTP server is stood up, every response is verified
-             byte-for-byte against its claimed sketch version, and a
-             TTL probe tenant (--ttl-ms, default 150) must be observed
-             serving stale-then-refreshed answers.
-             --qps Q holds an aggregate *open-loop* offered rate instead of
-             closed-loop as-fast-as-possible, with latency measured from
-             each op's scheduled send time (coordinated-omission-safe).
-             --slo-p99-ms M declares the objectives 'p99 <= M ms, zero
-             errors, zero sheds'; any breach makes the command exit
-             nonzero.  --bench-out FILE writes the machine-readable report
-             (BENCH_serve.json format).
-             --replicas N (with --http) stands up an N-replica fleet — one
-             primary plus N-1 peer-bootstrapped secondaries kept in sync
-             over the wire — and drives circuit-breaker failover clients
-             across it.  --chaos additionally fronts every replica with a
-             fault-injecting proxy and kills + restarts one replica
-             mid-run; any torn or mis-versioned answer fails the command.
-             --groups G (with --http, G >= 2) partitions the fleet: a
-             consistent-hash ring (--vnodes V points per group, default
-             128) splits the tenants across G replica groups of --replicas
-             M each, clients route by ring ownership, every 7th op is
-             deliberately misrouted to exercise the typed wrong_owner →
-             one-hop re-route arc, and glob coalesce plans scatter across
-             the groups and must match the unpartitioned-catalog oracle
-             byte-for-byte; the summary reports per-group tenant/op
-             balance.  Routed mode composes with --chaos, --qps and
-             --slo-p99-ms; any torn, mis-owned or trace-violating answer
-             fails the command
+             Topology: in-process by default.  --http serves a fleet over
+             loopback TCP instead: G ring groups (default 1) of R replicas
+             (default 1: the plain server) — one primary plus R-1
+             peer-bootstrapped secondaries each.  A consistent-hash ring
+             splits the tenants across the groups, clients route by ring
+             ownership (every 7th request deliberately misrouted to exercise
+             the wrong_owner re-route), and every 200 must name its owner.
+             --chaos fronts every replica with a fault-injecting proxy and,
+             with R >= 2, kills one replica a quarter into the run and
+             restarts it at the half.
+             --budget B caps resident sample points to force spill/reload
+             (in-process only).  --ttl-ms T gives a probe tenant that
+             max-age; a watcher must see it go stale and refresh (default
+             150 with --http and one replica, else off; needs one replica
+             per group, since TTLs are not replicated).  --qps Q holds an
+             aggregate open-loop offered rate, latency measured from each
+             op's scheduled send time (coordinated-omission-safe).
+             --slo-p99-ms M declares 'p99 <= M ms, zero errors, zero
+             sheds'.  --bench-out FILE writes the BENCH_serve.json report.
+             Fails on any torn, mis-owned or trace-violating answer, http
+             error, breached SLO, missing TTL cycle or incomplete
+             kill/restart, and on a fault-free run on any failed plan
+             replay or unanswered request
   serve      --addr HOST:PORT [--tenants M] [--keys-per-tenant D]
              [--run-length M] [--sample-size S] [--ttl-ms T]
              [--refresh-threads R] [--workers W] [--seed S]
@@ -616,11 +609,14 @@ pub fn exact(args: &Args) -> CliResult<String> {
     ))
 }
 
-/// `opaq serve-bench`: drive the multi-tenant serving layer under load.
+/// `opaq serve-bench`: drive the serving stack under load on one topology.
 ///
-/// Every response is verified byte-for-byte against the published sketch
-/// version it claims to have been served from, so the command doubles as a
-/// consistency check: any torn read makes it fail.
+/// Every answer is verified byte-for-byte against the published sketch
+/// version it claims, so the command doubles as a consistency check: a torn
+/// or mis-owned answer, a trace violation, an HTTP error, a breached SLO, a
+/// missing TTL cycle (when a TTL is set), an incomplete kill/restart (on a
+/// chaos fleet) or — on a fault-free run — a failed plan replay or an
+/// unanswered op makes it fail.
 pub fn serve_bench(args: &Args) -> CliResult<String> {
     args.validate(
         "serve-bench",
@@ -640,26 +636,38 @@ pub fn serve_bench(args: &Args) -> CliResult<String> {
             "bench-out",
             "replicas",
             "groups",
-            "vnodes",
         ],
         &["quick", "http", "chaos"],
     )?;
     let base = if args.flag("quick") {
-        WorkloadSpec::quick()
+        LoadSpec::quick()
     } else {
-        WorkloadSpec::default()
+        LoadSpec::default()
     };
+    let replicas = args.u64_or("replicas", 1)? as usize;
+    let topology = if args.flag("http") {
+        Topology::Fleet {
+            groups: args.u64_or("groups", 1)? as usize,
+            replicas,
+            chaos: args.flag("chaos"),
+        }
+    } else if ["groups", "replicas"].iter().any(|o| args.get(o).is_some()) || args.flag("chaos") {
+        return Err(CliError::Usage(
+            "--groups/--replicas/--chaos drive a fleet over real sockets — add --http".to_string(),
+        ));
+    } else {
+        Topology::InProcess
+    };
+    // The TTL probe is on by default wherever it can run over the wire.
+    let default_ttl_ms = if args.flag("http") && replicas == 1 {
+        150
+    } else {
+        0
+    };
+    let ttl_ms = args.u64_or("ttl-ms", default_ttl_ms)?;
     let budget = args.u64_or("budget", 0)?;
     let target_qps = match args.get("qps") {
-        Some(_) => {
-            let qps = args.f64_or("qps", 0.0)?;
-            if !qps.is_finite() || qps <= 0.0 {
-                return Err(CliError::Usage(
-                    "--qps must be a positive offered rate".to_string(),
-                ));
-            }
-            Some(qps)
-        }
+        Some(_) => Some(args.f64_or("qps", 0.0)?),
         None => None,
     };
     // `--slo-p99-ms M` declares "p99 under M ms, zero errors, zero sheds" —
@@ -673,7 +681,8 @@ pub fn serve_bench(args: &Args) -> CliResult<String> {
         },
         None => SloThresholds::default(),
     };
-    let spec = WorkloadSpec {
+    let spec = LoadSpec {
+        topology,
         tenants: args.u64_or("tenants", base.tenants as u64)? as usize,
         clients: args.u64_or("clients", base.clients as u64)? as usize,
         ops_per_client: args.u64_or("ops", base.ops_per_client)?,
@@ -681,162 +690,148 @@ pub fn serve_bench(args: &Args) -> CliResult<String> {
         run_length: args.u64_or("run-length", base.run_length)?,
         sample_size: args.u64_or("sample-size", base.sample_size)?,
         refresh_rounds: args.u64_or("refreshes", base.refresh_rounds)?,
-        budget_sample_points: (budget > 0).then_some(budget),
-        spill_dir: None,
         seed: args.u64_or("seed", base.seed)?,
+        budget_sample_points: (budget > 0).then_some(budget),
+        ttl: (ttl_ms > 0).then(|| Duration::from_millis(ttl_ms)),
         target_qps,
+        slo,
     };
-    let groups = args.u64_or("groups", 1)? as usize;
-    if groups > 1 {
-        // Routed-fleet mode: a consistent-hash ring partitions the tenants
-        // across `groups` replica groups; clients route by ring ownership.
-        if !args.flag("http") {
-            return Err(CliError::Usage(
-                "--groups partitions a fleet over real sockets — add --http".to_string(),
-            ));
-        }
-        if budget > 0 {
-            return Err(CliError::Usage(
-                "--budget (spill/reload churn) is not supported in routed-fleet mode".to_string(),
-            ));
-        }
-        return serve_bench_routed(args, spec, groups, slo);
-    }
-    if args.get("vnodes").is_some() {
-        return Err(CliError::Usage(
-            "--vnodes only makes sense with --groups N (N >= 2)".to_string(),
-        ));
-    }
-    let replicas = args.u64_or("replicas", 1)? as usize;
-    if replicas > 1 || args.flag("chaos") {
-        if !args.flag("http") {
-            return Err(CliError::Usage(
-                "--replicas/--chaos drive a fleet over real sockets — add --http".to_string(),
-            ));
-        }
-        if budget > 0 || target_qps.is_some() || args.get("slo-p99-ms").is_some() {
-            return Err(CliError::Usage(
-                "--budget/--qps/--slo-p99-ms are not supported in replica-fleet mode; the \
-                 fleet run is closed-loop and gated on consistency, not latency"
-                    .to_string(),
-            ));
-        }
-        return serve_bench_replicas(args, spec, replicas.max(2));
-    }
-    if args.flag("http") {
-        if budget > 0 {
-            return Err(CliError::Usage(
-                "--budget (spill/reload churn) is not supported in --http mode; the eviction \
-                 workload runs in-process — drop --http or --budget"
-                    .to_string(),
-            ));
-        }
-        return serve_bench_http(args, spec, slo);
-    }
-    let report = opaq_serve::run_workload(&spec)?;
+    let report =
+        run_load(&spec).map_err(|e| CliError::Usage(format!("serve workload failed: {e}")))?;
     let mut out = format!(
-        "served {} requests from {} clients over {} tenants in {:?} ({:.0} ops/s); {} refreshes \
-         published mid-workload, {} responses verified, {} torn reads\n",
+        "served {} requests from {} clients over {} tenants ({}) in {:?} ({:.0} ops/s); {} \
+         refreshes published mid-workload, {} responses verified byte-for-byte, {} /v1/query \
+         plans replayed offline and verified (of {}), {} torn reads, {} mis-owned, {} http \
+         errors, {} sheds, {} unanswered\n",
         report.ops,
         spec.clients,
         spec.tenants,
+        spec.topology,
         report.wall,
         report.throughput(),
         report.refreshes_published,
         report.verified,
+        report.plan_verified,
+        report.plan_ops,
         report.torn_reads,
+        report.mis_owned,
+        report.http_errors,
+        report.sheds,
+        report.unanswered,
     );
     out.push_str(&report.render());
-    // In-process ops can't error or shed; the SLO verdicts are latency-only
-    // plus the structural torn-read gate below.
-    let outcome = slo.evaluate(&report.client_latency, 0.0, 0.0);
-    out.push_str(&outcome.render("slo verdicts"));
     if let Some(path) = args.get("bench-out") {
-        let json = render_bench_serve_json(
-            "opaq serve-bench (in-process, open-loop)",
-            &spec,
-            target_qps,
-            &report.client_latency,
-            report.wall,
-            report.ops,
-            report.verified,
-            report.torn_reads,
-            0.0,
-            0.0,
-            &slo,
-            &outcome,
-        );
-        std::fs::write(path, json)
+        std::fs::write(path, render_bench_serve_json(&spec, &report))
             .map_err(|e| CliError::Usage(format!("could not write {path}: {e}")))?;
         out.push_str(&format!("bench report written to {path}\n"));
     }
-    if report.torn_reads > 0 {
-        return Err(CliError::Usage(format!(
-            "{} torn reads observed — served estimates diverged from every published sketch \
-             version\n{out}",
-            report.torn_reads
-        )));
+
+    let fault_free = !matches!(spec.topology, Topology::Fleet { chaos: true, .. });
+    let mut failures = Vec::new();
+    if report.torn_reads > 0 || report.mis_owned > 0 {
+        failures.push(format!(
+            "{} torn / {} mis-owned answers — an answer's bytes or its x-opaq-owner header \
+             diverged from every published sketch version",
+            report.torn_reads, report.mis_owned
+        ));
     }
-    if outcome.is_breached() {
-        return Err(CliError::Usage(format!(
-            "{} of {} declared SLO objectives breached\n{out}",
-            outcome.breaches(),
-            outcome.checks.len()
-        )));
+    if report.http_errors > 0 {
+        failures.push(format!(
+            "{} http errors on single-target requests",
+            report.http_errors
+        ));
     }
-    Ok(out)
+    if report.trace_violations > 0 {
+        failures.push(format!(
+            "{} responses missed (or mis-echoed) x-opaq-trace-id",
+            report.trace_violations
+        ));
+    }
+    if fault_free && (report.plan_verified < report.plan_ops || report.unanswered > 0) {
+        failures.push(format!(
+            "{} of {} /v1/query plans failed their offline byte replay and {} ops went \
+             unanswered — on a fault-free run both must be zero",
+            report.plan_ops - report.plan_verified,
+            report.plan_ops,
+            report.unanswered
+        ));
+    }
+    if spec.ttl.is_some() && report.ttl_refreshes_observed == 0 {
+        failures.push(
+            "no TTL expiry-refresh cycle observed — staleness plumbing is broken".to_string(),
+        );
+    }
+    if spec.topology.kills() && (report.kills == 0 || report.restarts < report.kills) {
+        failures.push(format!(
+            "chaos run never completed the kill/restart cycle ({} kills, {} restarts)",
+            report.kills, report.restarts
+        ));
+    }
+    if report.slo.is_breached() {
+        failures.push(format!(
+            "{} of {} declared SLO objectives breached",
+            report.slo.breaches(),
+            report.slo.checks.len()
+        ));
+    }
+    if failures.is_empty() {
+        Ok(out)
+    } else {
+        Err(CliError::Usage(format!("{}\n{out}", failures.join("; "))))
+    }
 }
 
 /// Render the machine-readable bench report (the `BENCH_serve.json` format:
 /// same sections as `BENCH_select.json` — benchmark/command/recorded/host/
 /// input/results/acceptance — hand-rolled like everything else JSON here).
-#[allow(clippy::too_many_arguments)]
-fn render_bench_serve_json(
-    benchmark: &str,
-    spec: &WorkloadSpec,
-    target_qps: Option<f64>,
-    latency: &opaq_metrics::LatencySnapshot,
-    wall: Duration,
-    ops: u64,
-    verified: u64,
-    torn_reads: u64,
-    error_rate: f64,
-    shed_rate: f64,
-    slo: &SloThresholds,
-    outcome: &opaq_metrics::SloOutcome,
-) -> String {
+fn render_bench_serve_json(spec: &LoadSpec, report: &LoadReport) -> String {
     let ms = |d: Duration| d.as_secs_f64() * 1_000.0;
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let qps_note = match target_qps {
+    let qps_note = match spec.target_qps {
         Some(qps) => format!("{qps:.0}"),
         None => "null".to_string(),
     };
-    let slo_note = match slo.p99 {
+    let slo_note = match spec.slo.p99 {
         Some(p99) => format!("\"p99 <= {:.0} ms, zero errors, zero sheds\"", ms(p99)),
         None => "\"none declared\"".to_string(),
     };
+    let flags = match spec.topology {
+        Topology::InProcess => String::new(),
+        Topology::Fleet {
+            groups,
+            replicas,
+            chaos,
+        } => format!(
+            " --http{}{}{}",
+            if groups > 1 {
+                format!(" --groups {groups}")
+            } else {
+                String::new()
+            },
+            if replicas > 1 {
+                format!(" --replicas {replicas}")
+            } else {
+                String::new()
+            },
+            if chaos { " --chaos" } else { "" }
+        ),
+    };
     let mut command = format!(
-        "opaq serve-bench{} --tenants {} --clients {} --ops {} --seed {}",
-        if benchmark.contains("--http") {
-            " --http"
-        } else {
-            ""
-        },
-        spec.tenants,
-        spec.clients,
-        spec.ops_per_client,
-        spec.seed,
+        "opaq serve-bench{flags} --tenants {} --clients {} --ops {} --seed {}",
+        spec.tenants, spec.clients, spec.ops_per_client, spec.seed,
     );
-    if let Some(qps) = target_qps {
+    if let Some(qps) = spec.target_qps {
         command.push_str(&format!(" --qps {qps:.0}"));
     }
-    if let Some(p99) = slo.p99 {
+    if let Some(p99) = spec.slo.p99 {
         command.push_str(&format!(" --slo-p99-ms {:.0}", ms(p99)));
     }
+    let latency = &report.latency;
     format!(
-        "{{\n  \"benchmark\": \"{benchmark}\",\n  \"command\": \"{command}\",\n  \"recorded\": \"{}\",\n  \"host\": {{\n    \"cores\": {cores},\n    \"arch\": \"{}\",\n    \"note\": \"open-loop offered rate; latency measured from scheduled send times (coordinated-omission-safe)\"\n  }},\n  \"input\": {{\n    \"tenants\": {},\n    \"clients\": {},\n    \"ops_per_client\": {},\n    \"keys_per_tenant\": {},\n    \"run_length\": {},\n    \"sample_size\": {},\n    \"refresh_rounds\": {},\n    \"target_qps\": {qps_note},\n    \"seed\": {}\n  }},\n  \"results\": {{\n    \"ops\": {ops},\n    \"verified\": {verified},\n    \"torn_reads\": {torn_reads},\n    \"wall_ms\": {:.3},\n    \"throughput_ops_s\": {:.1},\n    \"p50_ms\": {:.3},\n    \"p99_ms\": {:.3},\n    \"p999_ms\": {:.3},\n    \"max_ms\": {:.3},\n    \"error_rate\": {error_rate:.6},\n    \"shed_rate\": {shed_rate:.6}\n  }},\n  \"acceptance\": {{\n    \"criterion\": {slo_note},\n    \"slo_checks\": {},\n    \"slo_breaches\": {},\n    \"met\": {}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"opaq serve-bench{flags} ({}, open-loop)\",\n  \"command\": \"{command}\",\n  \"recorded\": \"{}\",\n  \"host\": {{\n    \"cores\": {cores},\n    \"arch\": \"{}\",\n    \"note\": \"open-loop offered rate; latency measured from scheduled send times (coordinated-omission-safe)\"\n  }},\n  \"input\": {{\n    \"tenants\": {},\n    \"clients\": {},\n    \"ops_per_client\": {},\n    \"keys_per_tenant\": {},\n    \"run_length\": {},\n    \"sample_size\": {},\n    \"refresh_rounds\": {},\n    \"target_qps\": {qps_note},\n    \"seed\": {}\n  }},\n  \"results\": {{\n    \"ops\": {},\n    \"verified\": {},\n    \"torn_reads\": {},\n    \"wall_ms\": {:.3},\n    \"throughput_ops_s\": {:.1},\n    \"p50_ms\": {:.3},\n    \"p99_ms\": {:.3},\n    \"p999_ms\": {:.3},\n    \"max_ms\": {:.3},\n    \"error_rate\": {:.6},\n    \"shed_rate\": {:.6}\n  }},\n  \"acceptance\": {{\n    \"criterion\": {slo_note},\n    \"slo_checks\": {},\n    \"slo_breaches\": {},\n    \"met\": {}\n  }}\n}}\n",
+        spec.topology,
         today_utc(),
         std::env::consts::ARCH,
         spec.tenants,
@@ -847,15 +842,20 @@ fn render_bench_serve_json(
         spec.sample_size,
         spec.refresh_rounds,
         spec.seed,
-        ms(wall),
-        ops as f64 / wall.as_secs_f64().max(1e-9),
+        report.ops,
+        report.verified + report.plan_verified,
+        report.torn_reads,
+        ms(report.wall),
+        report.throughput(),
         ms(latency.p50),
         ms(latency.p99),
         ms(latency.p999),
         ms(latency.max),
-        outcome.checks.len(),
-        outcome.breaches(),
-        torn_reads == 0 && !outcome.is_breached(),
+        report.error_rate(),
+        report.shed_rate(),
+        report.slo.checks.len(),
+        report.slo.breaches(),
+        report.torn_reads == 0 && !report.slo.is_breached(),
     )
 }
 
@@ -878,260 +878,6 @@ fn today_utc() -> String {
     let m = if mp < 10 { mp + 3 } else { mp - 9 };
     let y = if m <= 2 { y + 1 } else { y };
     format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// `opaq serve-bench --http`: the same workload shape replayed over real TCP
-/// through the `opaq-net` front-end, byte-verified per response, plus a TTL
-/// probe tenant that must be observed going stale and refreshing.
-fn serve_bench_http(args: &Args, spec: WorkloadSpec, slo: SloThresholds) -> CliResult<String> {
-    let ttl_ms = args.u64_or("ttl-ms", 150)?;
-    let http_spec = HttpWorkloadSpec {
-        target_qps: spec.target_qps,
-        spec,
-        ttl: (ttl_ms > 0).then(|| Duration::from_millis(ttl_ms)),
-        server: ServerConfig::default(),
-        slo,
-    };
-    let report = opaq_net::run_http_workload(&http_spec)
-        .map_err(|e| CliError::Usage(format!("http workload failed: {e}")))?;
-    let mut out = format!(
-        "served {} HTTP requests over {} tenants in {:?} ({:.0} ops/s); {} refreshes \
-         published mid-workload, {} responses verified byte-for-byte, {} /v1/query plans \
-         replayed offline and verified (of {}), {} torn reads, {} http errors, {} sheds; \
-         ttl probe: {} non-fresh responses, {} expiry-refresh cycles observed\n",
-        report.ops,
-        http_spec.spec.tenants,
-        report.wall,
-        report.throughput(),
-        report.refreshes_published,
-        report.verified,
-        report.plan_verified,
-        report.plan_ops,
-        report.torn_reads,
-        report.http_errors,
-        report.sheds,
-        report.non_fresh_served,
-        report.ttl_refreshes_observed,
-    );
-    out.push_str(&report.render());
-    if let Some(path) = args.get("bench-out") {
-        let json = render_bench_serve_json(
-            "opaq serve-bench --http (open-loop over TCP)",
-            &http_spec.spec,
-            report.target_qps,
-            &report.latency,
-            report.wall,
-            report.ops + report.plan_ops,
-            report.verified + report.plan_verified,
-            report.torn_reads,
-            report.error_rate(),
-            report.shed_rate(),
-            &http_spec.slo,
-            &report.slo,
-        );
-        std::fs::write(path, json)
-            .map_err(|e| CliError::Usage(format!("could not write {path}: {e}")))?;
-        out.push_str(&format!("bench report written to {path}\n"));
-    }
-    if report.torn_reads > 0 || report.http_errors > 0 {
-        return Err(CliError::Usage(format!(
-            "{} torn reads / {} http errors observed over the wire\n{out}",
-            report.torn_reads, report.http_errors
-        )));
-    }
-    if report.trace_violations > 0 {
-        return Err(CliError::Usage(format!(
-            "{} responses missed (or mis-echoed) x-opaq-trace-id — every response must carry \
-             the trace header\n{out}",
-            report.trace_violations
-        )));
-    }
-    if report.slo.is_breached() {
-        return Err(CliError::Usage(format!(
-            "{} of {} declared SLO objectives breached\n{out}",
-            report.slo.breaches(),
-            report.slo.checks.len()
-        )));
-    }
-    if report.plan_verified < report.plan_ops {
-        return Err(CliError::Usage(format!(
-            "{} of {} /v1/query plans failed their offline byte replay\n{out}",
-            report.plan_ops - report.plan_verified,
-            report.plan_ops
-        )));
-    }
-    if http_spec.ttl.is_some() && report.ttl_refreshes_observed == 0 {
-        return Err(CliError::Usage(format!(
-            "no TTL expiry-refresh cycle observed — staleness plumbing is broken\n{out}"
-        )));
-    }
-    Ok(out)
-}
-
-/// `opaq serve-bench --http --replicas N [--chaos]`: the replica-fleet run.
-///
-/// One primary plus N-1 secondaries bootstrapped over the wire, driven by
-/// circuit-breaker failover clients.  With `--chaos`, every replica sits
-/// behind a fault-injecting proxy and one replica is killed and restarted
-/// mid-run.  Every answer is still verified byte-for-byte against the
-/// sketch version it claims — a single torn or mis-versioned answer fails
-/// the command, chaos or not.
-fn serve_bench_replicas(args: &Args, spec: WorkloadSpec, replicas: usize) -> CliResult<String> {
-    let chaos = args.flag("chaos");
-    let replica_spec = ReplicaWorkloadSpec {
-        spec,
-        replicas,
-        chaos: chaos.then(ChaosConfig::default),
-        kill_restart: chaos,
-        ..ReplicaWorkloadSpec::default()
-    };
-    let report = opaq_net::run_replica_workload(&replica_spec)
-        .map_err(|e| CliError::Usage(format!("replica fleet workload failed: {e}")))?;
-    let mut out = format!(
-        "served {} requests across a {}-replica fleet in {:?} ({:.0} ops/s); {} verified \
-         byte-for-byte, {} torn reads, {} http errors, {} degraded replays, {} unanswered\n",
-        report.ops,
-        report.replicas,
-        report.wall,
-        report.throughput(),
-        report.verified,
-        report.torn_reads,
-        report.http_errors,
-        report.degraded,
-        report.unanswered,
-    );
-    out.push_str(&report.render());
-    if report.torn_reads > 0 || report.http_errors > 0 {
-        return Err(CliError::Usage(format!(
-            "{} torn reads / {} http errors across the fleet — replica answers diverged from \
-             their claimed sketch versions\n{out}",
-            report.torn_reads, report.http_errors
-        )));
-    }
-    if chaos && (report.kills == 0 || report.restarts < report.kills) {
-        return Err(CliError::Usage(format!(
-            "chaos run never exercised the kill/restart cycle ({} kills, {} restarts)\n{out}",
-            report.kills, report.restarts
-        )));
-    }
-    Ok(out)
-}
-
-/// `opaq serve-bench --http --groups N [--replicas M] [--chaos]`: the
-/// ring-partitioned fleet run.
-///
-/// A consistent-hash ring splits the tenants across N replica groups (M
-/// replicas each, peer-synced within the group); clients route by ring
-/// ownership, every N-th op is deliberately misrouted to force the
-/// `wrong_owner` → one-hop re-route arc, and every fifth op is a glob
-/// `coalesce` plan that scatters across the groups and must match the
-/// unpartitioned-catalog oracle byte-for-byte.  Gates: zero torn answers,
-/// zero mis-owned answers (`x-opaq-owner` vs the ring), zero trace
-/// violations, and — with `--chaos` — a completed kill/restart cycle.
-fn serve_bench_routed(
-    args: &Args,
-    spec: WorkloadSpec,
-    groups: usize,
-    slo: SloThresholds,
-) -> CliResult<String> {
-    let chaos = args.flag("chaos");
-    let replicas = args.u64_or("replicas", 2)? as usize;
-    if replicas == 0 {
-        return Err(CliError::Usage(
-            "--replicas must be at least 1 per group".to_string(),
-        ));
-    }
-    let vnodes = u32::try_from(args.u64_or("vnodes", 128)?)
-        .map_err(|_| CliError::Usage("--vnodes out of range".to_string()))?;
-    if vnodes == 0 {
-        return Err(CliError::Usage("--vnodes must be at least 1".to_string()));
-    }
-    let target_qps = spec.target_qps;
-    let routed_spec = RoutedWorkloadSpec {
-        spec,
-        groups,
-        replicas_per_group: replicas,
-        vnodes,
-        chaos: chaos.then(ChaosConfig::default),
-        kill_restart: chaos && replicas >= 2,
-        target_qps,
-        slo,
-        ..RoutedWorkloadSpec::default()
-    };
-    let report = opaq_net::run_routed_workload(&routed_spec)
-        .map_err(|e| CliError::Usage(format!("routed fleet workload failed: {e}")))?;
-    let mut out = format!(
-        "served {} requests across {} ring groups x {} replicas in {:?} ({:.0} ops/s); \
-         {} verified byte-for-byte, {} torn, {} mis-owned, {} re-routes, {} glob plans \
-         oracle-verified (of {})\n",
-        report.ops,
-        report.groups,
-        report.replicas_per_group,
-        report.wall,
-        report.throughput(),
-        report.verified,
-        report.torn_reads,
-        report.mis_owned,
-        report.reroutes,
-        report.plan_verified,
-        report.plan_ops,
-    );
-    out.push_str(&report.render());
-    if let Some(path) = args.get("bench-out") {
-        let json = render_bench_serve_json(
-            &format!("opaq serve-bench --http --groups {groups} (routed fleet, open-loop)"),
-            &routed_spec.spec,
-            report.target_qps,
-            &report.latency,
-            report.wall,
-            report.ops + report.plan_ops,
-            report.verified + report.plan_verified,
-            report.torn_reads,
-            report.error_rate(),
-            report.shed_rate(),
-            &routed_spec.slo,
-            &report.slo,
-        );
-        std::fs::write(path, json)
-            .map_err(|e| CliError::Usage(format!("could not write {path}: {e}")))?;
-        out.push_str(&format!("bench report written to {path}\n"));
-    }
-    if report.torn_reads > 0 || report.mis_owned > 0 {
-        return Err(CliError::Usage(format!(
-            "{} torn / {} mis-owned answers — a response's bytes or its x-opaq-owner header \
-             diverged from the ring's truth\n{out}",
-            report.torn_reads, report.mis_owned
-        )));
-    }
-    if report.trace_violations > 0 {
-        return Err(CliError::Usage(format!(
-            "{} responses missed (or mis-echoed) x-opaq-trace-id across the routed hops\n{out}",
-            report.trace_violations
-        )));
-    }
-    if !chaos && (report.http_errors > 0 || report.plan_verified < report.plan_ops) {
-        return Err(CliError::Usage(format!(
-            "{} http errors, {} of {} plans failed the oracle replay — on a fault-free run \
-             both must be zero\n{out}",
-            report.http_errors,
-            report.plan_ops - report.plan_verified,
-            report.plan_ops
-        )));
-    }
-    if chaos && routed_spec.kill_restart && (report.kills == 0 || report.restarts < report.kills) {
-        return Err(CliError::Usage(format!(
-            "chaos run never exercised the kill/restart cycle ({} kills, {} restarts)\n{out}",
-            report.kills, report.restarts
-        )));
-    }
-    if report.slo.is_breached() {
-        return Err(CliError::Usage(format!(
-            "{} of {} declared SLO objectives breached\n{out}",
-            report.slo.breaches(),
-            report.slo.checks.len()
-        )));
-    }
-    Ok(out)
 }
 
 /// `opaq serve`: the HTTP front-end over synthetic tenants, until stdin EOF.
@@ -1842,7 +1588,7 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("served 400 requests"), "{out}");
-        assert!(out.contains("0 torn reads"), "{out}");
+        assert!(out.contains(", 0 torn reads"), "{out}");
         assert!(out.contains("p999"), "{out}");
         assert!(out.contains("tenant-1"), "{out}");
     }
@@ -1886,113 +1632,212 @@ mod tests {
         assert!(run("serve-bench", &args(&["--quick", "--budget"])).is_err());
     }
 
+    /// The number printed right after `label` in `out` (e.g. `failovers 3`).
+    fn number_after(out: &str, label: &str) -> u64 {
+        let at = out
+            .find(label)
+            .unwrap_or_else(|| panic!("no '{label}' in:\n{out}"));
+        let digits: String = out[at + label.len()..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits
+            .parse()
+            .unwrap_or_else(|_| panic!("no number after '{label}'"))
+    }
+
+    fn run_bench(tokens: &[&str]) -> CliResult<String> {
+        run("serve-bench", &args(tokens))
+    }
+
     #[test]
-    fn serve_bench_http_rejects_unsupported_budget() {
-        let err = run(
-            "serve-bench",
-            &args(&["--http", "--quick", "--budget", "100"]),
-        )
-        .unwrap_err();
-        assert!(
-            err.to_string().contains("not supported in --http mode"),
-            "{err}"
-        );
+    fn serve_bench_applies_one_rule_per_flag() {
+        // Fleet flags need a fleet.
+        for flags in [&["--replicas", "2"][..], &["--groups", "2"], &["--chaos"]] {
+            let err = run_bench(&[&["--quick"], flags].concat()).unwrap_err();
+            assert!(err.to_string().contains("add --http"), "{flags:?}: {err}");
+        }
+        // An eviction budget needs the in-process topology.
+        let err = run_bench(&["--http", "--quick", "--budget", "100"]).unwrap_err();
+        assert!(err.to_string().contains("in-process"), "{err}");
+        // TTLs are not replicated, so a TTL probe needs one replica per
+        // group — on every fleet shape.
+        for shape in [
+            &["--replicas", "2"][..],
+            &["--groups", "2", "--replicas", "2"],
+        ] {
+            let tokens = [&["--http", "--quick", "--ttl-ms", "100"], shape].concat();
+            let err = run_bench(&tokens).unwrap_err();
+            assert!(err.to_string().contains("TTLs are not replicated"), "{err}");
+        }
+        // A shapeless fleet and a non-positive offered rate are usage errors.
+        for bad in [
+            &["--http", "--quick", "--groups", "0"][..],
+            &["--http", "--quick", "--replicas", "0"],
+            &["--http", "--quick", "--qps", "0"],
+        ] {
+            let err = run_bench(bad).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{bad:?}: {err}");
+        }
+        // The ring's vnode count is a constant, not a flag.
+        let err = run_bench(&["--http", "--quick", "--groups", "2", "--vnodes", "64"]);
+        assert!(err
+            .unwrap_err()
+            .to_string()
+            .contains("unknown option --vnodes"));
     }
 
     #[test]
     fn serve_bench_http_quick_verifies_over_the_wire() {
-        let out = run(
-            "serve-bench",
-            &args(&[
-                "--http",
-                "--quick",
-                "--tenants",
-                "2",
-                "--clients",
-                "3",
-                "--ops",
-                "60",
-                "--seed",
-                "7",
-                "--ttl-ms",
-                "60",
-            ]),
-        )
+        let out = run_bench(&[
+            "--http",
+            "--quick",
+            "--tenants",
+            "2",
+            "--clients",
+            "3",
+            "--ops",
+            "60",
+            "--seed",
+            "7",
+            "--ttl-ms",
+            "60",
+        ])
         .unwrap();
-        assert!(out.contains("0 torn reads"), "{out}");
-        assert!(out.contains("0 http errors"), "{out}");
-        assert!(out.contains("expiry-refresh cycles observed"), "{out}");
+        assert!(out.contains(", 0 torn reads"), "{out}");
+        assert!(out.contains(", 0 http errors"), "{out}");
         assert!(out.contains("verified byte-for-byte"), "{out}");
-    }
-
-    #[test]
-    fn serve_bench_replica_flags_are_validated() {
-        let err = run("serve-bench", &args(&["--quick", "--replicas", "2"])).unwrap_err();
-        assert!(err.to_string().contains("add --http"), "{err}");
-        let err = run("serve-bench", &args(&["--quick", "--chaos"])).unwrap_err();
-        assert!(err.to_string().contains("add --http"), "{err}");
-        let err = run(
-            "serve-bench",
-            &args(&["--http", "--quick", "--replicas", "2", "--qps", "100"]),
-        )
-        .unwrap_err();
         assert!(
-            err.to_string()
-                .contains("not supported in replica-fleet mode"),
-            "{err}"
+            number_after(&out, "expiry-refresh cycles observed ") >= 1,
+            "{out}"
         );
+        assert_eq!(number_after(&out, "plan verified "), 3 * 60 / 5, "{out}");
     }
 
     #[test]
-    fn serve_bench_replica_fleet_verifies_across_replicas() {
-        let out = run(
-            "serve-bench",
-            &args(&[
-                "--http",
-                "--quick",
-                "--replicas",
-                "2",
-                "--tenants",
-                "2",
-                "--clients",
-                "2",
-                "--ops",
-                "40",
-                "--keys-per-tenant",
-                "4000",
-            ]),
-        )
+    fn serve_bench_http_open_loop_with_ttl_holds_its_slo_and_writes_the_report() {
+        let bench_path = temp("bench-serve-http", "json");
+        let out = run_bench(&[
+            "--http",
+            "--quick",
+            "--tenants",
+            "2",
+            "--clients",
+            "2",
+            "--ops",
+            "60",
+            "--ttl-ms",
+            "60",
+            "--qps",
+            "2000",
+            "--slo-p99-ms",
+            "5000",
+            "--bench-out",
+            bench_path.to_str().unwrap(),
+        ])
         .unwrap();
-        assert!(out.contains("2-replica fleet"), "{out}");
-        assert!(out.contains("0 torn reads"), "{out}");
-        assert!(out.contains("0 http errors"), "{out}");
-        assert!(out.contains("replica fleet: 2 replicas"), "{out}");
+        assert!(out.contains(", 0 torn reads"), "{out}");
+        assert!(out.contains("slo verdicts"), "{out}");
+        let json = std::fs::read_to_string(&bench_path).unwrap();
+        std::fs::remove_file(&bench_path).unwrap();
+        for field in [
+            "\"command\": \"opaq serve-bench --http --tenants 2",
+            "\"slo_breaches\": 0",
+            "\"met\": true",
+        ] {
+            assert!(json.contains(field), "missing {field} in:\n{json}");
+        }
+    }
+
+    #[test]
+    fn serve_bench_replica_fleet_takes_an_open_loop_slo() {
+        let out = run_bench(&[
+            "--http",
+            "--quick",
+            "--replicas",
+            "2",
+            "--tenants",
+            "2",
+            "--clients",
+            "2",
+            "--ops",
+            "40",
+            "--keys-per-tenant",
+            "4000",
+            "--qps",
+            "2000",
+            "--slo-p99-ms",
+            "5000",
+        ])
+        .unwrap();
+        assert!(out.contains("(1x2 fleet over TCP)"), "{out}");
+        assert!(out.contains(", 0 torn reads"), "{out}");
+        assert!(out.contains(", 0 http errors"), "{out}");
+        assert!(out.contains("target qps (open loop): 2000"), "{out}");
+        assert!(number_after(&out, "sync deltas applied ") >= 2, "{out}");
     }
 
     #[test]
     fn serve_bench_chaos_fleet_survives_a_kill_and_restart() {
-        let out = run(
-            "serve-bench",
-            &args(&[
-                "--http",
-                "--quick",
-                "--replicas",
-                "2",
-                "--chaos",
-                "--tenants",
-                "2",
-                "--clients",
-                "3",
-                "--ops",
-                "60",
-                "--keys-per-tenant",
-                "4000",
-            ]),
-        )
+        let out = run_bench(&[
+            "--http",
+            "--quick",
+            "--replicas",
+            "2",
+            "--chaos",
+            "--tenants",
+            "2",
+            "--clients",
+            "3",
+            "--ops",
+            "60",
+            "--keys-per-tenant",
+            "4000",
+            "--seed",
+            "17",
+        ])
         .unwrap();
-        assert!(out.contains("0 torn reads"), "{out}");
-        assert!(out.contains("kills 1"), "{out}");
-        assert!(out.contains("restarts 1"), "{out}");
+        assert!(out.contains(", 0 torn reads"), "{out}");
+        assert!(out.contains(", 0 http errors"), "{out}");
+        assert!(out.contains("kills 1 | restarts 1"), "{out}");
+        for counter in [
+            "failovers ",
+            "chaos faults injected ",
+            "sync deltas applied ",
+        ] {
+            assert!(number_after(&out, counter) >= 1, "{counter}:\n{out}");
+        }
+    }
+
+    #[test]
+    fn serve_bench_routed_chaos_fleet_is_untorn_owned_and_balanced() {
+        let out = run_bench(&[
+            "--http",
+            "--quick",
+            "--groups",
+            "2",
+            "--replicas",
+            "2",
+            "--chaos",
+            "--tenants",
+            "6",
+            "--clients",
+            "3",
+            "--ops",
+            "60",
+            "--keys-per-tenant",
+            "4000",
+            "--seed",
+            "17",
+        ])
+        .unwrap();
+        assert!(out.contains("| torn 0 | mis-owned 0 |"), "{out}");
+        assert!(out.contains("kills 1 | restarts 1"), "{out}");
+        assert!(out.contains("group-0: tenants 3"), "{out}");
+        assert!(out.contains("group-1: tenants 3"), "{out}");
+        for counter in ["reroutes ", "chaos faults injected "] {
+            assert!(number_after(&out, counter) >= 1, "{counter}:\n{out}");
+        }
     }
 
     #[test]

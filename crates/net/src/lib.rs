@@ -67,19 +67,25 @@
 //!   it into the request's span tree.
 //! * **Client** ([`client`]): minimal keep-alive client with transparent
 //!   single reconnect, for the harness/CLI/examples.
-//! * **Workload harness** ([`workload`]): the HTTP twin of
-//!   `opaq_serve::run_workload` — N client threads × M tenants over real
-//!   sockets, every response re-rendered locally from the registered sketch
-//!   of its claimed version and compared **byte-for-byte**, plus a TTL probe
-//!   that watches an expiring tenant serve non-fresh tags until its
-//!   background refresh publishes.  With
-//!   [`workload::HttpWorkloadSpec::target_qps`] the clients hold a fixed
-//!   **open-loop** offered rate and measure latency from each op's scheduled
-//!   send time (coordinated-omission-safe), 503s are tallied as *sheds*
-//!   rather than errors, and the report carries verdicts for any declared
-//!   [`opaq_metrics::SloThresholds`] — the machinery behind
-//!   `opaq serve-bench --http --qps N --slo-p99-ms M`.
-//!
+//! * **Load harness** ([`load`]): one function, [`run_load`], over a
+//!   [`Topology`] — in process, or a fleet of `groups` ring groups ×
+//!   `replicas` replicas over loopback TCP, optionally under chaos.  N
+//!   client threads × M tenants replay the standard request mix while a
+//!   refresher publishes new versions; every answer is re-rendered from the
+//!   registered sketch of its claimed version and compared
+//!   **byte-for-byte** (in-process answers go through the same renderers),
+//!   every fifth op is a glob coalesce plan replayed against the
+//!   unpartitioned-catalog oracle, and a TTL probe can watch an expiring
+//!   tenant serve non-fresh tags until its background refresh publishes.
+//!   With [`LoadSpec::target_qps`] the clients hold a fixed **open-loop**
+//!   offered rate and measure latency from each op's scheduled send time
+//!   (coordinated-omission-safe), 503s are tallied as *sheds*, and the one
+//!   [`LoadReport`] carries verdicts for any declared
+//!   [`opaq_metrics::SloThresholds`] — the machinery behind every
+//!   `opaq serve-bench` mode.  A routed fleet with one group is a replica
+//!   fleet, and a replica fleet of one is a single server, so every fleet
+//!   run drives the same [`RoutedFleet`] clients.
+
 //! ## Replication + failover model
 //!
 //! A replica started with `opaq serve --peer ADDR` joins an existing
@@ -118,10 +124,13 @@
 //!    agreement between clients (each set has a local view), or bounded
 //!    staleness of degraded answers (they are as old as the last success).
 //! 4. **Chaos** ([`chaos`]): a fault-injecting TCP proxy (drop, delay,
-//!    truncate mid-body, reset after N bytes, flap) sits between harness
-//!    and replicas in `opaq serve-bench --http --replicas N --chaos`, so
-//!    the failover path above is exercised by real torn sockets while every
-//!    answer is still verified byte-for-byte ([`failover`]).
+//!    truncate mid-body, reset after N bytes, flap) sits between the load
+//!    harness and every replica in `opaq serve-bench --http --replicas N
+//!    --chaos`, so the failover path above is exercised by real torn
+//!    sockets while every answer is still verified byte-for-byte
+//!    ([`load`]).  With two or more replicas the harness also kills the
+//!    replica clients prefer a quarter into the run and restarts it at the
+//!    half — keyed on op index, so the failover is forced, not lucky.
 //!
 //! ## Routing + partitioning model
 //!
@@ -173,14 +182,14 @@
 //!   is **byte-identical** to the same plan on an unpartitioned catalog
 //!   (the oracle the routed harness and the CI `routing-smoke` job compare
 //!   against).
-//! * **The partitioned harness** ([`routed::run_routed_workload`], i.e.
-//!   `opaq serve-bench --http --groups G --replicas M [--chaos]`): stands
-//!   up G groups × M replicas, routes ring-aware clients (with deliberate
-//!   misroutes to exercise the re-route arc), verifies every answer
-//!   byte-for-byte *and* ownership-checks every 200's `x-opaq-owner`
-//!   against the ring, scatters glob plans and replays them against the
-//!   unpartitioned oracle, and reports per-group tenant/op balance — under
-//!   the same chaos proxies and kill/restart monkey as the flat fleet.
+//! * **The partitioned run** ([`run_load`] on a multi-group
+//!   [`Topology::Fleet`], i.e. `opaq serve-bench --http --groups G
+//!   --replicas M [--chaos]`): seeds each tenant only into its owning
+//!   group, routes ring-aware clients (with deliberate misroutes to
+//!   exercise the re-route arc), ownership-checks every 200's
+//!   `x-opaq-owner` against the ring, replays scattered glob plans against
+//!   the unpartitioned oracle, and reports per-group tenant/op balance —
+//!   under the same chaos proxies and kill/restart as any other fleet.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -189,35 +198,33 @@ pub mod backoff;
 pub mod chaos;
 pub mod circuit;
 pub mod client;
-pub mod failover;
 pub mod http;
 pub mod json;
+pub mod load;
 pub mod replica;
 pub mod ring;
 pub mod routed;
 pub mod server;
 pub mod sync;
-pub mod workload;
 
 pub use backoff::Backoff;
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosProxy};
 pub use circuit::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use client::{ClientResponse, ClientStats, ConnectError, ConnectErrorKind, HttpClient};
-pub use failover::{run_replica_workload, ReplicaLoadReport, ReplicaWorkloadSpec};
 pub use http::{Request, Response};
 pub use json::Json;
+pub use load::{run_load, GroupShare, LoadReport, LoadSpec, Topology};
 pub use replica::{
     FailoverResponse, ReplicaConfig, ReplicaConfigBuilder, ReplicaSet, ReplicationStats,
 };
 pub use ring::{GroupConfig, HashRing, RingConfig, RingMembership};
-pub use routed::{run_routed_workload, RoutedFleet, RoutedLoadReport, RoutedWorkloadSpec};
+pub use routed::RoutedFleet;
 pub use server::{
     render_plan_response_json, render_response_json, ApiRequest, HttpServer, ServerConfig,
     ServerConfigBuilder, ServerStats, Telemetry, FRESHNESS_HEADER, OWNER_HEADER, SOURCES_HEADER,
     TRACE_HEADER, VERSION_HEADER,
 };
 pub use sync::{bootstrap, fetch_manifest, fetch_sketch, sync_once, PeerEntry, Replicator};
-pub use workload::{run_http_workload, HttpLoadReport, HttpWorkloadSpec};
 
 use opaq_serve::ServeError;
 use std::fmt;

@@ -13,40 +13,18 @@
 //! re-routes **once** to that group — same trace id, counted in
 //! [`ReplicationStats::reroutes`] — and never loops.
 //!
-//! [`run_routed_workload`] is the harness: G groups × R replicas, each
-//! group a primary plus `--peer`-synced secondaries, tenants seeded only
-//! into their owning group, optional chaos proxies and a mid-run
-//! kill/restart of one replica — and every answer still verified
-//! **byte-for-byte** against the registered sketch of its claimed version,
-//! plus an ownership check: a 200 whose `x-opaq-owner` header names any
-//! group but the ring's owner counts as *mis-owned* (must be 0).  Every
-//! fifth op is a glob `coalesce` plan through a rotating coordinator group;
-//! the coordinator scatters to its peers, and the offline replay (fuse the
-//! registered sketches of every claimed version, re-render) is exactly the
-//! answer an unpartitioned catalog would have produced — the byte-identity
-//! gate for the scatter/gather path.
+//! [`crate::load::run_load`] drives one `RoutedFleet` per client thread on
+//! every fleet topology; a one-group ring is the flat server or replica
+//! fleet, so this is the only HTTP client path the harness has.
 
-use crate::chaos::{ChaosConfig, ChaosCounters, ChaosProxy};
 use crate::client::{ClientResponse, ClientStats};
-use crate::failover::{get_request_for, sleep_sliced, start_secondary, wait_for_progress};
-use crate::json::{write_escaped, Json};
+use crate::json::Json;
 use crate::replica::{FailoverResponse, ReplicaConfig, ReplicaSet, ReplicationStats};
-use crate::ring::{GroupConfig, HashRing, RingConfig, RingMembership};
-use crate::server::{HttpServer, ServerConfig, OWNER_HEADER};
-use crate::workload::{
-    plan_for, trace_ok, verify, verify_plan, wire_form, PlanVerdict, Registry, Verdict,
-};
+use crate::ring::HashRing;
 use crate::{NetError, NetResult};
-use opaq_core::{IncrementalOpaq, OpaqConfig};
-use opaq_metrics::{LatencyHistogram, LatencySnapshot, SloOutcome, SloThresholds, TraceId};
-use opaq_serve::{
-    chunk_spec, next_rand, DatasetId, QueryEngine, SketchCatalog, TenantId, WorkloadSpec,
-};
-use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use opaq_metrics::TraceId;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// If `response` is a well-formed typed `wrong_owner` answer, the name of
 /// the owning group it claims.
@@ -65,7 +43,8 @@ fn wrong_owner_group(response: &ClientResponse) -> Option<String> {
 
 /// A ring-keyed fleet of per-group [`ReplicaSet`]s.
 ///
-/// Single-tenant GETs route to the owning group ([`RoutedFleet::get`]);
+/// Single-tenant requests route to the owning group ([`RoutedFleet::get`],
+/// [`RoutedFleet::send`]);
 /// glob plans POST to a rotating coordinator group
 /// ([`RoutedFleet::post_plan`]) whose server-side scatter hook reaches the
 /// peers.  Failover, breakers and degraded replay stay entirely inside each
@@ -188,8 +167,7 @@ impl RoutedFleet {
     /// The owning group's transport error when every one of its replicas
     /// failed and nothing is cached for `target`.
     pub fn get(&mut self, tenant: &str, target: &str) -> NetResult<FailoverResponse> {
-        let owner = self.ring.owner_index(tenant);
-        self.get_via(owner, target)
+        self.send(tenant, target, None, false)
     }
 
     /// `GET target` deliberately sent to a **non-owning** group — the
@@ -201,17 +179,33 @@ impl RoutedFleet {
     /// # Errors
     /// Same as [`RoutedFleet::get`].
     pub fn get_misrouted(&mut self, tenant: &str, target: &str) -> NetResult<FailoverResponse> {
-        let owner = self.ring.owner_index(tenant);
-        let wrong = (owner + 1) % self.groups.len();
-        self.get_via(wrong, target)
+        self.send(tenant, target, None, true)
     }
 
-    /// `GET target` via a specific group, following one `wrong_owner`
-    /// re-route if that group disclaims the tenant.  The re-route is a
-    /// single hop: a second `wrong_owner` (a ring the servers disagree on)
-    /// is returned as-is rather than chased.
-    fn get_via(&mut self, group: usize, target: &str) -> NetResult<FailoverResponse> {
-        let first = self.groups[group].get(target)?;
+    /// One single-tenant request: a GET when `body` is `None`, else a JSON
+    /// POST (e.g. `quantile_batch`: one attempt, never failed over — same
+    /// discipline as [`ReplicaSet::post_json`]).  It goes to the owning
+    /// group, or to the next group round the ring when `misroute` is set.
+    /// A group that disclaims the tenant with `wrong_owner` gets exactly one
+    /// re-route to the owner it names: a second `wrong_owner` (a ring the
+    /// servers disagree on) is returned as-is rather than chased.
+    ///
+    /// # Errors
+    /// The addressed group's transport error.
+    pub fn send(
+        &mut self,
+        tenant: &str,
+        target: &str,
+        body: Option<&str>,
+        misroute: bool,
+    ) -> NetResult<FailoverResponse> {
+        let owner = self.ring.owner_index(tenant);
+        let group = if misroute {
+            (owner + 1) % self.groups.len()
+        } else {
+            owner
+        };
+        let first = self.send_to(group, target, body)?;
         let Some(owner_name) = wrong_owner_group(&first.response) else {
             return Ok(first);
         };
@@ -224,7 +218,19 @@ impl RoutedFleet {
         if let Some(stats) = &self.stats {
             stats.reroutes.fetch_add(1, Ordering::Relaxed);
         }
-        self.groups[owner_idx].get(target)
+        self.send_to(owner_idx, target, body)
+    }
+
+    fn send_to(
+        &mut self,
+        group: usize,
+        target: &str,
+        body: Option<&str>,
+    ) -> NetResult<FailoverResponse> {
+        match body {
+            None => self.groups[group].get(target),
+            Some(body) => self.groups[group].post_json(target, body),
+        }
     }
 
     /// `POST /v1/query` to the next coordinator group in round-robin order.
@@ -242,869 +248,10 @@ impl RoutedFleet {
     }
 }
 
-/// Shape of one routed-fleet workload: G groups × R replicas.
-#[derive(Debug, Clone)]
-pub struct RoutedWorkloadSpec {
-    /// Tenant/client/op counts and sketch parameters (shared with the other
-    /// harnesses; TTL/spill knobs are ignored here).
-    pub spec: WorkloadSpec,
-    /// Replica groups on the ring.  At least 1.
-    pub groups: usize,
-    /// Serving replicas per group, primary included.  At least 1.
-    pub replicas_per_group: usize,
-    /// Virtual nodes per group on the ring.
-    pub vnodes: u32,
-    /// `Some` puts a fault-injecting [`ChaosProxy`] in front of every
-    /// replica.
-    pub chaos: Option<ChaosConfig>,
-    /// Kill group 0's leading secondary mid-run and restart it on a fresh
-    /// port (needs `replicas_per_group >= 2`; ignored otherwise).
-    pub kill_restart: bool,
-    /// Deliberately misroute every N-th op to a non-owning group, forcing
-    /// the `wrong_owner` → re-route arc.  0 disables; ignored with one
-    /// group.
-    pub misroute_every: u64,
-    /// Delta-poll interval for the secondaries' replicators.
-    pub poll: Duration,
-    /// Client tuning for every group's [`ReplicaSet`].
-    pub replica: ReplicaConfig,
-    /// Server tuning, applied to every replica.
-    pub server: ServerConfig,
-    /// `Some(qps)` runs the clients open-loop at this aggregate offered
-    /// rate, latency measured from each op's scheduled send time.
-    pub target_qps: Option<f64>,
-    /// Declared objectives, evaluated client-side into
-    /// [`RoutedLoadReport::slo`].
-    pub slo: SloThresholds,
-}
-
-impl Default for RoutedWorkloadSpec {
-    fn default() -> Self {
-        let mut replica = ReplicaConfig::default();
-        // Short cooldown: the harness wants to see the full open →
-        // half-open → closed arc inside one bench run.
-        replica.breaker.cooldown = Duration::from_millis(150);
-        replica.probe_interval = Duration::from_millis(20);
-        Self {
-            spec: WorkloadSpec::default(),
-            groups: 2,
-            replicas_per_group: 2,
-            vnodes: 128,
-            chaos: None,
-            kill_restart: false,
-            misroute_every: 7,
-            poll: Duration::from_millis(40),
-            replica,
-            server: ServerConfig::default(),
-            target_qps: None,
-            slo: SloThresholds::default(),
-        }
-    }
-}
-
-impl RoutedWorkloadSpec {
-    /// A small chaos configuration for CI smoke runs: 2 groups × 2
-    /// replicas, fault proxies on, kill-and-restart on.
-    pub fn quick() -> Self {
-        Self {
-            spec: WorkloadSpec::quick(),
-            chaos: Some(ChaosConfig::default()),
-            kill_restart: true,
-            ..Self::default()
-        }
-    }
-}
-
-/// Per-group share of the routed run, for the balance report.
-#[derive(Debug, Clone)]
-pub struct GroupShare {
-    /// The group's ring name.
-    pub group: String,
-    /// Tenants the ring assigns to this group.
-    pub tenants: u64,
-    /// Single-tenant ops whose owner this group was.
-    pub ops: u64,
-}
-
-/// What a routed-fleet workload observed.
-#[derive(Debug, Clone)]
-pub struct RoutedLoadReport {
-    /// Replica groups on the ring.
-    pub groups: usize,
-    /// Serving replicas per group the fleet started with.
-    pub replicas_per_group: usize,
-    /// Single-tenant GETs issued by the client threads.
-    pub ops: u64,
-    /// Responses verified byte-for-byte against their claimed version.
-    pub verified: u64,
-    /// Responses that matched no complete published version (must be 0).
-    pub torn_reads: u64,
-    /// 200s whose `x-opaq-owner` header named a group other than the
-    /// ring's owner for that tenant (must be 0).
-    pub mis_owned: u64,
-    /// Glob `coalesce` plans POSTed through rotating coordinators.
-    pub plan_ops: u64,
-    /// Plan responses whose offline replay — the unpartitioned-catalog
-    /// oracle — matched byte-for-byte.
-    pub plan_verified: u64,
-    /// Plan POSTs that died to a transport fault (single-attempt, never
-    /// retried; expected only under chaos).
-    pub plan_unanswered: u64,
-    /// Non-200, non-503 responses, plans included (torn-gated runs expect
-    /// 0; a chaos run may see a handful from mid-handshake faults).
-    pub http_errors: u64,
-    /// 503s from a replica's bounded accept queue.
-    pub sheds: u64,
-    /// Answers replayed from a group's degradation cache (stale but still
-    /// byte-verified).
-    pub degraded: u64,
-    /// Ops for which the owning group had no answer *and* nothing cached.
-    pub unanswered: u64,
-    /// Versions published by the background refresher during the run.
-    pub refreshes_published: u64,
-    /// `wrong_owner` answers followed by a one-hop re-route to the owner.
-    pub reroutes: u64,
-    /// Preferred-replica switches, across all groups and clients.
-    pub failovers: u64,
-    /// Circuit-breaker open transitions, across all groups and clients.
-    pub breaker_opens: u64,
-    /// Catalog entries secondaries applied from their primaries.
-    pub sync_deltas_applied: u64,
-    /// Faults injected by the chaos proxies, total.
-    pub chaos_faults_injected: u64,
-    /// Per-kind chaos tallies, summed over all proxies.
-    pub chaos: ChaosCounters,
-    /// Connection-establishment failures across all fleet clients.
-    pub connect_errors: u64,
-    /// Deadline-killed requests across all fleet clients.
-    pub timeouts: u64,
-    /// Transparent reconnect-retries across all fleet clients.
-    pub retries: u64,
-    /// Responses missing the trace header or echoing the wrong id (must be
-    /// 0 — the misdirected hop and the re-route share one trace).
-    pub trace_violations: u64,
-    /// Replicas the chaos monkey shut down mid-run.
-    pub kills: u64,
-    /// Replicas the chaos monkey brought back (fresh port, re-bootstrap).
-    pub restarts: u64,
-    /// Per-group tenant/op balance, in ring order.
-    pub shares: Vec<GroupShare>,
-    /// Wall-clock time of the client phase.
-    pub wall: Duration,
-    /// Client-observed latency distribution (from scheduled send times when
-    /// run open-loop).
-    pub latency: LatencySnapshot,
-    /// The offered rate the clients held, when run open-loop.
-    pub target_qps: Option<f64>,
-    /// Verdicts for the declared objectives (empty when none declared).
-    pub slo: SloOutcome,
-}
-
-impl RoutedLoadReport {
-    /// Client requests per second (single-tenant and plan ops) over the
-    /// client phase.
-    pub fn throughput(&self) -> f64 {
-        (self.ops + self.plan_ops) as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Fraction of requests answered with a non-200, non-503 status.
-    pub fn error_rate(&self) -> f64 {
-        self.http_errors as f64 / ((self.ops + self.plan_ops) as f64).max(1.0)
-    }
-
-    /// Fraction of requests shed with 503.
-    pub fn shed_rate(&self) -> f64 {
-        self.sheds as f64 / ((self.ops + self.plan_ops) as f64).max(1.0)
-    }
-
-    /// Render the report as text.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "routed fleet: {} groups x {} replicas | kills {} | restarts {}\n",
-            self.groups, self.replicas_per_group, self.kills, self.restarts
-        );
-        for share in &self.shares {
-            out.push_str(&format!(
-                "  {}: tenants {} | ops {}\n",
-                share.group, share.tenants, share.ops
-            ));
-        }
-        out.push_str(&format!(
-            "ops {} | verified {} | torn {} | mis-owned {} | plan ops {} | plan verified {} | \
-             plan unanswered {} | http errors {} | sheds {} | degraded {} | unanswered {} | \
-             refreshes {} | {:.0} ops/s\n",
-            self.ops,
-            self.verified,
-            self.torn_reads,
-            self.mis_owned,
-            self.plan_ops,
-            self.plan_verified,
-            self.plan_unanswered,
-            self.http_errors,
-            self.sheds,
-            self.degraded,
-            self.unanswered,
-            self.refreshes_published,
-            self.throughput()
-        ));
-        out.push_str(&format!(
-            "reroutes {} | failovers {} | breaker opens {} | sync deltas applied {} | \
-             chaos faults injected {}\n",
-            self.reroutes,
-            self.failovers,
-            self.breaker_opens,
-            self.sync_deltas_applied,
-            self.chaos_faults_injected
-        ));
-        out.push_str(&format!(
-            "chaos: drops {} | delays {} | truncates {} | resets {} | flaps {}\n",
-            self.chaos.drops,
-            self.chaos.delays,
-            self.chaos.truncates,
-            self.chaos.resets,
-            self.chaos.flaps
-        ));
-        out.push_str(&format!(
-            "client transport: connect errors {} | timeouts {} | retries {} | \
-             trace violations {}\n",
-            self.connect_errors, self.timeouts, self.retries, self.trace_violations
-        ));
-        if let Some(qps) = self.target_qps {
-            out.push_str(&format!("target qps (open loop): {qps:.0}\n"));
-        }
-        out.push_str(&self.slo.render("slo verdicts"));
-        out
-    }
-}
-
-/// Reserve an ephemeral loopback port per group primary so the ring can
-/// carry real dialable addresses *before* any server starts (the scatter
-/// hook dials ring addresses, so placeholders would break glob plans).
-/// The listeners stay bound until the moment each primary takes the port.
-fn reserve_primary_ports(groups: usize) -> NetResult<Vec<(std::net::TcpListener, String)>> {
-    (0..groups)
-        .map(|_| {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-            let addr = listener.local_addr()?.to_string();
-            Ok((listener, addr))
-        })
-        .collect()
-}
-
-/// Bind a server on the exact reserved address, retrying briefly: the
-/// reservation listener was just dropped, so the only contention is another
-/// process landing on the port in the microseconds between.
-fn start_primary_on(engine: &Arc<QueryEngine>, config: &ServerConfig) -> NetResult<HttpServer> {
-    let mut last = None;
-    for _ in 0..50 {
-        match HttpServer::start(Arc::clone(engine), config.clone()) {
-            Ok(server) => return Ok(server),
-            Err(e) => {
-                last = Some(e);
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-    Err(last.unwrap_or_else(|| NetError::InvalidConfig("primary bind retry exhausted".into())))
-}
-
-/// Run `fleet_spec` end to end: a partitioned fleet (G ring groups, each a
-/// primary plus peer-synced secondaries), ring-routed clients with one-hop
-/// `wrong_owner` re-routing, optional chaos and mid-run kill/restart, full
-/// byte-for-byte plus ownership verification, ordered teardown.
-///
-/// # Errors
-/// Configuration, socket and serving-layer errors.  Torn reads, mis-owned
-/// answers, HTTP error statuses and unanswered ops are *reported*, not
-/// errors — the caller decides whether non-zero is fatal.
-#[allow(clippy::too_many_lines)]
-pub fn run_routed_workload(fleet_spec: &RoutedWorkloadSpec) -> NetResult<RoutedLoadReport> {
-    let spec = &fleet_spec.spec;
-    if spec.tenants == 0 || spec.clients == 0 || spec.ops_per_client == 0 {
-        return Err(NetError::InvalidConfig(
-            "a workload needs at least one tenant, one client and one op".into(),
-        ));
-    }
-    if fleet_spec.groups == 0 || fleet_spec.replicas_per_group == 0 {
-        return Err(NetError::InvalidConfig(
-            "a routed fleet needs at least one group and one replica per group".into(),
-        ));
-    }
-    if let Some(qps) = fleet_spec.target_qps {
-        if !qps.is_finite() || qps <= 0.0 {
-            return Err(NetError::InvalidConfig(format!(
-                "target_qps must be positive and finite, got {qps}"
-            )));
-        }
-    }
-    let config = OpaqConfig::builder()
-        .run_length(spec.run_length)
-        .sample_size(spec.sample_size.min(spec.run_length))
-        .build()
-        .map_err(opaq_serve::ServeError::from)?;
-
-    // The ring must exist before any server starts (every server loads it),
-    // and must carry real addresses (the scatter hook dials them) — so the
-    // primaries' ports are reserved up front.
-    let mut reserved = reserve_primary_ports(fleet_spec.groups)?;
-    let ring_config = RingConfig {
-        vnodes: fleet_spec.vnodes,
-        groups: reserved
-            .iter()
-            .enumerate()
-            .map(|(g, (_, addr))| GroupConfig {
-                name: format!("group-{g}"),
-                addrs: vec![addr.clone()],
-            })
-            .collect(),
-    };
-    let ring = Arc::new(HashRing::new(ring_config)?);
-
-    let stats = ReplicationStats::new();
-    let registry: Registry = Arc::new(RwLock::new(HashMap::new()));
-    let catalogs: Vec<Arc<SketchCatalog>> = (0..fleet_spec.groups)
-        .map(|_| Arc::new(SketchCatalog::unbounded()))
-        .collect();
-    let engines: Vec<Arc<QueryEngine>> = catalogs
-        .iter()
-        .map(|c| {
-            let engine = Arc::new(QueryEngine::new(Arc::clone(c)));
-            engine.set_slo_threshold(fleet_spec.slo.p99);
-            engine
-        })
-        .collect();
-
-    let ids: Vec<(TenantId, DatasetId)> = (0..spec.tenants)
-        .map(|i| {
-            (
-                TenantId::new(format!("tenant-{i}")),
-                DatasetId::new("events"),
-            )
-        })
-        .collect();
-    let owners: Vec<usize> = ids
-        .iter()
-        .map(|(tenant, _)| ring.owner_index(tenant.as_str()))
-        .collect();
-
-    // Seed version 1 of every tenant into its *owning* group only —
-    // ring-scoped ingest.  `chunk_spec` derives tenant data purely from
-    // `(seed, tenant_idx, round)`, so an unpartitioned oracle catalog would
-    // hold exactly these bytes, which is what makes the plan replay below a
-    // true single-catalog oracle.
-    let mut incrementals = Vec::with_capacity(spec.tenants);
-    for (tenant_idx, (tenant, dataset)) in ids.iter().enumerate() {
-        let mut inc = IncrementalOpaq::new(config).map_err(opaq_serve::ServeError::from)?;
-        inc.add_run(chunk_spec(spec, tenant_idx, 0, spec.keys_per_tenant).generate())
-            .map_err(opaq_serve::ServeError::from)?;
-        let sketch = inc.sketch().expect("just added a run").clone();
-        registry
-            .write()
-            .insert((tenant.to_string(), 1), Arc::new(sketch.clone()));
-        catalogs[owners[tenant_idx]].publish(tenant, dataset, sketch)?;
-        incrementals.push(inc);
-    }
-
-    // Worker sizing: every client fleet holds a keep-alive connection per
-    // replica, peer coordinators open transient scatter connections, and
-    // each group's secondaries poll their primary.
-    let mut server_config = fleet_spec.server.clone();
-    server_config.workers = server_config
-        .workers
-        .max(spec.clients * 2 + fleet_spec.replicas_per_group + 4);
-
-    // Per-group server configs: ring membership baked in, ephemeral bind
-    // for secondaries (the primary overrides `addr` with its reserved one).
-    let mut group_configs = Vec::with_capacity(fleet_spec.groups);
-    for group in ring.groups() {
-        let membership = RingMembership::new((*ring).clone(), &group.name)?;
-        let mut cfg = server_config.clone();
-        cfg.addr = "127.0.0.1:0".into();
-        cfg.ring = Some(Arc::new(membership));
-        cfg.replication = Some(Arc::clone(&stats));
-        group_configs.push(cfg);
-    }
-
-    // Primaries take their reserved ports (reservation dropped just before
-    // the bind), then each group's secondaries bootstrap off them.
-    let mut primaries = Vec::with_capacity(fleet_spec.groups);
-    for g in 0..fleet_spec.groups {
-        let (listener, addr) = reserved.remove(0);
-        drop(listener);
-        let mut cfg = group_configs[g].clone();
-        cfg.addr = addr;
-        primaries.push(start_primary_on(&engines[g], &cfg)?);
-    }
-    let primary_addrs: Vec<String> = primaries
-        .iter()
-        .map(|p| p.local_addr().to_string())
-        .collect();
-
-    let mut secondaries: Vec<Vec<_>> = Vec::with_capacity(fleet_spec.groups);
-    let mut serving_addrs: Vec<Vec<String>> = Vec::with_capacity(fleet_spec.groups);
-    for g in 0..fleet_spec.groups {
-        let mut group_secondaries = Vec::new();
-        let mut group_serving = Vec::new();
-        for _ in 1..fleet_spec.replicas_per_group {
-            let (runtime, addr) = start_secondary(
-                &primary_addrs[g],
-                &group_configs[g],
-                fleet_spec.poll,
-                &stats,
-            )?;
-            group_secondaries.push(runtime);
-            group_serving.push(addr);
-        }
-        // The first secondary leads the routing order, so sticky clients
-        // prefer the replica the monkey will kill (group 0); the primary
-        // anchors the tail as the always-up fallback.
-        group_serving.push(primary_addrs[g].clone());
-        secondaries.push(group_secondaries);
-        serving_addrs.push(group_serving);
-    }
-
-    let kill_restart = fleet_spec.kill_restart && fleet_spec.replicas_per_group >= 2;
-    let use_proxy = fleet_spec.chaos.is_some() || kill_restart;
-    let chaos_config = fleet_spec.chaos.clone().unwrap_or(ChaosConfig {
-        fault_rate: 0.0,
-        ..ChaosConfig::default()
-    });
-    let mut proxies: Vec<Vec<ChaosProxy>> = Vec::with_capacity(fleet_spec.groups);
-    let mut client_addrs: Vec<Vec<String>> = Vec::with_capacity(fleet_spec.groups);
-    for (g, group_serving) in serving_addrs.iter().enumerate() {
-        let mut group_proxies = Vec::new();
-        let mut group_clients = Vec::with_capacity(group_serving.len());
-        if use_proxy {
-            for (i, upstream) in group_serving.iter().enumerate() {
-                let proxy = ChaosProxy::start(
-                    upstream.clone(),
-                    ChaosConfig {
-                        seed: chaos_config
-                            .seed
-                            .wrapping_add(0x9e37 * ((g * 64 + i) as u64 + 1)),
-                        ..chaos_config.clone()
-                    },
-                    Some(Arc::clone(&stats)),
-                )?;
-                group_clients.push(proxy.local_addr().to_string());
-                group_proxies.push(proxy);
-            }
-        } else {
-            group_clients.clone_from(group_serving);
-        }
-        proxies.push(group_proxies);
-        client_addrs.push(group_clients);
-    }
-
-    let misroute_every = if fleet_spec.groups >= 2 {
-        fleet_spec.misroute_every
-    } else {
-        0
-    };
-    let total_ops = spec.ops_per_client * spec.clients as u64;
-    let ops_done = AtomicU64::new(0);
-    let verified = AtomicU64::new(0);
-    let torn = AtomicU64::new(0);
-    let mis_owned = AtomicU64::new(0);
-    let http_errors = AtomicU64::new(0);
-    let sheds = AtomicU64::new(0);
-    let degraded = AtomicU64::new(0);
-    let unanswered = AtomicU64::new(0);
-    let plan_ops = AtomicU64::new(0);
-    let plan_verified = AtomicU64::new(0);
-    let plan_torn = AtomicU64::new(0);
-    let plan_unanswered = AtomicU64::new(0);
-    let refreshes = AtomicU64::new(0);
-    let connect_errors = AtomicU64::new(0);
-    let timeouts = AtomicU64::new(0);
-    let retries = AtomicU64::new(0);
-    let trace_violations = AtomicU64::new(0);
-    let kills = AtomicU64::new(0);
-    let restarts = AtomicU64::new(0);
-    let group_op_counts: Vec<AtomicU64> =
-        (0..fleet_spec.groups).map(|_| AtomicU64::new(0)).collect();
-    let stop_monkey = AtomicBool::new(false);
-    let latency = LatencyHistogram::new();
-    let client_phase_nanos = AtomicU64::new(0);
-    let start = Instant::now();
-
-    // Offline-replay target for plan ops: every main tenant, sorted key
-    // order — exactly what an unpartitioned catalog would report.
-    let mut expected_sources: Vec<(String, String)> = ids
-        .iter()
-        .map(|(t, d)| (t.to_string(), d.to_string()))
-        .collect();
-    expected_sources.sort();
-    let expected_sources = &expected_sources;
-
-    let victim = kill_restart.then(|| secondaries[0].remove(0));
-
-    let run_result = std::thread::scope(|scope| -> NetResult<()> {
-        // Background refresher: new versions land on each tenant's *owning*
-        // group (registered first); that group's secondaries catch up via
-        // their pollers.
-        let refresher = {
-            let catalogs = &catalogs;
-            let owners = &owners;
-            let registry = Arc::clone(&registry);
-            let ids = &ids;
-            let refreshes = &refreshes;
-            scope.spawn(move || -> NetResult<()> {
-                for round in 1..=spec.refresh_rounds {
-                    for (tenant_idx, (tenant, dataset)) in ids.iter().enumerate() {
-                        let chunk =
-                            chunk_spec(spec, tenant_idx, round, (spec.keys_per_tenant / 4).max(1))
-                                .generate();
-                        let inc = &mut incrementals[tenant_idx];
-                        inc.add_run(chunk).map_err(opaq_serve::ServeError::from)?;
-                        let sketch = inc.sketch().expect("non-empty").clone();
-                        registry
-                            .write()
-                            .insert((tenant.to_string(), round + 1), Arc::new(sketch.clone()));
-                        catalogs[owners[tenant_idx]].publish(tenant, dataset, sketch)?;
-                        refreshes.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(Duration::from_micros(300));
-                    }
-                }
-                Ok(())
-            })
-        };
-
-        // Chaos monkey: kill group 0's preferred secondary at ~25% of the
-        // run, restart it (fresh port, fresh bootstrap, proxy repoint) at
-        // ~50%.  Progress-based triggers, so "mid-run" holds at any speed.
-        let monkey = victim.map(|mut victim| {
-            let stats = Arc::clone(&stats);
-            let primary_addr = primary_addrs[0].clone();
-            let group_config = group_configs[0].clone();
-            let poll = fleet_spec.poll;
-            let victim_proxy = proxies[0].first();
-            let (ops_done, stop_monkey) = (&ops_done, &stop_monkey);
-            let (kills, restarts) = (&kills, &restarts);
-            scope.spawn(move || -> NetResult<()> {
-                if !wait_for_progress(ops_done, total_ops / 4, stop_monkey) {
-                    victim.shutdown();
-                    return Ok(());
-                }
-                victim.shutdown();
-                kills.fetch_add(1, Ordering::Relaxed);
-                let _ = wait_for_progress(ops_done, total_ops / 2, stop_monkey);
-                // Bring the replica back even if the clients finished during
-                // the outage: recovery is part of what the run verifies.
-                let mut attempts = 0u32;
-                let mut replacement = loop {
-                    match start_secondary(&primary_addr, &group_config, poll, &stats) {
-                        Ok((runtime, addr)) => break (runtime, addr),
-                        Err(e) => {
-                            attempts += 1;
-                            if attempts > 100 {
-                                return Err(e);
-                            }
-                            if !sleep_sliced(Duration::from_millis(20), stop_monkey) {
-                                return Ok(());
-                            }
-                        }
-                    }
-                };
-                if let Some(proxy) = victim_proxy {
-                    proxy.set_upstream(replacement.1.clone());
-                }
-                restarts.fetch_add(1, Ordering::Relaxed);
-                while !stop_monkey.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                replacement.0.shutdown();
-                Ok(())
-            })
-        });
-
-        // Open-loop rate control: same scheme as the flat HTTP harness —
-        // the aggregate rate divides across clients, start times stagger
-        // across one interval, latency is measured from the schedule.
-        let interval = fleet_spec
-            .target_qps
-            .map(|qps| Duration::from_secs_f64(spec.clients as f64 / qps));
-        let mut clients = Vec::with_capacity(spec.clients);
-        for client_idx in 0..spec.clients {
-            let ring = Arc::clone(&ring);
-            let client_addrs = &client_addrs;
-            let replica_config = fleet_spec.replica.clone();
-            let stats = Arc::clone(&stats);
-            let registry = Arc::clone(&registry);
-            let ids = &ids;
-            let owners = &owners;
-            let ops_done = &ops_done;
-            let group_op_counts = &group_op_counts;
-            let (verified, torn, mis_owned) = (&verified, &torn, &mis_owned);
-            let (http_errors, sheds, degraded, unanswered) =
-                (&http_errors, &sheds, &degraded, &unanswered);
-            let (plan_ops, plan_verified, plan_torn, plan_unanswered) =
-                (&plan_ops, &plan_verified, &plan_torn, &plan_unanswered);
-            let (connect_errors, timeouts, retries) = (&connect_errors, &timeouts, &retries);
-            let trace_violations = &trace_violations;
-            let latency = &latency;
-            clients.push(scope.spawn(move || -> NetResult<()> {
-                let mut fleet = RoutedFleet::new(ring, client_addrs, &replica_config)?
-                    .with_stats(Arc::clone(&stats));
-                let mut rng = spec
-                    .seed
-                    .wrapping_add(0x9e3779b97f4a7c15u64.wrapping_mul(client_idx as u64 + 1));
-                let stagger = interval
-                    .map(|iv| iv.mul_f64(client_idx as f64 / spec.clients as f64))
-                    .unwrap_or(Duration::ZERO);
-                let mut body = || -> NetResult<()> {
-                    for op_idx in 0..spec.ops_per_client {
-                        let sent = match interval {
-                            Some(iv) => {
-                                let scheduled = start + stagger + iv.mul_f64(op_idx as f64);
-                                if let Some(wait) = scheduled.checked_duration_since(Instant::now())
-                                {
-                                    std::thread::sleep(wait);
-                                }
-                                scheduled
-                            }
-                            None => Instant::now(),
-                        };
-                        fleet.maybe_probe();
-                        let stamped = TraceId::mint();
-                        fleet.set_trace_id(Some(stamped));
-                        // Every fifth op is a glob coalesce plan through a
-                        // rotating coordinator group; the rest are routed
-                        // single-tenant GETs.
-                        if op_idx % 5 == 4 {
-                            let (plan, request) = plan_for(&mut rng);
-                            let mut plan_body = String::from("{\"plan\":");
-                            write_escaped(&mut plan_body, &plan);
-                            plan_body.push('}');
-                            plan_ops.fetch_add(1, Ordering::Relaxed);
-                            match fleet.post_plan(&plan_body) {
-                                Ok(answer) => {
-                                    latency.record(sent.elapsed());
-                                    if !trace_ok(&answer.response, Some(stamped)) {
-                                        trace_violations.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    match verify_plan(
-                                        &request,
-                                        &answer.response,
-                                        &registry,
-                                        expected_sources,
-                                    ) {
-                                        PlanVerdict::Verified => {
-                                            plan_verified.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        PlanVerdict::Torn => {
-                                            plan_torn.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        PlanVerdict::Shed => {
-                                            sheds.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        PlanVerdict::HttpError => {
-                                            http_errors.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                    }
-                                }
-                                Err(_) => {
-                                    // Plan POSTs are single-attempt by design;
-                                    // a chaos fault mid-flight is an honest
-                                    // "no answer", never silently replayed.
-                                    plan_unanswered.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            ops_done.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                        let tenant_idx = (next_rand(&mut rng) % spec.tenants as u64) as usize;
-                        let (tenant, dataset) = &ids[tenant_idx];
-                        let owner_idx = owners[tenant_idx];
-                        let owner_name = fleet.ring().groups()[owner_idx].name.clone();
-                        group_op_counts[owner_idx].fetch_add(1, Ordering::Relaxed);
-                        let request = get_request_for(&mut rng);
-                        let (target, post) = wire_form(tenant.as_str(), dataset.as_str(), &request);
-                        debug_assert!(post.is_none(), "routed mix must be GET-only");
-                        // The deliberate misroute exercises the organic
-                        // wrong_owner → one-hop re-route arc end to end.
-                        let misroute =
-                            misroute_every > 0 && op_idx % misroute_every == misroute_every - 1;
-                        let outcome = if misroute {
-                            fleet.get_misrouted(tenant.as_str(), &target)
-                        } else {
-                            fleet.get(tenant.as_str(), &target)
-                        };
-                        match outcome {
-                            Ok(answer) => {
-                                latency.record(sent.elapsed());
-                                if answer.degraded {
-                                    degraded.fetch_add(1, Ordering::Relaxed);
-                                }
-                                if !trace_ok(&answer.response, Some(stamped)) {
-                                    trace_violations.fetch_add(1, Ordering::Relaxed);
-                                }
-                                // Ownership gate: a 200 must be stamped by the
-                                // ring's owner — anything else is a mis-owned
-                                // answer, the partitioning equivalent of torn.
-                                if answer.response.status == 200
-                                    && answer.response.header(OWNER_HEADER)
-                                        != Some(owner_name.as_str())
-                                {
-                                    mis_owned.fetch_add(1, Ordering::Relaxed);
-                                }
-                                match verify(tenant.as_str(), &request, &answer.response, &registry)
-                                {
-                                    Verdict::Verified { .. } => {
-                                        verified.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Verdict::Torn => {
-                                        torn.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Verdict::Shed => {
-                                        sheds.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Verdict::HttpError => {
-                                        http_errors.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                            Err(_) => {
-                                unanswered.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        ops_done.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(())
-                };
-                let result = body();
-                let client_stats = fleet.client_stats();
-                connect_errors.fetch_add(client_stats.connect_errors, Ordering::Relaxed);
-                timeouts.fetch_add(client_stats.timeouts, Ordering::Relaxed);
-                retries.fetch_add(client_stats.retries, Ordering::Relaxed);
-                result
-            }));
-        }
-
-        fn note(
-            first_error: &mut Option<NetError>,
-            joined: std::thread::Result<NetResult<()>>,
-            who: &str,
-        ) {
-            let outcome = match joined {
-                Ok(Ok(())) => return,
-                Ok(Err(e)) => e,
-                Err(_) => NetError::Protocol(format!("{who} thread panicked")),
-            };
-            if first_error.is_none() {
-                *first_error = Some(outcome);
-            }
-        }
-        let mut first_error: Option<NetError> = None;
-        for client in clients {
-            note(&mut first_error, client.join(), "client");
-        }
-        client_phase_nanos.store(
-            start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-        // Give the monkey a grace window to finish a restart that straddles
-        // the end of the client phase, then stop everything.
-        if monkey.is_some() && first_error.is_none() {
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while kills.load(Ordering::Relaxed) > restarts.load(Ordering::Relaxed)
-                && Instant::now() < deadline
-            {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-        stop_monkey.store(true, Ordering::Release);
-        if let Some(monkey) = monkey {
-            note(&mut first_error, monkey.join(), "chaos monkey");
-        }
-        note(&mut first_error, refresher.join(), "refresher");
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    });
-    let wall = Duration::from_nanos(client_phase_nanos.load(Ordering::Relaxed));
-
-    // Teardown order: secondaries first (their pollers dial the primaries),
-    // then the proxies, then the primaries.
-    for mut group in secondaries {
-        for secondary in &mut group {
-            secondary.shutdown();
-        }
-    }
-    let mut chaos_totals = ChaosCounters::default();
-    for group in proxies {
-        for proxy in group {
-            let c = proxy.counters();
-            chaos_totals.drops += c.drops;
-            chaos_totals.delays += c.delays;
-            chaos_totals.truncates += c.truncates;
-            chaos_totals.resets += c.resets;
-            chaos_totals.flaps += c.flaps;
-            proxy.shutdown();
-        }
-    }
-    for mut primary in primaries {
-        primary.shutdown();
-    }
-    run_result?;
-
-    let shares = ring
-        .groups()
-        .iter()
-        .enumerate()
-        .map(|(g, group)| GroupShare {
-            group: group.name.clone(),
-            tenants: owners.iter().filter(|&&o| o == g).count() as u64,
-            ops: group_op_counts[g].load(Ordering::Relaxed),
-        })
-        .collect();
-
-    let mut report = RoutedLoadReport {
-        groups: fleet_spec.groups,
-        replicas_per_group: fleet_spec.replicas_per_group,
-        ops: verified.load(Ordering::Relaxed)
-            + torn.load(Ordering::Relaxed)
-            + http_errors.load(Ordering::Relaxed)
-            + sheds.load(Ordering::Relaxed),
-        verified: verified.load(Ordering::Relaxed),
-        torn_reads: torn.load(Ordering::Relaxed) + plan_torn.load(Ordering::Relaxed),
-        mis_owned: mis_owned.load(Ordering::Relaxed),
-        plan_ops: plan_ops.load(Ordering::Relaxed),
-        plan_verified: plan_verified.load(Ordering::Relaxed),
-        plan_unanswered: plan_unanswered.load(Ordering::Relaxed),
-        http_errors: http_errors.load(Ordering::Relaxed),
-        sheds: sheds.load(Ordering::Relaxed),
-        degraded: degraded.load(Ordering::Relaxed),
-        unanswered: unanswered.load(Ordering::Relaxed),
-        refreshes_published: refreshes.load(Ordering::Relaxed),
-        reroutes: stats.reroutes(),
-        failovers: stats.failovers(),
-        breaker_opens: stats.breaker_opens(),
-        sync_deltas_applied: stats.sync_deltas_applied(),
-        chaos_faults_injected: stats.chaos_faults_injected(),
-        chaos: chaos_totals,
-        connect_errors: connect_errors.load(Ordering::Relaxed),
-        timeouts: timeouts.load(Ordering::Relaxed),
-        retries: retries.load(Ordering::Relaxed),
-        trace_violations: trace_violations.load(Ordering::Relaxed),
-        kills: kills.load(Ordering::Relaxed),
-        restarts: restarts.load(Ordering::Relaxed),
-        shares,
-        wall,
-        latency: latency.snapshot(),
-        target_qps: fleet_spec.target_qps,
-        slo: SloOutcome::default(),
-    };
-    report.slo = fleet_spec
-        .slo
-        .evaluate(&report.latency, report.error_rate(), report.shed_rate());
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::{GroupConfig, RingConfig};
 
     fn make_ring(names: &[&str]) -> Arc<HashRing> {
         Arc::new(
@@ -1163,24 +310,5 @@ mod tests {
             let tenant = format!("tenant-{i}");
             assert_eq!(fleet.owner_index(&tenant), ring.owner_index(&tenant));
         }
-    }
-
-    #[test]
-    fn spec_validation_rejects_zeroes() {
-        let zero_groups = RoutedWorkloadSpec {
-            groups: 0,
-            ..Default::default()
-        };
-        assert!(run_routed_workload(&zero_groups).is_err());
-        let zero_replicas = RoutedWorkloadSpec {
-            replicas_per_group: 0,
-            ..Default::default()
-        };
-        assert!(run_routed_workload(&zero_replicas).is_err());
-        let bad_qps = RoutedWorkloadSpec {
-            target_qps: Some(0.0),
-            ..Default::default()
-        };
-        assert!(run_routed_workload(&bad_qps).is_err());
     }
 }

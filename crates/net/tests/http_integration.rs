@@ -15,7 +15,7 @@ use opaq_serve::{
     SketchCatalog, TenantId,
 };
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn sketch_of(n: u64) -> opaq_core::QuantileSketch<u64> {
     let config = OpaqConfig::builder()
@@ -639,11 +639,20 @@ fn overload_sheds_with_503_instead_of_queueing_forever() {
     );
     let addr = server.local_addr();
     // Hold the worker: open a connection and a request stream but never
-    // finish a request; the worker sits in its keep-alive wait.
-    let _held = {
+    // finish a request; the worker sits in its keep-alive wait.  Until the
+    // worker thread first parks on the queue, even this connection can be
+    // shed, so retry until one is taken.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let _held = loop {
         let mut c = HttpClient::new(addr.to_string());
-        assert_eq!(c.get("/healthz").unwrap().status, 200);
-        c // keep-alive connection stays open, worker parked on it
+        if c.get("/healthz").is_ok_and(|r| r.status == 200) {
+            break c; // keep-alive connection stays open, worker parked on it
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the worker never took a connection"
+        );
+        std::thread::sleep(Duration::from_millis(10));
     };
     std::thread::sleep(Duration::from_millis(50));
     let mut shed = HttpClient::new(addr.to_string());

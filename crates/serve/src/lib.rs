@@ -4,8 +4,9 @@
 //! that can answer *any* quantile query afterwards.  This crate is the layer
 //! that actually faces that query traffic: a versioned, multi-tenant catalog
 //! of immutable sketch snapshots, a typed query engine with per-tenant
-//! latency accounting, a background refresh pipeline, and a load-generator
-//! harness that drives all of it under concurrent read/refresh workloads.
+//! latency accounting, and a background refresh pipeline.  The load harness
+//! that drives all of it under concurrent read/refresh workloads — in
+//! process or over a fleet of HTTP servers — is `opaq_net::load::run_load`.
 //!
 //! ## Architecture
 //!
@@ -57,17 +58,11 @@
 //!   one in-flight refresh per entry); the next publish resets both clock
 //!   and tag.  The tag rides on every [`QueryResponse`] and, through
 //!   `opaq-net`, on every HTTP response's `X-Opaq-Freshness` header.
-//! * **Load generator** ([`load`]): replays a mixed read/refresh workload
-//!   across N client threads and M tenants, verifies *every* response
-//!   byte-for-byte against a directly-computed estimate from the version it
-//!   claims to have served (catching torn reads), and reports per-tenant and
-//!   overall latency distributions.  With [`WorkloadSpec::target_qps`] the
-//!   clients switch from closed-loop to **open-loop** rate control: each op
-//!   has a fixed scheduled send time and its latency is measured from that
-//!   schedule, so an overloaded server accrues queueing delay in the
-//!   recorded distribution instead of silently throttling the offered load
-//!   (coordinated-omission-safe).
-//!
+//! * **Request mix** ([`next_rand`], [`request_for`]): the deterministic
+//!   per-client PRNG and the standard quantile/rank/batch/profile mix that
+//!   load generators replay, so every harness issues the same stream for
+//!   the same seed.
+
 //! ## Durability model
 //!
 //! With [`CatalogConfig::data_dir`] set the catalog is **durable**: the data
@@ -107,7 +102,6 @@
 #![deny(unsafe_code)]
 
 pub mod catalog;
-pub mod load;
 pub mod query;
 pub mod refresh;
 
@@ -116,8 +110,9 @@ pub use catalog::{
     RecoveryReport, RefreshHook, SketchCatalog, SketchSnapshot, SnapshotOrigin, TenantId,
     MANIFEST_FILE,
 };
-pub use load::{chunk_spec, next_rand, request_for, run_workload, LoadReport, WorkloadSpec};
-pub use query::{execute_on, QueryEngine, QueryOutput, QueryRequest, QueryResponse};
+pub use query::{
+    execute_on, next_rand, request_for, QueryEngine, QueryOutput, QueryRequest, QueryResponse,
+};
 pub use refresh::RefreshPool;
 
 use opaq_core::OpaqError;

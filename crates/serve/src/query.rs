@@ -5,7 +5,7 @@
 //! so a [`QueryRequest::QuantileBatch`] or [`QueryRequest::Profile`] is
 //! guaranteed to be internally consistent — all of its estimates come from
 //! the *same* published version, whose number the response carries.  That
-//! version tag is what lets callers (and the load generator's torn-read
+//! version tag is what lets callers (and the load harness's torn-read
 //! check) verify a response against the exact sketch that produced it.
 
 use crate::catalog::{DatasetId, Freshness, SketchCatalog, SketchSnapshot, TenantId};
@@ -89,6 +89,38 @@ pub fn execute_on(
             QueryOutput::Profile(sketch.estimate_q_quantiles(*count)?)
         }
     })
+}
+
+/// Deterministic per-thread PRNG (splitmix-style), independent of the shims.
+/// Load generators seed one per client so request streams replay exactly.
+pub fn next_rand(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
+}
+
+/// The next request of the standard serving mix: quantile, rank, batch and
+/// profile in equal shares, drawn from `rng`.
+pub fn request_for(rng: &mut u64) -> QueryRequest {
+    let phi_of = |r: u64| (r % 10_000) as f64 / 10_000.0;
+    match next_rand(rng) % 4 {
+        0 => QueryRequest::Quantile {
+            phi: phi_of(next_rand(rng)),
+        },
+        1 => QueryRequest::Rank {
+            key: next_rand(rng) % (1 << 31),
+        },
+        2 => QueryRequest::QuantileBatch {
+            phis: (0..3).map(|_| phi_of(next_rand(rng))).collect(),
+        },
+        _ => QueryRequest::Profile {
+            count: 2 + next_rand(rng) % 14,
+        },
+    }
 }
 
 /// Executes typed requests against catalog snapshots and records latency

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A deterministic sketch whose content differs per (tenant, version): any
 /// mixture of two versions breaks structural equality with both.
@@ -140,8 +140,13 @@ fn hammer(tenants: u64, versions: u64, readers: usize, budget: Option<u64>) {
                 std::thread::sleep(Duration::from_micros(100));
             }
         }
-        // Give readers one more window against the final state.
+        // Give readers one more window against the final state — on a
+        // loaded host, at least until some reader has been scheduled at all.
         std::thread::sleep(Duration::from_millis(2));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while observations.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         done.store(true, Ordering::Release);
     })
     .unwrap();
