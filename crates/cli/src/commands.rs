@@ -115,7 +115,9 @@ COMMANDS:
              committed to a write-ahead manifest + per-version sketch files
              under DIR, and a restart over the same DIR rebuilds the exact
              catalog (entries, versions, TTLs) instead of re-seeding.
-             --slo-p99-ms M arms the server-side opaq_slo_breaches counter.
+             --slo-p99-ms M arms the server-side opaq_slo_breaches counter:
+             each answered point query or plan slower than M ms is one
+             breach (the shutdown banner reports the total).
              --ring FILE --group NAME joins a partitioned fleet: FILE is
              the shared ring config ({\"vnodes\":128,\"groups\":[{\"name\":...,
              \"addrs\":[...]},...]}), NAME picks this server's group.  Ingest

@@ -37,13 +37,21 @@
 //! lock-free ring ([`trace::SpanRecorder`]) — recording is allocation-free
 //! and never blocks, so tracing stays on at full production traffic.
 //!
-//! Span taxonomy ([`trace::Stage`]): `request` (root) → `parse` →
+//! Span taxonomy ([`trace::Stage`]): `request` (root) → `queue` (the
+//! accept-queue wait, first request on a connection only) → `parse` →
 //! `compile` → `fetch` (with one `snapshot` child per source, tagged
 //! `hit` / `reload-from-spill` / `refresh-triggered`) → `merge` →
-//! `extract` → `render`; ingest-side jobs record `refresh` roots with
-//! `ingest` children, and each replication pass records a `sync` root.
-//! Tags ([`trace::SpanTag`]) carry provenance: `degraded` marks last-good
-//! replays, `shed` marks accept-queue 503s, `error` marks failures.
+//! `extract` → `render`, then `write`, recorded after the root closes;
+//! ring members add `route` and `scatter`.  Ingest-side jobs record
+//! `refresh` roots with `ingest` children, and each replication pass
+//! records a `sync` root.  Tags ([`trace::SpanTag`]) carry provenance:
+//! `degraded` marks last-good replays, `shed` marks accept-queue 503s,
+//! `error` marks failures.
+//!
+//! The span is the only stage timing point: the recorder feeds each span's
+//! duration into one [`LatencyHistogram`] per stage
+//! ([`trace::SpanRecorder::histogram`]), and those are the histograms
+//! `/metrics` exports.
 //!
 //! Read traces back with `GET /v1/_debug/trace?id=<hex>` or render them
 //! with `opaq trace --addr HOST:PORT --id <hex>`.  The slow-query log
@@ -67,11 +75,9 @@
 //! | `opaq_trace_spans_recorded` | counter | spans written to the ring |
 //! | `opaq_trace_spans_dropped` | counter | spans lost to write contention |
 //! | `opaq_slow_log_entries` | gauge | slow-log occupancy |
-//! | `opaq_request_duration_nanos` | histogram | end-to-end request latency |
-//! | `opaq_plan_stage_duration_nanos{stage=}` | histogram | per-stage plan latency |
-//! | `opaq_request_latency_nanos{tenant=,quantile=}` | gauge | per-tenant latency quantiles |
-//! | `opaq_plan_stage_latency_nanos{stage=,quantile=}` | gauge | per-stage latency quantiles |
-//! | `opaq_plan_stage_executions{stage=}` | gauge | per-stage execution counts |
+//! | `opaq_stage_duration_nanos{stage=}` | histogram | span durations, one series per [`trace::Stage`]; `stage="request"` is the root span of every answered or shed request |
+//! | `opaq_request_latency_nanos{tenant=,quantile=}` | gauge | per-tenant plan latency quantiles |
+//! | `opaq_request_count{tenant=}` | counter | plans answered per tenant |
 //! | `opaq_catalog_*` | counter/gauge | catalog activity (publishes, snapshots, reloads, …) |
 //! | `opaq_slo_breaches` | counter | requests over the configured SLO |
 //! | `opaq_failovers`, `opaq_breaker_opens`, `opaq_sync_deltas_applied`, `opaq_chaos_faults_injected` | counter | replication/failover activity |
@@ -86,7 +92,6 @@ pub mod latency;
 pub mod registry;
 pub mod shard;
 pub mod slo;
-pub mod stage;
 pub mod table;
 pub mod timing;
 pub mod trace;
@@ -97,7 +102,6 @@ pub use latency::{render_latency_table, HistogramExport, LatencyHistogram, Laten
 pub use registry::{Counter, Gauge, MetricRegistry};
 pub use shard::{render_shard_table, ShardStats};
 pub use slo::{SloCheck, SloOutcome, SloThresholds};
-pub use stage::{PlanStage, StageLatency};
 pub use table::{fmt2, TextTable};
 pub use timing::{PhaseBreakdown, PhaseTimer};
 pub use trace::{

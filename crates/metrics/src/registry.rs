@@ -220,26 +220,17 @@ impl MetricRegistry {
         &self.bounds_nanos
     }
 
-    fn upsert(
-        &self,
+    /// Find or register the family `name` (panics on a type clash).
+    fn family<'a>(
+        families: &'a mut Vec<Family>,
         name: &str,
         help: &str,
         kind: Kind,
-        labels: &[(&str, &str)],
-        make: impl FnOnce() -> SeriesValue,
-    ) -> Option<Arc<AtomicU64>> {
+    ) -> &'a mut Family {
         assert!(valid_metric_name(name), "invalid metric name {name:?}");
-        for (k, _) in labels {
-            assert!(valid_label_name(k), "invalid label name {k:?} on {name}");
-            assert!(*k != "le", "label name `le` is reserved on {name}");
-        }
-        let labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
-            .collect();
-        let mut families = self.families.lock().expect("registry lock");
-        let family = match families.iter_mut().find(|f| f.name == name) {
-            Some(f) => {
+        match families.iter().position(|f| f.name == name) {
+            Some(i) => {
+                let f = &mut families[i];
                 assert!(
                     f.kind == kind,
                     "metric {name} registered twice with different types ({} vs {})",
@@ -257,7 +248,27 @@ impl MetricRegistry {
                 });
                 families.last_mut().expect("just pushed")
             }
-        };
+        }
+    }
+
+    fn upsert(
+        &self,
+        name: &str,
+        help: &str,
+        kind: Kind,
+        labels: &[(&str, &str)],
+        make: impl FnOnce() -> SeriesValue,
+    ) -> Option<Arc<AtomicU64>> {
+        for (k, _) in labels {
+            assert!(valid_label_name(k), "invalid label name {k:?} on {name}");
+            assert!(*k != "le", "label name `le` is reserved on {name}");
+        }
+        let labels: Vec<(String, String)> = labels
+            .iter()
+            .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
+            .collect();
+        let mut families = self.families.lock().expect("registry lock");
+        let family = Self::family(&mut families, name, help, kind);
         if let Some(existing) = family.series.iter().find(|s| s.labels == labels) {
             return match &existing.value {
                 SeriesValue::Scalar(v) => Some(Arc::clone(v)),
@@ -271,6 +282,21 @@ impl MetricRegistry {
         };
         family.series.push(Series { labels, value });
         handle
+    }
+
+    /// Declare a labelled counter family before its first series exists:
+    /// it renders (`# HELP`/`# TYPE` only) from the first scrape, keeping
+    /// the exposition schema stable.
+    pub fn declare_counter(&self, name: &str, help: &str) {
+        let mut families = self.families.lock().expect("registry lock");
+        Self::family(&mut families, name, help, Kind::Counter);
+    }
+
+    /// Declare a labelled gauge family before its first series exists; see
+    /// [`Self::declare_counter`].
+    pub fn declare_gauge(&self, name: &str, help: &str) {
+        let mut families = self.families.lock().expect("registry lock");
+        Self::family(&mut families, name, help, Kind::Gauge);
     }
 
     /// Register (or fetch) an unlabeled counter.
@@ -419,6 +445,21 @@ mod tests {
     }
 
     #[test]
+    fn declared_families_render_before_their_first_series() {
+        let reg = MetricRegistry::new();
+        reg.declare_gauge("opaq_lat", "Per-tenant latency.");
+        reg.declare_counter("opaq_cnt", "Per-tenant count.");
+        assert_eq!(
+            reg.render(),
+            "# HELP opaq_lat Per-tenant latency.\n# TYPE opaq_lat gauge\n\
+             # HELP opaq_cnt Per-tenant count.\n# TYPE opaq_cnt counter\n"
+        );
+        reg.gauge_with("opaq_lat", "Per-tenant latency.", &[("tenant", "a")])
+            .set(3);
+        assert!(reg.render().contains("opaq_lat{tenant=\"a\"} 3\n"));
+    }
+
+    #[test]
     fn labeled_series_share_a_family_and_escape_values() {
         let reg = MetricRegistry::new();
         let a = reg.gauge_with(
@@ -491,7 +532,7 @@ mod tests {
         let reg = MetricRegistry::new();
         let hist = Arc::new(LatencyHistogram::new());
         reg.histogram(
-            "opaq_request_duration_nanos",
+            "opaq_batch_duration_nanos",
             "Request duration.",
             Arc::clone(&hist),
         );
@@ -499,15 +540,15 @@ mod tests {
         hist.record(Duration::from_millis(2)); // 2_000_000 ns
         hist.record(Duration::from_secs(10)); // beyond the ladder: +Inf only
         let text = reg.render();
-        assert!(text.contains("# TYPE opaq_request_duration_nanos histogram\n"));
-        assert!(text.contains("opaq_request_duration_nanos_bucket{le=\"1000\"} 0\n"));
-        assert!(text.contains("opaq_request_duration_nanos_bucket{le=\"4000\"} 1\n"));
-        assert!(text.contains("opaq_request_duration_nanos_bucket{le=\"4000000\"} 2\n"));
-        assert!(text.contains("opaq_request_duration_nanos_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("opaq_request_duration_nanos_count 3\n"));
+        assert!(text.contains("# TYPE opaq_batch_duration_nanos histogram\n"));
+        assert!(text.contains("opaq_batch_duration_nanos_bucket{le=\"1000\"} 0\n"));
+        assert!(text.contains("opaq_batch_duration_nanos_bucket{le=\"4000\"} 1\n"));
+        assert!(text.contains("opaq_batch_duration_nanos_bucket{le=\"4000000\"} 2\n"));
+        assert!(text.contains("opaq_batch_duration_nanos_bucket{le=\"+Inf\"} 3\n"));
+        assert!(text.contains("opaq_batch_duration_nanos_count 3\n"));
         // Sum is exact: 2µs + 2ms + 10s.
         assert!(
-            text.contains("opaq_request_duration_nanos_sum 10002002000\n"),
+            text.contains("opaq_batch_duration_nanos_sum 10002002000\n"),
             "{text}"
         );
         // Buckets are monotone non-decreasing.
@@ -524,17 +565,17 @@ mod tests {
         let reg = MetricRegistry::new();
         let hist = Arc::new(LatencyHistogram::new());
         reg.histogram_with(
-            "opaq_plan_stage_duration_nanos",
+            "opaq_stage_duration_nanos",
             "Stage duration.",
             &[("stage", "fetch")],
             hist,
         );
         let text = reg.render();
         assert!(
-            text.contains("opaq_plan_stage_duration_nanos_bucket{stage=\"fetch\",le=\"+Inf\"} 0\n"),
+            text.contains("opaq_stage_duration_nanos_bucket{stage=\"fetch\",le=\"+Inf\"} 0\n"),
             "{text}"
         );
-        assert!(text.contains("opaq_plan_stage_duration_nanos_sum{stage=\"fetch\"} 0\n"));
+        assert!(text.contains("opaq_stage_duration_nanos_sum{stage=\"fetch\"} 0\n"));
     }
 
     #[test]

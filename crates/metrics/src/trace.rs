@@ -1,14 +1,18 @@
 //! Request-scoped tracing: span taxonomy, a lock-free ring-buffer span
 //! recorder, per-request sinks, and a top-N slow-query log.
 //!
-//! The serving stack answers a query through many layers — HTTP parse,
-//! plan compile, catalog snapshot (which may reload a spilled sketch from
-//! disk or trigger a TTL refresh), merge-tree fusion, extraction, render —
-//! and when a request is slow the end-to-end histogram says nothing about
+//! The serving stack answers a query through many layers — accept queue,
+//! HTTP parse, plan compile, catalog snapshot (which may reload a spilled
+//! sketch from disk or trigger a TTL refresh), merge-tree fusion,
+//! extraction, render, socket write — and when a request is slow an
+//! end-to-end number says nothing about
 //! *which* layer ate the time.  Tracing answers that: every request gets a
 //! [`TraceId`] (minted at the HTTP front door or propagated in via the
 //! `x-opaq-trace-id` header), each stage records a [`Span`] into a shared
 //! [`SpanRecorder`], and `GET /v1/_debug/trace?id=` reads the tree back.
+//! The span is the serving stack's only timing point: the recorder also
+//! feeds every span's duration into its stage's [`LatencyHistogram`], the
+//! per-stage histograms `/metrics` exports.
 //!
 //! The recorder is a fixed-capacity ring of seqlock slots: recording a span
 //! is a handful of atomic operations with **zero allocation** — no locks,
@@ -26,9 +30,10 @@
 //! recipe is the classic seqlock (cf. `crossbeam`'s `SeqLock`) built purely
 //! from `AtomicU64`, keeping the crate's `#![deny(unsafe_code)]`.
 
+use crate::latency::LatencyHistogram;
 use std::fmt;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Span id of the per-request root span (`parent == 0` means "no parent").
@@ -101,12 +106,14 @@ impl fmt::Display for TraceId {
 
 /// The stage a span measures — the trace taxonomy of the serving stack.
 ///
-/// Request path: `Request` is the per-request root; `Parse` covers HTTP
-/// request parsing, `Compile` plan compilation, `Fetch` catalog snapshot
+/// Request path: `Request` is the per-request root; `Queue` covers the
+/// accept-queue wait of a connection's first request, `Parse` HTTP request
+/// parsing, `Compile` plan compilation, `Fetch` catalog snapshot
 /// resolution (with one `Snapshot` child per `(tenant, dataset)` source,
 /// tagged [`SpanTag::Hit`] / [`SpanTag::ReloadFromSpill`] /
 /// [`SpanTag::RefreshTriggered`]), `Merge` the sketch merge tree, `Extract`
-/// quantile/rank estimation, and `Render` response serialisation.  Ingest
+/// quantile/rank estimation, `Render` response serialisation, and `Write`
+/// the socket write (recorded after the root closes).  Ingest
 /// path: `Refresh` is a refresh-pool job root with `Ingest` children (one
 /// per build).  `Sync` is one replication reconciliation pass.  Ring-aware
 /// serving adds `Route` (tenant-ownership resolution against the hash
@@ -114,8 +121,12 @@ impl fmt::Display for TraceId {
 /// `Scatter` (cross-group partial-sketch gather for glob plans).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Per-request root span (front door to response written).
+    /// Per-request root span (accept, or parse start on a kept-alive
+    /// connection, to response rendered).
     Request,
+    /// Accept-queue wait: connection accepted to worker pickup (first
+    /// request on a connection only).
+    Queue,
     /// HTTP request parsing.
     Parse,
     /// Query-plan compilation.
@@ -131,6 +142,8 @@ pub enum Stage {
     Extract,
     /// Response rendering/serialisation.
     Render,
+    /// Writing the response to the socket.
+    Write,
     /// A refresh-pool job (rebuild + publish) root span.
     Refresh,
     /// One sketch ingest/build (sharded one-pass construction).
@@ -145,8 +158,9 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in taxonomy order.
-    pub const ALL: [Stage; 13] = [
+    pub const ALL: [Stage; 15] = [
         Stage::Request,
+        Stage::Queue,
         Stage::Parse,
         Stage::Compile,
         Stage::Fetch,
@@ -154,6 +168,7 @@ impl Stage {
         Stage::Merge,
         Stage::Extract,
         Stage::Render,
+        Stage::Write,
         Stage::Refresh,
         Stage::Ingest,
         Stage::Sync,
@@ -165,6 +180,7 @@ impl Stage {
     pub fn as_str(self) -> &'static str {
         match self {
             Stage::Request => "request",
+            Stage::Queue => "queue",
             Stage::Parse => "parse",
             Stage::Compile => "compile",
             Stage::Fetch => "fetch",
@@ -172,6 +188,7 @@ impl Stage {
             Stage::Merge => "merge",
             Stage::Extract => "extract",
             Stage::Render => "render",
+            Stage::Write => "write",
             Stage::Refresh => "refresh",
             Stage::Ingest => "ingest",
             Stage::Sync => "sync",
@@ -185,6 +202,8 @@ impl Stage {
         Stage::ALL.into_iter().find(|st| st.as_str() == s)
     }
 
+    /// Stable wire code (1-based; the ring's slot encoding and, minus one,
+    /// the recorder's histogram index).
     fn code(self) -> u64 {
         match self {
             Stage::Request => 1,
@@ -200,11 +219,17 @@ impl Stage {
             Stage::Sync => 11,
             Stage::Route => 12,
             Stage::Scatter => 13,
+            Stage::Queue => 14,
+            Stage::Write => 15,
         }
     }
 
     fn from_code(code: u64) -> Option<Self> {
         Stage::ALL.into_iter().find(|st| st.code() == code)
+    }
+
+    fn index(self) -> usize {
+        self.code() as usize - 1
     }
 }
 
@@ -328,18 +353,22 @@ impl Slot {
 /// (only reachable when every probed slot is mid-write by another thread).
 const WRITE_PROBES: usize = 4;
 
-/// Fixed-capacity, overwrite-oldest, lock-free span ring.
+/// Fixed-capacity, overwrite-oldest, lock-free span ring, plus one latency
+/// histogram per [`Stage`].
 ///
 /// [`SpanRecorder::record`] never blocks and never allocates; see the
 /// module docs for the seqlock protocol.  Readers get weakly consistent
 /// snapshots: spans recorded entirely before the read are visible unless
-/// the ring has wrapped past them.
+/// the ring has wrapped past them.  The histograms count every recorded
+/// span, including those the ring later overwrites or drops.
 pub struct SpanRecorder {
     slots: Vec<Slot>,
     /// Monotone write cursor; `head % slots.len()` is the next slot.
     head: AtomicU64,
     recorded: AtomicU64,
     dropped: AtomicU64,
+    /// Span durations per stage, indexed by `Stage::index`.
+    histograms: [Arc<LatencyHistogram>; Stage::ALL.len()],
 }
 
 impl fmt::Debug for SpanRecorder {
@@ -360,6 +389,7 @@ impl SpanRecorder {
             head: AtomicU64::new(0),
             recorded: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
+            histograms: std::array::from_fn(|_| Arc::new(LatencyHistogram::new())),
         }
     }
 
@@ -378,9 +408,17 @@ impl SpanRecorder {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Record one span.  Lock-free, allocation-free; overwrites the oldest
-    /// slot when the ring is full.
+    /// The duration histogram of one stage's spans, shared so a metric
+    /// registry renders from the same instance.
+    pub fn histogram(&self, stage: Stage) -> Arc<LatencyHistogram> {
+        Arc::clone(&self.histograms[stage.index()])
+    }
+
+    /// Record one span and feed its duration to its stage's histogram.
+    /// Lock-free, allocation-free; overwrites the oldest slot when the ring
+    /// is full.
     pub fn record(&self, span: &Span) {
+        self.histograms[span.stage.index()].record_nanos(span.duration_nanos);
         let n = self.slots.len();
         let claim = self.head.fetch_add(1, Ordering::Relaxed) as usize;
         for probe in 0..WRITE_PROBES.min(n) {
@@ -469,7 +507,7 @@ impl SpanRecorder {
 /// parents, which the tree renderer handles.
 #[derive(Debug)]
 pub struct TraceSink {
-    recorder: std::sync::Arc<SpanRecorder>,
+    recorder: Arc<SpanRecorder>,
     trace: TraceId,
     epoch: Instant,
     next: AtomicU32,
@@ -478,11 +516,18 @@ pub struct TraceSink {
 
 impl TraceSink {
     /// A sink for `trace`, with its time base starting now.
-    pub fn new(recorder: std::sync::Arc<SpanRecorder>, trace: TraceId) -> Self {
+    pub fn new(recorder: Arc<SpanRecorder>, trace: TraceId) -> Self {
+        Self::starting_at(recorder, trace, Instant::now())
+    }
+
+    /// A sink for `trace` whose time base (the root span's start) is
+    /// `epoch` — for a request whose timing began before its trace id was
+    /// known, such as a connection waiting in the accept queue.
+    pub fn starting_at(recorder: Arc<SpanRecorder>, trace: TraceId, epoch: Instant) -> Self {
         Self {
             recorder,
             trace,
-            epoch: Instant::now(),
+            epoch,
             next: AtomicU32::new(ROOT_SPAN_ID + 1),
             annotation: Mutex::new(None),
         }
@@ -556,17 +601,11 @@ impl TraceSink {
     }
 
     /// Record the per-request root span ([`ROOT_SPAN_ID`]) covering the
-    /// sink's whole lifetime so far.
-    pub fn finish_root(&self, stage: Stage, tag: SpanTag) {
-        self.recorder.record(&Span {
-            trace: self.trace,
-            span_id: ROOT_SPAN_ID,
-            parent: 0,
-            stage,
-            tag,
-            start_nanos: 0,
-            duration_nanos: self.now_nanos(),
-        });
+    /// sink's whole lifetime so far; returns its duration in nanoseconds.
+    pub fn finish_root(&self, stage: Stage, tag: SpanTag) -> u64 {
+        let duration_nanos = self.now_nanos();
+        self.complete_with(ROOT_SPAN_ID, 0, stage, tag, 0, duration_nanos);
+        duration_nanos
     }
 
     /// Attach a human-readable provenance note (e.g. the compiled plan),
@@ -741,7 +780,6 @@ pub fn render_span_tree(spans: &[Span]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn trace_id_round_trips_through_wire_form() {

@@ -265,22 +265,24 @@ fn registry_output_passes_the_strict_parser() {
     hist.record(Duration::from_millis(7));
     hist.record(Duration::from_secs(30)); // beyond the ladder: +Inf only
     reg.histogram(
-        "opaq_request_duration_nanos",
-        "Request duration.",
+        "opaq_batch_duration_nanos",
+        "Batch duration.",
         Arc::clone(&hist),
     );
-    reg.histogram_with(
-        "opaq_plan_stage_duration_nanos",
-        "Stage duration.",
-        &[("stage", "fetch")],
-        hist,
-    );
+    for stage in ["request", "fetch"] {
+        reg.histogram_with(
+            "opaq_stage_duration_nanos",
+            "Stage duration.",
+            &[("stage", stage)],
+            Arc::clone(&hist),
+        );
+    }
 
     let text = reg.render();
     let report = validate(&text).unwrap_or_else(|e| panic!("{e}\n---\n{text}"));
     assert_eq!(report.families, 4, "{text}");
     assert_eq!(report.kinds["opaq_http_requests"], "counter");
-    assert_eq!(report.kinds["opaq_request_duration_nanos"], "histogram");
+    assert_eq!(report.kinds["opaq_stage_duration_nanos"], "histogram");
 }
 
 #[test]
@@ -339,8 +341,7 @@ fn scraped_metrics_file_is_valid_when_provided() {
     let report = validate(&text).unwrap_or_else(|e| panic!("{path} failed validation: {e}"));
     for family in [
         "opaq_http_requests",
-        "opaq_request_duration_nanos",
-        "opaq_plan_stage_duration_nanos",
+        "opaq_stage_duration_nanos",
         "opaq_trace_spans_recorded",
         "opaq_catalog_publishes",
         "opaq_catalog_entries",
@@ -350,7 +351,11 @@ fn scraped_metrics_file_is_valid_when_provided() {
             "{path} is missing family {family}"
         );
     }
-    assert_eq!(report.kinds["opaq_request_duration_nanos"], "histogram");
+    assert_eq!(report.kinds["opaq_stage_duration_nanos"], "histogram");
+    assert!(
+        text.contains("\nopaq_stage_duration_nanos_count{stage=\"request\"} "),
+        "{path} is missing the stage=\"request\" series"
+    );
     assert!(
         report.samples > report.families,
         "{path} has empty families"

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-const STAGES: [Stage; 13] = Stage::ALL;
+const STAGES: [Stage; 15] = Stage::ALL;
 
 const TAGS: [SpanTag; 7] = [
     SpanTag::Untagged,
@@ -153,6 +153,38 @@ fn per_trace_lookup_filters_and_orders_by_start() {
         assert_eq!(*span, span_of(2, i as u64), "wrong order or foreign span");
     }
     assert!(recorder.trace(trace_of(99)).is_empty());
+}
+
+#[test]
+fn every_recorded_span_feeds_its_stage_histogram_even_after_the_ring_wraps() {
+    let recorder = SpanRecorder::new(4);
+    let writers = 3u64;
+    std::thread::scope(|scope| {
+        for w in 0..writers {
+            let recorder = &recorder;
+            scope.spawn(move || {
+                for i in 0..500 {
+                    recorder.record(&span_of(w, i));
+                }
+            });
+        }
+    });
+    // The ring keeps 4 spans, but the histograms saw every record call,
+    // including any the ring dropped under contention.
+    let mut expected = [(0u64, 0u64); STAGES.len()];
+    for w in 0..writers {
+        for i in 0..500 {
+            let span = span_of(w, i);
+            let slot = &mut expected[STAGES.iter().position(|&s| s == span.stage).unwrap()];
+            slot.0 += 1;
+            slot.1 = slot.1.wrapping_add(span.duration_nanos);
+        }
+    }
+    for (stage, (count, total)) in STAGES.into_iter().zip(expected) {
+        let histogram = recorder.histogram(stage);
+        assert_eq!(histogram.count(), count, "{stage}");
+        assert_eq!(histogram.total_nanos(), total, "{stage}: durations fed");
+    }
 }
 
 #[test]

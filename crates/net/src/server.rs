@@ -33,7 +33,7 @@ use opaq_core::QuantileEstimate;
 use opaq_metrics::trace::{
     render_span_tree, SlowLog, SpanRecorder, SpanTag, Stage, TraceId, TraceSink, ROOT_SPAN_ID,
 };
-use opaq_metrics::{Counter, Gauge, LatencySnapshot, MetricRegistry, PlanStage};
+use opaq_metrics::{Counter, Gauge, MetricRegistry};
 use opaq_query::{
     PlanExecutor, PlanResponse, QueryError, QueryPlan, RemotePartial, ScatterFn, Selector,
 };
@@ -63,6 +63,11 @@ pub const TRACE_HEADER: &str = "x-opaq-trace-id";
 /// name normally, or — on a typed `wrong_owner` answer — the group the
 /// misdirected request should have gone to.
 pub const OWNER_HEADER: &str = "x-opaq-owner";
+
+const STAGE_HELP: &str = "Span durations per trace stage (cumulative histogram, nanoseconds); \
+     stage=\"request\" is the root span of every answered or shed request.";
+const LAT_HELP: &str = "Per-tenant plan latency quantile summary (nanoseconds).";
+const CNT_HELP: &str = "Plans answered per tenant.";
 
 /// Shared observability state of one serving process: the span ring behind
 /// `/v1/_debug/trace`, the slow-query log behind `/v1/_debug/slow`, and the
@@ -163,31 +168,29 @@ impl Telemetry {
         &self.registry
     }
 
-    /// Register the engine-backed families — the request and per-stage
-    /// latency histograms plus every catalog/replication scalar — and seed
-    /// their first values.  Called once by [`HttpServer::start`];
-    /// idempotent (re-binding fetches the existing series).
+    /// Register the span-fed per-stage histograms, the per-tenant families
+    /// and every catalog/replication scalar, and seed their first values.
+    /// Called once by [`HttpServer::start`]; idempotent (re-binding fetches
+    /// the existing series).
     pub fn bind(
         &self,
         engine: &QueryEngine,
-        executor: &PlanExecutor,
         replication: Option<&Arc<ReplicationStats>>,
         ring: Option<&RingMembership>,
     ) {
-        self.registry.histogram(
-            "opaq_request_duration_nanos",
-            "End-to-end request latency (cumulative histogram, nanoseconds).",
-            engine.overall_shared(),
-        );
-        for stage in PlanStage::ALL {
+        for stage in Stage::ALL {
             self.registry.histogram_with(
-                "opaq_plan_stage_duration_nanos",
-                "Per-plan-stage latency (cumulative histogram, nanoseconds).",
+                "opaq_stage_duration_nanos",
+                STAGE_HELP,
                 &[("stage", stage.as_str())],
-                executor.stages().shared(stage),
+                self.recorder.histogram(stage),
             );
         }
-        self.update(engine, executor, replication, ring);
+        self.registry
+            .declare_gauge("opaq_request_latency_nanos", LAT_HELP);
+        self.registry
+            .declare_counter("opaq_request_count", CNT_HELP);
+        self.update(engine, replication, ring);
     }
 
     /// Mirror every scalar whose source of truth lives outside the registry
@@ -197,7 +200,6 @@ impl Telemetry {
     pub fn update(
         &self,
         engine: &QueryEngine,
-        executor: &PlanExecutor,
         replication: Option<&Arc<ReplicationStats>>,
         ring: Option<&RingMembership>,
     ) {
@@ -205,44 +207,21 @@ impl Telemetry {
         self.spans_dropped.set(self.recorder.dropped());
         self.slow_entries.set(self.slow.len() as u64);
 
-        const LAT_HELP: &str = "Per-tenant latency quantile summary (nanoseconds).";
-        const CNT_HELP: &str = "Requests recorded per tenant.";
-        let mirror = |label: &str, snap: &LatencySnapshot| {
+        for (tenant, snap) in engine.latency_report() {
             for (q, value) in [("p50", snap.p50), ("p99", snap.p99), ("p999", snap.p999)] {
                 self.registry
                     .gauge_with(
                         "opaq_request_latency_nanos",
                         LAT_HELP,
-                        &[("tenant", label), ("quantile", q)],
-                    )
-                    .set(value.as_nanos().min(u64::MAX as u128) as u64);
-            }
-            self.registry
-                .counter_with("opaq_request_count", CNT_HELP, &[("tenant", label)])
-                .set(snap.count);
-        };
-        for (tenant, snap) in engine.latency_report() {
-            mirror(tenant.as_str(), &snap);
-        }
-        mirror("_all", &engine.overall().snapshot());
-
-        const STAGE_LAT_HELP: &str = "Per-plan-stage latency quantile summary (nanoseconds).";
-        const STAGE_CNT_HELP: &str = "Plan stages recorded.";
-        for (stage, snap) in executor.stages().snapshot() {
-            for (q, value) in [("p50", snap.p50), ("p99", snap.p99), ("p999", snap.p999)] {
-                self.registry
-                    .gauge_with(
-                        "opaq_plan_stage_latency_nanos",
-                        STAGE_LAT_HELP,
-                        &[("stage", stage.as_str()), ("quantile", q)],
+                        &[("tenant", tenant.as_str()), ("quantile", q)],
                     )
                     .set(value.as_nanos().min(u64::MAX as u128) as u64);
             }
             self.registry
                 .counter_with(
-                    "opaq_plan_stage_count",
-                    STAGE_CNT_HELP,
-                    &[("stage", stage.as_str())],
+                    "opaq_request_count",
+                    CNT_HELP,
+                    &[("tenant", tenant.as_str())],
                 )
                 .set(snap.count);
         }
@@ -637,13 +616,13 @@ impl HttpServer {
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(StatsInner::default());
-        let (conn_tx, conn_rx) = channel::bounded::<TcpStream>(config.accept_backlog);
+        let (conn_tx, conn_rx) = channel::bounded::<Queued>(config.accept_backlog);
         let conn_rx = Arc::new(parking_lot::Mutex::new(conn_rx));
         // One executor serves every route: the GET point queries compile to
         // degenerate plans and run through it alongside POST /v1/query, so
-        // there is exactly one evaluation path (and one set of per-stage
-        // latency histograms) behind the whole API surface.  On a ring
-        // member, the executor also carries the cross-group scatter hook.
+        // there is exactly one evaluation path behind the whole API
+        // surface.  On a ring member, the executor also carries the
+        // cross-group scatter hook.
         let mut executor = PlanExecutor::new(Arc::clone(engine.catalog()));
         if let Some(membership) = config.ring.clone() {
             executor = executor.with_scatter(scatter_hook(membership));
@@ -653,12 +632,7 @@ impl HttpServer {
             .telemetry
             .clone()
             .unwrap_or_else(|| Arc::new(Telemetry::new()));
-        telemetry.bind(
-            &engine,
-            &executor,
-            config.replication.as_ref(),
-            config.ring.as_deref(),
-        );
+        telemetry.bind(&engine, config.replication.as_ref(), config.ring.as_deref());
 
         let workers = (0..config.workers)
             .map(|i| {
@@ -676,11 +650,11 @@ impl HttpServer {
                             let rx = conn_rx.lock();
                             rx.recv()
                         };
-                        let Ok(stream) = stream else {
+                        let Ok(queued) = stream else {
                             return; // queue closed and drained
                         };
                         handle_connection(
-                            stream, &engine, &executor, &config, &shutdown, &stats, &telemetry,
+                            queued, &engine, &executor, &config, &shutdown, &stats, &telemetry,
                         );
                     })
                     .expect("spawning an HTTP worker cannot fail")
@@ -704,7 +678,7 @@ impl HttpServer {
                                 // Bounded hand-off: a full queue means the
                                 // workers are saturated — shed load with a
                                 // 503 instead of queueing unboundedly.
-                                if let Err(back) = try_send(&conn_tx, stream) {
+                                if let Err(back) = try_send(&conn_tx, (stream, Instant::now())) {
                                     stats.rejected.fetch_add(1, Ordering::Relaxed);
                                     telemetry.sheds.inc();
                                     // Even a shed carries a trace id and a
@@ -713,7 +687,7 @@ impl HttpServer {
                                     let trace = TraceId::mint();
                                     TraceSink::new(Arc::clone(&telemetry.recorder), trace)
                                         .finish_root(Stage::Request, SpanTag::Shed);
-                                    let mut stream = back;
+                                    let (mut stream, _) = back;
                                     let _ = Response::error(503, "server overloaded")
                                         .with_header(TRACE_HEADER, trace.to_string())
                                         .write_to(&mut stream, false);
@@ -782,17 +756,27 @@ impl Drop for HttpServer {
     }
 }
 
-/// Non-blocking send; gives the stream back on a full (or closed) queue so
-/// the accept thread can answer 503 instead of blocking.
-fn try_send(tx: &channel::Sender<TcpStream>, stream: TcpStream) -> Result<(), TcpStream> {
-    tx.try_send(stream).map_err(|e| match e {
-        channel::TrySendError::Full(stream) | channel::TrySendError::Disconnected(stream) => stream,
+/// An accepted connection and when the accept thread queued it.
+type Queued = (TcpStream, Instant);
+
+/// Non-blocking send; gives the connection back on a full (or closed) queue
+/// so the accept thread can answer 503 instead of blocking.
+fn try_send(tx: &channel::Sender<Queued>, queued: Queued) -> Result<(), Queued> {
+    tx.try_send(queued).map_err(|e| match e {
+        channel::TrySendError::Full(queued) | channel::TrySendError::Disconnected(queued) => queued,
     })
 }
 
-/// Serve one connection until close/limits/shutdown.
+/// `d` in nanoseconds, saturating.
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// Serve one connection until close/limits/shutdown.  `accepted` is when
+/// the accept thread queued it: the first request's root span starts there,
+/// with the wait until this worker picked it up as a `queue` child.
 fn handle_connection(
-    stream: TcpStream,
+    (stream, accepted): Queued,
     engine: &Arc<QueryEngine>,
     executor: &Arc<PlanExecutor>,
     config: &ServerConfig,
@@ -800,6 +784,7 @@ fn handle_connection(
     stats: &StatsInner,
     telemetry: &Telemetry,
 ) {
+    let queue_wait = accepted.elapsed();
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream);
     for served in 0..config.keep_alive_max_requests {
@@ -810,89 +795,95 @@ fn handle_connection(
         let _ = reader.get_ref().set_read_timeout(Some(config.read_timeout));
         let parse_start = Instant::now();
         let request = read_request(&mut reader, &config.limits);
-        let parse_nanos = parse_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let parse_nanos = nanos(parse_start.elapsed());
+        if matches!(request, Err(ParseError::ConnectionClosed)) {
+            return;
+        }
+        // The trace id arrives in the request header (a failover hop or sync
+        // pull propagating its trace) or is minted here at the front door;
+        // an unparseable request can't propagate one, so it gets a fresh id.
+        let trace = request
+            .as_ref()
+            .ok()
+            .and_then(|request| request.header(TRACE_HEADER))
+            .and_then(TraceId::parse)
+            .unwrap_or_else(TraceId::mint);
+        // The root starts at accept for a connection's first request, so
+        // its queue wait counts, and at parse start for later ones.  The
+        // id is only readable after parsing, so the queue and parse spans
+        // are recorded retroactively.
+        let queue = if served == 0 {
+            queue_wait
+        } else {
+            Duration::ZERO
+        };
+        let epoch = parse_start.checked_sub(queue).unwrap_or(parse_start);
+        let sink = TraceSink::starting_at(Arc::clone(&telemetry.recorder), trace, epoch);
+        if served == 0 {
+            sink.complete_with(
+                sink.allocate(),
+                ROOT_SPAN_ID,
+                Stage::Queue,
+                SpanTag::Untagged,
+                0,
+                nanos(queue),
+            );
+        }
+        let parse_tag = if request.is_ok() {
+            SpanTag::Untagged
+        } else {
+            SpanTag::Error
+        };
+        sink.complete_with(
+            sink.allocate(),
+            ROOT_SPAN_ID,
+            Stage::Parse,
+            parse_tag,
+            nanos(queue),
+            parse_nanos,
+        );
         let (response, keep_alive) = match request {
             Ok(request) => {
-                // The trace id arrives in the request header (a failover hop
-                // or sync pull propagating its trace) or is minted here at
-                // the front door.  Parsing happened before the id was
-                // readable, so its span is recorded retroactively.
-                let trace = request
-                    .header(TRACE_HEADER)
-                    .and_then(TraceId::parse)
-                    .unwrap_or_else(TraceId::mint);
-                let sink = TraceSink::new(Arc::clone(&telemetry.recorder), trace);
-                sink.complete_with(
-                    sink.allocate(),
-                    ROOT_SPAN_ID,
-                    Stage::Parse,
-                    SpanTag::Untagged,
-                    0,
-                    parse_nanos,
-                );
                 let response = route(engine, executor, config, telemetry, &sink, &request);
                 let tag = if response.status >= 500 {
                     SpanTag::Error
                 } else {
                     SpanTag::Untagged
                 };
-                let total = parse_start.elapsed();
-                sink.complete_with(
-                    ROOT_SPAN_ID,
-                    0,
-                    Stage::Request,
-                    tag,
-                    0,
-                    total.as_nanos().min(u64::MAX as u128) as u64,
-                );
+                let total = sink.finish_root(Stage::Request, tag);
                 let detail = sink.take_annotation();
-                telemetry.slow.offer(trace, total, || {
-                    detail.unwrap_or_else(|| format!("{} {}", request.method, request.path))
-                });
+                telemetry
+                    .slow
+                    .offer(trace, Duration::from_nanos(total), || {
+                        detail.unwrap_or_else(|| format!("{} {}", request.method, request.path))
+                    });
                 let keep_alive = request.wants_keep_alive()
                     && served + 1 < config.keep_alive_max_requests
                     && !shutdown.load(Ordering::Acquire);
-                (
-                    response.with_header(TRACE_HEADER, trace.to_string()),
-                    keep_alive,
-                )
+                (response, keep_alive)
             }
-            Err(ParseError::ConnectionClosed) => return,
             Err(e) => {
                 stats.parse_errors.fetch_add(1, Ordering::Relaxed);
                 telemetry.parse_errors.inc();
-                // Unparseable requests can't propagate an id; mint one so
-                // even the 4xx carries a trace handle into the ring.
-                let trace = TraceId::mint();
-                let sink = TraceSink::new(Arc::clone(&telemetry.recorder), trace);
-                sink.complete_with(
-                    sink.allocate(),
-                    ROOT_SPAN_ID,
-                    Stage::Parse,
-                    SpanTag::Error,
-                    0,
-                    parse_nanos,
-                );
-                sink.complete_with(
-                    ROOT_SPAN_ID,
-                    0,
-                    Stage::Request,
-                    SpanTag::Error,
-                    0,
-                    parse_nanos,
-                );
-                (
-                    parse_error_response(&e).with_header(TRACE_HEADER, trace.to_string()),
-                    false,
-                )
+                sink.finish_root(Stage::Request, SpanTag::Error);
+                (parse_error_response(&e), false)
             }
         };
         stats.requests.fetch_add(1, Ordering::Relaxed);
         telemetry.requests.inc();
-        if response.write_to(reader.get_mut(), keep_alive).is_err() {
-            return;
-        }
-        if !keep_alive {
+        // The root closed before the write, so a client holding this
+        // response can read a complete tree; the write span joins it after.
+        let write_start = sink.now_nanos();
+        let written = response
+            .with_header(TRACE_HEADER, trace.to_string())
+            .write_to(reader.get_mut(), keep_alive);
+        let write_tag = if written.is_ok() {
+            SpanTag::Untagged
+        } else {
+            SpanTag::Error
+        };
+        sink.child(ROOT_SPAN_ID, Stage::Write, write_tag, write_start);
+        if written.is_err() || !keep_alive {
             return;
         }
     }
@@ -1089,12 +1080,7 @@ fn route_inner(
             if request.method != "GET" {
                 return Response::error(405, "metrics is GET-only");
             }
-            telemetry.update(
-                engine,
-                executor,
-                config.replication.as_ref(),
-                config.ring.as_deref(),
-            );
+            telemetry.update(engine, config.replication.as_ref(), config.ring.as_deref());
             Response::text(200, telemetry.registry.render())
         }
         ["v1", "_debug", "trace"] => route_debug_trace(telemetry, request),
@@ -1394,30 +1380,23 @@ fn route_query(
     }
 }
 
-/// Execute a plan through the shared executor, recording request latency
-/// exactly as the engine's own execute path does: the elapsed time lands in
-/// the fleet-wide histogram once, and in each distinct contributing
-/// tenant's histogram, on success only.
+/// Execute a plan through the shared executor and record its latency (on
+/// the sink's clock) exactly as the engine's own execute path does: once
+/// per distinct contributing tenant and once against the armed SLO, on
+/// success only.
 fn run_plan(
     engine: &Arc<QueryEngine>,
     executor: &Arc<PlanExecutor>,
     sink: &TraceSink,
     plan: &QueryPlan,
 ) -> Result<PlanResponse, Box<Response>> {
-    let start = Instant::now();
+    let start = sink.now_nanos();
     let executed = executor
         .execute_traced(plan, sink, ROOT_SPAN_ID)
         .map_err(plan_error_response)?;
-    let elapsed = start.elapsed();
-    engine.overall().record(elapsed);
-    let mut previous: Option<&TenantId> = None;
-    for source in &executed.sources {
-        // Sources arrive in sorted key order, so equal tenants are adjacent.
-        if previous != Some(&source.tenant) {
-            engine.tenant_histogram(&source.tenant).record(elapsed);
-            previous = Some(&source.tenant);
-        }
-    }
+    let elapsed = Duration::from_nanos(sink.now_nanos().saturating_sub(start));
+    // Sources arrive in sorted key order, so equal tenants are adjacent.
+    engine.record_latency(executed.sources.iter().map(|s| &s.tenant), elapsed);
     Ok(executed)
 }
 

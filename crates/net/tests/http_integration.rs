@@ -170,6 +170,8 @@ fn profile_default_count_and_batch_of_one() {
 #[test]
 fn health_and_metrics_expose_catalog_and_latency() {
     let (_c, engine, server) = serve(ServerConfig::default());
+    // An unmeetable SLO: every served query is a breach.
+    engine.set_slo_threshold(Some(Duration::ZERO));
     let mut client = HttpClient::new(server.local_addr().to_string());
     let health = client.get("/healthz").unwrap();
     assert_eq!(health.status, 200);
@@ -182,7 +184,7 @@ fn health_and_metrics_expose_catalog_and_latency() {
         let r = client.get("/v1/acme/events/quantile?phi=0.5").unwrap();
         assert_eq!(r.status, 200);
     }
-    assert_eq!(engine.overall().count(), 5);
+    assert_eq!(engine.slo_breaches(), 5);
     let metrics = client.get("/metrics").unwrap();
     assert_eq!(metrics.status, 200);
     let text = metrics.body_str().unwrap();
@@ -193,10 +195,12 @@ fn health_and_metrics_expose_catalog_and_latency() {
     assert!(text.contains("quantile=\"p999\""), "{text}");
     assert!(text.contains("opaq_catalog_publishes 1"), "{text}");
     assert!(text.contains("opaq_catalog_entries 1"), "{text}");
+    assert!(text.contains("opaq_slo_breaches 5\n"), "{text}");
     assert!(
-        text.contains("opaq_request_count{tenant=\"_all\"} 5"),
+        text.contains("opaq_stage_duration_nanos_count{stage=\"fetch\"} 5\n"),
         "{text}"
     );
+    assert!(!text.contains("_all"), "no aggregate tenant row: {text}");
 }
 
 #[test]

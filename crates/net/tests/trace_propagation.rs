@@ -4,7 +4,7 @@
 //! serving replica's `/v1/_debug/trace` turns the id back into a span tree.
 
 use opaq_core::{IncrementalOpaq, OpaqConfig};
-use opaq_metrics::TraceId;
+use opaq_metrics::{Stage, TraceId, ROOT_SPAN_ID};
 use opaq_net::{
     bootstrap, BreakerConfig, GroupConfig, HashRing, HttpClient, HttpServer, ReplicaConfig,
     ReplicaSet, ReplicationStats, RingConfig, RingMembership, RoutedFleet, ServerConfig,
@@ -126,6 +126,59 @@ fn debug_trace_renders_the_chain_for_a_stamped_id() {
     ] {
         assert!(tree.contains(stage), "span tree missing {stage}:\n{tree}");
     }
+
+    server.shutdown();
+}
+
+#[test]
+fn first_request_records_its_queue_wait_and_every_request_its_write() {
+    let (_catalog, mut server, addr) = primary_with(&[("acme", "events", 4_000)]);
+    let mut client = HttpClient::new(addr);
+    let (first, second) = (TraceId::mint(), TraceId::mint());
+    for id in [first, second] {
+        client.set_trace_id(Some(id));
+        let response = client.get("/v1/acme/events/quantile?phi=0.5").unwrap();
+        assert_eq!(response.status, 200);
+    }
+    assert_eq!(server.stats().connections, 1, "one keep-alive connection");
+
+    // The worker records a request's write span before it reads the next
+    // request, so the first trace is complete once the second answer
+    // arrived.
+    let recorder = server.telemetry().recorder();
+    let first_spans = recorder.trace(first);
+    let of = |spans: &[opaq_metrics::Span], stage: Stage| {
+        spans.iter().find(|s| s.stage == stage).copied()
+    };
+    let root = of(&first_spans, Stage::Request).expect("root span");
+    let queue = of(&first_spans, Stage::Queue).expect("first request waited in the queue");
+    let write = of(&first_spans, Stage::Write).expect("write span");
+    assert_eq!(queue.parent, ROOT_SPAN_ID);
+    assert_eq!((queue.start_nanos, write.parent), (0, ROOT_SPAN_ID));
+    assert!(
+        root.duration_nanos >= queue.duration_nanos,
+        "root covers the wait"
+    );
+    assert!(
+        write.start_nanos >= root.duration_nanos,
+        "the root closes before the write"
+    );
+
+    // The debug endpoint renders both new spans.
+    client.set_trace_id(None);
+    let debug = client.get(&format!("/v1/_debug/trace?id={first}")).unwrap();
+    let tree = debug.body_str().unwrap();
+    for stage in ["queue", "write"] {
+        assert!(tree.contains(stage), "span tree missing {stage}:\n{tree}");
+    }
+
+    // That third request also completed the second trace.
+    let second_spans = recorder.trace(second);
+    assert!(
+        of(&second_spans, Stage::Queue).is_none(),
+        "only a connection's first request waited in the queue"
+    );
+    assert!(of(&second_spans, Stage::Write).is_some());
 
     server.shutdown();
 }

@@ -11,13 +11,11 @@ use crate::plan::{QueryPlan, Selector};
 use crate::QueryError;
 use opaq_core::{OpaqError, QuantileSketch};
 use opaq_metrics::trace::{SpanTag, Stage, TraceId, TraceSink};
-use opaq_metrics::{PlanStage, StageLatency};
 use opaq_serve::{
     execute_on, DatasetId, Freshness, QueryOutput, SketchCatalog, SnapshotOrigin, TenantId,
 };
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One catalog entry that contributed to a plan answer.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,7 +123,8 @@ pub fn merge_tree(
     Ok(round.pop().expect("non-empty round"))
 }
 
-/// Executes [`QueryPlan`]s against a catalog, recording per-stage latency.
+/// Executes [`QueryPlan`]s against a catalog; a traced run records one span
+/// per stage, which the span recorder turns into per-stage latency.
 ///
 /// All methods take `&self`; share one executor behind an `Arc` across
 /// serving threads.  Snapshots are resolved through the catalog's usual
@@ -139,7 +138,6 @@ pub fn merge_tree(
 /// answer is byte-identical to the same plan on an unpartitioned catalog.
 pub struct PlanExecutor {
     catalog: Arc<SketchCatalog>,
-    stages: StageLatency,
     scatter: Option<Arc<ScatterFn>>,
 }
 
@@ -147,7 +145,6 @@ impl fmt::Debug for PlanExecutor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PlanExecutor")
             .field("catalog", &self.catalog)
-            .field("stages", &self.stages)
             .field("scatter", &self.scatter.as_ref().map(|_| "<hook>"))
             .finish()
     }
@@ -158,7 +155,6 @@ impl PlanExecutor {
     pub fn new(catalog: Arc<SketchCatalog>) -> Self {
         Self {
             catalog,
-            stages: StageLatency::new(),
             scatter: None,
         }
     }
@@ -175,12 +171,7 @@ impl PlanExecutor {
         &self.catalog
     }
 
-    /// Per-stage latency histograms (fetch / scatter / merge / extract).
-    pub fn stages(&self) -> &StageLatency {
-        &self.stages
-    }
-
-    /// Execute one plan.
+    /// Execute one plan, recording nothing.
     ///
     /// # Errors
     /// * [`QueryError::NoMatch`] — a glob selector matched nothing;
@@ -199,8 +190,8 @@ impl PlanExecutor {
     /// source (tagged from the snapshot's origin, or
     /// [`SpanTag::RefreshTriggered`] when this fetch kicked off a TTL
     /// refresh), a [`Stage::Merge`] span when more than one snapshot fuses,
-    /// and a [`Stage::Extract`] span.  Latency histograms record exactly as
-    /// in [`PlanExecutor::execute`].
+    /// a [`Stage::Scatter`] span when the scatter hook fires, and a
+    /// [`Stage::Extract`] span.
     ///
     /// # Errors
     /// Identical to [`PlanExecutor::execute`].
@@ -218,7 +209,6 @@ impl PlanExecutor {
         plan: &QueryPlan,
         trace: Option<(&TraceSink, u32)>,
     ) -> Result<PlanResponse, QueryError> {
-        let fetch_start = Instant::now();
         let fetch_span = trace.map(|(sink, _)| (sink.allocate(), sink.now_nanos()));
         let mut snapshots = self.fetch(&plan.selector)?;
         if let (Some((sink, parent)), Some((fetch_id, start))) = (trace, fetch_span) {
@@ -245,18 +235,14 @@ impl PlanExecutor {
             }
             sink.complete(fetch_id, parent, Stage::Fetch, SpanTag::Untagged, start);
         }
-        self.stages.record(PlanStage::Fetch, fetch_start.elapsed());
 
         if let (Selector::Glob { .. }, Some(scatter)) = (&plan.selector, self.scatter.as_ref()) {
-            let scatter_start = Instant::now();
             let scatter_span = trace.map(|(sink, _)| sink.now_nanos());
             let remote = scatter(&plan.selector, trace.map(|(sink, _)| sink.trace()))?;
             snapshots = Self::fuse_partials(snapshots, remote);
             if let (Some((sink, parent)), Some(start)) = (trace, scatter_span) {
                 sink.child(parent, Stage::Scatter, SpanTag::Untagged, start);
             }
-            self.stages
-                .record(PlanStage::Scatter, scatter_start.elapsed());
         }
         if snapshots.is_empty() {
             // Only a scatter-enabled glob can get here: local-only fetch
@@ -277,7 +263,6 @@ impl PlanExecutor {
         }
 
         let fused = if snapshots.len() > 1 {
-            let merge_start = Instant::now();
             let merge_span = trace.map(|(sink, _)| sink.now_nanos());
             let sketches: Vec<_> = snapshots
                 .iter()
@@ -287,20 +272,16 @@ impl PlanExecutor {
             if let (Some((sink, parent)), Some(start)) = (trace, merge_span) {
                 sink.child(parent, Stage::Merge, SpanTag::Untagged, start);
             }
-            self.stages.record(PlanStage::Merge, merge_start.elapsed());
             fused
         } else {
             Arc::clone(&snapshots[0].sketch)
         };
 
-        let extract_start = Instant::now();
         let extract_span = trace.map(|(sink, _)| sink.now_nanos());
         let output = execute_on(&fused, &plan.extract)?;
         if let (Some((sink, parent)), Some(start)) = (trace, extract_span) {
             sink.child(parent, Stage::Extract, SpanTag::Untagged, start);
         }
-        self.stages
-            .record(PlanStage::Extract, extract_start.elapsed());
 
         Ok(PlanResponse {
             output,
@@ -402,7 +383,21 @@ impl PlanExecutor {
 mod tests {
     use super::*;
     use opaq_core::{IncrementalOpaq, OpaqConfig};
+    use opaq_metrics::trace::{SpanRecorder, ROOT_SPAN_ID};
     use opaq_serve::{QueryRequest, ServeError};
+
+    /// Run `plan` traced into a fresh recorder, whose per-stage histograms
+    /// then hold what the executor timed.
+    fn traced(executor: &PlanExecutor, plan: &QueryPlan) -> (PlanResponse, Arc<SpanRecorder>) {
+        let recorder = Arc::new(SpanRecorder::new(64));
+        let sink = TraceSink::new(Arc::clone(&recorder), TraceId::mint());
+        let response = executor.execute_traced(plan, &sink, ROOT_SPAN_ID).unwrap();
+        (response, recorder)
+    }
+
+    fn count(recorder: &SpanRecorder, stage: Stage) -> u64 {
+        recorder.histogram(stage).count()
+    }
 
     fn sketch_of(range: std::ops::Range<u64>) -> QuantileSketch<u64> {
         let config = OpaqConfig::builder()
@@ -458,7 +453,7 @@ mod tests {
         ]);
         let executor = PlanExecutor::new(Arc::clone(&catalog));
         let plan = QueryPlan::parse("fetch tenant-*/events | coalesce | quantile 0.5").unwrap();
-        let response = executor.execute(&plan).unwrap();
+        let (response, recorder) = traced(&executor, &plan);
         assert_eq!(response.total_elements, 2000);
         assert_eq!(response.sources.len(), 2);
         assert_eq!(response.sources[0].tenant.as_str(), "tenant-0");
@@ -484,10 +479,10 @@ mod tests {
             execute_on(&offline, &plan.extract).unwrap()
         );
         // Stage attribution: fetch and extract always record, merge did too.
-        let stages = executor.stages();
-        assert_eq!(stages.histogram(PlanStage::Fetch).count(), 1);
-        assert_eq!(stages.histogram(PlanStage::Merge).count(), 1);
-        assert_eq!(stages.histogram(PlanStage::Extract).count(), 1);
+        assert_eq!(count(&recorder, Stage::Fetch), 1);
+        assert_eq!(count(&recorder, Stage::Merge), 1);
+        assert_eq!(count(&recorder, Stage::Extract), 1);
+        assert_eq!(count(&recorder, Stage::Snapshot), 2);
     }
 
     #[test]
@@ -499,11 +494,11 @@ mod tests {
             DatasetId::from("events"),
             QueryRequest::Rank { key: 250 },
         );
-        let response = executor.execute(&plan).unwrap();
+        let (response, recorder) = traced(&executor, &plan);
         assert_eq!(response.sources.len(), 1);
         assert_eq!(response.total_elements, 500);
-        assert_eq!(executor.stages().histogram(PlanStage::Merge).count(), 0);
-        assert_eq!(executor.stages().histogram(PlanStage::Fetch).count(), 1);
+        assert_eq!(count(&recorder, Stage::Merge), 0);
+        assert_eq!(count(&recorder, Stage::Fetch), 1);
     }
 
     #[test]
@@ -543,8 +538,6 @@ mod tests {
 
     #[test]
     fn traced_plan_records_fetch_snapshot_merge_and_extract_spans() {
-        use opaq_metrics::trace::{SpanRecorder, TraceId, ROOT_SPAN_ID};
-
         let catalog = catalog_with(&[("a", "events", 0..500), ("b", "events", 500..1000)]);
         let executor = PlanExecutor::new(catalog);
         let plan = QueryPlan::parse("fetch */events | coalesce | quantile 0.5").unwrap();
@@ -609,11 +602,14 @@ mod tests {
         ]);
         let executor = PlanExecutor::new(local).with_scatter(scatter_from(peer));
         let plan = QueryPlan::parse("fetch tenant-*/events | coalesce | quantile 0.5").unwrap();
-        let gathered = executor.execute(&plan).unwrap();
+        let (gathered, recorder) = traced(&executor, &plan);
         let reference = PlanExecutor::new(oracle).execute(&plan).unwrap();
         assert_eq!(gathered, reference, "scatter-gather must be transparent");
         assert_eq!(gathered.sources.len(), 3);
-        assert_eq!(executor.stages().histogram(PlanStage::Scatter).count(), 1);
+        assert_eq!(count(&recorder, Stage::Scatter), 1);
+        // Only the local source gets a snapshot span; remote partials are
+        // accounted to the scatter span.
+        assert_eq!(count(&recorder, Stage::Snapshot), 1);
     }
 
     #[test]
@@ -679,8 +675,9 @@ mod tests {
         let catalog = catalog_with(&[("a", "events", 0..100)]);
         let executor = PlanExecutor::new(catalog);
         let plan = QueryPlan::parse("fetch a/* | coalesce | quantile 0.5").unwrap();
-        let response = executor.execute(&plan).unwrap();
+        let (response, recorder) = traced(&executor, &plan);
         assert_eq!(response.sources.len(), 1);
-        assert_eq!(executor.stages().histogram(PlanStage::Merge).count(), 0);
+        assert_eq!(count(&recorder, Stage::Merge), 0);
+        assert_eq!(count(&recorder, Stage::Scatter), 0, "no hook installed");
     }
 }

@@ -59,9 +59,12 @@
 //! HTTP workload verifier replay a plan answer byte-for-byte against an
 //! offline merge of the very same sketch versions.
 //!
-//! Per-stage latency (fetch / merge / extract) is recorded into
-//! [`opaq_metrics::StageLatency`] histograms, exposed through the server's
-//! `/metrics` endpoint.
+//! Per-stage latency is timed once, by the spans
+//! [`PlanExecutor::execute_traced`] records (fetch, snapshot, scatter,
+//! merge, extract): the span recorder feeds each into its stage's histogram
+//! ([`opaq_metrics::SpanRecorder::histogram`]), which the server's
+//! `/metrics` endpoint exports.  Untraced [`PlanExecutor::execute`] records
+//! nothing.
 //!
 //! The legacy single-target requests are degenerate plans
 //! ([`QueryPlan::single`]): one exact fetch, no coalesce, one extract —

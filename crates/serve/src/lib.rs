@@ -41,9 +41,10 @@
 //!   re-validates the sketch.
 //! * **Queries** ([`query`]): typed requests — `Quantile{phi}`, `Rank{key}`,
 //!   `QuantileBatch{phis}`, `Profile{count}` — executed against one snapshot,
-//!   so a batch is answered by a single consistent version.  Every execution
+//!   so a batch is answered by a single consistent version.  Every answer
 //!   is recorded in lock-free per-tenant latency histograms
-//!   ([`opaq_metrics::latency`]) plus a fleet-wide one (p50/p99/p999).
+//!   ([`opaq_metrics::latency`], p50/p99/p999) and checked against the
+//!   armed SLO threshold.
 //! * **Refresh pipeline** ([`refresh`]): a small worker pool that ingests new
 //!   data in the background — via `opaq_parallel::ShardedOpaq` or any
 //!   caller-supplied builder — and publishes the result as the entry's next

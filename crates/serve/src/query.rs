@@ -124,13 +124,12 @@ pub fn request_for(rng: &mut u64) -> QueryRequest {
 }
 
 /// Executes typed requests against catalog snapshots and records latency
-/// per tenant (plus a fleet-wide histogram).  Share it behind an `Arc`
-/// across client threads; every method takes `&self`.
+/// per tenant, checked against an optional SLO threshold.  Share it behind
+/// an `Arc` across client threads; every method takes `&self`.
 #[derive(Debug)]
 pub struct QueryEngine {
     catalog: Arc<SketchCatalog>,
     tenants: RwLock<HashMap<TenantId, Arc<LatencyHistogram>>>,
-    overall: Arc<LatencyHistogram>,
     /// Per-request SLO threshold in nanos (0 = none armed); requests slower
     /// than this bump [`Self::slo_breaches`].
     slo_threshold_nanos: AtomicU64,
@@ -143,7 +142,6 @@ impl QueryEngine {
         Self {
             catalog,
             tenants: RwLock::new(HashMap::new()),
-            overall: Arc::new(LatencyHistogram::new()),
             slo_threshold_nanos: AtomicU64::new(0),
             slo_breaches: AtomicU64::new(0),
         }
@@ -155,7 +153,8 @@ impl QueryEngine {
     }
 
     /// Arm (or disarm, with `None`) a per-request latency SLO: every
-    /// execution slower than `threshold` bumps [`Self::slo_breaches`],
+    /// answer recorded through [`Self::record_latency`] (point queries and
+    /// HTTP plans alike) slower than `threshold` bumps [`Self::slo_breaches`],
     /// surfaced in `/metrics` as `opaq_slo_breaches` and in the serve
     /// shutdown summary.  This is the server-side view; the open-loop bench
     /// harness judges the client-observed distribution separately.
@@ -181,14 +180,29 @@ impl QueryEngine {
         let start = Instant::now();
         let snapshot = self.catalog.snapshot(tenant, dataset)?;
         let response = Self::execute_snapshot(&snapshot, request)?;
-        let elapsed = start.elapsed();
-        self.overall.record(elapsed);
-        self.tenant_histogram(tenant).record(elapsed);
+        self.record_latency([tenant], start.elapsed());
+        Ok(response)
+    }
+
+    /// Record one successful answer that took `elapsed`: once into each
+    /// distinct contributing tenant's histogram (`tenants` in sorted order,
+    /// so equal tenants are adjacent), and once against the armed SLO.
+    pub fn record_latency<'a>(
+        &self,
+        tenants: impl IntoIterator<Item = &'a TenantId>,
+        elapsed: Duration,
+    ) {
+        let mut previous: Option<&TenantId> = None;
+        for tenant in tenants {
+            if previous != Some(tenant) {
+                self.tenant_histogram(tenant).record(elapsed);
+                previous = Some(tenant);
+            }
+        }
         let threshold = self.slo_threshold_nanos.load(Ordering::Relaxed);
         if threshold > 0 && elapsed.as_nanos() > u128::from(threshold) {
             self.slo_breaches.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(response)
     }
 
     /// Execute against an already-resolved snapshot (no metrics recorded).
@@ -215,17 +229,6 @@ impl QueryEngine {
                 .entry(tenant.clone())
                 .or_insert_with(|| Arc::new(LatencyHistogram::new())),
         )
-    }
-
-    /// The fleet-wide latency histogram.
-    pub fn overall(&self) -> &LatencyHistogram {
-        &self.overall
-    }
-
-    /// A shared handle to the fleet-wide histogram, so a metric registry
-    /// can render cumulative Prometheus buckets from the same instance.
-    pub fn overall_shared(&self) -> Arc<LatencyHistogram> {
-        Arc::clone(&self.overall)
     }
 
     /// Per-tenant latency snapshots, sorted by tenant for deterministic
@@ -328,14 +331,13 @@ mod tests {
     }
 
     #[test]
-    fn latency_is_recorded_per_tenant_and_overall() {
+    fn latency_is_recorded_per_tenant() {
         let (engine, t, d) = engine_with(1_000);
         for _ in 0..10 {
             engine
                 .execute(&t, &d, &QueryRequest::Quantile { phi: 0.5 })
                 .unwrap();
         }
-        assert_eq!(engine.overall().count(), 10);
         let report = engine.latency_report();
         assert_eq!(report.len(), 1);
         assert_eq!(report[0].1.count, 10);
@@ -348,7 +350,19 @@ mod tests {
                 &QueryRequest::Quantile { phi: 0.5 }
             )
             .is_err());
-        assert_eq!(engine.overall().count(), 10);
+        assert_eq!(engine.latency_report().len(), 1);
+        assert_eq!(engine.tenant_histogram(&t).count(), 10);
+    }
+
+    #[test]
+    fn record_latency_counts_each_distinct_tenant_and_one_slo_check() {
+        let (engine, t, _) = engine_with(1_000);
+        let u = TenantId::from("u");
+        engine.set_slo_threshold(Some(Duration::ZERO));
+        engine.record_latency([&t, &t, &u], Duration::from_micros(5));
+        assert_eq!(engine.tenant_histogram(&t).count(), 1, "adjacent repeats");
+        assert_eq!(engine.tenant_histogram(&u).count(), 1);
+        assert_eq!(engine.slo_breaches(), 1, "one answer, one check");
     }
 
     #[test]
