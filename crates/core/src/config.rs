@@ -19,7 +19,7 @@ pub struct OpaqConfig {
     /// experiments use 250–1000; accuracy is proportional to `s`
     /// (error ≤ `n/s` elements per bound).
     pub sample_size: u64,
-    /// Single-rank selection algorithm used inside the multi-selection.
+    /// Exact single-rank selector behind the multi-selection driver's guard.
     #[serde(skip, default)]
     pub strategy: SelectionStrategy,
 }

@@ -69,17 +69,6 @@ pub struct RemotePartial {
 pub type ScatterFn =
     dyn Fn(&Selector, Option<TraceId>) -> Result<Vec<RemotePartial>, QueryError> + Send + Sync;
 
-/// How a resolved plan source reached this executor.
-enum Provenance {
-    /// Resolved from the local catalog.
-    Local {
-        origin: SnapshotOrigin,
-        refresh_triggered: bool,
-    },
-    /// Gathered from a peer group by the scatter hook.
-    Remote,
-}
-
 /// A selector match with everything downstream stages need, whether it came
 /// from the local catalog or a peer group.
 struct ResolvedSource {
@@ -88,7 +77,6 @@ struct ResolvedSource {
     version: u64,
     freshness: Freshness,
     sketch: Arc<QuantileSketch<u64>>,
-    provenance: Provenance,
 }
 
 /// Fuse sketches with the same balanced pairwise tree `ShardedOpaq` uses
@@ -210,29 +198,10 @@ impl PlanExecutor {
         trace: Option<(&TraceSink, u32)>,
     ) -> Result<PlanResponse, QueryError> {
         let fetch_span = trace.map(|(sink, _)| (sink.allocate(), sink.now_nanos()));
-        let mut snapshots = self.fetch(&plan.selector)?;
+        let fetch_id = fetch_span.map(|(id, _)| id);
+        let mut snapshots =
+            self.fetch(&plan.selector, trace.map(|(sink, _)| sink).zip(fetch_id))?;
         if let (Some((sink, parent)), Some((fetch_id, start))) = (trace, fetch_span) {
-            // One child per local source, nested under the fetch span, tagged
-            // with how the catalog produced the snapshot.  Remote partials
-            // are accounted to the scatter span instead.
-            for source in &snapshots {
-                let Provenance::Local {
-                    origin,
-                    refresh_triggered,
-                } = source.provenance
-                else {
-                    continue;
-                };
-                let tag = if refresh_triggered {
-                    SpanTag::RefreshTriggered
-                } else {
-                    match origin {
-                        SnapshotOrigin::Hit => SpanTag::Hit,
-                        SnapshotOrigin::ReloadFromSpill => SpanTag::ReloadFromSpill,
-                    }
-                };
-                sink.complete(sink.allocate(), fetch_id, Stage::Snapshot, tag, start);
-            }
             sink.complete(fetch_id, parent, Stage::Fetch, SpanTag::Untagged, start);
         }
 
@@ -318,7 +287,6 @@ impl PlanExecutor {
                     held.version = partial.version;
                     held.sketch = partial.sketch;
                     held.freshness = Freshness::Fresh;
-                    held.provenance = Provenance::Remote;
                 }
                 None => union.push(ResolvedSource {
                     tenant: partial.tenant,
@@ -326,7 +294,6 @@ impl PlanExecutor {
                     version: partial.version,
                     freshness: Freshness::Fresh,
                     sketch: partial.sketch,
-                    provenance: Provenance::Remote,
                 }),
             }
         }
@@ -339,21 +306,36 @@ impl PlanExecutor {
     /// Resolve a selector against the local catalog, in the catalog's
     /// sorted key order.  A glob that matches nothing locally is only an
     /// error when there is no scatter hook to consult peer groups.
-    fn fetch(&self, selector: &Selector) -> Result<Vec<ResolvedSource>, QueryError> {
+    ///
+    /// Traced, each snapshot records its own [`Stage::Snapshot`] span under
+    /// the fetch span `fetch_id`, tagged with how the catalog produced it.
+    /// Remote partials are accounted to the scatter span instead.
+    fn fetch(
+        &self,
+        selector: &Selector,
+        trace: Option<(&TraceSink, u32)>,
+    ) -> Result<Vec<ResolvedSource>, QueryError> {
         let resolved_source = |tenant: &TenantId, dataset: &DatasetId| {
-            self.catalog
-                .snapshot(tenant, dataset)
-                .map(|snap| ResolvedSource {
-                    tenant: tenant.clone(),
-                    dataset: dataset.clone(),
-                    version: snap.version,
-                    freshness: snap.freshness,
-                    provenance: Provenance::Local {
-                        origin: snap.origin,
-                        refresh_triggered: snap.refresh_triggered,
-                    },
-                    sketch: snap.sketch,
-                })
+            let start = trace.map(|(sink, _)| sink.now_nanos());
+            let snap = self.catalog.snapshot(tenant, dataset)?;
+            if let (Some((sink, fetch_id)), Some(start)) = (trace, start) {
+                let tag = if snap.refresh_triggered {
+                    SpanTag::RefreshTriggered
+                } else {
+                    match snap.origin {
+                        SnapshotOrigin::Hit => SpanTag::Hit,
+                        SnapshotOrigin::ReloadFromSpill => SpanTag::ReloadFromSpill,
+                    }
+                };
+                sink.child(fetch_id, Stage::Snapshot, tag, start);
+            }
+            Ok::<_, opaq_serve::ServeError>(ResolvedSource {
+                tenant: tenant.clone(),
+                dataset: dataset.clone(),
+                version: snap.version,
+                freshness: snap.freshness,
+                sketch: snap.sketch,
+            })
         };
         match selector {
             Selector::Exact { tenant, dataset } => Ok(vec![resolved_source(tenant, dataset)?]),

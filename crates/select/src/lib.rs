@@ -16,15 +16,20 @@
 //! * [`quickselect`] — a pragmatic randomized quickselect used as the default
 //!   strategy (small constants, in-place).
 //! * [`multiselect`] — simultaneous selection of many order statistics, the
-//!   workhorse of the sample phase.  Small inputs use the paper's recursive
-//!   partitioning directly.  Slices of at least [`SPLITTER_TREE_MIN_LEN`]
-//!   keys with at least eight ranks are first *classified*: 255 splitters
-//!   from a sorted oversample form an implicit search tree, each key's bucket
-//!   goes into a one-byte oracle (the only run-sized scratch: one byte per
-//!   key), the oracle drives an in-place permutation into value-ordered
-//!   buckets, and the recursion then runs only inside each bucket on the
-//!   ranks that fall in it.  Runs with too few distinct splitters (constant
-//!   or few-valued data) fall back to the plain recursion.
+//!   workhorse of the sample phase.  A *rank-splitting driver* implements
+//!   the paper's recursive partitioning: each piece is split once around a
+//!   pivot drawn from a sorted 15-key sample and aimed between its middle
+//!   ranks, one branchless pass per split; keys equal to a piece's known
+//!   lower bound are stripped in one pass, which ends constant and
+//!   few-valued runs; and a split that leaves a side too lopsided hands that
+//!   side's next step to one exact [`SelectionStrategy::select`].  Slices of
+//!   at least [`SPLITTER_TREE_MIN_LEN`] keys with at least eight ranks are
+//!   first *classified*: 255 splitters from a sorted oversample form an
+//!   implicit search tree, each key's bucket goes into a one-byte oracle (the
+//!   only run-sized scratch: one byte per key), the oracle drives an in-place
+//!   permutation into value-ordered buckets, and the driver then runs only
+//!   inside each bucket on the ranks that fall in it.  Runs with too few
+//!   distinct splitters (constant or few-valued data) skip the buckets.
 //! * [`partition`] — three-way partitioning primitives shared by the
 //!   algorithms above, duplicate-robust by construction: the scalar Dutch
 //!   national flag scan *and* a branchless BlockQuicksort-style kernel
@@ -54,8 +59,13 @@ pub use multiselect::{
 };
 pub use quickselect::{quickselect, quickselect_block};
 
-/// Strategy used for single-rank selection inside the multi-selection driver
-/// and by the OPAQ sample phase.
+/// The exact single-rank selector behind the multi-selection driver's guard,
+/// and the strategy the OPAQ sample phase is configured with.
+///
+/// The driver splits rank sets with sampled one-pass partitions of its own.
+/// Where a split leaves a side too lopsided, that side's next step is one
+/// exact selection of its middle rank with this strategy, which is what
+/// bounds the driver's depth whatever its samples hold.
 ///
 /// All strategies are exact, so they select identical values; they differ
 /// only in constant factors and worst-case guarantees.

@@ -4,16 +4,38 @@
 //! every run.  The paper's recipe (§2.1) is recursive median splitting: find
 //! the median of the run, split, recurse on both halves until the sub-lists
 //! reach size `m/s`, then take each sub-list maximum.  That is exactly
-//! multi-selection, and its general formulation — recurse on the *middle
-//! requested rank*, then solve the left ranks in the left part and the right
+//! multi-selection, and its general formulation — split the rank set around
+//! its middle, then solve the left ranks in the left part and the right
 //! ranks in the right part — achieves the same `O(m log s)` bound while
 //! supporting arbitrary rank sets (the quantile-phase unit tests use
 //! irregular rank sets too).
 //!
-//! Taken literally that recursion makes about `log₂ s` partition passes over
-//! the whole run, and a 1M-key run does not fit in cache, so every level pays
-//! a full trip to memory.  Large rank sets on large slices therefore take a
-//! *splitter-tree* path that replaces the top levels with one classification
+//! A split only needs a pivot that falls *between* ranks, not the exact
+//! order statistic of one of them, so one partition pass is enough.  That is
+//! the sampling idea of Floyd and Rivest (CACM 1975) applied to a rank set.
+//! The *rank-splitting driver* does this for every piece:
+//!
+//! * **Pivot.**  An evenly spaced sample of 15 keys is insertion-sorted, and
+//!   the sample key at the fraction of the piece where the split aims (the
+//!   midpoint of the two middle ranks, or a lone rank) is the pivot.
+//! * **One pass.**  Keys below the pivot move to the front in one branchless
+//!   block pass; the pivot is parked right after them, where it is its own
+//!   order statistic; the ranks split three ways and both sides recurse.
+//! * **Duplicates.**  When the pivot equals the piece's known lower bound
+//!   (the pivot of the split that made the piece), the keys equal to it are
+//!   the piece's minimum: one pass moves them to the front and settles every
+//!   rank among them.  Constant and few-valued pieces end this way.
+//! * **Guard.**  When a split leaves more than 7/8 of a piece on a side that
+//!   holds more than half of its ranks, that side's next step is one exact
+//!   [`SelectionStrategy::select`] of its middle rank.  Depth stays
+//!   `O(log m)` whatever the samples hold.
+//!
+//! Pieces of at most 32 keys are sorted outright.
+//!
+//! Taken alone, the driver still makes about `log₂ s` passes over the whole
+//! run, and a 1M-key run does not fit in cache, so every level pays a full
+//! trip to memory.  Large rank sets on large slices therefore first take a
+//! *splitter-tree* step that replaces the top levels with one classification
 //! pass, after the classifier of Super Scalar Sample Sort (Sanders & Winkel,
 //! ESA 2004) and the in-place distribution of IPS⁴o (Axtmann et al.,
 //! ESA 2017):
@@ -26,22 +48,22 @@
 //!    `(splitter[i-1], splitter[i]]`, so buckets are ordered by value.
 //! 2. **Permute.**  The oracle drives an American-flag cycle walk that moves
 //!    every key into its bucket in place — no second run-sized buffer.
-//! 3. **Recurse inside buckets.**  The rank recursion above runs inside each
+//! 3. **Split inside buckets.**  The rank-splitting driver runs inside each
 //!    bucket on the ranks that fall in it: a few ranks over a few thousand
-//!    cache-resident keys.
+//!    cache-resident keys, so a handful of one-pass splits.
 //!
 //! The only scratch is the oracle (one byte per key) and the oversample.
-//! The result is the same as the plain recursion's: every requested rank
-//! holds its exact order statistic, with `<=` on its left and `>=` on its
-//! right.  So the selected values, and every OPAQ sketch built from them, do
-//! not depend on which path ran.
+//! Either way every requested rank holds its exact order statistic, with
+//! `<=` on its left and `>=` on its right.  So the selected values, and
+//! every OPAQ sketch built from them, do not depend on which path ran.
 //!
 //! Slices shorter than [`SPLITTER_TREE_MIN_LEN`] and rank sets of fewer than
-//! eight ranks keep the plain recursion, which is cheaper there.  So do runs
-//! whose oversample yields fewer than 32 distinct splitters (constant or
-//! few-valued data): their keys would collapse into a handful of buckets,
-//! and classifying them costs more than it saves.
+//! eight ranks go to the driver directly, which is cheaper there.  So do
+//! runs whose oversample yields fewer than 32 distinct splitters (constant
+//! or few-valued data): their keys would collapse into a handful of buckets,
+//! while the driver's duplicate rule ends them in a few passes.
 
+use crate::partition::{block_partition_by, insertion_sort};
 use crate::SelectionStrategy;
 
 /// Return the 0-based ranks of the `s` regular samples of a run of length `m`:
@@ -144,15 +166,15 @@ fn check_bounds(sorted_ranks: &[usize], len: usize) {
     }
 }
 
-/// Slices shorter than this keep the plain rank recursion.  The splitter
+/// Slices shorter than this skip the splitter tree.  The splitter
 /// tree's 4096-key oversample and 256 buckets pay off only on slices many
-/// times their size.  With one rank per 1000 keys the tree path measured
-/// about 2× faster on 1M-key runs and 2.5× at this floor; at 16k keys the
-/// two paths tied.
+/// times their size.  With one rank per 1000 keys, classify-and-permute
+/// followed by the driver measured about 1.5× faster than the driver alone
+/// at this floor; with 8 ranks the two tied.
 pub const SPLITTER_TREE_MIN_LEN: usize = 1 << 16;
 
-/// Rank sets smaller than this keep the plain rank recursion: with few
-/// ranks it makes only a few passes, which beat classify-and-permute.
+/// Rank sets smaller than this skip the splitter tree: with few ranks the
+/// driver makes only a few passes, which beat classify-and-permute.
 const SPLITTER_TREE_MIN_RANKS: usize = 8;
 
 /// Depth of the splitter tree; it has `BUCKETS - 1` splitters.
@@ -169,15 +191,15 @@ const MIN_DISTINCT_SPLITTERS: usize = BUCKETS / 8;
 /// Keys classified side by side, so their tree descents overlap.
 const UNROLL: usize = 8;
 
-/// Place every rank of `ranks` (sorted, unique, in bounds): the
-/// splitter-tree path where it pays, the plain recursion otherwise.
+/// Place every rank of `ranks` (sorted, unique, in bounds): the splitter
+/// tree first where it pays, then the rank-splitting driver.
 fn select_sorted<T: Ord + Copy>(data: &mut [T], ranks: &[usize], strategy: SelectionStrategy) {
     if data.len() < SPLITTER_TREE_MIN_LEN || ranks.len() < SPLITTER_TREE_MIN_RANKS {
-        recurse(data, 0, ranks, strategy);
+        split_ranks(data, 0, ranks, None, false, strategy);
         return;
     }
     let Some(tree) = splitter_tree(data) else {
-        recurse(data, 0, ranks, strategy);
+        split_ranks(data, 0, ranks, None, false, strategy);
         return;
     };
     let mut oracle = vec![0u8; data.len() + 1];
@@ -190,7 +212,8 @@ fn select_sorted<T: Ord + Copy>(data: &mut [T], ranks: &[usize], strategy: Selec
     for b in 0..BUCKETS {
         let (lo, hi) = (bounds[b], bounds[b + 1]);
         let last = first + ranks[first..].partition_point(|&r| r < hi);
-        recurse(&mut data[lo..hi], lo, &ranks[first..last], strategy);
+        let bucket = &mut data[lo..hi];
+        split_ranks(bucket, lo, &ranks[first..last], None, false, strategy);
         first = last;
     }
 }
@@ -324,28 +347,122 @@ fn permute<T: Copy>(data: &mut [T], oracle: &[u8], bounds: &[usize; BUCKETS + 1]
     }
 }
 
-/// Recursive driver: `offset` is the absolute index of `data[0]` in the
-/// original slice; `ranks` are absolute, sorted, and all fall inside
-/// `[offset, offset + data.len())`.  Borrows sub-slices of both `data` and
-/// `ranks` — no per-level allocation.
-fn recurse<T: Ord>(data: &mut [T], offset: usize, ranks: &[usize], strategy: SelectionStrategy) {
-    if ranks.is_empty() || data.is_empty() {
+/// Keys in the evenly spaced sample that picks each split's pivot.
+const PIVOT_SAMPLE: usize = 15;
+
+/// Pieces this short are sorted outright.
+const SORT_CUTOFF: usize = 32;
+
+#[cfg(test)]
+thread_local! {
+    /// Exact selections the guard made on this thread.
+    static GUARD_SELECTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The rank-splitting driver: place every rank of `ranks` inside `data`.
+///
+/// `offset` is the absolute index of `data[0]` in the original slice;
+/// `ranks` are absolute, sorted, and all fall inside
+/// `[offset, offset + data.len())`.  `floor`, when known, is a key no
+/// greater than any key of the piece: the pivot of the split that made it.
+/// `guarded` asks for one exact selection in place of a sampled split.
+/// Borrows sub-slices of both `data` and `ranks` — no allocation.
+fn split_ranks<T: Ord + Copy>(
+    data: &mut [T],
+    offset: usize,
+    ranks: &[usize],
+    floor: Option<T>,
+    guarded: bool,
+    strategy: SelectionStrategy,
+) {
+    if ranks.is_empty() {
         return;
     }
-    if data.len() == 1 {
+    let len = data.len();
+    if len <= SORT_CUTOFF {
+        insertion_sort(data);
         return;
     }
-    // Select the middle requested rank; this splits both the data and the
-    // remaining ranks roughly in half, giving the O(m log s) bound.
+    // The pivot aims between the two middle ranks, or at a lone rank.
     let mid = ranks.len() / 2;
-    let pivot_rank = ranks[mid];
-    let rel = pivot_rank - offset;
-    let _ = strategy.select(data, rel);
-    // Left of `rel` everything is <= data[rel]; right of it everything is >=.
-    let (left, rest) = data.split_at_mut(rel);
-    let right = &mut rest[1..];
-    recurse(left, offset, &ranks[..mid], strategy);
-    recurse(right, offset + rel + 1, &ranks[mid + 1..], strategy);
+    let target = match mid {
+        0 => ranks[0],
+        _ => ranks[mid - 1] + (ranks[mid] - ranks[mid - 1]) / 2,
+    };
+    let sampled = sample_pivot(data, target - offset);
+    let pivot = data[sampled];
+    if floor == Some(pivot) {
+        // No key is below the pivot, so the keys equal to it are the
+        // piece's minimum.  Moving them to the front settles every rank
+        // among them; this is what ends constant and few-valued pieces.
+        let eq = block_partition_by(data, |key| *key == pivot);
+        let first = ranks.partition_point(|&r| r < offset + eq);
+        let (rest, rest_ranks) = (&mut data[eq..], &ranks[first..]);
+        let guarded = lopsided(len, ranks.len(), rest.len(), rest_ranks.len());
+        split_ranks(rest, offset + eq, rest_ranks, floor, guarded, strategy);
+        return;
+    }
+    let (at, pivot) = if guarded {
+        #[cfg(test)]
+        GUARD_SELECTS.with(|count| count.set(count.get() + 1));
+        let rel = ranks[mid] - offset;
+        let _ = strategy.select(data, rel);
+        (rel, data[rel])
+    } else {
+        // One pass: keys below the pivot to the front, then the pivot
+        // parked right after them, where it is its own order statistic.
+        data.swap(sampled, len - 1);
+        let lt = block_partition_by(&mut data[..len - 1], |key| *key < pivot);
+        data.swap(lt, len - 1);
+        (lt, pivot)
+    };
+    // `<=` left of `at` and `>=` right of it, so the ranks split three ways.
+    let split = offset + at;
+    let lo = ranks.partition_point(|&r| r < split);
+    let hi = lo + usize::from(ranks.get(lo) == Some(&split));
+    let (left, right) = data.split_at_mut(at);
+    let right = &mut right[1..];
+    let (left_ranks, right_ranks) = (&ranks[..lo], &ranks[hi..]);
+    let guard_left = lopsided(len, ranks.len(), left.len(), left_ranks.len());
+    let guard_right = lopsided(len, ranks.len(), right.len(), right_ranks.len());
+    split_ranks(left, offset, left_ranks, floor, guard_left, strategy);
+    let floor = Some(pivot);
+    split_ranks(right, split + 1, right_ranks, floor, guard_right, strategy);
+}
+
+/// Whether a split left more than 7/8 of a piece on a side that holds more
+/// than half of its ranks.  That side's next step is an exact selection of
+/// its middle rank, which halves its ranks for sure, so every second step
+/// down any path shrinks the piece by 7/8 or halves its ranks: depth stays
+/// `O(log m)` whatever the samples hold.
+fn lopsided(len: usize, ranks: usize, side_len: usize, side_ranks: usize) -> bool {
+    side_len * 8 > len * 7 && side_ranks * 2 > ranks
+}
+
+/// Sort an evenly spaced sample of [`PIVOT_SAMPLE`] keys of `data` in place
+/// and return the index of the one to split at, for a split aimed at
+/// position `target`.
+///
+/// Sample key `k` lands near rank `(k + 1)·len / 16`.  The pick counts from
+/// whichever end `target` is nearer and takes the key one slot past
+/// `target`'s fraction, toward the middle.  So a lone rank most likely
+/// falls on the smaller side, and a split between two middle ranks leans
+/// toward halving the piece.
+fn sample_pivot<T: Ord>(data: &mut [T], target: usize) -> usize {
+    let len = data.len();
+    let stride = len / PIVOT_SAMPLE;
+    let slot = |k: usize| k * stride + stride / 2;
+    for i in 1..PIVOT_SAMPLE {
+        let mut j = i;
+        while j > 0 && data[slot(j - 1)] > data[slot(j)] {
+            data.swap(slot(j - 1), slot(j));
+            j -= 1;
+        }
+    }
+    let low_half = target < len / 2;
+    let from_end = if low_half { target } else { len - 1 - target };
+    let k = from_end * (PIVOT_SAMPLE + 1) / len + 1;
+    slot(if low_half { k } else { PIVOT_SAMPLE - 1 - k })
 }
 
 #[cfg(test)]
@@ -476,6 +593,42 @@ mod tests {
         }
         data.sort_unstable();
         assert_eq!(data, expected, "permute must only move keys");
+    }
+
+    fn guard_selects() -> usize {
+        GUARD_SELECTS.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn guard_takes_over_when_the_sample_holds_the_extremes() {
+        // The 15 largest keys sit exactly where the driver samples, so its
+        // first pivot is one of them and the split leaves all but a few
+        // keys on the side with the ranks.
+        let len = 10_000;
+        let stride = len / PIVOT_SAMPLE;
+        let mut data: Vec<u64> = (0..len as u64).collect();
+        for k in 0..PIVOT_SAMPLE {
+            data.swap(k * stride + stride / 2, len - 1 - k);
+        }
+        let ranks = regular_sample_ranks(len, 4);
+        let before = guard_selects();
+        let picked = multiselect(&mut data, &ranks);
+        assert!(guard_selects() > before, "the guard never engaged");
+        let expected: Vec<u64> = ranks.iter().map(|&r| r as u64).collect();
+        assert_eq!(picked, expected);
+        data.sort_unstable();
+        assert!(data.iter().copied().eq(0..len as u64));
+    }
+
+    #[test]
+    fn constant_runs_end_without_the_guard() {
+        // The first split leaves everything but the pivot on one side; the
+        // next pivot equals that piece's lower bound, so one pass ends it.
+        let mut data = vec![7_u32; 50_000];
+        let ranks = regular_sample_ranks(data.len(), 500);
+        let before = guard_selects();
+        assert!(multiselect(&mut data, &ranks).iter().all(|&v| v == 7));
+        assert_eq!(guard_selects(), before);
     }
 
     proptest! {

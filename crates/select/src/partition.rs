@@ -102,7 +102,7 @@ const BLOCK: usize = 128;
 /// only data-dependent operation is an add — no unpredictable branch.  The
 /// subsequent swap loop has fully predictable control flow.
 #[inline]
-fn block_partition_by<T, F: Fn(&T) -> bool>(data: &mut [T], pred: F) -> usize {
+pub(crate) fn block_partition_by<T, F: Fn(&T) -> bool>(data: &mut [T], pred: F) -> usize {
     let mut offsets = [0u32; BLOCK];
     let mut lt = 0usize; // data[..lt] satisfy pred
     let mut base = 0usize;

@@ -1,14 +1,16 @@
-//! Property tests for multi-selection on slices at or above
-//! [`SPLITTER_TREE_MIN_LEN`], where `multiselect` classifies the keys into
-//! value-ordered buckets, permutes them in place and solves each rank inside
-//! its bucket.
+//! Property tests for multi-selection.  At or above [`SPLITTER_TREE_MIN_LEN`]
+//! `multiselect` classifies the keys into value-ordered buckets, permutes
+//! them in place and runs the rank-splitting driver inside each bucket;
+//! below it, the driver runs on the whole slice.
 //!
 //! Every shape runs with regular and irregular rank sets under all four
 //! strategies, and every result is checked against a full sort: the selected
 //! values, the partition around every requested rank, and that the slice is
 //! still a permutation of its input.  The all-equal, two-valued and few-valued
 //! shapes have too few distinct splitters for the buckets to help, so they
-//! exercise the fallback to the plain rank recursion at the same sizes.
+//! exercise the driver's duplicate rule on whole runs.  The two sample-*
+//! shapes put the slice's extreme keys where the driver samples its first
+//! pivot, which drives its guard.
 
 use opaq_select::{
     multiselect_with, regular_sample_ranks, SelectionStrategy, SPLITTER_TREE_MIN_LEN,
@@ -43,7 +45,24 @@ fn shapes(seed: u64, len: usize, domain: u64) -> Vec<(&'static str, Vec<u64>)> {
         ("sorted", (0..n).collect()),
         ("reverse", (0..n).rev().collect()),
         ("organ-pipe", (0..n).map(|i| i.min(n - 1 - i)).collect()),
+        ("sample-max", sample_extremes((0..n).collect())),
+        ("sample-min", sample_extremes((0..n).rev().collect())),
     ]
+}
+
+/// Move the last 15 keys of `keys` to the 15 evenly spaced positions the
+/// rank-splitting driver samples for its first pivot.  On sorted keys that
+/// puts the largest keys there, on reverse-sorted keys the smallest.
+fn sample_extremes(mut keys: Vec<u64>) -> Vec<u64> {
+    const PIVOT_SAMPLE: usize = 15;
+    let len = keys.len();
+    let stride = len / PIVOT_SAMPLE;
+    if stride > 1 {
+        for k in 0..PIVOT_SAMPLE {
+            keys.swap(k * stride + stride / 2, len - 1 - k);
+        }
+    }
+    keys
 }
 
 /// Up to `count` distinct ranks spread pseudo-randomly over `0..len`, always
@@ -108,6 +127,33 @@ fn check(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
+    /// Slices below the floor, where the driver runs alone: regular and
+    /// irregular rank sets of up to a few hundred ranks.
+    #[test]
+    fn ranks_match_sort_below_the_floor(
+        seed in any::<u64>(),
+        len in 1usize..SPLITTER_TREE_MIN_LEN,
+        domain in 2u64..8,
+        s in 1usize..400,
+    ) {
+        let rank_sets = [
+            regular_sample_ranks(len, s.min(len)),
+            irregular_ranks(seed, len, s),
+        ];
+        for (shape, data) in shapes(seed, len, domain) {
+            let mut truth = data.clone();
+            truth.sort_unstable();
+            for ranks in &rank_sets {
+                for strategy in SelectionStrategy::ALL {
+                    let mut work = data.clone();
+                    let got = multiselect_with(&mut work, ranks, strategy);
+                    let what = format!("{shape} {strategy:?} len={len} ranks={}", ranks.len());
+                    check(&truth, &work, ranks, &got, &what)?;
+                }
+            }
+        }
+    }
+
     /// Regular sample ranks, the sample phase's rank sets.
     #[test]
     fn regular_ranks_match_sort_above_the_floor(
@@ -129,8 +175,8 @@ proptest! {
         }
     }
 
-    /// Irregular, unsorted rank sets, from a single rank (which keeps the
-    /// plain recursion) to a few hundred.
+    /// Irregular, unsorted rank sets, from a single rank (which skips the
+    /// splitter tree) to a few hundred.
     #[test]
     fn irregular_ranks_match_sort_above_the_floor(
         seed in any::<u64>(),

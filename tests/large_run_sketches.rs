@@ -1,15 +1,25 @@
 //! Sketches built from runs long enough for the sample phase's splitter-tree
 //! multi-selection (`opaq::select::SPLITTER_TREE_MIN_LEN` keys and up).
 //!
-//! Selection is exact, so the sketch must not depend on the kernel: every
-//! strategy must build the same sketch, equal to the one assembled from fully
-//! sorted runs, and its decile bounds must satisfy Lemma 3 against a full
-//! sort of the dataset.
+//! Selection is exact, so the sketch must not depend on the kernel or on how
+//! the runs are spread over threads: every strategy, and sharded ingest at
+//! every thread count, must build the same sketch, equal to the one
+//! assembled from fully sorted runs.  Its decile bounds must satisfy Lemma 3
+//! against a full sort of the dataset.
+//!
+//! The datasets cover the shapes the sample phase treats differently: spread
+//! keys (uniform, Zipf 0.86), keys left in place or all moved (sorted,
+//! reverse), a heavy Zipf skew whose splitters repeat, so some buckets stay
+//! empty and the heaviest key's bucket is oversized, and few-valued and
+//! constant runs, too few distinct splitters for the tree, which the
+//! rank-splitting driver ends by its duplicate rule.
 
 use opaq::core::{RunSample, RunSampler};
 use opaq::datagen::{DatasetSpec, Distribution};
 use opaq::select::{regular_sample_ranks, SPLITTER_TREE_MIN_LEN};
-use opaq::{MemRunStore, OpaqConfig, OpaqEstimator, QuantileSketch, SelectionStrategy};
+use opaq::{
+    MemRunStore, OpaqConfig, OpaqEstimator, QuantileSketch, SelectionStrategy, ShardedOpaq,
+};
 
 /// Three equal runs above the floor, so Lemma 3's `n/s` bound applies as is.
 const M: u64 = SPLITTER_TREE_MIN_LEN as u64 + 34_464;
@@ -28,7 +38,25 @@ fn datasets() -> Vec<DatasetSpec> {
         DatasetSpec::paper_zipf(N, 29),
         spec(Distribution::Sorted, 0.0),
         spec(Distribution::ReverseSorted, 0.0),
+        spec(
+            Distribution::Zipf {
+                domain: 1 << 31,
+                parameter: 0.05,
+            },
+            0.1,
+        ),
+        spec(Distribution::Uniform { domain: 3 }, 0.0),
+        spec(Distribution::Constant(7), 0.0),
     ]
+}
+
+fn config(strategy: SelectionStrategy) -> OpaqConfig {
+    OpaqConfig::builder()
+        .run_length(M)
+        .sample_size(S)
+        .strategy(strategy)
+        .build()
+        .unwrap()
 }
 
 /// The sketch assembled from fully sorted runs: the regular samples read
@@ -68,16 +96,40 @@ fn every_strategy_builds_the_sorted_run_sketch() {
         let expected = sorted_run_sketch(&data);
         let store = MemRunStore::new(data, M);
         for strategy in SelectionStrategy::ALL {
-            let config = OpaqConfig::builder()
-                .run_length(M)
-                .sample_size(S)
-                .strategy(strategy)
-                .build()
+            let sketch = OpaqEstimator::new(config(strategy))
+                .build_sketch(&store)
                 .unwrap();
-            let sketch = OpaqEstimator::new(config).build_sketch(&store).unwrap();
             assert!(
                 sketch == expected,
                 "{} with {strategy:?} built a different sketch",
+                spec.label()
+            );
+        }
+    }
+}
+
+/// Every thread count with the default strategy, and four threads with
+/// every strategy.
+#[test]
+fn sharded_ingest_builds_the_sorted_run_sketch() {
+    let default = SelectionStrategy::default();
+    let runs: Vec<(usize, SelectionStrategy)> = [1, 2, 4, 8]
+        .map(|threads| (threads, default))
+        .into_iter()
+        .chain(SelectionStrategy::ALL.map(|strategy| (4, strategy)))
+        .collect();
+    for spec in datasets() {
+        let data = spec.generate();
+        let expected = sorted_run_sketch(&data);
+        let store = MemRunStore::new(data, M);
+        for &(threads, strategy) in &runs {
+            let sketch = ShardedOpaq::new(config(strategy), threads)
+                .unwrap()
+                .build_sketch(&store)
+                .unwrap();
+            assert!(
+                sketch == expected,
+                "{} on {threads} threads with {strategy:?} built a different sketch",
                 spec.label()
             );
         }
@@ -89,8 +141,8 @@ fn run_sampler_keeps_the_run_minimum_exact() {
     for spec in datasets() {
         let data = spec.generate();
         let mut sampler = RunSampler::new(S, SelectionStrategy::default()).unwrap();
-        // The last run is shorter than the floor and takes the plain
-        // recursion.
+        // The last run is shorter than the floor and goes straight to the
+        // rank-splitting driver.
         for run in data.chunks(M as usize).chain([&data[..5_000]]) {
             let mut work = run.to_vec();
             let sample = sampler.sample(&mut work).unwrap();
@@ -108,12 +160,9 @@ fn decile_bounds_satisfy_lemma_3() {
         let mut sorted = data.clone();
         sorted.sort_unstable();
         let store = MemRunStore::new(data, M);
-        let config = OpaqConfig::builder()
-            .run_length(M)
-            .sample_size(S)
-            .build()
+        let sketch = OpaqEstimator::new(config(SelectionStrategy::default()))
+            .build_sketch(&store)
             .unwrap();
-        let sketch = OpaqEstimator::new(config).build_sketch(&store).unwrap();
         let slack = (N / S) as usize;
         for est in sketch.estimate_q_quantiles(10).unwrap() {
             let t = (est.target_rank - 1) as usize;

@@ -7,7 +7,7 @@
 //! as `opaq_http_requests` does; `fetch` and `extract` count only plans
 //! that resolved; `merge` counts only plans that fused two or more
 //! sketches; and the exposition schema is the same before and after
-//! traffic.
+//! traffic.  Child spans nest inside their parents, so their sums do too.
 
 use opaq::core::{IncrementalOpaq, OpaqConfig};
 use opaq::metrics::Stage;
@@ -20,14 +20,14 @@ use std::time::Duration;
 
 const POINT_GETS: u64 = 6;
 
-fn server_over_two_tenants() -> HttpServer {
+fn server_over_tenants(tenants: u64) -> HttpServer {
     let config = OpaqConfig::builder()
         .run_length(1_000)
         .sample_size(100)
         .build()
         .unwrap();
     let catalog = Arc::new(SketchCatalog::unbounded());
-    for t in 0..2u64 {
+    for t in 0..tenants {
         let mut inc = IncrementalOpaq::new(config).unwrap();
         inc.add_run((t * 4_000..(t + 1) * 4_000).collect()).unwrap();
         catalog
@@ -51,6 +51,13 @@ fn sample(scrape: &str, series: &str) -> u64 {
         .unwrap()
 }
 
+fn stage_sum(scrape: &str, stage: Stage) -> u64 {
+    sample(
+        scrape,
+        &format!("opaq_stage_duration_nanos_sum{{stage=\"{stage}\"}}"),
+    )
+}
+
 fn stage_count(scrape: &str, stage: Stage) -> u64 {
     sample(
         scrape,
@@ -67,7 +74,7 @@ fn type_lines(scrape: &str) -> Vec<&str> {
 
 #[test]
 fn stage_histograms_count_what_their_spans_time() {
-    let server = server_over_two_tenants();
+    let server = server_over_tenants(2);
     let mut client = HttpClient::new(server.local_addr().to_string());
     let scrape = |client: &mut HttpClient| {
         let response = client.get("/metrics").unwrap();
@@ -121,4 +128,33 @@ fn stage_histograms_count_what_their_spans_time() {
 
     // Schema stability: every family is registered before any traffic.
     assert_eq!(type_lines(&cold), type_lines(&warm));
+}
+
+#[test]
+fn plan_stage_spans_nest_inside_their_request() {
+    const TENANTS: u64 = 8;
+    const PLANS: u64 = 20;
+    let server = server_over_tenants(TENANTS);
+    let mut client = HttpClient::new(server.local_addr().to_string());
+    let plan = r#"{"plan":"fetch tenant-*/events | coalesce | quantile 0.5,0.9"}"#;
+    for _ in 0..PLANS {
+        assert_eq!(client.post_json("/v1/query", plan).unwrap().status, 200);
+    }
+    let response = client.get("/metrics").unwrap();
+    assert_eq!(response.status, 200);
+    let scrape = response.body_str().unwrap();
+
+    assert_eq!(stage_count(scrape, Stage::Snapshot), PLANS * TENANTS);
+    let snapshots = stage_sum(scrape, Stage::Snapshot);
+    let fetch = stage_sum(scrape, Stage::Fetch);
+    assert!(
+        snapshots <= fetch,
+        "snapshot spans sum to {snapshots} ns, more than their fetch spans' {fetch} ns"
+    );
+    let plan_stages = fetch + stage_sum(scrape, Stage::Merge) + stage_sum(scrape, Stage::Extract);
+    let request = stage_sum(scrape, Stage::Request);
+    assert!(
+        plan_stages <= request,
+        "fetch + merge + extract sum to {plan_stages} ns, more than the requests' {request} ns"
+    );
 }
