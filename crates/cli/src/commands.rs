@@ -1,7 +1,8 @@
 //! The `opaq` sub-commands.
 //!
-//! Every command is a pure function from parsed [`Args`] to an output string
-//! so the whole tool is testable without spawning processes.
+//! Every command is a function from parsed [`Args`] to an output string.
+//! `serve` alone blocks on stdin, so its live checks spawn the binary
+//! (`tests/serve_process.rs`).
 
 use crate::args::Args;
 use crate::{persist, CliError, CliResult};
@@ -882,16 +883,10 @@ fn today_utc() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// `opaq serve`: the HTTP front-end over synthetic tenants, until stdin EOF.
+/// `opaq serve`: the HTTP front-end over synthetic tenants.  The server runs
+/// until stdin reaches EOF or a line saying `quit`/`stop`, then tears down
+/// in order: HTTP server, refresh pool, catalog.
 pub fn serve(args: &Args) -> CliResult<String> {
-    serve_with_control(args, std::io::stdin().lock())
-}
-
-/// [`serve`] with an injectable control stream (tests hand in a socket; the
-/// binary hands in stdin).  The server runs until the control stream reaches
-/// EOF or a line saying `quit`/`stop`, then tears down in order: HTTP
-/// server, refresh pool, catalog.
-pub fn serve_with_control(args: &Args, control: impl BufRead) -> CliResult<String> {
     args.validate(
         "serve",
         &[
@@ -1159,9 +1154,9 @@ pub fn serve_with_control(args: &Args, control: impl BufRead) -> CliResult<Strin
     );
     let _ = std::io::stdout().flush();
 
-    // Block on the control stream: each line is a command (only quit/stop
-    // for now); EOF means the operator hung up — shut down cleanly.
-    for line in control.lines() {
+    // Block on stdin: each line is a command (only quit/stop for now); EOF
+    // means the operator hung up — shut down cleanly.
+    for line in std::io::stdin().lock().lines() {
         let Ok(line) = line else { break };
         match line.trim() {
             "quit" | "stop" => break,
@@ -1873,220 +1868,6 @@ mod tests {
     }
 
     #[test]
-    fn query_expr_runs_a_pipeline_against_a_live_server() {
-        use std::io::BufReader;
-        let port = {
-            let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            probe.local_addr().unwrap().port()
-        };
-        let control_listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let control_addr = control_listener.local_addr().unwrap();
-        let control_client = std::net::TcpStream::connect(control_addr).unwrap();
-        let (control_server, _) = control_listener.accept().unwrap();
-
-        let serve_args = args(&[
-            "--addr",
-            &format!("127.0.0.1:{port}"),
-            "--tenants",
-            "2",
-            "--keys-per-tenant",
-            "20000",
-            "--run-length",
-            "2000",
-            "--sample-size",
-            "200",
-        ]);
-        let handle = std::thread::spawn(move || {
-            super::serve_with_control(&serve_args, BufReader::new(control_server))
-        });
-        let addr = format!("127.0.0.1:{port}");
-        let mut client = opaq_net::HttpClient::new(addr.clone());
-        let mut healthy = false;
-        for _ in 0..100 {
-            if client.get("/healthz").map(|r| r.status).ok() == Some(200) {
-                healthy = true;
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-        assert!(healthy, "server never came up on port {port}");
-
-        // A coalescing pipeline over both tenants, through the public CLI.
-        let out = run(
-            "query",
-            &args(&[
-                "--expr",
-                "fetch tenant-*/events | coalesce | quantile 0.25,0.75",
-                "--addr",
-                &addr,
-            ]),
-        )
-        .unwrap();
-        assert!(out.contains("plan sources (2 entries"), "{out}");
-        assert!(out.contains("tenant-0"), "{out}");
-        assert!(out.contains("tenant-1"), "{out}");
-        assert!(out.contains("fresh"), "{out}");
-        assert!(out.contains("0.2500"), "{out}");
-        assert!(out.contains("0.7500"), "{out}");
-
-        // A rank pipeline renders bounds instead of a table of estimates.
-        let out = run(
-            "query",
-            &args(&[
-                "--expr",
-                "fetch tenant-0/events | rank 1000000",
-                "--addr",
-                &addr,
-            ]),
-        )
-        .unwrap();
-        assert!(out.contains("plan sources (1 entries"), "{out}");
-        assert!(out.contains("rank: between"), "{out}");
-
-        // A server-side plan failure surfaces the typed error body.
-        let err = run(
-            "query",
-            &args(&[
-                "--expr",
-                "fetch ghost-*/events | coalesce | quantile 0.5",
-                "--addr",
-                &addr,
-            ]),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("HTTP 404"), "{err}");
-        assert!(err.to_string().contains("not_found"), "{err}");
-
-        drop(control_client);
-        let out = handle.join().unwrap().unwrap();
-        assert!(out.contains("shutdown complete"), "{out}");
-    }
-
-    #[test]
-    fn trace_command_renders_slow_log_and_span_trees_from_a_live_server() {
-        use std::io::BufReader;
-        let port = {
-            let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            probe.local_addr().unwrap().port()
-        };
-        let control_listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let control_addr = control_listener.local_addr().unwrap();
-        let control_client = std::net::TcpStream::connect(control_addr).unwrap();
-        let (control_server, _) = control_listener.accept().unwrap();
-
-        let serve_args = args(&[
-            "--addr",
-            &format!("127.0.0.1:{port}"),
-            "--tenants",
-            "1",
-            "--keys-per-tenant",
-            "20000",
-            "--run-length",
-            "2000",
-            "--sample-size",
-            "200",
-        ]);
-        let handle = std::thread::spawn(move || {
-            super::serve_with_control(&serve_args, BufReader::new(control_server))
-        });
-        let addr = format!("127.0.0.1:{port}");
-        let mut client = opaq_net::HttpClient::new(addr.clone());
-        let mut healthy = false;
-        for _ in 0..100 {
-            if client.get("/healthz").map(|r| r.status).ok() == Some(200) {
-                healthy = true;
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-        assert!(healthy, "server never came up on port {port}");
-
-        // One real query so the slow log has a request to show.
-        let response = client.get("/v1/tenant-0/events/quantile?phi=0.5").unwrap();
-        assert_eq!(response.status, 200);
-        let trace_id = response
-            .header(opaq_net::TRACE_HEADER)
-            .expect("response carries a trace id")
-            .to_string();
-
-        // `opaq trace --addr` (slow-log mode) lists it with its trace id.
-        let out = run("trace", &args(&["--addr", &addr])).unwrap();
-        assert!(out.contains("slow log from"), "{out}");
-        assert!(out.contains(&trace_id), "{out}");
-        assert!(out.contains("GET /v1/tenant-0/events/quantile"), "{out}");
-
-        // `--id` drills into the full span tree for that request.
-        let out = run("trace", &args(&["--addr", &addr, "--id", &trace_id])).unwrap();
-        for stage in ["request", "parse", "compile", "fetch", "snapshot", "render"] {
-            assert!(out.contains(stage), "span tree missing {stage}:\n{out}");
-        }
-
-        // An unknown id is a clean error, not a panic.
-        let err = run(
-            "trace",
-            &args(&["--addr", &addr, "--id", "00000000000000ff"]),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("404"), "{err}");
-
-        // --id and --slow are mutually exclusive.
-        let err = run(
-            "trace",
-            &args(&["--addr", &addr, "--id", "ff", "--slow", "5"]),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("mutually exclusive"), "{err}");
-
-        drop(control_client);
-        let out = handle.join().unwrap().unwrap();
-        // The shutdown banner names the slowest trace and its stages.
-        assert!(out.contains("slowest request: trace"), "{out}");
-        assert!(out.contains("stages:"), "{out}");
-    }
-
-    #[test]
-    fn serve_runs_accepts_queries_and_shuts_down_on_control_eof() {
-        use std::io::{BufReader, Write};
-        // A loopback socket pair stands in for stdin so the test can keep
-        // the server alive while it queries, then hang up to trigger the
-        // clean shutdown path.
-        let control_listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let control_addr = control_listener.local_addr().unwrap();
-        let control_client = std::net::TcpStream::connect(control_addr).unwrap();
-        let (control_server, _) = control_listener.accept().unwrap();
-
-        let serve_args = args(&[
-            "--addr",
-            "127.0.0.1:0",
-            "--tenants",
-            "1",
-            "--keys-per-tenant",
-            "20000",
-            "--run-length",
-            "2000",
-            "--sample-size",
-            "200",
-            "--ttl-ms",
-            "50",
-        ]);
-        let handle = std::thread::spawn(move || {
-            super::serve_with_control(&serve_args, BufReader::new(control_server))
-        });
-
-        // The banner goes to stdout (not capturable here), so discover the
-        // port via /healthz polling... we can't know the ephemeral port.
-        // Instead drive shutdown only: hold the control open briefly, then
-        // hang up and require the clean-summary path.
-        std::thread::sleep(std::time::Duration::from_millis(200));
-        let mut control_client = control_client;
-        control_client.write_all(b"unknown-control\n").unwrap();
-        drop(control_client); // EOF => shutdown
-        let out = handle.join().unwrap().unwrap();
-        assert!(out.contains("shutdown complete"), "{out}");
-        assert!(out.contains("catalog: 1 publishes"), "{out}");
-    }
-
-    #[test]
     fn serve_peer_flags_are_validated() {
         let err = run("serve", &args(&["--peer-poll-ms", "100"])).unwrap_err();
         assert!(err.to_string().contains("--peer"), "{err}");
@@ -2102,78 +1883,6 @@ mod tests {
             err.to_string().contains("could not bootstrap from peer"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn serve_peer_bootstraps_and_reports_replication_in_the_summary() {
-        use std::io::BufReader;
-        // A primary on a probed fixed port, so the replica has an address.
-        let primary_port = {
-            let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            probe.local_addr().unwrap().port()
-        };
-        let primary_addr = format!("127.0.0.1:{primary_port}");
-        let primary_control = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let primary_control_addr = primary_control.local_addr().unwrap();
-        let primary_hold = std::net::TcpStream::connect(primary_control_addr).unwrap();
-        let (primary_stream, _) = primary_control.accept().unwrap();
-        let primary_args = args(&[
-            "--addr",
-            &primary_addr,
-            "--tenants",
-            "2",
-            "--keys-per-tenant",
-            "20000",
-            "--run-length",
-            "2000",
-            "--sample-size",
-            "200",
-        ]);
-        let primary = std::thread::spawn(move || {
-            super::serve_with_control(&primary_args, BufReader::new(primary_stream))
-        });
-        // Wait for the primary to actually listen before bootstrapping.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            if HttpClient::new(primary_addr.clone())
-                .get("/healthz")
-                .is_ok()
-            {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "primary never came up"
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
-
-        // A replica bootstrapped from it over the wire.
-        let replica_control = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let replica_control_addr = replica_control.local_addr().unwrap();
-        let replica_hold = std::net::TcpStream::connect(replica_control_addr).unwrap();
-        let (replica_stream, _) = replica_control.accept().unwrap();
-        let replica_args = args(&[
-            "--addr",
-            "127.0.0.1:0",
-            "--peer",
-            &primary_addr,
-            "--peer-poll-ms",
-            "50",
-        ]);
-        let replica = std::thread::spawn(move || {
-            super::serve_with_control(&replica_args, BufReader::new(replica_stream))
-        });
-        std::thread::sleep(Duration::from_millis(300));
-
-        drop(replica_hold); // EOF => replica shutdown
-        let out = replica.join().unwrap().unwrap();
-        assert!(out.contains("shutdown complete"), "{out}");
-        // Bootstrap replicated both tenant entries at the peer's versions.
-        assert!(out.contains("catalog: 2 publishes"), "{out}");
-        assert!(out.contains("sync deltas applied from peer"), "{out}");
-        drop(primary_hold);
-        primary.join().unwrap().unwrap();
     }
 
     #[test]
@@ -2240,148 +1949,5 @@ mod tests {
 
         assert!(run("serve-bench", &args(&["--quick", "--qps", "0"])).is_err());
         assert!(run("serve-bench", &args(&["--quick", "--qps", "nope"])).is_err());
-    }
-
-    #[test]
-    fn serve_restart_over_data_dir_rebuilds_the_exact_catalog() {
-        use std::io::BufReader;
-        let mut data_dir = std::env::temp_dir();
-        data_dir.push(format!("opaq-cli-durable-{}", std::process::id()));
-        std::fs::create_dir_all(&data_dir).unwrap();
-        let data_dir_str = data_dir.to_str().unwrap().to_string();
-
-        let spawn_serve = |port: u16, dir: String| {
-            let control_listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            let control_addr = control_listener.local_addr().unwrap();
-            let control_client = std::net::TcpStream::connect(control_addr).unwrap();
-            let (control_server, _) = control_listener.accept().unwrap();
-            let handle = std::thread::spawn(move || {
-                let serve_args = args(&[
-                    "--addr",
-                    &format!("127.0.0.1:{port}"),
-                    "--tenants",
-                    "2",
-                    "--keys-per-tenant",
-                    "20000",
-                    "--run-length",
-                    "2000",
-                    "--sample-size",
-                    "200",
-                    "--data-dir",
-                    &dir,
-                ]);
-                super::serve_with_control(&serve_args, BufReader::new(control_server))
-            });
-            (handle, control_client)
-        };
-        let free_port = || {
-            let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            probe.local_addr().unwrap().port()
-        };
-        let await_healthy = |client: &mut opaq_net::HttpClient| {
-            for _ in 0..150 {
-                if client.get("/healthz").map(|r| r.status).ok() == Some(200) {
-                    return true;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            false
-        };
-
-        // First incarnation: seeds 2 tenants, answers a query.
-        let port = free_port();
-        let (handle, control) = spawn_serve(port, data_dir_str.clone());
-        let mut client = opaq_net::HttpClient::new(format!("127.0.0.1:{port}"));
-        assert!(await_healthy(&mut client), "first serve never came up");
-        let first = client.get("/v1/tenant-1/events/quantile?phi=0.5").unwrap();
-        assert_eq!(first.status, 200);
-        assert_eq!(first.header(opaq_net::VERSION_HEADER), Some("1"));
-        drop(control);
-        let out = handle.join().unwrap().unwrap();
-        assert!(out.contains("catalog: 2 publishes"), "{out}");
-        assert!(out.contains("durability: 2 manifest records"), "{out}");
-
-        // Second incarnation over the same dir: no re-seeding — the catalog
-        // is rebuilt from the manifest, versions continue, and the served
-        // answer is byte-identical to the pre-restart one.
-        let port = free_port();
-        let (handle, control) = spawn_serve(port, data_dir_str);
-        let mut client = opaq_net::HttpClient::new(format!("127.0.0.1:{port}"));
-        assert!(await_healthy(&mut client), "restarted serve never came up");
-        let second = client.get("/v1/tenant-1/events/quantile?phi=0.5").unwrap();
-        assert_eq!(second.status, 200);
-        assert_eq!(second.header(opaq_net::VERSION_HEADER), Some("1"));
-        assert_eq!(
-            second.body, first.body,
-            "restart must serve the recovered version byte-for-byte"
-        );
-        let metrics = client.get("/metrics").unwrap();
-        let metrics = metrics.body_str().unwrap().to_string();
-        assert!(metrics.contains("opaq_catalog_recoveries 1"), "{metrics}");
-        assert!(metrics.contains("opaq_manifest_records 2"), "{metrics}");
-        drop(control);
-        let out = handle.join().unwrap().unwrap();
-        // No new publishes this run — the entries came back from disk.
-        assert!(out.contains("catalog: 0 publishes"), "{out}");
-        assert!(out.contains("recovered 2 entries"), "{out}");
-        assert!(out.contains("1 recoveries"), "{out}");
-        std::fs::remove_dir_all(&data_dir).ok();
-    }
-
-    #[test]
-    fn serve_with_fixed_port_answers_http_while_running() {
-        use std::io::BufReader;
-        // Bind a throwaway listener to reserve a free port, release it, and
-        // have `opaq serve` take it over — letting the test know the URL.
-        let port = {
-            let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            probe.local_addr().unwrap().port()
-        };
-        let control_listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let control_addr = control_listener.local_addr().unwrap();
-        let control_client = std::net::TcpStream::connect(control_addr).unwrap();
-        let (control_server, _) = control_listener.accept().unwrap();
-
-        let serve_args = args(&[
-            "--addr",
-            &format!("127.0.0.1:{port}"),
-            "--tenants",
-            "1",
-            "--keys-per-tenant",
-            "20000",
-            "--run-length",
-            "2000",
-            "--sample-size",
-            "200",
-        ]);
-        let handle = std::thread::spawn(move || {
-            super::serve_with_control(&serve_args, BufReader::new(control_server))
-        });
-
-        // Poll /healthz until the server is up, then hit a real endpoint.
-        let mut client = opaq_net::HttpClient::new(format!("127.0.0.1:{port}"));
-        let mut healthy = false;
-        for _ in 0..100 {
-            if client.get("/healthz").map(|r| r.status).ok() == Some(200) {
-                healthy = true;
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-        assert!(healthy, "server never came up on port {port}");
-        let response = client.get("/v1/tenant-0/events/quantile?phi=0.5").unwrap();
-        assert_eq!(response.status, 200);
-        assert_eq!(response.header(opaq_net::VERSION_HEADER), Some("1"));
-        assert_eq!(response.header(opaq_net::FRESHNESS_HEADER), Some("fresh"));
-        let metrics = client.get("/metrics").unwrap();
-        assert!(metrics
-            .body_str()
-            .unwrap()
-            .contains("opaq_catalog_entries 1"));
-
-        drop(control_client); // EOF => clean shutdown
-        let out = handle.join().unwrap().unwrap();
-        assert!(out.contains("shutdown complete"), "{out}");
-        assert!(out.contains("served"), "{out}");
     }
 }

@@ -67,7 +67,7 @@ pub use incremental::IncrementalOpaq;
 pub use quantile_phase::QuantileEstimate;
 pub use rank::RankBounds;
 pub use sample_phase::{sample_run, RunSample, RunSampler};
-pub use sketch::{QuantileSketch, SamplePoint};
+pub use sketch::{merge_tree, QuantileSketch, SamplePoint};
 
 /// The key bound required by the OPAQ core: totally ordered, cheap to copy,
 /// and shareable across the parallel machine.

@@ -9,7 +9,8 @@
 //! * quantile estimation ([`QuantileSketch::estimate`], the quantile phase),
 //! * rank estimation of arbitrary values (§4 of the paper),
 //! * merging with another sketch (the basis of both the incremental and the
-//!   parallel formulations),
+//!   parallel formulations), and fusing many with the deterministic
+//!   [`merge_tree`],
 //! * the memory accounting the paper's `r·s + m ≤ M` constraint refers to.
 
 use crate::quantile_phase::{self, QuantileEstimate};
@@ -18,6 +19,7 @@ use crate::sample_phase::RunSample;
 use crate::{Key, OpaqError, OpaqResult};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// One entry of the merged sample list: a sample value and the number of
 /// elements of its run that it newly accounts for.
@@ -429,6 +431,39 @@ impl<K: Key> QuantileSketch<K> {
     }
 }
 
+/// Fuse sketches with a balanced pairwise tree: adjacent pairs per round,
+/// ascending order, odd one carries over.  Deterministic — the same input
+/// order always produces the same fused sketch, which is what makes sharded
+/// ingest bit-identical to the sequential fold and plan answers
+/// byte-replayable.  A single input is returned as is, not copied.
+///
+/// # Errors
+/// [`OpaqError::EmptyDataset`] for an empty slice; merge errors propagate
+/// from [`QuantileSketch::merge`].
+pub fn merge_tree<K: Key>(
+    sketches: &[Arc<QuantileSketch<K>>],
+) -> OpaqResult<Arc<QuantileSketch<K>>> {
+    if sketches.is_empty() {
+        return Err(OpaqError::EmptyDataset);
+    }
+    if sketches.len() == 1 {
+        return Ok(Arc::clone(&sketches[0]));
+    }
+    let mut round: Vec<Arc<QuantileSketch<K>>> = sketches.to_vec();
+    while round.len() > 1 {
+        let mut next = Vec::with_capacity(round.len().div_ceil(2));
+        let mut pairs = round.chunks_exact(2);
+        for pair in &mut pairs {
+            next.push(Arc::new(pair[0].merge(&pair[1])?));
+        }
+        if let [odd] = pairs.remainder() {
+            next.push(Arc::clone(odd));
+        }
+        round = next;
+    }
+    Ok(round.pop().expect("non-empty round"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,6 +552,29 @@ mod tests {
             ab.samples().iter().map(|s| s.value).collect::<Vec<_>>(),
             ba.samples().iter().map(|s| s.value).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn merge_tree_matches_manual_pairwise_merge() {
+        let a = Arc::new(sketch_of_runs(vec![(0..1000).collect()], 50));
+        let b = Arc::new(sketch_of_runs(vec![(1000..2000).collect()], 50));
+        let c = Arc::new(sketch_of_runs(vec![(2000..3000).collect()], 50));
+        // Three inputs: ((a+b) + c), with c carried over the first round.
+        let manual = a.merge(&b).unwrap().merge(&c).unwrap();
+        let fused = merge_tree(&[a, b, c]).unwrap();
+        assert_eq!(*fused, manual);
+        assert_eq!(fused.total_elements(), 3000);
+    }
+
+    #[test]
+    fn merge_tree_edge_cases() {
+        assert!(matches!(
+            merge_tree::<u64>(&[]),
+            Err(OpaqError::EmptyDataset)
+        ));
+        let only = Arc::new(sketch_of_runs(vec![(0..100).collect()], 10));
+        let fused = merge_tree(std::slice::from_ref(&only)).unwrap();
+        assert!(Arc::ptr_eq(&fused, &only), "single input is not copied");
     }
 
     #[test]

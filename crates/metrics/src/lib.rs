@@ -17,9 +17,8 @@
 //!   ("N for Normalised").
 //!
 //! This crate computes all three from a sorted copy of the data plus the
-//! estimated bounds, provides exact ground-truth quantiles, a phase timer
-//! for the Table 11/12 breakdowns, a fixed-width text-table builder used
-//! by every experiment binary, lock-free [`latency`] histograms
+//! estimated bounds, provides exact ground-truth quantiles, a fixed-width
+//! text-table builder used by every experiment binary, lock-free [`latency`] histograms
 //! (p50/p99/p999) for the multi-tenant serving layer in `opaq-serve`,
 //! [`slo`] threshold verdicts for the open-loop serving benchmarks, and
 //! the serving stack's observability layer: request [`trace`]s and the
@@ -93,7 +92,6 @@ pub mod registry;
 pub mod shard;
 pub mod slo;
 pub mod table;
-pub mod timing;
 pub mod trace;
 
 pub use error_rates::{compute_error_rates, ErrorReport, QuantileBoundsView, RelativeErrorRates};
@@ -103,7 +101,6 @@ pub use registry::{Counter, Gauge, MetricRegistry};
 pub use shard::{render_shard_table, ShardStats};
 pub use slo::{SloCheck, SloOutcome, SloThresholds};
 pub use table::{fmt2, TextTable};
-pub use timing::{PhaseBreakdown, PhaseTimer};
 pub use trace::{
     render_span_tree, SlowEntry, SlowLog, Span, SpanRecorder, SpanTag, Stage, TraceId, TraceSink,
     ROOT_SPAN_ID,

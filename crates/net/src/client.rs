@@ -175,12 +175,6 @@ impl HttpClient {
         self
     }
 
-    /// Override the reconnect pacing policy.
-    pub fn with_backoff(mut self, backoff: Backoff) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
     /// The address this client targets.
     pub fn addr(&self) -> &str {
         &self.addr

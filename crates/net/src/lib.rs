@@ -180,8 +180,8 @@
 //!   snapshot sets, and fuses everything through the same deterministic
 //!   `merge_tree` the single-catalog path uses — so a multi-group answer
 //!   is **byte-identical** to the same plan on an unpartitioned catalog
-//!   (the oracle the routed harness and the CI `routing-smoke` job compare
-//!   against).
+//!   (the oracle the routed harness and `opaq-cli`'s
+//!   `tests/serve_process.rs` ring test compare against).
 //! * **The partitioned run** ([`run_load`] on a multi-group
 //!   [`Topology::Fleet`], i.e. `opaq serve-bench --http --groups G
 //!   --replicas M [--chaos]`): seeds each tenant only into its owning

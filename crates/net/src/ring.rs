@@ -9,8 +9,8 @@
 //! and the first point at or after the tenant's hash owns it.  The hash is
 //! fully deterministic (no per-process seeding), so two processes that
 //! parse the same [`RingConfig`] compute byte-identical placements — the
-//! property the `wrong_owner` protocol and the cross-process CI leg rely
-//! on.  (The finalizer matters: raw FNV leaves sequential names like
+//! property the `wrong_owner` protocol and the cross-process ring test
+//! (`opaq-cli`'s `tests/serve_process.rs`) rely on.  (The finalizer matters: raw FNV leaves sequential names like
 //! `tenant-0..tenant-9` clustered in one arc; see [`mix`].)
 //!
 //! Rebalance is minimal-disruption by construction: adding a group inserts

@@ -302,7 +302,7 @@ impl Telemetry {
         }
 
         // Replication/failover: always present (zeros for a standalone
-        // server) so dashboards and CI greps never branch on topology.
+        // server) so dashboards and tests never branch on topology.
         let (failovers, breaker_opens, deltas, faults, reroutes, breaker_sum, per_peer) =
             replication
                 .map(|r| {

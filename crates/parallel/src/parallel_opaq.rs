@@ -134,12 +134,6 @@ impl ParallelOpaq {
         self
     }
 
-    /// Override the communication cost model.
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Override the disk model used for modelled I/O time.
     pub fn with_disk_model(mut self, disk: DiskModel) -> Self {
         self.disk = disk;

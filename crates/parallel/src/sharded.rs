@@ -49,10 +49,13 @@
 //!   paper's Table 11/12 I/O-fraction breakdown.
 
 use crossbeam::channel;
-use opaq_core::{IncrementalOpaq, Key, OpaqConfig, OpaqError, OpaqResult, QuantileSketch};
+use opaq_core::{
+    merge_tree, IncrementalOpaq, Key, OpaqConfig, OpaqError, OpaqResult, QuantileSketch,
+};
 use opaq_metrics::trace::{SpanTag, Stage, TraceSink};
 use opaq_metrics::{render_shard_table, ShardStats};
 use opaq_storage::{BufferPool, IoStatsSnapshot, RunStore, DEFAULT_PREFETCH_DEPTH};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Multi-threaded OPAQ ingestion over any [`RunStore`].
@@ -317,28 +320,17 @@ impl ShardedOpaq {
                     return Err(e);
                 }
 
-                // Deterministic merge tree: adjacent pairs, ascending shard
-                // index, repeated until one sketch remains.  Any
-                // order-respecting tree yields the same sketch; pairing
-                // halves the depth compared to a left fold.
+                // Deterministic merge tree over the shard sketches in
+                // ascending shard index.  Any order-respecting tree yields
+                // the same sketch; pairing halves the depth compared to a
+                // left fold.
                 let merge_start = Instant::now();
                 let merge_span_start = trace.map(|(sink, _)| sink.now_nanos());
-                let mut level: Vec<QuantileSketch<K>> = sketches.into_iter().flatten().collect();
-                if level.is_empty() {
-                    return Err(OpaqError::EmptyDataset);
-                }
-                while level.len() > 1 {
-                    let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                    let mut pairs = level.into_iter();
-                    while let Some(left) = pairs.next() {
-                        match pairs.next() {
-                            Some(right) => next.push(left.merge(&right)?),
-                            None => next.push(left),
-                        }
-                    }
-                    level = next;
-                }
-                let sketch = level.pop().expect("one sketch remains");
+                let level: Vec<Arc<QuantileSketch<K>>> =
+                    sketches.into_iter().flatten().map(Arc::new).collect();
+                let fused = merge_tree(&level)?;
+                drop(level);
+                let sketch = Arc::try_unwrap(fused).unwrap_or_else(|shared| (*shared).clone());
                 let merge = merge_start.elapsed();
                 if let (Some((sink, parent)), Some(start)) = (trace, merge_span_start) {
                     sink.child(parent, Stage::Merge, SpanTag::Untagged, start);

@@ -9,7 +9,7 @@
 
 use crate::plan::{QueryPlan, Selector};
 use crate::QueryError;
-use opaq_core::{OpaqError, QuantileSketch};
+use opaq_core::{merge_tree, QuantileSketch};
 use opaq_metrics::trace::{SpanTag, Stage, TraceId, TraceSink};
 use opaq_serve::{
     execute_on, DatasetId, Freshness, QueryOutput, SketchCatalog, SnapshotOrigin, TenantId,
@@ -77,38 +77,6 @@ struct ResolvedSource {
     version: u64,
     freshness: Freshness,
     sketch: Arc<QuantileSketch<u64>>,
-}
-
-/// Fuse sketches with the same balanced pairwise tree `ShardedOpaq` uses
-/// for shard results: adjacent pairs per round, ascending order, odd one
-/// carries over.  Deterministic — the same input order always produces the
-/// same fused sketch, which is what makes plan answers byte-replayable.
-///
-/// # Errors
-/// [`OpaqError::EmptyDataset`] for an empty slice; merge errors (e.g.
-/// incompatible sample sizes) propagate from [`QuantileSketch::merge`].
-pub fn merge_tree(
-    sketches: &[Arc<QuantileSketch<u64>>],
-) -> Result<Arc<QuantileSketch<u64>>, OpaqError> {
-    if sketches.is_empty() {
-        return Err(OpaqError::EmptyDataset);
-    }
-    if sketches.len() == 1 {
-        return Ok(Arc::clone(&sketches[0]));
-    }
-    let mut round: Vec<Arc<QuantileSketch<u64>>> = sketches.to_vec();
-    while round.len() > 1 {
-        let mut next = Vec::with_capacity(round.len().div_ceil(2));
-        let mut pairs = round.chunks_exact(2);
-        for pair in &mut pairs {
-            next.push(Arc::new(pair[0].merge(&pair[1])?));
-        }
-        if let [odd] = pairs.remainder() {
-            next.push(Arc::clone(odd));
-        }
-        round = next;
-    }
-    Ok(round.pop().expect("non-empty round"))
 }
 
 /// Executes [`QueryPlan`]s against a catalog; a traced run records one span
@@ -364,7 +332,7 @@ impl PlanExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opaq_core::{IncrementalOpaq, OpaqConfig};
+    use opaq_core::{IncrementalOpaq, OpaqConfig, OpaqError};
     use opaq_metrics::trace::{SpanRecorder, ROOT_SPAN_ID};
     use opaq_serve::{QueryRequest, ServeError};
 
@@ -404,26 +372,6 @@ mod tests {
                 .unwrap();
         }
         catalog
-    }
-
-    #[test]
-    fn merge_tree_matches_manual_pairwise_merge() {
-        let a = Arc::new(sketch_of(0..1000));
-        let b = Arc::new(sketch_of(1000..2000));
-        let c = Arc::new(sketch_of(2000..3000));
-        // Three inputs: ((a+b) + c), with c carried over the first round.
-        let manual = Arc::new(a.merge(&b).unwrap().merge(&c).unwrap());
-        let fused = merge_tree(&[a, b, c]).unwrap();
-        assert_eq!(*fused, *manual);
-        assert_eq!(fused.total_elements(), 3000);
-    }
-
-    #[test]
-    fn merge_tree_edge_cases() {
-        assert!(matches!(merge_tree(&[]), Err(OpaqError::EmptyDataset)));
-        let only = Arc::new(sketch_of(0..100));
-        let fused = merge_tree(std::slice::from_ref(&only)).unwrap();
-        assert!(Arc::ptr_eq(&fused, &only), "single input is not copied");
     }
 
     #[test]

@@ -51,8 +51,8 @@
 //! [`QueryPlan::parse`] compiles the text to a typed [`QueryPlan`];
 //! [`PlanExecutor::execute`] resolves the selector against a
 //! [`opaq_serve::SketchCatalog`] (sorted key order, so merge input order is
-//! deterministic), fuses with [`merge_tree`] — the same balanced pairwise
-//! tree `opaq-parallel` uses for shard results — and runs the extract via
+//! deterministic), fuses with [`merge_tree`] — `opaq-core`'s balanced
+//! pairwise tree, which `opaq-parallel` also uses for shard results — and runs the extract via
 //! the single shared evaluation path [`opaq_serve::execute_on`].  The
 //! [`PlanResponse`] carries a [`PlanSource`] per contributing snapshot
 //! (`tenant`, `dataset`, `version`, `freshness`), which is what lets the
@@ -79,8 +79,10 @@ pub mod glob;
 pub mod parser;
 pub mod plan;
 
-pub use exec::{merge_tree, PlanExecutor, PlanResponse, PlanSource, RemotePartial, ScatterFn};
+pub use exec::{PlanExecutor, PlanResponse, PlanSource, RemotePartial, ScatterFn};
 pub use glob::glob_match;
+/// Re-exported from `opaq-core` for the plan replay verifiers.
+pub use opaq_core::merge_tree;
 pub use plan::{QueryPlan, Selector};
 
 use opaq_core::OpaqError;

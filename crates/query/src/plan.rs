@@ -57,14 +57,6 @@ impl Selector {
             } => glob_match(tp, tenant.as_str()) && glob_match(dp, dataset.as_str()),
         }
     }
-
-    /// The selector's textual form, for error messages and reports.
-    pub fn display_pattern(&self) -> String {
-        match self {
-            Selector::Exact { tenant, dataset } => format!("{tenant}/{dataset}"),
-            Selector::Glob { tenant, dataset } => format!("{tenant}/{dataset}"),
-        }
-    }
 }
 
 /// A compiled pipeline: `fetch <selector> [| coalesce] | <extract>`.
