@@ -10,13 +10,19 @@
 //! `retries` / `connect_errors` / `timeouts` counters so a chaos run is
 //! diagnosable from the summary.  Only what the harness needs: `GET`/`POST`,
 //! `Content-Length` framing, no redirects, no TLS.
+//!
+//! Each request is framed — request line, headers, JSON body — into one
+//! reused buffer and leaves in one `write`.  The response is read into the
+//! connection's receive buffer and parsed by the same head reader the
+//! server uses for requests (see [`crate::http`]).
 
 use crate::backoff::Backoff;
+use crate::http::{put_header, HeadError, RecvBuf};
 use crate::server::TRACE_HEADER;
 use crate::{NetError, NetResult};
 use opaq_metrics::TraceId;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -118,11 +124,23 @@ impl ClientResponse {
     }
 }
 
+/// Cap on a response's header block.
+const MAX_RESPONSE_HEAD_BYTES: usize = 64 * 1024;
+
+/// An open connection and the bytes received on it.
+#[derive(Debug)]
+struct Conn {
+    stream: TcpStream,
+    recv: RecvBuf,
+}
+
 /// A keep-alive connection to one server.
 #[derive(Debug)]
 pub struct HttpClient {
     addr: String,
-    conn: Option<BufReader<TcpStream>>,
+    conn: Option<Conn>,
+    /// The outgoing request, framed whole; reused across requests.
+    out: Vec<u8>,
     read_timeout: Duration,
     connect_timeout: Duration,
     backoff: Backoff,
@@ -143,6 +161,7 @@ impl HttpClient {
         Self {
             addr,
             conn: None,
+            out: Vec::new(),
             read_timeout: Duration::from_secs(10),
             connect_timeout: Duration::from_secs(2),
             backoff: Backoff::for_connect(seed),
@@ -285,7 +304,10 @@ impl HttpClient {
         let stream = TcpStream::connect_timeout(&target, self.connect_timeout).map_err(classify)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(self.read_timeout))?;
-        self.conn = Some(BufReader::new(stream));
+        self.conn = Some(Conn {
+            stream,
+            recv: RecvBuf::new(),
+        });
         Ok(())
     }
 
@@ -299,24 +321,18 @@ impl HttpClient {
             self.connect()?;
         }
         let conn = self.conn.as_mut().expect("just connected");
+        self.out.clear();
+        encode_request(
+            &mut self.out,
+            method,
+            target,
+            &self.addr,
+            self.trace_id,
+            body,
+        );
+        (&conn.stream).write_all(&self.out)?;
 
-        let mut head = format!("{method} {target} HTTP/1.1\r\nhost: {}\r\n", self.addr);
-        if let Some(trace) = self.trace_id {
-            head.push_str(&format!("{TRACE_HEADER}: {trace}\r\n"));
-        }
-        if let Some(body) = body {
-            head.push_str("content-type: application/json\r\n");
-            head.push_str(&format!("content-length: {}\r\n", body.len()));
-        }
-        head.push_str("\r\n");
-        let stream = conn.get_mut();
-        stream.write_all(head.as_bytes())?;
-        if let Some(body) = body {
-            stream.write_all(body.as_bytes())?;
-        }
-        stream.flush()?;
-
-        let response = read_response(conn)?;
+        let response = read_response(&mut conn.recv, &mut &conn.stream)?;
         if response
             .header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
@@ -327,8 +343,47 @@ impl HttpClient {
     }
 }
 
-fn read_response(conn: &mut BufReader<TcpStream>) -> NetResult<ClientResponse> {
-    let status_line = read_line(conn)?;
+/// Frame one request — request line, headers, body — into `out`.
+fn encode_request(
+    out: &mut Vec<u8>,
+    method: &str,
+    target: &str,
+    host: &str,
+    trace: Option<TraceId>,
+    body: Option<&str>,
+) {
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "{method} {target} HTTP/1.1\r\n");
+    put_header(out, "host", host);
+    if let Some(trace) = trace {
+        let _ = write!(out, "{TRACE_HEADER}: {trace}\r\n");
+    }
+    if let Some(body) = body {
+        put_header(out, "content-type", "application/json");
+        let _ = write!(out, "content-length: {}\r\n", body.len());
+    }
+    out.extend_from_slice(b"\r\n");
+    if let Some(body) = body {
+        out.extend_from_slice(body.as_bytes());
+    }
+}
+
+/// Read one response: its head from `recv` (filled from `r` as needed),
+/// then its body.
+fn read_response(recv: &mut RecvBuf, r: &mut impl Read) -> NetResult<ClientResponse> {
+    let mut lines = recv
+        .read_head(r, MAX_RESPONSE_HEAD_BYTES)
+        .map_err(|e| match e {
+            HeadError::Closed | HeadError::Truncated => {
+                NetError::Protocol("connection closed mid-response".into())
+            }
+            HeadError::TooLarge => NetError::Protocol("response header block too large".into()),
+            HeadError::NotUtf8 => NetError::Protocol("non-UTF-8 response header".into()),
+            HeadError::Io(e) => NetError::Io(e),
+        })?;
+    let status_line = lines
+        .next()
+        .ok_or_else(|| NetError::Protocol("empty status line".into()))?;
     let mut parts = status_line.splitn(3, ' ');
     let version = parts.next().unwrap_or("");
     if !version.starts_with("HTTP/1.") {
@@ -342,24 +397,21 @@ fn read_response(conn: &mut BufReader<TcpStream>) -> NetResult<ClientResponse> {
         .ok_or_else(|| NetError::Protocol(format!("bad status code in {status_line:?}")))?;
 
     let mut headers = Vec::new();
-    loop {
-        let line = read_line(conn)?;
-        if line.is_empty() {
-            break;
-        }
+    let mut length = None;
+    for line in lines {
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| NetError::Protocol("response header without ':'".into()))?;
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
+        let value = value.trim();
+        if length.is_none() && name.eq_ignore_ascii_case("content-length") {
+            length = Some(value.parse::<usize>().ok());
+        }
+        headers.push((name.to_ascii_lowercase(), value.to_string()));
     }
-
-    let length: usize = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .and_then(|(_, v)| v.parse().ok())
+    let length = length
+        .flatten()
         .ok_or_else(|| NetError::Protocol("response without Content-Length".into()))?;
-    let mut body = vec![0u8; length];
-    conn.read_exact(&mut body)?;
+    let body = recv.read_body(r, length)?;
     Ok(ClientResponse {
         status,
         headers,
@@ -367,17 +419,70 @@ fn read_response(conn: &mut BufReader<TcpStream>) -> NetResult<ClientResponse> {
     })
 }
 
-fn read_line(conn: &mut BufReader<TcpStream>) -> NetResult<String> {
-    let mut line = Vec::new();
-    let n = conn.read_until(b'\n', &mut line)?;
-    if n == 0 {
-        return Err(NetError::Protocol("connection closed mid-response".into()));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::{read_request, ReadLimits};
+
+    #[test]
+    fn a_post_is_framed_as_one_buffer() {
+        let trace = TraceId::from_raw(0x2a).unwrap();
+        let body = "{\"phis\":[0.5]}";
+        let mut out = Vec::new();
+        encode_request(
+            &mut out,
+            "POST",
+            "/v1/a/b/quantile_batch",
+            "127.0.0.1:9",
+            Some(trace),
+            Some(body),
+        );
+        assert_eq!(
+            String::from_utf8(out.clone()).unwrap(),
+            "POST /v1/a/b/quantile_batch HTTP/1.1\r\nhost: 127.0.0.1:9\r\n\
+             x-opaq-trace-id: 000000000000002a\r\ncontent-type: application/json\r\n\
+             content-length: 14\r\n\r\n{\"phis\":[0.5]}"
+        );
+        // The server reads back exactly what was framed.
+        let request = read_request(
+            &mut RecvBuf::new(),
+            &mut out.as_slice(),
+            &ReadLimits::default(),
+        )
+        .unwrap();
+        assert_eq!(request.body, body.as_bytes());
+        assert_eq!(request.header(TRACE_HEADER), Some("000000000000002a"));
+
+        let mut get = Vec::new();
+        encode_request(&mut get, "GET", "/healthz", "h:1", None, None);
+        assert_eq!(get, b"GET /healthz HTTP/1.1\r\nhost: h:1\r\n\r\n");
     }
-    if line.last() == Some(&b'\n') {
-        line.pop();
-        if line.last() == Some(&b'\r') {
-            line.pop();
+
+    #[test]
+    fn responses_parse_through_the_shared_head_reader() {
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nX-Opaq-Version: 3\r\n\r\nokHTTP/1.1";
+        let mut recv = RecvBuf::new();
+        let response = read_response(&mut recv, &mut &raw[..]).unwrap();
+        assert_eq!(response.status, 200);
+        assert_eq!(response.header("x-opaq-version"), Some("3"));
+        assert_eq!(response.body, b"ok");
+        assert_eq!(recv.buffered(), b"HTTP/1.1");
+        for (raw, message) in [
+            (&b""[..], "connection closed mid-response"),
+            (
+                b"HTTP/1.1 200 OK\r\ncontent-len",
+                "connection closed mid-response",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\n\r\n",
+                "response without Content-Length",
+            ),
+            (b"SPDY 200\r\n\r\n", "bad status line: \"SPDY 200\""),
+        ] {
+            match read_response(&mut RecvBuf::new(), &mut &raw[..]) {
+                Err(NetError::Protocol(m)) => assert_eq!(m, message),
+                other => panic!("{raw:?} gave {other:?}"),
+            }
         }
     }
-    String::from_utf8(line).map_err(|_| NetError::Protocol("non-UTF-8 response header".into()))
 }

@@ -1,5 +1,6 @@
-//! Hand-rolled HTTP/1.1 message framing: request parsing and response
-//! writing over a buffered `TcpStream`.
+//! Hand-rolled HTTP/1.1 message framing, shared by the server and the
+//! client: reading a message from a connection's own buffer and writing one
+//! in a single `write`.
 //!
 //! Only the subset the front-end needs, parsed strictly:
 //!
@@ -11,11 +12,24 @@
 //!   occurrence), capped ([`ParseError::BodyTooLarge`] → **413**);
 //!   `Transfer-Encoding` is refused rather than half-implemented (**501**).
 //!
+//! **Reading.** Each end keeps one receive buffer per connection
+//! (`RecvBuf`).  One `read` fills it with whatever the socket holds, and
+//! one head reader (`RecvBuf::read_head`) finds the header block there and
+//! yields its lines as `&str` borrowed from the buffer — for the server's
+//! requests and the client's responses alike.  Only the fields a parsed
+//! message owns are allocated; bytes past the message (a pipelined request)
+//! stay buffered for the next one.
+//!
+//! **Writing.** A message is framed — start line, headers, body — into one
+//! buffer and leaves in one `write`: [`Response::write_to`] on the server,
+//! the client's request encoder on the other end.  Two writes on a
+//! `TCP_NODELAY` socket are two segments and two wake-ups of the peer.
+//!
 //! Keep-alive policy lives in the server; this module just reports what the
 //! request asked for ([`Request::wants_keep_alive`]).
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use opaq_metrics::TraceId;
+use std::io::{Read, Write};
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -59,11 +73,19 @@ impl Request {
 
     /// Whether the client wants the connection kept open after the response
     /// (HTTP/1.1 defaults to yes, 1.0 to no; `Connection` overrides).
+    /// A `close` token wins over `keep-alive`; tokens match without regard
+    /// to case.
     pub fn wants_keep_alive(&self) -> bool {
-        match self.header("connection").map(str::to_ascii_lowercase) {
-            Some(v) if v.contains("close") => false,
-            Some(v) if v.contains("keep-alive") => true,
-            _ => self.http11,
+        let has = |token: &str| {
+            self.header("connection")
+                .is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case(token)))
+        };
+        if has("close") {
+            false
+        } else if has("keep-alive") {
+            true
+        } else {
+            self.http11
         }
     }
 }
@@ -116,20 +138,198 @@ impl Default for ReadLimits {
     }
 }
 
-/// Read one request from `reader`.
+/// Bytes received on one connection and not yet consumed.
+///
+/// Both ends of the wire read through one of these: each [`RecvBuf::fill`]
+/// is a single `read` that takes as much as the socket offers, so a request
+/// or response that arrived in one segment is parsed straight from here
+/// with no further system call.  Bytes past the current message (a
+/// pipelined request) stay buffered for the next one.
+#[derive(Debug)]
+pub(crate) struct RecvBuf {
+    buf: Vec<u8>,
+    /// First unconsumed byte.
+    start: usize,
+    /// One past the last received byte.
+    end: usize,
+}
+
+/// Initial receive buffer size; it grows only for a header block that
+/// does not fit.
+const RECV_BUF_BYTES: usize = 8 * 1024;
+
+/// Why [`RecvBuf::read_head`] found no header block.
+#[derive(Debug)]
+pub(crate) enum HeadError {
+    /// Clean EOF before the first byte.
+    Closed,
+    /// EOF after some bytes of the head but before its blank line.
+    Truncated,
+    /// The header block is longer than the cap.
+    TooLarge,
+    /// The header block is not UTF-8.
+    NotUtf8,
+    /// The read failed or timed out.
+    Io(std::io::Error),
+}
+
+impl RecvBuf {
+    pub(crate) fn new() -> Self {
+        Self {
+            buf: vec![0; RECV_BUF_BYTES],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// The received bytes not yet consumed.
+    pub(crate) fn buffered(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+    }
+
+    /// One `read` from `r` appended to the buffered bytes, making room
+    /// first (compacting, then growing) if the buffer is full.  Returns the
+    /// bytes read; `Ok(0)` is EOF.
+    ///
+    /// # Errors
+    /// The read's error, including a read timeout.
+    pub(crate) fn fill(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        if self.end == self.buf.len() {
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+            } else {
+                self.buf.resize(self.buf.len() * 2, 0);
+            }
+        }
+        loop {
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// The header block at the front of the buffer — the start line, the
+    /// header lines and the blank line ending them — reading from `r` until
+    /// it is complete.  Its bytes are consumed; the lines are borrowed from
+    /// the buffer.  The block may be at most `max_bytes` long, terminators
+    /// included.
+    ///
+    /// # Errors
+    /// See [`HeadError`].
+    pub(crate) fn read_head(
+        &mut self,
+        r: &mut impl Read,
+        max_bytes: usize,
+    ) -> Result<HeadLines<'_>, HeadError> {
+        // Where the current line starts, and how far it has been searched
+        // for its end: each received byte is scanned once, however the
+        // head is split across reads.
+        let (mut line_start, mut searched) = (0, 0);
+        let len = 'found: loop {
+            let buffered = self.buffered();
+            while let Some(nl) = buffered[searched..].iter().position(|&b| b == b'\n') {
+                let line = &buffered[line_start..searched + nl];
+                searched += nl + 1;
+                line_start = searched;
+                if line.is_empty() || line == b"\r" {
+                    break 'found searched;
+                }
+            }
+            searched = buffered.len();
+            if buffered.len() > max_bytes {
+                return Err(HeadError::TooLarge);
+            }
+            match self.fill(r) {
+                Ok(0) if self.buffered().is_empty() => return Err(HeadError::Closed),
+                Ok(0) => return Err(HeadError::Truncated),
+                Ok(_) => {}
+                Err(e) => return Err(HeadError::Io(e)),
+            }
+        };
+        if len > max_bytes {
+            return Err(HeadError::TooLarge);
+        }
+        let start = self.start;
+        self.consume(len);
+        let text =
+            std::str::from_utf8(&self.buf[start..start + len]).map_err(|_| HeadError::NotUtf8)?;
+        Ok(HeadLines { rest: text })
+    }
+
+    /// A body of `len` bytes: what is buffered, then the rest read from `r`
+    /// directly into the body.
+    ///
+    /// # Errors
+    /// The read's error; `UnexpectedEof` if the peer closed first.
+    pub(crate) fn read_body(&mut self, r: &mut impl Read, len: usize) -> std::io::Result<Vec<u8>> {
+        let take = len.min(self.end - self.start);
+        let mut body = Vec::with_capacity(len);
+        body.extend_from_slice(&self.buffered()[..take]);
+        self.consume(take);
+        if take < len {
+            body.resize(len, 0);
+            r.read_exact(&mut body[take..])?;
+        }
+        Ok(body)
+    }
+}
+
+/// The lines of one header block, without their `\r\n` (or bare `\n`)
+/// terminators, ending before the blank line.
+#[derive(Debug)]
+pub(crate) struct HeadLines<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Iterator for HeadLines<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let (line, rest) = self.rest.split_once('\n')?;
+        self.rest = rest;
+        let line = line.strip_suffix('\r').unwrap_or(line);
+        (!line.is_empty()).then_some(line)
+    }
+}
+
+/// Read one request: its head from `buf` (filled from `r` as needed), then
+/// its body.
 ///
 /// # Errors
 /// See [`ParseError`]; `ConnectionClosed` is the *clean* end of a keep-alive
 /// connection, everything else is a real fault.
-pub fn read_request(
-    reader: &mut BufReader<TcpStream>,
+pub(crate) fn read_request(
+    buf: &mut RecvBuf,
+    r: &mut impl Read,
     limits: &ReadLimits,
 ) -> Result<Request, ParseError> {
-    let mut header_bytes = 0usize;
-    let request_line = read_crlf_line(reader, limits.max_header_bytes, &mut header_bytes)?;
-    if request_line.is_empty() {
-        return Err(ParseError::Malformed("empty request line".into()));
-    }
+    let mut lines = buf
+        .read_head(r, limits.max_header_bytes)
+        .map_err(|e| match e {
+            HeadError::Closed => ParseError::ConnectionClosed,
+            HeadError::Truncated => ParseError::Malformed("truncated header line".into()),
+            HeadError::TooLarge => ParseError::HeadersTooLarge,
+            HeadError::NotUtf8 => ParseError::Malformed("non-UTF-8 header bytes".into()),
+            HeadError::Io(e) => ParseError::Io(e),
+        })?;
+    let request_line = lines
+        .next()
+        .ok_or_else(|| ParseError::Malformed("empty request line".into()))?;
     let mut parts = request_line.split(' ');
     let method = parts
         .next()
@@ -181,31 +381,37 @@ pub fn read_request(
     }
 
     let mut headers = Vec::new();
-    loop {
-        let line = read_crlf_line(reader, limits.max_header_bytes, &mut header_bytes)?;
-        if line.is_empty() {
-            break;
-        }
+    let mut chunked = false;
+    let mut length: Option<&str> = None;
+    let mut lengths = 0usize;
+    for line in lines {
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| ParseError::Malformed("header without ':'".into()))?;
         if name.is_empty() || name.contains(' ') {
             return Err(ParseError::Malformed("bad header name".into()));
         }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("transfer-encoding") {
+            chunked = true;
+        } else if name.eq_ignore_ascii_case("content-length") {
+            lengths += 1;
+            length = Some(value);
+        }
+        headers.push((name.to_ascii_lowercase(), value.to_string()));
     }
 
-    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+    if chunked {
         return Err(ParseError::Unsupported("Transfer-Encoding".into()));
     }
-    let lengths: Vec<&str> = headers
-        .iter()
-        .filter(|(k, _)| k == "content-length")
-        .map(|(_, v)| v.as_str())
-        .collect();
-    let body = match lengths.as_slice() {
-        [] => Vec::new(),
-        [raw] => {
+    if lengths > 1 {
+        return Err(ParseError::Malformed(
+            "multiple Content-Length headers".into(),
+        ));
+    }
+    let body = match length {
+        None => Vec::new(),
+        Some(raw) => {
             if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
                 return Err(ParseError::Malformed("non-numeric Content-Length".into()));
             }
@@ -215,14 +421,8 @@ pub fn read_request(
             if declared > limits.max_body_bytes as u64 {
                 return Err(ParseError::BodyTooLarge);
             }
-            let mut body = vec![0u8; declared as usize];
-            reader.read_exact(&mut body).map_err(ParseError::Io)?;
-            body
-        }
-        _ => {
-            return Err(ParseError::Malformed(
-                "multiple Content-Length headers".into(),
-            ))
+            buf.read_body(r, declared as usize)
+                .map_err(ParseError::Io)?
         }
     };
 
@@ -235,47 +435,6 @@ pub fn read_request(
         body,
         http11,
     })
-}
-
-/// Read one CRLF-terminated line (returned without the terminator), charging
-/// its bytes against the shared header budget.
-fn read_crlf_line(
-    reader: &mut BufReader<TcpStream>,
-    max_header_bytes: usize,
-    used: &mut usize,
-) -> Result<String, ParseError> {
-    let budget = max_header_bytes.saturating_sub(*used);
-    // Read at most budget + 1 bytes: seeing one byte past the budget without
-    // a newline distinguishes "too large" from "line fits exactly".
-    let mut limited = reader.by_ref().take(budget as u64 + 1);
-    let mut line = Vec::new();
-    match limited.read_until(b'\n', &mut line) {
-        Ok(0) => {
-            return if line.is_empty() && *used == 0 {
-                Err(ParseError::ConnectionClosed)
-            } else {
-                Err(ParseError::Malformed("truncated header line".into()))
-            };
-        }
-        Ok(_) => {}
-        Err(e) => return Err(ParseError::Io(e)),
-    }
-    if line.last() != Some(&b'\n') {
-        return Err(if line.len() > budget {
-            ParseError::HeadersTooLarge
-        } else {
-            ParseError::Malformed("truncated header line".into())
-        });
-    }
-    if line.len() > budget {
-        return Err(ParseError::HeadersTooLarge);
-    }
-    *used += line.len();
-    line.pop(); // \n
-    if line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    String::from_utf8(line).map_err(|_| ParseError::Malformed("non-UTF-8 header bytes".into()))
 }
 
 /// Decode `%xx` sequences in one path segment or query component;
@@ -387,9 +546,21 @@ impl Response {
         self
     }
 
-    /// Serialize to `w`, announcing `keep_alive` in the `Connection` header.
-    pub fn write_to(&self, w: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
-        let mut head = format!(
+    /// Send the response to `w` in one write: the status line, headers
+    /// (announcing `keep_alive` in `Connection`, the trace id last) and
+    /// body are framed into `out` first.  `out` is cleared, not shrunk, so
+    /// a connection reuses one across its responses.
+    pub fn write_to(
+        &self,
+        w: &mut impl Write,
+        out: &mut Vec<u8>,
+        keep_alive: bool,
+        trace: TraceId,
+    ) -> std::io::Result<()> {
+        out.clear();
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(
+            out,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
             self.status,
             reason_phrase(self.status),
@@ -398,16 +569,22 @@ impl Response {
             if keep_alive { "keep-alive" } else { "close" },
         );
         for (name, value) in &self.headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            put_header(out, name, value);
         }
-        head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        let _ = write!(out, "{}: {trace}\r\n", crate::server::TRACE_HEADER);
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(&self.body);
+        w.write_all(out)?;
         w.flush()
     }
+}
+
+/// Append one `name: value` header line.
+pub(crate) fn put_header(out: &mut Vec<u8>, name: &str, value: &str) {
+    out.extend_from_slice(name.as_bytes());
+    out.extend_from_slice(b": ");
+    out.extend_from_slice(value.as_bytes());
+    out.extend_from_slice(b"\r\n");
 }
 
 /// Stable machine-readable error code for a status (the `code` field of
@@ -481,16 +658,248 @@ mod tests {
 
     #[test]
     fn response_serialization_is_framed() {
+        let trace = TraceId::from_raw(0xab).unwrap();
+        let mut sent = Vec::new();
+        Response::text(404, "gone".into())
+            .with_header("x-opaq-owner", "g1")
+            .write_to(&mut sent, &mut Vec::new(), true, trace)
+            .unwrap();
+        assert_eq!(
+            String::from_utf8(sent).unwrap(),
+            "HTTP/1.1 404 Not Found\r\ncontent-type: text/plain; charset=utf-8\r\n\
+             content-length: 4\r\nconnection: keep-alive\r\nx-opaq-owner: g1\r\n\
+             x-opaq-trace-id: 00000000000000ab\r\n\r\ngone"
+        );
+    }
+
+    /// A `Write` that counts its `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_to_makes_one_write_for_head_and_body() {
         let resp =
             Response::json(200, "{\"ok\":true}".to_string()).with_header("x-opaq-version", "7");
-        let mut out = Vec::new();
-        resp.write_to(&mut out, true).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let trace = TraceId::from_raw(1).unwrap();
+        let mut w = CountingWriter::default();
+        // The reused buffer still holds the previous response.
+        let mut out = b"HTTP/1.1 503 stale".to_vec();
+        resp.write_to(&mut w, &mut out, false, trace).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(w.bytes, out);
+        let text = String::from_utf8(w.bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("content-length: 11\r\n"));
-        assert!(text.contains("connection: keep-alive\r\n"));
-        assert!(text.contains("x-opaq-version: 7\r\n"));
+        assert!(text.contains("connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+    }
+
+    /// A reader that hands out its bytes in fixed pieces, one per `read`.
+    struct Pieces<'a> {
+        pieces: std::collections::VecDeque<&'a [u8]>,
+    }
+
+    impl<'a> Pieces<'a> {
+        fn new(pieces: impl IntoIterator<Item = &'a [u8]>) -> Self {
+            Self {
+                pieces: pieces.into_iter().collect(),
+            }
+        }
+
+        fn bytewise(bytes: &'a [u8]) -> Self {
+            Self::new(bytes.chunks(1))
+        }
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some(piece) = self.pieces.pop_front() else {
+                return Ok(0);
+            };
+            let n = piece.len().min(buf.len());
+            buf[..n].copy_from_slice(&piece[..n]);
+            if n < piece.len() {
+                self.pieces.push_front(&piece[n..]);
+            }
+            Ok(n)
+        }
+    }
+
+    fn parse(r: &mut impl Read, limits: &ReadLimits) -> Result<Request, ParseError> {
+        read_request(&mut RecvBuf::new(), r, limits)
+    }
+
+    const POST: &[u8] = b"POST /v1/a%2Fb/ev/quantile_batch?x=1+2 HTTP/1.1\r\n\
+        Host: h\r\nContent-Length: 14\r\n\r\n{\"phis\":[0.5]}";
+
+    #[test]
+    fn a_request_split_into_single_bytes_parses_whole() {
+        let request = parse(&mut Pieces::bytewise(POST), &ReadLimits::default()).unwrap();
+        assert_eq!(request.method, "POST");
+        assert_eq!(request.path, "/v1/a%2Fb/ev/quantile_batch");
+        assert_eq!(request.segments, ["v1", "a/b", "ev", "quantile_batch"]);
+        assert_eq!(request.query, [("x".to_string(), "1 2".to_string())]);
+        assert_eq!(request.header("host"), Some("h"));
+        assert_eq!(request.header("content-length"), Some("14"));
+        assert_eq!(request.body, b"{\"phis\":[0.5]}");
+        assert!(request.http11);
+    }
+
+    #[test]
+    fn a_body_arriving_after_its_head_still_parses() {
+        let split = POST.len() - 14;
+        let mut r = Pieces::new([&POST[..split], &POST[split..split + 4], &POST[split + 4..]]);
+        let request = parse(&mut r, &ReadLimits::default()).unwrap();
+        assert_eq!(request.body, b"{\"phis\":[0.5]}");
+    }
+
+    #[test]
+    fn pipelined_requests_parse_in_order_from_one_read() {
+        let mut bytes = POST.to_vec();
+        bytes.extend_from_slice(b"GET /healthz HTTP/1.0\nconnection: Keep-Alive\n\nGET /b");
+        let mut r = Pieces::new([bytes.as_slice()]);
+        let mut buf = RecvBuf::new();
+        let limits = ReadLimits::default();
+        let first = read_request(&mut buf, &mut r, &limits).unwrap();
+        assert_eq!(first.body, b"{\"phis\":[0.5]}");
+        let second = read_request(&mut buf, &mut r, &limits).unwrap();
+        assert_eq!(
+            (second.method.as_str(), second.path.as_str()),
+            ("GET", "/healthz")
+        );
+        assert!(!second.http11 && second.wants_keep_alive());
+        assert_eq!(
+            buf.buffered(),
+            b"GET /b",
+            "the third request stays buffered"
+        );
+        assert!(matches!(
+            read_request(&mut buf, &mut r, &limits),
+            Err(ParseError::Malformed(_))
+        ));
+        assert!(matches!(
+            parse(&mut Pieces::new([]), &limits),
+            Err(ParseError::ConnectionClosed)
+        ));
+    }
+
+    /// A GET whose header block, blank line included, is `len` bytes.
+    fn head_of_len(len: usize) -> Vec<u8> {
+        let fixed = "GET / HTTP/1.1\r\nx-pad: \r\n\r\n".len();
+        format!(
+            "GET / HTTP/1.1\r\nx-pad: {}\r\n\r\n",
+            "p".repeat(len - fixed)
+        )
+        .into_bytes()
+    }
+
+    #[test]
+    fn the_header_cap_admits_exactly_max_bytes() {
+        // Below, at and above the receive buffer's initial size.
+        for max in [200, RECV_BUF_BYTES, 3 * RECV_BUF_BYTES + 5] {
+            let limits = ReadLimits {
+                max_header_bytes: max,
+                ..ReadLimits::default()
+            };
+            let at = head_of_len(max);
+            let request = parse(&mut Pieces::new([at.as_slice()]), &limits).unwrap();
+            assert_eq!(request.header("x-pad").map(str::len), Some(max - 27));
+            let request = parse(&mut Pieces::bytewise(&at), &limits).unwrap();
+            assert_eq!(request.header("x-pad").map(str::len), Some(max - 27));
+            let over = head_of_len(max + 1);
+            assert!(
+                matches!(
+                    parse(&mut Pieces::new([over.as_slice()]), &limits),
+                    Err(ParseError::HeadersTooLarge)
+                ),
+                "max {max}"
+            );
+            // A head that never ends is cut off at the cap, not read forever.
+            let endless = vec![b'x'; 4 * max];
+            assert!(matches!(
+                parse(&mut Pieces::bytewise(&endless), &limits),
+                Err(ParseError::HeadersTooLarge)
+            ));
+        }
+    }
+
+    #[test]
+    fn framing_errors_keep_their_variants() {
+        let limits = ReadLimits {
+            max_header_bytes: 1024,
+            max_body_bytes: 4,
+        };
+        let case = |raw: &[u8]| parse(&mut Pieces::new([raw]), &limits);
+        assert!(matches!(
+            case(b"GET / HTTP/1.1\r\nhost: h"),
+            Err(ParseError::Malformed(m)) if m == "truncated header line"
+        ));
+        assert!(matches!(
+            case(b"\r\n\r\n"),
+            Err(ParseError::Malformed(m)) if m == "empty request line"
+        ));
+        assert!(matches!(
+            case(b"GET / HTTP/1.1\r\nx: \xff\r\n\r\n"),
+            Err(ParseError::Malformed(m)) if m == "non-UTF-8 header bytes"
+        ));
+        assert!(matches!(
+            case(b"POST / HTTP/1.1\r\ncontent-length: 5\r\n\r\nabcde"),
+            Err(ParseError::BodyTooLarge)
+        ));
+        assert!(matches!(
+            case(b"POST / HTTP/1.1\r\ncontent-length: 1\r\ncontent-length: 1\r\n\r\na"),
+            Err(ParseError::Malformed(m)) if m == "multiple Content-Length headers"
+        ));
+        assert!(matches!(
+            case(b"POST / HTTP/1.1\r\ncontent-length: 1\r\nTransfer-Encoding: chunked\r\n\r\n"),
+            Err(ParseError::Unsupported(_))
+        ));
+        assert!(matches!(
+            case(b"POST / HTTP/1.1\r\ncontent-length: 3\r\n\r\nab"),
+            Err(ParseError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
+        ));
+    }
+
+    #[test]
+    fn keep_alive_tokens_match_without_case_and_close_wins() {
+        let wants = |http11: bool, connection: Option<&str>| {
+            Request {
+                method: "GET".into(),
+                path: "/".into(),
+                segments: Vec::new(),
+                query: Vec::new(),
+                headers: connection
+                    .map(|v| ("connection".to_string(), v.to_string()))
+                    .into_iter()
+                    .collect(),
+                body: Vec::new(),
+                http11,
+            }
+            .wants_keep_alive()
+        };
+        assert!(wants(true, None));
+        assert!(!wants(false, None));
+        assert!(!wants(true, Some("Close")));
+        assert!(!wants(true, Some("keep-alive, CLOSE")));
+        assert!(wants(false, Some("Keep-Alive")));
+        assert!(wants(false, Some("upgrade, keep-alive")));
+        assert!(wants(true, Some("upgrade")));
+        assert!(!wants(false, Some("upgrade")));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! ## Architecture
 //!
 //! ```text
-//!                 accept thread (non-blocking poll, shutdown-aware)
+//!                 accept thread (blocking accept, woken by shutdown)
 //!                      │ bounded channel (full ⇒ 503, shed load)
 //!          ┌───────────┼───────────┐
 //!          ▼           ▼           ▼
@@ -26,8 +26,11 @@
 //!
 //! * **Wire** ([`http`], [`json`]): strict request parsing (single
 //!   `Content-Length`, capped headers → 431, capped bodies → 413, no
-//!   `Transfer-Encoding`), and a JSON reader/writer whose output is a pure
-//!   function of the data — the consistency harness depends on that.
+//!   `Transfer-Encoding`) from each connection's own receive buffer, one
+//!   head reader for requests and responses, every message framed into one
+//!   buffer and sent in one `write`, and a JSON reader/writer whose output
+//!   is a pure function of the data — the consistency harness depends on
+//!   that.
 //! * **Server** ([`server`]): bounded accept pool, keep-alive with a
 //!   per-connection request cap, shutdown that drains in-flight requests
 //!   before joining (same close-then-join discipline as `RefreshPool`).

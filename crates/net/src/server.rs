@@ -3,7 +3,7 @@
 //!
 //! ## Threading model
 //!
-//! One accept thread polls the (non-blocking) listener and hands accepted
+//! One accept thread blocks in `accept` on the listener and hands accepted
 //! connections to a **bounded** channel feeding `workers` handler threads.
 //! A full queue answers **503** and closes instead of buffering unboundedly
 //! — the back-pressure story mirrors the bounded crossbeam channels of the
@@ -12,10 +12,19 @@
 //! requests per connection, with a read timeout per request and an idle
 //! timeout between requests (both shutdown-aware).
 //!
+//! Per connection a handler keeps one receive buffer and one output
+//! buffer, both reused across keep-alive requests.  The idle wait is a
+//! `read` into the receive buffer — the bytes that end it are the request —
+//! and every response leaves in one `write`.  The socket's read timeout is
+//! the short idle poll while waiting, and is switched to
+//! [`ServerConfig::read_timeout`] only when a request is still incomplete
+//! after the bytes that ended the wait.
+//!
 //! ## Shutdown ordering
 //!
 //! [`HttpServer::shutdown`] mirrors the refresh pool's drain-then-join
-//! discipline: stop accepting (join the accept thread), close the
+//! discipline: stop accepting (set the flag, wake the blocked `accept`
+//! with one loopback connection, join the accept thread), close the
 //! connection queue, then join the handlers — which finish their in-flight
 //! request, announce `connection: close`, and exit.  When `shutdown`
 //! returns, no thread will touch the engine or catalog again, so a caller
@@ -23,7 +32,7 @@
 //! stack at every step.
 
 use crate::client::HttpClient;
-use crate::http::{read_request, ParseError, ReadLimits, Request, Response};
+use crate::http::{read_request, ParseError, ReadLimits, RecvBuf, Request, Response};
 use crate::json::{write_escaped, write_f64};
 use crate::replica::ReplicationStats;
 use crate::ring::RingMembership;
@@ -41,8 +50,8 @@ use opaq_serve::{
     DatasetId, Freshness, QueryEngine, QueryOutput, QueryRequest, QueryResponse, ServeError,
     TenantId,
 };
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -610,9 +619,6 @@ impl HttpServer {
         }
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        // Non-blocking accept: the accept thread polls so it can observe
-        // shutdown without needing a wake-up connection.
-        listener.set_nonblocking(true)?;
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(StatsInner::default());
@@ -669,10 +675,17 @@ impl HttpServer {
                 .name("opaq-net-accept".to_string())
                 .spawn(move || {
                     // `conn_tx` moves in here: when this thread exits, the
-                    // channel closes and the workers drain out.
+                    // channel closes and the workers drain out.  `accept`
+                    // blocks; `shutdown` sets the flag and then connects
+                    // once to wake it, and that connection (like any other
+                    // accepted after the flag) is dropped uncounted.
                     let conn_tx = conn_tx;
-                    while !shutdown.load(Ordering::Acquire) {
-                        match listener.accept() {
+                    loop {
+                        let accepted = listener.accept();
+                        if shutdown.load(Ordering::Acquire) {
+                            return;
+                        }
+                        match accepted {
                             Ok((stream, _peer)) => {
                                 stats.connections.fetch_add(1, Ordering::Relaxed);
                                 // Bounded hand-off: a full queue means the
@@ -687,14 +700,14 @@ impl HttpServer {
                                     let trace = TraceId::mint();
                                     TraceSink::new(Arc::clone(&telemetry.recorder), trace)
                                         .finish_root(Stage::Request, SpanTag::Shed);
-                                    let (mut stream, _) = back;
-                                    let _ = Response::error(503, "server overloaded")
-                                        .with_header(TRACE_HEADER, trace.to_string())
-                                        .write_to(&mut stream, false);
+                                    let (stream, _) = back;
+                                    let _ = Response::error(503, "server overloaded").write_to(
+                                        &mut &stream,
+                                        &mut Vec::new(),
+                                        false,
+                                        trace,
+                                    );
                                 }
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(2));
                             }
                             Err(_) => {
                                 // Transient accept failure (e.g. EMFILE):
@@ -738,6 +751,23 @@ impl HttpServer {
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         if let Some(accept) = self.accept.take() {
+            // Wake the blocked `accept`; the accept thread sees the flag
+            // and exits without counting or queueing this connection.  An
+            // unspecified bind address is reached through loopback.  A
+            // failed connect (say, out of file descriptors) is retried, as
+            // nothing else would wake the thread being joined.
+            let mut wake = self.local_addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake.ip() {
+                    IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                    IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                });
+            }
+            while TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_err()
+                && !accept.is_finished()
+            {
+                std::thread::sleep(Duration::from_millis(10));
+            }
             // Joining the accept thread drops the connection sender, which
             // closes the queue; the workers then drain what was accepted
             // (each serving at most its current request before noticing the
@@ -786,15 +816,21 @@ fn handle_connection(
 ) {
     let queue_wait = accepted.elapsed();
     let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(stream);
+    let mut recv = RecvBuf::new();
+    let mut out = Vec::new();
+    let mut timeout = None;
     for served in 0..config.keep_alive_max_requests {
-        match wait_for_request(&mut reader, config, shutdown) {
+        match wait_for_request(&stream, &mut timeout, &mut recv, config, shutdown) {
             Wait::Ready => {}
             Wait::Close => return,
         }
-        let _ = reader.get_ref().set_read_timeout(Some(config.read_timeout));
         let parse_start = Instant::now();
-        let request = read_request(&mut reader, &config.limits);
+        let mut socket = TimedRead {
+            stream: &stream,
+            in_force: &mut timeout,
+            want: config.read_timeout,
+        };
+        let request = read_request(&mut recv, &mut socket, &config.limits);
         let parse_nanos = nanos(parse_start.elapsed());
         if matches!(request, Err(ParseError::ConnectionClosed)) {
             return;
@@ -874,9 +910,7 @@ fn handle_connection(
         // The root closed before the write, so a client holding this
         // response can read a complete tree; the write span joins it after.
         let write_start = sink.now_nanos();
-        let written = response
-            .with_header(TRACE_HEADER, trace.to_string())
-            .write_to(reader.get_mut(), keep_alive);
+        let written = response.write_to(&mut &stream, &mut out, keep_alive, trace);
         let write_tag = if written.is_ok() {
             SpanTag::Untagged
         } else {
@@ -889,35 +923,62 @@ fn handle_connection(
     }
 }
 
+/// How often an idle connection checks the shutdown flag and its idle
+/// deadline.
+const IDLE_POLL: Duration = Duration::from_millis(50);
+
+/// The connection's socket as a reader that puts `want` in force as its
+/// read timeout before reading.  `in_force` remembers the timeout the
+/// socket carries, so `setsockopt` runs only when the phase changes.
+struct TimedRead<'a> {
+    stream: &'a TcpStream,
+    in_force: &'a mut Option<Duration>,
+    want: Duration,
+}
+
+impl Read for TimedRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if *self.in_force != Some(self.want) {
+            self.stream.set_read_timeout(Some(self.want))?;
+            *self.in_force = Some(self.want);
+        }
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
 enum Wait {
     Ready,
     Close,
 }
 
-/// Idle phase between keep-alive requests: poll for the first byte with a
-/// short timeout so both shutdown and the idle deadline are observed without
-/// consuming any request bytes (pipelined bytes already buffered count as
-/// ready).  A request whose bytes have already arrived is reported `Ready`
-/// even under shutdown — it gets served (with `connection: close`) rather
-/// than dropped, so the drain semantics documented on
-/// [`HttpServer::shutdown`] hold for queued work too.
+/// Idle phase between keep-alive requests: read into `recv` with a short
+/// timeout so both shutdown and the idle deadline are observed; the bytes
+/// that end the wait are (the start of) the request.  Pipelined bytes
+/// already buffered count as ready.  A request whose bytes have already
+/// arrived is reported `Ready` even under shutdown — it gets served (with
+/// `connection: close`) rather than dropped, so the drain semantics
+/// documented on [`HttpServer::shutdown`] hold for queued work too.
 fn wait_for_request(
-    reader: &mut BufReader<TcpStream>,
+    stream: &TcpStream,
+    timeout: &mut Option<Duration>,
+    recv: &mut RecvBuf,
     config: &ServerConfig,
     shutdown: &AtomicBool,
 ) -> Wait {
-    if !reader.buffer().is_empty() {
+    if !recv.buffered().is_empty() {
         return Wait::Ready;
     }
     let started = Instant::now();
-    let poll = Duration::from_millis(50);
+    let mut socket = TimedRead {
+        stream,
+        in_force: timeout,
+        want: IDLE_POLL,
+    };
     loop {
-        // Probe for data *before* consulting the shutdown flag, so a
-        // request that raced shutdown onto the wire is answered, not
-        // silently closed on.
-        let _ = reader.get_ref().set_read_timeout(Some(poll));
-        let mut probe = [0u8; 1];
-        match reader.get_ref().peek(&mut probe) {
+        // Read *before* consulting the shutdown flag, so a request that
+        // raced shutdown onto the wire is answered, not silently closed on.
+        match recv.fill(&mut socket) {
             Ok(0) => return Wait::Close, // clean EOF
             Ok(_) => return Wait::Ready,
             Err(e)
