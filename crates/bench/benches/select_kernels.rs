@@ -1,24 +1,29 @@
 //! Microbenchmarks for the selection kernels and the allocation-free
 //! run-ingest hot path (PR 3).
 //!
-//! Five questions, answered on 1M-key u64 runs (the paper's experiment
-//! scale) unless noted:
+//! Seven questions, answered on 1M-key u64 runs (the paper's experiment
+//! scale) unless noted.  Every multi-selection group times every strategy
+//! in `SelectionStrategy::ALL`, since the strategy makes every rank split:
 //!
 //! 1. **Partition kernel** — scalar Dutch-national-flag vs. the branchless
 //!    BlockQuicksort-style three-way partition, on identical data and pivot.
-//! 2. **Multi-selection** — `multiselect` of `s = 1000` regular ranks under
-//!    the scalar `Quickselect` strategy vs. the `BlockQuickselect` strategy.
+//! 2. **Multi-selection** — `multiselect` of `s = 1000` regular ranks.
 //! 3. **Duplicate-heavy multi-selection** — the same rank set over constant
 //!    and three-valued runs, whose splitters collapse, so `multiselect` skips
-//!    the splitter tree and the rank-splitting driver's duplicate rule ends
-//!    them.
+//!    the splitter tree and the recursion's floor and ceiling rules end them.
 //! 4. **Bucket-sized multi-selection** — 4 regular ranks of a 4096-key
 //!    slice, the size of one splitter-tree bucket of a 1M-key run, where the
-//!    driver does the sample phase's in-bucket work.
-//! 5. **End-to-end `sample_run`** — the seed path (fresh buffer per run +
-//!    scalar kernel) vs. the new hot path (recycled buffer + `RunSampler`
-//!    rank cache + block kernel), which is what the acceptance criterion
-//!    ("≥ 1.5× on 1M-key u64 runs") measures.
+//!    recursion does the sample phase's in-bucket work.
+//! 5. **Serving set-up** — 500 regular ranks of a 10k-key run, the run
+//!    shape perfbench's `serve-point` samples while it builds its catalog.
+//! 6. **Splitter-tree floor** — the default strategy on slices one key
+//!    below and at 2^15 and 2^16 keys, with one rank per 1000 keys and one
+//!    per 20: each pair times the recursion alone against the splitter tree
+//!    at nearly the same size wherever `SPLITTER_TREE_MIN_LEN` falls between
+//!    them.
+//! 7. **End-to-end `sample_run`** — the seed path (fresh buffer per run +
+//!    scalar kernel) vs. the hot path (recycled buffer + `RunSampler` rank
+//!    cache) under the block kernel and the default strategy.
 //!
 //! The kernel and multi-selection groups refill one reused buffer with the
 //! input before every timed iteration, so the copy is timed but no
@@ -92,46 +97,47 @@ fn bench_partition_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// Time `multiselect_with` of `ranks` over `data` under every strategy, in
+/// `group` under `name/strategy`.  Every strategy must first select the
+/// same values as the scalar `Quickselect` (the sketch-identity invariant).
+fn bench_every_strategy(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    data: &[u64],
+    ranks: &[usize],
+) {
+    let mut work = data.to_vec();
+    let reference = multiselect_with(&mut work, ranks, SelectionStrategy::Quickselect);
+    for strategy in SelectionStrategy::ALL {
+        work.copy_from_slice(data);
+        assert_eq!(
+            multiselect_with(&mut work, ranks, strategy),
+            reference,
+            "{strategy:?} selected different values on {name}"
+        );
+    }
+    for strategy in SelectionStrategy::ALL {
+        group.bench_with_input(
+            BenchmarkId::new(name, format!("{strategy:?}")),
+            &strategy,
+            |b, &strategy| {
+                b.iter(|| {
+                    work.copy_from_slice(data);
+                    black_box(multiselect_with(&mut work, ranks, strategy))
+                })
+            },
+        );
+    }
+}
+
 fn bench_multiselect_strategies(c: &mut Criterion) {
     let n = run_len();
     let s = sample_size() as usize;
     let data = keys(2, n);
     let ranks = regular_sample_ranks(n, s);
-
-    // Every strategy must select identical values (the sketch-identity
-    // invariant); check it on the bench input before timing.
-    let reference = {
-        let mut work = data.clone();
-        multiselect_with(&mut work, &ranks, SelectionStrategy::Quickselect)
-    };
-    for strategy in SelectionStrategy::ALL {
-        let mut work = data.clone();
-        assert_eq!(
-            multiselect_with(&mut work, &ranks, strategy),
-            reference,
-            "{strategy:?} selected different values"
-        );
-    }
-
     let mut group = c.benchmark_group(format!("multiselect_{s}_of_{n}"));
     group.sample_size(15);
-    for strategy in [
-        SelectionStrategy::Quickselect,
-        SelectionStrategy::BlockQuickselect,
-        SelectionStrategy::FloydRivest,
-    ] {
-        group.bench_with_input(
-            BenchmarkId::new("strategy", format!("{strategy:?}")),
-            &strategy,
-            |b, &strategy| {
-                let mut work = data.clone();
-                b.iter(|| {
-                    work.copy_from_slice(&data);
-                    black_box(multiselect_with(&mut work, &ranks, strategy))
-                })
-            },
-        );
-    }
+    bench_every_strategy(&mut group, "strategy", &data, &ranks);
     group.finish();
 }
 
@@ -143,39 +149,10 @@ fn bench_duplicate_heavy_multiselect(c: &mut Criterion) {
         ("constant", vec![42; n]),
         ("three_valued", keys(4, n).iter().map(|k| k % 3).collect()),
     ];
-
     let mut group = c.benchmark_group(format!("multiselect_{s}_of_{n}_dup"));
     group.sample_size(15);
     for (shape, data) in &shapes {
-        let reference = {
-            let mut work = data.clone();
-            multiselect_with(&mut work, &ranks, SelectionStrategy::Quickselect)
-        };
-        for strategy in SelectionStrategy::ALL {
-            let mut work = data.clone();
-            assert_eq!(
-                multiselect_with(&mut work, &ranks, strategy),
-                reference,
-                "{strategy:?} selected different values on the {shape} run"
-            );
-        }
-        for strategy in [
-            SelectionStrategy::Quickselect,
-            SelectionStrategy::BlockQuickselect,
-            SelectionStrategy::FloydRivest,
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(*shape, format!("{strategy:?}")),
-                &strategy,
-                |b, &strategy| {
-                    let mut work = data.clone();
-                    b.iter(|| {
-                        work.copy_from_slice(data);
-                        black_box(multiselect_with(&mut work, &ranks, strategy))
-                    })
-                },
-            );
-        }
+        bench_every_strategy(&mut group, shape, data, &ranks);
     }
     group.finish();
 }
@@ -187,17 +164,41 @@ fn bench_bucket_sized_multiselect(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!("multiselect_4_of_{n}"));
     // One iteration is tens of microseconds, so take more samples.
     group.sample_size(201);
-    let mut work = data.clone();
-    group.bench_function("BlockQuickselect", |b| {
-        b.iter(|| {
-            work.copy_from_slice(&data);
-            black_box(multiselect_with(
-                &mut work,
-                &ranks,
-                SelectionStrategy::BlockQuickselect,
-            ))
-        })
-    });
+    bench_every_strategy(&mut group, "strategy", &data, &ranks);
+    group.finish();
+}
+
+fn bench_serving_setup_multiselect(c: &mut Criterion) {
+    let (n, s) = (10_000, 500);
+    let data = keys(6, n);
+    let ranks = regular_sample_ranks(n, s);
+    let mut group = c.benchmark_group(format!("multiselect_{s}_of_{n}"));
+    group.sample_size(101);
+    bench_every_strategy(&mut group, "strategy", &data, &ranks);
+    group.finish();
+}
+
+fn bench_splitter_tree_floor(c: &mut Criterion) {
+    let mut group = c.benchmark_group("splitter_tree_floor");
+    group.sample_size(31);
+    for len in [(1 << 15) - 1, 1 << 15, (1 << 16) - 1, 1 << 16] {
+        let data = keys(7, len);
+        for per_rank in [1000, 20] {
+            let ranks = regular_sample_ranks(len, len / per_rank);
+            let id = format!("len={len}/s={}", ranks.len());
+            let mut work = data.clone();
+            group.bench_function(id, |b| {
+                b.iter(|| {
+                    work.copy_from_slice(&data);
+                    black_box(multiselect_with(
+                        &mut work,
+                        &ranks,
+                        SelectionStrategy::default(),
+                    ))
+                })
+            });
+        }
+    }
     group.finish();
 }
 
@@ -240,6 +241,17 @@ fn bench_sample_run_pipeline(c: &mut Criterion) {
         })
     });
 
+    // The hot path under the default strategy, which the sample phase runs.
+    group.bench_function("default_buffer_reuse", |b| {
+        let mut sampler = RunSampler::new(s, SelectionStrategy::default()).unwrap();
+        let mut run_buf: Vec<u64> = Vec::with_capacity(n);
+        b.iter(|| {
+            run_buf.clear();
+            run_buf.extend_from_slice(&data);
+            black_box(sampler.sample(&mut run_buf).unwrap())
+        })
+    });
+
     // Ablation: block kernel but fresh allocation per run, to separate the
     // kernel win from the allocator win.
     group.bench_function("block_alloc", |b| {
@@ -257,6 +269,8 @@ criterion_group!(
     bench_multiselect_strategies,
     bench_duplicate_heavy_multiselect,
     bench_bucket_sized_multiselect,
+    bench_serving_setup_multiselect,
+    bench_splitter_tree_floor,
     bench_sample_run_pipeline
 );
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! Table 7: RER_A comparison of OPAQ against the Agrawal–Swami one-pass
-//! algorithm [AS95] and random sampling, under an equal memory budget of
+//! algorithm \[AS95\] and random sampling, under an equal memory budget of
 //! 3000 retained points, on a 1 M-key dataset (uniform and Zipf 0.86).
 //!
 //! Run with `cargo run --release -p opaq-bench --bin table7`.

@@ -38,11 +38,13 @@ COMMANDS:
              [--domain D] [--dup FRACTION] [--seed S]
              write N u64 keys (little-endian) to FILE
   sketch     --data FILE --n N [--run-length M] [--sample-size S] [--out SKETCH]
-             [--threads T] [--strategy block|quickselect|floyd-rivest|median-of-medians]
+             [--threads T]
+             [--strategy introselect|block|quickselect|floyd-rivest|median-of-medians]
              one pass over FILE; print dectiles and optionally save the sketch.
              --threads > 1 shards the ingest over T worker threads; selection
              is exact, so the sketch is bit-identical for every thread count
-             and strategy (default strategy: block, the branchless kernel)
+             and strategy (the strategy makes every rank split; default:
+             introselect, the standard library's worst-case linear select)
   query      --sketch SKETCH [--q Q] [--phi P1,P2,...]
              estimate quantiles from a saved sketch (no data access)
              --expr 'fetch T/D | coalesce | quantile 0.5' --addr HOST:PORT
@@ -242,18 +244,19 @@ fn open_store(args: &Args) -> CliResult<(FileRunStore<u64>, u64, u64)> {
     Ok((store, run_length, sample_size))
 }
 
-/// Parse `--strategy` (default: the branchless block kernel).  Selection is
-/// exact, so the choice never changes the sketch — only the CPU time.
+/// Parse `--strategy` (default: introselect).  Selection is exact, so the
+/// choice never changes the sketch — only the CPU time.
 fn parse_strategy(args: &Args) -> CliResult<SelectionStrategy> {
-    Ok(match args.get("strategy").unwrap_or("block") {
+    Ok(match args.get("strategy").unwrap_or("introselect") {
+        "introselect" => SelectionStrategy::Introselect,
         "block" => SelectionStrategy::BlockQuickselect,
         "quickselect" => SelectionStrategy::Quickselect,
         "floyd-rivest" => SelectionStrategy::FloydRivest,
         "median-of-medians" => SelectionStrategy::MedianOfMedians,
         other => {
             return Err(CliError::Usage(format!(
-                "unknown strategy '{other}' (expected block, quickselect, floyd-rivest or \
-                 median-of-medians)"
+                "unknown strategy '{other}' (expected introselect, block, quickselect, \
+                 floyd-rivest or median-of-medians)"
             )))
         }
     })
@@ -1481,7 +1484,13 @@ mod tests {
 
         // Selection is exact, so every strategy must reproduce the same
         // sketch file, byte for byte.
-        for strategy in ["block", "quickselect", "floyd-rivest", "median-of-medians"] {
+        for strategy in [
+            "introselect",
+            "block",
+            "quickselect",
+            "floyd-rivest",
+            "median-of-medians",
+        ] {
             let sketch_path = temp(&format!("sharded-{strategy}"), "sketch");
             run(
                 "sketch",

@@ -19,7 +19,8 @@ pub struct OpaqConfig {
     /// experiments use 250–1000; accuracy is proportional to `s`
     /// (error ≤ `n/s` elements per bound).
     pub sample_size: u64,
-    /// Exact single-rank selector behind the multi-selection driver's guard.
+    /// Exact single-rank selector that makes every rank split of the sample
+    /// phase's multi-selection (default: introselect).
     #[serde(skip, default)]
     pub strategy: SelectionStrategy,
 }

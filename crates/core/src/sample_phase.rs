@@ -1,11 +1,14 @@
 //! The sample phase (§2.1): regular samples from every run.
 //!
 //! From a run of `m` in-memory elements the phase extracts the `s` elements
-//! of rank `⌈m/s⌉, ⌈2m/s⌉, …, m` by multi-selection (`O(m log s)`), together
-//! with the *gap* of each sample — the number of new elements of the run it
-//! stands for.  Gaps are what make the error bounds work for runs whose
-//! length is not an exact multiple of `s` (the paper assumes divisibility
-//! "without loss of generality"; we do not have to).
+//! of rank `⌈m/s⌉, ⌈2m/s⌉, …, m` by multi-selection (`O(m log s)`): the
+//! paper's recursive median splitting, one exact selection of the middle
+//! rank per piece with the configured [`SelectionStrategy`], after a
+//! splitter-tree bucketing pass on long runs.  Each sample comes with its
+//! *gap* — the number of new elements of the run it stands for.  Gaps are
+//! what make the error bounds work for runs whose length is not an exact
+//! multiple of `s` (the paper assumes divisibility "without loss of
+//! generality"; we do not have to).
 //!
 //! ## The buffer-reuse contract
 //!
@@ -24,7 +27,7 @@
 //! equal length, so steady-state per-run work allocates only the `s`-sized
 //! `values`/`gaps` vectors that outlive the call inside the returned
 //! [`RunSample`], plus the selection's own scratch: on runs of at least
-//! `opaq_select::SPLITTER_TREE_MIN_LEN` keys with `s >= 8`, a one-byte bucket
+//! `opaq_select::SPLITTER_TREE_MIN_LEN` keys with `s >= 32`, a one-byte bucket
 //! label per key that is freed before the call returns.
 
 use crate::{Key, OpaqError, OpaqResult};

@@ -189,7 +189,6 @@ impl ChaosProxy {
         stats: Option<Arc<ReplicationStats>>,
     ) -> NetResult<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?.to_string();
         let inner = Arc::new(Inner {
             upstream: RwLock::new(upstream.into()),
@@ -204,23 +203,22 @@ impl ChaosProxy {
         let accept = {
             let inner = Arc::clone(&inner);
             let handlers = Arc::clone(&handlers);
-            std::thread::spawn(move || {
-                while !inner.shutdown.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((client, _)) => {
-                            let inner = Arc::clone(&inner);
-                            let handle =
-                                std::thread::spawn(move || handle_connection(inner, client));
-                            let mut live = handlers.lock().expect("chaos handlers lock");
-                            live.retain(|h| !h.is_finished());
-                            live.push(handle);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
-                    }
+            // `accept` blocks; `stop` sets the flag and then connects once
+            // to wake it, and that connection (like any other accepted after
+            // the flag) is dropped without a fault or a handler.
+            std::thread::spawn(move || loop {
+                let accepted = listener.accept();
+                if inner.shutdown.load(Ordering::Acquire) {
+                    return;
                 }
+                let Ok((client, _)) = accepted else {
+                    return;
+                };
+                let inner = Arc::clone(&inner);
+                let handle = std::thread::spawn(move || handle_connection(inner, client));
+                let mut live = handlers.lock().expect("chaos handlers lock");
+                live.retain(|h| !h.is_finished());
+                live.push(handle);
             })
         };
         Ok(Self {
@@ -262,6 +260,12 @@ impl ChaosProxy {
     fn stop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
         if let Some(handle) = self.accept.take() {
+            // Wake the blocked `accept`.  A failed connect (say, out of file
+            // descriptors) is retried, as nothing else would wake the thread
+            // being joined.
+            while TcpStream::connect(&self.local_addr).is_err() && !handle.is_finished() {
+                std::thread::sleep(Duration::from_millis(10));
+            }
             let _ = handle.join();
         }
         let handles = std::mem::take(&mut *self.handlers.lock().expect("chaos handlers lock"));
@@ -377,4 +381,26 @@ fn pump(from: TcpStream, mut to: TcpStream, budget: Option<usize>, stop: impl Fn
         }
     }
     let _ = to.shutdown(Shutdown::Write);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stopping_an_idle_proxy_joins_its_accept_thread() {
+        // Every connection the proxy handles would be a fault, so the wake-up
+        // connect must not reach a handler.
+        let config = ChaosConfig {
+            fault_rate: 1.0,
+            ..ChaosConfig::default()
+        };
+        let stats = Arc::new(ReplicationStats::default());
+        let proxy = ChaosProxy::start("127.0.0.1:9", config, Some(Arc::clone(&stats))).unwrap();
+        let addr = proxy.local_addr().to_string();
+        proxy.shutdown();
+        assert_eq!(stats.chaos_faults_injected.load(Ordering::Relaxed), 0);
+        // The listener went with the joined thread.
+        assert!(TcpStream::connect(&addr).is_err(), "{addr} still accepts");
+    }
 }

@@ -11,7 +11,7 @@
 //! parse the same [`RingConfig`] compute byte-identical placements — the
 //! property the `wrong_owner` protocol and the cross-process ring test
 //! (`opaq-cli`'s `tests/serve_process.rs`) rely on.  (The finalizer matters: raw FNV leaves sequential names like
-//! `tenant-0..tenant-9` clustered in one arc; see [`mix`].)
+//! `tenant-0..tenant-9` clustered in one arc; see `mix`.)
 //!
 //! Rebalance is minimal-disruption by construction: adding a group inserts
 //! only that group's virtual points, so only tenants whose hash falls in

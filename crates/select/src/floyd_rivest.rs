@@ -20,7 +20,7 @@ const INSERTION_CUTOFF: usize = 64;
 const SAMPLING_THRESHOLD: usize = 600;
 
 /// Select the element of 0-based `rank` in `data` using the Floyd–Rivest
-/// algorithm.  Partially reorders `data` (see [`crate::quickselect`] for the
+/// algorithm.  Partially reorders `data` (see [`crate::quickselect()`] for the
 /// post-condition).
 ///
 /// # Panics

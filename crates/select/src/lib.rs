@@ -13,21 +13,20 @@
 //!   Blum, Floyd, Pratt, Rivest and Tarjan (cited as `[ea72]` in the paper).
 //! * [`floyd_rivest`] — the expected `O(n)` randomized SELECT algorithm of
 //!   Floyd and Rivest (cited as `[FR75]`).
-//! * [`quickselect`] — a pragmatic randomized quickselect used as the default
-//!   strategy (small constants, in-place).
-//! * [`multiselect`] — simultaneous selection of many order statistics, the
-//!   workhorse of the sample phase.  A *rank-splitting driver* implements
-//!   the paper's recursive partitioning: each piece is split once around a
-//!   pivot drawn from a sorted 15-key sample and aimed between its middle
-//!   ranks, one branchless pass per split; keys equal to a piece's known
-//!   lower bound are stripped in one pass, which ends constant and
-//!   few-valued runs; and a split that leaves a side too lopsided hands that
-//!   side's next step to one exact [`SelectionStrategy::select`].  Slices of
-//!   at least [`SPLITTER_TREE_MIN_LEN`] keys with at least eight ranks are
+//! * [`quickselect`](mod@quickselect) — randomized quickselect over the
+//!   scalar partition, and a branchless variant over the block kernel.
+//! * [`multiselect`](mod@multiselect) — simultaneous selection of many order
+//!   statistics, the workhorse of the sample phase.  It is the paper's
+//!   recursive partitioning: each piece takes one exact
+//!   [`SelectionStrategy::select`] of its middle rank and recurses on the
+//!   ranks to either side, so depth is `⌈log₂(s+1)⌉`.  A selected key that
+//!   equals a bound the piece inherited ends that piece's whole band of equal
+//!   keys in one pass, which ends constant and few-valued runs.  Slices of
+//!   at least [`SPLITTER_TREE_MIN_LEN`] keys with at least 32 ranks are
 //!   first *classified*: 255 splitters from a sorted oversample form an
 //!   implicit search tree, each key's bucket goes into a one-byte oracle (the
 //!   only run-sized scratch: one byte per key), the oracle drives an in-place
-//!   permutation into value-ordered buckets, and the driver then runs only
+//!   permutation into value-ordered buckets, and the recursion then runs only
 //!   inside each bucket on the ranks that fall in it.  Runs with too few
 //!   distinct splitters (constant or few-valued data) skip the buckets.
 //! * [`partition`] — three-way partitioning primitives shared by the
@@ -39,9 +38,10 @@
 //! All algorithms operate in place on `&mut [T]` where `T: Ord`, never
 //! allocate proportionally to the input (apart from recursion bookkeeping
 //! and the multi-selection oracle above), and are exact: they place the
-//! requested order statistic at its index and return a reference to it.  Because selection is exact, **every strategy
-//! returns the same values** — the choice only affects constant factors, so
-//! OPAQ sketches are bit-identical across strategies and kernels.
+//! requested order statistic at its index and return a reference to it.
+//! Because selection is exact, **every strategy returns the same values** —
+//! the choice only affects constant factors, so OPAQ sketches are
+//! bit-identical across strategies and kernels.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -59,22 +59,21 @@ pub use multiselect::{
 };
 pub use quickselect::{quickselect, quickselect_block};
 
-/// The exact single-rank selector behind the multi-selection driver's guard,
-/// and the strategy the OPAQ sample phase is configured with.
-///
-/// The driver splits rank sets with sampled one-pass partitions of its own.
-/// Where a split leaves a side too lopsided, that side's next step is one
-/// exact selection of its middle rank with this strategy, which is what
-/// bounds the driver's depth whatever its samples hold.
+/// The exact single-rank selector that multi-selection makes every rank
+/// split with, and the strategy the OPAQ sample phase is configured with.
 ///
 /// All strategies are exact, so they select identical values; they differ
 /// only in constant factors and worst-case guarantees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SelectionStrategy {
-    /// Branchless quickselect: deterministic ninther pivot sampling over the
-    /// BlockQuicksort three-way partition kernel (default — the fastest
-    /// kernel on random data, and RNG-free).
+    /// The standard library's `select_nth_unstable`: introselect (Musser,
+    /// 1997) with a median-of-medians fallback, so deterministic and
+    /// worst-case linear (default — RNG-free, and the fastest strategy in
+    /// `BENCH_select.json` on every row but constant runs).
     #[default]
+    Introselect,
+    /// Branchless quickselect: deterministic ninther pivot sampling over the
+    /// BlockQuicksort three-way partition kernel.
     BlockQuickselect,
     /// Randomized quickselect with median-of-three pivoting over the scalar
     /// Dutch-national-flag partition (the paper notes the randomized
@@ -90,7 +89,8 @@ pub enum SelectionStrategy {
 
 impl SelectionStrategy {
     /// Every strategy, in a fixed order (test and benchmark helper).
-    pub const ALL: [SelectionStrategy; 4] = [
+    pub const ALL: [SelectionStrategy; 5] = [
+        SelectionStrategy::Introselect,
         SelectionStrategy::BlockQuickselect,
         SelectionStrategy::Quickselect,
         SelectionStrategy::MedianOfMedians,
@@ -110,6 +110,7 @@ impl SelectionStrategy {
             data.len()
         );
         match self {
+            SelectionStrategy::Introselect => data.select_nth_unstable(rank).1,
             SelectionStrategy::BlockQuickselect => quickselect_block(data, rank),
             SelectionStrategy::Quickselect => quickselect(data, rank),
             SelectionStrategy::MedianOfMedians => median_of_medians_select(data, rank),
@@ -161,10 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn default_strategy_is_block_quickselect() {
-        assert_eq!(
-            SelectionStrategy::default(),
-            SelectionStrategy::BlockQuickselect
-        );
+    fn default_strategy_is_introselect() {
+        assert_eq!(SelectionStrategy::default(), SelectionStrategy::Introselect);
     }
 }

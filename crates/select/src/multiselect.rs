@@ -10,35 +10,30 @@
 //! supporting arbitrary rank sets (the quantile-phase unit tests use
 //! irregular rank sets too).
 //!
-//! A split only needs a pivot that falls *between* ranks, not the exact
-//! order statistic of one of them, so one partition pass is enough.  That is
-//! the sampling idea of Floyd and Rivest (CACM 1975) applied to a rank set.
-//! The *rank-splitting driver* does this for every piece:
+//! Each piece takes one exact [`SelectionStrategy::select`] of its middle
+//! rank, which leaves `<=` keys on the left and `>=` keys on the right; the
+//! ranks to either side recurse into their part.  So the depth is
+//! `⌈log₂(s+1)⌉`, and with a worst-case linear strategy (the default,
+//! [`SelectionStrategy::Introselect`]) the bound is `O(m log s)` with no
+//! guard.  Every piece also carries the inclusive floor and ceiling its
+//! splits gave it:
 //!
-//! * **Pivot.**  An evenly spaced sample of 15 keys is insertion-sorted, and
-//!   the sample key at the fraction of the piece where the split aims (the
-//!   midpoint of the two middle ranks, or a lone rank) is the pivot.
-//! * **One pass.**  Keys below the pivot move to the front in one branchless
-//!   block pass; the pivot is parked right after them, where it is its own
-//!   order statistic; the ranks split three ways and both sides recurse.
-//! * **Duplicates.**  When the pivot equals the piece's known lower bound
-//!   (the pivot of the split that made the piece), the keys equal to it are
-//!   the piece's minimum: one pass moves them to the front and settles every
-//!   rank among them.  Constant and few-valued pieces end this way.
-//! * **Guard.**  When a split leaves more than 7/8 of a piece on a side that
-//!   holds more than half of its ranks, that side's next step is one exact
-//!   [`SelectionStrategy::select`] of its middle rank.  Depth stays
-//!   `O(log m)` whatever the samples hold.
+//! * **Floor.**  When the selected key equals the floor, every key left of it
+//!   equals it too: one `==` pass gathers its copies on the right and settles
+//!   every rank in that band.
+//! * **Ceiling.**  The mirror image: one `<` pass settles the band of keys
+//!   equal to the ceiling.
+//! * A piece whose floor equals its ceiling is constant, so already done.
 //!
-//! Pieces of at most 32 keys are sorted outright.
+//! Constant and few-valued pieces end in a constant number of selections.
 //!
-//! Taken alone, the driver still makes about `log₂ s` passes over the whole
-//! run, and a 1M-key run does not fit in cache, so every level pays a full
-//! trip to memory.  Large rank sets on large slices therefore first take a
-//! *splitter-tree* step that replaces the top levels with one classification
-//! pass, after the classifier of Super Scalar Sample Sort (Sanders & Winkel,
-//! ESA 2004) and the in-place distribution of IPS⁴o (Axtmann et al.,
-//! ESA 2017):
+//! Taken alone, the recursion still makes about `log₂ s` passes over the
+//! whole run, and a 1M-key run does not fit in cache, so every level pays a
+//! full trip to memory.  Large rank sets on large slices therefore first take
+//! a *splitter-tree* step that replaces the top levels with one
+//! classification pass, after the classifier of Super Scalar Sample Sort
+//! (Sanders & Winkel, ESA 2004) and the in-place distribution of IPS⁴o
+//! (Axtmann et al., ESA 2017):
 //!
 //! 1. **Classify.**  An evenly spaced oversample of `16 × 256` keys is sorted
 //!    and every 16th key becomes one of 255 splitters, laid out as an
@@ -48,9 +43,10 @@
 //!    `(splitter[i-1], splitter[i]]`, so buckets are ordered by value.
 //! 2. **Permute.**  The oracle drives an American-flag cycle walk that moves
 //!    every key into its bucket in place — no second run-sized buffer.
-//! 3. **Split inside buckets.**  The rank-splitting driver runs inside each
-//!    bucket on the ranks that fall in it: a few ranks over a few thousand
-//!    cache-resident keys, so a handful of one-pass splits.
+//! 3. **Select inside buckets.**  The recursion runs inside each bucket on
+//!    the ranks that fall in it: a few ranks over a few thousand
+//!    cache-resident keys.  Bucket `i`'s ceiling is `splitter[i]`, so a
+//!    bucket that holds one heavy key ends in one selection and one pass.
 //!
 //! The only scratch is the oracle (one byte per key) and the oversample.
 //! Either way every requested rank holds its exact order statistic, with
@@ -58,12 +54,12 @@
 //! every OPAQ sketch built from them, do not depend on which path ran.
 //!
 //! Slices shorter than [`SPLITTER_TREE_MIN_LEN`] and rank sets of fewer than
-//! eight ranks go to the driver directly, which is cheaper there.  So do
+//! 32 ranks go to the recursion directly, which is cheaper there.  So do
 //! runs whose oversample yields fewer than 32 distinct splitters (constant
 //! or few-valued data): their keys would collapse into a handful of buckets,
-//! while the driver's duplicate rule ends them in a few passes.
+//! while the floor and ceiling rules end them in a few passes.
 
-use crate::partition::{block_partition_by, insertion_sort};
+use crate::partition::block_partition_by;
 use crate::SelectionStrategy;
 
 /// Return the 0-based ranks of the `s` regular samples of a run of length `m`:
@@ -124,7 +120,7 @@ pub fn multiselect_with<T: Ord + Copy>(
 /// When `ranks` is already strictly increasing (as produced by
 /// [`regular_sample_ranks`]) no rank copy is made; unsorted rank sets fall
 /// back to one scratch copy for sorting.  Slices of at least
-/// [`SPLITTER_TREE_MIN_LEN`] keys with eight or more ranks also allocate the
+/// [`SPLITTER_TREE_MIN_LEN`] keys with 32 or more ranks also allocate the
 /// splitter tree's scratch (one byte per key plus a 4096-key oversample),
 /// freed before the call returns; smaller calls allocate nothing beyond what
 /// `out` already owns.
@@ -168,14 +164,17 @@ fn check_bounds(sorted_ranks: &[usize], len: usize) {
 
 /// Slices shorter than this skip the splitter tree.  The splitter
 /// tree's 4096-key oversample and 256 buckets pay off only on slices many
-/// times their size.  With one rank per 1000 keys, classify-and-permute
-/// followed by the driver measured about 1.5× faster than the driver alone
-/// at this floor; with 8 ranks the two tied.
-pub const SPLITTER_TREE_MIN_LEN: usize = 1 << 16;
+/// times their size.  At this floor, with one rank per 1000 keys, the tree
+/// and the recursion alone measured even; from 48k keys the tree won by
+/// about 1.25×, and with one rank per 20 keys it won by 1.2–1.3× at every
+/// length from 16k keys up.
+pub const SPLITTER_TREE_MIN_LEN: usize = 1 << 15;
 
 /// Rank sets smaller than this skip the splitter tree: with few ranks the
-/// driver makes only a few passes, which beat classify-and-permute.
-const SPLITTER_TREE_MIN_RANKS: usize = 8;
+/// recursion makes only a few passes, which beat classify-and-permute.  With
+/// 8 ranks the recursion alone measured about 1.4× faster at every length up
+/// to 1M keys, with 16 about 1.1×; with 32 the two were even.
+const SPLITTER_TREE_MIN_RANKS: usize = 32;
 
 /// Depth of the splitter tree; it has `BUCKETS - 1` splitters.
 const LOG_BUCKETS: usize = 8;
@@ -192,40 +191,40 @@ const MIN_DISTINCT_SPLITTERS: usize = BUCKETS / 8;
 const UNROLL: usize = 8;
 
 /// Place every rank of `ranks` (sorted, unique, in bounds): the splitter
-/// tree first where it pays, then the rank-splitting driver.
+/// tree first where it pays, then exact middle-rank recursion.
 fn select_sorted<T: Ord + Copy>(data: &mut [T], ranks: &[usize], strategy: SelectionStrategy) {
-    if data.len() < SPLITTER_TREE_MIN_LEN || ranks.len() < SPLITTER_TREE_MIN_RANKS {
-        split_ranks(data, 0, ranks, None, false, strategy);
-        return;
-    }
-    let Some(tree) = splitter_tree(data) else {
-        split_ranks(data, 0, ranks, None, false, strategy);
+    let splitters = if data.len() < SPLITTER_TREE_MIN_LEN || ranks.len() < SPLITTER_TREE_MIN_RANKS {
+        None
+    } else {
+        splitters(data)
+    };
+    let Some(splitters) = splitters else {
+        split_ranks(data, 0, ranks, None, None, strategy);
         return;
     };
     let mut oracle = vec![0u8; data.len() + 1];
-    let bounds = classify(data, &tree, &mut oracle[..data.len()]);
+    let bounds = classify(data, &splitter_tree(&splitters), &mut oracle[..data.len()]);
     permute(data, &oracle, &bounds);
     drop(oracle);
 
     // Buckets are value-ordered, so each rank is solved inside its bucket.
+    // Bucket `b`'s largest possible key is `splitters[b]`: a bucket full of
+    // one heavy key ends after one exact selection and one pass.
     let mut first = 0;
     for b in 0..BUCKETS {
         let (lo, hi) = (bounds[b], bounds[b + 1]);
         let last = first + ranks[first..].partition_point(|&r| r < hi);
         let bucket = &mut data[lo..hi];
-        split_ranks(bucket, lo, &ranks[first..last], None, false, strategy);
+        let ceil = splitters.get(b).copied();
+        split_ranks(bucket, lo, &ranks[first..last], None, ceil, strategy);
         first = last;
     }
 }
 
-/// Build the splitter tree from an evenly spaced, sorted oversample of
-/// `data`, or `None` when it has fewer than [`MIN_DISTINCT_SPLITTERS`]
-/// distinct splitters.
-///
-/// The tree is implicit (Eytzinger order): node `i` has children `2i` and
-/// `2i + 1`, the root is node 1 and node 0 is unused.  An in-order walk
-/// yields the splitters in ascending order.
-fn splitter_tree<T: Ord + Copy>(data: &[T]) -> Option<[T; BUCKETS]> {
+/// The `BUCKETS - 1` splitters, ascending: every [`OVERSAMPLE`]th key of an
+/// evenly spaced, sorted oversample of `data`.  `None` when fewer than
+/// [`MIN_DISTINCT_SPLITTERS`] of them are distinct.
+fn splitters<T: Ord + Copy>(data: &[T]) -> Option<Vec<T>> {
     let samples = OVERSAMPLE * BUCKETS;
     let stride = data.len() / samples;
     debug_assert!(stride > 0, "slice below the splitter-tree floor");
@@ -235,12 +234,16 @@ fn splitter_tree<T: Ord + Copy>(data: &[T]) -> Option<[T; BUCKETS]> {
     sample.sort_unstable();
     let splitters: Vec<T> = (1..BUCKETS).map(|b| sample[b * OVERSAMPLE]).collect();
     let distinct = 1 + splitters.windows(2).filter(|w| w[0] < w[1]).count();
-    if distinct < MIN_DISTINCT_SPLITTERS {
-        return None;
-    }
+    (distinct >= MIN_DISTINCT_SPLITTERS).then_some(splitters)
+}
+
+/// Lay the sorted `splitters` out as an implicit (Eytzinger) search tree:
+/// node `i` has children `2i` and `2i + 1`, the root is node 1 and node 0 is
+/// unused.  An in-order walk yields the splitters in ascending order.
+fn splitter_tree<T: Copy>(splitters: &[T]) -> [T; BUCKETS] {
     let mut tree = [splitters[0]; BUCKETS];
-    fill_tree(&mut tree, 1, &splitters);
-    Some(tree)
+    fill_tree(&mut tree, 1, splitters);
+    tree
 }
 
 /// Lay the sorted `splitters` out under node `node` in Eytzinger order.
@@ -347,122 +350,62 @@ fn permute<T: Copy>(data: &mut [T], oracle: &[u8], bounds: &[usize; BUCKETS + 1]
     }
 }
 
-/// Keys in the evenly spaced sample that picks each split's pivot.
-const PIVOT_SAMPLE: usize = 15;
-
-/// Pieces this short are sorted outright.
-const SORT_CUTOFF: usize = 32;
-
 #[cfg(test)]
 thread_local! {
-    /// Exact selections the guard made on this thread.
-    static GUARD_SELECTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Exact selections [`split_ranks`] made on this thread.
+    static SELECTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// The rank-splitting driver: place every rank of `ranks` inside `data`.
+/// Exact middle-rank recursion: place every rank of `ranks` inside `data`.
 ///
 /// `offset` is the absolute index of `data[0]` in the original slice;
 /// `ranks` are absolute, sorted, and all fall inside
-/// `[offset, offset + data.len())`.  `floor`, when known, is a key no
-/// greater than any key of the piece: the pivot of the split that made it.
-/// `guarded` asks for one exact selection in place of a sampled split.
-/// Borrows sub-slices of both `data` and `ranks` — no allocation.
+/// `[offset, offset + data.len())`.  `floor` and `ceil`, when known, are
+/// inclusive bounds on every key of the piece: the values of the splits that
+/// made it, or a splitter-tree bucket's upper splitter.  Borrows sub-slices
+/// of both `data` and `ranks` — no allocation.
 fn split_ranks<T: Ord + Copy>(
     data: &mut [T],
     offset: usize,
     ranks: &[usize],
     floor: Option<T>,
-    guarded: bool,
+    ceil: Option<T>,
     strategy: SelectionStrategy,
 ) {
-    if ranks.is_empty() {
+    if ranks.is_empty() || (floor.is_some() && floor == ceil) {
         return;
     }
-    let len = data.len();
-    if len <= SORT_CUTOFF {
-        insertion_sort(data);
-        return;
-    }
-    // The pivot aims between the two middle ranks, or at a lone rank.
     let mid = ranks.len() / 2;
-    let target = match mid {
-        0 => ranks[0],
-        _ => ranks[mid - 1] + (ranks[mid] - ranks[mid - 1]) / 2,
-    };
-    let sampled = sample_pivot(data, target - offset);
-    let pivot = data[sampled];
+    let at = ranks[mid] - offset;
+    #[cfg(test)]
+    SELECTS.with(|count| count.set(count.get() + 1));
+    let pivot = *strategy.select(data, at);
     if floor == Some(pivot) {
-        // No key is below the pivot, so the keys equal to it are the
-        // piece's minimum.  Moving them to the front settles every rank
-        // among them; this is what ends constant and few-valued pieces.
-        let eq = block_partition_by(data, |key| *key == pivot);
+        // Every key left of `at` equals the pivot, the piece's minimum.
+        // Gathering its copies on the right behind them settles every rank
+        // in the band; this is what ends constant and few-valued pieces.
+        let eq = at + 1 + block_partition_by(&mut data[at + 1..], |key| *key == pivot);
         let first = ranks.partition_point(|&r| r < offset + eq);
         let (rest, rest_ranks) = (&mut data[eq..], &ranks[first..]);
-        let guarded = lopsided(len, ranks.len(), rest.len(), rest_ranks.len());
-        split_ranks(rest, offset + eq, rest_ranks, floor, guarded, strategy);
+        split_ranks(rest, offset + eq, rest_ranks, floor, ceil, strategy);
         return;
     }
-    let (at, pivot) = if guarded {
-        #[cfg(test)]
-        GUARD_SELECTS.with(|count| count.set(count.get() + 1));
-        let rel = ranks[mid] - offset;
-        let _ = strategy.select(data, rel);
-        (rel, data[rel])
-    } else {
-        // One pass: keys below the pivot to the front, then the pivot
-        // parked right after them, where it is its own order statistic.
-        data.swap(sampled, len - 1);
-        let lt = block_partition_by(&mut data[..len - 1], |key| *key < pivot);
-        data.swap(lt, len - 1);
-        (lt, pivot)
-    };
-    // `<=` left of `at` and `>=` right of it, so the ranks split three ways.
-    let split = offset + at;
-    let lo = ranks.partition_point(|&r| r < split);
-    let hi = lo + usize::from(ranks.get(lo) == Some(&split));
-    let (left, right) = data.split_at_mut(at);
-    let right = &mut right[1..];
-    let (left_ranks, right_ranks) = (&ranks[..lo], &ranks[hi..]);
-    let guard_left = lopsided(len, ranks.len(), left.len(), left_ranks.len());
-    let guard_right = lopsided(len, ranks.len(), right.len(), right_ranks.len());
-    split_ranks(left, offset, left_ranks, floor, guard_left, strategy);
-    let floor = Some(pivot);
-    split_ranks(right, split + 1, right_ranks, floor, guard_right, strategy);
-}
-
-/// Whether a split left more than 7/8 of a piece on a side that holds more
-/// than half of its ranks.  That side's next step is an exact selection of
-/// its middle rank, which halves its ranks for sure, so every second step
-/// down any path shrinks the piece by 7/8 or halves its ranks: depth stays
-/// `O(log m)` whatever the samples hold.
-fn lopsided(len: usize, ranks: usize, side_len: usize, side_ranks: usize) -> bool {
-    side_len * 8 > len * 7 && side_ranks * 2 > ranks
-}
-
-/// Sort an evenly spaced sample of [`PIVOT_SAMPLE`] keys of `data` in place
-/// and return the index of the one to split at, for a split aimed at
-/// position `target`.
-///
-/// Sample key `k` lands near rank `(k + 1)·len / 16`.  The pick counts from
-/// whichever end `target` is nearer and takes the key one slot past
-/// `target`'s fraction, toward the middle.  So a lone rank most likely
-/// falls on the smaller side, and a split between two middle ranks leans
-/// toward halving the piece.
-fn sample_pivot<T: Ord>(data: &mut [T], target: usize) -> usize {
-    let len = data.len();
-    let stride = len / PIVOT_SAMPLE;
-    let slot = |k: usize| k * stride + stride / 2;
-    for i in 1..PIVOT_SAMPLE {
-        let mut j = i;
-        while j > 0 && data[slot(j - 1)] > data[slot(j)] {
-            data.swap(slot(j - 1), slot(j));
-            j -= 1;
-        }
+    if ceil == Some(pivot) {
+        // The mirror image: every key right of `at` is the piece's maximum,
+        // so moving the keys below it to the front settles the band.
+        let lt = block_partition_by(&mut data[..at], |key| *key < pivot);
+        let last = ranks.partition_point(|&r| r < offset + lt);
+        let (rest, rest_ranks) = (&mut data[..lt], &ranks[..last]);
+        split_ranks(rest, offset, rest_ranks, floor, ceil, strategy);
+        return;
     }
-    let low_half = target < len / 2;
-    let from_end = if low_half { target } else { len - 1 - target };
-    let k = from_end * (PIVOT_SAMPLE + 1) / len + 1;
-    slot(if low_half { k } else { PIVOT_SAMPLE - 1 - k })
+    // `<=` left of `at` and `>=` right of it, so the ranks split three ways.
+    let (left, right) = data.split_at_mut(at);
+    let (left_ranks, right_ranks) = (&ranks[..mid], &ranks[mid + 1..]);
+    let pivot = Some(pivot);
+    split_ranks(left, offset, left_ranks, floor, pivot, strategy);
+    let right = &mut right[1..];
+    split_ranks(right, offset + at + 1, right_ranks, pivot, ceil, strategy);
 }
 
 #[cfg(test)]
@@ -562,13 +505,13 @@ mod tests {
     fn splitter_tree_collapses_on_few_valued_runs() {
         let len = SPLITTER_TREE_MIN_LEN;
         let constant = vec![9_u64; len];
-        assert!(splitter_tree(&constant).is_none());
+        assert!(splitters(&constant).is_none());
         let few: Vec<u64> = (0..len as u64).map(|i| (i * 2654435761) % 3).collect();
-        assert!(splitter_tree(&few).is_none());
+        assert!(splitters(&few).is_none());
         let uniform: Vec<u64> = (0..len as u64)
             .map(|i| (i * 2654435761) % 1_000_003)
             .collect();
-        assert!(splitter_tree(&uniform).is_some());
+        assert!(splitters(&uniform).is_some());
     }
 
     #[test]
@@ -577,7 +520,7 @@ mod tests {
         let mut data: Vec<u64> = (0..len as u64).map(|i| (i * 2654435761) % 50_021).collect();
         let mut expected = data.clone();
         expected.sort_unstable();
-        let tree = splitter_tree(&data).expect("enough distinct splitters");
+        let tree = splitter_tree(&splitters(&data).expect("enough distinct splitters"));
         let mut oracle = vec![0u8; len + 1];
         let bounds = classify(&data, &tree, &mut oracle[..len]);
         for (key, &bucket) in data.iter().zip(&oracle) {
@@ -595,40 +538,52 @@ mod tests {
         assert_eq!(data, expected, "permute must only move keys");
     }
 
-    fn guard_selects() -> usize {
-        GUARD_SELECTS.with(std::cell::Cell::get)
-    }
-
-    #[test]
-    fn guard_takes_over_when_the_sample_holds_the_extremes() {
-        // The 15 largest keys sit exactly where the driver samples, so its
-        // first pivot is one of them and the split leaves all but a few
-        // keys on the side with the ranks.
-        let len = 10_000;
-        let stride = len / PIVOT_SAMPLE;
-        let mut data: Vec<u64> = (0..len as u64).collect();
-        for k in 0..PIVOT_SAMPLE {
-            data.swap(k * stride + stride / 2, len - 1 - k);
-        }
-        let ranks = regular_sample_ranks(len, 4);
-        let before = guard_selects();
-        let picked = multiselect(&mut data, &ranks);
-        assert!(guard_selects() > before, "the guard never engaged");
-        let expected: Vec<u64> = ranks.iter().map(|&r| r as u64).collect();
+    /// Exact selections [`split_ranks`] makes for `data` and `ranks`, which
+    /// it must also get right.
+    fn selects_for(mut data: Vec<u32>, ranks: &[usize]) -> usize {
+        let mut sorted = data.clone();
+        sorted.sort_unstable();
+        let before = SELECTS.with(std::cell::Cell::get);
+        let picked = multiselect(&mut data, ranks);
+        let selects = SELECTS.with(std::cell::Cell::get) - before;
+        let expected: Vec<u32> = ranks.iter().map(|&r| sorted[r]).collect();
         assert_eq!(picked, expected);
-        data.sort_unstable();
-        assert!(data.iter().copied().eq(0..len as u64));
+        selects
     }
 
     #[test]
-    fn constant_runs_end_without_the_guard() {
-        // The first split leaves everything but the pivot on one side; the
-        // next pivot equals that piece's lower bound, so one pass ends it.
-        let mut data = vec![7_u32; 50_000];
+    fn distinct_keys_take_one_select_per_rank() {
+        // A permutation of 0..50,000: no selected key can meet a bound.
+        let data: Vec<u32> = (0..50_000).map(|i| (i * 7919) % 50_000).collect();
         let ranks = regular_sample_ranks(data.len(), 500);
-        let before = guard_selects();
-        assert!(multiselect(&mut data, &ranks).iter().all(|&v| v == 7));
-        assert_eq!(guard_selects(), before);
+        assert_eq!(selects_for(data, &ranks), ranks.len());
+    }
+
+    #[test]
+    fn constant_runs_end_in_three_selects() {
+        // The first selection splits the ranks in two.  Each side's next
+        // selection meets the ceiling (left) or the floor (right) it
+        // inherited, and one pass settles every rank on that side.
+        let ranks = regular_sample_ranks(50_000, 500);
+        assert_eq!(selects_for(vec![7; 50_000], &ranks), 3);
+    }
+
+    #[test]
+    fn few_valued_runs_end_in_a_constant_number_of_selects() {
+        // Each distinct value costs a bounded number of selections whatever
+        // the number of ranks: 50 to 5,000 ranks over three values take the
+        // same handful.
+        let three: Vec<u32> = (0..50_000_u64)
+            .map(|i| (i * 2654435761 % 3) as u32)
+            .collect();
+        let selects: Vec<usize> = [50, 500, 5_000]
+            .iter()
+            .map(|&s| selects_for(three.clone(), &regular_sample_ranks(three.len(), s)))
+            .collect();
+        assert!(
+            selects.iter().all(|&n| n == selects[0] && n <= 12),
+            "{selects:?}"
+        );
     }
 
     proptest! {

@@ -1,16 +1,17 @@
 //! Property tests for multi-selection.  At or above [`SPLITTER_TREE_MIN_LEN`]
 //! `multiselect` classifies the keys into value-ordered buckets, permutes
-//! them in place and runs the rank-splitting driver inside each bucket;
-//! below it, the driver runs on the whole slice.
+//! them in place and runs exact middle-rank recursion inside each bucket;
+//! below it, the recursion runs on the whole slice.
 //!
-//! Every shape runs with regular and irregular rank sets under all four
-//! strategies, and every result is checked against a full sort: the selected
-//! values, the partition around every requested rank, and that the slice is
-//! still a permutation of its input.  The all-equal, two-valued and few-valued
-//! shapes have too few distinct splitters for the buckets to help, so they
-//! exercise the driver's duplicate rule on whole runs.  The two sample-*
-//! shapes put the slice's extreme keys where the driver samples its first
-//! pivot, which drives its guard.
+//! Every shape runs with regular and irregular rank sets under every
+//! strategy in [`SelectionStrategy::ALL`], and every result is checked
+//! against a full sort: the selected values, the partition around every
+//! requested rank, and that the slice is still a permutation of its input.
+//! The all-equal, two-valued and few-valued shapes have too few distinct
+//! splitters for the buckets to help, so they exercise the recursion's floor
+//! and ceiling rules on whole runs.  The two sample-* shapes put the slice's
+//! extreme keys at evenly spaced positions, where sampling pivot choosers
+//! look.
 
 use opaq_select::{
     multiselect_with, regular_sample_ranks, SelectionStrategy, SPLITTER_TREE_MIN_LEN,
@@ -50,15 +51,15 @@ fn shapes(seed: u64, len: usize, domain: u64) -> Vec<(&'static str, Vec<u64>)> {
     ]
 }
 
-/// Move the last 15 keys of `keys` to the 15 evenly spaced positions the
-/// rank-splitting driver samples for its first pivot.  On sorted keys that
-/// puts the largest keys there, on reverse-sorted keys the smallest.
+/// Move the last 15 keys of `keys` to 15 evenly spaced positions.  On sorted
+/// keys that puts the largest keys there, on reverse-sorted keys the
+/// smallest.
 fn sample_extremes(mut keys: Vec<u64>) -> Vec<u64> {
-    const PIVOT_SAMPLE: usize = 15;
+    const SPOTS: usize = 15;
     let len = keys.len();
-    let stride = len / PIVOT_SAMPLE;
+    let stride = len / SPOTS;
     if stride > 1 {
-        for k in 0..PIVOT_SAMPLE {
+        for k in 0..SPOTS {
             keys.swap(k * stride + stride / 2, len - 1 - k);
         }
     }
@@ -127,7 +128,7 @@ fn check(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Slices below the floor, where the driver runs alone: regular and
+    /// Slices below the floor, where the recursion runs alone: regular and
     /// irregular rank sets of up to a few hundred ranks.
     #[test]
     fn ranks_match_sort_below_the_floor(

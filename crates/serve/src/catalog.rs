@@ -456,7 +456,7 @@ impl SketchCatalog {
     /// Create a catalog.  With [`CatalogConfig::data_dir`] set, an existing
     /// manifest is replayed (truncating any torn tail a crash left) and the
     /// catalog rebuilds its exact entries, versions and TTLs; every restored
-    /// entry starts memory-cold ([`Slot::Spilled`]) and reloads on first
+    /// entry starts memory-cold (spilled to disk) and reloads on first
     /// access.  Restored TTLs are measured from recovery time — the
     /// original publish instant does not survive a restart, so an entry is
     /// never *born* stale.  Orphaned sketch files (on disk but absent from

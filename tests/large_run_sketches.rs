@@ -11,8 +11,10 @@
 //! keys (uniform, Zipf 0.86), keys left in place or all moved (sorted,
 //! reverse), a heavy Zipf skew whose splitters repeat, so some buckets stay
 //! empty and the heaviest key's bucket is oversized, and few-valued and
-//! constant runs, too few distinct splitters for the tree, which the
-//! rank-splitting driver ends by its duplicate rule.
+//! constant runs, too few distinct splitters for the tree, which exact
+//! middle-rank recursion ends by its floor and ceiling rules.  Every
+//! strategy in `SelectionStrategy::ALL` runs, the default introselect
+//! included.
 
 use opaq::core::{RunSample, RunSampler};
 use opaq::datagen::{DatasetSpec, Distribution};
@@ -141,8 +143,8 @@ fn run_sampler_keeps_the_run_minimum_exact() {
     for spec in datasets() {
         let data = spec.generate();
         let mut sampler = RunSampler::new(S, SelectionStrategy::default()).unwrap();
-        // The last run is shorter than the floor and goes straight to the
-        // rank-splitting driver.
+        // The last run is shorter than the floor and goes straight to exact
+        // middle-rank recursion.
         for run in data.chunks(M as usize).chain([&data[..5_000]]) {
             let mut work = run.to_vec();
             let sample = sampler.sample(&mut work).unwrap();
