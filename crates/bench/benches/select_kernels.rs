@@ -22,8 +22,8 @@
 //!    at nearly the same size wherever `SPLITTER_TREE_MIN_LEN` falls between
 //!    them.
 //! 7. **End-to-end `sample_run`** — the seed path (fresh buffer per run +
-//!    scalar kernel) vs. the hot path (recycled buffer + `RunSampler` rank
-//!    cache) under the block kernel and the default strategy.
+//!    scalar quickselect) vs. the default strategy with the hot path's
+//!    recycled buffer and `RunSampler` rank cache, and without the buffer.
 //!
 //! The kernel and multi-selection groups refill one reused buffer with the
 //! input before every timed iteration, so the copy is timed but no
@@ -211,10 +211,10 @@ fn bench_sample_run_pipeline(c: &mut Criterion) {
     {
         let mut seed_buf = data.clone();
         let seed = sample_run(&mut seed_buf, s, SelectionStrategy::Quickselect).unwrap();
-        let mut sampler = RunSampler::new(s, SelectionStrategy::BlockQuickselect).unwrap();
+        let mut sampler = RunSampler::new(s, SelectionStrategy::default()).unwrap();
         let mut reuse_buf = data.clone();
-        let block = sampler.sample(&mut reuse_buf).unwrap();
-        assert_eq!(seed, block, "hot path diverged from the seed path");
+        let hot = sampler.sample(&mut reuse_buf).unwrap();
+        assert_eq!(seed, hot, "hot path diverged from the seed path");
     }
 
     let mut group = c.benchmark_group(format!("sample_run_{n}_s{s}"));
@@ -229,19 +229,9 @@ fn bench_sample_run_pipeline(c: &mut Criterion) {
         })
     });
 
-    // Hot path: one recycled buffer refilled in place (what `read_run_into`
-    // does), block kernel, rank table cached across runs.
-    group.bench_function("block_buffer_reuse", |b| {
-        let mut sampler = RunSampler::new(s, SelectionStrategy::BlockQuickselect).unwrap();
-        let mut run_buf: Vec<u64> = Vec::with_capacity(n);
-        b.iter(|| {
-            run_buf.clear();
-            run_buf.extend_from_slice(&data);
-            black_box(sampler.sample(&mut run_buf).unwrap())
-        })
-    });
-
-    // The hot path under the default strategy, which the sample phase runs.
+    // Hot path under the default strategy, which the sample phase runs: one
+    // recycled buffer refilled in place (what `read_run_into` does), rank
+    // table cached across runs.
     group.bench_function("default_buffer_reuse", |b| {
         let mut sampler = RunSampler::new(s, SelectionStrategy::default()).unwrap();
         let mut run_buf: Vec<u64> = Vec::with_capacity(n);
@@ -252,12 +242,12 @@ fn bench_sample_run_pipeline(c: &mut Criterion) {
         })
     });
 
-    // Ablation: block kernel but fresh allocation per run, to separate the
-    // kernel win from the allocator win.
-    group.bench_function("block_alloc", |b| {
+    // Ablation: the default strategy but a fresh allocation per run, to
+    // separate the selection win from the allocator win.
+    group.bench_function("default_alloc", |b| {
         b.iter(|| {
             let mut run = data.clone();
-            black_box(sample_run(&mut run, s, SelectionStrategy::BlockQuickselect).unwrap())
+            black_box(sample_run(&mut run, s, SelectionStrategy::default()).unwrap())
         })
     });
     group.finish();

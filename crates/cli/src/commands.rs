@@ -39,7 +39,7 @@ COMMANDS:
              write N u64 keys (little-endian) to FILE
   sketch     --data FILE --n N [--run-length M] [--sample-size S] [--out SKETCH]
              [--threads T]
-             [--strategy introselect|block|quickselect|floyd-rivest|median-of-medians]
+             [--strategy introselect|quickselect|floyd-rivest|median-of-medians]
              one pass over FILE; print dectiles and optionally save the sketch.
              --threads > 1 shards the ingest over T worker threads; selection
              is exact, so the sketch is bit-identical for every thread count
@@ -249,14 +249,13 @@ fn open_store(args: &Args) -> CliResult<(FileRunStore<u64>, u64, u64)> {
 fn parse_strategy(args: &Args) -> CliResult<SelectionStrategy> {
     Ok(match args.get("strategy").unwrap_or("introselect") {
         "introselect" => SelectionStrategy::Introselect,
-        "block" => SelectionStrategy::BlockQuickselect,
         "quickselect" => SelectionStrategy::Quickselect,
         "floyd-rivest" => SelectionStrategy::FloydRivest,
         "median-of-medians" => SelectionStrategy::MedianOfMedians,
         other => {
             return Err(CliError::Usage(format!(
-                "unknown strategy '{other}' (expected introselect, block, quickselect, \
-                 floyd-rivest or median-of-medians)"
+                "unknown strategy '{other}' (expected introselect, quickselect, floyd-rivest \
+                 or median-of-medians)"
             )))
         }
     })
@@ -1486,7 +1485,6 @@ mod tests {
         // sketch file, byte for byte.
         for strategy in [
             "introselect",
-            "block",
             "quickselect",
             "floyd-rivest",
             "median-of-medians",

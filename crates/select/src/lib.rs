@@ -72,9 +72,6 @@ pub enum SelectionStrategy {
     /// `BENCH_select.json` on every row but constant runs).
     #[default]
     Introselect,
-    /// Branchless quickselect: deterministic ninther pivot sampling over the
-    /// BlockQuicksort three-way partition kernel.
-    BlockQuickselect,
     /// Randomized quickselect with median-of-three pivoting over the scalar
     /// Dutch-national-flag partition (the paper notes the randomized
     /// selection "has small constant and is practically very efficient";
@@ -89,9 +86,8 @@ pub enum SelectionStrategy {
 
 impl SelectionStrategy {
     /// Every strategy, in a fixed order (test and benchmark helper).
-    pub const ALL: [SelectionStrategy; 5] = [
+    pub const ALL: [SelectionStrategy; 4] = [
         SelectionStrategy::Introselect,
-        SelectionStrategy::BlockQuickselect,
         SelectionStrategy::Quickselect,
         SelectionStrategy::MedianOfMedians,
         SelectionStrategy::FloydRivest,
@@ -111,7 +107,6 @@ impl SelectionStrategy {
         );
         match self {
             SelectionStrategy::Introselect => data.select_nth_unstable(rank).1,
-            SelectionStrategy::BlockQuickselect => quickselect_block(data, rank),
             SelectionStrategy::Quickselect => quickselect(data, rank),
             SelectionStrategy::MedianOfMedians => median_of_medians_select(data, rank),
             SelectionStrategy::FloydRivest => floyd_rivest_select(data, rank),

@@ -553,10 +553,40 @@ mod tests {
 
     #[test]
     fn distinct_keys_take_one_select_per_rank() {
-        // A permutation of 0..50,000: no selected key can meet a bound.
+        // A permutation of 0..50,000.  A selected key meets a bound only as
+        // its bucket's ceiling splitter, the bucket's largest key, and no
+        // other rank shares its band of one.
         let data: Vec<u32> = (0..50_000).map(|i| (i * 7919) % 50_000).collect();
         let ranks = regular_sample_ranks(data.len(), 500);
         assert_eq!(selects_for(data, &ranks), ranks.len());
+    }
+
+    #[test]
+    fn a_heavy_key_bucket_ends_in_one_select() {
+        // 40,000 distinct even keys and 20,000 copies of one odd key in
+        // their middle: enough distinct splitters for the splitter tree, and
+        // every copy of the heavy key lands in the one bucket whose ceiling
+        // splitter it is.  That bucket's first selection meets its ceiling,
+        // and one pass settles all its heavy ranks; every other rank takes
+        // one selection.  Without the ceiling the bucket would take three.
+        const HEAVY: u32 = 40_001;
+        let mut distinct = (0..40_000_u32).map(|j| 2 * ((j * 7919) % 40_000));
+        let data: Vec<u32> = (0..60_000)
+            .map(|i| {
+                if i % 3 == 2 {
+                    HEAVY
+                } else {
+                    distinct.next().unwrap()
+                }
+            })
+            .collect();
+        assert!(data.len() >= SPLITTER_TREE_MIN_LEN);
+        let ranks = regular_sample_ranks(data.len(), 600);
+        let mut sorted = data.clone();
+        sorted.sort_unstable();
+        let heavy = ranks.iter().filter(|&&r| sorted[r] == HEAVY).count();
+        assert!(heavy > 100, "{heavy} heavy ranks");
+        assert_eq!(selects_for(data, &ranks), ranks.len() - heavy + 1);
     }
 
     #[test]
