@@ -21,11 +21,8 @@ fn bench_selection(c: &mut Criterion) {
     let data = UniformGenerator::new(1, u32::MAX as u64).generate(100_000);
     let ranks = regular_sample_ranks(data.len(), 1000);
 
-    for strategy in [
-        SelectionStrategy::Quickselect,
-        SelectionStrategy::MedianOfMedians,
-        SelectionStrategy::FloydRivest,
-    ] {
+    // Every strategy, the default (what the sample phase runs) included.
+    for strategy in SelectionStrategy::ALL {
         group.bench_with_input(
             BenchmarkId::new("multiselect_1000_of_100k", format!("{strategy:?}")),
             &strategy,

@@ -1,17 +1,18 @@
 //! Query-plan microbenchmarks: what the composable pipeline costs next to
-//! the single-target engine path it subsumes.
+//! answering from a catalog snapshot by hand.
 //!
 //! Before any timing, a consistency gate re-derives the plan answers
 //! offline: the coalescing plan's output must equal fusing the same
 //! snapshots by hand with `merge_tree` and querying the fused sketch, with
 //! every tenant accounted for in the provenance; and the degenerate
-//! single-target plan must equal `QueryEngine::execute`.  A divergence
-//! fails `cargo bench` before a single measurement.
+//! single-target plan must equal `execute_on` over the entry's snapshot,
+//! version included.  A divergence fails `cargo bench` before a single
+//! measurement.
 //!
 //! Then criterion times three things: parsing plan text, the degenerate
-//! single-target plan against the engine's direct path (the api_redesign
-//! overhead question — the GET routes now go through the executor), and the
-//! glob fan-out + merge-tree coalesce at increasing tenant counts.
+//! single-target plan against a snapshot plus `execute_on` by hand (what
+//! the executor adds to a GET route's answer), and the glob fan-out +
+//! merge-tree coalesce at increasing tenant counts.
 //!
 //! Set `OPAQ_BENCH_QUICK=1` (per-PR CI smoke) to shrink the datasets; the
 //! consistency gate runs at full strength either way.
@@ -20,7 +21,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use opaq_core::{IncrementalOpaq, OpaqConfig};
 use opaq_datagen::{DatasetSpec, Distribution};
 use opaq_query::{merge_tree, PlanExecutor, QueryPlan};
-use opaq_serve::{execute_on, DatasetId, QueryEngine, QueryRequest, SketchCatalog, TenantId};
+use opaq_serve::{execute_on, DatasetId, QueryRequest, SketchCatalog, TenantId};
 use std::sync::Arc;
 
 fn quick_mode() -> bool {
@@ -87,15 +88,15 @@ fn verify_plan_consistency(tenants: usize) -> (Arc<SketchCatalog>, PlanExecutor)
     );
     assert_eq!(response.total_elements, fused.total_elements());
 
-    let engine = QueryEngine::new(Arc::clone(&catalog));
     let (tenant, dataset) = (TenantId::new("tenant-0"), DatasetId::new("events"));
     let request = QueryRequest::Quantile { phi: 0.5 };
-    let direct = engine.execute(&tenant, &dataset, &request).unwrap();
+    let snapshot = catalog.snapshot(&tenant, &dataset).unwrap();
+    let direct = execute_on(&snapshot.sketch, &request).unwrap();
     let degenerate = executor
         .execute(&QueryPlan::single(tenant, dataset, request))
         .unwrap();
-    assert_eq!(degenerate.output, direct.output);
-    assert_eq!(degenerate.sources[0].version, direct.version);
+    assert_eq!(degenerate.output, direct);
+    assert_eq!(degenerate.sources[0].version, snapshot.version);
 
     (catalog, executor)
 }
@@ -122,19 +123,17 @@ fn bench_query_plan(c: &mut Criterion) {
     }
     group.finish();
 
-    // The api_redesign overhead question: the degenerate one-target plan
-    // against the engine path the GET routes used to call directly.
-    let engine = QueryEngine::new(Arc::clone(&catalog));
+    // What the executor adds to a GET route's answer: the degenerate
+    // one-target plan against a snapshot plus `execute_on` by hand.
     let (tenant, dataset) = (TenantId::new("tenant-0"), DatasetId::new("events"));
     let request = QueryRequest::Quantile { phi: 0.5 };
     let mut group = c.benchmark_group("single_target");
-    group.bench_function("engine_execute", |b| {
+    group.bench_function("snapshot_execute_on", |b| {
         b.iter(|| {
-            black_box(
-                engine
-                    .execute(black_box(&tenant), black_box(&dataset), black_box(&request))
-                    .unwrap(),
-            )
+            let snapshot = catalog
+                .snapshot(black_box(&tenant), black_box(&dataset))
+                .unwrap();
+            black_box(execute_on(&snapshot.sketch, black_box(&request)).unwrap())
         })
     });
     let single = QueryPlan::single(tenant.clone(), dataset.clone(), request.clone());

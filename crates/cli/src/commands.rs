@@ -72,8 +72,10 @@ COMMANDS:
              against the sketch version it claims; prints per-tenant
              p50/p90/p99/p999 latencies, throughput and the torn-read count.
              --quick shrinks everything for smoke runs.
-             Topology: in-process by default.  --http serves a fleet over
-             loopback TCP instead: G ring groups (default 1) of R replicas
+             Topology: in-process by default: the server's router without
+             the socket, so each request is framed, parsed, routed, and its
+             response framed and parsed back exactly as over TCP, trace id
+             included.  --http serves a fleet over loopback TCP instead: G ring groups (default 1) of R replicas
              (default 1: the plain server) — one primary plus R-1
              peer-bootstrapped secondaries each.  A consistent-hash ring
              splits the tenants across the groups, clients route by ring

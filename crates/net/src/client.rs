@@ -344,7 +344,7 @@ impl HttpClient {
 }
 
 /// Frame one request — request line, headers, body — into `out`.
-fn encode_request(
+pub(crate) fn encode_request(
     out: &mut Vec<u8>,
     method: &str,
     target: &str,
@@ -370,7 +370,7 @@ fn encode_request(
 
 /// Read one response: its head from `recv` (filled from `r` as needed),
 /// then its body.
-fn read_response(recv: &mut RecvBuf, r: &mut impl Read) -> NetResult<ClientResponse> {
+pub(crate) fn read_response(recv: &mut RecvBuf, r: &mut impl Read) -> NetResult<ClientResponse> {
     let mut lines = recv
         .read_head(r, MAX_RESPONSE_HEAD_BYTES)
         .map_err(|e| match e {

@@ -479,8 +479,8 @@ pub struct Response {
     /// Status code (reason phrase derived from it).
     pub status: u16,
     /// Extra headers (`Content-Length`, `Content-Type` and `Connection` are
-    /// managed by the writer).
-    pub headers: Vec<(String, String)>,
+    /// managed by the writer).  Names are the server's header constants.
+    pub headers: Vec<(&'static str, String)>,
     /// Response body bytes.
     pub body: Vec<u8>,
     /// `Content-Type` of the body.
@@ -541,8 +541,8 @@ impl Response {
     }
 
     /// Add a header.
-    pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Self {
-        self.headers.push((name.to_string(), value.into()));
+    pub fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Self {
+        self.headers.push((name, value.into()));
         self
     }
 

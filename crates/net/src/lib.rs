@@ -18,10 +18,13 @@
 //!          │ parse → route → respond             request cap, read timeout,
 //!          ▼                                     idle timeout)
 //!    ┌──────────────┐   snapshot + estimate   ┌───────────────┐
-//!    │ QueryEngine  │ ───────────────────────▶│ SketchCatalog │
-//!    │ (latency     │   version + freshness   │ (TTL: expired │──▶ RefreshPool
-//!    │  histograms) │                         │  ⇒ hook fires)│    re-ingest
-//!    └──────────────┘                         └───────────────┘
+//!    │ PlanExecutor │ ───────────────────────▶│ SketchCatalog │
+//!    │ (every route │   version + freshness   │ (TTL: expired │──▶ RefreshPool
+//!    │  is a plan)  │                         │  ⇒ hook fires)│    re-ingest
+//!    └──────┬───────┘                         └───────────────┘
+//!           │ latency per tenant, SLO breaches
+//!           ▼
+//!      QueryEngine (accounting behind /metrics)
 //! ```
 //!
 //! * **Wire** ([`http`], [`json`]): strict request parsing (single
@@ -76,7 +79,8 @@
 //!   client threads × M tenants replay the standard request mix while a
 //!   refresher publishes new versions; every answer is re-rendered from the
 //!   registered sketch of its claimed version and compared
-//!   **byte-for-byte** (in-process answers go through the same renderers),
+//!   **byte-for-byte** (in-process answers are the wire bytes: that
+//!   topology runs [`server::route`] with only the socket removed),
 //!   every fifth op is a glob coalesce plan replayed against the
 //!   unpartitioned-catalog oracle, and a TTL probe can watch an expiring
 //!   tenant serve non-fresh tags until its background refresh publishes.

@@ -7,8 +7,10 @@
 //! sketch as its next version (the paper's §4 incremental formulation).
 //! The [`Topology`] picks what the clients talk to:
 //!
-//! * [`Topology::InProcess`] — the `QueryEngine` and a `PlanExecutor`,
-//!   called directly; an optional resident budget forces spill/reload churn.
+//! * [`Topology::InProcess`] — the server's router without the socket:
+//!   each request is framed and parsed as on the wire, answered by
+//!   [`route`] over the catalog, and its response framed and parsed back;
+//!   an optional resident budget forces spill/reload churn.
 //! * [`Topology::Fleet`] — `groups` replica groups on a consistent-hash
 //!   ring over loopback TCP, each a primary (catalog of record, refreshed
 //!   in process) plus `replicas - 1` secondaries bootstrapped from it over
@@ -25,12 +27,12 @@
 //! `(tenant, dataset, version, freshness)` provenance of every source), so
 //! the client re-executes the request against the registered sketch,
 //! re-renders the expected body through the server's own renderers and
-//! compares bytes.  In-process answers are rendered through the same
-//! renderers, so one verifier judges every topology.  An answer that is not
-//! exactly one complete published version — a half-swapped sketch, an
-//! invented version, a half-flushed body — counts as torn.  Fleet answers
-//! must also carry the stamped trace id and, on a 200, an `x-opaq-owner`
-//! naming the ring's owner (else *mis-owned*).
+//! compares bytes.  In-process answers are the wire bytes, so one verifier
+//! judges every topology.  An answer that is not exactly one complete
+//! published version — a half-swapped sketch, an invented version, a
+//! half-flushed body — counts as torn.  Every answer must also carry the
+//! stamped trace id, and a fleet's 200s an `x-opaq-owner` naming the ring's
+//! owner (else *mis-owned*).
 //!
 //! **Plans.**  Every fifth op is a `fetch tenant-*/events | coalesce | …`
 //! plan over every tenant (a rotating coordinator group scatters it across
@@ -54,23 +56,24 @@
 
 use crate::chaos::{ChaosConfig, ChaosCounters, ChaosProxy};
 use crate::circuit::BreakerConfig;
-use crate::client::{ClientResponse, ClientStats};
+use crate::client::{encode_request, read_response, ClientResponse, ClientStats};
+use crate::http::{read_request, RecvBuf};
 use crate::json::{write_escaped, Json};
 use crate::replica::{FailoverResponse, ReplicaConfig, ReplicationStats};
 use crate::ring::{GroupConfig, HashRing, RingConfig, RingMembership};
 use crate::routed::RoutedFleet;
 use crate::server::{
-    render_plan_response_json, render_response_json, HttpServer, ServerConfig, FRESHNESS_HEADER,
-    OWNER_HEADER, SOURCES_HEADER, TRACE_HEADER, VERSION_HEADER,
+    render_plan_response_json, render_response_json, route, HttpServer, ServerConfig, Telemetry,
+    FRESHNESS_HEADER, OWNER_HEADER, SOURCES_HEADER, TRACE_HEADER, VERSION_HEADER,
 };
 use crate::sync::{bootstrap, Replicator};
 use crate::{NetError, NetResult};
 use opaq_core::{IncrementalOpaq, OpaqConfig, QuantileSketch};
-use opaq_metrics::trace::format_nanos;
+use opaq_metrics::trace::{format_nanos, TraceSink};
 use opaq_metrics::{
     render_latency_table, LatencyHistogram, LatencySnapshot, SloOutcome, SloThresholds, TraceId,
 };
-use opaq_query::{merge_tree, PlanExecutor, PlanResponse, PlanSource, QueryPlan};
+use opaq_query::{merge_tree, PlanExecutor, PlanResponse, PlanSource};
 use opaq_serve::{
     execute_on, next_rand, request_for, CatalogConfig, CatalogStats, DatasetId, Freshness,
     QueryEngine, QueryRequest, QueryResponse, RefreshPool, SketchCatalog, TenantId,
@@ -94,7 +97,7 @@ const SYNC_POLL: Duration = Duration::from_millis(40);
 /// What the clients talk to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
-    /// The query engine and plan executor, called in process.
+    /// The server's router over one catalog, without the socket.
     InProcess,
     /// `groups` ring groups × `replicas` replicas over loopback TCP.
     Fleet {
@@ -278,7 +281,7 @@ pub struct LoadReport {
     /// 503s from a full accept queue (load protection, not corruption).
     pub sheds: u64,
     /// Ops among [`Self::ops`] that got no answer at all (a transport
-    /// failure with nothing cached, or a failed in-process call).
+    /// failure with nothing cached).
     pub unanswered: u64,
     /// Answers replayed from a degradation cache (stale but verified).
     pub degraded: u64,
@@ -950,24 +953,120 @@ fn start_on_reserved(engine: &Arc<QueryEngine>, config: &ServerConfig) -> NetRes
     Err(last.unwrap_or_else(|| NetError::InvalidConfig("bind retry exhausted".into())))
 }
 
+/// The server's routing state over one catalog — what a worker thread
+/// hands to [`route`] — shared by the in-process clients.
+struct Router {
+    engine: Arc<QueryEngine>,
+    executor: Arc<PlanExecutor>,
+    telemetry: Telemetry,
+    config: ServerConfig,
+}
+
+impl Router {
+    fn new(engine: &Arc<QueryEngine>) -> Self {
+        Self {
+            engine: Arc::clone(engine),
+            executor: Arc::new(PlanExecutor::new(Arc::clone(engine.catalog()))),
+            telemetry: Telemetry::new(),
+            config: ServerConfig::default(),
+        }
+    }
+}
+
+/// An in-process client: the HTTP path with only the socket removed.  Each
+/// request is framed by the wire client's encoder, parsed by the server's
+/// request reader, answered by [`route`], framed by the server's response
+/// writer and parsed back by the wire client's response reader, so its
+/// answers are the wire bytes, headers and trace id included.
+struct Local {
+    router: Arc<Router>,
+    /// Stamped on every request until changed, like the wire client's.
+    trace: Option<TraceId>,
+    /// The framed request, then the framed response; reused across ops.
+    bytes: Vec<u8>,
+    recv: RecvBuf,
+}
+
+impl Local {
+    fn new(router: &Arc<Router>) -> Self {
+        Self {
+            router: Arc::clone(router),
+            trace: None,
+            bytes: Vec::new(),
+            recv: RecvBuf::new(),
+        }
+    }
+
+    /// One request — a `POST` when it has a body, else a `GET` — through
+    /// the router.
+    fn round_trip(&mut self, target: &str, body: Option<&str>) -> NetResult<FailoverResponse> {
+        let method = if body.is_some() { "POST" } else { "GET" };
+        let router = &*self.router;
+        self.bytes.clear();
+        encode_request(
+            &mut self.bytes,
+            method,
+            target,
+            "in-process",
+            self.trace,
+            body,
+        );
+        let request = read_request(
+            &mut self.recv,
+            &mut self.bytes.as_slice(),
+            &router.config.limits,
+        )
+        .map_err(|e| NetError::Protocol(format!("in-process request: {e}")))?;
+        // As at the server's front door: echo the stamped id, else mint one.
+        let trace = request
+            .header(TRACE_HEADER)
+            .and_then(TraceId::parse)
+            .unwrap_or_else(TraceId::mint);
+        let sink = TraceSink::new(Arc::clone(router.telemetry.recorder()), trace);
+        let response = route(
+            &router.engine,
+            &router.executor,
+            &router.config,
+            &router.telemetry,
+            &sink,
+            &request,
+        );
+        // `write_to` frames the response into `bytes`; the socket's copy
+        // of them is discarded.
+        response.write_to(
+            &mut std::io::sink(),
+            &mut self.bytes,
+            request.wants_keep_alive(),
+            trace,
+        )?;
+        Ok(FailoverResponse {
+            response: read_response(&mut self.recv, &mut self.bytes.as_slice())?,
+            replica: String::new(),
+            degraded: false,
+        })
+    }
+}
+
 /// What one client thread drives.
 enum Client {
-    /// The engine and a plan executor, answers rendered in process.
-    Local(Arc<QueryEngine>, PlanExecutor),
+    /// The router over the in-process catalog, without the socket.
+    Local(Local),
     /// A ring-routed HTTP client over the fleet.
     Wire(RoutedFleet),
 }
 
 impl Client {
-    /// Run any due health probes and stamp a fresh trace id (wire only).
-    fn begin_op(&mut self) -> Option<TraceId> {
-        let Client::Wire(fleet) = self else {
-            return None;
-        };
-        fleet.maybe_probe();
+    /// Run a fleet's due health probes and stamp a fresh trace id.
+    fn begin_op(&mut self) -> TraceId {
         let trace = TraceId::mint();
-        fleet.set_trace_id(Some(trace));
-        Some(trace)
+        match self {
+            Client::Local(local) => local.trace = Some(trace),
+            Client::Wire(fleet) => {
+                fleet.maybe_probe();
+                fleet.set_trace_id(Some(trace));
+            }
+        }
+        trace
     }
 
     /// Issue one single-target request.
@@ -977,58 +1076,33 @@ impl Client {
         request: &QueryRequest,
         misroute: bool,
     ) -> NetResult<FailoverResponse> {
+        let (target, body) = wire_form(tenant.as_str(), dataset.as_str(), request);
         match self {
-            Client::Local(engine, _) => {
-                let answer = engine.execute(tenant, dataset, request)?;
-                Ok(local_answer(
-                    render_response_json(&answer),
-                    [
-                        (VERSION_HEADER, answer.version.to_string()),
-                        (FRESHNESS_HEADER, answer.freshness.as_str().to_string()),
-                    ],
-                ))
-            }
-            Client::Wire(fleet) => {
-                let (target, body) = wire_form(tenant.as_str(), dataset.as_str(), request);
-                fleet.send(tenant.as_str(), &target, body.as_deref(), misroute)
-            }
+            Client::Local(local) => local.round_trip(&target, body.as_deref()),
+            Client::Wire(fleet) => fleet.send(tenant.as_str(), &target, body.as_deref(), misroute),
         }
     }
 
     /// Run one `/v1/query` plan.
     fn plan(&mut self, plan: &str) -> NetResult<FailoverResponse> {
+        let mut body = String::from("{\"plan\":");
+        write_escaped(&mut body, plan);
+        body.push('}');
         match self {
-            Client::Local(_, executor) => {
-                let answer = QueryPlan::parse(plan)
-                    .and_then(|plan| executor.execute(&plan))
-                    .map_err(|e| NetError::Protocol(e.to_string()))?;
-                Ok(local_answer(
-                    render_plan_response_json(&answer),
-                    [(SOURCES_HEADER, answer.sources.len().to_string())],
-                ))
-            }
-            Client::Wire(fleet) => {
-                let mut body = String::from("{\"plan\":");
-                write_escaped(&mut body, plan);
-                body.push('}');
-                fleet.post_plan(&body)
-            }
+            Client::Local(local) => local.round_trip("/v1/query", Some(&body)),
+            Client::Wire(fleet) => fleet.post_plan(&body),
         }
     }
 
-    /// Trace and ownership checks for a wire answer (in-process answers
-    /// have neither).
+    /// Trace and (on a fleet) ownership checks for an answer.
     fn checks(
         &self,
         tenant: Option<&str>,
         response: &ClientResponse,
         stamped: Option<TraceId>,
     ) -> (bool, bool) {
-        let Client::Wire(fleet) = self else {
-            return (true, true);
-        };
-        let owned = match tenant {
-            Some(tenant) if response.status == 200 => {
+        let owned = match (self, tenant) {
+            (Client::Wire(fleet), Some(tenant)) if response.status == 200 => {
                 let owner = &fleet.ring().groups()[fleet.owner_index(tenant)].name;
                 response.header(OWNER_HEADER) == Some(owner.as_str())
             }
@@ -1042,23 +1116,6 @@ impl Client {
             Client::Local(..) => ClientStats::default(),
             Client::Wire(fleet) => fleet.client_stats(),
         }
-    }
-}
-
-/// An in-process answer in wire form, so one verifier judges every
-/// topology.
-fn local_answer<const N: usize>(body: String, headers: [(&str, String); N]) -> FailoverResponse {
-    FailoverResponse {
-        response: ClientResponse {
-            status: 200,
-            headers: headers
-                .into_iter()
-                .map(|(name, value)| (name.to_string(), value))
-                .collect(),
-            body: body.into_bytes(),
-        },
-        replica: String::new(),
-        degraded: false,
     }
 }
 
@@ -1255,13 +1312,11 @@ pub fn run_load(spec: &LoadSpec) -> NetResult<LoadReport> {
         Some(fleet) if spec.topology.kills() => Some(fleet.secondaries[0].remove(0)),
         _ => None,
     };
+    let router = Arc::new(Router::new(&engines[0]));
     let new_client = || -> NetResult<Client> {
         Ok(match &fleet {
             Some(fleet) => Client::Wire(fleet.client()?),
-            None => Client::Local(
-                Arc::clone(&engines[0]),
-                PlanExecutor::new(Arc::clone(&catalogs[0])),
-            ),
+            None => Client::Local(Local::new(&router)),
         })
     };
 
@@ -1426,7 +1481,7 @@ pub fn run_load(spec: &LoadSpec) -> NetResult<LoadReport> {
                             }
                             None => Instant::now(),
                         };
-                        let stamped = client.begin_op();
+                        let stamped = Some(client.begin_op());
                         if op_idx % 5 == 4 {
                             let (plan, request) = plan_for(&mut rng);
                             bump(&tally.plan_ops);
@@ -1507,7 +1562,7 @@ pub fn run_load(spec: &LoadSpec) -> NetResult<LoadReport> {
         }
     });
 
-    // Teardown: the fleet first (no more engine calls), then the refresh
+    // Teardown: the fleet first (no more routed requests), then the refresh
     // pool (drains any in-flight re-ingest into the still-live catalog).
     let stats = fleet.as_ref().map(|f| Arc::clone(&f.stats));
     let shares = fleet.as_ref().map_or_else(Vec::new, |fleet| {
@@ -1602,6 +1657,66 @@ mod tests {
         let rendered = report.render();
         assert!(rendered.contains("tenant-1"), "{rendered}");
         assert!(rendered.contains("p999"), "{rendered}");
+    }
+
+    /// Every endpoint family answers with the same status, headers (the
+    /// stamped trace id included) and body bytes in process as a live
+    /// server over the same catalog.
+    #[test]
+    fn in_process_answers_are_the_wire_bytes() {
+        let catalog = Arc::new(SketchCatalog::unbounded());
+        let config = OpaqConfig::builder()
+            .run_length(1_000)
+            .sample_size(100)
+            .build()
+            .unwrap();
+        for stream in 0..2 {
+            let mut inc = IncrementalOpaq::new(config).unwrap();
+            inc.add_run(chunk(7, stream, 0, 4_000)).unwrap();
+            let (tenant, dataset) = (
+                TenantId::new(format!("tenant-{stream}")),
+                DatasetId::new("events"),
+            );
+            catalog
+                .publish(&tenant, &dataset, inc.into_sketch().unwrap())
+                .unwrap();
+        }
+        let engine = Arc::new(QueryEngine::new(catalog));
+        let server = HttpServer::start(Arc::clone(&engine), ServerConfig::default()).unwrap();
+        let mut wire = crate::client::HttpClient::new(server.local_addr().to_string());
+        let mut local = Local::new(&Arc::new(Router::new(&engine)));
+        let (batch, batch_body) = wire_form(
+            "tenant-1",
+            "events",
+            &QueryRequest::QuantileBatch {
+                phis: vec![0.1, 0.5, 0.99],
+            },
+        );
+        let plan = "{\"plan\":\"fetch tenant-*/events | coalesce | quantile 0.25,0.5\"}";
+        for (target, body, status) in [
+            ("/v1/tenant-0/events/quantile?phi=0.5", None, 200),
+            ("/v1/tenant-1/events/rank?key=123456", None, 200),
+            ("/v1/tenant-0/events/profile?count=8", None, 200),
+            (batch.as_str(), batch_body.as_deref(), 200),
+            ("/v1/query", Some(plan), 200),
+            ("/v1/nope", None, 404),
+            ("/v1/tenant-0/events/quantile?phi=1.5", None, 400),
+        ] {
+            let trace = TraceId::mint();
+            wire.set_trace_id(Some(trace));
+            local.trace = Some(trace);
+            let over_tcp = match body {
+                None => wire.get(target),
+                Some(body) => wire.post_json(target, body),
+            }
+            .unwrap();
+            let in_process = local.round_trip(target, body).unwrap().response;
+            assert_eq!(in_process.status, status, "{target}");
+            assert_eq!(in_process.status, over_tcp.status, "{target}");
+            assert_eq!(in_process.headers, over_tcp.headers, "{target}");
+            assert_eq!(in_process.body, over_tcp.body, "{target}");
+            assert!(trace_ok(&in_process, Some(trace)), "{target}");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The HTTP server: a bounded accept/worker pool over
-//! `std::net::TcpListener`, routing to an `opaq_serve::QueryEngine`.
+//! `std::net::TcpListener`, routing every request through [`route`] to one
+//! shared `opaq_query::PlanExecutor` over the engine's catalog.
 //!
 //! ## Threading model
 //!
@@ -587,7 +588,7 @@ impl StatsInner {
     }
 }
 
-/// A running HTTP front-end over one [`QueryEngine`].
+/// A running HTTP front-end over one [`QueryEngine`]'s catalog.
 pub struct HttpServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -1045,11 +1046,13 @@ impl ApiRequest {
     }
 }
 
-/// Route one parsed request to the engine.  Pure function of
-/// `(engine state, config, request)` — the HTTP workload harness
-/// re-renders expected responses through the same code path to compare
-/// bytes.  Spans for route/compile/fetch/merge/extract/render land on
-/// `sink`; the caller owns the root span and the trace-id response header.
+/// Route one parsed request: every answer comes from `executor`, and
+/// `engine` holds the catalog and the per-tenant accounting.  Pure
+/// function of `(catalog state, config, request)` — the load harness's
+/// in-process topology calls it without a socket, and its verifier
+/// re-renders expected bodies through the same renderers to compare bytes.
+/// Spans for route/compile/fetch/merge/extract/render land on `sink`; the
+/// caller owns the root span and the trace-id response header.
 /// On a ring member every response leaves with [`OWNER_HEADER`] set — the
 /// local group normally, the actual owner on a `wrong_owner` answer.
 pub fn route(
@@ -1062,7 +1065,7 @@ pub fn route(
 ) -> Response {
     let response = route_inner(engine, executor, config, telemetry, sink, request);
     match config.ring.as_deref() {
-        Some(membership) if !response.headers.iter().any(|(k, _)| k == OWNER_HEADER) => {
+        Some(membership) if !response.headers.iter().any(|&(k, _)| k == OWNER_HEADER) => {
             response.with_header(OWNER_HEADER, membership.group_name().to_string())
         }
         _ => response,
@@ -1442,9 +1445,8 @@ fn route_query(
 }
 
 /// Execute a plan through the shared executor and record its latency (on
-/// the sink's clock) exactly as the engine's own execute path does: once
-/// per distinct contributing tenant and once against the armed SLO, on
-/// success only.
+/// the sink's clock) in the engine: once per distinct contributing tenant
+/// and once against the armed SLO, on success only.
 fn run_plan(
     engine: &Arc<QueryEngine>,
     executor: &Arc<PlanExecutor>,

@@ -96,6 +96,8 @@ fn open_loop_holds_the_offered_rate_and_reports_slo_verdicts() {
         report.ops,
         "{rendered}"
     );
+    assert!(report.plan_ops > 0, "{rendered}");
+    assert_eq!(report.refreshes_published, 2, "{rendered}");
     assert_eq!(report.slo.checks.len(), 4);
     assert_eq!(report.slo.breaches(), 0, "{rendered}");
     assert!(

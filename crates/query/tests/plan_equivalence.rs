@@ -4,14 +4,14 @@
 //! Two equivalences are pinned.  A coalescing plan's answer equals merging
 //! the same snapshots by hand (the deterministic tree, and for three
 //! sources the plain left-fold it degenerates to) and querying the fused
-//! sketch directly.  And a degenerate single-target plan equals what
-//! `QueryEngine::execute` returns for the same `(tenant, dataset, request)`
-//! — the guarantee that lets the HTTP layer route its legacy GET family
-//! through the plan executor without changing a byte.
+//! sketch directly.  And a degenerate single-target plan equals
+//! `execute_on` over the entry's catalog snapshot, with that snapshot's
+//! version and freshness — the guarantee that lets the HTTP layer route its
+//! GET family through the plan executor without changing a byte.
 
 use opaq_core::{IncrementalOpaq, OpaqConfig, QuantileSketch};
 use opaq_query::{merge_tree, PlanExecutor, QueryPlan};
-use opaq_serve::{execute_on, DatasetId, QueryEngine, QueryRequest, SketchCatalog, TenantId};
+use opaq_serve::{execute_on, DatasetId, QueryRequest, SketchCatalog, TenantId};
 use std::sync::Arc;
 
 fn sketch_of(range: std::ops::Range<u64>) -> QuantileSketch<u64> {
@@ -102,23 +102,23 @@ fn coalescing_plan_equals_manual_merge_plus_direct_query() {
 }
 
 #[test]
-fn degenerate_plan_equals_engine_execute() {
+fn degenerate_plan_equals_execute_on_its_snapshot() {
     let (catalog, _sketches) = fixture();
-    let engine = QueryEngine::new(Arc::clone(&catalog));
-    let executor = PlanExecutor::new(catalog);
+    let executor = PlanExecutor::new(Arc::clone(&catalog));
     let (tenant, dataset) = (TenantId::new("tenant-1"), DatasetId::new("events"));
 
     for (extract, request) in extracts() {
-        let via_engine = engine.execute(&tenant, &dataset, &request).unwrap();
+        let snapshot = catalog.snapshot(&tenant, &dataset).unwrap();
+        let direct = execute_on(&snapshot.sketch, &request).unwrap();
         // Typed single-target construction, as the HTTP GET family uses...
         let plan = QueryPlan::single(tenant.clone(), dataset.clone(), request);
         let via_plan = executor.execute(&plan).unwrap();
-        assert_eq!(via_plan.output, via_engine.output, "{extract}");
-        assert_eq!(via_plan.total_elements, via_engine.total_elements);
+        assert_eq!(via_plan.output, direct, "{extract}");
+        assert_eq!(via_plan.total_elements, snapshot.sketch.total_elements());
         let source = &via_plan.sources[0];
         assert_eq!(via_plan.sources.len(), 1);
-        assert_eq!(source.version, via_engine.version);
-        assert_eq!(source.freshness, via_engine.freshness);
+        assert_eq!(source.version, snapshot.version);
+        assert_eq!(source.freshness, snapshot.freshness);
         // ...and the parsed text form lands on the same response.
         let parsed = QueryPlan::parse(&format!("fetch tenant-1/events | {extract}")).unwrap();
         assert_eq!(executor.execute(&parsed).unwrap(), via_plan);

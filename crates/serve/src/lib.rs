@@ -3,24 +3,28 @@
 //! OPAQ's whole point is that one I/O-efficient pass yields a tiny sketch
 //! that can answer *any* quantile query afterwards.  This crate is the layer
 //! that actually faces that query traffic: a versioned, multi-tenant catalog
-//! of immutable sketch snapshots, a typed query engine with per-tenant
-//! latency accounting, and a background refresh pipeline.  The load harness
-//! that drives all of it under concurrent read/refresh workloads — in
-//! process or over a fleet of HTTP servers — is `opaq_net::load::run_load`.
+//! of immutable sketch snapshots, the typed query model with its one
+//! evaluation function and per-tenant latency accounting, and a background
+//! refresh pipeline.  Plans over the catalog run in `opaq_query`'s
+//! `PlanExecutor`; the HTTP router (`opaq_net`) feeds the accounting.  The
+//! load harness that drives all of it under concurrent read/refresh
+//! workloads — in process or over a fleet of HTTP servers — is
+//! `opaq_net::load::run_load`.
 //!
 //! ## Architecture
 //!
 //! ```text
-//!  client threads                    refresh workers (opaq-parallel ingest)
-//!       │ execute(tenant, dataset, request)      │ build new sketch
-//!       ▼                                        ▼
-//!  ┌─────────────┐    snapshot()          ┌──────────────┐
-//!  │ QueryEngine │ ─────────────────────▶ │ SketchCatalog │ ◀── publish()
-//!  │  (latency   │   Arc<QuantileSketch>  │  (tenant,     │     epoch swap
-//!  │  histograms)│   + version epoch      │   dataset) →  │
-//!  └─────────────┘                        │  versioned    │ ──▶ LRU spill to
-//!                                         │  entries      │     sketch files
-//!                                         └──────────────┘ ◀── reload
+//!  opaq-net route (HTTP or in process)  refresh workers (opaq-parallel)
+//!       │ QueryPlan                               │ build new sketch
+//!       ▼                                         ▼
+//!  ┌──────────────┐   snapshot()          ┌──────────────┐
+//!  │ PlanExecutor │ ────────────────────▶ │ SketchCatalog │ ◀── publish()
+//!  │ (opaq-query) │  Arc<QuantileSketch>  │  (tenant,     │     epoch swap
+//!  │ → execute_on │  + version epoch      │   dataset) →  │
+//!  └──────┬───────┘                       │  versioned    │ ──▶ LRU spill to
+//!         │ elapsed, per tenant           │  entries      │     sketch files
+//!         ▼                               └──────────────┘ ◀── reload
+//!  QueryEngine (latency histograms, SLO breaches)
 //! ```
 //!
 //! * **Catalog epochs** ([`catalog`]): every `(tenant, dataset)` entry holds
@@ -40,10 +44,11 @@
 //!   memory; the next query for a spilled tenant transparently reloads and
 //!   re-validates the sketch.
 //! * **Queries** ([`query`]): typed requests — `Quantile{phi}`, `Rank{key}`,
-//!   `QuantileBatch{phis}`, `Profile{count}` — executed against one snapshot,
-//!   so a batch is answered by a single consistent version.  Every answer
-//!   is recorded in lock-free per-tenant latency histograms
-//!   ([`opaq_metrics::latency`], p50/p99/p999) and checked against the
+//!   `QuantileBatch{phis}`, `Profile{count}` — evaluated by [`execute_on`]
+//!   against one snapshot, so a batch is answered by a single consistent
+//!   version.  The router records every answered plan in
+//!   [`QueryEngine`]'s lock-free per-tenant latency histograms
+//!   ([`opaq_metrics::latency`], p50/p99/p999) and checks it against the
 //!   armed SLO threshold.
 //! * **Refresh pipeline** ([`refresh`]): a small worker pool that ingests new
 //!   data in the background — via `opaq_parallel::ShardedOpaq` or any

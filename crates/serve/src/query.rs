@@ -1,14 +1,16 @@
-//! The typed query engine: requests, responses and per-tenant latency
-//! accounting.
+//! The typed query model — requests, outputs, the response shape of a
+//! single-target answer — the one evaluation function [`execute_on`], and
+//! the server's per-tenant latency accounting.
 //!
-//! Every request resolves one catalog snapshot and answers entirely from it,
-//! so a [`QueryRequest::QuantileBatch`] or [`QueryRequest::Profile`] is
-//! guaranteed to be internally consistent — all of its estimates come from
-//! the *same* published version, whose number the response carries.  That
-//! version tag is what lets callers (and the load harness's torn-read
-//! check) verify a response against the exact sketch that produced it.
+//! Answers are computed by `opaq_query::PlanExecutor`, which resolves one
+//! catalog snapshot per source and calls [`execute_on`] on it, so a
+//! [`QueryRequest::QuantileBatch`] or [`QueryRequest::Profile`] is
+//! internally consistent — all of its estimates come from the *same*
+//! published version, whose number the response carries.  That version
+//! tag is what lets callers (and the load harness's torn-read check)
+//! verify a response against the exact sketch that produced it.
 
-use crate::catalog::{DatasetId, Freshness, SketchCatalog, SketchSnapshot, TenantId};
+use crate::catalog::{Freshness, SketchCatalog, TenantId};
 use crate::ServeResult;
 use opaq_core::{QuantileEstimate, QuantileSketch, RankBounds};
 use opaq_metrics::{LatencyHistogram, LatencySnapshot};
@@ -16,7 +18,7 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A typed query against one `(tenant, dataset)` entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,9 +74,9 @@ pub struct QueryResponse {
 
 /// Execute `request` against a sketch directly (no catalog, no metrics).
 ///
-/// This is the single evaluation path: the engine calls it with a catalog
-/// snapshot, and verification harnesses call it with an independently held
-/// sketch to check a response byte-for-byte.
+/// This is the single evaluation function: the plan executor calls it on
+/// a catalog snapshot (or a fused one), and verification harnesses call it
+/// with an independently held sketch to check a response byte-for-byte.
 pub fn execute_on(
     sketch: &QuantileSketch<u64>,
     request: &QueryRequest,
@@ -123,9 +125,13 @@ pub fn request_for(rng: &mut u64) -> QueryRequest {
     }
 }
 
-/// Executes typed requests against catalog snapshots and records latency
-/// per tenant, checked against an optional SLO threshold.  Share it behind
-/// an `Arc` across client threads; every method takes `&self`.
+/// The server's catalog handle and its accounting: per-tenant latency
+/// histograms and a counter of answers over an optional SLO threshold,
+/// both fed by the HTTP router for every answered plan.  It evaluates
+/// nothing itself — every answer comes from `opaq_query::PlanExecutor`.
+/// It goes once the router's accounting moves into the executor and the
+/// benchmark harness stops passing an engine to `route`.  Share it behind
+/// an `Arc`; every method takes `&self`.
 #[derive(Debug)]
 pub struct QueryEngine {
     catalog: Arc<SketchCatalog>,
@@ -153,10 +159,10 @@ impl QueryEngine {
     }
 
     /// Arm (or disarm, with `None`) a per-request latency SLO: every
-    /// answer recorded through [`Self::record_latency`] (point queries and
-    /// HTTP plans alike) slower than `threshold` bumps [`Self::slo_breaches`],
-    /// surfaced in `/metrics` as `opaq_slo_breaches` and in the serve
-    /// shutdown summary.  This is the server-side view; the open-loop bench
+    /// answer recorded through [`Self::record_latency`] (every answered
+    /// plan, point queries included) slower than `threshold` bumps
+    /// [`Self::slo_breaches`], surfaced in `/metrics` as
+    /// `opaq_slo_breaches` and in the serve shutdown summary.  This is the server-side view; the open-loop bench
     /// harness judges the client-observed distribution separately.
     pub fn set_slo_threshold(&self, threshold: Option<Duration>) {
         let nanos = threshold.map_or(0, |t| (t.as_nanos().min(u64::MAX as u128) as u64).max(1));
@@ -166,22 +172,6 @@ impl QueryEngine {
     /// Requests that exceeded the armed SLO threshold (0 while disarmed).
     pub fn slo_breaches(&self) -> u64 {
         self.slo_breaches.load(Ordering::Relaxed)
-    }
-
-    /// Execute one request.  The measured latency covers snapshot resolution
-    /// (including any spill reload) plus estimation — what a remote caller
-    /// would observe, minus transport.
-    pub fn execute(
-        &self,
-        tenant: &TenantId,
-        dataset: &DatasetId,
-        request: &QueryRequest,
-    ) -> ServeResult<QueryResponse> {
-        let start = Instant::now();
-        let snapshot = self.catalog.snapshot(tenant, dataset)?;
-        let response = Self::execute_snapshot(&snapshot, request)?;
-        self.record_latency([tenant], start.elapsed());
-        Ok(response)
     }
 
     /// Record one successful answer that took `elapsed`: once into each
@@ -203,19 +193,6 @@ impl QueryEngine {
         if threshold > 0 && elapsed.as_nanos() > u128::from(threshold) {
             self.slo_breaches.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Execute against an already-resolved snapshot (no metrics recorded).
-    pub fn execute_snapshot(
-        snapshot: &SketchSnapshot,
-        request: &QueryRequest,
-    ) -> ServeResult<QueryResponse> {
-        Ok(QueryResponse {
-            output: execute_on(&snapshot.sketch, request)?,
-            version: snapshot.version,
-            total_elements: snapshot.sketch.total_elements(),
-            freshness: snapshot.freshness,
-        })
     }
 
     /// The latency histogram of one tenant (created on first use).
@@ -248,6 +225,7 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::DatasetId;
     use opaq_core::{IncrementalOpaq, OpaqConfig};
 
     fn sketch_of(n: u64) -> QuantileSketch<u64> {
@@ -269,53 +247,46 @@ mod tests {
     }
 
     #[test]
-    fn every_request_type_answers_from_one_version() {
+    fn every_request_type_answers_from_one_snapshot() {
         let (engine, t, d) = engine_with(10_000);
-        let quantile = engine
-            .execute(&t, &d, &QueryRequest::Quantile { phi: 0.5 })
-            .unwrap();
-        assert_eq!(quantile.version, 1);
-        assert_eq!(quantile.total_elements, 10_000);
-        assert_eq!(quantile.freshness, Freshness::Fresh);
-        let QueryOutput::Quantile(est) = &quantile.output else {
+        let snapshot = engine.catalog().snapshot(&t, &d).unwrap();
+        assert_eq!(snapshot.version, 1);
+        assert_eq!(snapshot.sketch.total_elements(), 10_000);
+        assert_eq!(snapshot.freshness, Freshness::Fresh);
+        let sketch = &snapshot.sketch;
+        let Ok(QueryOutput::Quantile(est)) =
+            execute_on(sketch, &QueryRequest::Quantile { phi: 0.5 })
+        else {
             panic!("wrong output kind")
         };
         assert!(est.lower <= 4_999 && 4_999 <= est.upper);
 
-        let rank = engine
-            .execute(&t, &d, &QueryRequest::Rank { key: 2_500 })
-            .unwrap();
-        let QueryOutput::Rank(bounds) = &rank.output else {
+        let Ok(QueryOutput::Rank(bounds)) = execute_on(sketch, &QueryRequest::Rank { key: 2_500 })
+        else {
             panic!("wrong output kind")
         };
         assert!(bounds.min_rank <= 2_501 && 2_501 <= bounds.max_rank);
 
-        let batch = engine
-            .execute(
-                &t,
-                &d,
-                &QueryRequest::QuantileBatch {
-                    phis: vec![0.1, 0.5, 0.9],
-                },
-            )
-            .unwrap();
-        let QueryOutput::QuantileBatch(ests) = &batch.output else {
+        let batch = QueryRequest::QuantileBatch {
+            phis: vec![0.1, 0.5, 0.9],
+        };
+        let Ok(QueryOutput::QuantileBatch(ests)) = execute_on(sketch, &batch) else {
             panic!("wrong output kind")
         };
         assert_eq!(ests.len(), 3);
 
-        let profile = engine
-            .execute(&t, &d, &QueryRequest::Profile { count: 10 })
-            .unwrap();
-        let QueryOutput::Profile(ests) = &profile.output else {
+        let Ok(QueryOutput::Profile(ests)) =
+            execute_on(sketch, &QueryRequest::Profile { count: 10 })
+        else {
             panic!("wrong output kind")
         };
         assert_eq!(ests.len(), 9);
     }
 
     #[test]
-    fn responses_match_direct_execution_exactly() {
+    fn a_published_snapshot_answers_exactly_like_its_sketch() {
         let (engine, t, d) = engine_with(5_000);
+        let snapshot = engine.catalog().snapshot(&t, &d).unwrap();
         let direct = sketch_of(5_000);
         for request in [
             QueryRequest::Quantile { phi: 0.25 },
@@ -325,32 +296,24 @@ mod tests {
             },
             QueryRequest::Profile { count: 4 },
         ] {
-            let served = engine.execute(&t, &d, &request).unwrap();
-            assert_eq!(served.output, execute_on(&direct, &request).unwrap());
+            assert_eq!(
+                execute_on(&snapshot.sketch, &request).unwrap(),
+                execute_on(&direct, &request).unwrap()
+            );
         }
     }
 
     #[test]
     fn latency_is_recorded_per_tenant() {
-        let (engine, t, d) = engine_with(1_000);
-        for _ in 0..10 {
-            engine
-                .execute(&t, &d, &QueryRequest::Quantile { phi: 0.5 })
-                .unwrap();
+        let (engine, t, _) = engine_with(1_000);
+        for micros in 1..=10 {
+            engine.record_latency([&t], Duration::from_micros(micros));
         }
         let report = engine.latency_report();
         assert_eq!(report.len(), 1);
+        assert_eq!(report[0].0, t);
         assert_eq!(report[0].1.count, 10);
         assert!(report[0].1.p50 <= report[0].1.p999);
-        // Failed queries (unknown tenant) record nothing.
-        assert!(engine
-            .execute(
-                &TenantId::from("nope"),
-                &d,
-                &QueryRequest::Quantile { phi: 0.5 }
-            )
-            .is_err());
-        assert_eq!(engine.latency_report().len(), 1);
         assert_eq!(engine.tenant_histogram(&t).count(), 10);
     }
 
@@ -367,35 +330,31 @@ mod tests {
 
     #[test]
     fn invalid_requests_surface_typed_errors() {
-        let (engine, t, d) = engine_with(1_000);
-        assert!(engine
-            .execute(&t, &d, &QueryRequest::Quantile { phi: 1.5 })
-            .is_err());
-        assert!(engine
-            .execute(&t, &d, &QueryRequest::Profile { count: 0 })
-            .is_err());
+        let sketch = sketch_of(1_000);
+        assert!(execute_on(&sketch, &QueryRequest::Quantile { phi: 1.5 }).is_err());
+        assert!(execute_on(&sketch, &QueryRequest::Profile { count: 0 }).is_err());
     }
 
     #[test]
     fn slo_threshold_counts_slow_requests_only_while_armed() {
-        let (engine, t, d) = engine_with(1_000);
-        let request = QueryRequest::Quantile { phi: 0.5 };
+        let (engine, t, _) = engine_with(1_000);
+        let answer = || engine.record_latency([&t], Duration::from_micros(5));
         // Disarmed: nothing counts.
-        engine.execute(&t, &d, &request).unwrap();
+        answer();
         assert_eq!(engine.slo_breaches(), 0);
         // An unmeetable threshold: every request breaches.
         engine.set_slo_threshold(Some(Duration::ZERO));
         for _ in 0..3 {
-            engine.execute(&t, &d, &request).unwrap();
+            answer();
         }
         assert_eq!(engine.slo_breaches(), 3);
         // A generous threshold: the counter stops moving but keeps history.
         engine.set_slo_threshold(Some(Duration::from_secs(3600)));
-        engine.execute(&t, &d, &request).unwrap();
+        answer();
         assert_eq!(engine.slo_breaches(), 3);
         // Disarming keeps history too.
         engine.set_slo_threshold(None);
-        engine.execute(&t, &d, &request).unwrap();
+        answer();
         assert_eq!(engine.slo_breaches(), 3);
     }
 }

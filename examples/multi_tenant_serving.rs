@@ -1,16 +1,17 @@
 //! Multi-tenant sketch serving: catalog, typed queries, live refresh.
 //!
-//! Builds sketches for two tenants, serves typed queries from catalog
-//! snapshots, publishes a live refresh for one tenant mid-stream, and shows
-//! that an in-flight reader's snapshot is unaffected by the epoch swap.
+//! Builds sketches for two tenants, answers typed queries through the plan
+//! executor (the path every served answer takes), publishes a live refresh
+//! for one tenant mid-stream, and shows that an in-flight reader's snapshot
+//! is unaffected by the epoch swap.
 //!
 //! Run with `cargo run --example multi_tenant_serving`.
 
 use opaq::core::{IncrementalOpaq, OpaqConfig};
-use opaq::serve::{DatasetId, QueryEngine, QueryOutput, QueryRequest, SketchCatalog, TenantId};
-use opaq::MemRunStore;
-use opaq::ShardedOpaq;
+use opaq::serve::{DatasetId, QueryOutput, QueryRequest, SketchCatalog, TenantId};
+use opaq::{MemRunStore, PlanExecutor, QueryPlan, ShardedOpaq};
 use std::sync::Arc;
+use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = OpaqConfig::builder()
@@ -20,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Two tenants, each with their own dataset ingested the sharded way.
     let catalog = Arc::new(SketchCatalog::unbounded());
-    let engine = QueryEngine::new(Arc::clone(&catalog));
+    let executor = PlanExecutor::new(Arc::clone(&catalog));
     let acme = (TenantId::new("acme"), DatasetId::new("latencies"));
     let globex = (TenantId::new("globex"), DatasetId::new("latencies"));
     for (i, (tenant, dataset)) in [&acme, &globex].into_iter().enumerate() {
@@ -33,12 +34,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("published {tenant}/{dataset} as version {version}");
     }
 
-    // Typed queries; each response names the version that answered it.
-    let response = engine.execute(&acme.0, &acme.1, &QueryRequest::Quantile { phi: 0.99 })?;
+    // Typed queries as one-target plans; each response names the version
+    // that answered it.
+    let p99 = QueryPlan::single(
+        acme.0.clone(),
+        acme.1.clone(),
+        QueryRequest::Quantile { phi: 0.99 },
+    );
+    let response = executor.execute(&p99)?;
     if let QueryOutput::Quantile(est) = &response.output {
         println!(
             "acme p99 (version {}): [{}, {}] over {} keys",
-            response.version, est.lower, est.upper, response.total_elements
+            response.sources[0].version, est.lower, est.upper, response.total_elements
         );
     }
 
@@ -59,15 +66,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(before.sketch.total_elements(), 100_000);
     assert_eq!(after.version, before.version + 1);
 
-    // Per-tenant latency accounting comes for free.
+    // Answers are a pure function of the published version: the same plan
+    // gives the same answer until the next publish.
+    let profile = QueryPlan::single(
+        globex.0.clone(),
+        globex.1.clone(),
+        QueryRequest::Profile { count: 10 },
+    );
+    let first = executor.execute(&profile)?;
+    let start = Instant::now();
     for _ in 0..1000 {
-        engine.execute(&globex.0, &globex.1, &QueryRequest::Profile { count: 10 })?;
+        assert_eq!(executor.execute(&profile)?, first);
     }
-    for (tenant, snapshot) in engine.latency_report() {
-        println!(
-            "{tenant}: {} queries, p50 {:?}, p99 {:?}",
-            snapshot.count, snapshot.p50, snapshot.p99
-        );
-    }
+    println!(
+        "{}: 1000 profile queries at version {}, {:?} each, all identical",
+        globex.0,
+        first.sources[0].version,
+        start.elapsed() / 1000
+    );
     Ok(())
 }

@@ -17,16 +17,19 @@
 //!   distributed-memory machine, plus [`ShardedOpaq`]: real multi-threaded
 //!   sharded ingestion over any run store.
 //! * [`serve`] ([`opaq_serve`]) — concurrent multi-tenant sketch serving:
-//!   the versioned [`SketchCatalog`], typed [`QueryEngine`], background
-//!   refresh and the load-generator harness.
+//!   the versioned [`SketchCatalog`], typed [`QueryRequest`]s and their one
+//!   evaluation function, per-tenant latency accounting ([`QueryEngine`])
+//!   and background refresh.
 //! * [`query`] ([`opaq_query`]) — the composable query pipeline:
 //!   `fetch tenant-*/events | coalesce | quantile 0.5,0.99` expressions
 //!   compiled to typed [`QueryPlan`]s and executed by a [`PlanExecutor`]
-//!   against catalog snapshots, with full per-source provenance.
+//!   against catalog snapshots, with full per-source provenance.  Every
+//!   served answer, a single-target one included, comes from it.
 //! * [`net`] ([`opaq_net`]) — the HTTP/1.1 front-end over the serving
 //!   layer: dependency-free server/client, versioned + freshness-tagged
-//!   responses, `POST /v1/query` plans, `/metrics` exposition and the HTTP
-//!   workload harness.
+//!   responses, `POST /v1/query` plans, `/metrics` exposition and the load
+//!   harness, whose in-process topology runs the same router without the
+//!   socket.
 //!
 //! The most common entry points are re-exported at the top level:
 //!

@@ -55,6 +55,15 @@ fn assert_fault_free(report: &LoadReport) {
 }
 
 #[test]
+fn in_process_run_on_an_unbounded_catalog_lands_every_refresh() {
+    let report = run_load(&toy(Topology::InProcess)).unwrap();
+    assert_untorn(&report);
+    assert_fault_free(&report);
+    assert_eq!(report.refreshes_published, 2 * 2, "{}", report.render());
+    assert_eq!(report.catalog.evictions, 0, "{}", report.render());
+}
+
+#[test]
 fn in_process_run_under_an_eviction_budget_verifies_every_answer() {
     // Each initial sketch holds (4000 / 1000) · 100 = 400 sample points and
     // refreshes grow them, so a 500-point budget forces spill churn.
