@@ -121,8 +121,9 @@ COMMANDS:
              under DIR, and a restart over the same DIR rebuilds the exact
              catalog (entries, versions, TTLs) instead of re-seeding.
              --slo-p99-ms M arms the server-side opaq_slo_breaches counter:
-             each answered point query or plan slower than M ms is one
-             breach (the shutdown banner reports the total).
+             each answered point query or plan whose execution (fetch to
+             extract) takes longer than M ms is one breach (the shutdown
+             banner reports the total).
              --ring FILE --group NAME joins a partitioned fleet: FILE is
              the shared ring config ({\"vnodes\":128,\"groups\":[{\"name\":...,
              \"addrs\":[...]},...]}), NAME picks this server's group.  Ingest
@@ -978,10 +979,6 @@ pub fn serve(args: &Args) -> CliResult<String> {
         )?),
         None => Arc::new(SketchCatalog::unbounded()),
     };
-    let engine = Arc::new(QueryEngine::new(Arc::clone(&catalog)));
-    if let Some(_ms) = args.get("slo-p99-ms") {
-        engine.set_slo_threshold(Some(Duration::from_millis(args.u64_or("slo-p99-ms", 0)?)));
-    }
     // One telemetry block for the whole process: the HTTP server records
     // request spans into it, the refresh pool and replicator record their
     // background work, and the shutdown banner reads the slow log back.
@@ -1049,8 +1046,8 @@ pub fn serve(args: &Args) -> CliResult<String> {
     let pool = Arc::new(RefreshPool::new(
         Arc::clone(&catalog),
         refresh_threads as usize,
+        Some(Arc::clone(telemetry.recorder())),
     )?);
-    pool.set_recorder(Arc::clone(telemetry.recorder()));
     if ttl_ms > 0 {
         // Recovered entries keep the TTLs the manifest restored (their names
         // need not match the synthetic tenant-N scheme); only freshly seeded
@@ -1098,10 +1095,15 @@ pub fn serve(args: &Args) -> CliResult<String> {
         }));
     }
 
+    let slo_threshold = args
+        .get("slo-p99-ms")
+        .map(|_| args.u64_or("slo-p99-ms", 0).map(Duration::from_millis))
+        .transpose()?;
     let mut server_builder = ServerConfig::builder()
         .addr(addr)
         .workers(workers as usize)
-        .telemetry(Arc::clone(&telemetry));
+        .telemetry(Arc::clone(&telemetry))
+        .slo_threshold(slo_threshold);
     if let Some(stats) = &replication {
         server_builder = server_builder.replication(Arc::clone(stats));
     }
@@ -1111,8 +1113,11 @@ pub fn serve(args: &Args) -> CliResult<String> {
     let server_config = server_builder
         .build()
         .map_err(|e| CliError::Usage(format!("invalid server configuration: {e}")))?;
-    let mut server = HttpServer::start(Arc::clone(&engine), server_config)
-        .map_err(|e| CliError::Usage(format!("could not start the HTTP server: {e}")))?;
+    let mut server = HttpServer::start(
+        Arc::new(QueryEngine::new(Arc::clone(&catalog))),
+        server_config,
+    )
+    .map_err(|e| CliError::Usage(format!("could not start the HTTP server: {e}")))?;
     let bound = server.local_addr();
     // Keep trailing the peer for deltas; backoff inside the replicator
     // rides out peer outages and reconnects when it comes back.
@@ -1237,7 +1242,7 @@ pub fn serve(args: &Args) -> CliResult<String> {
         catalog_stats.manifest_records,
         catalog_stats.recoveries,
         catalog_stats.orphan_spills_removed,
-        engine.slo_breaches(),
+        server.executor().slo_breaches(),
     ))
 }
 

@@ -180,10 +180,11 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// Health, headers, the `query` and `trace` clients, a strict `/metrics`
-/// scrape, control lines, and the shutdown summary of one server.
+/// scrape, the plan accounting under an unmeetable SLO, control lines, and
+/// the shutdown summary of one server.
 #[test]
 fn lifecycle_serves_traces_scrapes_and_shuts_down_on_stdin() {
-    let mut server = Serve::start(&["--tenants", "3", "--ttl-ms", "60000"]);
+    let mut server = Serve::start(&["--tenants", "3", "--ttl-ms", "60000", "--slo-p99-ms", "0"]);
     assert!(server.head.contains("ttl 60000ms"), "{}", server.head);
     let addr = server.addr.clone();
 
@@ -267,6 +268,23 @@ fn lifecycle_serves_traces_scrapes_and_shuts_down_on_stdin() {
     assert!(report.samples > report.families, "{metrics}");
     assert_eq!(sample(&metrics, "opaq_catalog_entries"), 3);
 
+    // Every answered plan is accounted once: against the SLO (a 0 ms
+    // threshold, so each one breaches) and once per contributing tenant.
+    // So far: the point GET and the rank plan on tenant-0, and the
+    // coalesce plan over all three; the ghost plan failed.
+    let mut answered = 3;
+    for t in [1, 2, 2] {
+        let r = server.get(&format!("/v1/tenant-{t}/events/rank?key=5000"));
+        assert_eq!(r.status, 200, "{}", text(&r));
+        answered += 1;
+    }
+    let metrics = server.metrics();
+    assert_eq!(sample(&metrics, "opaq_slo_breaches"), answered);
+    for (tenant, plans) in [("tenant-0", 3), ("tenant-1", 2), ("tenant-2", 3)] {
+        let series = format!("opaq_request_count{{tenant=\"{tenant}\"}}");
+        assert_eq!(sample(&metrics, &series), plans, "{tenant}");
+    }
+
     // Unknown control lines are reported; `quit` stops reading, so the line
     // after it is never seen.
     server.send("bogus\nquit\nafter-quit\n");
@@ -278,6 +296,7 @@ fn lifecycle_serves_traces_scrapes_and_shuts_down_on_stdin() {
     assert!(!out.contains("after-quit"), "{out}");
     assert!(out.contains("shutdown complete"), "{out}");
     assert!(out.contains("catalog: 3 publishes"), "{out}");
+    assert!(out.contains(&format!("slo breaches: {answered};")), "{out}");
     assert!(out.contains("slowest request: trace"), "{out}");
     assert!(out.contains("stages:"), "{out}");
 }

@@ -59,33 +59,39 @@ impl<K: Key> IncrementalOpaq<K> {
     /// Runs larger than the configured run length are split so that the
     /// per-run error guarantees keep holding.
     pub fn add_run(&mut self, mut run: Vec<K>) -> OpaqResult<()> {
-        self.add_run_slice(&mut run)
+        let mut batch = Vec::new();
+        self.sample_into(&mut run, &mut batch)?;
+        self.absorb(batch)
     }
 
-    /// Absorb one new run **in place**: `run` is partially reordered by the
-    /// selection (the buffer-reuse contract of
-    /// [`crate::sample_phase`]) and handed back to the caller, who typically
-    /// refills it with the next run — the allocation-free ingest hot path
-    /// used by the sharded workers.
-    ///
-    /// Runs larger than the configured run length are split so that the
-    /// per-run error guarantees keep holding.
+    /// Sample one run **in place** into `batch`, to be merged by a later
+    /// [`Self::absorb`]: `run` is partially reordered by the selection (the
+    /// buffer-reuse contract of [`crate::sample_phase`]) and handed back to
+    /// the caller, who typically refills it with the next run.  Runs larger
+    /// than the configured run length are split.
     ///
     /// # Errors
     /// [`OpaqError::EmptyDataset`] if `run` is empty.
-    pub fn add_run_slice(&mut self, run: &mut [K]) -> OpaqResult<()> {
+    pub fn sample_into(&mut self, run: &mut [K], batch: &mut Vec<RunSample<K>>) -> OpaqResult<()> {
         if run.is_empty() {
             return Err(OpaqError::EmptyDataset);
         }
-        let m = self.config.run_length as usize;
-        let mut run_samples: Vec<RunSample<K>> = Vec::with_capacity(run.len().div_ceil(m));
-        let mut start = 0usize;
-        while start < run.len() {
-            let end = (start + m).min(run.len());
-            run_samples.push(self.sampler.sample(&mut run[start..end])?);
-            start = end;
+        for piece in run.chunks_mut(self.config.run_length as usize) {
+            batch.push(self.sampler.sample(piece)?);
         }
-        let new_sketch = QuantileSketch::from_run_samples(run_samples)?;
+        Ok(())
+    }
+
+    /// Fold a batch of sampled runs into the sketch with one k-way merge of
+    /// the batch and one merge with the sketch so far — `O(r·s)` copying
+    /// for `r` runs, where merging run by run copies `O(r²·s)`.  Both break
+    /// ties between equal samples by run order, so the sketch is
+    /// bit-identical.  An empty batch changes nothing.
+    pub fn absorb(&mut self, batch: Vec<RunSample<K>>) -> OpaqResult<()> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let new_sketch = QuantileSketch::from_run_samples(batch)?;
         self.runs_absorbed += new_sketch.runs();
         self.sketch = Some(match self.sketch.take() {
             Some(old) => old.merge(&new_sketch)?,
@@ -95,17 +101,18 @@ impl<K: Key> IncrementalOpaq<K> {
     }
 
     /// Absorb every run of a store (e.g. a newly arrived data file),
-    /// recycling a single run buffer across the whole pass.
+    /// recycling a single run buffer across the whole pass and merging once.
     pub fn add_store<S: RunStore<K>>(&mut self, store: &S) -> OpaqResult<()> {
         if store.is_empty() {
             return Err(OpaqError::EmptyDataset);
         }
         let mut buf: Vec<K> = Vec::new();
+        let mut batch = Vec::with_capacity(store.layout().runs() as usize);
         for run_idx in 0..store.layout().runs() {
             store.read_run_into(run_idx, &mut buf)?;
-            self.add_run_slice(&mut buf)?;
+            self.sample_into(&mut buf, &mut batch)?;
         }
-        Ok(())
+        self.absorb(batch)
     }
 
     /// The current sketch, if any data has been absorbed.

@@ -505,9 +505,14 @@ impl SpanRecorder {
 /// Usage: allocate an id when a stage starts, complete it when the stage
 /// ends — children therefore finish (and are recorded) before their
 /// parents, which the tree renderer handles.
+///
+/// A sink may record nowhere ([`TraceSink::off`]): its clock still runs and
+/// it still allocates ids, so code that times its stages through a sink has
+/// one body whether or not anyone keeps the spans.
 #[derive(Debug)]
 pub struct TraceSink {
-    recorder: Arc<SpanRecorder>,
+    /// `None` for an off sink.
+    recorder: Option<Arc<SpanRecorder>>,
     trace: TraceId,
     epoch: Instant,
     next: AtomicU32,
@@ -517,13 +522,18 @@ pub struct TraceSink {
 impl TraceSink {
     /// A sink for `trace`, with its time base starting now.
     pub fn new(recorder: Arc<SpanRecorder>, trace: TraceId) -> Self {
-        Self::starting_at(recorder, trace, Instant::now())
+        Self::starting_at(Some(recorder), trace, Instant::now())
     }
 
-    /// A sink for `trace` whose time base (the root span's start) is
-    /// `epoch` — for a request whose timing began before its trace id was
-    /// known, such as a connection waiting in the accept queue.
-    pub fn starting_at(recorder: Arc<SpanRecorder>, trace: TraceId, epoch: Instant) -> Self {
+    /// A sink for `trace` recording into `recorder` (nowhere when `None`),
+    /// whose time base (the root span's start) is `epoch` — for a request
+    /// whose timing began before its trace id was known, such as a
+    /// connection waiting in the accept queue.
+    pub fn starting_at(
+        recorder: Option<Arc<SpanRecorder>>,
+        trace: TraceId,
+        epoch: Instant,
+    ) -> Self {
         Self {
             recorder,
             trace,
@@ -531,6 +541,17 @@ impl TraceSink {
             next: AtomicU32::new(ROOT_SPAN_ID + 1),
             annotation: Mutex::new(None),
         }
+    }
+
+    /// A sink under a freshly minted trace id, its time base starting now,
+    /// recording into `recorder` (nowhere when `None`).
+    pub fn fresh(recorder: Option<Arc<SpanRecorder>>) -> Self {
+        Self::starting_at(recorder, TraceId::mint(), Instant::now())
+    }
+
+    /// A sink that records nothing, under a freshly minted trace id.
+    pub fn off() -> Self {
+        Self::fresh(None)
     }
 
     /// The trace id this sink records under.
@@ -558,20 +579,14 @@ impl TraceSink {
         tag: SpanTag,
         start_nanos: u64,
     ) {
-        self.recorder.record(&Span {
-            trace: self.trace,
-            span_id,
-            parent,
-            stage,
-            tag,
-            start_nanos,
-            duration_nanos: self.now_nanos().saturating_sub(start_nanos),
-        });
+        let duration_nanos = self.now_nanos().saturating_sub(start_nanos);
+        self.complete_with(span_id, parent, stage, tag, start_nanos, duration_nanos);
     }
 
     /// Record span `span_id` with an explicit duration — for work timed
     /// before the sink existed (e.g. HTTP parsing, which produces the very
-    /// header the trace id comes from).
+    /// header the trace id comes from).  The one place that asks whether
+    /// the sink records anywhere.
     pub fn complete_with(
         &self,
         span_id: u32,
@@ -581,15 +596,17 @@ impl TraceSink {
         start_nanos: u64,
         duration_nanos: u64,
     ) {
-        self.recorder.record(&Span {
-            trace: self.trace,
-            span_id,
-            parent,
-            stage,
-            tag,
-            start_nanos,
-            duration_nanos,
-        });
+        if let Some(recorder) = &self.recorder {
+            recorder.record(&Span {
+                trace: self.trace,
+                span_id,
+                parent,
+                stage,
+                tag,
+                start_nanos,
+                duration_nanos,
+            });
+        }
     }
 
     /// Allocate-and-complete in one call, for work that already finished:
@@ -938,6 +955,23 @@ mod tests {
             tree.contains("    snapshot"),
             "snapshot nests two deep: {tree}"
         );
+    }
+
+    #[test]
+    fn an_off_sink_keeps_its_clock_and_ids_and_records_nothing() {
+        let sink = TraceSink::off();
+        let start = sink.now_nanos();
+        let id = sink.child(ROOT_SPAN_ID, Stage::Fetch, SpanTag::Untagged, start);
+        assert_eq!(id, ROOT_SPAN_ID + 1);
+        assert_eq!(sink.allocate(), ROOT_SPAN_ID + 2);
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(sink.finish_root(Stage::Request, SpanTag::Untagged) >= 1_000_000);
+        // A fresh sink with a recorder records under its own minted id.
+        let rec = Arc::new(SpanRecorder::new(4));
+        let fresh = TraceSink::fresh(Some(Arc::clone(&rec)));
+        fresh.finish_root(Stage::Sync, SpanTag::Untagged);
+        assert_eq!(rec.trace(fresh.trace()).len(), 1);
+        assert_ne!(fresh.trace(), sink.trace());
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //!    ┌──────────────┐   snapshot + estimate   ┌───────────────┐
 //!    │ PlanExecutor │ ───────────────────────▶│ SketchCatalog │
 //!    │ (every route │   version + freshness   │ (TTL: expired │──▶ RefreshPool
-//!    │  is a plan)  │                         │  ⇒ hook fires)│    re-ingest
-//!    └──────┬───────┘                         └───────────────┘
-//!           │ latency per tenant, SLO breaches
-//!           ▼
-//!      QueryEngine (accounting behind /metrics)
+//!    │  is a plan;  │                         │  ⇒ hook fires)│    re-ingest
+//!    │  latency per │                         └───────────────┘
+//!    │  tenant, SLO │──▶ /metrics
+//!    │  breaches)   │
+//!    └──────────────┘
 //! ```
 //!
 //! * **Wire** ([`http`], [`json`]): strict request parsing (single
@@ -54,7 +54,12 @@
 //!   Every route lowers to one typed [`server::ApiRequest`], compiles to an
 //!   `opaq_query::QueryPlan` (the GET family as degenerate one-target
 //!   plans), and runs through one shared `PlanExecutor` — a single request
-//!   model and a single response renderer behind the whole surface.  Error
+//!   model and a single response renderer behind the whole surface.  The
+//!   executor also accounts each answered plan once, timed from its own
+//!   fetch and extract spans: into each contributing tenant's latency
+//!   histogram and against [`ServerConfig::slo_threshold`], which `/metrics`
+//!   exports as `opaq_request_latency_nanos`, `opaq_request_count` and
+//!   `opaq_slo_breaches`.  Error
 //!   bodies are uniformly `{"error":{"code":...,"message":...}}` with
 //!   stable machine-readable codes.
 //!

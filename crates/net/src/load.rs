@@ -9,7 +9,7 @@
 //!
 //! * [`Topology::InProcess`] — the server's router without the socket:
 //!   each request is framed and parsed as on the wire, answered by
-//!   [`route`] over the catalog, and its response framed and parsed back;
+//!   [`route`](crate::server::route) over the catalog, and its response framed and parsed back;
 //!   an optional resident budget forces spill/reload churn.
 //! * [`Topology::Fleet`] — `groups` replica groups on a consistent-hash
 //!   ring over loopback TCP, each a primary (catalog of record, refreshed
@@ -63,7 +63,7 @@ use crate::replica::{FailoverResponse, ReplicaConfig, ReplicationStats};
 use crate::ring::{GroupConfig, HashRing, RingConfig, RingMembership};
 use crate::routed::RoutedFleet;
 use crate::server::{
-    render_plan_response_json, render_response_json, route, HttpServer, ServerConfig, Telemetry,
+    render_plan_response_json, render_response_json, respond, HttpServer, ServerConfig, Telemetry,
     FRESHNESS_HEADER, OWNER_HEADER, SOURCES_HEADER, TRACE_HEADER, VERSION_HEADER,
 };
 use crate::sync::{bootstrap, Replicator};
@@ -362,14 +362,15 @@ impl LoadReport {
         }
         out.push_str(&format!(
             "ops {} | verified {} | plan ops {} | plan verified {} | torn {} | mis-owned {} | \
-             http errors {} | plan errors {} | sheds {} | degraded {} | unanswered {} | \
-             refreshes {} | {:.0} ops/s\n",
+             trace violations {} | http errors {} | plan errors {} | sheds {} | degraded {} | \
+             unanswered {} | refreshes {} | {:.0} ops/s\n",
             self.ops,
             self.verified,
             self.plan_ops,
             self.plan_verified,
             self.torn_reads,
             self.mis_owned,
+            self.trace_violations,
             self.http_errors,
             self.plan_errors,
             self.sheds,
@@ -405,12 +406,8 @@ impl LoadReport {
                 self.chaos.flaps
             ));
             out.push_str(&format!(
-                "client transport: connect errors {} | timeouts {} | retries {} | \
-                 trace violations {}\n",
-                self.transport.connect_errors,
-                self.transport.timeouts,
-                self.transport.retries,
-                self.trace_violations
+                "client transport: connect errors {} | timeouts {} | retries {}\n",
+                self.transport.connect_errors, self.transport.timeouts, self.transport.retries,
             ));
         }
         out.push_str(&format!(
@@ -671,7 +668,7 @@ fn start_ttl_probe(
     register_and_publish(registry, catalog, &id, build(0)?, 1)?;
     catalog.set_ttl(&id.0, &id.1, Some(ttl))?;
 
-    let pool = Arc::new(RefreshPool::new(Arc::clone(catalog), 1)?);
+    let pool = Arc::new(RefreshPool::new(Arc::clone(catalog), 1, None)?);
     let weak_pool = Arc::downgrade(&pool);
     let weak_catalog = Arc::downgrade(catalog);
     let registry = Arc::clone(registry);
@@ -799,7 +796,7 @@ impl Fleet {
         spec: &LoadSpec,
         ring: Arc<HashRing>,
         reserved: Vec<std::net::TcpListener>,
-        engines: &[Arc<QueryEngine>],
+        catalogs: &[Arc<SketchCatalog>],
     ) -> NetResult<Self> {
         let Topology::Fleet {
             replicas, chaos, ..
@@ -818,7 +815,7 @@ impl Fleet {
             proxies: Vec::new(),
             client_addrs: Vec::new(),
         };
-        for ((group, listener), engine) in ring.groups().iter().zip(reserved).zip(engines) {
+        for ((group, listener), catalog) in ring.groups().iter().zip(reserved).zip(catalogs) {
             let mut config = ServerConfig {
                 // Every client holds a keep-alive connection per replica,
                 // coordinators open scatter connections, secondaries poll.
@@ -827,11 +824,13 @@ impl Fleet {
                     .max(spec.clients * 2 + replicas + 4),
                 ring: Some(Arc::new(RingMembership::new((*ring).clone(), &group.name)?)),
                 replication: Some(Arc::clone(&stats)),
+                // Arm the server-side breach counter with the declared p99.
+                slo_threshold: spec.slo.p99,
                 ..ServerConfig::default()
             };
             config.addr = group.addrs[0].clone();
             drop(listener);
-            let primary = start_on_reserved(engine, &config)?;
+            let primary = start_on_reserved(catalog, &config)?;
             let primary_addr = primary.local_addr().to_string();
             fleet.primaries.push(primary);
             // Secondaries lead the routing order, so sticky clients prefer
@@ -939,10 +938,11 @@ impl Fleet {
 /// Bind a server on its reserved address, retrying briefly: the reservation
 /// listener was just dropped, so the only contention is another process
 /// landing on the port in between.
-fn start_on_reserved(engine: &Arc<QueryEngine>, config: &ServerConfig) -> NetResult<HttpServer> {
+fn start_on_reserved(catalog: &Arc<SketchCatalog>, config: &ServerConfig) -> NetResult<HttpServer> {
+    let engine = Arc::new(QueryEngine::new(Arc::clone(catalog)));
     let mut last = None;
     for _ in 0..50 {
-        match HttpServer::start(Arc::clone(engine), config.clone()) {
+        match HttpServer::start(Arc::clone(&engine), config.clone()) {
             Ok(server) => return Ok(server),
             Err(e) => {
                 last = Some(e);
@@ -954,28 +954,30 @@ fn start_on_reserved(engine: &Arc<QueryEngine>, config: &ServerConfig) -> NetRes
 }
 
 /// The server's routing state over one catalog — what a worker thread
-/// hands to [`route`] — shared by the in-process clients.
+/// hands to [`route`](crate::server::route) — shared by the in-process
+/// clients.
 struct Router {
-    engine: Arc<QueryEngine>,
     executor: Arc<PlanExecutor>,
     telemetry: Telemetry,
     config: ServerConfig,
 }
 
 impl Router {
-    fn new(engine: &Arc<QueryEngine>) -> Self {
+    /// Built as [`HttpServer::start`] builds its own.
+    fn new(catalog: &Arc<SketchCatalog>, config: ServerConfig) -> Self {
         Self {
-            engine: Arc::clone(engine),
-            executor: Arc::new(PlanExecutor::new(Arc::clone(engine.catalog()))),
+            executor: Arc::new(
+                PlanExecutor::new(Arc::clone(catalog)).with_slo_threshold(config.slo_threshold),
+            ),
             telemetry: Telemetry::new(),
-            config: ServerConfig::default(),
+            config,
         }
     }
 }
 
 /// An in-process client: the HTTP path with only the socket removed.  Each
 /// request is framed by the wire client's encoder, parsed by the server's
-/// request reader, answered by [`route`], framed by the server's response
+/// request reader, answered by [`route`](crate::server::route), framed by the server's response
 /// writer and parsed back by the wire client's response reader, so its
 /// answers are the wire bytes, headers and trace id included.
 struct Local {
@@ -1023,8 +1025,7 @@ impl Local {
             .and_then(TraceId::parse)
             .unwrap_or_else(TraceId::mint);
         let sink = TraceSink::new(Arc::clone(router.telemetry.recorder()), trace);
-        let response = route(
-            &router.engine,
+        let response = respond(
             &router.executor,
             &router.config,
             &router.telemetry,
@@ -1264,15 +1265,6 @@ pub fn run_load(spec: &LoadSpec) -> NetResult<LoadReport> {
     let catalogs = (0..groups)
         .map(|_| SketchCatalog::new(catalog_config.clone()).map(Arc::new))
         .collect::<Result<Vec<_>, _>>()?;
-    let engines: Vec<Arc<QueryEngine>> = catalogs
-        .iter()
-        .map(|catalog| {
-            let engine = Arc::new(QueryEngine::new(Arc::clone(catalog)));
-            // Arm the server-side breach counter with the declared p99.
-            engine.set_slo_threshold(spec.slo.p99);
-            engine
-        })
-        .collect();
 
     // Version 1 of every tenant, registered first, on its owning group.
     let registry: Arc<Registry> = Arc::new(RwLock::new(HashMap::new()));
@@ -1304,7 +1296,7 @@ pub fn run_load(spec: &LoadSpec) -> NetResult<LoadReport> {
         None => None,
     };
     let mut fleet = match ring {
-        Some((ring, reserved)) => Some(Fleet::start(spec, ring, reserved, &engines)?),
+        Some((ring, reserved)) => Some(Fleet::start(spec, ring, reserved, &catalogs)?),
         None => None,
     };
     // The kill victim: group 0's leading secondary, owned by the monkey.
@@ -1312,7 +1304,14 @@ pub fn run_load(spec: &LoadSpec) -> NetResult<LoadReport> {
         Some(fleet) if spec.topology.kills() => Some(fleet.secondaries[0].remove(0)),
         _ => None,
     };
-    let router = Arc::new(Router::new(&engines[0]));
+    let router = Arc::new(Router::new(
+        &catalogs[0],
+        ServerConfig {
+            // Arm the server-side breach counter with the declared p99.
+            slo_threshold: spec.slo.p99,
+            ..ServerConfig::default()
+        },
+    ));
     let new_client = || -> NetResult<Client> {
         Ok(match &fleet {
             Some(fleet) => Client::Wire(fleet.client()?),
@@ -1651,12 +1650,15 @@ mod tests {
         assert_eq!(report.verified + report.plan_ops, report.ops);
         assert_eq!(report.plan_verified, report.plan_ops);
         assert_eq!(report.torn_reads + report.unanswered, 0);
+        assert_eq!(report.trace_violations, 0);
         assert_eq!(report.refreshes_published, 2 * 3);
         assert_eq!(report.per_tenant.len(), 2);
         assert!(report.shares.is_empty());
         let rendered = report.render();
         assert!(rendered.contains("tenant-1"), "{rendered}");
         assert!(rendered.contains("p999"), "{rendered}");
+        // The trace check covers every topology, so every report shows it.
+        assert!(rendered.contains("| trace violations 0 |"), "{rendered}");
     }
 
     /// Every endpoint family answers with the same status, headers (the
@@ -1681,10 +1683,13 @@ mod tests {
                 .publish(&tenant, &dataset, inc.into_sketch().unwrap())
                 .unwrap();
         }
-        let engine = Arc::new(QueryEngine::new(catalog));
-        let server = HttpServer::start(Arc::clone(&engine), ServerConfig::default()).unwrap();
+        let server = HttpServer::start(
+            Arc::new(QueryEngine::new(Arc::clone(&catalog))),
+            ServerConfig::default(),
+        )
+        .unwrap();
         let mut wire = crate::client::HttpClient::new(server.local_addr().to_string());
-        let mut local = Local::new(&Arc::new(Router::new(&engine)));
+        let mut local = Local::new(&Arc::new(Router::new(&catalog, ServerConfig::default())));
         let (batch, batch_body) = wire_form(
             "tenant-1",
             "events",

@@ -1,6 +1,6 @@
 //! The HTTP server: a bounded accept/worker pool over
 //! `std::net::TcpListener`, routing every request through [`route`] to one
-//! shared `opaq_query::PlanExecutor` over the engine's catalog.
+//! shared `opaq_query::PlanExecutor`, which answers and accounts every plan.
 //!
 //! ## Threading model
 //!
@@ -28,7 +28,7 @@
 //! with one loopback connection, join the accept thread), close the
 //! connection queue, then join the handlers — which finish their in-flight
 //! request, announce `connection: close`, and exit.  When `shutdown`
-//! returns, no thread will touch the engine or catalog again, so a caller
+//! returns, no thread will touch the executor or catalog again, so a caller
 //! tearing down "HTTP server → refresh pool → catalog" gets a quiescent
 //! stack at every step.
 
@@ -49,7 +49,7 @@ use opaq_query::{
 };
 use opaq_serve::{
     DatasetId, Freshness, QueryEngine, QueryOutput, QueryRequest, QueryResponse, ServeError,
-    TenantId,
+    SketchCatalog, TenantId,
 };
 use std::io::Read;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -78,6 +78,10 @@ const STAGE_HELP: &str = "Span durations per trace stage (cumulative histogram, 
      stage=\"request\" is the root span of every answered or shed request.";
 const LAT_HELP: &str = "Per-tenant plan latency quantile summary (nanoseconds).";
 const CNT_HELP: &str = "Plans answered per tenant.";
+/// Spans the trace ring holds.
+const SPAN_CAPACITY: usize = 4096;
+/// Requests the slow-query log keeps (the slowest, over a zero threshold).
+const SLOW_CAPACITY: usize = 32;
 
 /// Shared observability state of one serving process: the span ring behind
 /// `/v1/_debug/trace`, the slow-query log behind `/v1/_debug/slow`, and the
@@ -116,18 +120,9 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// Default sizing: a 4096-slot span ring and a 32-entry slow log with a
-    /// zero admission threshold (the log simply keeps the 32 slowest).
+    /// A 4096-slot span ring and a 32-entry slow log with a zero admission
+    /// threshold (the log simply keeps the 32 slowest).
     pub fn new() -> Self {
-        Self::with_capacity(4096, 32, Duration::ZERO)
-    }
-
-    /// Explicit sizing for the span ring and slow log.
-    pub fn with_capacity(
-        span_capacity: usize,
-        slow_capacity: usize,
-        slow_threshold: Duration,
-    ) -> Self {
         let registry = Arc::new(MetricRegistry::new());
         let requests = registry.counter("opaq_http_requests", "Requests answered (any status).");
         let parse_errors = registry.counter(
@@ -151,8 +146,8 @@ impl Telemetry {
             "Entries currently held by the slow-query log.",
         );
         Self {
-            recorder: Arc::new(SpanRecorder::new(span_capacity)),
-            slow: Arc::new(SlowLog::new(slow_capacity, slow_threshold)),
+            recorder: Arc::new(SpanRecorder::new(SPAN_CAPACITY)),
+            slow: Arc::new(SlowLog::new(SLOW_CAPACITY, Duration::ZERO)),
             registry,
             requests,
             parse_errors,
@@ -184,7 +179,7 @@ impl Telemetry {
     /// the existing series).
     pub fn bind(
         &self,
-        engine: &QueryEngine,
+        executor: &PlanExecutor,
         replication: Option<&Arc<ReplicationStats>>,
         ring: Option<&RingMembership>,
     ) {
@@ -200,16 +195,16 @@ impl Telemetry {
             .declare_gauge("opaq_request_latency_nanos", LAT_HELP);
         self.registry
             .declare_counter("opaq_request_count", CNT_HELP);
-        self.update(engine, replication, ring);
+        self.update(executor, replication, ring);
     }
 
     /// Mirror every scalar whose source of truth lives outside the registry
-    /// (engine quantile summaries, catalog stats, replication counters,
-    /// trace-ring tallies) into their registered series.  Called on each
-    /// `/metrics` scrape.
+    /// (the executor's per-tenant quantile summaries and SLO breaches,
+    /// catalog stats, replication counters, trace-ring tallies) into their
+    /// registered series.  Called on each `/metrics` scrape.
     pub fn update(
         &self,
-        engine: &QueryEngine,
+        executor: &PlanExecutor,
         replication: Option<&Arc<ReplicationStats>>,
         ring: Option<&RingMembership>,
     ) {
@@ -217,7 +212,7 @@ impl Telemetry {
         self.spans_dropped.set(self.recorder.dropped());
         self.slow_entries.set(self.slow.len() as u64);
 
-        for (tenant, snap) in engine.latency_report() {
+        for (tenant, snap) in executor.latency_report() {
             for (q, value) in [("p50", snap.p50), ("p99", snap.p99), ("p999", snap.p999)] {
                 self.registry
                     .gauge_with(
@@ -236,7 +231,7 @@ impl Telemetry {
                 .set(snap.count);
         }
 
-        let stats = engine.catalog().stats();
+        let stats = executor.catalog().stats();
         for (name, help, value) in [
             (
                 "opaq_catalog_publishes",
@@ -290,8 +285,8 @@ impl Telemetry {
             ),
             (
                 "opaq_slo_breaches",
-                "Requests over the configured SLO threshold.",
-                engine.slo_breaches(),
+                "Plans over the configured SLO threshold.",
+                executor.slo_breaches(),
             ),
         ] {
             self.registry.counter(name, help).set(value);
@@ -376,7 +371,7 @@ impl Telemetry {
         // ring-less server, so the exposition schema is topology-stable.
         let tenants_owned = ring.map_or(0, |membership| {
             let mut seen: Vec<String> = Vec::new();
-            for entry in engine.catalog().inventory() {
+            for entry in executor.catalog().inventory() {
                 if membership.owns(&entry.tenant) && !seen.contains(&entry.tenant) {
                     seen.push(entry.tenant.clone());
                 }
@@ -395,8 +390,8 @@ impl Telemetry {
 /// Tunables of one [`HttpServer`].
 ///
 /// Marked `#[non_exhaustive]`: construct it with [`ServerConfig::builder`]
-/// (or start from [`ServerConfig::default`]), so query-engine knobs can be
-/// added later without breaking downstream construction sites.
+/// (or start from [`ServerConfig::default`]), so knobs can be added later
+/// without breaking downstream construction sites.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ServerConfig {
@@ -429,6 +424,10 @@ pub struct ServerConfig {
     /// `None` lets the server build a default-sized one; supply your own to
     /// read traces and slow-log summaries back after shutdown.
     pub telemetry: Option<Arc<Telemetry>>,
+    /// Per-plan latency SLO armed on the server's executor: every answered
+    /// plan slower than this counts in `opaq_slo_breaches`.  `None` (the
+    /// default) arms none.
+    pub slo_threshold: Option<Duration>,
 }
 
 impl Default for ServerConfig {
@@ -444,6 +443,7 @@ impl Default for ServerConfig {
             replication: None,
             ring: None,
             telemetry: None,
+            slo_threshold: None,
         }
     }
 }
@@ -525,6 +525,13 @@ impl ServerConfigBuilder {
         self
     }
 
+    /// Arm (or, with `None`, leave disarmed) the per-plan latency SLO (see
+    /// [`ServerConfig::slo_threshold`]).
+    pub fn slo_threshold(mut self, threshold: Option<Duration>) -> Self {
+        self.config.slo_threshold = threshold;
+        self
+    }
+
     /// Validate and produce the configuration.
     ///
     /// # Errors
@@ -588,7 +595,8 @@ impl StatsInner {
     }
 }
 
-/// A running HTTP front-end over one [`QueryEngine`]'s catalog.
+/// A running HTTP front-end over one catalog, answering every route through
+/// one [`PlanExecutor`].
 pub struct HttpServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -596,6 +604,7 @@ pub struct HttpServer {
     workers: Vec<std::thread::JoinHandle<()>>,
     stats: Arc<StatsInner>,
     telemetry: Arc<Telemetry>,
+    executor: Arc<PlanExecutor>,
 }
 
 impl std::fmt::Debug for HttpServer {
@@ -608,7 +617,8 @@ impl std::fmt::Debug for HttpServer {
 }
 
 impl HttpServer {
-    /// Bind `config.addr` and start serving `engine`.
+    /// Bind `config.addr` and start serving `engine`'s catalog through one
+    /// [`PlanExecutor`] built here, armed with `config.slo_threshold`.
     ///
     /// # Errors
     /// [`NetError::InvalidConfig`] for zero workers; I/O errors from binding.
@@ -630,7 +640,8 @@ impl HttpServer {
         // there is exactly one evaluation path behind the whole API
         // surface.  On a ring member, the executor also carries the
         // cross-group scatter hook.
-        let mut executor = PlanExecutor::new(Arc::clone(engine.catalog()));
+        let mut executor = PlanExecutor::new(Arc::clone(engine.catalog()))
+            .with_slo_threshold(config.slo_threshold);
         if let Some(membership) = config.ring.clone() {
             executor = executor.with_scatter(scatter_hook(membership));
         }
@@ -639,12 +650,15 @@ impl HttpServer {
             .telemetry
             .clone()
             .unwrap_or_else(|| Arc::new(Telemetry::new()));
-        telemetry.bind(&engine, config.replication.as_ref(), config.ring.as_deref());
+        telemetry.bind(
+            &executor,
+            config.replication.as_ref(),
+            config.ring.as_deref(),
+        );
 
         let workers = (0..config.workers)
             .map(|i| {
                 let conn_rx = Arc::clone(&conn_rx);
-                let engine = Arc::clone(&engine);
                 let executor = Arc::clone(&executor);
                 let config = config.clone();
                 let shutdown = Arc::clone(&shutdown);
@@ -661,7 +675,7 @@ impl HttpServer {
                             return; // queue closed and drained
                         };
                         handle_connection(
-                            queued, &engine, &executor, &config, &shutdown, &stats, &telemetry,
+                            queued, &executor, &config, &shutdown, &stats, &telemetry,
                         );
                     })
                     .expect("spawning an HTTP worker cannot fail")
@@ -728,6 +742,7 @@ impl HttpServer {
             workers,
             stats,
             telemetry,
+            executor,
         })
     }
 
@@ -745,6 +760,12 @@ impl HttpServer {
     /// or the default built at start).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
+    }
+
+    /// The executor answering every route, with its per-tenant latency and
+    /// SLO accounting.
+    pub fn executor(&self) -> &Arc<PlanExecutor> {
+        &self.executor
     }
 
     /// Stop accepting, drain queued connections' in-flight requests, join
@@ -808,7 +829,6 @@ fn nanos(d: Duration) -> u64 {
 /// with the wait until this worker picked it up as a `queue` child.
 fn handle_connection(
     (stream, accepted): Queued,
-    engine: &Arc<QueryEngine>,
     executor: &Arc<PlanExecutor>,
     config: &ServerConfig,
     shutdown: &AtomicBool,
@@ -855,7 +875,7 @@ fn handle_connection(
             Duration::ZERO
         };
         let epoch = parse_start.checked_sub(queue).unwrap_or(parse_start);
-        let sink = TraceSink::starting_at(Arc::clone(&telemetry.recorder), trace, epoch);
+        let sink = TraceSink::starting_at(Some(Arc::clone(&telemetry.recorder)), trace, epoch);
         if served == 0 {
             sink.complete_with(
                 sink.allocate(),
@@ -881,7 +901,7 @@ fn handle_connection(
         );
         let (response, keep_alive) = match request {
             Ok(request) => {
-                let response = route(engine, executor, config, telemetry, &sink, &request);
+                let response = respond(executor, config, telemetry, &sink, &request);
                 let tag = if response.status >= 500 {
                     SpanTag::Error
                 } else {
@@ -1046,24 +1066,39 @@ impl ApiRequest {
     }
 }
 
-/// Route one parsed request: every answer comes from `executor`, and
-/// `engine` holds the catalog and the per-tenant accounting.  Pure
-/// function of `(catalog state, config, request)` — the load harness's
-/// in-process topology calls it without a socket, and its verifier
-/// re-renders expected bodies through the same renderers to compare bytes.
-/// Spans for route/compile/fetch/merge/extract/render land on `sink`; the
-/// caller owns the root span and the trace-id response header.
-/// On a ring member every response leaves with [`OWNER_HEADER`] set — the
-/// local group normally, the actual owner on a `wrong_owner` answer.
+/// Route one parsed request: every answer, and the accounting of every
+/// answered plan, comes from `executor`, and everything else the routes
+/// read (health, inventory, sync sketches) from `executor.catalog()`.
+/// `_engine` is unused; it stays only for the benchmark harness's call
+/// shape.  Pure function of `(catalog state, config, request)` — the load
+/// harness's in-process topology runs the same body without a socket, and
+/// its verifier re-renders expected bodies through the same renderers to
+/// compare bytes.  Spans for route/compile/fetch/merge/extract/render land
+/// on `sink`; the caller owns the root span and the trace-id response
+/// header.  On a ring member every response leaves with [`OWNER_HEADER`]
+/// set — the local group normally, the actual owner on a `wrong_owner`
+/// answer.
 pub fn route(
-    engine: &Arc<QueryEngine>,
+    _engine: &Arc<QueryEngine>,
     executor: &Arc<PlanExecutor>,
     config: &ServerConfig,
     telemetry: &Telemetry,
     sink: &TraceSink,
     request: &Request,
 ) -> Response {
-    let response = route_inner(engine, executor, config, telemetry, sink, request);
+    respond(executor, config, telemetry, sink, request)
+}
+
+/// [`route`] without the engine argument: what a connection handler and
+/// the in-process load topology call.
+pub(crate) fn respond(
+    executor: &Arc<PlanExecutor>,
+    config: &ServerConfig,
+    telemetry: &Telemetry,
+    sink: &TraceSink,
+    request: &Request,
+) -> Response {
+    let response = route_inner(executor, config, telemetry, sink, request);
     match config.ring.as_deref() {
         Some(membership) if !response.headers.iter().any(|&(k, _)| k == OWNER_HEADER) => {
             response.with_header(OWNER_HEADER, membership.group_name().to_string())
@@ -1116,7 +1151,6 @@ fn check_ownership(
 }
 
 fn route_inner(
-    engine: &Arc<QueryEngine>,
     executor: &Arc<PlanExecutor>,
     config: &ServerConfig,
     telemetry: &Telemetry,
@@ -1131,7 +1165,7 @@ fn route_inner(
             if request.method != "GET" {
                 return Response::error(405, "healthz is GET-only");
             }
-            let stats = engine.catalog().stats();
+            let stats = executor.catalog().stats();
             Response::json(
                 200,
                 format!(
@@ -1144,7 +1178,11 @@ fn route_inner(
             if request.method != "GET" {
                 return Response::error(405, "metrics is GET-only");
             }
-            telemetry.update(engine, config.replication.as_ref(), config.ring.as_deref());
+            telemetry.update(
+                executor,
+                config.replication.as_ref(),
+                config.ring.as_deref(),
+            );
             Response::text(200, telemetry.registry.render())
         }
         ["v1", "_debug", "trace"] => route_debug_trace(telemetry, request),
@@ -1153,10 +1191,10 @@ fn route_inner(
             if request.method != "GET" {
                 return Response::error(405, "sync manifest is GET-only");
             }
-            Response::json(200, render_inventory_json(engine))
+            Response::json(200, render_inventory_json(executor.catalog()))
         }
-        ["v1", "_sync", "sketch"] => route_sync_sketch(engine, request),
-        ["v1", "query"] => route_query(engine, executor, config, sink, request),
+        ["v1", "_sync", "sketch"] => route_sync_sketch(executor.catalog(), request),
+        ["v1", "query"] => route_query(executor, config, sink, request),
         ["v1", tenant, dataset, op] => {
             if let Err(response) = check_ownership(config, sink, tenant) {
                 return *response;
@@ -1173,7 +1211,7 @@ fn route_inner(
                 SpanTag::Untagged,
                 compile_start,
             );
-            match run_plan(engine, executor, sink, &plan) {
+            match executor.execute_traced(&plan, sink, ROOT_SPAN_ID) {
                 Ok(executed) => {
                     // A degenerate plan has exactly one source; reconstruct
                     // the legacy single-target response shape from it, so
@@ -1197,7 +1235,7 @@ fn route_inner(
                         .with_header(VERSION_HEADER, version.to_string())
                         .with_header(FRESHNESS_HEADER, freshness.as_str())
                 }
-                Err(response) => *response,
+                Err(e) => plan_error_response(e),
             }
         }
         _ => Response::error(404, "no such route"),
@@ -1258,9 +1296,9 @@ fn route_debug_slow(telemetry: &Telemetry, request: &Request) -> Response {
 /// `GET /v1/_sync/manifest`: the catalog's version vector as JSON, sorted —
 /// what a bootstrapping or delta-polling replica diffs against its own
 /// catalog.
-fn render_inventory_json(engine: &Arc<QueryEngine>) -> String {
+fn render_inventory_json(catalog: &SketchCatalog) -> String {
     let mut out = String::from("{\"entries\":[");
-    for (i, entry) in engine.catalog().inventory().iter().enumerate() {
+    for (i, entry) in catalog.inventory().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -1280,7 +1318,7 @@ fn render_inventory_json(engine: &Arc<QueryEngine>) -> String {
 /// the checksummed `opaq_storage::sketch_codec` frame, with the served
 /// version in `x-opaq-version` — one atomic `(version, bytes)` pair, so a
 /// replica can never apply bytes under the wrong version number.
-fn route_sync_sketch(engine: &Arc<QueryEngine>, request: &Request) -> Response {
+fn route_sync_sketch(catalog: &SketchCatalog, request: &Request) -> Response {
     if request.method != "GET" {
         return Response::error(405, "sync sketch is GET-only");
     }
@@ -1290,10 +1328,7 @@ fn route_sync_sketch(engine: &Arc<QueryEngine>, request: &Request) -> Response {
     let Some(dataset) = request.query_param("dataset") else {
         return Response::error(400, "missing query parameter dataset");
     };
-    let snapshot = match engine
-        .catalog()
-        .snapshot(&TenantId::new(tenant), &DatasetId::new(dataset))
-    {
+    let snapshot = match catalog.snapshot(&TenantId::new(tenant), &DatasetId::new(dataset)) {
         Ok(snapshot) => snapshot,
         Err(ServeError::UnknownEntry { .. }) => {
             return Response::error(404, "no sketch published for that entry")
@@ -1391,7 +1426,6 @@ fn parse_point_request(
 /// `POST /v1/query`: parse `{"plan": "fetch ... | ..."}`, execute, render
 /// the plan response with its full source provenance.
 fn route_query(
-    engine: &Arc<QueryEngine>,
     executor: &Arc<PlanExecutor>,
     config: &ServerConfig,
     sink: &TraceSink,
@@ -1432,7 +1466,7 @@ fn route_query(
             return *response;
         }
     }
-    match run_plan(engine, executor, sink, &plan) {
+    match executor.execute_traced(&plan, sink, ROOT_SPAN_ID) {
         Ok(executed) => {
             let sources = executed.sources.len().to_string();
             let render_start = sink.now_nanos();
@@ -1440,27 +1474,8 @@ fn route_query(
             sink.child(ROOT_SPAN_ID, Stage::Render, SpanTag::Untagged, render_start);
             Response::json(200, body).with_header(SOURCES_HEADER, sources)
         }
-        Err(response) => *response,
+        Err(e) => plan_error_response(e),
     }
-}
-
-/// Execute a plan through the shared executor and record its latency (on
-/// the sink's clock) in the engine: once per distinct contributing tenant
-/// and once against the armed SLO, on success only.
-fn run_plan(
-    engine: &Arc<QueryEngine>,
-    executor: &Arc<PlanExecutor>,
-    sink: &TraceSink,
-    plan: &QueryPlan,
-) -> Result<PlanResponse, Box<Response>> {
-    let start = sink.now_nanos();
-    let executed = executor
-        .execute_traced(plan, sink, ROOT_SPAN_ID)
-        .map_err(plan_error_response)?;
-    let elapsed = Duration::from_nanos(sink.now_nanos().saturating_sub(start));
-    // Sources arrive in sorted key order, so equal tenants are adjacent.
-    engine.record_latency(executed.sources.iter().map(|s| &s.tenant), elapsed);
-    Ok(executed)
 }
 
 /// Build the cross-group gather hook a ring member installs on its
@@ -1472,7 +1487,7 @@ fn run_plan(
 /// rather than returning a silently partial answer.  The request's trace id
 /// rides on every hop, so the scatter fan-out is one trace end to end.
 fn scatter_hook(membership: Arc<RingMembership>) -> Arc<ScatterFn> {
-    Arc::new(move |selector: &Selector, trace: Option<TraceId>| {
+    Arc::new(move |selector: &Selector, trace: TraceId| {
         let mut partials = Vec::new();
         for group in membership.peer_groups() {
             let mut gathered: Option<Vec<RemotePartial>> = None;
@@ -1481,7 +1496,7 @@ fn scatter_hook(membership: Arc<RingMembership>) -> Arc<ScatterFn> {
                 let mut client = HttpClient::new(addr.clone())
                     .with_read_timeout(Duration::from_millis(500))
                     .with_connect_timeout(Duration::from_millis(250));
-                client.set_trace_id(trace);
+                client.set_trace_id(Some(trace));
                 match gather_from_peer(&mut client, selector) {
                     Ok(found) => {
                         gathered = Some(found);
@@ -1531,8 +1546,8 @@ fn gather_from_peer(client: &mut HttpClient, selector: &Selector) -> NetResult<V
 /// Map executor errors to responses.  The single-target serve errors keep
 /// the statuses and messages the legacy routes emitted; plan-specific
 /// failures get their own stable codes.
-fn plan_error_response(e: QueryError) -> Box<Response> {
-    Box::new(match &e {
+fn plan_error_response(e: QueryError) -> Response {
+    match &e {
         QueryError::Parse { .. } => Response::error_coded(400, "invalid_plan", &e.to_string()),
         QueryError::NoMatch { .. } => Response::error_coded(404, "not_found", &e.to_string()),
         QueryError::NeedsCoalesce { .. } => {
@@ -1543,7 +1558,7 @@ fn plan_error_response(e: QueryError) -> Box<Response> {
         }
         QueryError::Serve(ServeError::Opaq(err)) => Response::error(400, &err.to_string()),
         QueryError::Serve(err) => Response::error(500, &err.to_string()),
-    })
+    }
 }
 
 /// Canonical JSON body of a successful query response.  Both the server and
@@ -1557,30 +1572,7 @@ pub fn render_response_json(response: &QueryResponse) -> String {
     out.push_str(&response.total_elements.to_string());
     out.push_str(",\"freshness\":");
     write_escaped(&mut out, response.freshness.as_str());
-    match &response.output {
-        QueryOutput::Quantile(est) => {
-            out.push_str(",\"estimate\":");
-            write_estimate(&mut out, est);
-        }
-        QueryOutput::Rank(bounds) => {
-            out.push_str(",\"rank\":{\"min_rank\":");
-            out.push_str(&bounds.min_rank.to_string());
-            out.push_str(",\"max_rank\":");
-            out.push_str(&bounds.max_rank.to_string());
-            out.push('}');
-        }
-        QueryOutput::QuantileBatch(ests) | QueryOutput::Profile(ests) => {
-            out.push_str(",\"estimates\":[");
-            for (i, est) in ests.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_estimate(&mut out, est);
-            }
-            out.push(']');
-        }
-    }
-    out.push('}');
+    write_output(&mut out, &response.output);
     out
 }
 
@@ -1609,10 +1601,16 @@ pub fn render_plan_response_json(response: &PlanResponse) -> String {
         out.push('}');
     }
     out.push(']');
-    match &response.output {
+    write_output(&mut out, &response.output);
+    out
+}
+
+/// The output keys shared by both renderers, and the closing brace.
+fn write_output(out: &mut String, output: &QueryOutput) {
+    match output {
         QueryOutput::Quantile(est) => {
             out.push_str(",\"estimate\":");
-            write_estimate(&mut out, est);
+            write_estimate(out, est);
         }
         QueryOutput::Rank(bounds) => {
             out.push_str(",\"rank\":{\"min_rank\":");
@@ -1627,13 +1625,12 @@ pub fn render_plan_response_json(response: &PlanResponse) -> String {
                 if i > 0 {
                     out.push(',');
                 }
-                write_estimate(&mut out, est);
+                write_estimate(out, est);
             }
             out.push(']');
         }
     }
     out.push('}');
-    out
 }
 
 fn write_estimate(out: &mut String, est: &QuantileEstimate<u64>) {

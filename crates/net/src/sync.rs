@@ -27,7 +27,7 @@ use crate::replica::ReplicationStats;
 use crate::server::VERSION_HEADER;
 use crate::{NetError, NetResult};
 use opaq_core::QuantileSketch;
-use opaq_metrics::trace::{SpanRecorder, SpanTag, Stage, TraceId, TraceSink};
+use opaq_metrics::trace::{SpanRecorder, SpanTag, Stage, TraceSink};
 use opaq_serve::{DatasetId, ServeError, SketchCatalog, TenantId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -140,10 +140,10 @@ pub fn fetch_sketch(
 /// version.  Returns how many entries were applied.  Serves both cold
 /// bootstrap and steady-state delta catch-up.
 ///
-/// Each pass mints a fresh trace id, stamps it on every request to the
-/// peer (so the peer's `Request` spans land on the same trace), and —
-/// when `recorder` is given — records a local `Sync` root span covering
-/// the whole pass, tagged `Error` on failure.
+/// Each pass runs under one fresh trace sink: its minted id is stamped on
+/// every request to the peer (so the peer's `Request` spans land on the
+/// same trace), and its `Sync` root span covers the whole pass, tagged
+/// `Error` on failure — recorded into `recorder`, or nowhere without one.
 ///
 /// # Errors
 /// Transport/protocol failures; a concurrently-advanced local entry
@@ -154,18 +154,15 @@ pub fn sync_once(
     stats: Option<&Arc<ReplicationStats>>,
     recorder: Option<&Arc<SpanRecorder>>,
 ) -> NetResult<u64> {
-    let trace = TraceId::mint();
-    client.set_trace_id(Some(trace));
-    let sink = recorder.map(|r| TraceSink::new(Arc::clone(r), trace));
+    let sink = TraceSink::fresh(recorder.cloned());
+    client.set_trace_id(Some(sink.trace()));
     let outcome = sync_pass(catalog, client, stats);
-    if let Some(sink) = sink {
-        let tag = if outcome.is_ok() {
-            SpanTag::Untagged
-        } else {
-            SpanTag::Error
-        };
-        sink.finish_root(Stage::Sync, tag);
-    }
+    let tag = if outcome.is_ok() {
+        SpanTag::Untagged
+    } else {
+        SpanTag::Error
+    };
+    sink.finish_root(Stage::Sync, tag);
     outcome
 }
 

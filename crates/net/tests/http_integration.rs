@@ -31,8 +31,9 @@ fn sketch_of(n: u64) -> opaq_core::QuantileSketch<u64> {
     inc.into_sketch().unwrap()
 }
 
-/// Engine with one published tenant (`acme/events`, 10k keys) + its server.
-fn serve(config: ServerConfig) -> (Arc<SketchCatalog>, Arc<QueryEngine>, HttpServer) {
+/// A catalog with one published tenant (`acme/events`, 10k keys) + its
+/// server.
+fn serve(config: ServerConfig) -> (Arc<SketchCatalog>, HttpServer) {
     let catalog = Arc::new(SketchCatalog::unbounded());
     catalog
         .publish(
@@ -42,13 +43,13 @@ fn serve(config: ServerConfig) -> (Arc<SketchCatalog>, Arc<QueryEngine>, HttpSer
         )
         .unwrap();
     let engine = Arc::new(QueryEngine::new(Arc::clone(&catalog)));
-    let server = HttpServer::start(Arc::clone(&engine), config).unwrap();
-    (catalog, engine, server)
+    let server = HttpServer::start(engine, config).unwrap();
+    (catalog, server)
 }
 
 #[test]
 fn every_endpoint_family_is_byte_identical_to_the_in_process_answer() {
-    let (_catalog, _engine, server) = serve(ServerConfig::default());
+    let (_catalog, server) = serve(ServerConfig::default());
     let mut client = HttpClient::new(server.local_addr().to_string());
     let direct = sketch_of(10_000);
 
@@ -154,7 +155,7 @@ fn path_segments_decode_individually_so_odd_tenant_ids_route() {
 
 #[test]
 fn profile_default_count_and_batch_of_one() {
-    let (_c, _e, server) = serve(ServerConfig::default());
+    let (_c, server) = serve(ServerConfig::default());
     let mut client = HttpClient::new(server.local_addr().to_string());
     let response = client.get("/v1/acme/events/profile").unwrap();
     assert_eq!(response.status, 200);
@@ -172,9 +173,13 @@ fn profile_default_count_and_batch_of_one() {
 
 #[test]
 fn health_and_metrics_expose_catalog_and_latency() {
-    let (_c, engine, server) = serve(ServerConfig::default());
     // An unmeetable SLO: every served query is a breach.
-    engine.set_slo_threshold(Some(Duration::ZERO));
+    let (_c, server) = serve(
+        ServerConfig::builder()
+            .slo_threshold(Some(Duration::ZERO))
+            .build()
+            .unwrap(),
+    );
     let mut client = HttpClient::new(server.local_addr().to_string());
     let health = client.get("/healthz").unwrap();
     assert_eq!(health.status, 200);
@@ -187,7 +192,7 @@ fn health_and_metrics_expose_catalog_and_latency() {
         let r = client.get("/v1/acme/events/quantile?phi=0.5").unwrap();
         assert_eq!(r.status, 200);
     }
-    assert_eq!(engine.slo_breaches(), 5);
+    assert_eq!(server.executor().slo_breaches(), 5);
     let metrics = client.get("/metrics").unwrap();
     assert_eq!(metrics.status, 200);
     let text = metrics.body_str().unwrap();
@@ -208,7 +213,7 @@ fn health_and_metrics_expose_catalog_and_latency() {
 
 #[test]
 fn error_statuses_are_typed() {
-    let (_c, _e, server) = serve(
+    let (_c, server) = serve(
         ServerConfig::builder()
             .limits(ReadLimits {
                 max_header_bytes: 512,
@@ -300,7 +305,7 @@ fn error_statuses_are_typed() {
 
 #[test]
 fn keep_alive_cap_closes_and_client_reconnects() {
-    let (_c, _e, server) = serve(
+    let (_c, server) = serve(
         ServerConfig::builder()
             .keep_alive_max_requests(3)
             .build()
@@ -319,7 +324,7 @@ fn keep_alive_cap_closes_and_client_reconnects() {
 #[test]
 fn malformed_requests_get_400_not_a_hang() {
     use std::io::{Read, Write};
-    let (_c, _e, server) = serve(ServerConfig::default());
+    let (_c, server) = serve(ServerConfig::default());
     for raw in [
         "BANANAS\r\n\r\n",
         "GET noslash HTTP/1.1\r\n\r\n",
@@ -350,7 +355,7 @@ fn malformed_requests_get_400_not_a_hang() {
 
 #[test]
 fn ttl_expiry_is_visible_over_the_wire_until_refresh_publishes() {
-    let (catalog, _engine, server) = serve(ServerConfig::default());
+    let (catalog, server) = serve(ServerConfig::default());
     let mut client = HttpClient::new(server.local_addr().to_string());
     let (tenant, dataset) = (TenantId::new("acme"), DatasetId::new("events"));
     catalog
@@ -378,7 +383,7 @@ fn ttl_expiry_is_visible_over_the_wire_until_refresh_publishes() {
     // Install a real refresh pipeline: the next expired access routes the
     // entry to the pool, serves `refreshing`, and the publish flips it back
     // to `fresh` at version 2.
-    let pool = Arc::new(RefreshPool::new(Arc::clone(&catalog), 1).unwrap());
+    let pool = Arc::new(RefreshPool::new(Arc::clone(&catalog), 1, None).unwrap());
     let weak = Arc::downgrade(&pool);
     catalog.set_refresh_hook(Box::new(move |tenant, dataset| {
         let Some(pool) = weak.upgrade() else {
@@ -467,7 +472,7 @@ fn query_plans_are_byte_identical_to_the_offline_merge() {
 
 #[test]
 fn degenerate_single_target_plan_agrees_with_the_get_route() {
-    let (_c, _e, server) = serve(ServerConfig::default());
+    let (_c, server) = serve(ServerConfig::default());
     let mut client = HttpClient::new(server.local_addr().to_string());
     let get = client.get("/v1/acme/events/quantile?phi=0.5").unwrap();
     assert_eq!(get.status, 200);
@@ -508,7 +513,7 @@ fn degenerate_single_target_plan_agrees_with_the_get_route() {
 
 #[test]
 fn query_errors_carry_stable_machine_readable_codes() {
-    let (_c, _e, server) = serve(ServerConfig::default());
+    let (_c, server) = serve(ServerConfig::default());
     let mut client = HttpClient::new(server.local_addr().to_string());
     let code_of = |body: &str| -> String {
         Json::parse(body)
@@ -607,7 +612,7 @@ fn server_config_builder_rejects_unservable_configurations() {
 
 #[test]
 fn shutdown_is_clean_and_connections_stop() {
-    let (_c, _e, mut server) = serve(ServerConfig::default());
+    let (_c, mut server) = serve(ServerConfig::default());
     let addr = server.local_addr();
     let mut client = HttpClient::new(addr.to_string());
     assert_eq!(client.get("/healthz").unwrap().status, 200);
@@ -637,7 +642,7 @@ fn shutdown_is_clean_and_connections_stop() {
 fn overload_sheds_with_503_instead_of_queueing_forever() {
     // 1 worker + zero-capacity queue: with the single worker busy on a held
     // connection, a second connection must be bounced with 503.
-    let (_c, _e, server) = serve(
+    let (_c, server) = serve(
         ServerConfig::builder()
             .workers(1)
             .accept_backlog(0)
@@ -733,7 +738,7 @@ fn batch_answer() -> String {
 
 #[test]
 fn requests_written_one_byte_at_a_time_are_answered_byte_identically() {
-    let (_c, _e, server) = serve(ServerConfig::default());
+    let (_c, server) = serve(ServerConfig::default());
     let mut stream = raw_socket(&server);
     let get = "GET /v1/acme/events/quantile?phi=0.4237 HTTP/1.1\r\nhost: t\r\n\r\n";
     for (raw, expected) in [
@@ -755,7 +760,7 @@ fn requests_written_one_byte_at_a_time_are_answered_byte_identically() {
 
 #[test]
 fn pipelined_requests_in_one_segment_are_answered_in_order() {
-    let (_c, _e, server) = serve(ServerConfig::default());
+    let (_c, server) = serve(ServerConfig::default());
     let mut stream = raw_socket(&server);
     let requests = format!(
         "GET /v1/acme/events/quantile?phi=0.5 HTTP/1.1\r\nhost: t\r\n\r\n{}\
@@ -781,7 +786,7 @@ fn pipelined_requests_in_one_segment_are_answered_in_order() {
 fn a_header_block_at_the_cap_passes_and_one_byte_over_is_431() {
     // A cap well above the 8 KiB receive buffer.
     let max = 20_000;
-    let (_c, _e, server) = serve(
+    let (_c, server) = serve(
         ServerConfig::builder()
             .limits(ReadLimits {
                 max_header_bytes: max,
@@ -809,7 +814,7 @@ fn a_header_block_at_the_cap_passes_and_one_byte_over_is_431() {
 
 #[test]
 fn a_post_whose_body_follows_its_head_in_a_later_segment_parses() {
-    let (_c, _e, server) = serve(ServerConfig::default());
+    let (_c, server) = serve(ServerConfig::default());
     let mut stream = raw_socket(&server);
     let raw = batch_post("");
     let (head, body) = raw.split_at(raw.len() - BATCH.len());
@@ -827,7 +832,7 @@ fn a_post_whose_body_follows_its_head_in_a_later_segment_parses() {
 fn a_stalled_request_gets_408_while_a_slow_one_is_served() {
     // The idle wait reads with a short poll timeout; a request still
     // incomplete after it must be read under `read_timeout` instead.
-    let (_c, _e, server) = serve(
+    let (_c, server) = serve(
         ServerConfig::builder()
             .read_timeout(Duration::from_secs(1))
             .build()

@@ -27,14 +27,16 @@
 //!   [`QuantileSketch::merge`] (equal values keep left-operand order), this
 //!   makes the final sketch **bit-identical to the sequential
 //!   [`IncrementalOpaq`] fold over the same store, for any shard count and
-//!   any worker completion order**: each worker folds its runs in ascending
-//!   run order, and the merge tree combines shard sketches in ascending
-//!   shard order, so equal sample values are globally ordered by the run
-//!   they came from — exactly as in the sequential left-to-right fold.
+//!   any worker completion order**: each worker samples its runs in
+//!   ascending run order and merges them once, and the merge tree combines
+//!   shard sketches in ascending shard order, so equal sample values are
+//!   globally ordered by the run they came from — exactly as in the
+//!   sequential left-to-right fold.
 //! * **Bounded memory, zero steady-state allocation.**  Every run channel
-//!   holds at most `prefetch_depth` runs, so a slow worker back-pressures
-//!   the dispatcher instead of letting buffered runs pile up; peak memory
-//!   stays at most `(S·(depth + 1) + depth + 2) · m` keys (per shard:
+//!   holds at most `depth` = [`DEFAULT_PREFETCH_DEPTH`] runs, so a slow
+//!   worker back-pressures the dispatcher instead of letting buffered runs
+//!   pile up; peak memory stays at most `(S·(depth + 1) + depth + 2) · m`
+//!   keys (per shard:
 //!   `depth` buffered plus one being sampled; plus the prefetch pipeline's
 //!   `depth + 2`) on top of the `r·s` sample points.  Those buffers
 //!   *recycle*: workers return each sampled run to a shared
@@ -52,7 +54,7 @@ use crossbeam::channel;
 use opaq_core::{
     merge_tree, IncrementalOpaq, Key, OpaqConfig, OpaqError, OpaqResult, QuantileSketch,
 };
-use opaq_metrics::trace::{SpanTag, Stage, TraceSink};
+use opaq_metrics::trace::{SpanTag, Stage, TraceSink, ROOT_SPAN_ID};
 use opaq_metrics::{render_shard_table, ShardStats};
 use opaq_storage::{BufferPool, IoStatsSnapshot, RunStore, DEFAULT_PREFETCH_DEPTH};
 use std::sync::Arc;
@@ -67,7 +69,6 @@ use std::time::{Duration, Instant};
 pub struct ShardedOpaq {
     config: OpaqConfig,
     threads: usize,
-    prefetch_depth: usize,
 }
 
 /// What one sharded ingest did: per-shard statistics plus the phase and I/O
@@ -120,20 +121,7 @@ impl ShardedOpaq {
                 "at least one ingestion thread is required".into(),
             ));
         }
-        Ok(Self {
-            config,
-            threads,
-            prefetch_depth: DEFAULT_PREFETCH_DEPTH,
-        })
-    }
-
-    /// Override the read-ahead / per-shard channel depth (clamped to ≥ 1,
-    /// default [`DEFAULT_PREFETCH_DEPTH`]).  Larger depths smooth out uneven
-    /// run processing times at the cost of `depth · m` extra buffered keys
-    /// per shard.
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
-        self.prefetch_depth = depth.max(1);
-        self
+        Ok(Self { config, threads })
     }
 
     /// The configuration in use.
@@ -169,32 +157,20 @@ impl ShardedOpaq {
         K: Key,
         S: RunStore<K>,
     {
-        self.build_inner(store, None)
+        self.build_sketch_traced(store, &TraceSink::off(), ROOT_SPAN_ID)
     }
 
-    /// Like [`Self::build_sketch_with_report`], additionally recording
-    /// ingest-side trace spans into `sink`: one [`Stage::Ingest`] span per
-    /// shard worker (covering the worker's whole lifetime, so starvation is
-    /// visible as span length vs. busy time in the report) and one
-    /// [`Stage::Merge`] span for the final merge tree, all parented under
-    /// `parent` (typically the refresh job's root span).
+    /// Like [`Self::build_sketch_with_report`], recording ingest-side trace
+    /// spans on `sink`: one [`Stage::Ingest`] span per shard worker
+    /// (covering the worker's whole lifetime, so starvation is visible as
+    /// span length vs. busy time in the report) and one [`Stage::Merge`]
+    /// span for the final merge tree, all parented under `parent`
+    /// (typically the refresh job's root span).
     pub fn build_sketch_traced<K, S>(
         &self,
         store: &S,
         sink: &TraceSink,
         parent: u32,
-    ) -> OpaqResult<(QuantileSketch<K>, ShardedIngestReport)>
-    where
-        K: Key,
-        S: RunStore<K>,
-    {
-        self.build_inner(store, Some((sink, parent)))
-    }
-
-    fn build_inner<K, S>(
-        &self,
-        store: &S,
-        trace: Option<(&TraceSink, u32)>,
     ) -> OpaqResult<(QuantileSketch<K>, ShardedIngestReport)>
     where
         K: Key,
@@ -226,7 +202,7 @@ impl ShardedOpaq {
                 let (result_tx, result_rx) = channel::unbounded::<(usize, WorkerResult<K>)>();
                 let mut run_txs: Vec<channel::Sender<Vec<K>>> = Vec::with_capacity(shards);
                 for shard in 0..shards {
-                    let (run_tx, run_rx) = channel::bounded::<Vec<K>>(self.prefetch_depth);
+                    let (run_tx, run_rx) = channel::bounded::<Vec<K>>(DEFAULT_PREFETCH_DEPTH);
                     run_txs.push(run_tx);
                     let result_tx = result_tx.clone();
                     let config = self.config;
@@ -234,12 +210,9 @@ impl ShardedOpaq {
                     scope.spawn(move |_| {
                         // One Ingest span per shard worker, spanning its
                         // whole lifetime (recv waits included).
-                        let span = trace.map(|(sink, _)| (sink.allocate(), sink.now_nanos()));
-                        let finish = |tag: SpanTag| {
-                            if let (Some((sink, parent)), Some((id, start))) = (trace, span) {
-                                sink.complete(id, parent, Stage::Ingest, tag, start);
-                            }
-                        };
+                        let (span, start) = (sink.allocate(), sink.now_nanos());
+                        let finish =
+                            |tag: SpanTag| sink.complete(span, parent, Stage::Ingest, tag, start);
                         let mut inc = match IncrementalOpaq::<K>::new(config) {
                             Ok(inc) => inc,
                             Err(e) => {
@@ -250,21 +223,29 @@ impl ShardedOpaq {
                         };
                         let mut busy = Duration::ZERO;
                         let mut starved = Duration::ZERO;
+                        let mut batch = Vec::new();
                         loop {
                             let wait_start = Instant::now();
                             // Channel closed = all of this shard's runs seen.
                             let Ok(mut run) = run_rx.recv() else { break };
                             starved += wait_start.elapsed();
                             let work_start = Instant::now();
-                            let absorbed = inc.add_run_slice(&mut run);
+                            let sampled = inc.sample_into(&mut run, &mut batch);
                             pool.put(run);
-                            if let Err(e) = absorbed {
+                            if let Err(e) = sampled {
                                 let _ = result_tx.send((shard, Err(e)));
                                 finish(SpanTag::Error);
                                 return;
                             }
                             busy += work_start.elapsed();
                         }
+                        let work_start = Instant::now();
+                        if let Err(e) = inc.absorb(batch) {
+                            let _ = result_tx.send((shard, Err(e)));
+                            finish(SpanTag::Error);
+                            return;
+                        }
+                        busy += work_start.elapsed();
                         let stats = ShardStats {
                             shard,
                             runs: inc.runs_absorbed(),
@@ -288,7 +269,7 @@ impl ShardedOpaq {
                 let mut current = 0usize;
                 let dispatched = opaq_storage::for_each_run_prefetched_pooled(
                     store,
-                    self.prefetch_depth,
+                    DEFAULT_PREFETCH_DEPTH,
                     &pool,
                     |run, data| {
                         while current + 1 < shards && run >= starts[current + 1] {
@@ -325,16 +306,14 @@ impl ShardedOpaq {
                 // the same sketch; pairing halves the depth compared to a
                 // left fold.
                 let merge_start = Instant::now();
-                let merge_span_start = trace.map(|(sink, _)| sink.now_nanos());
+                let merge_span_start = sink.now_nanos();
                 let level: Vec<Arc<QuantileSketch<K>>> =
                     sketches.into_iter().flatten().map(Arc::new).collect();
                 let fused = merge_tree(&level)?;
                 drop(level);
                 let sketch = Arc::try_unwrap(fused).unwrap_or_else(|shared| (*shared).clone());
                 let merge = merge_start.elapsed();
-                if let (Some((sink, parent)), Some(start)) = (trace, merge_span_start) {
-                    sink.child(parent, Stage::Merge, SpanTag::Untagged, start);
-                }
+                sink.child(parent, Stage::Merge, SpanTag::Untagged, merge_span_start);
                 let shard_stats = stats.into_iter().flatten().collect();
                 Ok((sketch, shard_stats, dispatch, merge))
             })
@@ -480,7 +459,7 @@ mod tests {
 
     #[test]
     fn traced_build_records_ingest_and_merge_spans() {
-        use opaq_metrics::trace::{SpanRecorder, TraceId, ROOT_SPAN_ID};
+        use opaq_metrics::trace::{SpanRecorder, TraceId};
         let store = MemRunStore::new((0u64..10_000).collect(), 1000);
         let cfg = config(1000, 100);
         let recorder = std::sync::Arc::new(SpanRecorder::new(64));
@@ -514,20 +493,5 @@ mod tests {
             sharded.build_sketch(&store),
             Err(OpaqError::EmptyDataset)
         ));
-    }
-
-    #[test]
-    fn prefetch_depth_is_clamped_and_preserves_identity() {
-        let store = MemRunStore::new((0u64..9000).collect(), 900);
-        let cfg = config(900, 90);
-        let reference = sequential(&store, cfg);
-        for depth in [0, 1, 7] {
-            let sketch = ShardedOpaq::new(cfg, 3)
-                .unwrap()
-                .with_prefetch_depth(depth)
-                .build_sketch(&store)
-                .unwrap();
-            assert_eq!(sketch, reference, "depth {depth}");
-        }
     }
 }

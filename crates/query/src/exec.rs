@@ -10,12 +10,16 @@
 use crate::plan::{QueryPlan, Selector};
 use crate::QueryError;
 use opaq_core::{merge_tree, QuantileSketch};
-use opaq_metrics::trace::{SpanTag, Stage, TraceId, TraceSink};
+use opaq_metrics::trace::{SpanTag, Stage, TraceId, TraceSink, ROOT_SPAN_ID};
+use opaq_metrics::{LatencyHistogram, LatencySnapshot};
 use opaq_serve::{
     execute_on, DatasetId, Freshness, QueryOutput, SketchCatalog, SnapshotOrigin, TenantId,
 };
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
+use std::time::Duration;
 
 /// One catalog entry that contributed to a plan answer.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,10 +68,10 @@ pub struct RemotePartial {
 }
 
 /// A scatter hook: resolve a glob selector against every peer replica
-/// group and return the matching partial sketches.  The optional trace id
-/// is the in-flight request's, so cross-group hops carry the same trace.
+/// group and return the matching partial sketches.  The trace id is the
+/// in-flight plan's, so cross-group hops carry the same trace.
 pub type ScatterFn =
-    dyn Fn(&Selector, Option<TraceId>) -> Result<Vec<RemotePartial>, QueryError> + Send + Sync;
+    dyn Fn(&Selector, TraceId) -> Result<Vec<RemotePartial>, QueryError> + Send + Sync;
 
 /// A selector match with everything downstream stages need, whether it came
 /// from the local catalog or a peer group.
@@ -79,8 +83,10 @@ struct ResolvedSource {
     sketch: Arc<QuantileSketch<u64>>,
 }
 
-/// Executes [`QueryPlan`]s against a catalog; a traced run records one span
-/// per stage, which the span recorder turns into per-stage latency.
+/// Executes [`QueryPlan`]s against a catalog, records one span per stage
+/// on the caller's [`TraceSink`], and accounts every answered plan once:
+/// into each contributing tenant's latency histogram and against the SLO
+/// threshold.
 ///
 /// All methods take `&self`; share one executor behind an `Arc` across
 /// serving threads.  Snapshots are resolved through the catalog's usual
@@ -95,6 +101,13 @@ struct ResolvedSource {
 pub struct PlanExecutor {
     catalog: Arc<SketchCatalog>,
     scatter: Option<Arc<ScatterFn>>,
+    /// Plan latency per contributing tenant.  A poisoned lock is used as
+    /// is: its one update, an insert, leaves the map valid.
+    tenants: RwLock<HashMap<TenantId, Arc<LatencyHistogram>>>,
+    /// Per-plan SLO threshold in nanos (0 = none armed); plans slower than
+    /// this bump `slo_breaches`.
+    slo_threshold_nanos: u64,
+    slo_breaches: AtomicU64,
 }
 
 impl fmt::Debug for PlanExecutor {
@@ -102,16 +115,19 @@ impl fmt::Debug for PlanExecutor {
         f.debug_struct("PlanExecutor")
             .field("catalog", &self.catalog)
             .field("scatter", &self.scatter.as_ref().map(|_| "<hook>"))
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
 impl PlanExecutor {
-    /// Create an executor over `catalog`.
+    /// Create an executor over `catalog`, with no SLO threshold armed.
     pub fn new(catalog: Arc<SketchCatalog>) -> Self {
         Self {
             catalog,
             scatter: None,
+            tenants: RwLock::new(HashMap::new()),
+            slo_threshold_nanos: 0,
+            slo_breaches: AtomicU64::new(0),
         }
     }
 
@@ -122,12 +138,60 @@ impl PlanExecutor {
         self
     }
 
+    /// Arm (or, with `None`, leave disarmed) a per-plan latency SLO: every
+    /// answered plan slower than `threshold` bumps [`Self::slo_breaches`],
+    /// surfaced in `/metrics` as `opaq_slo_breaches` and in the serve
+    /// shutdown summary.  This is the server-side view; the open-loop load
+    /// harness judges the client-observed distribution separately.
+    #[must_use]
+    pub fn with_slo_threshold(mut self, threshold: Option<Duration>) -> Self {
+        self.slo_threshold_nanos =
+            threshold.map_or(0, |t| (t.as_nanos().min(u64::MAX as u128) as u64).max(1));
+        self
+    }
+
     /// The catalog plans resolve against.
     pub fn catalog(&self) -> &Arc<SketchCatalog> {
         &self.catalog
     }
 
-    /// Execute one plan, recording nothing.
+    /// Answered plans that exceeded the armed SLO threshold (0 while
+    /// disarmed).
+    pub fn slo_breaches(&self) -> u64 {
+        self.slo_breaches.load(Ordering::Relaxed)
+    }
+
+    /// Per-tenant plan latency snapshots, sorted by tenant for
+    /// deterministic reporting.
+    pub fn latency_report(&self) -> Vec<(TenantId, LatencySnapshot)> {
+        let mut rows: Vec<_> = self
+            .tenants
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .map(|(tenant, h)| (tenant.clone(), h.snapshot()))
+            .collect();
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        rows
+    }
+
+    /// Execute one plan on an off sink: no span is kept, the plan is still
+    /// accounted.
+    ///
+    /// # Errors
+    /// As for [`PlanExecutor::execute_traced`].
+    pub fn execute(&self, plan: &QueryPlan) -> Result<PlanResponse, QueryError> {
+        self.execute_traced(plan, &TraceSink::off(), ROOT_SPAN_ID)
+    }
+
+    /// Execute one plan, recording spans on `sink` under `parent`: a
+    /// [`Stage::Fetch`] span with one [`Stage::Snapshot`] child per resolved
+    /// source (tagged from the snapshot's origin, or
+    /// [`SpanTag::RefreshTriggered`] when this fetch kicked off a TTL
+    /// refresh), a [`Stage::Scatter`] span when the scatter hook fires, a
+    /// [`Stage::Merge`] span when more than one snapshot fuses, and a
+    /// [`Stage::Extract`] span.  A successful plan is accounted once, timed
+    /// on the sink's clock from fetch start to extract end.
     ///
     /// # Errors
     /// * [`QueryError::NoMatch`] — a glob selector matched nothing;
@@ -137,49 +201,22 @@ impl PlanExecutor {
     ///   entries but the plan has no coalesce stage;
     /// * [`QueryError::Serve`] — snapshot reload, merge or estimation
     ///   failures.
-    pub fn execute(&self, plan: &QueryPlan) -> Result<PlanResponse, QueryError> {
-        self.execute_inner(plan, None)
-    }
-
-    /// Execute one plan, recording spans on `sink` under `parent`: a
-    /// [`Stage::Fetch`] span with one [`Stage::Snapshot`] child per resolved
-    /// source (tagged from the snapshot's origin, or
-    /// [`SpanTag::RefreshTriggered`] when this fetch kicked off a TTL
-    /// refresh), a [`Stage::Merge`] span when more than one snapshot fuses,
-    /// a [`Stage::Scatter`] span when the scatter hook fires, and a
-    /// [`Stage::Extract`] span.
-    ///
-    /// # Errors
-    /// Identical to [`PlanExecutor::execute`].
     pub fn execute_traced(
         &self,
         plan: &QueryPlan,
         sink: &TraceSink,
         parent: u32,
     ) -> Result<PlanResponse, QueryError> {
-        self.execute_inner(plan, Some((sink, parent)))
-    }
-
-    fn execute_inner(
-        &self,
-        plan: &QueryPlan,
-        trace: Option<(&TraceSink, u32)>,
-    ) -> Result<PlanResponse, QueryError> {
-        let fetch_span = trace.map(|(sink, _)| (sink.allocate(), sink.now_nanos()));
-        let fetch_id = fetch_span.map(|(id, _)| id);
-        let mut snapshots =
-            self.fetch(&plan.selector, trace.map(|(sink, _)| sink).zip(fetch_id))?;
-        if let (Some((sink, parent)), Some((fetch_id, start))) = (trace, fetch_span) {
-            sink.complete(fetch_id, parent, Stage::Fetch, SpanTag::Untagged, start);
-        }
+        let fetch_id = sink.allocate();
+        let start = sink.now_nanos();
+        let mut snapshots = self.fetch(&plan.selector, sink, fetch_id)?;
+        sink.complete(fetch_id, parent, Stage::Fetch, SpanTag::Untagged, start);
 
         if let (Selector::Glob { .. }, Some(scatter)) = (&plan.selector, self.scatter.as_ref()) {
-            let scatter_span = trace.map(|(sink, _)| sink.now_nanos());
-            let remote = scatter(&plan.selector, trace.map(|(sink, _)| sink.trace()))?;
+            let scatter_start = sink.now_nanos();
+            let remote = scatter(&plan.selector, sink.trace())?;
             snapshots = Self::fuse_partials(snapshots, remote);
-            if let (Some((sink, parent)), Some(start)) = (trace, scatter_span) {
-                sink.child(parent, Stage::Scatter, SpanTag::Untagged, start);
-            }
+            sink.child(parent, Stage::Scatter, SpanTag::Untagged, scatter_start);
         }
         if snapshots.is_empty() {
             // Only a scatter-enabled glob can get here: local-only fetch
@@ -200,25 +237,31 @@ impl PlanExecutor {
         }
 
         let fused = if snapshots.len() > 1 {
-            let merge_span = trace.map(|(sink, _)| sink.now_nanos());
+            let merge_start = sink.now_nanos();
             let sketches: Vec<_> = snapshots
                 .iter()
                 .map(|source| Arc::clone(&source.sketch))
                 .collect();
             let fused = merge_tree(&sketches).map_err(opaq_serve::ServeError::from)?;
-            if let (Some((sink, parent)), Some(start)) = (trace, merge_span) {
-                sink.child(parent, Stage::Merge, SpanTag::Untagged, start);
-            }
+            sink.child(parent, Stage::Merge, SpanTag::Untagged, merge_start);
             fused
         } else {
             Arc::clone(&snapshots[0].sketch)
         };
 
-        let extract_span = trace.map(|(sink, _)| sink.now_nanos());
+        let extract_start = sink.now_nanos();
         let output = execute_on(&fused, &plan.extract)?;
-        if let (Some((sink, parent)), Some(start)) = (trace, extract_span) {
-            sink.child(parent, Stage::Extract, SpanTag::Untagged, start);
-        }
+        let end = sink.now_nanos();
+        sink.complete_with(
+            sink.allocate(),
+            parent,
+            Stage::Extract,
+            SpanTag::Untagged,
+            extract_start,
+            end - extract_start,
+        );
+        // Sources are in sorted key order, so equal tenants are adjacent.
+        self.account(snapshots.iter().map(|s| &s.tenant), end - start);
 
         Ok(PlanResponse {
             output,
@@ -233,6 +276,32 @@ impl PlanExecutor {
                 })
                 .collect(),
         })
+    }
+
+    /// Account one answered plan that took `nanos`: once into each distinct
+    /// contributing tenant's histogram (created on first use; `tenants` in
+    /// sorted order, so equal tenants are adjacent), and once against the
+    /// armed SLO.
+    fn account<'a>(&self, tenants: impl IntoIterator<Item = &'a TenantId>, nanos: u64) {
+        let mut previous: Option<&TenantId> = None;
+        for tenant in tenants {
+            if previous.replace(tenant) != Some(tenant) {
+                self.tenant_histogram(tenant).record_nanos(nanos);
+            }
+        }
+        if self.slo_threshold_nanos > 0 && nanos > self.slo_threshold_nanos {
+            self.slo_breaches.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn tenant_histogram(&self, tenant: &TenantId) -> Arc<LatencyHistogram> {
+        let tenants = self.tenants.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(h) = tenants.get(tenant) {
+            return Arc::clone(h);
+        }
+        drop(tenants);
+        let mut tenants = self.tenants.write().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(tenants.entry(tenant.clone()).or_default())
     }
 
     /// Union local matches with scatter-gathered partials, then restore the
@@ -275,28 +344,27 @@ impl PlanExecutor {
     /// sorted key order.  A glob that matches nothing locally is only an
     /// error when there is no scatter hook to consult peer groups.
     ///
-    /// Traced, each snapshot records its own [`Stage::Snapshot`] span under
-    /// the fetch span `fetch_id`, tagged with how the catalog produced it.
+    /// Each snapshot records its own [`Stage::Snapshot`] span under the
+    /// fetch span `fetch_id`, tagged with how the catalog produced it.
     /// Remote partials are accounted to the scatter span instead.
     fn fetch(
         &self,
         selector: &Selector,
-        trace: Option<(&TraceSink, u32)>,
+        sink: &TraceSink,
+        fetch_id: u32,
     ) -> Result<Vec<ResolvedSource>, QueryError> {
         let resolved_source = |tenant: &TenantId, dataset: &DatasetId| {
-            let start = trace.map(|(sink, _)| sink.now_nanos());
+            let start = sink.now_nanos();
             let snap = self.catalog.snapshot(tenant, dataset)?;
-            if let (Some((sink, fetch_id)), Some(start)) = (trace, start) {
-                let tag = if snap.refresh_triggered {
-                    SpanTag::RefreshTriggered
-                } else {
-                    match snap.origin {
-                        SnapshotOrigin::Hit => SpanTag::Hit,
-                        SnapshotOrigin::ReloadFromSpill => SpanTag::ReloadFromSpill,
-                    }
-                };
-                sink.child(fetch_id, Stage::Snapshot, tag, start);
-            }
+            let tag = if snap.refresh_triggered {
+                SpanTag::RefreshTriggered
+            } else {
+                match snap.origin {
+                    SnapshotOrigin::Hit => SpanTag::Hit,
+                    SnapshotOrigin::ReloadFromSpill => SpanTag::ReloadFromSpill,
+                }
+            };
+            sink.child(fetch_id, Stage::Snapshot, tag, start);
             Ok::<_, opaq_serve::ServeError>(ResolvedSource {
                 tenant: tenant.clone(),
                 dataset: dataset.clone(),
@@ -333,7 +401,7 @@ impl PlanExecutor {
 mod tests {
     use super::*;
     use opaq_core::{IncrementalOpaq, OpaqConfig, OpaqError};
-    use opaq_metrics::trace::{SpanRecorder, ROOT_SPAN_ID};
+    use opaq_metrics::trace::SpanRecorder;
     use opaq_serve::{QueryRequest, ServeError};
 
     /// Run `plan` traced into a fresh recorder, whose per-stage histograms
@@ -598,6 +666,40 @@ mod tests {
         // Exact plans never scatter, so the failing hook is not consulted.
         let exact = QueryPlan::parse("fetch a/events | quantile 0.5").unwrap();
         assert!(executor.execute(&exact).is_ok());
+    }
+
+    #[test]
+    fn answered_plans_are_accounted_once_per_tenant_and_slo() {
+        let catalog = catalog_with(&[("t", "a", 0..100), ("t", "b", 0..100), ("u", "a", 0..100)]);
+        let executor = PlanExecutor::new(catalog).with_slo_threshold(Some(Duration::ZERO));
+        let glob = QueryPlan::parse("fetch */* | coalesce | quantile 0.5").unwrap();
+        executor.execute(&glob).unwrap();
+        let exact = QueryPlan::parse("fetch u/a | rank 5").unwrap();
+        for _ in 0..3 {
+            traced(&executor, &exact);
+        }
+        // Failed plans are not accounted.
+        let ghost = QueryPlan::parse("fetch ghost/a | rank 5").unwrap();
+        assert!(executor.execute(&ghost).is_err());
+        let report = executor.latency_report();
+        let counts: Vec<(&str, u64)> = report.iter().map(|(t, s)| (t.as_str(), s.count)).collect();
+        // `t` contributed two sources to one plan: counted once.
+        assert_eq!(counts, vec![("t", 1), ("u", 4)]);
+        assert_eq!(executor.slo_breaches(), 4, "one check per answered plan");
+    }
+
+    #[test]
+    fn slo_breaches_count_only_while_armed() {
+        let catalog = catalog_with(&[("a", "events", 0..100)]);
+        let plan = QueryPlan::parse("fetch a/events | quantile 0.5").unwrap();
+        let disarmed = PlanExecutor::new(Arc::clone(&catalog));
+        let generous = PlanExecutor::new(Arc::clone(&catalog))
+            .with_slo_threshold(Some(Duration::from_secs(3600)));
+        for executor in [&disarmed, &generous] {
+            executor.execute(&plan).unwrap();
+            assert_eq!(executor.slo_breaches(), 0);
+            assert_eq!(executor.latency_report()[0].1.count, 1);
+        }
     }
 
     #[test]

@@ -60,11 +60,15 @@
 //! offline merge of the very same sketch versions.
 //!
 //! Per-stage latency is timed once, by the spans
-//! [`PlanExecutor::execute_traced`] records (fetch, snapshot, scatter,
-//! merge, extract): the span recorder feeds each into its stage's histogram
-//! ([`opaq_metrics::SpanRecorder::histogram`]), which the server's
-//! `/metrics` endpoint exports.  Untraced [`PlanExecutor::execute`] records
-//! nothing.
+//! [`PlanExecutor::execute_traced`] records on its trace sink (fetch,
+//! snapshot, scatter, merge, extract): the span recorder feeds each into its
+//! stage's histogram ([`opaq_metrics::SpanRecorder::histogram`]), which the
+//! server's `/metrics` endpoint exports.  [`PlanExecutor::execute`] runs the
+//! same body on an off sink, which keeps no span.  Either way the executor
+//! accounts each answered plan once, from its fetch-start and extract-end
+//! marks on the sink's clock: into each contributing tenant's latency
+//! histogram ([`PlanExecutor::latency_report`]) and against the SLO
+//! threshold it was built with ([`PlanExecutor::slo_breaches`]).
 //!
 //! The legacy single-target requests are degenerate plans
 //! ([`QueryPlan::single`]): one exact fetch, no coalesce, one extract —

@@ -21,10 +21,9 @@
 //!  │ PlanExecutor │ ────────────────────▶ │ SketchCatalog │ ◀── publish()
 //!  │ (opaq-query) │  Arc<QuantileSketch>  │  (tenant,     │     epoch swap
 //!  │ → execute_on │  + version epoch      │   dataset) →  │
-//!  └──────┬───────┘                       │  versioned    │ ──▶ LRU spill to
-//!         │ elapsed, per tenant           │  entries      │     sketch files
-//!         ▼                               └──────────────┘ ◀── reload
-//!  QueryEngine (latency histograms, SLO breaches)
+//!  │ + per-tenant │                       │  versioned    │ ──▶ LRU spill to
+//!  │ latency, SLO │                       │  entries      │     sketch files
+//!  └──────────────┘                       └──────────────┘ ◀── reload
 //! ```
 //!
 //! * **Catalog epochs** ([`catalog`]): every `(tenant, dataset)` entry holds
@@ -46,10 +45,10 @@
 //! * **Queries** ([`query`]): typed requests — `Quantile{phi}`, `Rank{key}`,
 //!   `QuantileBatch{phis}`, `Profile{count}` — evaluated by [`execute_on`]
 //!   against one snapshot, so a batch is answered by a single consistent
-//!   version.  The router records every answered plan in
-//!   [`QueryEngine`]'s lock-free per-tenant latency histograms
-//!   ([`opaq_metrics::latency`], p50/p99/p999) and checks it against the
-//!   armed SLO threshold.
+//!   version.  The plan executor accounts every answered plan in its
+//!   lock-free per-tenant latency histograms ([`opaq_metrics::latency`],
+//!   p50/p99/p999) and checks it against the armed SLO threshold;
+//!   [`QueryEngine`] is only the server's catalog handle.
 //! * **Refresh pipeline** ([`refresh`]): a small worker pool that ingests new
 //!   data in the background — via `opaq_parallel::ShardedOpaq` or any
 //!   caller-supplied builder — and publishes the result as the entry's next

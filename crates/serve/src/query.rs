@@ -1,6 +1,6 @@
 //! The typed query model — requests, outputs, the response shape of a
 //! single-target answer — the one evaluation function [`execute_on`], and
-//! the server's per-tenant latency accounting.
+//! the server's catalog handle [`QueryEngine`].
 //!
 //! Answers are computed by `opaq_query::PlanExecutor`, which resolves one
 //! catalog snapshot per source and calls [`execute_on`] on it, so a
@@ -10,15 +10,10 @@
 //! tag is what lets callers (and the load harness's torn-read check)
 //! verify a response against the exact sketch that produced it.
 
-use crate::catalog::{Freshness, SketchCatalog, TenantId};
+use crate::catalog::{Freshness, SketchCatalog};
 use crate::ServeResult;
 use opaq_core::{QuantileEstimate, QuantileSketch, RankBounds};
-use opaq_metrics::{LatencyHistogram, LatencySnapshot};
-use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A typed query against one `(tenant, dataset)` entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,107 +120,32 @@ pub fn request_for(rng: &mut u64) -> QueryRequest {
     }
 }
 
-/// The server's catalog handle and its accounting: per-tenant latency
-/// histograms and a counter of answers over an optional SLO threshold,
-/// both fed by the HTTP router for every answered plan.  It evaluates
-/// nothing itself — every answer comes from `opaq_query::PlanExecutor`.
-/// It goes once the router's accounting moves into the executor and the
-/// benchmark harness stops passing an engine to `route`.  Share it behind
-/// an `Arc`; every method takes `&self`.
+/// The server's catalog handle, and nothing else: it evaluates nothing and
+/// accounts nothing.  Every answer, and the per-tenant latency and SLO
+/// accounting of every answered plan, comes from `opaq_query::PlanExecutor`.
+/// It stays only because the benchmark harness still passes one to
+/// `HttpServer::start` and `route`; it goes with that call shape.
 #[derive(Debug)]
 pub struct QueryEngine {
     catalog: Arc<SketchCatalog>,
-    tenants: RwLock<HashMap<TenantId, Arc<LatencyHistogram>>>,
-    /// Per-request SLO threshold in nanos (0 = none armed); requests slower
-    /// than this bump [`Self::slo_breaches`].
-    slo_threshold_nanos: AtomicU64,
-    slo_breaches: AtomicU64,
 }
 
 impl QueryEngine {
     /// Create an engine over `catalog`.
     pub fn new(catalog: Arc<SketchCatalog>) -> Self {
-        Self {
-            catalog,
-            tenants: RwLock::new(HashMap::new()),
-            slo_threshold_nanos: AtomicU64::new(0),
-            slo_breaches: AtomicU64::new(0),
-        }
+        Self { catalog }
     }
 
     /// The catalog this engine serves from.
     pub fn catalog(&self) -> &Arc<SketchCatalog> {
         &self.catalog
     }
-
-    /// Arm (or disarm, with `None`) a per-request latency SLO: every
-    /// answer recorded through [`Self::record_latency`] (every answered
-    /// plan, point queries included) slower than `threshold` bumps
-    /// [`Self::slo_breaches`], surfaced in `/metrics` as
-    /// `opaq_slo_breaches` and in the serve shutdown summary.  This is the server-side view; the open-loop bench
-    /// harness judges the client-observed distribution separately.
-    pub fn set_slo_threshold(&self, threshold: Option<Duration>) {
-        let nanos = threshold.map_or(0, |t| (t.as_nanos().min(u64::MAX as u128) as u64).max(1));
-        self.slo_threshold_nanos.store(nanos, Ordering::Relaxed);
-    }
-
-    /// Requests that exceeded the armed SLO threshold (0 while disarmed).
-    pub fn slo_breaches(&self) -> u64 {
-        self.slo_breaches.load(Ordering::Relaxed)
-    }
-
-    /// Record one successful answer that took `elapsed`: once into each
-    /// distinct contributing tenant's histogram (`tenants` in sorted order,
-    /// so equal tenants are adjacent), and once against the armed SLO.
-    pub fn record_latency<'a>(
-        &self,
-        tenants: impl IntoIterator<Item = &'a TenantId>,
-        elapsed: Duration,
-    ) {
-        let mut previous: Option<&TenantId> = None;
-        for tenant in tenants {
-            if previous != Some(tenant) {
-                self.tenant_histogram(tenant).record(elapsed);
-                previous = Some(tenant);
-            }
-        }
-        let threshold = self.slo_threshold_nanos.load(Ordering::Relaxed);
-        if threshold > 0 && elapsed.as_nanos() > u128::from(threshold) {
-            self.slo_breaches.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// The latency histogram of one tenant (created on first use).
-    pub fn tenant_histogram(&self, tenant: &TenantId) -> Arc<LatencyHistogram> {
-        if let Some(h) = self.tenants.read().get(tenant) {
-            return Arc::clone(h);
-        }
-        let mut tenants = self.tenants.write();
-        Arc::clone(
-            tenants
-                .entry(tenant.clone())
-                .or_insert_with(|| Arc::new(LatencyHistogram::new())),
-        )
-    }
-
-    /// Per-tenant latency snapshots, sorted by tenant for deterministic
-    /// reporting.
-    pub fn latency_report(&self) -> Vec<(TenantId, LatencySnapshot)> {
-        let mut rows: Vec<_> = self
-            .tenants
-            .read()
-            .iter()
-            .map(|(tenant, h)| (tenant.clone(), h.snapshot()))
-            .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::DatasetId;
+    use crate::catalog::{DatasetId, TenantId};
     use opaq_core::{IncrementalOpaq, OpaqConfig};
 
     fn sketch_of(n: u64) -> QuantileSketch<u64> {
@@ -304,57 +224,9 @@ mod tests {
     }
 
     #[test]
-    fn latency_is_recorded_per_tenant() {
-        let (engine, t, _) = engine_with(1_000);
-        for micros in 1..=10 {
-            engine.record_latency([&t], Duration::from_micros(micros));
-        }
-        let report = engine.latency_report();
-        assert_eq!(report.len(), 1);
-        assert_eq!(report[0].0, t);
-        assert_eq!(report[0].1.count, 10);
-        assert!(report[0].1.p50 <= report[0].1.p999);
-        assert_eq!(engine.tenant_histogram(&t).count(), 10);
-    }
-
-    #[test]
-    fn record_latency_counts_each_distinct_tenant_and_one_slo_check() {
-        let (engine, t, _) = engine_with(1_000);
-        let u = TenantId::from("u");
-        engine.set_slo_threshold(Some(Duration::ZERO));
-        engine.record_latency([&t, &t, &u], Duration::from_micros(5));
-        assert_eq!(engine.tenant_histogram(&t).count(), 1, "adjacent repeats");
-        assert_eq!(engine.tenant_histogram(&u).count(), 1);
-        assert_eq!(engine.slo_breaches(), 1, "one answer, one check");
-    }
-
-    #[test]
     fn invalid_requests_surface_typed_errors() {
         let sketch = sketch_of(1_000);
         assert!(execute_on(&sketch, &QueryRequest::Quantile { phi: 1.5 }).is_err());
         assert!(execute_on(&sketch, &QueryRequest::Profile { count: 0 }).is_err());
-    }
-
-    #[test]
-    fn slo_threshold_counts_slow_requests_only_while_armed() {
-        let (engine, t, _) = engine_with(1_000);
-        let answer = || engine.record_latency([&t], Duration::from_micros(5));
-        // Disarmed: nothing counts.
-        answer();
-        assert_eq!(engine.slo_breaches(), 0);
-        // An unmeetable threshold: every request breaches.
-        engine.set_slo_threshold(Some(Duration::ZERO));
-        for _ in 0..3 {
-            answer();
-        }
-        assert_eq!(engine.slo_breaches(), 3);
-        // A generous threshold: the counter stops moving but keeps history.
-        engine.set_slo_threshold(Some(Duration::from_secs(3600)));
-        answer();
-        assert_eq!(engine.slo_breaches(), 3);
-        // Disarming keeps history too.
-        engine.set_slo_threshold(None);
-        answer();
-        assert_eq!(engine.slo_breaches(), 3);
     }
 }

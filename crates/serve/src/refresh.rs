@@ -14,7 +14,7 @@ use crate::catalog::{DatasetId, SketchCatalog, TenantId};
 use crate::{ServeError, ServeResult};
 use crossbeam::channel;
 use opaq_core::{OpaqConfig, QuantileSketch};
-use opaq_metrics::trace::{SpanRecorder, SpanTag, Stage, TraceId, TraceSink, ROOT_SPAN_ID};
+use opaq_metrics::trace::{SpanRecorder, SpanTag, Stage, TraceSink, ROOT_SPAN_ID};
 use opaq_parallel::ShardedOpaq;
 use opaq_storage::RunStore;
 use parking_lot::Mutex;
@@ -22,10 +22,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A job's sketch builder; handed the worker's trace sink (when the pool
-/// has a span recorder attached) so traced builds — e.g. the sharded
-/// ingest — can record child spans under the job's `refresh` root.
-type Builder = Box<dyn FnOnce(Option<&TraceSink>) -> ServeResult<QuantileSketch<u64>> + Send>;
+/// A job's sketch builder; handed the job's trace sink so a build — e.g.
+/// the sharded ingest — records child spans under the job's `refresh` root.
+type Builder = Box<dyn FnOnce(&TraceSink) -> ServeResult<QuantileSketch<u64>> + Send>;
 
 struct Job {
     tenant: TenantId,
@@ -62,9 +61,6 @@ pub struct RefreshPool {
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     progress: Arc<Progress>,
     failures: Arc<Mutex<Vec<(TenantId, DatasetId, ServeError)>>>,
-    /// Span recorder for ingest-side traces; shared with the workers, set
-    /// (at any time) via [`RefreshPool::set_recorder`].
-    recorder: Arc<Mutex<Option<Arc<SpanRecorder>>>>,
 }
 
 impl std::fmt::Debug for RefreshPool {
@@ -80,10 +76,17 @@ impl std::fmt::Debug for RefreshPool {
 
 impl RefreshPool {
     /// Spawn a pool of `workers` refresh threads publishing into `catalog`.
+    /// Every job is its own trace, rooted at a [`Stage::Refresh`] span,
+    /// recorded into `recorder` (typically the server's shared one) — or
+    /// nowhere when it is `None`.
     ///
     /// # Errors
     /// [`ServeError::InvalidConfig`] if `workers == 0`.
-    pub fn new(catalog: Arc<SketchCatalog>, workers: usize) -> ServeResult<Self> {
+    pub fn new(
+        catalog: Arc<SketchCatalog>,
+        workers: usize,
+        recorder: Option<Arc<SpanRecorder>>,
+    ) -> ServeResult<Self> {
         if workers == 0 {
             return Err(ServeError::InvalidConfig(
                 "a refresh pool needs at least one worker".into(),
@@ -96,14 +99,13 @@ impl RefreshPool {
         let rx = Arc::new(Mutex::new(rx));
         let progress = Arc::new(Progress::default());
         let failures = Arc::new(Mutex::new(Vec::new()));
-        let recorder: Arc<Mutex<Option<Arc<SpanRecorder>>>> = Arc::new(Mutex::new(None));
         let workers = (0..workers)
             .map(|i| {
                 let rx = Arc::clone(&rx);
                 let catalog = Arc::clone(&catalog);
                 let progress = Arc::clone(&progress);
                 let failures = Arc::clone(&failures);
-                let recorder = Arc::clone(&recorder);
+                let recorder = recorder.clone();
                 std::thread::Builder::new()
                     .name(format!("opaq-serve-refresh-{i}"))
                     .spawn(move || loop {
@@ -116,18 +118,13 @@ impl RefreshPool {
                         };
                         // Each job is its own trace, rooted at a `refresh`
                         // span; the builder records children under it.
-                        let sink = recorder
-                            .lock()
-                            .clone()
-                            .map(|rec| TraceSink::new(rec, TraceId::mint()));
-                        let result = (job.build)(sink.as_ref())
+                        let sink = TraceSink::fresh(recorder.clone());
+                        let result = (job.build)(&sink)
                             .and_then(|sketch| catalog.publish(&job.tenant, &job.dataset, sketch));
                         match result {
                             Ok(_version) => {
                                 progress.published.fetch_add(1, Ordering::Release);
-                                if let Some(sink) = &sink {
-                                    sink.finish_root(Stage::Refresh, SpanTag::Untagged);
-                                }
+                                sink.finish_root(Stage::Refresh, SpanTag::Untagged);
                             }
                             Err(e) => {
                                 // A TTL-triggered refresh that dies must not
@@ -136,9 +133,7 @@ impl RefreshPool {
                                 catalog.refresh_aborted(&job.tenant, &job.dataset);
                                 failures.lock().push((job.tenant, job.dataset, e));
                                 progress.failed.fetch_add(1, Ordering::Release);
-                                if let Some(sink) = &sink {
-                                    sink.finish_root(Stage::Refresh, SpanTag::Error);
-                                }
+                                sink.finish_root(Stage::Refresh, SpanTag::Error);
                             }
                         }
                     })
@@ -151,15 +146,7 @@ impl RefreshPool {
             workers: Mutex::new(workers),
             progress,
             failures,
-            recorder,
         })
-    }
-
-    /// Attach the span recorder ingest traces are written to (typically the
-    /// server's shared recorder).  Takes effect for jobs dequeued after the
-    /// call; jobs run without a recorder are simply untraced.
-    pub fn set_recorder(&self, recorder: Arc<SpanRecorder>) {
-        *self.recorder.lock() = Some(recorder);
     }
 
     /// The catalog the pool publishes into.
@@ -181,9 +168,8 @@ impl RefreshPool {
         self.submit_inner(tenant, dataset, Box::new(move |_sink| build()))
     }
 
-    /// Queue a builder that receives the worker's trace sink (when a
-    /// recorder is attached), so the build can record child spans under the
-    /// job's `refresh` root span.
+    /// Queue a builder that receives the job's trace sink, so the build can
+    /// record child spans under the job's `refresh` root span.
     fn submit_inner(
         &self,
         tenant: &TenantId,
@@ -229,11 +215,10 @@ impl RefreshPool {
         self.submit_inner(
             tenant,
             dataset,
-            Box::new(move |sink| match sink {
-                Some(sink) => Ok(sharded
+            Box::new(move |sink| {
+                Ok(sharded
                     .build_sketch_traced(&*store, sink, ROOT_SPAN_ID)
-                    .map(|(sketch, _)| sketch)?),
-                None => Ok(sharded.build_sketch(&*store)?),
+                    .map(|(sketch, _)| sketch)?)
             }),
         )
     }
@@ -333,7 +318,7 @@ mod tests {
     #[test]
     fn background_ingest_publishes_the_sharded_sketch() {
         let catalog = Arc::new(SketchCatalog::unbounded());
-        let pool = RefreshPool::new(Arc::clone(&catalog), 2).unwrap();
+        let pool = RefreshPool::new(Arc::clone(&catalog), 2, None).unwrap();
         let (t, d) = ids();
         let store = Arc::new(MemRunStore::new((0u64..10_000).collect(), 1000));
         pool.submit_ingest(&t, &d, Arc::clone(&store), config(), 2)
@@ -353,7 +338,7 @@ mod tests {
     #[test]
     fn sequential_submissions_stack_versions() {
         let catalog = Arc::new(SketchCatalog::unbounded());
-        let pool = RefreshPool::new(Arc::clone(&catalog), 1).unwrap();
+        let pool = RefreshPool::new(Arc::clone(&catalog), 1, None).unwrap();
         let (t, d) = ids();
         for round in 1..=5u64 {
             pool.submit(&t, &d, move || {
@@ -380,7 +365,7 @@ mod tests {
     #[test]
     fn failures_are_recorded_not_published() {
         let catalog = Arc::new(SketchCatalog::unbounded());
-        let pool = RefreshPool::new(Arc::clone(&catalog), 2).unwrap();
+        let pool = RefreshPool::new(Arc::clone(&catalog), 2, None).unwrap();
         let (t, d) = ids();
         pool.submit(&t, &d, || Err(ServeError::Opaq(OpaqError::EmptyDataset)))
             .unwrap();
@@ -397,10 +382,10 @@ mod tests {
     fn zero_workers_rejected_and_drop_joins() {
         let catalog = Arc::new(SketchCatalog::unbounded());
         assert!(matches!(
-            RefreshPool::new(Arc::clone(&catalog), 0),
+            RefreshPool::new(Arc::clone(&catalog), 0, None),
             Err(ServeError::InvalidConfig(_))
         ));
-        let pool = RefreshPool::new(Arc::clone(&catalog), 3).unwrap();
+        let pool = RefreshPool::new(Arc::clone(&catalog), 3, None).unwrap();
         let (t, d) = ids();
         pool.submit(&t, &d, || {
             let mut inc = opaq_core::IncrementalOpaq::new(
@@ -422,7 +407,7 @@ mod tests {
     #[test]
     fn explicit_shutdown_drains_then_rejects() {
         let catalog = Arc::new(SketchCatalog::unbounded());
-        let pool = RefreshPool::new(Arc::clone(&catalog), 2).unwrap();
+        let pool = RefreshPool::new(Arc::clone(&catalog), 2, None).unwrap();
         let (t, d) = ids();
         let store = Arc::new(MemRunStore::new((0u64..5_000).collect(), 1000));
         for _ in 0..4 {
@@ -446,9 +431,8 @@ mod tests {
     #[test]
     fn traced_ingest_records_refresh_root_with_ingest_children() {
         let catalog = Arc::new(SketchCatalog::unbounded());
-        let pool = RefreshPool::new(Arc::clone(&catalog), 2).unwrap();
         let recorder = Arc::new(SpanRecorder::new(64));
-        pool.set_recorder(Arc::clone(&recorder));
+        let pool = RefreshPool::new(Arc::clone(&catalog), 2, Some(Arc::clone(&recorder))).unwrap();
         let (t, d) = ids();
         let store = Arc::new(MemRunStore::new((0u64..10_000).collect(), 1000));
         pool.submit_ingest(&t, &d, Arc::clone(&store), config(), 2)
@@ -478,7 +462,7 @@ mod tests {
     #[test]
     fn ttl_hook_routes_expired_entries_through_the_pool() {
         let catalog = Arc::new(SketchCatalog::unbounded());
-        let pool = Arc::new(RefreshPool::new(Arc::clone(&catalog), 1).unwrap());
+        let pool = Arc::new(RefreshPool::new(Arc::clone(&catalog), 1, None).unwrap());
         let (t, d) = ids();
         let store = Arc::new(MemRunStore::new((0u64..10_000).collect(), 1000));
         pool.submit_ingest(&t, &d, Arc::clone(&store), config(), 1)

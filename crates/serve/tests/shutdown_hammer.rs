@@ -30,7 +30,7 @@ fn shutdown_racing_submit_ingest_never_drops_an_accepted_job() {
     // it down mid-flight.
     for round in 0..8u64 {
         let catalog = Arc::new(SketchCatalog::unbounded());
-        let pool = Arc::new(RefreshPool::new(Arc::clone(&catalog), 2).unwrap());
+        let pool = Arc::new(RefreshPool::new(Arc::clone(&catalog), 2, None).unwrap());
         let accepted = Arc::new(AtomicU64::new(0));
         let rejected = Arc::new(AtomicU64::new(0));
         let stop = Arc::new(AtomicBool::new(false));
@@ -107,7 +107,7 @@ fn shutdown_racing_submit_ingest_never_drops_an_accepted_job() {
 #[test]
 fn shutdown_with_deep_backlog_drains_everything() {
     let catalog = Arc::new(SketchCatalog::unbounded());
-    let pool = RefreshPool::new(Arc::clone(&catalog), 3).unwrap();
+    let pool = RefreshPool::new(Arc::clone(&catalog), 3, None).unwrap();
     let tenant = TenantId::new("t");
     let dataset = DatasetId::new("d");
     let store = Arc::new(MemRunStore::new((0u64..1_000).collect(), 500));

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // TTL: age the entry out after 150ms; an expired read serves the old
     // version tagged stale/refreshing while the refresh pool re-ingests.
-    let pool = Arc::new(RefreshPool::new(Arc::clone(&catalog), 1)?);
+    let pool = Arc::new(RefreshPool::new(Arc::clone(&catalog), 1, None)?);
     let weak = Arc::downgrade(&pool);
     catalog.set_ttl(&tenant, &dataset, Some(Duration::from_millis(150)))?;
     catalog.set_refresh_hook(Box::new(move |tenant, dataset| {

@@ -18,13 +18,14 @@
 //!   sharded ingestion over any run store.
 //! * [`serve`] ([`opaq_serve`]) — concurrent multi-tenant sketch serving:
 //!   the versioned [`SketchCatalog`], typed [`QueryRequest`]s and their one
-//!   evaluation function, per-tenant latency accounting ([`QueryEngine`])
+//!   evaluation function, the server's catalog handle ([`QueryEngine`])
 //!   and background refresh.
 //! * [`query`] ([`opaq_query`]) — the composable query pipeline:
 //!   `fetch tenant-*/events | coalesce | quantile 0.5,0.99` expressions
 //!   compiled to typed [`QueryPlan`]s and executed by a [`PlanExecutor`]
 //!   against catalog snapshots, with full per-source provenance.  Every
-//!   served answer, a single-target one included, comes from it.
+//!   served answer, a single-target one included, comes from it, and it
+//!   accounts each one: per-tenant latency and SLO breaches.
 //! * [`net`] ([`opaq_net`]) — the HTTP/1.1 front-end over the serving
 //!   layer: dependency-free server/client, versioned + freshness-tagged
 //!   responses, `POST /v1/query` plans, `/metrics` exposition and the load

@@ -5,8 +5,8 @@ use opaq::datagen::{DatasetSpec, Distribution};
 use opaq::parallel::block_partition;
 use opaq::storage::FileRunStoreBuilder;
 use opaq::{
-    compute_error_rates, exact_quantile, GroundTruth, MemRunStore, MergeAlgorithm, OpaqConfig,
-    OpaqEstimator, ParallelOpaq, QuantileBoundsView, TheoreticalBounds,
+    compute_error_rates, exact_quantile, GroundTruth, IncrementalOpaq, MemRunStore, MergeAlgorithm,
+    OpaqConfig, OpaqEstimator, ParallelOpaq, QuantileBoundsView, ShardedOpaq, TheoreticalBounds,
 };
 use std::path::PathBuf;
 
@@ -75,6 +75,41 @@ fn file_backed_pipeline_respects_theoretical_bounds() {
 
 /// Sequential and parallel OPAQ over the same data and run structure must
 /// produce the same sample values and equally valid bounds.
+/// Batched absorption merges once per batch, yet a 240-run store absorbed
+/// whole, sharded over 3 threads, folded run by run and sampled by the
+/// one-pass estimator all give the same sketch, bit for bit.  The keys
+/// repeat heavily, so equal samples from different runs must keep run
+/// order in every path.
+#[test]
+fn batched_sharded_and_one_pass_sketches_are_bit_identical() {
+    let m: u64 = 500;
+    let data: Vec<u64> = (0..240 * m).map(|i| (i * 2_654_435_761) % 1_009).collect();
+    let store = MemRunStore::new(data.clone(), m);
+    let config = OpaqConfig::builder()
+        .run_length(m)
+        .sample_size(50)
+        .build()
+        .unwrap();
+    let one_pass = OpaqEstimator::new(config).build_sketch(&store).unwrap();
+    assert_eq!(one_pass.runs(), 240);
+
+    let mut batched = IncrementalOpaq::new(config).unwrap();
+    batched.add_store(&store).unwrap();
+    assert_eq!(batched.sketch(), Some(&one_pass));
+
+    let sharded = ShardedOpaq::new(config, 3)
+        .unwrap()
+        .build_sketch(&store)
+        .unwrap();
+    assert_eq!(sharded, one_pass);
+
+    let mut run_by_run = IncrementalOpaq::new(config).unwrap();
+    for run in data.chunks(m as usize) {
+        run_by_run.add_run(run.to_vec()).unwrap();
+    }
+    assert_eq!(run_by_run.into_sketch(), Some(one_pass));
+}
+
 #[test]
 fn parallel_agrees_with_sequential() {
     let n: u64 = 160_000;
