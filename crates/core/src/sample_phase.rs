@@ -27,8 +27,10 @@
 //! equal length, so steady-state per-run work allocates only the `s`-sized
 //! `values`/`gaps` vectors that outlive the call inside the returned
 //! [`RunSample`], plus the selection's own scratch: on runs of at least
-//! `opaq_select::SPLITTER_TREE_MIN_LEN` keys with `s >= 32`, a one-byte bucket
-//! label per key that is freed before the call returns.
+//! `opaq_select::SPLITTER_TREE_MIN_LEN` keys with `s >= 32`, a 4096-key
+//! oversample and 256 bucket buffers of 128 keys, freed before the call
+//! returns.  That scratch has the same size whatever `m` is, so one run in
+//! memory is the only `m`-sized buffer of the phase.
 
 use crate::{Key, OpaqError, OpaqResult};
 use opaq_select::{multiselect_into, regular_sample_ranks, SelectionStrategy};

@@ -520,6 +520,8 @@ impl ServerConfigBuilder {
     }
 
     /// Attach shared observability state (span ring, slow log, registry).
+    /// Its request, parse-error and shed counters count once for every
+    /// server that shares it, and [`HttpServer::stats`] reads them.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.config.telemetry = Some(telemetry);
         self
@@ -564,6 +566,11 @@ impl ServerConfigBuilder {
 }
 
 /// Monotonic counters of one server's lifetime.
+///
+/// `connections` is the server's own; the other three read the
+/// [`Telemetry`] counters behind `/metrics`, so with a `Telemetry` shared
+/// through [`ServerConfigBuilder::telemetry`] they count the events of every
+/// server that shares it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Connections accepted.
@@ -576,25 +583,6 @@ pub struct ServerStats {
     pub parse_errors: u64,
 }
 
-#[derive(Debug, Default)]
-struct StatsInner {
-    connections: AtomicU64,
-    rejected: AtomicU64,
-    requests: AtomicU64,
-    parse_errors: AtomicU64,
-}
-
-impl StatsInner {
-    fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            parse_errors: self.parse_errors.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// A running HTTP front-end over one catalog, answering every route through
 /// one [`PlanExecutor`].
 pub struct HttpServer {
@@ -602,7 +590,7 @@ pub struct HttpServer {
     shutdown: Arc<AtomicBool>,
     accept: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    stats: Arc<StatsInner>,
+    connections: Arc<AtomicU64>,
     telemetry: Arc<Telemetry>,
     executor: Arc<PlanExecutor>,
 }
@@ -611,7 +599,7 @@ impl std::fmt::Debug for HttpServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HttpServer")
             .field("local_addr", &self.local_addr)
-            .field("stats", &self.stats.snapshot())
+            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -632,7 +620,7 @@ impl HttpServer {
         let local_addr = listener.local_addr()?;
 
         let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(StatsInner::default());
+        let connections = Arc::new(AtomicU64::new(0));
         let (conn_tx, conn_rx) = channel::bounded::<Queued>(config.accept_backlog);
         let conn_rx = Arc::new(parking_lot::Mutex::new(conn_rx));
         // One executor serves every route: the GET point queries compile to
@@ -662,7 +650,6 @@ impl HttpServer {
                 let executor = Arc::clone(&executor);
                 let config = config.clone();
                 let shutdown = Arc::clone(&shutdown);
-                let stats = Arc::clone(&stats);
                 let telemetry = Arc::clone(&telemetry);
                 std::thread::Builder::new()
                     .name(format!("opaq-net-worker-{i}"))
@@ -674,9 +661,7 @@ impl HttpServer {
                         let Ok(queued) = stream else {
                             return; // queue closed and drained
                         };
-                        handle_connection(
-                            queued, &executor, &config, &shutdown, &stats, &telemetry,
-                        );
+                        handle_connection(queued, &executor, &config, &shutdown, &telemetry);
                     })
                     .expect("spawning an HTTP worker cannot fail")
             })
@@ -684,7 +669,7 @@ impl HttpServer {
 
         let accept = {
             let shutdown = Arc::clone(&shutdown);
-            let stats = Arc::clone(&stats);
+            let connections = Arc::clone(&connections);
             let telemetry = Arc::clone(&telemetry);
             std::thread::Builder::new()
                 .name("opaq-net-accept".to_string())
@@ -702,12 +687,11 @@ impl HttpServer {
                         }
                         match accepted {
                             Ok((stream, _peer)) => {
-                                stats.connections.fetch_add(1, Ordering::Relaxed);
+                                connections.fetch_add(1, Ordering::Relaxed);
                                 // Bounded hand-off: a full queue means the
                                 // workers are saturated — shed load with a
                                 // 503 instead of queueing unboundedly.
                                 if let Err(back) = try_send(&conn_tx, (stream, Instant::now())) {
-                                    stats.rejected.fetch_add(1, Ordering::Relaxed);
                                     telemetry.sheds.inc();
                                     // Even a shed carries a trace id and a
                                     // root span, so overload is visible in
@@ -740,7 +724,7 @@ impl HttpServer {
             shutdown,
             accept: Some(accept),
             workers,
-            stats,
+            connections,
             telemetry,
             executor,
         })
@@ -751,9 +735,15 @@ impl HttpServer {
         self.local_addr
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot (see [`ServerStats`] for what a shared
+    /// [`Telemetry`] counts).
     pub fn stats(&self) -> ServerStats {
-        self.stats.snapshot()
+        ServerStats {
+            connections: self.connections.load(Ordering::Relaxed),
+            rejected: self.telemetry.sheds.get(),
+            requests: self.telemetry.requests.get(),
+            parse_errors: self.telemetry.parse_errors.get(),
+        }
     }
 
     /// The observability state this server records into (the configured one,
@@ -832,7 +822,6 @@ fn handle_connection(
     executor: &Arc<PlanExecutor>,
     config: &ServerConfig,
     shutdown: &AtomicBool,
-    stats: &StatsInner,
     telemetry: &Telemetry,
 ) {
     let queue_wait = accepted.elapsed();
@@ -920,13 +909,11 @@ fn handle_connection(
                 (response, keep_alive)
             }
             Err(e) => {
-                stats.parse_errors.fetch_add(1, Ordering::Relaxed);
                 telemetry.parse_errors.inc();
                 sink.finish_root(Stage::Request, SpanTag::Error);
                 (parse_error_response(&e), false)
             }
         };
-        stats.requests.fetch_add(1, Ordering::Relaxed);
         telemetry.requests.inc();
         // The root closed before the write, so a client holding this
         // response can read a complete tree; the write span joins it after.

@@ -351,6 +351,25 @@ fn malformed_requests_get_400_not_a_hang() {
         );
         assert!(out.contains("connection: close"), "{out:?}");
     }
+    // Each event is counted once, and `stats()` reads the counters that
+    // `/metrics` renders: the scrape sees the six rejects, and the scrape
+    // itself is answered before `stats()` is read.
+    let mut client = HttpClient::new(server.local_addr().to_string());
+    let text = client
+        .get("/metrics")
+        .unwrap()
+        .body_str()
+        .unwrap()
+        .to_string();
+    assert!(text.contains("opaq_http_requests 6\n"), "{text}");
+    assert!(text.contains("opaq_http_parse_errors 6\n"), "{text}");
+    assert!(text.contains("opaq_http_sheds 0\n"), "{text}");
+    let stats = server.stats();
+    assert_eq!(
+        (stats.requests, stats.parse_errors, stats.rejected),
+        (7, 6, 0),
+        "{stats:?}"
+    );
 }
 
 #[test]

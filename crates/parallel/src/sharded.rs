@@ -58,7 +58,7 @@ use opaq_metrics::trace::{SpanTag, Stage, TraceSink, ROOT_SPAN_ID};
 use opaq_metrics::{render_shard_table, ShardStats};
 use opaq_storage::{BufferPool, IoStatsSnapshot, RunStore, DEFAULT_PREFETCH_DEPTH};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Multi-threaded OPAQ ingestion over any [`RunStore`].
 ///
@@ -187,7 +187,10 @@ impl ShardedOpaq {
             .collect();
 
         let io_before = store.io_stats().snapshot();
-        let total_start = Instant::now();
+        // Every duration below comes from the sink's clock, the one its
+        // spans record, whether or not the sink records them.
+        let since = |start: u64| sink.now_nanos().saturating_sub(start);
+        let total_start = sink.now_nanos();
 
         type WorkerResult<K> = OpaqResult<(Option<QuantileSketch<K>>, ShardStats)>;
 
@@ -225,11 +228,11 @@ impl ShardedOpaq {
                         let mut starved = Duration::ZERO;
                         let mut batch = Vec::new();
                         loop {
-                            let wait_start = Instant::now();
+                            let wait_start = sink.now_nanos();
                             // Channel closed = all of this shard's runs seen.
                             let Ok(mut run) = run_rx.recv() else { break };
-                            starved += wait_start.elapsed();
-                            let work_start = Instant::now();
+                            starved += Duration::from_nanos(since(wait_start));
+                            let work_start = sink.now_nanos();
                             let sampled = inc.sample_into(&mut run, &mut batch);
                             pool.put(run);
                             if let Err(e) = sampled {
@@ -237,15 +240,15 @@ impl ShardedOpaq {
                                 finish(SpanTag::Error);
                                 return;
                             }
-                            busy += work_start.elapsed();
+                            busy += Duration::from_nanos(since(work_start));
                         }
-                        let work_start = Instant::now();
+                        let work_start = sink.now_nanos();
                         if let Err(e) = inc.absorb(batch) {
                             let _ = result_tx.send((shard, Err(e)));
                             finish(SpanTag::Error);
                             return;
                         }
-                        busy += work_start.elapsed();
+                        busy += Duration::from_nanos(since(work_start));
                         let stats = ShardStats {
                             shard,
                             runs: inc.runs_absorbed(),
@@ -265,7 +268,7 @@ impl ShardedOpaq {
                 // its owning shard.  A send only fails if the worker died
                 // (which parks an error on the results channel), so errors
                 // are picked up below rather than here.
-                let dispatch_start = Instant::now();
+                let dispatch_start = sink.now_nanos();
                 let mut current = 0usize;
                 let dispatched = opaq_storage::for_each_run_prefetched_pooled(
                     store,
@@ -279,7 +282,7 @@ impl ShardedOpaq {
                     },
                 );
                 drop(run_txs);
-                let dispatch = dispatch_start.elapsed();
+                let dispatch = Duration::from_nanos(since(dispatch_start));
 
                 let mut sketches: Vec<Option<QuantileSketch<K>>> =
                     (0..shards).map(|_| None).collect();
@@ -305,15 +308,17 @@ impl ShardedOpaq {
                 // ascending shard index.  Any order-respecting tree yields
                 // the same sketch; pairing halves the depth compared to a
                 // left fold.
-                let merge_start = Instant::now();
-                let merge_span_start = sink.now_nanos();
+                let merge_start = sink.now_nanos();
                 let level: Vec<Arc<QuantileSketch<K>>> =
                     sketches.into_iter().flatten().map(Arc::new).collect();
                 let fused = merge_tree(&level)?;
                 drop(level);
                 let sketch = Arc::try_unwrap(fused).unwrap_or_else(|shared| (*shared).clone());
-                let merge = merge_start.elapsed();
-                sink.child(parent, Stage::Merge, SpanTag::Untagged, merge_span_start);
+                let merge_nanos = since(merge_start);
+                let span = sink.allocate();
+                let tag = SpanTag::Untagged;
+                sink.complete_with(span, parent, Stage::Merge, tag, merge_start, merge_nanos);
+                let merge = Duration::from_nanos(merge_nanos);
                 let shard_stats = stats.into_iter().flatten().collect();
                 Ok((sketch, shard_stats, dispatch, merge))
             })
@@ -325,7 +330,7 @@ impl ShardedOpaq {
             io: io_delta(io_before, store.io_stats().snapshot()),
             dispatch,
             merge,
-            total: total_start.elapsed(),
+            total: Duration::from_nanos(since(total_start)),
         };
         Ok((sketch, report))
     }
@@ -472,7 +477,11 @@ mod tests {
         let spans = recorder.trace(sink.trace());
         let ingest = spans.iter().filter(|s| s.stage == Stage::Ingest).count();
         assert_eq!(ingest, report.shards.len(), "one ingest span per shard");
-        assert_eq!(spans.iter().filter(|s| s.stage == Stage::Merge).count(), 1);
+        let merges: Vec<_> = spans.iter().filter(|s| s.stage == Stage::Merge).collect();
+        assert_eq!(merges.len(), 1);
+        // The report's merge time is the span's: one clock, read once.
+        assert_eq!(report.merge, Duration::from_nanos(merges[0].duration_nanos));
+        assert!(report.merge + report.dispatch <= report.total, "{report:?}");
         assert!(spans.iter().all(|s| s.parent == ROOT_SPAN_ID));
         assert!(spans.iter().all(|s| s.tag == SpanTag::Untagged));
     }

@@ -23,12 +23,13 @@
 //!   equals a bound the piece inherited ends that piece's whole band of equal
 //!   keys in one pass, which ends constant and few-valued runs.  Slices of
 //!   at least [`SPLITTER_TREE_MIN_LEN`] keys with at least 32 ranks are
-//!   first *classified*: 255 splitters from a sorted oversample form an
-//!   implicit search tree, each key's bucket goes into a one-byte oracle (the
-//!   only run-sized scratch: one byte per key), the oracle drives an in-place
-//!   permutation into value-ordered buckets, and the recursion then runs only
-//!   inside each bucket on the ranks that fall in it.  Runs with too few
-//!   distinct splitters (constant or few-valued data) skip the buckets.
+//!   first *distributed*: 255 splitters from a sorted oversample form an
+//!   implicit search tree, one pass sends every key through it into a
+//!   per-bucket buffer that is flushed block by block into the slice, the
+//!   blocks are swapped in place into value-ordered buckets, and the
+//!   recursion then runs only inside each bucket on the ranks that fall in
+//!   it.  Runs with too few distinct splitters (constant or few-valued
+//!   data) skip the buckets.
 //! * [`partition`] — three-way partitioning primitives shared by the
 //!   algorithms above, duplicate-robust by construction: the scalar Dutch
 //!   national flag scan *and* a branchless BlockQuicksort-style kernel
@@ -36,8 +37,8 @@
 //!   per-element comparison branch with offset-buffer fills and bulk swaps.
 //!
 //! All algorithms operate in place on `&mut [T]` where `T: Ord`, never
-//! allocate proportionally to the input (apart from recursion bookkeeping
-//! and the multi-selection oracle above), and are exact: they place the
+//! allocate proportionally to the input (the distribution's bucket buffers
+//! have a fixed size), and are exact: they place the
 //! requested order statistic at its index and return a reference to it.
 //! Because selection is exact, **every strategy returns the same values** —
 //! the choice only affects constant factors, so OPAQ sketches are

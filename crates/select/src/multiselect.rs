@@ -31,27 +31,30 @@
 //! whole run, and a 1M-key run does not fit in cache, so every level pays a
 //! full trip to memory.  Large rank sets on large slices therefore first take
 //! a *splitter-tree* step that replaces the top levels with one
-//! classification pass, after the classifier of Super Scalar Sample Sort
-//! (Sanders & Winkel, ESA 2004) and the in-place distribution of IPS⁴o
-//! (Axtmann et al., ESA 2017):
+//! distribution pass, after the classifier of Super Scalar Sample Sort
+//! (Sanders & Winkel, ESA 2004) and the block-wise in-place distribution of
+//! IPS⁴o (Axtmann et al., ESA 2017):
 //!
-//! 1. **Classify.**  An evenly spaced oversample of `16 × 256` keys is sorted
-//!    and every 16th key becomes one of 255 splitters, laid out as an
-//!    implicit (Eytzinger) search tree.  Each key descends the tree with
-//!    branch-free comparisons, eight keys interleaved, and its bucket number
-//!    lands in a one-byte *oracle*.  Bucket `i` holds the keys in
-//!    `(splitter[i-1], splitter[i]]`, so buckets are ordered by value.
-//! 2. **Permute.**  The oracle drives an American-flag cycle walk that moves
-//!    every key into its bucket in place — no second run-sized buffer.
-//! 3. **Select inside buckets.**  The recursion runs inside each bucket on
+//! 1. **Distribute.**  An evenly spaced oversample of `16 × 256` keys is
+//!    sorted and every 16th key becomes one of 255 splitters, laid out as an
+//!    implicit (Eytzinger) search tree.  Bucket `i` holds the keys in
+//!    `(splitter[i-1], splitter[i]]`, so buckets are ordered by value.  One
+//!    pass descends the tree with branch-free comparisons, eight keys
+//!    interleaved, and appends each key to its bucket's buffer of 128 keys.
+//!    A full buffer is flushed as one block into the front of the slice,
+//!    which that pass has already read.  Whole blocks are then swapped into
+//!    block-aligned bucket areas, and a left-to-right cleanup places the
+//!    partial buffers and the blocks that overhang a bucket's edge.
+//! 2. **Select inside buckets.**  The recursion runs inside each bucket on
 //!    the ranks that fall in it: a few ranks over a few thousand
 //!    cache-resident keys.  Bucket `i`'s ceiling is `splitter[i]`, so a
 //!    bucket that holds one heavy key ends in one selection and one pass.
 //!
-//! The only scratch is the oracle (one byte per key) and the oversample.
-//! Either way every requested rank holds its exact order statistic, with
-//! `<=` on its left and `>=` on its right.  So the selected values, and
-//! every OPAQ sketch built from them, do not depend on which path ran.
+//! The scratch does not grow with the slice: 256 bucket buffers of 128
+//! keys, two more blocks and the oversample.  Either way every requested
+//! rank holds its exact order statistic, with `<=` on its left and `>=` on
+//! its right.  So the selected values, and every OPAQ sketch
+//! built from them, do not depend on which path ran.
 //!
 //! Slices shorter than [`SPLITTER_TREE_MIN_LEN`] and rank sets of fewer than
 //! 32 ranks go to the recursion directly, which is cheaper there.  So do
@@ -121,9 +124,9 @@ pub fn multiselect_with<T: Ord + Copy>(
 /// [`regular_sample_ranks`]) no rank copy is made; unsorted rank sets fall
 /// back to one scratch copy for sorting.  Slices of at least
 /// [`SPLITTER_TREE_MIN_LEN`] keys with 32 or more ranks also allocate the
-/// splitter tree's scratch (one byte per key plus a 4096-key oversample),
-/// freed before the call returns; smaller calls allocate nothing beyond what
-/// `out` already owns.
+/// splitter tree's fixed scratch (a 4096-key oversample and 256 bucket
+/// buffers of 128 keys, whatever the slice length), freed before the call
+/// returns; smaller calls allocate nothing beyond what `out` already owns.
 pub fn multiselect_into<T: Ord + Copy>(
     data: &mut [T],
     ranks: &[usize],
@@ -167,11 +170,12 @@ fn check_bounds(sorted_ranks: &[usize], len: usize) {
 /// times their size.  At this floor, with one rank per 1000 keys, the tree
 /// and the recursion alone measured even; from 48k keys the tree won by
 /// about 1.25×, and with one rank per 20 keys it won by 1.2–1.3× at every
-/// length from 16k keys up.
+/// length from 16k keys up.  With the block-wise distribution the tree
+/// measured even or up to 1.2× faster at this floor, so it still holds.
 pub const SPLITTER_TREE_MIN_LEN: usize = 1 << 15;
 
 /// Rank sets smaller than this skip the splitter tree: with few ranks the
-/// recursion makes only a few passes, which beat classify-and-permute.  With
+/// recursion makes only a few passes, which beat the distribution.  With
 /// 8 ranks the recursion alone measured about 1.4× faster at every length up
 /// to 1M keys, with 16 about 1.1×; with 32 the two were even.
 const SPLITTER_TREE_MIN_RANKS: usize = 32;
@@ -190,6 +194,11 @@ const MIN_DISTINCT_SPLITTERS: usize = BUCKETS / 8;
 /// Keys classified side by side, so their tree descents overlap.
 const UNROLL: usize = 8;
 
+/// Keys per block of the distribution: each bucket buffers this many keys
+/// before it flushes them to the slice as one block.  From 64 to 256 keys
+/// measured even; 16 and 32 were slower.
+const BLOCK: usize = 128;
+
 /// Place every rank of `ranks` (sorted, unique, in bounds): the splitter
 /// tree first where it pays, then exact middle-rank recursion.
 fn select_sorted<T: Ord + Copy>(data: &mut [T], ranks: &[usize], strategy: SelectionStrategy) {
@@ -202,10 +211,7 @@ fn select_sorted<T: Ord + Copy>(data: &mut [T], ranks: &[usize], strategy: Selec
         split_ranks(data, 0, ranks, None, None, strategy);
         return;
     };
-    let mut oracle = vec![0u8; data.len() + 1];
-    let bounds = classify(data, &splitter_tree(&splitters), &mut oracle[..data.len()]);
-    permute(data, &oracle, &bounds);
-    drop(oracle);
+    let bounds = distribute(data, &splitter_tree(&splitters));
 
     // Buckets are value-ordered, so each rank is solved inside its bucket.
     // Bucket `b`'s largest possible key is `splitters[b]`: a bucket full of
@@ -270,83 +276,206 @@ fn bucket_of<T: Ord>(tree: &[T; BUCKETS], key: &T) -> usize {
     node - BUCKETS
 }
 
-/// Write every key's bucket into `oracle` and return the bucket bounds:
-/// bucket `b` will occupy `bounds[b]..bounds[b + 1]`.
-fn classify<T: Ord>(data: &[T], tree: &[T; BUCKETS], oracle: &mut [u8]) -> [usize; BUCKETS + 1] {
-    let mut counts = [0usize; BUCKETS];
-    let mut keys = data.chunks_exact(UNROLL);
-    let mut bytes = oracle.chunks_exact_mut(UNROLL);
-    for (keys, bytes) in (&mut keys).zip(&mut bytes) {
-        // The descents are independent, so the eight loads per level
-        // overlap instead of waiting on each other.
-        let mut nodes = [1usize; UNROLL];
-        for _ in 0..LOG_BUCKETS {
-            for (node, key) in nodes.iter_mut().zip(keys) {
-                *node = 2 * *node + usize::from(tree[*node & (BUCKETS - 1)] < *key);
-            }
-        }
-        for (byte, node) in bytes.iter_mut().zip(nodes) {
-            let bucket = node - BUCKETS;
-            *byte = bucket as u8;
-            counts[bucket & (BUCKETS - 1)] += 1;
-        }
-    }
-    for (byte, key) in bytes.into_remainder().iter_mut().zip(keys.remainder()) {
-        let bucket = bucket_of(tree, key);
-        *byte = bucket as u8;
-        counts[bucket] += 1;
-    }
+/// Move every key into its bucket, in place, and return the bucket bounds:
+/// bucket `b` ends up in `data[bounds[b]..bounds[b + 1]]`.
+///
+/// Block-wise, after IPS⁴o: [`Buffers::fill`] classifies every key and
+/// flushes full buffers as blocks into the slice's front,
+/// [`permute_blocks`] swaps those blocks into block-aligned bucket areas,
+/// and [`cleanup`] fills each bucket's edges from its buffer and from the
+/// block that overhangs its end.
+fn distribute<T: Ord + Copy>(data: &mut [T], tree: &[T; BUCKETS]) -> [usize; BUCKETS + 1] {
+    let Some(&first) = data.first() else {
+        return [0; BUCKETS + 1];
+    };
+    let mut buffers = Buffers::new(first);
+    let flushed = buffers.fill(data, tree);
     let mut bounds = [0usize; BUCKETS + 1];
-    for (b, &count) in counts.iter().enumerate() {
-        bounds[b + 1] = bounds[b] + count;
+    for b in 0..BUCKETS {
+        bounds[b + 1] = bounds[b] + buffers.blocks[b] * BLOCK + buffers.waiting(b).len();
     }
+    let mut overflow = [first; BLOCK];
+    let ends = permute_blocks(data, tree, &bounds, flushed, &mut overflow);
+    cleanup(data, &bounds, &ends, &buffers, &overflow);
     bounds
 }
 
-/// Move every key into its bucket, in place: bucket `b` ends up in
-/// `data[bounds[b]..bounds[b + 1]]`.
-///
-/// American-flag cycle walk: take the first unplaced key of a bucket, drop
-/// it at the write head of the bucket the oracle names, pick up the key it
-/// displaces, and so on until a key of the starting bucket comes back.  Every
-/// slot before a write head is final and never read again, so the oracle
-/// needs no updates.
-///
-/// The walk is a chain of dependent loads: where the next key goes depends
-/// on the bucket of the key just displaced.  `waiting[c]` caches the bucket
-/// of the key at head `c`, loaded from the oracle when the head last moved,
-/// so each step of the chain reads a 256-byte table instead of waiting for
-/// an oracle load from far away.  `oracle` has one spare byte at the end so
-/// that load never runs off it.
-fn permute<T: Copy>(data: &mut [T], oracle: &[u8], bounds: &[usize; BUCKETS + 1]) {
-    debug_assert_eq!(oracle.len(), data.len() + 1);
-    let mut heads = [0usize; BUCKETS];
-    heads.copy_from_slice(&bounds[..BUCKETS]);
-    let mut waiting = [0u8; BUCKETS];
-    for (waiting, &head) in waiting.iter_mut().zip(&heads) {
-        *waiting = oracle[head];
-    }
-    for b in 0..BUCKETS {
-        let end = bounds[b + 1];
-        while heads[b] < end {
-            let start = heads[b];
-            let mut bucket = usize::from(waiting[b]);
-            heads[b] = start + 1;
-            waiting[b] = oracle[start + 1];
-            if bucket == b {
-                continue;
-            }
-            let mut key = data[start];
-            while bucket != b {
-                let slot = heads[bucket];
-                let displaced_bucket = waiting[bucket];
-                heads[bucket] = slot + 1;
-                waiting[bucket] = oracle[slot + 1];
-                key = std::mem::replace(&mut data[slot], key);
-                bucket = usize::from(displaced_bucket);
-            }
-            data[start] = key;
+/// One buffer of [`BLOCK`] keys per bucket, for [`distribute`].
+struct Buffers<T> {
+    /// Bucket `b`'s buffer is `keys[b * BLOCK..(b + 1) * BLOCK]`.
+    keys: Box<[T; BUCKETS * BLOCK]>,
+    /// Where the next key of each bucket goes in `keys`: bucket `b` has
+    /// `keys[b * BLOCK..next[b]]` waiting, always less than a block.
+    next: [usize; BUCKETS],
+    /// Full blocks flushed from each buffer.
+    blocks: [usize; BUCKETS],
+}
+
+impl<T: Ord + Copy> Buffers<T> {
+    /// Empty buffers; `filler` only initialises their slots.
+    fn new(filler: T) -> Self {
+        let keys = vec![filler; BUCKETS * BLOCK].into_boxed_slice();
+        Self {
+            keys: keys
+                .try_into()
+                .unwrap_or_else(|_| unreachable!("exact length")),
+            next: std::array::from_fn(|b| b * BLOCK),
+            blocks: [0; BUCKETS],
         }
+    }
+
+    /// The keys waiting in bucket `b`'s buffer.
+    fn waiting(&self, b: usize) -> &[T] {
+        &self.keys[b * BLOCK..self.next[b]]
+    }
+
+    /// Classify every key of `data` into its bucket's buffer, flushing each
+    /// full buffer as a block to the front of `data`.  Returns the length
+    /// of the flushed front, a multiple of [`BLOCK`].
+    ///
+    /// A block is flushed only once [`BLOCK`] keys of its bucket have been
+    /// read, so it always lands on keys the pass has already read.
+    fn fill(&mut self, data: &mut [T], tree: &[T; BUCKETS]) -> usize {
+        let Self { keys, next, blocks } = self;
+        let mut flushed = 0;
+        let mut push = |bucket: usize, key: T, data: &mut [T]| {
+            let bucket = bucket & (BUCKETS - 1);
+            let at = next[bucket];
+            keys[at & (BUCKETS * BLOCK - 1)] = key;
+            if (at + 1) % BLOCK != 0 {
+                next[bucket] = at + 1;
+            } else {
+                let start = at + 1 - BLOCK;
+                data[flushed..flushed + BLOCK].copy_from_slice(&keys[start..=at]);
+                flushed += BLOCK;
+                next[bucket] = start;
+                blocks[bucket] += 1;
+            }
+        };
+        let whole = data.len() - data.len() % UNROLL;
+        for at in (0..whole).step_by(UNROLL) {
+            let chunk: [T; UNROLL] = data[at..at + UNROLL].try_into().expect("a whole chunk");
+            // The descents are independent, so the eight loads per level
+            // overlap instead of waiting on each other.
+            let mut nodes = [1usize; UNROLL];
+            for _ in 0..LOG_BUCKETS {
+                for (node, key) in nodes.iter_mut().zip(&chunk) {
+                    *node = 2 * *node + usize::from(tree[*node & (BUCKETS - 1)] < *key);
+                }
+            }
+            for (node, key) in nodes.into_iter().zip(chunk) {
+                push(node - BUCKETS, key, data);
+            }
+        }
+        for at in whole..data.len() {
+            let key = data[at];
+            push(bucket_of(tree, &key), key, data);
+        }
+        flushed
+    }
+}
+
+/// Round `at` up to a block boundary.
+fn block_ceil(at: usize) -> usize {
+    at.div_ceil(BLOCK) * BLOCK
+}
+
+/// Swap the full blocks in `data[..flushed]` into bucket areas, in place,
+/// and return each bucket's end of blocks.
+///
+/// Bucket `b`'s blocks go to the block-aligned area that starts at
+/// `block_ceil(bounds[b])`; it has room for all of them, but its last block
+/// may run past `bounds[b + 1]`.  `write[b]` is the next slot of that area
+/// and `read[b]` the end of the flushed blocks not yet looked at inside it,
+/// so slots before `write[b]` are final and slots from `read[b]` on are
+/// free.  Each cycle takes the last unread block of one bucket's area and
+/// carries it to its own bucket's write slot, skipping blocks already in
+/// place there; if that slot holds a foreign block, the two swap and the
+/// cycle carries the foreign one on, and otherwise the slot is free and the
+/// cycle ends.  The one slot that runs past the end of `data` goes to
+/// `overflow`.
+fn permute_blocks<T: Ord + Copy>(
+    data: &mut [T],
+    tree: &[T; BUCKETS],
+    bounds: &[usize; BUCKETS + 1],
+    flushed: usize,
+    overflow: &mut [T; BLOCK],
+) -> [usize; BUCKETS] {
+    let mut write = [0usize; BUCKETS];
+    let mut read = [0usize; BUCKETS];
+    for b in 0..BUCKETS {
+        let (start, end) = (block_ceil(bounds[b]), block_ceil(bounds[b + 1]));
+        write[b] = start;
+        read[b] = flushed.clamp(start, end);
+    }
+    // Any keys do: the carried block is loaded before it is read.
+    let mut carry = *overflow;
+    for b in 0..BUCKETS {
+        while write[b] < read[b] {
+            read[b] -= BLOCK;
+            let at = read[b];
+            carry.copy_from_slice(&data[at..at + BLOCK]);
+            let mut dest = bucket_of(tree, &carry[0]);
+            loop {
+                while write[dest] < read[dest] && bucket_of(tree, &data[write[dest]]) == dest {
+                    write[dest] += BLOCK;
+                }
+                let slot = write[dest];
+                write[dest] += BLOCK;
+                if slot < read[dest] {
+                    data[slot..slot + BLOCK].swap_with_slice(&mut carry);
+                    dest = bucket_of(tree, &carry[0]);
+                } else {
+                    match data.get_mut(slot..slot + BLOCK) {
+                        Some(free) => free.copy_from_slice(&carry),
+                        None => *overflow = carry,
+                    }
+                    break;
+                }
+            }
+        }
+    }
+    write
+}
+
+/// Complete every bucket, left to right, once [`permute_blocks`] has placed
+/// the full blocks: bucket `b`'s blocks fill `block_ceil(bounds[b])..ends[b]`.
+///
+/// Bucket `b` still lacks its head, `bounds[b]..block_ceil(bounds[b])`,
+/// which holds the overhang of the bucket before (already moved out), and
+/// any tail between its last block and `bounds[b + 1]`.  They take the keys
+/// of its last block that lie past `bounds[b + 1]`, then its buffer.  Those
+/// overhanging keys sit in the next bucket's head, which is filled only
+/// afterwards; if the block is the one that ran past the slice end, it is
+/// in `overflow`.
+fn cleanup<T: Ord + Copy>(
+    data: &mut [T],
+    bounds: &[usize; BUCKETS + 1],
+    ends: &[usize; BUCKETS],
+    buffers: &Buffers<T>,
+    overflow: &[T; BLOCK],
+) {
+    for b in 0..BUCKETS {
+        let (lo, hi, end) = (bounds[b], bounds[b + 1], ends[b]);
+        let start = block_ceil(lo);
+        let head_end = start.min(hi);
+        let mut at = lo;
+        // A bucket without blocks has `end == start`, which may lie past `hi`.
+        if end > start.max(hi) {
+            let last = end - BLOCK;
+            if end > data.len() {
+                let (inside, over) = overflow.split_at(hi - last);
+                data[last..hi].copy_from_slice(inside);
+                data[at..at + over.len()].copy_from_slice(over);
+                at += over.len();
+            } else {
+                data.copy_within(hi..end, at);
+                at += end - hi;
+            }
+        }
+        let (head, tail) = buffers.waiting(b).split_at(head_end - at);
+        data[at..head_end].copy_from_slice(head);
+        data[end.clamp(head_end, hi)..hi].copy_from_slice(tail);
     }
 }
 
@@ -514,28 +643,93 @@ mod tests {
         assert!(splitters(&uniform).is_some());
     }
 
-    #[test]
-    fn buckets_are_value_ordered_and_in_place() {
-        let len = SPLITTER_TREE_MIN_LEN + 12_345;
-        let mut data: Vec<u64> = (0..len as u64).map(|i| (i * 2654435761) % 50_021).collect();
+    /// SplitMix64 step: a deterministic key stream per seed.
+    fn mix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Distribute `data` over `tree` and check that the result is a
+    /// permutation of the input in which bucket `b` holds exactly the keys
+    /// whose [`bucket_of`] is `b`.
+    fn assert_distributes(mut data: Vec<u64>, tree: &[u64; BUCKETS]) -> [usize; BUCKETS + 1] {
         let mut expected = data.clone();
         expected.sort_unstable();
-        let tree = splitter_tree(&splitters(&data).expect("enough distinct splitters"));
-        let mut oracle = vec![0u8; len + 1];
-        let bounds = classify(&data, &tree, &mut oracle[..len]);
-        for (key, &bucket) in data.iter().zip(&oracle) {
-            assert_eq!(usize::from(bucket), bucket_of(&tree, key));
+        let mut counts = [0usize; BUCKETS];
+        for key in &data {
+            counts[bucket_of(tree, key)] += 1;
         }
-        permute(&mut data, &oracle, &bounds);
+        let bounds = distribute(&mut data, tree);
+        assert_eq!(bounds[BUCKETS], data.len());
         for b in 0..BUCKETS {
+            assert_eq!(bounds[b + 1] - bounds[b], counts[b], "bucket {b} size");
             let bucket = &data[bounds[b]..bounds[b + 1]];
             assert!(
-                bucket.iter().all(|key| bucket_of(&tree, key) == b),
-                "bucket {b}"
+                bucket.iter().all(|key| bucket_of(tree, key) == b),
+                "bucket {b} of {} keys",
+                data.len()
             );
         }
         data.sort_unstable();
-        assert_eq!(data, expected, "permute must only move keys");
+        assert_eq!(data, expected, "the distribution must only move keys");
+        bounds
+    }
+
+    /// A tree over the splitters `step, 2·step, …, 255·step`.
+    fn spaced_tree(step: u64) -> [u64; BUCKETS] {
+        let splitters: Vec<u64> = (1..BUCKETS as u64).map(|i| i * step).collect();
+        splitter_tree(&splitters)
+    }
+
+    #[test]
+    fn buckets_are_value_ordered_and_in_place() {
+        let len = SPLITTER_TREE_MIN_LEN + 12_345;
+        let data: Vec<u64> = (0..len as u64).map(|i| (i * 2654435761) % 50_021).collect();
+        let tree = splitter_tree(&splitters(&data).expect("enough distinct splitters"));
+        assert_distributes(data, &tree);
+    }
+
+    #[test]
+    fn a_last_block_past_the_slice_end_is_placed() {
+        // A few keys spread thinly over the lower buckets, which stay smaller
+        // than one block or empty; every other key lies above the last
+        // splitter.  The last bucket's area starts at the first block
+        // boundary, and with at most `len % BLOCK` keys below it, its blocks
+        // fill that area up to the boundary past the slice end: the final
+        // block goes to the overflow block, and all but `len % BLOCK` of
+        // its keys overhang the slice.
+        let step = 1 << 20;
+        let len = SPLITTER_TREE_MIN_LEN + 3 * BLOCK + 100;
+        let data: Vec<u64> = (0..len as u64)
+            .map(|i| match i % 379 {
+                0 => mix(i) % (BUCKETS as u64 * step),
+                _ => BUCKETS as u64 * step + mix(i) % 1000,
+            })
+            .collect();
+        let bounds = assert_distributes(data, &spaced_tree(step));
+        assert!(bounds[BUCKETS - 1] <= len % BLOCK, "{bounds:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Slices at block multiples ±1 from the splitter-tree floor up, and
+        /// splitters from `step` to `255·step` over keys below `2^20`: a
+        /// small step leaves buckets smaller than one block or empty and
+        /// piles most keys into the last bucket, whose final block then runs
+        /// past the slice end; a step near `2^12` spreads the keys evenly.
+        #[test]
+        fn distribution_places_every_key_in_its_bucket(
+            blocks in 0usize..24,
+            edge in 0usize..3,
+            shift in 0u32..14,
+            seed in any::<u64>(),
+        ) {
+            let len = SPLITTER_TREE_MIN_LEN + blocks * BLOCK + edge - 1;
+            let data: Vec<u64> = (0..len as u64).map(|i| mix(seed ^ i) % (1 << 20)).collect();
+            assert_distributes(data, &spaced_tree(1 << shift));
+        }
     }
 
     /// Exact selections [`split_ranks`] makes for `data` and `ranks`, which

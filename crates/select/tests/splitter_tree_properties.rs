@@ -1,6 +1,6 @@
 //! Property tests for multi-selection.  At or above [`SPLITTER_TREE_MIN_LEN`]
-//! `multiselect` classifies the keys into value-ordered buckets, permutes
-//! them in place and runs exact middle-rank recursion inside each bucket;
+//! `multiselect` distributes the keys in place into value-ordered buckets,
+//! block by block, and runs exact middle-rank recursion inside each bucket;
 //! below it, the recursion runs on the whole slice.
 //!
 //! Every shape runs with regular and irregular rank sets under every

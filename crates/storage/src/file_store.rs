@@ -2,10 +2,16 @@
 //!
 //! Records are stored as densely packed little-endian fixed-width keys in a
 //! single binary file.  Runs are contiguous byte ranges, so reading a run is
-//! one seek plus one large sequential read — exactly the access pattern the
+//! one seek plus one sequential read — exactly the access pattern the
 //! paper's cost analysis assumes (`O(n)` to read the data from disk).
+//!
+//! The paper sizes the run length `m` so that one run fits in main memory,
+//! so the read path holds no second run-sized buffer: each run streams
+//! through a fixed 256 KiB window and is decoded window by window straight
+//! into the caller's key buffer.  [`IoStats`] still records one read per
+//! run.
 
-use crate::codec::{decode_slice_into, encode_slice, FixedWidthCodec};
+use crate::codec::{encode_slice, FixedWidthCodec};
 use crate::{DiskModel, IoStats, RunLayout, RunStore, StorageError, StorageResult};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
@@ -108,15 +114,19 @@ pub struct FileRunStore<K> {
     _marker: std::marker::PhantomData<K>,
 }
 
-/// The serialized read state: the file handle plus a recycled byte scratch
-/// buffer.  Reads are already serialized by the mutex (one seek + one
-/// sequential read at a time is exactly the access pattern the paper's cost
-/// model assumes), so the scratch rides in the same lock and is reused by
-/// every run read — the raw-byte half of the allocation-free read path.
+/// Bytes a run read moves from the file per call: the window every run
+/// streams through, whatever its length.
+const READ_WINDOW: usize = 256 << 10;
+
+/// The serialized read state: the file handle plus the read window.  Reads
+/// are already serialized by the mutex (one seek + one sequential read at a
+/// time is exactly the access pattern the paper's cost model assumes), so
+/// the window rides in the same lock and is reused by every run read: at
+/// most [`READ_WINDOW`] bytes, however long the runs are.
 #[derive(Debug)]
 struct Reader {
     file: File,
-    scratch: Vec<u8>,
+    window: Vec<u8>,
 }
 
 impl<K: FixedWidthCodec> FileRunStore<K> {
@@ -162,7 +172,7 @@ impl<K: FixedWidthCodec> FileRunStore<K> {
             path,
             reader: Mutex::new(Reader {
                 file,
-                scratch: Vec::new(),
+                window: Vec::new(),
             }),
             layout,
             stats: IoStats::new(),
@@ -212,16 +222,29 @@ impl<K: FixedWidthCodec> RunStore<K> for FileRunStore<K> {
         let len = self.layout.run_len(run) as usize;
         let byte_len = len * K::WIDTH;
         let reused = buf.capacity() >= len;
+        buf.clear();
+        buf.reserve(len);
         {
             let mut reader = self.reader.lock();
-            let Reader { file, scratch } = &mut *reader;
-            // resize without clear: existing bytes are about to be
-            // overwritten by read_exact, so only newly grown capacity needs
-            // the zero-fill — steady state does no memset at all.
-            scratch.resize(byte_len, 0);
-            file.seek(SeekFrom::Start(offset))?;
-            file.read_exact(scratch)?;
-            decode_slice_into::<K>(scratch, len, buf)?;
+            let Reader { file, window } = &mut *reader;
+            let per_window = (READ_WINDOW / K::WIDTH).max(1);
+            // Resizing only zero-fills bytes the window has not held before.
+            window.resize(per_window.min(len) * K::WIDTH, 0);
+            let read = file.seek(SeekFrom::Start(offset)).and_then(|_| {
+                let mut left = len;
+                while left > 0 {
+                    let keys = left.min(per_window);
+                    let bytes = &mut window[..keys * K::WIDTH];
+                    file.read_exact(bytes)?;
+                    K::decode_extend(bytes, keys, buf);
+                    left -= keys;
+                }
+                Ok(())
+            });
+            if let Err(e) = read {
+                buf.clear();
+                return Err(e.into());
+            }
         }
         let modelled = self
             .disk_model
@@ -413,6 +436,49 @@ mod tests {
         // First read allocates; the other nine ride the recycled capacity.
         assert_eq!(s.buffer_allocs, 1);
         assert_eq!(s.buffer_reuses, 9);
+        store.remove_file().unwrap();
+    }
+
+    #[test]
+    fn runs_longer_than_the_window_read_whole_and_count_once() {
+        // u32 keys: two full windows and a part per run, so no run's byte
+        // length is a multiple of the window, and a short tail run.
+        let per_window = READ_WINDOW / 4;
+        let m = 2 * per_window + 1_000;
+        let data: Vec<u32> = (0..(3 * m + 77) as u32)
+            .map(|i| i.wrapping_mul(2_654_435_761))
+            .collect();
+        let path = temp_path("window");
+        let store = FileRunStoreBuilder::<u32>::new(&path, m as u64)
+            .unwrap()
+            .append(&data)
+            .unwrap()
+            .finish()
+            .unwrap();
+        assert_eq!(store.layout().runs(), 4);
+        let mut buf = Vec::new();
+        for (run, expected) in data.chunks(m).enumerate() {
+            let before = store.io_stats().snapshot();
+            store.read_run_into(run as u64, &mut buf).unwrap();
+            let after = store.io_stats().snapshot();
+            assert_eq!(buf, expected, "run {run}");
+            assert_eq!(after.read_calls - before.read_calls, 1, "run {run}");
+            assert_eq!(
+                after.bytes_read - before.bytes_read,
+                4 * expected.len() as u64,
+                "run {run}"
+            );
+        }
+        // A file cut short after opening fails the read and leaves the
+        // buffer cleared, not holding the windows read before the cut.
+        File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(4 * (m + per_window + 5) as u64)
+            .unwrap();
+        assert!(store.read_run_into(1, &mut buf).is_err());
+        assert!(buf.is_empty());
         store.remove_file().unwrap();
     }
 

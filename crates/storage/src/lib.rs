@@ -21,7 +21,9 @@
 //!   [`manifest::ManifestWriter`], [`manifest::replay`]): same
 //!   magic/version/checksum framing as the sketch codec, with torn-tail
 //!   truncation for crash recovery.
-//! * [`file_store`] — a file-backed implementation with buffered sequential reads.
+//! * [`file_store`] — a file-backed implementation: each run is one seek and
+//!   one sequential read through a fixed 256 KiB window, decoded straight
+//!   into the caller's buffer, so no second run-sized buffer exists.
 //! * [`mem_store`] — an in-memory implementation for tests and small inputs.
 //! * [`prefetch`] — double-buffered read-ahead
 //!   ([`prefetch::for_each_run_prefetched`], also available as

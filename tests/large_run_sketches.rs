@@ -15,18 +15,26 @@
 //! middle-rank recursion ends by its floor and ceiling rules.  Every
 //! strategy in `SelectionStrategy::ALL` runs, the default introselect
 //! included.
+//!
+//! The same datasets, with a short tail run added, are also written to a
+//! `FileRunStore`, which streams every run through a fixed 256 KiB read
+//! window: the sketches it yields must equal the in-memory store's.
 
 use opaq::core::{RunSample, RunSampler};
 use opaq::datagen::{DatasetSpec, Distribution};
 use opaq::select::{regular_sample_ranks, SPLITTER_TREE_MIN_LEN};
 use opaq::{
-    MemRunStore, OpaqConfig, OpaqEstimator, QuantileSketch, SelectionStrategy, ShardedOpaq,
+    FileRunStoreBuilder, MemRunStore, OpaqConfig, OpaqEstimator, QuantileSketch, SelectionStrategy,
+    ShardedOpaq,
 };
 
 /// Three equal runs above the floor, so Lemma 3's `n/s` bound applies as is.
 const M: u64 = SPLITTER_TREE_MIN_LEN as u64 + 34_464;
 const N: u64 = 3 * M;
 const S: u64 = 400;
+
+/// `FileRunStore`'s read window, in bytes.
+const READ_WINDOW: u64 = 256 << 10;
 
 fn datasets() -> Vec<DatasetSpec> {
     let spec = |distribution, duplicate_fraction| DatasetSpec {
@@ -189,5 +197,49 @@ fn decile_bounds_satisfy_lemma_3() {
                 est.target_rank
             );
         }
+    }
+}
+
+/// Each full run is longer than the read window and its byte length is not a
+/// multiple of it, so every run read ends in a part window; the tail run is
+/// shorter than one window and than the splitter-tree floor.
+#[test]
+fn file_backed_runs_build_the_mem_store_sketch() {
+    const TAIL: u64 = 5_000;
+    const { assert!(M * 8 > 2 * READ_WINDOW && !(M * 8).is_multiple_of(READ_WINDOW)) };
+    const { assert!(TAIL * 8 < READ_WINDOW) };
+    let estimator = OpaqEstimator::new(config(SelectionStrategy::default()));
+    for spec in datasets() {
+        let label = spec.label();
+        let data = DatasetSpec {
+            n: N + TAIL,
+            ..spec
+        }
+        .generate();
+        let expected = sorted_run_sketch(&data);
+        let path = std::env::temp_dir().join(format!(
+            "opaq-large-runs-{}-{}.bin",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        let file = FileRunStoreBuilder::<u64>::new(&path, M)
+            .unwrap()
+            .append(&data)
+            .unwrap()
+            .finish()
+            .unwrap();
+        let mem = MemRunStore::new(data, M);
+        let from_file = estimator.build_sketch(&file).unwrap();
+        let from_mem = estimator.build_sketch(&mem).unwrap();
+        file.remove_file().unwrap();
+        assert_eq!(from_file.runs(), 4, "{label}");
+        assert!(
+            from_file == from_mem,
+            "{label}: file and memory sketches differ"
+        );
+        assert!(from_file == expected, "{label}: not the sorted-run sketch");
     }
 }
