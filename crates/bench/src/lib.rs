@@ -125,39 +125,53 @@ mod tests {
         assert!(scaled(1_000_000) >= 10_000);
     }
 
+    /// Hold one run to the paper's deterministic bounds: RER_A ≤ 2/s·100
+    /// on every dectile and RER_L, RER_N ≤ q/s·100 with q = 10.
+    fn assert_paper_bounds(run: &AccuracyRun, s: u64, label: &str) {
+        assert_eq!(run.estimates.len(), 9, "{label}");
+        assert_eq!(run.rates.rer_a_per_quantile.len(), 9, "{label}");
+        let q = DECTILES as f64;
+        let (rer_a_bound, rer_n_bound) = (200.0 / s as f64, q / s as f64 * 100.0);
+        for (d, rer_a) in run.rates.rer_a_per_quantile.iter().enumerate() {
+            assert!(
+                *rer_a <= rer_a_bound + 1e-9,
+                "{label}: dectile {d} RER_A {rer_a} > {rer_a_bound}"
+            );
+        }
+        assert!(
+            run.rates.rer_l <= rer_n_bound + 1e-9,
+            "{label}: RER_L {} > {rer_n_bound}",
+            run.rates.rer_l
+        );
+        assert!(
+            run.rates.rer_n <= rer_n_bound + 1e-9,
+            "{label}: RER_N {} > {rer_n_bound}",
+            run.rates.rer_n
+        );
+    }
+
     /// The grid of Tables 3 and 4 (same seeds, s ∈ {250, 500, 1000},
-    /// uniform and Zipf) at n = 20,000, m = 2,000, held to the paper's
-    /// deterministic bounds: RER_A ≤ 2/s·100 on every dectile and
-    /// RER_L, RER_N ≤ q/s·100 with q = 10.
+    /// uniform and Zipf) at n = 20,000, m = 2,000, and the size axis of
+    /// Tables 5 and 6 (n ∈ {20k, 50k, 100k}, m = n/10, s = 1000, the
+    /// binaries' seeds), each held to [`assert_paper_bounds`].
     #[test]
     fn sequential_accuracy_run_produces_nine_dectiles() {
-        let q = DECTILES as f64;
         for spec in [
             DatasetSpec::paper_uniform(20_000, 42),
             DatasetSpec::paper_zipf(20_000, 43),
         ] {
             for s in [250u64, 500, 1000] {
                 let run = run_sequential_accuracy(&spec, 2_000, s);
-                assert_eq!(run.estimates.len(), 9);
-                assert_eq!(run.rates.rer_a_per_quantile.len(), 9);
-                let (rer_a_bound, rer_n_bound) = (200.0 / s as f64, q / s as f64 * 100.0);
-                let label = format!("{:?} s={s}", spec.distribution);
-                for (d, rer_a) in run.rates.rer_a_per_quantile.iter().enumerate() {
-                    assert!(
-                        *rer_a <= rer_a_bound + 1e-9,
-                        "{label}: dectile {d} RER_A {rer_a} > {rer_a_bound}"
-                    );
-                }
-                assert!(
-                    run.rates.rer_l <= rer_n_bound + 1e-9,
-                    "{label}: RER_L {} > {rer_n_bound}",
-                    run.rates.rer_l
-                );
-                assert!(
-                    run.rates.rer_n <= rer_n_bound + 1e-9,
-                    "{label}: RER_N {} > {rer_n_bound}",
-                    run.rates.rer_n
-                );
+                assert_paper_bounds(&run, s, &format!("{:?} s={s}", spec.distribution));
+            }
+        }
+        for n in [20_000u64, 50_000, 100_000] {
+            for spec in [
+                DatasetSpec::paper_uniform(n, 42),
+                DatasetSpec::paper_zipf(n, 43),
+            ] {
+                let run = run_sequential_accuracy(&spec, paper_run_length(n), 1_000);
+                assert_paper_bounds(&run, 1_000, &format!("{:?} n={n}", spec.distribution));
             }
         }
     }

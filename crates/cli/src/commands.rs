@@ -84,13 +84,13 @@ COMMANDS:
              --chaos fronts every replica with a fault-injecting proxy and,
              with R >= 2, kills one replica a quarter into the run and
              restarts it at the half.
-             --budget B caps resident sample points to force spill/reload
-             (in-process only).  --ttl-ms T gives a probe tenant that
-             max-age; a watcher must see it go stale and refresh (default
-             150 with --http and one replica, else off; needs one replica
-             per group, since TTLs are not replicated).  --qps Q holds an
-             aggregate open-loop offered rate, latency measured from each
-             op's scheduled send time (coordinated-omission-safe).
+             --budget B caps resident sample points to force evict/reload
+             via a temporary data dir (in-process only).  --ttl-ms T gives
+             a probe tenant that max-age; a watcher must see it go stale and
+             refresh (default 150 with --http and one replica, else off;
+             needs one replica per group: TTLs are not replicated).  --qps Q
+             holds an aggregate open-loop offered rate, latency measured from
+             each op's scheduled send time (coordinated-omission-safe).
              --slo-p99-ms M declares 'p99 <= M ms, zero errors, zero
              sheds'.  --bench-out FILE writes the BENCH_serve.json report.
              Fails on any torn, mis-owned or trace-violating answer, http

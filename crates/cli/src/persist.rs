@@ -7,8 +7,8 @@
 //! CLI writes it next to the data file and future runs only sample new runs.
 //!
 //! The binary format — versioned header, FNV-1a checksum, fixed-width body —
-//! lives in [`opaq_storage::sketch_codec`], where the serving catalog's
-//! spill/reload path shares it; this module only composes that codec with
+//! lives in [`opaq_storage::sketch_codec`], which also writes the serving
+//! catalog's version files; this module only composes that codec with
 //! the core's semantic re-validation (`QuantileSketch::from_wire`).  Corrupt
 //! files surface as typed [`StorageError::Corrupt`] /
 //! [`StorageError::VersionMismatch`] errors, never as garbage decodes.
@@ -31,9 +31,9 @@ pub fn from_bytes(bytes: &[u8]) -> CliResult<QuantileSketch<u64>> {
     Ok(QuantileSketch::from_wire(sketch_codec::from_bytes(bytes)?)?)
 }
 
-/// Save a sketch to `path`.
+/// Save a sketch to `path`, synced to disk before returning.
 pub fn save(sketch: &QuantileSketch<u64>, path: impl AsRef<Path>) -> CliResult<()> {
-    Ok(sketch_codec::save(path, &sketch.to_wire())?)
+    Ok(sketch_codec::save_synced(path, &sketch.to_wire())?)
 }
 
 /// Load a sketch from `path`.

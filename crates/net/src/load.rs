@@ -10,7 +10,7 @@
 //! * [`Topology::InProcess`] — the server's router without the socket:
 //!   each request is framed and parsed as on the wire, answered by
 //!   [`route`](crate::server::route) over the catalog, and its response framed and parsed back;
-//!   an optional resident budget forces spill/reload churn.
+//!   an optional resident budget forces evict/reload churn.
 //! * [`Topology::Fleet`] — `groups` replica groups on a consistent-hash
 //!   ring over loopback TCP, each a primary (catalog of record, refreshed
 //!   in process) plus `replicas - 1` secondaries bootstrapped from it over
@@ -157,8 +157,8 @@ pub struct LoadSpec {
     pub refresh_rounds: u64,
     /// Seed for data, request mix and tenant choice.
     pub seed: u64,
-    /// Resident budget in sample points, spilling through a temporary
-    /// directory.  In-process only.
+    /// Resident budget in sample points; the catalog then runs durable over
+    /// a temporary data directory.  In-process only.
     pub budget_sample_points: Option<u64>,
     /// `max_age` of the TTL probe tenant; `None` disables the probe.  Needs
     /// one replica per group: TTLs are not replicated.
@@ -701,10 +701,10 @@ fn start_ttl_probe(
     Ok(pool)
 }
 
-/// A temporary spill directory, removed on every exit path.
-struct SpillDir(Option<PathBuf>);
+/// A temporary catalog data directory, removed on every exit path.
+struct TempDataDir(Option<PathBuf>);
 
-impl Drop for SpillDir {
+impl Drop for TempDataDir {
     fn drop(&mut self) {
         if let Some(dir) = self.0.take() {
             std::fs::remove_dir_all(dir).ok();
@@ -1241,11 +1241,13 @@ pub fn run_load(spec: &LoadSpec) -> NetResult<LoadReport> {
         .sample_size(spec.sample_size.min(spec.run_length))
         .build()?;
 
-    // Declared first, dropped last: the spill directory outlives the catalog.
+    // Declared first, dropped last: the data directory outlives the catalog.
     static RUNS: AtomicU64 = AtomicU64::new(0);
-    let spill = SpillDir(spec.budget_sample_points.map(|_| {
+    let data_dir = TempDataDir(spec.budget_sample_points.map(|_| {
         let run = RUNS.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!("opaq-load-{}-{run}", std::process::id()))
+        let dir = std::env::temp_dir().join(format!("opaq-load-{}-{run}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok(); // a leftover would replay as history
+        dir
     }));
     let ring = match spec.topology {
         Topology::InProcess => None,
@@ -1257,8 +1259,8 @@ pub fn run_load(spec: &LoadSpec) -> NetResult<LoadReport> {
             .map_or(0, |(ring, _)| ring.owner_index(tenant))
     };
     let mut catalog_config = CatalogConfig::builder();
-    if let (Some(budget), Some(dir)) = (spec.budget_sample_points, &spill.0) {
-        catalog_config = catalog_config.budget_sample_points(budget).spill_dir(dir);
+    if let (Some(budget), Some(dir)) = (spec.budget_sample_points, &data_dir.0) {
+        catalog_config = catalog_config.budget_sample_points(budget).data_dir(dir);
     }
     let catalog_config = catalog_config.build()?;
     // One catalog of record per group; secondaries replicate from these.

@@ -245,17 +245,17 @@ impl Telemetry {
             ),
             (
                 "opaq_catalog_evictions",
-                "Entries spilled to disk by the resident budget.",
+                "Entries evicted from memory by the resident budget.",
                 stats.evictions,
             ),
             (
                 "opaq_catalog_reloads",
-                "Spilled entries reloaded on the query path.",
+                "Evicted entries reloaded on the query path.",
                 stats.reloads,
             ),
             (
                 "opaq_catalog_spill_failures",
-                "Spill attempts that failed.",
+                "Evictions whose manifest record failed to append.",
                 stats.spill_failures,
             ),
             (

@@ -17,10 +17,12 @@
 //!   stays valid (and allocated) for as long as the reader holds it, no
 //!   matter how many newer versions land meanwhile.
 //! * **Cold tenants spill, hot tenants stay.**  With a configured budget
-//!   (in sample points, the paper's `r·s` memory unit) the catalog evicts
-//!   least-recently-touched entries to disk through
-//!   [`opaq_storage::sketch_codec`] and reloads them transparently on the
-//!   next query, re-validating checksum and sketch invariants on the way in.
+//!   (in sample points, the paper's `r·s` memory unit) the catalog drops
+//!   least-recently-touched entries from memory.  A budget requires a
+//!   durable [`CatalogConfig::data_dir`], whose synced per-version sketch
+//!   file already holds the evicted bytes; the next query reloads that file
+//!   through [`opaq_storage::sketch_codec`], re-validating checksum and
+//!   sketch invariants on the way in.
 //! * **TTL is stale-while-refresh, never stale-and-block.**  An entry may
 //!   carry a `max_age` (per entry via [`SketchCatalog::set_ttl`], or a
 //!   catalog-wide [`CatalogConfig::default_max_age`]).  An expired entry
@@ -39,7 +41,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -163,8 +165,8 @@ pub enum SnapshotOrigin {
     /// Served from the resident in-memory slot.
     #[default]
     Hit,
-    /// The entry had been evicted; this access reloaded it from its disk
-    /// spill (checksum-validated) on the query path.
+    /// The entry had been evicted; this access reloaded it from its
+    /// durable version file (checksum-validated) on the query path.
     ReloadFromSpill,
 }
 
@@ -188,7 +190,8 @@ pub struct SketchSnapshot {
     pub sketch: Arc<QuantileSketch<u64>>,
     /// Whether the version is within its TTL at the time of the snapshot.
     pub freshness: Freshness,
-    /// Whether the snapshot hit the resident slot or reloaded a spill.
+    /// Whether the snapshot hit the resident slot or reloaded an evicted
+    /// entry from disk.
     pub origin: SnapshotOrigin,
     /// Whether *this* access was the one that fired the TTL refresh hook
     /// (at most one access per expiry wins that race).
@@ -216,11 +219,12 @@ enum Slot {
         sketch: Arc<QuantileSketch<u64>>,
         /// In durable mode, the synced on-disk copy of this exact version
         /// (written before the manifest record that announced it).  Eviction
-        /// then drops residency without rewriting anything — the spill tier
-        /// *is* the persistence tier.  `None` in memory-only catalogs.
+        /// drops residency without rewriting anything.  `None` in
+        /// memory-only catalogs, which never evict.
         disk: Option<PathBuf>,
     },
-    /// Evicted to a sketch file; reloaded (and re-validated) on next access.
+    /// Evicted: only the version's durable file holds it; reloaded (and
+    /// re-validated) on next access.
     Spilled { version: u64, path: PathBuf },
 }
 
@@ -254,11 +258,9 @@ pub struct CatalogConfig {
     /// Maximum resident sample points across all entries; `None` = unbounded.
     /// The most-recently-used entry is never evicted, so a budget smaller
     /// than a single sketch degenerates to "keep exactly the hot entry".
+    /// Requires [`Self::data_dir`]: an evicted entry lives on in its durable
+    /// version file.
     pub budget_sample_points: Option<u64>,
-    /// Directory to spill evicted sketches into (required when a budget is
-    /// set and no [`Self::data_dir`] is configured; created on catalog
-    /// construction if missing).
-    pub spill_dir: Option<PathBuf>,
     /// Default `max_age` applied to every new entry (overridable per entry
     /// with [`SketchCatalog::set_ttl`]); `None` = entries never expire.
     pub default_max_age: Option<Duration>,
@@ -267,9 +269,9 @@ pub struct CatalogConfig {
     /// version.  Every publish/evict/TTL change appends a manifest record
     /// *before* the in-memory epoch swap, and a catalog constructed over an
     /// existing data dir replays the log to rebuild the exact entries,
-    /// versions and TTLs.  Mutually exclusive with [`Self::spill_dir`]: the
-    /// data dir already persists every entry, so it doubles as the spill
-    /// tier.
+    /// versions and TTLs.  It is also the catalog's only disk tier:
+    /// evicting an entry logs an `Evict` record and drops residency, and
+    /// the next access reloads the version file.
     pub data_dir: Option<PathBuf>,
 }
 
@@ -292,15 +294,9 @@ pub struct CatalogConfigBuilder {
 
 impl CatalogConfigBuilder {
     /// Cap resident sample points across all entries (must be positive;
-    /// requires [`Self::spill_dir`]).
+    /// requires [`Self::data_dir`]).
     pub fn budget_sample_points(mut self, budget: u64) -> Self {
         self.config.budget_sample_points = Some(budget);
-        self
-    }
-
-    /// Directory to spill evicted sketches into.
-    pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.config.spill_dir = Some(dir.into());
         self
     }
 
@@ -320,10 +316,9 @@ impl CatalogConfigBuilder {
     /// Validate and produce the configuration.
     ///
     /// # Errors
-    /// [`ServeError::InvalidConfig`] for a zero eviction budget, a budget
-    /// with nowhere to evict to, or a spill directory alongside a data
-    /// directory (the same checks [`SketchCatalog::new`] enforces, surfaced
-    /// before a catalog is ever constructed).
+    /// [`ServeError::InvalidConfig`] for a zero eviction budget or a budget
+    /// without a data directory (the same checks [`SketchCatalog::new`]
+    /// enforces, surfaced before a catalog is ever constructed).
     pub fn build(self) -> ServeResult<CatalogConfig> {
         validate_config(&self.config)?;
         Ok(self.config)
@@ -336,19 +331,9 @@ fn validate_config(config: &CatalogConfig) -> ServeResult<()> {
             "eviction budget must be positive (omit it for an unbounded catalog)".into(),
         ));
     }
-    if config.budget_sample_points.is_some()
-        && config.spill_dir.is_none()
-        && config.data_dir.is_none()
-    {
+    if config.budget_sample_points.is_some() && config.data_dir.is_none() {
         return Err(ServeError::InvalidConfig(
-            "an eviction budget requires a spill directory or a durable data directory".into(),
-        ));
-    }
-    if config.spill_dir.is_some() && config.data_dir.is_some() {
-        return Err(ServeError::InvalidConfig(
-            "a data directory already persists every entry and doubles as the spill tier; drop \
-             the separate spill directory"
-                .into(),
+            "an eviction budget requires a durable data directory to evict into".into(),
         ));
     }
     Ok(())
@@ -361,12 +346,13 @@ pub struct CatalogStats {
     pub publishes: u64,
     /// Number of snapshots handed out.
     pub snapshots: u64,
-    /// Number of entries evicted to disk.
+    /// Number of entries evicted (dropped from memory; their version file
+    /// stays on disk).
     pub evictions: u64,
     /// Number of entries reloaded from disk.
     pub reloads: u64,
-    /// Number of eviction attempts whose spill write failed (the victim
-    /// stayed resident; the triggering publish/read still succeeded).
+    /// Number of evictions whose manifest record failed to append (the
+    /// victim stayed resident; the triggering publish/read still succeeded).
     pub spill_failures: u64,
     /// Number of snapshots served past their TTL (tagged `stale` or
     /// `refreshing`).
@@ -470,9 +456,6 @@ impl SketchCatalog {
     /// manifest record; I/O errors from the directories or the log.
     pub fn new(config: CatalogConfig) -> ServeResult<Self> {
         validate_config(&config)?;
-        if let Some(dir) = &config.spill_dir {
-            std::fs::create_dir_all(dir).map_err(opaq_storage::StorageError::Io)?;
-        }
 
         let mut entries = HashMap::<TenantId, HashMap<DatasetId, Arc<Entry>>>::new();
         let mut manifest_writer = None;
@@ -822,93 +805,32 @@ impl SketchCatalog {
         sketch: Arc<QuantileSketch<u64>>,
         forced_version: Option<u64>,
     ) -> ServeResult<u64> {
-        let new_points = sketch.len() as u64;
-        let entry = self.entry_or_create(tenant, dataset);
-        let version = {
-            // Everything touching this entry — slot state, spill files, its
-            // share of `resident_points` — mutates under its slot lock.
-            // Moving the counter updates outside would let an eviction sweep
-            // interleave between swap and subtract and transiently wrap the
-            // u64 counter, which `enforce_budget` would read as "spill the
-            // whole catalog".
+        let (entry, version) = loop {
+            let entry = self.entry_or_create(tenant, dataset);
             let mut slot = entry.slot.write();
-            let (old_version, freed_points, old_disk) = match &*slot {
-                Slot::Resident {
-                    version,
-                    sketch,
-                    disk,
-                } => {
-                    // version 0 is the placeholder of a just-created entry.
-                    let freed = if *version == 0 {
-                        0
-                    } else {
-                        sketch.len() as u64
-                    };
-                    (*version, freed, disk.clone())
-                }
-                Slot::Spilled { version, path } => (*version, 0, Some(path.clone())),
-            };
-            let version = match forced_version {
-                None => old_version + 1,
-                Some(v) if v > old_version => v,
-                Some(v) => {
-                    return Err(ServeError::StaleVersion {
-                        tenant: tenant.clone(),
-                        dataset: dataset.clone(),
-                        current: old_version,
-                        offered: v,
-                    })
-                }
-            };
-            let disk = if let Some(dir) = &self.config.data_dir {
-                // Write-ahead: sketch bytes first, announcement second,
-                // both synced before the swap below makes them servable.
-                let file_name = durable_file_name(tenant, dataset, version);
-                let path = dir.join(&file_name);
-                sketch_codec::save_synced(&path, &sketch.to_wire())?;
-                let record = ManifestRecord::Publish {
-                    tenant: tenant.as_str().to_owned(),
-                    dataset: dataset.as_str().to_owned(),
-                    version,
-                    ttl_nanos: entry.ttl_nanos.load(Ordering::Relaxed),
-                    sketch_file: file_name,
-                };
-                // On append failure the sketch file is deliberately left in
-                // place for recovery to adjudicate: an append error does not
-                // prove the record missed the disk (the write may have landed
-                // and only the ack was lost, like a DB commit whose response
-                // never arrived).  Replay serves the file if the record
-                // committed and reaps it as an orphan if it did not; deleting
-                // it here would lose a committed version.
-                self.manifest_append(&record)?;
-                Some(path)
-            } else {
-                None
-            };
-            *slot = Slot::Resident {
-                version,
-                sketch,
-                disk,
-            };
-            if let Some(stale) = old_disk {
-                // The old bytes describe a superseded version (a spill file,
-                // or the previous version's durable copy — the manifest now
-                // announces the new one).  Delete them *while still holding
-                // the slot lock*: the eviction sweep writes spill files
-                // under this same lock, so a deferred delete could race a
-                // re-eviction of this entry and destroy the fresh file its
-                // new `Spilled` state points at.
-                let _ = std::fs::remove_file(stale);
+            // version 0 is the placeholder of a just-created entry.
+            let first = matches!(&*slot, Slot::Resident { version: 0, .. });
+            let retired = |live: Arc<Entry>| !Arc::ptr_eq(&live, &entry);
+            if first && self.entry(tenant, dataset).is_none_or(retired) {
+                // A failed first publish retired this placeholder while we
+                // waited for its lock: start over on the live entry.
+                continue;
             }
-            // Net counter change, add before sub so the transient value is
-            // high rather than wrapped-negative.
-            self.resident_points
-                .fetch_add(new_points, Ordering::Relaxed);
-            if freed_points > 0 {
-                self.resident_points
-                    .fetch_sub(freed_points, Ordering::Relaxed);
+            match self.swap_in(&entry, &mut slot, tenant, dataset, &sketch, forced_version) {
+                Ok(version) => {
+                    drop(slot);
+                    break (entry, version);
+                }
+                Err(err) => {
+                    if first {
+                        // Still holding the slot lock, so no other publisher
+                        // can have swapped a version in: drop the placeholder
+                        // rather than leave an entry that never held one.
+                        self.retire(tenant, dataset, &entry);
+                    }
+                    return Err(err);
+                }
             }
-            version
         };
         // Publication resets the TTL clock and completes any in-flight
         // background refresh: the very next snapshot is fresh again.
@@ -922,16 +844,111 @@ impl SketchCatalog {
         Ok(version)
     }
 
-    /// Publish a sketch previously persisted with the shared sketch codec
-    /// (warm start from the CLI's `--out` files, for example).
-    pub fn load_persisted(
+    /// Remove `entry` from the map if it is still the key's entry.
+    fn retire(&self, tenant: &TenantId, dataset: &DatasetId, entry: &Arc<Entry>) {
+        let mut entries = self.entries.write();
+        let Some(datasets) = entries.get_mut(tenant.as_str()) else {
+            return;
+        };
+        if datasets
+            .get(dataset.as_str())
+            .is_some_and(|live| Arc::ptr_eq(live, entry))
+        {
+            datasets.remove(dataset.as_str());
+            if datasets.is_empty() {
+                entries.remove(tenant.as_str());
+            }
+        }
+    }
+
+    /// Swap `sketch` into `slot` as the entry's next version.
+    ///
+    /// Everything touching the entry — slot state, version files, its share
+    /// of `resident_points` — mutates under its slot lock, which the caller
+    /// holds.  Moving the counter updates outside would let an eviction
+    /// sweep interleave between swap and subtract and transiently wrap the
+    /// u64 counter, which `enforce_budget` would read as "evict the whole
+    /// catalog".
+    fn swap_in(
         &self,
+        entry: &Entry,
+        slot: &mut Slot,
         tenant: &TenantId,
         dataset: &DatasetId,
-        path: impl AsRef<Path>,
+        sketch: &Arc<QuantileSketch<u64>>,
+        forced_version: Option<u64>,
     ) -> ServeResult<u64> {
-        let sketch = QuantileSketch::from_wire(sketch_codec::load(path)?)?;
-        self.publish(tenant, dataset, sketch)
+        let (old_version, freed_points, old_disk) = match &*slot {
+            Slot::Resident {
+                version,
+                sketch,
+                disk,
+            } => {
+                let freed = if *version == 0 {
+                    0
+                } else {
+                    sketch.len() as u64
+                };
+                (*version, freed, disk.clone())
+            }
+            Slot::Spilled { version, path } => (*version, 0, Some(path.clone())),
+        };
+        let version = match forced_version {
+            None => old_version + 1,
+            Some(v) if v > old_version => v,
+            Some(v) => {
+                return Err(ServeError::StaleVersion {
+                    tenant: tenant.clone(),
+                    dataset: dataset.clone(),
+                    current: old_version,
+                    offered: v,
+                })
+            }
+        };
+        let disk = if let Some(dir) = &self.config.data_dir {
+            // Write-ahead: sketch bytes first, announcement second,
+            // both synced before the swap below makes them servable.
+            let file_name = durable_file_name(tenant, dataset, version);
+            let path = dir.join(&file_name);
+            sketch_codec::save_synced(&path, &sketch.to_wire())?;
+            let record = ManifestRecord::Publish {
+                tenant: tenant.as_str().to_owned(),
+                dataset: dataset.as_str().to_owned(),
+                version,
+                ttl_nanos: entry.ttl_nanos.load(Ordering::Relaxed),
+                sketch_file: file_name,
+            };
+            // On append failure the sketch file is deliberately left in
+            // place for recovery to adjudicate: an append error does not
+            // prove the record missed the disk (the write may have landed
+            // and only the ack was lost, like a DB commit whose response
+            // never arrived).  Replay serves the file if the record
+            // committed and reaps it as an orphan if it did not; deleting
+            // it here would lose a committed version.
+            self.manifest_append(&record)?;
+            Some(path)
+        } else {
+            None
+        };
+        *slot = Slot::Resident {
+            version,
+            sketch: Arc::clone(sketch),
+            disk,
+        };
+        if let Some(stale) = old_disk {
+            // The previous version's file is superseded: the manifest now
+            // announces the new one.
+            let _ = std::fs::remove_file(stale);
+        }
+        // Net counter change, add before sub so the transient value is
+        // high rather than wrapped-negative.
+        self.resident_points
+            .fetch_add(sketch.len() as u64, Ordering::Relaxed);
+        if freed_points > 0 {
+            self.resident_points
+                .fetch_sub(freed_points, Ordering::Relaxed);
+        }
+        Ok(version)
     }
 
     /// Hand out the current complete version of `(tenant, dataset)`,
@@ -939,7 +956,9 @@ impl SketchCatalog {
     ///
     /// # Errors
     /// [`ServeError::UnknownEntry`] if nothing was ever published for the
-    /// key; storage/core errors if a spilled sketch fails to reload.
+    /// key; [`ServeError::Storage`] (typed `Corrupt` / `VersionMismatch` for
+    /// damaged bytes) or core errors if an evicted entry's version file
+    /// fails to reload.  A failed reload leaves the entry evicted.
     pub fn snapshot(&self, tenant: &TenantId, dataset: &DatasetId) -> ServeResult<SketchSnapshot> {
         let entry = self
             .entry(tenant, dataset)
@@ -990,18 +1009,9 @@ impl SketchCatalog {
                     refresh_triggered,
                 },
                 Slot::Spilled { version, path } => {
+                    // The version file stays: it is the entry's persistence,
+                    // and a re-eviction just drops residency again.
                     let sketch = Arc::new(QuantileSketch::from_wire(sketch_codec::load(path)?)?);
-                    let durable = self.config.data_dir.is_some();
-                    if !durable {
-                        // The slot is Resident again: drop the on-disk copy
-                        // now (under the lock), otherwise a later publish
-                        // over the Resident slot would leave it orphaned
-                        // forever.  A re-eviction rewrites the file from
-                        // scratch anyway.  In durable mode the file *is* the
-                        // entry's persistence — it stays, and re-eviction
-                        // just drops residency again without a rewrite.
-                        let _ = std::fs::remove_file(path);
-                    }
                     let reloaded = SketchSnapshot {
                         version: *version,
                         sketch: Arc::clone(&sketch),
@@ -1014,7 +1024,7 @@ impl SketchCatalog {
                     self.stats.reloads.fetch_add(1, Ordering::Relaxed);
                     *slot = Slot::Resident {
                         version: *version,
-                        disk: durable.then(|| path.clone()),
+                        disk: Some(path.clone()),
                         sketch,
                     };
                     reloaded
@@ -1027,24 +1037,19 @@ impl SketchCatalog {
     }
 
     /// Evict least-recently-touched resident entries (never `keep`) until
-    /// the resident total fits the budget.  Best-effort in every sense: a
-    /// concurrent toucher may revive an entry between selection and
-    /// eviction (costing an extra reload later, never correctness), and a
-    /// spill-write failure (disk full, directory removed) only stops the
-    /// sweep and bumps [`CatalogStats::spill_failures`] — the victim stays
-    /// resident and servable, and the publish or read that triggered the
-    /// sweep still succeeds, because its own work already landed.
+    /// the resident total fits the budget.  A victim's version file already
+    /// holds its exact bytes (written and synced at publish), so eviction
+    /// rewrites nothing: it appends an `Evict` record and drops residency.
+    /// Best-effort in every sense: a concurrent toucher may revive an entry
+    /// between selection and eviction (costing an extra reload later, never
+    /// correctness), and a failed append only stops the sweep and bumps
+    /// [`CatalogStats::spill_failures`] — the victim stays resident and
+    /// servable, and the publish or read that triggered the sweep still
+    /// succeeds, because its own work already landed.
     fn enforce_budget(&self, keep_tenant: &TenantId, keep_dataset: &DatasetId) {
         let Some(budget) = self.config.budget_sample_points else {
             return;
         };
-        let dir = self
-            .config
-            .spill_dir
-            .as_ref()
-            .or(self.config.data_dir.as_ref())
-            .expect("validated at construction")
-            .clone();
         while self.resident_points.load(Ordering::Relaxed) > budget {
             // Pick the coldest resident entry other than the kept one.
             let victim = {
@@ -1060,7 +1065,8 @@ impl SketchCatalog {
                         let Some(slot) = entry.slot.try_read() else {
                             continue;
                         };
-                        if !matches!(&*slot, Slot::Resident { version, .. } if *version > 0) {
+                        // Only published versions have a file to fall back on.
+                        if !matches!(&*slot, Slot::Resident { disk: Some(_), .. }) {
                             continue;
                         }
                         drop(slot);
@@ -1082,44 +1088,21 @@ impl SketchCatalog {
             if let Slot::Resident {
                 version,
                 sketch,
-                disk,
+                disk: Some(path),
             } = &*slot
             {
-                let (version, sketch) = (*version, Arc::clone(sketch));
-                let path = if let Some(existing) = disk {
-                    // Durable entry: its exact bytes are already synced on
-                    // disk (write-ahead publish / kept reload), so eviction
-                    // is just "log it, drop residency" — no rewrite.  This
-                    // is what turns the spill path into a persistence tier.
-                    let path = existing.clone();
-                    if self
-                        .manifest_append(&ManifestRecord::Evict {
-                            tenant: key.0.as_str().to_owned(),
-                            dataset: key.1.as_str().to_owned(),
-                            version,
-                        })
-                        .is_err()
-                    {
-                        self.stats.spill_failures.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    path
-                } else {
-                    let path = dir.join(spill_file_name(&key));
-                    if sketch_codec::save(&path, &sketch.to_wire()).is_err() {
-                        // A failed write can leave a truncated file behind
-                        // (e.g. ENOSPC after create); nothing will ever
-                        // point at it, so reap it now rather than accumulate
-                        // corrupt orphans.
-                        let _ = std::fs::remove_file(&path);
-                        self.stats.spill_failures.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    path
+                let (version, points, path) = (*version, sketch.len() as u64, path.clone());
+                let record = ManifestRecord::Evict {
+                    tenant: key.0.as_str().to_owned(),
+                    dataset: key.1.as_str().to_owned(),
+                    version,
                 };
+                if self.manifest_append(&record).is_err() {
+                    self.stats.spill_failures.fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
                 *slot = Slot::Spilled { version, path };
-                self.resident_points
-                    .fetch_sub(sketch.len() as u64, Ordering::Relaxed);
+                self.resident_points.fetch_sub(points, Ordering::Relaxed);
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
             // Raced to Spilled by another sweep: loop re-checks the total.
@@ -1142,20 +1125,14 @@ impl SketchCatalog {
         self.len() == 0
     }
 
-    /// All `(tenant, dataset)` keys, sorted for deterministic reporting.
+    /// All published `(tenant, dataset)` keys, sorted for deterministic
+    /// reporting: the keys of [`Self::inventory`], so an entry still on its
+    /// version-0 placeholder is omitted and every key named here snapshots.
     pub fn keys(&self) -> Vec<(TenantId, DatasetId)> {
-        let mut keys: Vec<_> = self
-            .entries
-            .read()
-            .iter()
-            .flat_map(|(tenant, datasets)| {
-                datasets
-                    .keys()
-                    .map(|dataset| (tenant.clone(), dataset.clone()))
-            })
-            .collect();
-        keys.sort();
-        keys
+        self.inventory()
+            .into_iter()
+            .map(|row| (TenantId::from(row.tenant), DatasetId::from(row.dataset)))
+            .collect()
     }
 
     /// The catalog's version vector: every published `(tenant, dataset)`
@@ -1231,18 +1208,12 @@ fn placeholder_sketch() -> QuantileSketch<u64> {
 }
 
 /// Deterministic, filesystem-safe name for the durable copy of one
-/// published version.  Unlike [`spill_file_name`] it embeds the version:
-/// the write-ahead publish writes version `v+1` *next to* version `v`'s
-/// file (which stays authoritative until the manifest announces the new
-/// one), so the two must never share a name.
+/// published version: the sanitized tenant and dataset, a hash of the key
+/// that tells sanitized collisions apart, and the version.  The version is
+/// part of the name because the write-ahead publish writes version `v+1`
+/// *next to* version `v`'s file, which stays authoritative until the
+/// manifest announces the new one.
 fn durable_file_name(tenant: &TenantId, dataset: &DatasetId, version: u64) -> String {
-    let base = spill_file_name(&(tenant.clone(), dataset.clone()));
-    let stem = base.strip_suffix(".sketch").unwrap_or(&base);
-    format!("{stem}--v{version}.sketch")
-}
-
-/// Deterministic, filesystem-safe spill file name for a catalog key.
-fn spill_file_name(key: &CatalogKey) -> String {
     let sanitize = |s: &str| {
         s.chars()
             .map(|c| {
@@ -1256,11 +1227,11 @@ fn spill_file_name(key: &CatalogKey) -> String {
             .collect::<String>()
     };
     let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
+    (tenant, dataset).hash(&mut hasher);
     format!(
-        "{}--{}--{:016x}.sketch",
-        sanitize(key.0.as_str()),
-        sanitize(key.1.as_str()),
+        "{}--{}--{:016x}--v{version}.sketch",
+        sanitize(tenant.as_str()),
+        sanitize(dataset.as_str()),
         hasher.finish()
     )
 }
@@ -1269,6 +1240,7 @@ fn spill_file_name(key: &CatalogKey) -> String {
 mod tests {
     use super::*;
     use opaq_core::{IncrementalOpaq, OpaqConfig};
+    use std::path::Path;
 
     fn sketch_of(range: std::ops::Range<u64>) -> QuantileSketch<u64> {
         let config = OpaqConfig::builder()
@@ -1337,18 +1309,41 @@ mod tests {
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
     }
 
+    /// A fresh directory for one test's durable catalog.
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("opaq-serve-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    /// A durable catalog over `dir` holding at most `budget` sample points.
+    fn budgeted(dir: &Path, budget: u64) -> SketchCatalog {
+        SketchCatalog::new(
+            CatalogConfig::builder()
+                .budget_sample_points(budget)
+                .data_dir(dir)
+                .build()
+                .unwrap(),
+        )
+        .unwrap()
+    }
+
+    /// The `.sketch` files in `dir`, sorted.
+    fn version_files(dir: &Path) -> Vec<String> {
+        let mut files: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.ends_with(".sketch"))
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
     fn eviction_spills_cold_entries_and_reload_restores_them() {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("opaq-serve-evict-{}", std::process::id()));
-        let catalog = SketchCatalog::new(CatalogConfig {
-            // Each sketch_of(0..1000) has 100 sample points; allow two.
-            budget_sample_points: Some(200),
-            spill_dir: Some(dir.clone()),
-            default_max_age: None,
-            data_dir: None,
-        })
-        .unwrap();
+        let dir = temp_dir("evict");
+        // Each sketch_of(0..1000) has 100 sample points; allow two.
+        let catalog = budgeted(&dir, 200);
 
         let tenants: Vec<_> = (0..4).map(|i| key(&format!("t{i}"), "data")).collect();
         for (t, d) in &tenants {
@@ -1376,65 +1371,67 @@ mod tests {
     }
 
     #[test]
-    fn reload_then_republish_leaves_no_orphaned_spill_files() {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("opaq-serve-orphan-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let catalog = SketchCatalog::new(CatalogConfig {
-            budget_sample_points: Some(100), // exactly one 100-point sketch
-            spill_dir: Some(dir.clone()),
-            default_max_age: None,
-            data_dir: None,
-        })
-        .unwrap();
+    fn reload_then_republish_leaves_only_live_version_files() {
+        let dir = temp_dir("orphan");
+        let catalog = budgeted(&dir, 100); // exactly one 100-point sketch
         let (a, da) = key("a", "data");
         let (b, db) = key("b", "data");
         catalog.publish(&a, &da, sketch_of(0..1000)).unwrap();
         catalog.publish(&b, &db, sketch_of(0..1000)).unwrap(); // evicts a
         catalog.snapshot(&a, &da).unwrap(); // reloads a, evicts b
-        catalog.publish(&a, &da, sketch_of(0..2000)).unwrap(); // v2 over resident
-                                                               // Only b is spilled, so exactly its one file may exist on disk —
-                                                               // the reload must have deleted a's file, or the republish above
-                                                               // would have orphaned it forever.
-        let files = std::fs::read_dir(&dir).unwrap().count();
-        assert_eq!(files, 1, "spill dir must hold only live spill files");
+                                            // The reload kept a's v1 file; publishing v2 over the resident
+                                            // entry supersedes and deletes it, leaving one file per live version.
+        catalog.publish(&a, &da, sketch_of(0..2000)).unwrap();
+        assert_eq!(
+            version_files(&dir),
+            vec![durable_file_name(&a, &da, 2), durable_file_name(&b, &db, 1)]
+        );
         assert_eq!(catalog.snapshot(&b, &db).unwrap().version, 1);
         std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
-    fn spill_failure_degrades_gracefully_instead_of_failing_the_publish() {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("opaq-serve-spillfail-{}", std::process::id()));
-        let catalog = SketchCatalog::new(CatalogConfig {
-            budget_sample_points: Some(100),
-            spill_dir: Some(dir.clone()),
-            default_max_age: None,
-            data_dir: None,
-        })
-        .unwrap();
+    fn eviction_append_failure_degrades_gracefully_instead_of_failing_the_read() {
+        let dir = temp_dir("evictfail");
+        let catalog = budgeted(&dir, 100);
         let (a, da) = key("a", "data");
         let (b, db) = key("b", "data");
-        catalog.publish(&a, &da, sketch_of(0..1000)).unwrap();
-        // Break the spill directory out from under the catalog: the next
-        // over-budget publish cannot evict, but must still land.
-        std::fs::remove_dir_all(&dir).unwrap();
-        let version = catalog.publish(&b, &db, sketch_of(0..1000)).unwrap();
-        assert_eq!(version, 1, "publish must succeed despite the failed spill");
+        let (sa, sb) = (sketch_of(0..1000), sketch_of(500..1500));
+        catalog.publish(&a, &da, sa.clone()).unwrap();
+        catalog.publish(&b, &db, sb.clone()).unwrap(); // evicts a
+        assert_eq!(catalog.stats().evictions, 1);
+        // Reloading a evicts b; that Evict append fails (and persists
+        // nothing), so b must stay resident and the read still succeed.
+        catalog.inject_manifest_fault(AppendFault::TornWrite { keep_bytes: 0 });
+        let snap = catalog.snapshot(&a, &da).unwrap();
+        assert_eq!(*snap.sketch, sa);
+        assert_eq!(snap.origin, SnapshotOrigin::ReloadFromSpill);
         let stats = catalog.stats();
-        assert!(stats.spill_failures > 0, "{stats:?}");
-        assert_eq!(stats.evictions, 0);
+        assert_eq!(stats.spill_failures, 1, "{stats:?}");
+        assert_eq!(stats.evictions, 1, "{stats:?}");
         // Both entries stay resident and servable (budget is best-effort).
-        assert_eq!(catalog.snapshot(&a, &da).unwrap().version, 1);
-        assert_eq!(catalog.snapshot(&b, &db).unwrap().version, 1);
         assert_eq!(catalog.resident_sample_points(), 200);
+        let snap = catalog.snapshot(&b, &db).unwrap();
+        assert_eq!((snap.origin, &*snap.sketch), (SnapshotOrigin::Hit, &sb));
+        assert_eq!(*catalog.snapshot(&a, &da).unwrap().sketch, sa);
+
+        // A restart recovers both byte for byte.
+        drop(catalog);
+        let recovered = budgeted(&dir, 100);
+        assert_eq!(recovered.recovery().unwrap().entries, 2);
+        let bytes = |s: &QuantileSketch<u64>| sketch_codec::to_bytes(&s.to_wire());
+        for ((t, d), original) in [((&a, &da), &sa), ((&b, &db), &sb)] {
+            let snap = recovered.snapshot(t, d).unwrap();
+            assert_eq!(snap.version, 1);
+            assert_eq!(bytes(&snap.sketch), bytes(original));
+        }
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
-    fn budget_without_spill_dir_is_rejected() {
+    fn budget_without_data_dir_is_rejected() {
         let err = SketchCatalog::new(CatalogConfig {
             budget_sample_points: Some(100),
-            spill_dir: None,
             default_max_age: None,
             data_dir: None,
         })
@@ -1446,54 +1443,47 @@ mod tests {
     fn builder_validates_and_round_trips() {
         let config = CatalogConfig::builder()
             .budget_sample_points(200)
-            .spill_dir("/tmp/opaq-spill")
+            .data_dir("/tmp/opaq-data")
             .default_max_age(Duration::from_secs(60))
             .build()
             .unwrap();
         assert_eq!(config.budget_sample_points, Some(200));
         assert_eq!(
-            config.spill_dir.as_deref(),
-            Some(Path::new("/tmp/opaq-spill"))
+            config.data_dir.as_deref(),
+            Some(Path::new("/tmp/opaq-data"))
         );
         assert_eq!(config.default_max_age, Some(Duration::from_secs(60)));
 
         // A zero budget is rejected up front, not at first eviction.
         let err = CatalogConfig::builder()
             .budget_sample_points(0)
-            .spill_dir("/tmp/opaq-spill")
+            .data_dir("/tmp/opaq-data")
             .build()
             .unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
-        // As is a budget without anywhere to spill.
+        // As is a budget without a data directory to evict into.
         let err = CatalogConfig::builder()
             .budget_sample_points(100)
             .build()
             .unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
-        // The empty builder is the unbounded default.
+        // The empty builder is the unbounded, memory-only default.
         let unbounded = CatalogConfig::builder().build().unwrap();
         assert!(unbounded.budget_sample_points.is_none());
-        assert!(unbounded.spill_dir.is_none());
+        assert!(unbounded.data_dir.is_none());
     }
 
     #[test]
     fn publish_over_spilled_entry_supersedes_it() {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("opaq-serve-supersede-{}", std::process::id()));
-        let catalog = SketchCatalog::new(CatalogConfig {
-            budget_sample_points: Some(100),
-            spill_dir: Some(dir.clone()),
-            default_max_age: None,
-            data_dir: None,
-        })
-        .unwrap();
+        let dir = temp_dir("supersede");
+        let catalog = budgeted(&dir, 100);
         let (a, d) = key("a", "data");
         let (b, d2) = key("b", "data");
         catalog.publish(&a, &d, sketch_of(0..1000)).unwrap();
         // Publishing b evicts a (only non-keep entry).
         catalog.publish(&b, &d2, sketch_of(0..1000)).unwrap();
         assert_eq!(catalog.stats().evictions, 1);
-        // Publishing a again supersedes the spilled version: version 2, no
+        // Publishing a again supersedes the evicted version: version 2, no
         // reload of the stale file.
         assert_eq!(catalog.publish(&a, &d, sketch_of(0..3000)).unwrap(), 2);
         let snap = catalog.snapshot(&a, &d).unwrap();
@@ -1501,21 +1491,6 @@ mod tests {
         assert_eq!(snap.sketch.total_elements(), 3000);
         assert_eq!(catalog.stats().reloads, 0);
         std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn load_persisted_round_trips_through_the_cli_format() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("opaq-serve-warm-{}.sketch", std::process::id()));
-        let sketch = sketch_of(0..5000);
-        sketch_codec::save(&path, &sketch.to_wire()).unwrap();
-
-        let catalog = SketchCatalog::unbounded();
-        let (t, d) = key("warm", "start");
-        assert_eq!(catalog.load_persisted(&t, &d, &path).unwrap(), 1);
-        let snap = catalog.snapshot(&t, &d).unwrap();
-        assert_eq!(*snap.sketch, sketch);
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
@@ -1668,12 +1643,20 @@ mod tests {
     }
 
     #[test]
-    fn spill_file_names_are_safe_and_distinct() {
-        let a = spill_file_name(&key("a/b", "x"));
-        let b = spill_file_name(&key("a_b", "x"));
-        assert_ne!(a, b, "hash suffix disambiguates sanitized collisions");
+    fn durable_file_names_are_safe_and_distinct() {
+        let name = |t: &str, d: &str, v| {
+            let (t, d) = key(t, d);
+            durable_file_name(&t, &d, v)
+        };
+        let a = name("a/b", "x", 1);
+        assert_ne!(
+            a,
+            name("a_b", "x", 1),
+            "hash disambiguates sanitized collisions"
+        );
+        assert_ne!(a, name("a/b", "x", 2), "versions never share a file");
         assert!(!a.contains('/'));
-        let long = spill_file_name(&key(&"t".repeat(200), "d"));
-        assert!(long.len() < 120);
+        assert!(a.ends_with("--v1.sketch"), "{a}");
+        assert!(name(&"t".repeat(200), "d", u64::MAX).len() < 140);
     }
 }

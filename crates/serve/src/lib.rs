@@ -21,9 +21,9 @@
 //!  │ PlanExecutor │ ────────────────────▶ │ SketchCatalog │ ◀── publish()
 //!  │ (opaq-query) │  Arc<QuantileSketch>  │  (tenant,     │     epoch swap
 //!  │ → execute_on │  + version epoch      │   dataset) →  │
-//!  │ + per-tenant │                       │  versioned    │ ──▶ LRU spill to
-//!  │ latency, SLO │                       │  entries      │     sketch files
-//!  └──────────────┘                       └──────────────┘ ◀── reload
+//!  │ + per-tenant │                       │  versioned    │ ──▶ data_dir: manifest
+//!  │ latency, SLO │                       │  entries      │     + one file/version
+//!  └──────────────┘                       └──────────────┘ ◀── LRU evict, reload
 //! ```
 //!
 //! * **Catalog epochs** ([`catalog`]): every `(tenant, dataset)` entry holds
@@ -35,13 +35,15 @@
 //!   then query their snapshot with no locks at all, so a reader can never
 //!   observe a half-published sketch, and an in-flight query keeps its old
 //!   snapshot alive even while newer versions land.
-//! * **Eviction** ([`catalog`]): the catalog has an optional resident budget
-//!   in sample points (the paper's `r·s` memory unit).  When publications
-//!   push the resident total over budget, the least-recently-touched entries
-//!   are written out through [`opaq_storage::sketch_codec`] — the same
-//!   versioned, checksummed format the CLI persists — and dropped from
-//!   memory; the next query for a spilled tenant transparently reloads and
-//!   re-validates the sketch.
+//! * **Eviction** ([`catalog`]): a durable catalog may carry a resident
+//!   budget in sample points (the paper's `r·s` memory unit).  Its data
+//!   directory is the one disk tier: every published version already sits
+//!   there in its own synced file, in the versioned, checksummed
+//!   [`opaq_storage::sketch_codec`] format the CLI persists.  When
+//!   publications push the resident total over budget, the
+//!   least-recently-touched entries are logged as evicted and dropped from
+//!   memory; the next query for an evicted tenant transparently reloads and
+//!   re-validates its version file.
 //! * **Queries** ([`query`]): typed requests — `Quantile{phi}`, `Rank{key}`,
 //!   `QuantileBatch{phis}`, `Profile{count}` — evaluated by [`execute_on`]
 //!   against one snapshot, so a batch is answered by a single consistent
@@ -92,13 +94,14 @@
 //!    between append and delete leaves it as an orphan for recovery to reap.
 //!
 //! `Evict` and `TtlSet` records follow the same append-then-apply order.
-//! Eviction in durable mode never rewrites bytes: the per-version file
-//! written at publish *is* the spill tier, so evicting is just "log it, drop
-//! residency".  A restarted catalog ([`SketchCatalog::new`] over the same
-//! data dir) replays the log, restores every entry memory-cold with its
-//! exact version and TTL (ages measured from recovery — an entry is never
-//! *born* stale), truncates any torn tail, and surfaces damaged records as
-//! typed [`opaq_storage::StorageError::Corrupt`] rather than guessing.  The
+//! Eviction never rewrites bytes: the per-version file written at publish
+//! is the only disk copy, so evicting is just "log it, drop residency" (a
+//! resident budget therefore requires a data directory).  A restarted
+//! catalog ([`SketchCatalog::new`] over the same data dir) replays the
+//! log, restores every entry memory-cold with its exact version and TTL
+//! (ages measured from recovery — an entry is never *born* stale),
+//! truncates any torn tail, and surfaces damaged records as typed
+//! [`opaq_storage::StorageError::Corrupt`] rather than guessing.  The
 //! next publish continues the version sequence where the log left off,
 //! which is what lets the byte-for-byte workload verifier keep passing
 //! across a kill-and-restart cycle.
@@ -135,7 +138,7 @@ pub enum ServeError {
         dataset: DatasetId,
     },
     /// The catalog configuration is inconsistent (e.g. an eviction budget
-    /// without a spill directory to evict into).
+    /// without a durable data directory to evict into).
     InvalidConfig(String),
     /// The refresh pool has shut down and accepts no further jobs.
     RefreshClosed,
@@ -154,7 +157,9 @@ pub enum ServeError {
     },
     /// The underlying OPAQ core reported an error.
     Opaq(OpaqError),
-    /// The storage layer (spill/reload codec) reported an error.
+    /// The storage layer reported an error: a durable write, a manifest
+    /// append or replay, or the reload of an evicted entry's version file
+    /// (typed `Corrupt` / `VersionMismatch` for damaged bytes).
     Storage(StorageError),
 }
 

@@ -12,8 +12,8 @@
 //! writer (or several) keeps publishing; readers compare every snapshot
 //! against the registered original.  The proptest case additionally
 //! randomises reader/writer/tenant counts and the eviction budget, so the
-//! interleaving space (including spill → reload races) gets explored across
-//! seeds rather than at one hand-picked schedule.
+//! interleaving space (including evict → reload races on a durable catalog)
+//! gets explored across seeds rather than at one hand-picked schedule.
 
 use opaq_core::{IncrementalOpaq, OpaqConfig, QuantileSketch};
 use opaq_serve::{CatalogConfig, DatasetId, SketchCatalog, TenantId};
@@ -46,22 +46,24 @@ type Registry = Arc<RwLock<HashMap<(u64, u64), Arc<QuantileSketch<u64>>>>>;
 
 /// Drive `readers` snapshot threads against a writer publishing
 /// `versions` epochs for each of `tenants`, on a catalog with an optional
-/// eviction budget.  Panics on the first torn or regressing observation.
+/// eviction budget (which makes it durable: evicted entries reload from
+/// their version files).  Panics on the first torn or regressing
+/// observation.
 fn hammer(tenants: u64, versions: u64, readers: usize, budget: Option<u64>) {
-    let mut spill_dir = None;
+    let mut data_dir = None;
     let catalog = Arc::new(match budget {
         None => SketchCatalog::unbounded(),
         Some(points) => {
-            let mut dir = std::env::temp_dir();
-            dir.push(format!(
-                "opaq-serve-conc-{}-{tenants}-{versions}-{readers}",
+            let dir = std::env::temp_dir().join(format!(
+                "opaq-serve-conc-{}-{tenants}-{versions}-{readers}-{points}",
                 std::process::id()
             ));
-            spill_dir = Some(dir.clone());
+            std::fs::remove_dir_all(&dir).ok();
+            data_dir = Some(dir.clone());
             SketchCatalog::new(
                 CatalogConfig::builder()
                     .budget_sample_points(points)
-                    .spill_dir(dir)
+                    .data_dir(dir)
                     .build()
                     .unwrap(),
             )
@@ -169,7 +171,7 @@ fn hammer(tenants: u64, versions: u64, readers: usize, budget: Option<u64>) {
         "resident sample points wrapped: {}",
         catalog.resident_sample_points()
     );
-    if let Some(dir) = spill_dir {
+    if let Some(dir) = data_dir {
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -194,7 +194,7 @@ fn orphaned_sketch_files_are_reaped_and_counted_never_leaked() {
     // no record references.  Fake two of them (one valid sketch, one junk —
     // adoption is decided by the manifest, not by file contents) plus a
     // non-sketch file that must be left alone.
-    sketch_codec::save(
+    sketch_codec::save_synced(
         dir.join("acme--clicks--deadbeef--v9.sketch"),
         &sketch_of(0..10).to_wire(),
     )
@@ -298,14 +298,13 @@ fn durable_eviction_is_a_persistence_tier_not_a_rewrite() {
 }
 
 #[test]
-fn data_dir_and_spill_dir_are_mutually_exclusive() {
+fn an_eviction_budget_needs_a_data_dir() {
     let err = CatalogConfig::builder()
-        .data_dir("/tmp/opaq-dd")
-        .spill_dir("/tmp/opaq-spill")
+        .budget_sample_points(100)
         .build()
         .unwrap_err();
     assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
-    // But a budget with only a data dir is fine: the data dir is the tier.
+    // With a data dir it is fine: the data dir is the one disk tier.
     CatalogConfig::builder()
         .budget_sample_points(100)
         .data_dir("/tmp/opaq-dd")

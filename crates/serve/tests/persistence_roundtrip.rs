@@ -1,18 +1,19 @@
 //! Persistence round-trip tests: save → load → identical estimates.
 //!
 //! The serving catalog trusts the shared sketch codec
-//! (`opaq_storage::sketch_codec`) for spill, reload and warm starts, so this
-//! suite pins the end-to-end property the satellite asks for: a sketch that
-//! travels through the on-disk format answers *every* query identically —
-//! structural equality plus estimate-by-estimate comparison — and damaged
-//! files surface as typed errors, never as silently-different estimates.
+//! (`opaq_storage::sketch_codec`) for its durable version files, which are
+//! also what an evicted entry reloads from, so this suite pins the
+//! end-to-end property: a sketch that travels through the on-disk format
+//! answers *every* query identically — structural equality plus
+//! estimate-by-estimate comparison — and damaged files surface as typed
+//! errors, never as silently-different estimates.
 
 use opaq_core::{OpaqConfig, QuantileSketch};
 use opaq_datagen::{DatasetSpec, Distribution};
 use opaq_parallel::ShardedOpaq;
 use opaq_serve::{CatalogConfig, DatasetId, ServeError, SketchCatalog, TenantId};
 use opaq_storage::{sketch_codec, MemRunStore, StorageError};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn temp_path(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -21,6 +22,22 @@ fn temp_path(tag: &str) -> PathBuf {
         std::process::id()
     ));
     p
+}
+
+/// A durable catalog in a fresh directory that keeps only the hot entry
+/// resident, so every other entry is served from its version file.
+fn evicting_catalog(tag: &str) -> (SketchCatalog, PathBuf) {
+    let dir = temp_path(tag).with_extension("d");
+    std::fs::remove_dir_all(&dir).ok();
+    let catalog = SketchCatalog::new(
+        CatalogConfig::builder()
+            .budget_sample_points(1) // evict everything but the hot entry
+            .data_dir(&dir)
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    (catalog, dir)
 }
 
 fn sketch_for(spec: &DatasetSpec, threads: usize) -> QuantileSketch<u64> {
@@ -69,7 +86,7 @@ fn save_load_preserves_every_estimate_across_distributions_and_threads() {
         for threads in [1usize, 4] {
             let original = sketch_for(spec, threads);
             let path = temp_path(&format!("dist{i}-t{threads}"));
-            sketch_codec::save(&path, &original.to_wire()).unwrap();
+            sketch_codec::save_synced(&path, &original.to_wire()).unwrap();
             let restored = QuantileSketch::from_wire(sketch_codec::load(&path).unwrap()).unwrap();
             std::fs::remove_file(&path).unwrap();
 
@@ -94,16 +111,7 @@ fn save_load_preserves_every_estimate_across_distributions_and_threads() {
 
 #[test]
 fn catalog_spill_reload_preserves_estimates() {
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("opaq-serve-roundtrip-spill-{}", std::process::id()));
-    let catalog = SketchCatalog::new(
-        CatalogConfig::builder()
-            .budget_sample_points(1) // evict everything but the hot entry
-            .spill_dir(dir.clone())
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
+    let (catalog, dir) = evicting_catalog("spill");
 
     let spec = DatasetSpec {
         n: 30_000,
@@ -119,8 +127,8 @@ fn catalog_spill_reload_preserves_estimates() {
     for ((tenant, dataset), sketch) in ids.iter().zip(&originals) {
         catalog.publish(tenant, dataset, sketch.clone()).unwrap();
     }
-    // With a 1-point budget every non-hot entry was spilled; each snapshot
-    // below reloads from disk (possibly evicting its predecessor again).
+    // With a 1-point budget every non-hot entry was evicted; each snapshot
+    // below reloads its version file (evicting its predecessor again).
     assert!(catalog.stats().evictions >= 2);
     for ((tenant, dataset), original) in ids.iter().zip(&originals) {
         let snap = catalog.snapshot(tenant, dataset).unwrap();
@@ -136,24 +144,18 @@ fn catalog_spill_reload_preserves_estimates() {
     std::fs::remove_dir_all(dir).ok();
 }
 
-#[test]
-fn warm_start_from_cli_persisted_file_serves_identically() {
-    let spec = DatasetSpec {
-        n: 25_000,
-        distribution: Distribution::Uniform { domain: 1 << 28 },
-        duplicate_fraction: 0.1,
-        seed: 13,
-    };
-    let original = sketch_for(&spec, 2);
-    let path = temp_path("warm");
-    sketch_codec::save(&path, &original.to_wire()).unwrap();
-
-    let catalog = SketchCatalog::unbounded();
-    let (tenant, dataset) = (TenantId::new("warm"), DatasetId::new("d"));
-    assert_eq!(catalog.load_persisted(&tenant, &dataset, &path).unwrap(), 1);
-    let snap = catalog.snapshot(&tenant, &dataset).unwrap();
-    assert_eq!(*snap.sketch, original);
-    std::fs::remove_file(path).unwrap();
+/// The one `.sketch` file in `dir` whose name starts with `tenant`.
+fn version_file(dir: &Path, tenant: &str) -> PathBuf {
+    let mut found = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| {
+            let name = p.file_name().unwrap().to_str().unwrap();
+            name.starts_with(&format!("{tenant}--")) && name.ends_with(".sketch")
+        });
+    let path = found.next().expect("the entry's version file");
+    assert!(found.next().is_none(), "one live version per entry");
+    path
 }
 
 #[test]
@@ -165,19 +167,24 @@ fn damaged_files_surface_typed_errors_not_different_estimates() {
         seed: 17,
     };
     let original = sketch_for(&spec, 1);
-    let clean = sketch_codec::to_bytes(&original.to_wire());
-    let catalog = SketchCatalog::unbounded();
-    let (tenant, dataset) = (TenantId::new("t"), DatasetId::new("d"));
+    let (catalog, dir) = evicting_catalog("damaged");
+    let (tenant, dataset) = (TenantId::new("cold"), DatasetId::new("d"));
+    let hot = TenantId::new("hot");
+    catalog
+        .publish(&tenant, &dataset, original.clone())
+        .unwrap();
+    catalog.publish(&hot, &dataset, original.clone()).unwrap(); // evicts cold
+    assert_eq!(catalog.stats().evictions, 1);
+    let path = version_file(&dir, "cold");
+    let clean = std::fs::read(&path).unwrap();
+    assert_eq!(clean, sketch_codec::to_bytes(&original.to_wire()));
 
-    // Bit rot in the body: checksum failure.
+    // Bit rot in the body: checksum failure on the reload path.
     let mut corrupt = clean.clone();
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0x10;
-    let path = temp_path("corrupt");
     std::fs::write(&path, &corrupt).unwrap();
-    let err = catalog
-        .load_persisted(&tenant, &dataset, &path)
-        .unwrap_err();
+    let err = catalog.snapshot(&tenant, &dataset).unwrap_err();
     assert!(
         matches!(&err, ServeError::Storage(StorageError::Corrupt(_))),
         "{err}"
@@ -187,9 +194,7 @@ fn damaged_files_surface_typed_errors_not_different_estimates() {
     let mut future = clean.clone();
     future[7] = b'3';
     std::fs::write(&path, &future).unwrap();
-    let err = catalog
-        .load_persisted(&tenant, &dataset, &path)
-        .unwrap_err();
+    let err = catalog.snapshot(&tenant, &dataset).unwrap_err();
     assert!(
         matches!(
             &err,
@@ -198,7 +203,12 @@ fn damaged_files_surface_typed_errors_not_different_estimates() {
         "{err}"
     );
 
-    // Neither attempt published anything.
-    assert!(!catalog.contains(&tenant, &dataset));
-    std::fs::remove_file(path).unwrap();
+    // Neither failed reload made the entry resident; once the bytes are
+    // whole again it serves the original estimates.
+    assert_eq!(catalog.stats().reloads, 0);
+    std::fs::write(&path, &clean).unwrap();
+    let snap = catalog.snapshot(&tenant, &dataset).unwrap();
+    assert_eq!(*snap.sketch, original);
+    assert_eq!(catalog.stats().reloads, 1);
+    std::fs::remove_dir_all(dir).ok();
 }

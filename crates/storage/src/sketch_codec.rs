@@ -3,9 +3,10 @@
 //! Persisting the sorted sample list is what makes the paper's incremental
 //! formulation practical ("if the sorted samples are kept from the runs of
 //! the old data…"), and it is what lets the serving layer (`opaq-serve`)
-//! spill cold tenants to disk and reload them on demand.  The codec lives in
-//! the storage crate — below `opaq-core` — so every layer (CLI persistence,
-//! catalog spill/reload, warm starts) shares one format; the *semantic*
+//! keep one durable file per published version, from which an evicted
+//! tenant reloads on demand.  The codec lives in the storage crate — below
+//! `opaq-core` — so every layer (the CLI's `sketch --out`, the catalog's
+//! version files) shares one format and one synced writer; the *semantic*
 //! validation (sorted samples, gap sums) stays with
 //! `QuantileSketch::assemble` in the core, which consumes the [`SketchWire`]
 //! this module decodes.
@@ -197,7 +198,7 @@ pub fn from_bytes<K: FixedWidthCodec>(bytes: &[u8]) -> StorageResult<SketchWire<
 }
 
 /// Wrap an I/O failure with the operation and path it happened on: "file
-/// not found" alone is useless to an operator juggling spill directories.
+/// not found" alone is useless to an operator juggling data directories.
 fn io_context(op: &str, path: &Path, e: std::io::Error) -> StorageError {
     StorageError::Io(std::io::Error::new(
         e.kind(),
@@ -205,18 +206,10 @@ fn io_context(op: &str, path: &Path, e: std::io::Error) -> StorageError {
     ))
 }
 
-/// Save a wire sketch to `path` (current format version).
-pub fn save<K: FixedWidthCodec>(path: impl AsRef<Path>, wire: &SketchWire<K>) -> StorageResult<()> {
-    let path = path.as_ref();
-    let mut file = std::fs::File::create(path).map_err(|e| io_context("create", path, e))?;
-    file.write_all(&to_bytes(wire))
-        .map_err(|e| io_context("write", path, e))?;
-    Ok(())
-}
-
-/// Save a wire sketch to `path` and sync file data to disk before
-/// returning.  The durable catalog writes sketch bytes through this variant
-/// so the write-ahead manifest never references a file a crash could lose.
+/// Save a wire sketch to `path` (current format version) and sync file
+/// data to disk before returning.  The durable catalog writes its version
+/// files through it, so the write-ahead manifest never references a file a
+/// crash could lose; the CLI's `sketch --out` writes the same bytes.
 pub fn save_synced<K: FixedWidthCodec>(
     path: impl AsRef<Path>,
     wire: &SketchWire<K>,
@@ -379,7 +372,7 @@ mod tests {
         let mut path = std::env::temp_dir();
         path.push(format!("opaq-sketch-codec-{}.sketch", std::process::id()));
         let w = wire();
-        save(&path, &w).unwrap();
+        save_synced(&path, &w).unwrap();
         assert_eq!(load::<u64>(&path).unwrap(), w);
         std::fs::remove_file(path).unwrap();
     }
