@@ -1,11 +1,9 @@
-//! Baseline quantile estimators the OPAQ paper positions itself against.
+//! The comparators of the OPAQ paper's Table 7.
 //!
-//! Section 1 of the paper surveys the prior art; Table 7 compares OPAQ's
-//! accuracy (RER_A) against the one-pass algorithm of Agrawal & Swami
-//! (`[AS95]`) and plain random sampling under an equal memory budget.  To run
-//! that comparison ourselves — rather than quoting numbers — this crate
-//! implements every comparator, plus the other algorithms the related-work
-//! section discusses:
+//! Table 7 compares OPAQ's accuracy (RER_A) against the one-pass algorithm
+//! of Agrawal & Swami (`[AS95]`) and plain random sampling under an equal
+//! memory budget.  To run that comparison ourselves — rather than quoting
+//! numbers — this crate implements both:
 //!
 //! * [`ReservoirSampler`] — uniform random sampling without replacement
 //!   (Vitter's Algorithm R), the `[Coc77]`-style sampling estimator.
@@ -13,39 +11,18 @@
 //!   partition the key range into `k` intervals whose boundaries are adjusted
 //!   on the fly, count values per interval, interpolate inside the interval
 //!   that straddles the target rank.
-//! * [`P2Estimator`] — the P² algorithm of Jain & Chlamtac (`[RC85]`): five
-//!   markers per quantile updated with a piecewise-parabolic rule, O(1)
-//!   memory, no error bound.
-//! * [`MunroPatersonSketch`] — the buffer-collapse multi-pass/streaming
-//!   scheme of Munro & Paterson (`[MP80]`), the ancestor of the MRL sketch.
-//! * [`GroupedMidpointEstimator`] — the `[SD77]` cell-midpoint estimator over
-//!   a fixed, a-priori key range (accurate only when that range is right,
-//!   which is exactly the weakness the paper points out).
-//! * [`exact_sort`] — full-sort exact quantiles, the ground truth / upper
-//!   bound on memory.
-//! * [`multipass`] — GS90-style iterative range narrowing: exact quantiles in
-//!   a few passes with bounded memory.
 //!
-//! All estimators implement [`StreamingEstimator`] so the comparison harness
-//! can drive them uniformly, one key at a time, in a single pass.
+//! Both implement [`StreamingEstimator`] so the comparison harness can drive
+//! them uniformly, one key at a time, in a single pass.  Exact ground truth
+//! is `opaq_metrics::GroundTruth` and `opaq_core::exact_quantile`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod adaptive_intervals;
-pub mod exact_sort;
-pub mod grouped_midpoint;
-pub mod multipass;
-pub mod munro_paterson;
-pub mod p2;
 pub mod reservoir;
 
 pub use adaptive_intervals::AdaptiveIntervalEstimator;
-pub use exact_sort::ExactSortEstimator;
-pub use grouped_midpoint::GroupedMidpointEstimator;
-pub use multipass::multipass_exact_quantile;
-pub use munro_paterson::MunroPatersonSketch;
-pub use p2::P2Estimator;
 pub use reservoir::ReservoirSampler;
 
 /// A one-pass (streaming) quantile estimator over `u64` keys.
@@ -73,7 +50,7 @@ pub trait StreamingEstimator {
     /// Number of keys observed so far.
     fn observed(&self) -> u64;
 
-    /// Approximate memory footprint in retained points (markers, samples,
+    /// Approximate memory footprint in retained points (samples,
     /// interval boundaries + counters, …).
     fn memory_points(&self) -> usize;
 
@@ -98,10 +75,6 @@ mod tests {
         let mut estimators: Vec<Box<dyn StreamingEstimator>> = vec![
             Box::new(ReservoirSampler::new(3000, 42)),
             Box::new(AdaptiveIntervalEstimator::new(1500)),
-            Box::new(P2Estimator::new(0.5)),
-            Box::new(MunroPatersonSketch::new(10, 300)),
-            Box::new(GroupedMidpointEstimator::new(0, 1_000_000, 3000)),
-            Box::new(ExactSortEstimator::new()),
         ];
         for est in &mut estimators {
             est.observe_all(&data);

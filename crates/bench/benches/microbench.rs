@@ -6,13 +6,11 @@
 //! in `cargo bench`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use opaq_baselines::{
-    AdaptiveIntervalEstimator, P2Estimator, ReservoirSampler, StreamingEstimator,
-};
+use opaq_baselines::{AdaptiveIntervalEstimator, ReservoirSampler, StreamingEstimator};
 use opaq_core::{sample_run, OpaqConfig, OpaqEstimator};
 use opaq_datagen::{DatasetSpec, KeyGenerator, UniformGenerator};
 use opaq_parallel::{bitonic_merge, sample_merge, CostModel, Machine};
-use opaq_select::{multiselect_with, regular_sample_ranks, SelectionStrategy};
+use opaq_select::{multiselect, regular_sample_ranks};
 use opaq_storage::MemRunStore;
 
 fn bench_selection(c: &mut Criterion) {
@@ -21,19 +19,12 @@ fn bench_selection(c: &mut Criterion) {
     let data = UniformGenerator::new(1, u32::MAX as u64).generate(100_000);
     let ranks = regular_sample_ranks(data.len(), 1000);
 
-    // Every strategy, the default (what the sample phase runs) included.
-    for strategy in SelectionStrategy::ALL {
-        group.bench_with_input(
-            BenchmarkId::new("multiselect_1000_of_100k", format!("{strategy:?}")),
-            &strategy,
-            |b, &strategy| {
-                b.iter(|| {
-                    let mut work = data.clone();
-                    black_box(multiselect_with(&mut work, &ranks, strategy))
-                })
-            },
-        );
-    }
+    group.bench_function("multiselect_1000_of_100k", |b| {
+        b.iter(|| {
+            let mut work = data.clone();
+            black_box(multiselect(&mut work, &ranks))
+        })
+    });
     group.bench_function("full_sort_100k_for_reference", |b| {
         b.iter(|| {
             let mut work = data.clone();
@@ -52,7 +43,7 @@ fn bench_sample_phase(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sample_run_100k", s), &s, |b, &s| {
             b.iter(|| {
                 let mut run = data.clone();
-                black_box(sample_run(&mut run, s, SelectionStrategy::default()).unwrap())
+                black_box(sample_run(&mut run, s).unwrap())
             })
         });
     }
@@ -132,13 +123,6 @@ fn bench_baselines(c: &mut Criterion) {
     group.bench_function("adaptive_intervals_3000", |b| {
         b.iter(|| {
             let mut est = AdaptiveIntervalEstimator::new(3000);
-            est.observe_all(&data);
-            black_box(est.estimate(0.5))
-        })
-    });
-    group.bench_function("p2_median", |b| {
-        b.iter(|| {
-            let mut est = P2Estimator::new(0.5);
             est.observe_all(&data);
             black_box(est.estimate(0.5))
         })

@@ -1,44 +1,38 @@
-//! Microbenchmarks for the selection kernels and the allocation-free
-//! run-ingest hot path (PR 3).
+//! Microbenchmarks for multi-selection and the allocation-free run-ingest
+//! hot path.
 //!
-//! Seven questions, answered on 1M-key u64 runs (the paper's experiment
-//! scale) unless noted.  Every multi-selection group times every strategy
-//! in `SelectionStrategy::ALL`, since the strategy makes every rank split:
+//! Six questions, answered on 1M-key u64 runs (the paper's experiment
+//! scale) unless noted:
 //!
-//! 1. **Partition kernel** — scalar Dutch-national-flag vs. the branchless
-//!    BlockQuicksort-style three-way partition, on identical data and pivot.
-//! 2. **Multi-selection** — `multiselect` of `s = 1000` regular ranks.
-//! 3. **Duplicate-heavy multi-selection** — the same rank set over constant
+//! 1. **Multi-selection** — `multiselect` of `s = 1000` regular ranks.
+//! 2. **Duplicate-heavy multi-selection** — the same rank set over constant
 //!    and three-valued runs, whose splitters collapse, so `multiselect` skips
 //!    the splitter tree and the recursion's floor and ceiling rules end them.
-//! 4. **Bucket-sized multi-selection** — 4 regular ranks of a 4096-key
+//! 3. **Bucket-sized multi-selection** — 4 regular ranks of a 4096-key
 //!    slice, the size of one splitter-tree bucket of a 1M-key run, where the
 //!    recursion does the sample phase's in-bucket work.
-//! 5. **Serving set-up** — 500 regular ranks of a 10k-key run, the run
+//! 4. **Serving set-up** — 500 regular ranks of a 10k-key run, the run
 //!    shape perfbench's `serve-point` samples while it builds its catalog.
-//! 6. **Splitter-tree floor** — the default strategy on slices one key
-//!    below and at 2^15 and 2^16 keys, with one rank per 1000 keys and one
-//!    per 20: each pair times the recursion alone against the splitter tree
-//!    at nearly the same size wherever `SPLITTER_TREE_MIN_LEN` falls between
-//!    them.
-//! 7. **End-to-end `sample_run`** — the seed path (fresh buffer per run +
-//!    scalar quickselect) vs. the default strategy with the hot path's
-//!    recycled buffer and `RunSampler` rank cache, and without the buffer.
+//! 5. **Splitter-tree floor** — slices one key below and at 2^15 and 2^16
+//!    keys, with one rank per 1000 keys and one per 20: each pair times the
+//!    recursion alone against the splitter tree at nearly the same size
+//!    wherever `SPLITTER_TREE_MIN_LEN` falls between them.
+//! 6. **End-to-end `sample_run`** — the hot path's recycled buffer and
+//!    `RunSampler` rank cache, and the same without the buffer.
 //!
-//! The kernel and multi-selection groups refill one reused buffer with the
-//! input before every timed iteration, so the copy is timed but no
-//! allocation is.
+//! The multi-selection groups refill one reused buffer with the input
+//! before every timed iteration, so the copy is timed but no allocation is.
 //!
 //! Set `OPAQ_BENCH_QUICK=1` to shrink the input to 20k keys: that mode is
 //! run per-PR in CI as a smoke job, where the *correctness* cross-checks at
-//! the top of each benchmark (block kernel vs. scalar oracle) fail loudly if
-//! a kernel regresses; timings at that size are informational only.
+//! the top of each benchmark (every selected value against a sorted copy)
+//! fail loudly if selection regresses; timings at that size are
+//! informational only.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use opaq_core::{sample_run, RunSampler};
 use opaq_datagen::{KeyGenerator, UniformGenerator};
-use opaq_select::partition::{partition_three_way, partition_three_way_block};
-use opaq_select::{multiselect_with, regular_sample_ranks, SelectionStrategy};
+use opaq_select::{multiselect, regular_sample_ranks, SelectionStrategy};
 
 fn quick_mode() -> bool {
     std::env::var_os("OPAQ_BENCH_QUICK").is_some()
@@ -64,80 +58,43 @@ fn keys(seed: u64, n: usize) -> Vec<u64> {
     UniformGenerator::new(seed, u32::MAX as u64).generate(n)
 }
 
-fn bench_partition_kernels(c: &mut Criterion) {
-    let n = run_len();
-    let data = keys(1, n);
-    let pivot = n / 2;
-
-    // Correctness cross-check before timing anything: the block kernel must
-    // return the scalar oracle's equal band on this exact input.
-    {
-        let mut scalar = data.clone();
-        let ps = partition_three_way(&mut scalar, pivot);
-        let mut block = data.clone();
-        let pb = partition_three_way_block(&mut block, pivot);
-        assert_eq!(ps, pb, "block kernel diverged from the scalar oracle");
-    }
-
-    let mut group = c.benchmark_group(format!("partition_3way_{n}"));
-    group.sample_size(15);
-    let mut work = data.clone();
-    group.bench_function("scalar_dnf", |b| {
-        b.iter(|| {
-            work.copy_from_slice(&data);
-            black_box(partition_three_way(&mut work, pivot))
-        })
-    });
-    group.bench_function("block_branchless", |b| {
-        b.iter(|| {
-            work.copy_from_slice(&data);
-            black_box(partition_three_way_block(&mut work, pivot))
-        })
-    });
-    group.finish();
+/// The values a full sort puts at `ranks`.
+fn sorted_at(data: &[u64], ranks: &[usize]) -> Vec<u64> {
+    let mut sorted = data.to_vec();
+    sorted.sort_unstable();
+    ranks.iter().map(|&r| sorted[r]).collect()
 }
 
-/// Time `multiselect_with` of `ranks` over `data` under every strategy, in
-/// `group` under `name/strategy`.  Every strategy must first select the
-/// same values as the scalar `Quickselect` (the sketch-identity invariant).
-fn bench_every_strategy(
+/// Time `multiselect` of `ranks` over `data` in `group` under `name`, after
+/// checking that it selects what a full sort puts at those ranks.
+fn bench_multiselect(
     group: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
     data: &[u64],
     ranks: &[usize],
 ) {
     let mut work = data.to_vec();
-    let reference = multiselect_with(&mut work, ranks, SelectionStrategy::Quickselect);
-    for strategy in SelectionStrategy::ALL {
-        work.copy_from_slice(data);
-        assert_eq!(
-            multiselect_with(&mut work, ranks, strategy),
-            reference,
-            "{strategy:?} selected different values on {name}"
-        );
-    }
-    for strategy in SelectionStrategy::ALL {
-        group.bench_with_input(
-            BenchmarkId::new(name, format!("{strategy:?}")),
-            &strategy,
-            |b, &strategy| {
-                b.iter(|| {
-                    work.copy_from_slice(data);
-                    black_box(multiselect_with(&mut work, ranks, strategy))
-                })
-            },
-        );
-    }
+    assert_eq!(
+        multiselect(&mut work, ranks),
+        sorted_at(data, ranks),
+        "multiselect selected different values than a sort on {name}"
+    );
+    group.bench_function(name, |b| {
+        b.iter(|| {
+            work.copy_from_slice(data);
+            black_box(multiselect(&mut work, ranks))
+        })
+    });
 }
 
-fn bench_multiselect_strategies(c: &mut Criterion) {
+fn bench_regular_multiselect(c: &mut Criterion) {
     let n = run_len();
     let s = sample_size() as usize;
     let data = keys(2, n);
     let ranks = regular_sample_ranks(n, s);
     let mut group = c.benchmark_group(format!("multiselect_{s}_of_{n}"));
     group.sample_size(15);
-    bench_every_strategy(&mut group, "strategy", &data, &ranks);
+    bench_multiselect(&mut group, "default", &data, &ranks);
     group.finish();
 }
 
@@ -152,7 +109,7 @@ fn bench_duplicate_heavy_multiselect(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!("multiselect_{s}_of_{n}_dup"));
     group.sample_size(15);
     for (shape, data) in &shapes {
-        bench_every_strategy(&mut group, shape, data, &ranks);
+        bench_multiselect(&mut group, shape, data, &ranks);
     }
     group.finish();
 }
@@ -164,7 +121,7 @@ fn bench_bucket_sized_multiselect(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!("multiselect_4_of_{n}"));
     // One iteration is tens of microseconds, so take more samples.
     group.sample_size(201);
-    bench_every_strategy(&mut group, "strategy", &data, &ranks);
+    bench_multiselect(&mut group, "default", &data, &ranks);
     group.finish();
 }
 
@@ -174,7 +131,7 @@ fn bench_serving_setup_multiselect(c: &mut Criterion) {
     let ranks = regular_sample_ranks(n, s);
     let mut group = c.benchmark_group(format!("multiselect_{s}_of_{n}"));
     group.sample_size(101);
-    bench_every_strategy(&mut group, "strategy", &data, &ranks);
+    bench_multiselect(&mut group, "default", &data, &ranks);
     group.finish();
 }
 
@@ -186,17 +143,7 @@ fn bench_splitter_tree_floor(c: &mut Criterion) {
         for per_rank in [1000, 20] {
             let ranks = regular_sample_ranks(len, len / per_rank);
             let id = format!("len={len}/s={}", ranks.len());
-            let mut work = data.clone();
-            group.bench_function(id, |b| {
-                b.iter(|| {
-                    work.copy_from_slice(&data);
-                    black_box(multiselect_with(
-                        &mut work,
-                        &ranks,
-                        SelectionStrategy::default(),
-                    ))
-                })
-            });
+            bench_multiselect(&mut group, &id, &data, &ranks);
         }
     }
     group.finish();
@@ -207,31 +154,24 @@ fn bench_sample_run_pipeline(c: &mut Criterion) {
     let s = sample_size();
     let data = keys(3, n);
 
-    // The two paths must produce the identical RunSample.
+    // The hot path must sample what a sort of the run puts at its ranks.
     {
-        let mut seed_buf = data.clone();
-        let seed = sample_run(&mut seed_buf, s, SelectionStrategy::Quickselect).unwrap();
         let mut sampler = RunSampler::new(s, SelectionStrategy::default()).unwrap();
-        let mut reuse_buf = data.clone();
-        let hot = sampler.sample(&mut reuse_buf).unwrap();
-        assert_eq!(seed, hot, "hot path diverged from the seed path");
+        let mut run = data.clone();
+        let sample = sampler.sample(&mut run).unwrap();
+        let ranks = regular_sample_ranks(n, s as usize);
+        assert_eq!(
+            sample.values,
+            sorted_at(&data, &ranks),
+            "hot path diverged from a sort"
+        );
     }
 
     let mut group = c.benchmark_group(format!("sample_run_{n}_s{s}"));
     group.sample_size(15);
 
-    // Seed path: a fresh m-element buffer every run (what `read_run`
-    // allocated), scalar partition kernel, ranks recomputed per call.
-    group.bench_function("seed_scalar_alloc", |b| {
-        b.iter(|| {
-            let mut run = data.clone();
-            black_box(sample_run(&mut run, s, SelectionStrategy::Quickselect).unwrap())
-        })
-    });
-
-    // Hot path under the default strategy, which the sample phase runs: one
-    // recycled buffer refilled in place (what `read_run_into` does), rank
-    // table cached across runs.
+    // The hot path the sample phase runs: one recycled buffer refilled in
+    // place (what `read_run_into` does), rank table cached across runs.
     group.bench_function("default_buffer_reuse", |b| {
         let mut sampler = RunSampler::new(s, SelectionStrategy::default()).unwrap();
         let mut run_buf: Vec<u64> = Vec::with_capacity(n);
@@ -242,12 +182,12 @@ fn bench_sample_run_pipeline(c: &mut Criterion) {
         })
     });
 
-    // Ablation: the default strategy but a fresh allocation per run, to
-    // separate the selection win from the allocator win.
+    // Ablation: a fresh allocation per run, to separate the selection cost
+    // from the allocator's.
     group.bench_function("default_alloc", |b| {
         b.iter(|| {
             let mut run = data.clone();
-            black_box(sample_run(&mut run, s, SelectionStrategy::default()).unwrap())
+            black_box(sample_run(&mut run, s).unwrap())
         })
     });
     group.finish();
@@ -255,8 +195,7 @@ fn bench_sample_run_pipeline(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_partition_kernels,
-    bench_multiselect_strategies,
+    bench_regular_multiselect,
     bench_duplicate_heavy_multiselect,
     bench_bucket_sized_multiselect,
     bench_serving_setup_multiselect,

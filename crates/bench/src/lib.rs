@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+use opaq_baselines::{AdaptiveIntervalEstimator, ReservoirSampler, StreamingEstimator};
 use opaq_core::{OpaqConfig, OpaqEstimator, QuantileEstimate};
 use opaq_datagen::DatasetSpec;
 use opaq_metrics::{compute_error_rates, GroundTruth, QuantileBoundsView, RelativeErrorRates};
@@ -112,6 +113,73 @@ pub fn to_bounds_view(estimates: &[QuantileEstimate<u64>]) -> Vec<QuantileBounds
         .collect()
 }
 
+/// Table 7's memory budget in retained points, shared by all three
+/// algorithms.  For OPAQ this is the merged sample list (r·s = 3000 with the
+/// paper's r = 10).
+pub const TABLE7_MEMORY_POINTS: usize = 3000;
+
+/// Table 7: RER_A per dectile of OPAQ, the Agrawal–Swami one-pass algorithm
+/// \[AS95\] and random sampling under an equal memory budget of
+/// [`TABLE7_MEMORY_POINTS`], on uniform and Zipf 0.86 data.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table7 {
+    /// Dataset size.
+    pub n: u64,
+    /// OPAQ's per-run sample size, `TABLE7_MEMORY_POINTS / r`.
+    pub s: u64,
+    /// RER_A (%) per dectile, in column order: uniform OPAQ, AS95 and
+    /// sampling, then the same three on Zipf.
+    pub columns: [Vec<f64>; 6],
+}
+
+/// Run Table 7 on `n` keys: OPAQ with the paper's run length, AS95 with
+/// `TABLE7_MEMORY_POINTS - 2` intervals and a reservoir of
+/// `TABLE7_MEMORY_POINTS` keys, each over the same uniform (seed 42) and
+/// Zipf 0.86 (seed 43) datasets.
+pub fn table7(n: u64) -> Table7 {
+    let m = paper_run_length(n);
+    // r = n/m = 10 runs; r*s = TABLE7_MEMORY_POINTS  =>  s = TABLE7_MEMORY_POINTS / 10.
+    let s = (TABLE7_MEMORY_POINTS as u64 * m / n).max(2);
+    let mut columns = Vec::with_capacity(6);
+    for spec in [
+        DatasetSpec::paper_uniform(n, 42),
+        DatasetSpec::paper_zipf(n, 43),
+    ] {
+        let data = spec.generate();
+        let opaq = run_sequential_accuracy(&spec, m, s);
+        columns.push(
+            error_rates_for_bounds(&data, &to_bounds_view(&opaq.estimates)).rer_a_per_quantile,
+        );
+        let mut as95 = AdaptiveIntervalEstimator::new(TABLE7_MEMORY_POINTS - 2);
+        columns.push(baseline_rates(&data, &mut as95));
+        let mut sampler = ReservoirSampler::new(TABLE7_MEMORY_POINTS, 7);
+        columns.push(baseline_rates(&data, &mut sampler));
+    }
+    Table7 {
+        n,
+        s,
+        columns: columns.try_into().expect("three columns per dataset"),
+    }
+}
+
+/// RER_A per dectile of a baseline's point estimates after it observes
+/// `data`.
+fn baseline_rates(data: &[u64], estimator: &mut dyn StreamingEstimator) -> Vec<f64> {
+    estimator.observe_all(data);
+    let bounds: Vec<QuantileBoundsView> = (1..DECTILES)
+        .map(|i| {
+            let phi = i as f64 / DECTILES as f64;
+            let v = estimator.estimate(phi).expect("baseline estimate");
+            QuantileBoundsView {
+                phi,
+                lower: v,
+                upper: v,
+            }
+        })
+        .collect();
+    error_rates_for_bounds(data, &bounds).rer_a_per_quantile
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,6 +242,29 @@ mod tests {
                 assert_paper_bounds(&run, 1_000, &format!("{:?} n={n}", spec.distribution));
             }
         }
+    }
+
+    /// Table 7 at n = 20,000 (s = 300): both OPAQ columns hold the RER_A
+    /// bound of 2/s·100 on every dectile, and every column is finite and
+    /// the same on a second run.
+    #[test]
+    fn table7_opaq_columns_respect_the_rer_a_bound() {
+        let table = table7(20_000);
+        assert_eq!(table.s, 300);
+        let bound = 200.0 / table.s as f64;
+        for column in [0, 3] {
+            for (d, rer_a) in table.columns[column].iter().enumerate() {
+                assert!(
+                    *rer_a <= bound + 1e-9,
+                    "column {column} dectile {d}: RER_A {rer_a} > {bound}"
+                );
+            }
+        }
+        for column in &table.columns {
+            assert_eq!(column.len(), 9);
+            assert!(column.iter().all(|rer_a| rer_a.is_finite()), "{column:?}");
+        }
+        assert_eq!(table7(20_000), table);
     }
 
     #[test]

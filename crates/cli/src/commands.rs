@@ -17,7 +17,6 @@ use opaq_net::{
 };
 use opaq_parallel::ShardedOpaq;
 use opaq_query::QueryPlan;
-use opaq_select::SelectionStrategy;
 use opaq_serve::{
     execute_on, DatasetId, QueryEngine, QueryOutput, QueryRequest, RefreshPool, SketchCatalog,
     TenantId,
@@ -39,12 +38,9 @@ COMMANDS:
              write N u64 keys (little-endian) to FILE
   sketch     --data FILE --n N [--run-length M] [--sample-size S] [--out SKETCH]
              [--threads T]
-             [--strategy introselect|quickselect|floyd-rivest|median-of-medians]
              one pass over FILE; print dectiles and optionally save the sketch.
              --threads > 1 shards the ingest over T worker threads; selection
              is exact, so the sketch is bit-identical for every thread count
-             and strategy (the strategy makes every rank split; default:
-             introselect, the standard library's worst-case linear select)
   query      --sketch SKETCH [--q Q] [--phi P1,P2,...]
              estimate quantiles from a saved sketch (no data access)
              --expr 'fetch T/D | coalesce | quantile 0.5' --addr HOST:PORT
@@ -58,7 +54,6 @@ COMMANDS:
   histogram  --sketch SKETCH [--buckets B]
              print equi-depth histogram boundaries from a saved sketch
   exact      --data FILE --n N --phi P [--run-length M] [--sample-size S]
-             [--strategy ...]
              exact quantile with one estimation pass plus one refinement pass
   serve-bench [--tenants M] [--clients N] [--ops K] [--keys-per-tenant D]
              [--run-length M] [--sample-size S] [--refreshes R] [--seed S]
@@ -247,23 +242,6 @@ fn open_store(args: &Args) -> CliResult<(FileRunStore<u64>, u64, u64)> {
     Ok((store, run_length, sample_size))
 }
 
-/// Parse `--strategy` (default: introselect).  Selection is exact, so the
-/// choice never changes the sketch — only the CPU time.
-fn parse_strategy(args: &Args) -> CliResult<SelectionStrategy> {
-    Ok(match args.get("strategy").unwrap_or("introselect") {
-        "introselect" => SelectionStrategy::Introselect,
-        "quickselect" => SelectionStrategy::Quickselect,
-        "floyd-rivest" => SelectionStrategy::FloydRivest,
-        "median-of-medians" => SelectionStrategy::MedianOfMedians,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown strategy '{other}' (expected introselect, quickselect, floyd-rivest \
-                 or median-of-medians)"
-            )))
-        }
-    })
-}
-
 /// `opaq sketch`: one pass over a data file, print dectiles, optionally save.
 ///
 /// With `--threads T > 1` the ingest is sharded over `T` worker threads fed
@@ -273,15 +251,7 @@ fn parse_strategy(args: &Args) -> CliResult<SelectionStrategy> {
 pub fn sketch(args: &Args) -> CliResult<String> {
     args.validate(
         "sketch",
-        &[
-            "data",
-            "n",
-            "run-length",
-            "sample-size",
-            "out",
-            "threads",
-            "strategy",
-        ],
+        &["data", "n", "run-length", "sample-size", "out", "threads"],
         &[],
     )?;
     let (store, run_length, sample_size) = open_store(args)?;
@@ -292,7 +262,6 @@ pub fn sketch(args: &Args) -> CliResult<String> {
     let config = OpaqConfig::builder()
         .run_length(run_length)
         .sample_size(sample_size)
-        .strategy(parse_strategy(args)?)
         .build()?;
 
     let (sketch, mut out) = if threads > 1 {
@@ -595,7 +564,7 @@ pub fn histogram(args: &Args) -> CliResult<String> {
 pub fn exact(args: &Args) -> CliResult<String> {
     args.validate(
         "exact",
-        &["data", "n", "phi", "run-length", "sample-size", "strategy"],
+        &["data", "n", "phi", "run-length", "sample-size"],
         &[],
     )?;
     let (store, run_length, sample_size) = open_store(args)?;
@@ -603,7 +572,6 @@ pub fn exact(args: &Args) -> CliResult<String> {
     let config = OpaqConfig::builder()
         .run_length(run_length)
         .sample_size(sample_size)
-        .strategy(parse_strategy(args)?)
         .build()?;
     let sketch = OpaqEstimator::new(config).build_sketch(&store)?;
     let result = exact_quantile(&store, &sketch, phi)?;
@@ -1488,53 +1456,24 @@ mod tests {
             );
         }
 
-        // Selection is exact, so every strategy must reproduce the same
-        // sketch file, byte for byte.
-        for strategy in [
-            "introselect",
-            "quickselect",
-            "floyd-rivest",
-            "median-of-medians",
-        ] {
-            let sketch_path = temp(&format!("sharded-{strategy}"), "sketch");
-            run(
-                "sketch",
-                &args(&[
-                    "--data",
-                    data_str,
-                    "--n",
-                    "30000",
-                    "--run-length",
-                    "3000",
-                    "--sample-size",
-                    "300",
-                    "--threads",
-                    "2",
-                    "--strategy",
-                    strategy,
-                    "--out",
-                    sketch_path.to_str().unwrap(),
-                ]),
-            )
-            .unwrap();
-            assert_eq!(
-                saved[0],
-                std::fs::read(&sketch_path).unwrap(),
-                "strategy {strategy} must produce a byte-identical sketch"
-            );
-            std::fs::remove_file(sketch_path).unwrap();
-        }
-
         assert!(run(
             "sketch",
             &args(&["--data", data_str, "--n", "30000", "--threads", "0"]),
         )
         .is_err());
-        assert!(run(
-            "sketch",
-            &args(&["--data", data_str, "--n", "30000", "--strategy", "bogus"]),
-        )
-        .is_err());
+        // There is one selector, so there is no flag to choose it.
+        for command in ["sketch", "exact"] {
+            let argv = [
+                "--data",
+                data_str,
+                "--n",
+                "30000",
+                "--strategy",
+                "introselect",
+            ];
+            let msg = run(command, &args(&argv)).unwrap_err().to_string();
+            assert!(msg.contains("unknown option --strategy"), "{msg}");
+        }
         std::fs::remove_file(data_path).unwrap();
     }
 

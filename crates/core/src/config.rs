@@ -1,4 +1,4 @@
-//! OPAQ configuration: run length `m`, sample size `s`, selection strategy.
+//! OPAQ configuration: run length `m` and sample size `s`.
 //!
 //! The paper constrains the parameters by the memory budget `M` through
 //! `r·s + m ≤ M` (the sorted sample list of all runs plus one in-memory run
@@ -19,8 +19,9 @@ pub struct OpaqConfig {
     /// experiments use 250–1000; accuracy is proportional to `s`
     /// (error ≤ `n/s` elements per bound).
     pub sample_size: u64,
-    /// Exact single-rank selector that makes every rank split of the sample
-    /// phase's multi-selection (default: introselect).
+    /// Has one value and changes nothing: the sample phase always selects
+    /// with introselect.  Kept only for the benchmark harness, which still
+    /// reads it.
     #[serde(skip, default)]
     pub strategy: SelectionStrategy,
 }
@@ -117,7 +118,6 @@ impl Default for OpaqConfig {
 pub struct OpaqConfigBuilder {
     run_length: Option<u64>,
     sample_size: Option<u64>,
-    strategy: SelectionStrategy,
 }
 
 impl OpaqConfigBuilder {
@@ -133,19 +133,13 @@ impl OpaqConfigBuilder {
         self
     }
 
-    /// Set the single-rank selection strategy.
-    pub fn strategy(mut self, strategy: SelectionStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Build and validate the configuration.
     pub fn build(self) -> OpaqResult<OpaqConfig> {
         let defaults = OpaqConfig::default();
         let config = OpaqConfig {
             run_length: self.run_length.unwrap_or(defaults.run_length),
             sample_size: self.sample_size.unwrap_or(defaults.sample_size),
-            strategy: self.strategy,
+            strategy: SelectionStrategy::default(),
         };
         config.validate()?;
         Ok(config)

@@ -51,7 +51,7 @@ impl OpaqEstimator {
     ///
     /// The store's own [`opaq_storage::RunLayout`] defines the run structure
     /// (it is the physical layout of the data on disk); the configuration
-    /// contributes the per-run sample size `s` and the selection strategy.
+    /// contributes the per-run sample size `s`.
     pub fn build_sketch<K, S>(&self, store: &S) -> OpaqResult<QuantileSketch<K>>
     where
         K: Key,

@@ -78,7 +78,7 @@ where
             )
         })?;
     let idx = (rank_in_candidates - 1) as usize;
-    let value = *opaq_select::quickselect_block(&mut candidates, idx);
+    let value = *candidates.select_nth_unstable(idx).1;
     Ok(ExactQuantile {
         value,
         target_rank: psi,

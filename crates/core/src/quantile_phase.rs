@@ -148,14 +148,13 @@ mod tests {
     use super::*;
     use crate::sample_phase::sample_run;
     use crate::sketch::QuantileSketch;
-    use opaq_select::SelectionStrategy;
 
     fn sketch_of(data: Vec<u64>, m: usize, s: u64) -> QuantileSketch<u64> {
         let run_samples = data
             .chunks(m)
             .map(|chunk| {
                 let mut run = chunk.to_vec();
-                sample_run(&mut run, s, SelectionStrategy::default()).unwrap()
+                sample_run(&mut run, s).unwrap()
             })
             .collect();
         QuantileSketch::from_run_samples(run_samples).unwrap()

@@ -2,13 +2,12 @@
 //!
 //! From a run of `m` in-memory elements the phase extracts the `s` elements
 //! of rank `⌈m/s⌉, ⌈2m/s⌉, …, m` by multi-selection (`O(m log s)`): the
-//! paper's recursive median splitting, one exact selection of the middle
-//! rank per piece with the configured [`SelectionStrategy`], after a
-//! splitter-tree bucketing pass on long runs.  Each sample comes with its
-//! *gap* — the number of new elements of the run it stands for.  Gaps are
-//! what make the error bounds work for runs whose length is not an exact
-//! multiple of `s` (the paper assumes divisibility "without loss of
-//! generality"; we do not have to).
+//! paper's recursive median splitting, one exact introselect of the middle
+//! rank per piece, after a splitter-tree bucketing pass on long runs.  Each
+//! sample comes with its *gap* — the number of new elements of the run it
+//! stands for.  Gaps are what make the error bounds work for runs whose
+//! length is not an exact multiple of `s` (the paper assumes divisibility
+//! "without loss of generality"; we do not have to).
 //!
 //! ## The buffer-reuse contract
 //!
@@ -79,12 +78,8 @@ impl<K: Key> RunSample<K> {
 /// # Errors
 /// Returns [`OpaqError::EmptyDataset`] if the run is empty or
 /// [`OpaqError::InvalidConfig`] if `s == 0`.
-pub fn sample_run<K: Key>(
-    run: &mut [K],
-    s: u64,
-    strategy: SelectionStrategy,
-) -> OpaqResult<RunSample<K>> {
-    RunSampler::new(s, strategy)?.sample(run)
+pub fn sample_run<K: Key>(run: &mut [K], s: u64) -> OpaqResult<RunSample<K>> {
+    RunSampler::new(s, SelectionStrategy::default())?.sample(run)
 }
 
 /// Reusable sample-phase worker: extracts regular samples run after run,
@@ -96,7 +91,6 @@ pub fn sample_run<K: Key>(
 #[derive(Debug, Clone)]
 pub struct RunSampler {
     s: u64,
-    strategy: SelectionStrategy,
     /// Regular ranks for a run of length `cached_m` (invalid when
     /// `cached_m == 0`, i.e. before the first run).
     ranks: Vec<usize>,
@@ -104,11 +98,12 @@ pub struct RunSampler {
 }
 
 impl RunSampler {
-    /// Create a sampler taking `s` regular samples per run with `strategy`.
+    /// Create a sampler taking `s` regular samples per run.  `_strategy`
+    /// has one value and changes nothing.
     ///
     /// # Errors
     /// Returns [`OpaqError::InvalidConfig`] if `s == 0`.
-    pub fn new(s: u64, strategy: SelectionStrategy) -> OpaqResult<Self> {
+    pub fn new(s: u64, _strategy: SelectionStrategy) -> OpaqResult<Self> {
         if s == 0 {
             return Err(OpaqError::InvalidConfig(
                 "sample size s must be positive".into(),
@@ -116,7 +111,6 @@ impl RunSampler {
         }
         Ok(Self {
             s,
-            strategy,
             ranks: Vec::new(),
             cached_m: 0,
         })
@@ -137,7 +131,7 @@ impl RunSampler {
             self.cached_m = m;
         }
         let mut values = Vec::with_capacity(self.ranks.len());
-        multiselect_into(run, &self.ranks, self.strategy, &mut values);
+        multiselect_into(run, &self.ranks, SelectionStrategy::default(), &mut values);
         // Selection left nothing but keys `<=` the first sample before it,
         // so the run minimum is among the first `ranks[0] + 1` keys.
         let run_min = *run[..=self.ranks[0]]
@@ -166,15 +160,11 @@ mod tests {
     use super::*;
     use opaq_select::SelectionStrategy;
 
-    fn strategy() -> SelectionStrategy {
-        SelectionStrategy::default()
-    }
-
     #[test]
     fn samples_of_identity_run() {
         // run = 1..=100, s = 10 -> samples 10, 20, ..., 100, gaps all 10.
         let mut run: Vec<u64> = (1..=100).collect();
-        let rs = sample_run(&mut run, 10, strategy()).unwrap();
+        let rs = sample_run(&mut run, 10).unwrap();
         assert_eq!(rs.values, vec![10, 20, 30, 40, 50, 60, 70, 80, 90, 100]);
         assert_eq!(rs.gaps, vec![10; 10]);
         assert_eq!(rs.run_min, 1);
@@ -188,7 +178,7 @@ mod tests {
         let mut run: Vec<u64> = (0..1000).map(|i| (i * 48271) % 10007).collect();
         let mut sorted = run.clone();
         sorted.sort_unstable();
-        let rs = sample_run(&mut run, 16, strategy()).unwrap();
+        let rs = sample_run(&mut run, 16).unwrap();
         assert_eq!(rs.values.len(), 16);
         assert!(rs.values.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(rs.run_max(), *sorted.last().unwrap());
@@ -200,7 +190,7 @@ mod tests {
     fn last_sample_is_always_run_max() {
         for len in [7usize, 64, 129, 1000] {
             let mut run: Vec<u64> = (0..len as u64).rev().collect();
-            let rs = sample_run(&mut run, 5, strategy()).unwrap();
+            let rs = sample_run(&mut run, 5).unwrap();
             assert_eq!(rs.run_max(), (len - 1) as u64, "len {len}");
         }
     }
@@ -208,7 +198,7 @@ mod tests {
     #[test]
     fn short_run_takes_every_element() {
         let mut run = vec![5u64, 1, 9];
-        let rs = sample_run(&mut run, 10, strategy()).unwrap();
+        let rs = sample_run(&mut run, 10).unwrap();
         assert_eq!(rs.values, vec![1, 5, 9]);
         assert_eq!(rs.gaps, vec![1, 1, 1]);
     }
@@ -216,7 +206,7 @@ mod tests {
     #[test]
     fn gaps_sum_to_run_length_when_not_divisible() {
         let mut run: Vec<u64> = (0..103).collect();
-        let rs = sample_run(&mut run, 10, strategy()).unwrap();
+        let rs = sample_run(&mut run, 10).unwrap();
         assert_eq!(rs.gaps.iter().sum::<u64>(), 103);
         assert_eq!(rs.values.len(), 10);
         assert!(rs.max_gap() <= 11);
@@ -225,18 +215,18 @@ mod tests {
     #[test]
     fn duplicate_heavy_run() {
         let mut run = vec![7u64; 64];
-        let rs = sample_run(&mut run, 8, strategy()).unwrap();
+        let rs = sample_run(&mut run, 8).unwrap();
         assert!(rs.values.iter().all(|&v| v == 7));
         assert_eq!(rs.gaps, vec![8; 8]);
     }
 
     #[test]
     fn run_sampler_reuses_rank_table_across_runs() {
-        let mut sampler = RunSampler::new(10, strategy()).unwrap();
+        let mut sampler = RunSampler::new(10, SelectionStrategy::default()).unwrap();
         // Two full-length runs, then a short tail run, then full-length again.
         for len in [100usize, 100, 37, 100] {
             let mut run: Vec<u64> = (0..len as u64).rev().collect();
-            let one_shot = sample_run(&mut run.clone(), 10, strategy()).unwrap();
+            let one_shot = sample_run(&mut run.clone(), 10).unwrap();
             let rs = sampler.sample(&mut run).unwrap();
             assert_eq!(rs, one_shot, "len {len}");
             assert_eq!(rs.run_len, len as u64);
@@ -247,10 +237,10 @@ mod tests {
     #[test]
     fn run_sampler_rejects_zero_s_and_empty_run() {
         assert!(matches!(
-            RunSampler::new(0, strategy()),
+            RunSampler::new(0, SelectionStrategy::default()),
             Err(OpaqError::InvalidConfig(_))
         ));
-        let mut sampler = RunSampler::new(4, strategy()).unwrap();
+        let mut sampler = RunSampler::new(4, SelectionStrategy::default()).unwrap();
         let mut empty: Vec<u64> = vec![];
         assert!(matches!(
             sampler.sample(&mut empty),
@@ -262,7 +252,7 @@ mod tests {
     fn empty_run_errors() {
         let mut run: Vec<u64> = vec![];
         assert!(matches!(
-            sample_run(&mut run, 4, strategy()),
+            sample_run(&mut run, 4),
             Err(OpaqError::EmptyDataset)
         ));
     }
@@ -271,7 +261,7 @@ mod tests {
     fn zero_sample_size_errors() {
         let mut run = vec![1u64, 2];
         assert!(matches!(
-            sample_run(&mut run, 0, strategy()),
+            sample_run(&mut run, 0),
             Err(OpaqError::InvalidConfig(_))
         ));
     }

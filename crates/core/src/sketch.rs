@@ -468,12 +468,11 @@ pub fn merge_tree<K: Key>(
 mod tests {
     use super::*;
     use crate::sample_phase::sample_run;
-    use opaq_select::SelectionStrategy;
 
     fn sketch_of_runs(runs: Vec<Vec<u64>>, s: u64) -> QuantileSketch<u64> {
         let run_samples: Vec<RunSample<u64>> = runs
             .into_iter()
-            .map(|mut run| sample_run(&mut run, s, SelectionStrategy::default()).unwrap())
+            .map(|mut run| sample_run(&mut run, s).unwrap())
             .collect();
         QuantileSketch::from_run_samples(run_samples).unwrap()
     }

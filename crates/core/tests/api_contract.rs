@@ -1,9 +1,9 @@
 //! API-contract tests: behaviours a downstream user relies on that are not
-//! covered by the lemma property tests — determinism, strategy independence,
+//! covered by the lemma property tests — determinism, exact regular samples,
 //! duplicate handling at the bound values, and memory accounting.
 
 use opaq_core::{OpaqConfig, OpaqEstimator, TheoreticalBounds};
-use opaq_select::SelectionStrategy;
+use opaq_select::regular_sample_ranks;
 use opaq_storage::MemRunStore;
 
 fn data(n: u64, seed: u64) -> Vec<u64> {
@@ -31,29 +31,31 @@ fn sketch_is_deterministic_for_a_given_input() {
 }
 
 #[test]
-fn selection_strategy_does_not_change_the_sketch() {
+fn sample_list_holds_the_sorted_runs_regular_samples() {
     let keys = data(20_000, 1);
-    let sketches: Vec<_> = SelectionStrategy::ALL
-        .into_iter()
-        .map(|strategy| {
-            let config = OpaqConfig::builder()
-                .run_length(2_000)
-                .sample_size(200)
-                .strategy(strategy)
-                .build()
-                .unwrap();
-            OpaqEstimator::new(config)
-                .build_sketch(&MemRunStore::new(keys.clone(), 2_000))
-                .unwrap()
+    let config = OpaqConfig::builder()
+        .run_length(2_000)
+        .sample_size(200)
+        .build()
+        .unwrap();
+    let sketch = OpaqEstimator::new(config)
+        .build_sketch(&MemRunStore::new(keys.clone(), 2_000))
+        .unwrap();
+    // Selection is exact, so the sample list is what sorting every run and
+    // reading off its regular ranks gives.
+    let mut expected: Vec<u64> = keys
+        .chunks(2_000)
+        .flat_map(|run| {
+            let mut run = run.to_vec();
+            run.sort_unstable();
+            regular_sample_ranks(run.len(), 200)
+                .into_iter()
+                .map(move |r| run[r])
         })
         .collect();
-    // The selected order statistics are unique values, so every strategy must
-    // produce exactly the same sample list.
-    let reference: Vec<u64> = sketches[0].samples().iter().map(|s| s.value).collect();
-    for sketch in &sketches[1..] {
-        let values: Vec<u64> = sketch.samples().iter().map(|s| s.value).collect();
-        assert_eq!(values, reference);
-    }
+    expected.sort_unstable();
+    let values: Vec<u64> = sketch.samples().iter().map(|s| s.value).collect();
+    assert_eq!(values, expected);
 }
 
 #[test]

@@ -308,7 +308,7 @@ impl ParallelOpaq {
             modelled.io += self.disk.transfer_time(run_buf.len() as u64 * 8);
 
             let sample_start = Instant::now();
-            let rs = sample_run(&mut run_buf, s, self.config.strategy)?;
+            let rs = sample_run(&mut run_buf, s)?;
             measured.sampling += sample_start.elapsed();
             modelled.sampling += self.cost.compute((run_buf.len() as f64 * log_s) as u64);
             run_samples.push(rs);

@@ -10,13 +10,12 @@
 //! supporting arbitrary rank sets (the quantile-phase unit tests use
 //! irregular rank sets too).
 //!
-//! Each piece takes one exact [`SelectionStrategy::select`] of its middle
-//! rank, which leaves `<=` keys on the left and `>=` keys on the right; the
-//! ranks to either side recurse into their part.  So the depth is
-//! `⌈log₂(s+1)⌉`, and with a worst-case linear strategy (the default,
-//! [`SelectionStrategy::Introselect`]) the bound is `O(m log s)` with no
-//! guard.  Every piece also carries the inclusive floor and ceiling its
-//! splits gave it:
+//! Each piece takes one exact selection of its middle rank with
+//! `select_nth_unstable`, which leaves `<=` keys on the left and `>=` keys
+//! on the right; the ranks to either side recurse into their part.  So the
+//! depth is `⌈log₂(s+1)⌉`, and since that selection is worst-case linear the
+//! bound is `O(m log s)` with no guard.  Every piece also carries the
+//! inclusive floor and ceiling its splits gave it:
 //!
 //! * **Floor.**  When the selected key equals the floor, every key left of it
 //!   equals it too: one `==` pass gathers its copies on the right and settles
@@ -88,8 +87,7 @@ pub fn regular_sample_ranks(m: usize, s: usize) -> Vec<usize> {
 }
 
 /// Simultaneously select all the order statistics listed in `ranks`
-/// (0-based, may be unsorted but must be unique and in-bounds), using the
-/// default [`SelectionStrategy`].
+/// (0-based, may be unsorted but must be unique and in-bounds).
 ///
 /// On return, `data[r]` holds the order statistic of rank `r` for every
 /// `r ∈ ranks`, and the slice is partitioned consistently around those
@@ -102,23 +100,15 @@ pub fn regular_sample_ranks(m: usize, s: usize) -> Vec<usize> {
 /// # Panics
 /// Panics if any rank is out of bounds or if `ranks` contains duplicates.
 pub fn multiselect<T: Ord + Copy>(data: &mut [T], ranks: &[usize]) -> Vec<T> {
-    multiselect_with(data, ranks, SelectionStrategy::default())
-}
-
-/// [`multiselect`] with an explicit single-rank [`SelectionStrategy`].
-pub fn multiselect_with<T: Ord + Copy>(
-    data: &mut [T],
-    ranks: &[usize],
-    strategy: SelectionStrategy,
-) -> Vec<T> {
     let mut out = Vec::with_capacity(ranks.len());
-    multiselect_into(data, ranks, strategy, &mut out);
+    multiselect_into(data, ranks, SelectionStrategy::default(), &mut out);
     out
 }
 
-/// [`multiselect_with`] writing the selected values into a caller-provided
+/// [`multiselect`] writing the selected values into a caller-provided
 /// buffer (cleared first) instead of allocating a fresh one — the hot-path
-/// entry point used by the sample phase.
+/// entry point used by the sample phase.  `_strategy` has one value and
+/// changes nothing.
 ///
 /// When `ranks` is already strictly increasing (as produced by
 /// [`regular_sample_ranks`]) no rank copy is made; unsorted rank sets fall
@@ -130,7 +120,7 @@ pub fn multiselect_with<T: Ord + Copy>(
 pub fn multiselect_into<T: Ord + Copy>(
     data: &mut [T],
     ranks: &[usize],
-    strategy: SelectionStrategy,
+    _strategy: SelectionStrategy,
     out: &mut Vec<T>,
 ) {
     out.clear();
@@ -138,7 +128,7 @@ pub fn multiselect_into<T: Ord + Copy>(
         // Pre-sorted (and therefore duplicate-free): select straight off the
         // caller's slice.
         check_bounds(ranks, data.len());
-        select_sorted(data, ranks, strategy);
+        select_sorted(data, ranks);
         out.extend(ranks.iter().map(|&r| data[r]));
     } else {
         let mut sorted_ranks: Vec<usize> = ranks.to_vec();
@@ -151,7 +141,7 @@ pub fn multiselect_into<T: Ord + Copy>(
             );
         }
         check_bounds(&sorted_ranks, data.len());
-        select_sorted(data, &sorted_ranks, strategy);
+        select_sorted(data, &sorted_ranks);
         out.extend(sorted_ranks.iter().map(|&r| data[r]));
     }
 }
@@ -201,14 +191,14 @@ const BLOCK: usize = 128;
 
 /// Place every rank of `ranks` (sorted, unique, in bounds): the splitter
 /// tree first where it pays, then exact middle-rank recursion.
-fn select_sorted<T: Ord + Copy>(data: &mut [T], ranks: &[usize], strategy: SelectionStrategy) {
+fn select_sorted<T: Ord + Copy>(data: &mut [T], ranks: &[usize]) {
     let splitters = if data.len() < SPLITTER_TREE_MIN_LEN || ranks.len() < SPLITTER_TREE_MIN_RANKS {
         None
     } else {
         splitters(data)
     };
     let Some(splitters) = splitters else {
-        split_ranks(data, 0, ranks, None, None, strategy);
+        split_ranks(data, 0, ranks, None, None);
         return;
     };
     let bounds = distribute(data, &splitter_tree(&splitters));
@@ -222,7 +212,7 @@ fn select_sorted<T: Ord + Copy>(data: &mut [T], ranks: &[usize], strategy: Selec
         let last = first + ranks[first..].partition_point(|&r| r < hi);
         let bucket = &mut data[lo..hi];
         let ceil = splitters.get(b).copied();
-        split_ranks(bucket, lo, &ranks[first..last], None, ceil, strategy);
+        split_ranks(bucket, lo, &ranks[first..last], None, ceil);
         first = last;
     }
 }
@@ -499,7 +489,6 @@ fn split_ranks<T: Ord + Copy>(
     ranks: &[usize],
     floor: Option<T>,
     ceil: Option<T>,
-    strategy: SelectionStrategy,
 ) {
     if ranks.is_empty() || (floor.is_some() && floor == ceil) {
         return;
@@ -508,7 +497,7 @@ fn split_ranks<T: Ord + Copy>(
     let at = ranks[mid] - offset;
     #[cfg(test)]
     SELECTS.with(|count| count.set(count.get() + 1));
-    let pivot = *strategy.select(data, at);
+    let pivot = *data.select_nth_unstable(at).1;
     if floor == Some(pivot) {
         // Every key left of `at` equals the pivot, the piece's minimum.
         // Gathering its copies on the right behind them settles every rank
@@ -516,7 +505,7 @@ fn split_ranks<T: Ord + Copy>(
         let eq = at + 1 + block_partition_by(&mut data[at + 1..], |key| *key == pivot);
         let first = ranks.partition_point(|&r| r < offset + eq);
         let (rest, rest_ranks) = (&mut data[eq..], &ranks[first..]);
-        split_ranks(rest, offset + eq, rest_ranks, floor, ceil, strategy);
+        split_ranks(rest, offset + eq, rest_ranks, floor, ceil);
         return;
     }
     if ceil == Some(pivot) {
@@ -525,16 +514,16 @@ fn split_ranks<T: Ord + Copy>(
         let lt = block_partition_by(&mut data[..at], |key| *key < pivot);
         let last = ranks.partition_point(|&r| r < offset + lt);
         let (rest, rest_ranks) = (&mut data[..lt], &ranks[..last]);
-        split_ranks(rest, offset, rest_ranks, floor, ceil, strategy);
+        split_ranks(rest, offset, rest_ranks, floor, ceil);
         return;
     }
     // `<=` left of `at` and `>=` right of it, so the ranks split three ways.
     let (left, right) = data.split_at_mut(at);
     let (left_ranks, right_ranks) = (&ranks[..mid], &ranks[mid + 1..]);
     let pivot = Some(pivot);
-    split_ranks(left, offset, left_ranks, floor, pivot, strategy);
+    split_ranks(left, offset, left_ranks, floor, pivot);
     let right = &mut right[1..];
-    split_ranks(right, offset + at + 1, right_ranks, pivot, ceil, strategy);
+    split_ranks(right, offset + at + 1, right_ranks, pivot, ceil);
 }
 
 #[cfg(test)]
@@ -601,20 +590,21 @@ mod tests {
     }
 
     #[test]
-    fn multiselect_all_strategies_agree() {
+    fn multiselect_regular_ranks_match_sort() {
         let base: Vec<u64> = (0..5000).map(|i| (i * 2654435761) % 9973).collect();
         let ranks = regular_sample_ranks(base.len(), 16);
         let mut sorted = base.clone();
         sorted.sort_unstable();
         let expected: Vec<u64> = ranks.iter().map(|&r| sorted[r]).collect();
-        for strategy in SelectionStrategy::ALL {
-            let mut work = base.clone();
-            assert_eq!(
-                multiselect_with(&mut work, &ranks, strategy),
-                expected,
-                "{strategy:?}"
-            );
-        }
+        let mut work = base.clone();
+        assert_eq!(multiselect(&mut work, &ranks), expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn multiselect_out_of_bounds_rank_panics() {
+        let mut data = vec![1_u64, 2, 3];
+        multiselect(&mut data, &[1, 3]);
     }
 
     #[test]

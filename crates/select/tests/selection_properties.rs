@@ -1,42 +1,46 @@
-//! Property-based tests for the selection substrate.
+//! Property-based tests for multi-selection against a full sort.
+//!
+//! The adversarial shapes are uniform random, duplicate-heavy (tiny domain),
+//! reversed, all-equal and a sawtooth around the 128-key block of the
+//! equal-band compaction: the shapes where an off-by-one in an equal band
+//! would slip through uniform random testing.
 
-use opaq_select::{
-    floyd_rivest_select, median_of_medians_select, multiselect_with, quickselect,
-    quickselect_block, regular_sample_ranks, SelectionStrategy,
-};
+use opaq_select::{multiselect, regular_sample_ranks};
 use proptest::prelude::*;
+
+/// The adversarial input shapes, materialised from a (seed, len, domain)
+/// triple: uniform-ish hash spray, duplicate-heavy, reversed, all-equal,
+/// plus a sawtooth that straddles the 128-element block boundary.
+fn shapes(seed: u64, len: usize, domain: u64) -> Vec<Vec<u32>> {
+    let len = len.max(1);
+    let domain = domain.max(1);
+    vec![
+        // Uniform-ish spray over the full u32 range.
+        (0..len as u64)
+            .map(|i| (i.wrapping_add(seed).wrapping_mul(0x9E3779B97F4A7C15) >> 32) as u32)
+            .collect(),
+        // Duplicate-heavy: tiny domain.
+        (0..len as u64)
+            .map(|i| ((i.wrapping_mul(48271).wrapping_add(seed)) % domain) as u32)
+            .collect(),
+        // Reversed.
+        (0..len as u32).rev().collect(),
+        // All-equal.
+        vec![(seed % u64::from(u32::MAX)) as u32; len],
+        // Sawtooth around the block size.
+        (0..len as u32).map(|i| i % 127).collect(),
+    ]
+}
+
+fn sorted(mut v: Vec<u32>) -> Vec<u32> {
+    v.sort_unstable();
+    v
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every strategy returns exactly the value a full sort would put at the
-    /// requested rank, and establishes the partition invariant around it.
-    #[test]
-    fn all_strategies_agree_with_sort_and_partition(
-        data in proptest::collection::vec(any::<i64>(), 1..500),
-        rank_seed in any::<usize>(),
-    ) {
-        let rank = rank_seed % data.len();
-        let mut sorted = data.clone();
-        sorted.sort_unstable();
-        let expected = sorted[rank];
-
-        for (name, result) in [
-            ("quickselect", { let mut w = data.clone(); let v = *quickselect(&mut w, rank); (v, w) }),
-            ("quickselect_block", { let mut w = data.clone(); let v = *quickselect_block(&mut w, rank); (v, w) }),
-            ("median_of_medians", { let mut w = data.clone(); let v = *median_of_medians_select(&mut w, rank); (v, w) }),
-            ("floyd_rivest", { let mut w = data.clone(); let v = *floyd_rivest_select(&mut w, rank); (v, w) }),
-        ]
-        .map(|(n, (v, w))| (n, (v, w)))
-        {
-            let (value, work) = result;
-            prop_assert_eq!(value, expected, "{} value mismatch", name);
-            prop_assert!(work[..rank].iter().all(|x| *x <= value), "{} left invariant", name);
-            prop_assert!(work[rank + 1..].iter().all(|x| *x >= value), "{} right invariant", name);
-        }
-    }
-
-    /// Multi-selection of a random set of ranks equals per-rank selection.
+    /// Multi-selection of a random set of ranks equals a full sort.
     #[test]
     fn multiselect_matches_individual_selections(
         data in proptest::collection::vec(any::<u32>(), 1..400),
@@ -51,11 +55,8 @@ proptest! {
         sorted.sort_unstable();
         let expected: Vec<u32> = ranks.iter().map(|&r| sorted[r]).collect();
 
-        for strategy in SelectionStrategy::ALL {
-            let mut work = data.clone();
-            let got = multiselect_with(&mut work, &ranks, strategy);
-            prop_assert_eq!(&got, &expected, "{:?}", strategy);
-        }
+        let mut work = data;
+        prop_assert_eq!(multiselect(&mut work, &ranks), expected);
     }
 
     /// Regular sample ranks are strictly increasing, end at the maximum and
@@ -77,5 +78,49 @@ proptest! {
             .max()
             .unwrap();
         prop_assert!(max_gap <= m.div_ceil(s));
+    }
+
+    /// `multiselect` picks the values a full sort puts at regular sample
+    /// ranks on every adversarial shape.
+    #[test]
+    fn regular_ranks_match_sort_on_adversarial_shapes(
+        seed in any::<u64>(),
+        len in 1usize..600,
+        domain in 1u64..8,
+        s_seed in 1usize..64,
+    ) {
+        for data in shapes(seed, len, domain) {
+            let m = data.len();
+            let s = s_seed.min(m);
+            let ranks = regular_sample_ranks(m, s);
+            let truth = sorted(data.clone());
+            let expected: Vec<u32> = ranks.iter().map(|&r| truth[r]).collect();
+            let mut work = data;
+            prop_assert_eq!(multiselect(&mut work, &ranks), expected);
+        }
+    }
+
+    /// Irregular (unsorted, arbitrary) rank sets on the same shapes — this
+    /// exercises multiselect's sorting fallback path.
+    #[test]
+    fn irregular_ranks_match_sort_on_adversarial_shapes(
+        seed in any::<u64>(),
+        len in 1usize..400,
+        domain in 1u64..8,
+        rank_count in 1usize..12,
+    ) {
+        for data in shapes(seed, len, domain) {
+            let n = data.len();
+            let mut ranks: Vec<usize> = (0..rank_count).map(|i| (i * 5407 + 3) % n).collect();
+            ranks.sort_unstable();
+            ranks.dedup();
+            // Deliver them unsorted to exercise the sorting fallback.
+            ranks.reverse();
+            let truth = sorted(data.clone());
+            let mut expected: Vec<u32> = ranks.iter().map(|&r| truth[r]).collect();
+            expected.sort_unstable();
+            let mut work = data;
+            prop_assert_eq!(multiselect(&mut work, &ranks), expected);
+        }
     }
 }

@@ -3,9 +3,8 @@
 //! block by block, and runs exact middle-rank recursion inside each bucket;
 //! below it, the recursion runs on the whole slice.
 //!
-//! Every shape runs with regular and irregular rank sets under every
-//! strategy in [`SelectionStrategy::ALL`], and every result is checked
-//! against a full sort: the selected values, the partition around every
+//! Every shape runs with regular and irregular rank sets, and every result
+//! is checked against a full sort: the selected values, the partition around every
 //! requested rank, and that the slice is still a permutation of its input.
 //! The all-equal, two-valued and few-valued shapes have too few distinct
 //! splitters for the buckets to help, so they exercise the recursion's floor
@@ -13,9 +12,7 @@
 //! extreme keys at evenly spaced positions, where sampling pivot choosers
 //! look.
 
-use opaq_select::{
-    multiselect_with, regular_sample_ranks, SelectionStrategy, SPLITTER_TREE_MIN_LEN,
-};
+use opaq_select::{multiselect, regular_sample_ranks, SPLITTER_TREE_MIN_LEN};
 use proptest::prelude::*;
 
 /// SplitMix64 step: a deterministic key stream per seed.
@@ -145,12 +142,10 @@ proptest! {
             let mut truth = data.clone();
             truth.sort_unstable();
             for ranks in &rank_sets {
-                for strategy in SelectionStrategy::ALL {
-                    let mut work = data.clone();
-                    let got = multiselect_with(&mut work, ranks, strategy);
-                    let what = format!("{shape} {strategy:?} len={len} ranks={}", ranks.len());
-                    check(&truth, &work, ranks, &got, &what)?;
-                }
+                let mut work = data.clone();
+                let got = multiselect(&mut work, ranks);
+                let what = format!("{shape} len={len} ranks={}", ranks.len());
+                check(&truth, &work, ranks, &got, &what)?;
             }
         }
     }
@@ -168,11 +163,9 @@ proptest! {
         for (shape, data) in shapes(seed, len, domain) {
             let mut truth = data.clone();
             truth.sort_unstable();
-            for strategy in SelectionStrategy::ALL {
-                let mut work = data.clone();
-                let got = multiselect_with(&mut work, &ranks, strategy);
-                check(&truth, &work, &ranks, &got, &format!("{shape} {strategy:?} s={s}"))?;
-            }
+            let mut work = data;
+            let got = multiselect(&mut work, &ranks);
+            check(&truth, &work, &ranks, &got, &format!("{shape} s={s}"))?;
         }
     }
 
@@ -190,12 +183,9 @@ proptest! {
         for (shape, data) in shapes(seed, len, domain) {
             let mut truth = data.clone();
             truth.sort_unstable();
-            for strategy in SelectionStrategy::ALL {
-                let mut work = data.clone();
-                let got = multiselect_with(&mut work, &ranks, strategy);
-                let what = format!("{shape} {strategy:?} ranks={}", ranks.len());
-                check(&truth, &work, &ranks, &got, &what)?;
-            }
+            let mut work = data;
+            let got = multiselect(&mut work, &ranks);
+            check(&truth, &work, &ranks, &got, &format!("{shape} ranks={}", ranks.len()))?;
         }
     }
 }

@@ -6,7 +6,8 @@
 
 use opaq_core::{IncrementalOpaq, OpaqConfig, QuantileSketch};
 use opaq_serve::{
-    CatalogConfig, DatasetId, Freshness, ServeError, SketchCatalog, TenantId, MANIFEST_FILE,
+    CatalogConfig, DatasetId, Freshness, InventoryEntry, ServeError, SketchCatalog, TenantId,
+    MANIFEST_FILE,
 };
 use opaq_storage::{sketch_codec, AppendFault, StorageError};
 use std::path::PathBuf;
@@ -179,6 +180,94 @@ fn crash_at_every_byte_of_a_manifest_append_recovers_the_committed_version() {
         // The next publish retries the same version number and succeeds.
         assert_eq!(recovered.publish(&t, &d, v2.clone()).unwrap(), 2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// The manifest record a torn append hits in
+/// [`serve_on_after_a_torn_append`].
+#[derive(Debug, Clone, Copy)]
+enum Torn {
+    /// Publishing a new entry.
+    Publish,
+    /// Evicting a cold entry while a reload makes room.
+    Evict,
+}
+
+/// A durable catalog holding one 100-point sketch in memory that survives
+/// a torn `record` append keeping `keep` bytes, then keeps serving: it
+/// publishes again, evicts and reloads.  Returns the live catalog and the
+/// bytes the torn append left in the manifest.
+fn serve_on_after_a_torn_append(dir: &PathBuf, record: Torn, keep: usize) -> (SketchCatalog, u64) {
+    let catalog = SketchCatalog::new(
+        CatalogConfig::builder()
+            .budget_sample_points(100)
+            .data_dir(dir)
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    let manifest_len = || std::fs::metadata(dir.join(MANIFEST_FILE)).unwrap().len();
+    let [(a, da), (b, db), (c, dc)] = ["a", "b", "c"].map(|t| key(t, "events"));
+    catalog.publish(&a, &da, sketch_of(0..1000)).unwrap();
+    catalog.publish(&b, &db, sketch_of(500..1500)).unwrap(); // evicts a
+    let before = manifest_len();
+    catalog.inject_manifest_fault(AppendFault::TornWrite { keep_bytes: keep });
+    match record {
+        Torn::Publish => {
+            catalog.publish(&c, &dc, sketch_of(0..700)).unwrap_err();
+        }
+        Torn::Evict => {
+            // Reloading a evicts b, and that Evict append tears: b stays
+            // resident and the read still succeeds.
+            catalog.snapshot(&a, &da).unwrap();
+            assert_eq!(catalog.stats().spill_failures, 1, "keep {keep}");
+        }
+    }
+    let torn = manifest_len() - before;
+    catalog.snapshot(&b, &db).unwrap();
+    catalog.publish(&c, &dc, sketch_of(0..700)).unwrap();
+    catalog.publish(&a, &da, sketch_of(1000..2000)).unwrap();
+    for (t, d) in [(&b, &db), (&c, &dc), (&a, &da)] {
+        catalog.snapshot(t, d).unwrap();
+    }
+    assert!(catalog.stats().evictions >= 3, "keep {keep}");
+    (catalog, torn)
+}
+
+/// The catalog's inventory and the wire bytes each entry serves.
+fn served(catalog: &SketchCatalog) -> Vec<(InventoryEntry, Vec<u8>)> {
+    catalog
+        .inventory()
+        .into_iter()
+        .map(|row| {
+            let (t, d) = key(&row.tenant, &row.dataset);
+            let bytes = wire_bytes(&catalog.snapshot(&t, &d).unwrap().sketch);
+            (row, bytes)
+        })
+        .collect()
+}
+
+#[test]
+fn a_catalog_that_outlives_a_torn_append_restarts_to_what_it_served() {
+    for record in [Torn::Publish, Torn::Evict] {
+        // A fault that keeps the whole record measures its length.
+        let probe_dir = temp_dir(&format!("outlive-probe-{record:?}"));
+        let (_, record_len) = serve_on_after_a_torn_append(&probe_dir, record, usize::MAX);
+        std::fs::remove_dir_all(&probe_dir).ok();
+        assert!(record_len > 24, "{record:?} record must outgrow its header");
+
+        for keep in 0..record_len as usize {
+            let what = format!("{record:?} keep {keep}");
+            let dir = temp_dir(&format!("outlive-{record:?}-{keep}"));
+            let (catalog, torn) = serve_on_after_a_torn_append(&dir, record, keep);
+            assert_eq!(torn, keep as u64, "{what}");
+            let live = served(&catalog);
+            drop(catalog);
+            let reopened = durable(&dir);
+            assert_eq!(reopened.recovery().unwrap().torn_tail_bytes, 0, "{what}");
+            assert_eq!(served(&reopened), live, "{what}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }
 

@@ -421,6 +421,10 @@ pub enum AppendFault {
 pub struct ManifestWriter {
     file: File,
     path: PathBuf,
+    /// Length of the log up to the end of its last complete record.
+    committed_len: u64,
+    /// Whether a failed append may have left bytes past `committed_len`.
+    torn: bool,
     records_appended: u64,
     fault: Option<AppendFault>,
 }
@@ -438,22 +442,39 @@ impl ManifestWriter {
             .append(true)
             .open(&path)
             .map_err(|e| io_context("open", &path, e))?;
+        let committed_len = file
+            .metadata()
+            .map_err(|e| io_context("open", &path, e))?
+            .len();
         Ok(ManifestWriter {
             file,
             path,
+            committed_len,
+            torn: false,
             records_appended: 0,
             fault: None,
         })
     }
 
     /// Append one record and sync it to disk.  On success the record is
-    /// durable; on failure the log may hold a torn tail, which the next
-    /// replay truncates.
+    /// durable.  On failure the log may hold a torn tail: a crash leaves it
+    /// for the next replay to truncate, and the next append through this
+    /// writer cuts it off first, so a writer that outlives a failed append
+    /// keeps writing a log its own replay accepts.
     ///
     /// # Errors
     /// I/O errors with path context (including the injected fault).
     pub fn append(&mut self, record: &ManifestRecord) -> StorageResult<()> {
+        if self.torn {
+            self.file
+                .set_len(self.committed_len)
+                .and_then(|()| self.file.sync_data())
+                .map_err(|e| io_context("truncate", &self.path, e))?;
+            self.torn = false;
+        }
         let bytes = encode_record(record);
+        // Cleared only once the whole record is durable.
+        self.torn = true;
         if let Some(AppendFault::TornWrite { keep_bytes }) = self.fault.take() {
             let keep = keep_bytes.min(bytes.len());
             self.file
@@ -470,6 +491,8 @@ impl ManifestWriter {
             .write_all(&bytes)
             .and_then(|()| self.file.sync_data())
             .map_err(|e| io_context("append", &self.path, e))?;
+        self.torn = false;
+        self.committed_len += bytes.len() as u64;
         self.records_appended += 1;
         Ok(())
     }
@@ -696,6 +719,28 @@ mod tests {
             // The fault is one-shot: the retry lands cleanly.
             writer.append(record).unwrap();
             assert_eq!(replay(&path).unwrap().records, vec![record.clone()]);
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn an_append_after_a_failed_one_lands_on_the_last_complete_record() {
+        let records = sample_records();
+        let encoded = encode_record(&records[1]);
+        for keep in [0, 1, HEADER_LEN, encoded.len() - 1, encoded.len()] {
+            let path = temp_path(&format!("after-fault-{keep}"));
+            let mut writer = ManifestWriter::open(&path).unwrap();
+            writer.append(&records[0]).unwrap();
+            writer.inject_fault(AppendFault::TornWrite { keep_bytes: keep });
+            writer.append(&records[1]).unwrap_err();
+            writer.append(&records[2]).unwrap();
+            let replayed = replay(&path).unwrap();
+            assert_eq!(
+                replayed.records,
+                vec![records[0].clone(), records[2].clone()],
+                "keep {keep}"
+            );
+            assert_eq!(replayed.torn_tail_bytes, 0, "keep {keep}");
             std::fs::remove_file(&path).unwrap();
         }
     }

@@ -7,12 +7,14 @@
 //! * [`core`] ([`opaq_core`]) — the OPAQ algorithm itself: sample phase,
 //!   quantile phase, deterministic error bounds, exact second pass,
 //!   incremental maintenance, rank estimation.
-//! * [`select`] ([`opaq_select`]) — selection / multi-selection algorithms.
+//! * [`select`] ([`opaq_select`]) — the sample phase's one multi-selector:
+//!   exact introselect splits behind a splitter-tree distribution.
 //! * [`storage`] ([`opaq_storage`]) — disk-resident run storage, I/O
 //!   accounting and the disk cost model.
 //! * [`datagen`] ([`opaq_datagen`]) — the paper's workload generators.
 //! * [`metrics`] ([`opaq_metrics`]) — RER_A / RER_L / RER_N and timing.
-//! * [`baselines`] ([`opaq_baselines`]) — the comparison algorithms.
+//! * [`baselines`] ([`opaq_baselines`]) — Table 7's two comparators:
+//!   `[AS95]` adaptive intervals and reservoir sampling.
 //! * [`parallel`] ([`opaq_parallel`]) — parallel OPAQ on a simulated
 //!   distributed-memory machine, plus [`ShardedOpaq`]: real multi-threaded
 //!   sharded ingestion over any run store.
@@ -69,6 +71,5 @@ pub use opaq_datagen::DatasetSpec;
 pub use opaq_metrics::{compute_error_rates, GroundTruth, QuantileBoundsView};
 pub use opaq_parallel::{MergeAlgorithm, ParallelOpaq, ShardedIngestReport, ShardedOpaq};
 pub use opaq_query::{PlanExecutor, QueryPlan};
-pub use opaq_select::SelectionStrategy;
 pub use opaq_serve::{QueryEngine, QueryRequest, SketchCatalog};
 pub use opaq_storage::{DiskModel, FileRunStore, FileRunStoreBuilder, MemRunStore, RunStore};

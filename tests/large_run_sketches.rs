@@ -1,10 +1,10 @@
 //! Sketches built from runs long enough for the sample phase's splitter-tree
 //! multi-selection (`opaq::select::SPLITTER_TREE_MIN_LEN` keys and up).
 //!
-//! Selection is exact, so the sketch must not depend on the kernel or on how
-//! the runs are spread over threads: every strategy, and sharded ingest at
-//! every thread count, must build the same sketch, equal to the one
-//! assembled from fully sorted runs.  Its decile bounds must satisfy Lemma 3
+//! Selection is exact, so the sketch must not depend on which path of the
+//! selector ran or on how the runs are spread over threads: sequential
+//! ingest, and sharded ingest at every thread count, must build the same
+//! sketch, equal to the one assembled from fully sorted runs.  Its decile bounds must satisfy Lemma 3
 //! against a full sort of the dataset.
 //!
 //! The datasets cover the shapes the sample phase treats differently: spread
@@ -12,9 +12,7 @@
 //! reverse), a heavy Zipf skew whose splitters repeat, so some buckets stay
 //! empty and the heaviest key's bucket is oversized, and few-valued and
 //! constant runs, too few distinct splitters for the tree, which exact
-//! middle-rank recursion ends by its floor and ceiling rules.  Every
-//! strategy in `SelectionStrategy::ALL` runs, the default introselect
-//! included.
+//! middle-rank recursion ends by its floor and ceiling rules.
 //!
 //! The same datasets, with a short tail run added, are also written to a
 //! `FileRunStore`, which streams every run through a fixed 256 KiB read
@@ -22,10 +20,9 @@
 
 use opaq::core::{RunSample, RunSampler};
 use opaq::datagen::{DatasetSpec, Distribution};
-use opaq::select::{regular_sample_ranks, SPLITTER_TREE_MIN_LEN};
+use opaq::select::{regular_sample_ranks, SelectionStrategy, SPLITTER_TREE_MIN_LEN};
 use opaq::{
-    FileRunStoreBuilder, MemRunStore, OpaqConfig, OpaqEstimator, QuantileSketch, SelectionStrategy,
-    ShardedOpaq,
+    FileRunStoreBuilder, MemRunStore, OpaqConfig, OpaqEstimator, QuantileSketch, ShardedOpaq,
 };
 
 /// Three equal runs above the floor, so Lemma 3's `n/s` bound applies as is.
@@ -60,11 +57,10 @@ fn datasets() -> Vec<DatasetSpec> {
     ]
 }
 
-fn config(strategy: SelectionStrategy) -> OpaqConfig {
+fn config() -> OpaqConfig {
     OpaqConfig::builder()
         .run_length(M)
         .sample_size(S)
-        .strategy(strategy)
         .build()
         .unwrap()
 }
@@ -100,46 +96,34 @@ fn sorted_run_sketch(data: &[u64]) -> QuantileSketch<u64> {
 }
 
 #[test]
-fn every_strategy_builds_the_sorted_run_sketch() {
+fn sequential_ingest_builds_the_sorted_run_sketch() {
     for spec in datasets() {
         let data = spec.generate();
         let expected = sorted_run_sketch(&data);
         let store = MemRunStore::new(data, M);
-        for strategy in SelectionStrategy::ALL {
-            let sketch = OpaqEstimator::new(config(strategy))
-                .build_sketch(&store)
-                .unwrap();
-            assert!(
-                sketch == expected,
-                "{} with {strategy:?} built a different sketch",
-                spec.label()
-            );
-        }
+        let sketch = OpaqEstimator::new(config()).build_sketch(&store).unwrap();
+        assert!(
+            sketch == expected,
+            "{} built a different sketch",
+            spec.label()
+        );
     }
 }
 
-/// Every thread count with the default strategy, and four threads with
-/// every strategy.
 #[test]
 fn sharded_ingest_builds_the_sorted_run_sketch() {
-    let default = SelectionStrategy::default();
-    let runs: Vec<(usize, SelectionStrategy)> = [1, 2, 4, 8]
-        .map(|threads| (threads, default))
-        .into_iter()
-        .chain(SelectionStrategy::ALL.map(|strategy| (4, strategy)))
-        .collect();
     for spec in datasets() {
         let data = spec.generate();
         let expected = sorted_run_sketch(&data);
         let store = MemRunStore::new(data, M);
-        for &(threads, strategy) in &runs {
-            let sketch = ShardedOpaq::new(config(strategy), threads)
+        for threads in [1, 2, 4, 8] {
+            let sketch = ShardedOpaq::new(config(), threads)
                 .unwrap()
                 .build_sketch(&store)
                 .unwrap();
             assert!(
                 sketch == expected,
-                "{} on {threads} threads with {strategy:?} built a different sketch",
+                "{} on {threads} threads built a different sketch",
                 spec.label()
             );
         }
@@ -170,9 +154,7 @@ fn decile_bounds_satisfy_lemma_3() {
         let mut sorted = data.clone();
         sorted.sort_unstable();
         let store = MemRunStore::new(data, M);
-        let sketch = OpaqEstimator::new(config(SelectionStrategy::default()))
-            .build_sketch(&store)
-            .unwrap();
+        let sketch = OpaqEstimator::new(config()).build_sketch(&store).unwrap();
         let slack = (N / S) as usize;
         for est in sketch.estimate_q_quantiles(10).unwrap() {
             let t = (est.target_rank - 1) as usize;
@@ -208,7 +190,7 @@ fn file_backed_runs_build_the_mem_store_sketch() {
     const TAIL: u64 = 5_000;
     const { assert!(M * 8 > 2 * READ_WINDOW && !(M * 8).is_multiple_of(READ_WINDOW)) };
     const { assert!(TAIL * 8 < READ_WINDOW) };
-    let estimator = OpaqEstimator::new(config(SelectionStrategy::default()));
+    let estimator = OpaqEstimator::new(config());
     for spec in datasets() {
         let label = spec.label();
         let data = DatasetSpec {
