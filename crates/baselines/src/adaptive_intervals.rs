@@ -147,10 +147,6 @@ impl StreamingEstimator for AdaptiveIntervalEstimator {
         // when it equalises memory across algorithms.
         self.k + 2
     }
-
-    fn name(&self) -> &'static str {
-        "adaptive-intervals[AS95]"
-    }
 }
 
 #[cfg(test)]

@@ -6,9 +6,14 @@
 //! does sharding buy on this machine?".  The sampling work (`O(m log s)`
 //! multi-selection per run) dominates, so on a machine with ≥ 4 cores the
 //! 4-thread variant should beat sequential clearly; on a single core the
-//! numbers instead measure the (small) dispatch overhead.  Sketch equality
-//! across all variants is asserted once up front, so the bench doubles as a
-//! smoke test of the bit-identity invariant.
+//! numbers instead measure the (small) cost of starting the shard threads.
+//! Sketch equality across all variants is asserted once up front, so the
+//! bench doubles as a smoke test of the bit-identity invariant.
+//!
+//! Set `OPAQ_BENCH_QUICK=1` to shrink the input to 160k keys in the same 16
+//! runs: that mode runs per-PR in CI as a smoke job, where the up-front
+//! check that the sharded sketch equals the sequential one for 1, 2, 4 and
+//! 8 threads fails loudly; timings at that size are informational only.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use opaq_core::{OpaqConfig, OpaqEstimator};
@@ -16,15 +21,25 @@ use opaq_datagen::DatasetSpec;
 use opaq_parallel::ShardedOpaq;
 use opaq_storage::MemRunStore;
 
-const N: u64 = 2_000_000;
-const RUN_LENGTH: u64 = 125_000; // 16 runs
+const RUNS: u64 = 16;
 const SAMPLE_SIZE: u64 = 2_000;
 
+/// The key count and the group name it is reported under.
+fn size() -> (u64, &'static str) {
+    if std::env::var_os("OPAQ_BENCH_QUICK").is_some() {
+        (160_000, "sharded_ingest_160k_keys_16_runs")
+    } else {
+        (2_000_000, "sharded_ingest_2m_keys_16_runs")
+    }
+}
+
 fn bench_sharded_ingest(c: &mut Criterion) {
-    let data = DatasetSpec::paper_uniform(N, 41).generate();
-    let store = MemRunStore::new(data, RUN_LENGTH);
+    let (n, group) = size();
+    let run_length = n / RUNS;
+    let data = DatasetSpec::paper_uniform(n, 41).generate();
+    let store = MemRunStore::new(data, run_length);
     let config = OpaqConfig::builder()
-        .run_length(RUN_LENGTH)
+        .run_length(run_length)
         .sample_size(SAMPLE_SIZE)
         .build()
         .unwrap();
@@ -39,7 +54,7 @@ fn bench_sharded_ingest(c: &mut Criterion) {
         assert_eq!(sharded, sequential, "threads {threads}");
     }
 
-    let mut group = c.benchmark_group("sharded_ingest_2m_keys_16_runs");
+    let mut group = c.benchmark_group(group);
     group.sample_size(10);
     group.bench_function("sequential", |b| {
         b.iter(|| black_box(OpaqEstimator::new(config).build_sketch(&store).unwrap()))

@@ -8,26 +8,13 @@
 //!
 //! Run with `cargo run --release -p opaq-bench --bin ablation_incremental`.
 
-use opaq_bench::{error_rates_for_bounds, scaled, to_bounds_view, DECTILES};
-use opaq_core::{IncrementalOpaq, OpaqConfig, OpaqEstimator};
-use opaq_datagen::DatasetSpec;
+use opaq_bench::{ablation_incremental, scaled, ABLATION_INCREMENTAL_S};
 use opaq_metrics::{fmt2, TextTable};
-use opaq_storage::MemRunStore;
 
 fn main() {
     let batch = scaled(250_000);
     let batches = 6usize;
-    let m = (batch / 4).max(1000);
-    let s = 500u64;
-    let config = OpaqConfig::builder()
-        .run_length(m)
-        .sample_size(s.min(m))
-        .build()
-        .unwrap();
-
-    let mut incremental = IncrementalOpaq::<u64>::new(config).unwrap();
-    let mut all_data: Vec<u64> = Vec::new();
-
+    let s = ABLATION_INCREMENTAL_S;
     let mut table = TextTable::new(format!(
         "Ablation: incremental maintenance, {batches} batches of {batch} keys (s = {s})"
     ))
@@ -38,34 +25,13 @@ fn main() {
         "RER_N rebuilt",
         "sample points held",
     ]);
-
-    for b in 1..=batches {
-        let new = DatasetSpec::paper_uniform(batch, 100 + b as u64).generate();
-        incremental.add_run(new.clone()).unwrap();
-        all_data.extend(new);
-
-        let inc_estimates: Vec<_> = (1..DECTILES)
-            .map(|i| incremental.estimate(i as f64 / DECTILES as f64).unwrap())
-            .collect();
-        let inc_rates = error_rates_for_bounds(&all_data, &to_bounds_view(&inc_estimates));
-
-        let rebuilt_store = MemRunStore::new(all_data.clone(), m);
-        let rebuilt_sketch = OpaqEstimator::new(config)
-            .build_sketch(&rebuilt_store)
-            .unwrap();
-        let rebuilt_estimates = rebuilt_sketch.estimate_q_quantiles(DECTILES).unwrap();
-        let rebuilt_rates = error_rates_for_bounds(&all_data, &to_bounds_view(&rebuilt_estimates));
-
+    for row in ablation_incremental(batch, batches) {
         table.row([
-            b.to_string(),
-            all_data.len().to_string(),
-            fmt2(inc_rates.rer_n),
-            fmt2(rebuilt_rates.rer_n),
-            incremental
-                .sketch()
-                .unwrap()
-                .memory_sample_points()
-                .to_string(),
+            row.batch.to_string(),
+            row.total_n.to_string(),
+            fmt2(row.rer_n_incremental),
+            fmt2(row.rer_n_rebuilt),
+            row.sample_points.to_string(),
         ]);
     }
     print!("{}", table.render());

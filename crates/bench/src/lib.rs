@@ -1,9 +1,9 @@
 //! Shared harness code for the experiment binaries.
 //!
 //! Every table and figure of the paper's evaluation has a dedicated binary in
-//! `src/bin/` (see DESIGN.md §4 for the index).  The binaries share the
-//! workload construction, error-rate computation and output formatting that
-//! lives here.
+//! `src/bin/`, named after it (`cargo run --release -p opaq-bench --bin
+//! table7`).  The binaries share the workload construction, error-rate
+//! computation and output formatting that lives here.
 //!
 //! ## Scaling
 //!
@@ -14,14 +14,13 @@
 //! controllable with the `OPAQ_SCALE` environment variable (use
 //! `OPAQ_SCALE=1.0` to reproduce the paper's exact sizes).  Error-rate
 //! results are unaffected by the scale because both the sample size `s` and
-//! the error metrics are relative quantities; EXPERIMENTS.md records runs at
-//! full scale.
+//! the error metrics are relative quantities.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 use opaq_baselines::{AdaptiveIntervalEstimator, ReservoirSampler, StreamingEstimator};
-use opaq_core::{OpaqConfig, OpaqEstimator, QuantileEstimate};
+use opaq_core::{IncrementalOpaq, OpaqConfig, OpaqEstimator, QuantileEstimate, QuantileSketch};
 use opaq_datagen::DatasetSpec;
 use opaq_metrics::{compute_error_rates, GroundTruth, QuantileBoundsView, RelativeErrorRates};
 use opaq_storage::MemRunStore;
@@ -150,16 +149,25 @@ pub fn table7(n: u64) -> Table7 {
         columns.push(
             error_rates_for_bounds(&data, &to_bounds_view(&opaq.estimates)).rer_a_per_quantile,
         );
-        let mut as95 = AdaptiveIntervalEstimator::new(TABLE7_MEMORY_POINTS - 2);
-        columns.push(baseline_rates(&data, &mut as95));
-        let mut sampler = ReservoirSampler::new(TABLE7_MEMORY_POINTS, 7);
-        columns.push(baseline_rates(&data, &mut sampler));
+        for mut comparator in table7_comparators() {
+            columns.push(baseline_rates(&data, comparator.as_mut()));
+        }
     }
     Table7 {
         n,
         s,
         columns: columns.try_into().expect("three columns per dataset"),
     }
+}
+
+/// Table 7's comparators, fresh: AS95 with `TABLE7_MEMORY_POINTS - 2`
+/// intervals (its two range boundaries count as points too) and a reservoir of
+/// `TABLE7_MEMORY_POINTS` keys, so each holds the memory budget.
+fn table7_comparators() -> [Box<dyn StreamingEstimator>; 2] {
+    [
+        Box::new(AdaptiveIntervalEstimator::new(TABLE7_MEMORY_POINTS - 2)),
+        Box::new(ReservoirSampler::new(TABLE7_MEMORY_POINTS, 7)),
+    ]
 }
 
 /// RER_A per dectile of a baseline's point estimates after it observes
@@ -178,6 +186,68 @@ fn baseline_rates(data: &[u64], estimator: &mut dyn StreamingEstimator) -> Vec<f
         })
         .collect();
     error_rates_for_bounds(data, &bounds).rer_a_per_quantile
+}
+
+/// The per-run sample size of the incremental-maintenance ablation.
+pub const ABLATION_INCREMENTAL_S: u64 = 500;
+
+/// One batch of the incremental-maintenance ablation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IncrementalRow {
+    /// Batch number, from 1.
+    pub batch: usize,
+    /// Keys absorbed so far.
+    pub total_n: u64,
+    /// RER_N (%) of the incremental sketch.
+    pub rer_n_incremental: f64,
+    /// RER_N (%) of the sketch rebuilt from scratch over all keys so far.
+    pub rer_n_rebuilt: f64,
+    /// Sample points the incremental sketch holds.
+    pub sample_points: usize,
+    /// Whether the incremental sketch equals the rebuilt one.
+    pub identical: bool,
+}
+
+/// Ablation (§4): `batches` batches of `batch` uniform keys (seeds 101,
+/// 102, …) arrive one at a time.  After each, the incremental estimator,
+/// which samples only the new batch's runs (`m = max(batch/4, 1000)`,
+/// `s = ABLATION_INCREMENTAL_S`) and merges, is compared with
+/// [`OpaqEstimator`] rebuilt over every key so far.  When `m` divides
+/// `batch` both see the same runs, so the sketches must be equal.
+pub fn ablation_incremental(batch: u64, batches: usize) -> Vec<IncrementalRow> {
+    let m = (batch / 4).max(1000);
+    let config = OpaqConfig::builder()
+        .run_length(m)
+        .sample_size(ABLATION_INCREMENTAL_S.min(m))
+        .build()
+        .expect("valid ablation configuration");
+    let mut incremental = IncrementalOpaq::<u64>::new(config).expect("valid configuration");
+    let mut all_data: Vec<u64> = Vec::new();
+    let rer_n = |sketch: &QuantileSketch<u64>, data: &[u64]| {
+        let estimates = sketch
+            .estimate_q_quantiles(DECTILES)
+            .expect("quantile phase succeeds");
+        error_rates_for_bounds(data, &to_bounds_view(&estimates)).rer_n
+    };
+    (1..=batches)
+        .map(|b| {
+            let new = DatasetSpec::paper_uniform(batch, 100 + b as u64).generate();
+            incremental.add_run(new.clone()).expect("non-empty batch");
+            all_data.extend(new);
+            let sketch = incremental.sketch().expect("a batch was absorbed");
+            let rebuilt = OpaqEstimator::new(config)
+                .build_sketch(&MemRunStore::new(all_data.clone(), m))
+                .expect("sample phase succeeds");
+            IncrementalRow {
+                batch: b,
+                total_n: all_data.len() as u64,
+                rer_n_incremental: rer_n(sketch, &all_data),
+                rer_n_rebuilt: rer_n(&rebuilt, &all_data),
+                sample_points: sketch.memory_sample_points(),
+                identical: *sketch == rebuilt,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -265,6 +335,29 @@ mod tests {
             assert!(column.iter().all(|rer_a| rer_a.is_finite()), "{column:?}");
         }
         assert_eq!(table7(20_000), table);
+        // The equal-memory premise: every comparator holds the same budget.
+        for comparator in table7_comparators() {
+            assert_eq!(comparator.memory_points(), TABLE7_MEMORY_POINTS);
+        }
+    }
+
+    /// §4: after every batch the incremental sketch equals the from-scratch
+    /// rebuild, so both give the same RER_N, which stays inside the paper's
+    /// `q/s·100` bound.
+    #[test]
+    fn ablation_incremental_matches_the_rebuild_after_every_batch() {
+        let rows = ablation_incremental(20_000, 4);
+        assert_eq!(rows.len(), 4);
+        let bound = DECTILES as f64 / ABLATION_INCREMENTAL_S as f64 * 100.0;
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row.batch, i + 1);
+            assert_eq!(row.total_n, 20_000 * (i as u64 + 1));
+            assert!(row.identical, "{row:?}");
+            assert_eq!(row.rer_n_incremental, row.rer_n_rebuilt, "{row:?}");
+            assert!(row.rer_n_incremental <= bound + 1e-9, "{row:?}");
+            // 4 runs of 5,000 keys per batch, 500 samples each.
+            assert_eq!(row.sample_points, 2_000 * (i + 1));
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A deliberately small `--key value` argument parser.
 //!
-//! The workspace avoids third-party CLI crates (DESIGN.md §6), and the tool
-//! only needs flat `--key value` pairs plus boolean flags, so a ~100-line
-//! parser is the honest choice.
+//! The workspace avoids third-party CLI crates (every dependency is a path
+//! dependency under `vendor/`), and the tool only needs flat `--key value`
+//! pairs plus boolean flags, so a ~100-line parser is the honest choice.
 
 use crate::{CliError, CliResult};
 use std::collections::BTreeMap;

@@ -244,10 +244,10 @@ fn open_store(args: &Args) -> CliResult<(FileRunStore<u64>, u64, u64)> {
 
 /// `opaq sketch`: one pass over a data file, print dectiles, optionally save.
 ///
-/// With `--threads T > 1` the ingest is sharded over `T` worker threads fed
-/// by a prefetching dispatcher; the resulting sketch is bit-identical to the
-/// single-threaded one, so `--out` files are byte-for-byte reproducible
-/// across thread counts.
+/// The ingest is sharded over `--threads T` worker threads (default 1), each
+/// reading and sampling its own contiguous runs; the resulting sketch is
+/// bit-identical for every `T`, so `--out` files are byte-for-byte
+/// reproducible across thread counts.
 pub fn sketch(args: &Args) -> CliResult<String> {
     args.validate(
         "sketch",
@@ -264,39 +264,21 @@ pub fn sketch(args: &Args) -> CliResult<String> {
         .sample_size(sample_size)
         .build()?;
 
-    let (sketch, mut out) = if threads > 1 {
-        let sharded = ShardedOpaq::new(config, threads as usize)?;
-        let (sketch, report) = sharded.build_sketch_with_report(&store)?;
-        let header = format!(
-            "built sketch: {} sample points over {} runs ({} keys); {} shards, dispatch {:?}, merge {:?}, io {:?}, buffers {} reused / {} allocated\n{}",
-            sketch.len(),
-            sketch.runs(),
-            sketch.total_elements(),
-            report.shards.len(),
-            report.dispatch,
-            report.merge,
-            report.io.effective_io_time(),
-            report.io.buffer_reuses,
-            report.io.buffer_allocs,
-            report.render_table()
-        );
-        (sketch, header)
-    } else {
-        let (sketch, stats) = OpaqEstimator::new(config).build_sketch_with_stats(&store)?;
-        let io = store.io_stats().snapshot();
-        let header = format!(
-            "built sketch: {} sample points over {} runs ({} keys); io {:?}, sampling {:?}, merge {:?}, buffers {} reused / {} allocated\n",
-            sketch.len(),
-            sketch.runs(),
-            sketch.total_elements(),
-            stats.io,
-            stats.sampling,
-            stats.merge,
-            io.buffer_reuses,
-            io.buffer_allocs
-        );
-        (sketch, header)
-    };
+    let (sketch, report) =
+        ShardedOpaq::new(config, threads as usize)?.build_sketch_with_report(&store)?;
+    let mut out = format!(
+        "built sketch: {} sample points over {} runs ({} keys); {} shards, merge {:?}, total {:?}, io {:?}, buffers {} reused / {} allocated\n{}",
+        sketch.len(),
+        sketch.runs(),
+        sketch.total_elements(),
+        report.shards.len(),
+        report.merge,
+        report.total,
+        report.io.effective_io_time(),
+        report.io.buffer_reuses,
+        report.io.buffer_allocs,
+        report.render_table()
+    );
     out.push_str(&render_quantiles(&sketch, 10)?);
     if let Some(path) = args.get("out") {
         persist::save(&sketch, path)?;

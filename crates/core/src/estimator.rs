@@ -2,33 +2,15 @@
 //! [`QuantileSketch`].
 //!
 //! This is the "reading from the disk + finding the r·s sample points +
-//! merging the r sample lists" pipeline of Table 2, with per-phase timing so
-//! the experiment harness can reproduce the paper's I/O-fraction tables.
+//! merging the r sample lists" pipeline of Table 2.  It runs the one
+//! read→sample→merge loop, [`IncrementalOpaq::add_runs`], over every run;
+//! the store's [`opaq_storage::IoStats`] record the measured and modelled
+//! read time.
 
-use crate::sample_phase::{RunSample, RunSampler};
+use crate::incremental::IncrementalOpaq;
 use crate::sketch::QuantileSketch;
 use crate::{Key, OpaqConfig, OpaqResult, QuantileEstimate};
 use opaq_storage::RunStore;
-use std::time::{Duration, Instant};
-
-/// Wall-clock (or modelled, for I/O) durations of the sequential phases.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SamplePhaseStats {
-    /// Time spent reading runs from the store (modelled disk time when the
-    /// store has a disk model attached, measured time otherwise).
-    pub io: Duration,
-    /// Time spent extracting the regular samples from each run.
-    pub sampling: Duration,
-    /// Time spent merging the per-run sample lists.
-    pub merge: Duration,
-}
-
-impl SamplePhaseStats {
-    /// Total time across the three phases.
-    pub fn total(&self) -> Duration {
-        self.io + self.sampling + self.merge
-    }
-}
 
 /// The sequential OPAQ estimator.
 #[derive(Debug, Clone, Copy)]
@@ -51,65 +33,23 @@ impl OpaqEstimator {
     ///
     /// The store's own [`opaq_storage::RunLayout`] defines the run structure
     /// (it is the physical layout of the data on disk); the configuration
-    /// contributes the per-run sample size `s`.
+    /// contributes the per-run sample size `s`, and store runs longer than
+    /// its run length `m` are sampled in pieces of `m`.
+    ///
+    /// # Errors
+    /// [`crate::OpaqError::InvalidConfig`] for an invalid configuration,
+    /// [`crate::OpaqError::EmptyDataset`] for an empty store, and storage
+    /// errors from the read pass.
     pub fn build_sketch<K, S>(&self, store: &S) -> OpaqResult<QuantileSketch<K>>
     where
         K: Key,
         S: RunStore<K>,
     {
-        self.build_sketch_with_stats(store)
-            .map(|(sketch, _)| sketch)
-    }
-
-    /// Like [`Self::build_sketch`], also returning per-phase timings.
-    pub fn build_sketch_with_stats<K, S>(
-        &self,
-        store: &S,
-    ) -> OpaqResult<(QuantileSketch<K>, SamplePhaseStats)>
-    where
-        K: Key,
-        S: RunStore<K>,
-    {
-        self.config.validate()?;
-        if store.is_empty() {
-            return Err(crate::OpaqError::EmptyDataset);
-        }
-        let mut stats = SamplePhaseStats::default();
-        let layout = store.layout();
-        let mut run_samples: Vec<RunSample<K>> = Vec::with_capacity(layout.runs() as usize);
-        let io_before = store.io_stats().snapshot();
-
-        // One run buffer recycled across the whole pass (the store decodes
-        // into it in place) and one sampler reusing its rank table: the
-        // steady-state loop allocates nothing proportional to `m`.
-        let mut sampler = RunSampler::new(self.config.sample_size, self.config.strategy)?;
-        let mut run_buf: Vec<K> = Vec::new();
-        let mut measured_io = Duration::ZERO;
-        for run_idx in 0..layout.runs() {
-            let io_start = Instant::now();
-            store.read_run_into(run_idx, &mut run_buf)?;
-            measured_io += io_start.elapsed();
-
-            let sample_start = Instant::now();
-            let rs = sampler.sample(&mut run_buf)?;
-            stats.sampling += sample_start.elapsed();
-            run_samples.push(rs);
-        }
-
-        // Prefer the store's modelled disk time when a disk model is attached;
-        // otherwise use the measured wall time of the read calls.
-        let io_after = store.io_stats().snapshot();
-        let modelled_delta = io_after.modelled.saturating_sub(io_before.modelled);
-        stats.io = if modelled_delta > Duration::ZERO {
-            modelled_delta
-        } else {
-            measured_io
-        };
-
-        let merge_start = Instant::now();
-        let sketch = QuantileSketch::from_run_samples(run_samples)?;
-        stats.merge = merge_start.elapsed();
-        Ok((sketch, stats))
+        let mut inc = IncrementalOpaq::new(self.config)?;
+        inc.add_store(store)?;
+        Ok(inc
+            .into_sketch()
+            .expect("a non-empty store absorbs at least one run"))
     }
 
     /// One-shot convenience: build the sketch and estimate the `q`-quantiles.
@@ -178,18 +118,20 @@ mod tests {
     }
 
     #[test]
-    fn stats_account_all_phases() {
+    fn store_io_stats_account_the_read_pass() {
         let data: Vec<u64> = (0..50_000).collect();
         let store = MemRunStore::new(data, 5000).with_disk_model(DiskModel::sp2_node_disk());
         let est = OpaqEstimator::new(config(5000, 500));
-        let (_, stats) = est.build_sketch_with_stats(&store).unwrap();
+        est.build_sketch(&store).unwrap();
+        let io = store.io_stats().snapshot();
+        assert_eq!((io.read_calls, io.bytes_read), (10, 50_000 * 8));
         assert!(
-            stats.io >= Duration::from_millis(100),
+            io.modelled >= std::time::Duration::from_millis(100),
             "modelled I/O for 10 runs: {:?}",
-            stats.io
+            io.modelled
         );
-        assert!(stats.total() >= stats.io);
-        assert!(stats.sampling > Duration::ZERO);
+        // One run buffer recycled across the pass.
+        assert_eq!((io.buffer_allocs, io.buffer_reuses), (1, 9));
     }
 
     #[test]

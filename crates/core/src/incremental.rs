@@ -11,6 +11,7 @@ use crate::sample_phase::{RunSample, RunSampler};
 use crate::sketch::QuantileSketch;
 use crate::{Key, OpaqConfig, OpaqError, OpaqResult, QuantileEstimate};
 use opaq_storage::RunStore;
+use std::ops::Range;
 
 /// An OPAQ estimator that absorbs data incrementally, one run at a time.
 #[derive(Debug, Clone)]
@@ -66,13 +67,10 @@ impl<K: Key> IncrementalOpaq<K> {
 
     /// Sample one run **in place** into `batch`, to be merged by a later
     /// [`Self::absorb`]: `run` is partially reordered by the selection (the
-    /// buffer-reuse contract of [`crate::sample_phase`]) and handed back to
-    /// the caller, who typically refills it with the next run.  Runs larger
-    /// than the configured run length are split.
-    ///
-    /// # Errors
-    /// [`OpaqError::EmptyDataset`] if `run` is empty.
-    pub fn sample_into(&mut self, run: &mut [K], batch: &mut Vec<RunSample<K>>) -> OpaqResult<()> {
+    /// buffer-reuse contract of [`crate::sample_phase`]), so the caller can
+    /// refill it with the next run.  Runs larger than the configured run
+    /// length are split.
+    fn sample_into(&mut self, run: &mut [K], batch: &mut Vec<RunSample<K>>) -> OpaqResult<()> {
         if run.is_empty() {
             return Err(OpaqError::EmptyDataset);
         }
@@ -87,7 +85,7 @@ impl<K: Key> IncrementalOpaq<K> {
     /// for `r` runs, where merging run by run copies `O(r²·s)`.  Both break
     /// ties between equal samples by run order, so the sketch is
     /// bit-identical.  An empty batch changes nothing.
-    pub fn absorb(&mut self, batch: Vec<RunSample<K>>) -> OpaqResult<()> {
+    fn absorb(&mut self, batch: Vec<RunSample<K>>) -> OpaqResult<()> {
         if batch.is_empty() {
             return Ok(());
         }
@@ -100,19 +98,35 @@ impl<K: Key> IncrementalOpaq<K> {
         Ok(())
     }
 
-    /// Absorb every run of a store (e.g. a newly arrived data file),
-    /// recycling a single run buffer across the whole pass and merging once.
+    /// Absorb runs `runs` of `store`: the one read→sample→merge loop every
+    /// sketch build runs.  Each run is read into one recycled buffer, sampled
+    /// in place (runs longer than the configured run length are split) and
+    /// dropped; the batch is merged into the sketch once at the end.  The
+    /// sharded ingester gives each shard its own contiguous range.
+    ///
+    /// # Errors
+    /// Storage errors, including [`opaq_storage::StorageError::RunOutOfRange`]
+    /// for a range past the store's last run.
+    pub fn add_runs<S: RunStore<K>>(&mut self, store: &S, runs: Range<u64>) -> OpaqResult<()> {
+        let mut buf: Vec<K> = Vec::new();
+        let mut batch = Vec::with_capacity(runs.end.saturating_sub(runs.start) as usize);
+        for run in runs {
+            store.read_run_into(run, &mut buf)?;
+            self.sample_into(&mut buf, &mut batch)?;
+        }
+        self.absorb(batch)
+    }
+
+    /// Absorb every run of a store (e.g. a newly arrived data file):
+    /// [`Self::add_runs`] over `0..runs`.
+    ///
+    /// # Errors
+    /// [`OpaqError::EmptyDataset`] for an empty store; storage errors.
     pub fn add_store<S: RunStore<K>>(&mut self, store: &S) -> OpaqResult<()> {
         if store.is_empty() {
             return Err(OpaqError::EmptyDataset);
         }
-        let mut buf: Vec<K> = Vec::new();
-        let mut batch = Vec::with_capacity(store.layout().runs() as usize);
-        for run_idx in 0..store.layout().runs() {
-            store.read_run_into(run_idx, &mut buf)?;
-            self.sample_into(&mut buf, &mut batch)?;
-        }
-        self.absorb(batch)
+        self.add_runs(store, 0..store.layout().runs())
     }
 
     /// The current sketch, if any data has been absorbed.
@@ -121,8 +135,8 @@ impl<K: Key> IncrementalOpaq<K> {
     }
 
     /// Consume the estimator and return the accumulated sketch, if any data
-    /// has been absorbed (used by the sharded ingestion workers, which hand
-    /// their per-shard sketch to the merge tree without cloning it).
+    /// has been absorbed (the sharded ingestion workers hand their per-shard
+    /// sketch to the merge tree without cloning it).
     pub fn into_sketch(self) -> Option<QuantileSketch<K>> {
         self.sketch
     }
@@ -191,6 +205,26 @@ mod tests {
         assert_eq!(inc.total_elements(), 5000);
         let est = inc.estimate(0.5).unwrap();
         assert!(est.lower <= 2499 && 2499 <= est.upper);
+    }
+
+    #[test]
+    fn add_runs_over_split_ranges_equals_add_store() {
+        let data: Vec<u64> = (0..10_300).map(|i| (i * 48271) % 4093).collect();
+        let store = MemRunStore::new(data, 1000);
+        let mut whole = IncrementalOpaq::new(config(1000, 100)).unwrap();
+        whole.add_store(&store).unwrap();
+        let mut split = IncrementalOpaq::new(config(1000, 100)).unwrap();
+        split.add_runs(&store, 0..4).unwrap();
+        split.add_runs(&store, 4..11).unwrap();
+        assert_eq!(split.sketch(), whole.sketch());
+        assert_eq!(split.runs_absorbed(), 11);
+        // An empty range changes nothing; a range past the last run errors.
+        split.add_runs(&store, 11..11).unwrap();
+        assert_eq!(split.sketch(), whole.sketch());
+        assert!(matches!(
+            split.add_runs(&store, 10..12),
+            Err(OpaqError::Storage(_))
+        ));
     }
 
     #[test]

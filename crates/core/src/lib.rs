@@ -61,7 +61,7 @@ pub mod sketch;
 pub use bounds::TheoreticalBounds;
 pub use config::{OpaqConfig, OpaqConfigBuilder};
 pub use error::{OpaqError, OpaqResult};
-pub use estimator::{OpaqEstimator, SamplePhaseStats};
+pub use estimator::OpaqEstimator;
 pub use exact::{exact_quantile, ExactQuantile};
 pub use incremental::IncrementalOpaq;
 pub use quantile_phase::QuantileEstimate;

@@ -20,7 +20,8 @@
 //!   harness uses to label its tables.
 //!
 //! All generators are deterministic functions of their seed so every
-//! experiment in EXPERIMENTS.md can be reproduced bit-for-bit.
+//! experiment binary (`cargo run --release -p opaq-bench --bin table3`, …)
+//! can be reproduced bit-for-bit.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -2,8 +2,8 @@
 //!
 //! The experiment harness (crate `opaq-bench`) sweeps over data sizes,
 //! distributions and duplicate fractions; [`DatasetSpec`] captures one cell
-//! of such a sweep so that every table row in EXPERIMENTS.md is labelled with
-//! the exact workload that produced it.
+//! of such a sweep so that every table row it prints is labelled with the
+//! exact workload that produced it.
 
 use crate::patterns::{Pattern, PatternGenerator};
 use crate::{inject_duplicates, KeyGenerator, NormalGenerator, UniformGenerator, ZipfGenerator};

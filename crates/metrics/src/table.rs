@@ -1,8 +1,8 @@
 //! Fixed-width text tables for the experiment binaries.
 //!
 //! Every table/figure binary in `opaq-bench` prints its results in the same
-//! layout as the paper's tables so EXPERIMENTS.md can juxtapose them
-//! directly.  This tiny builder keeps the formatting in one place.
+//! layout as the paper's tables, so its output can be set beside the
+//! paper's directly.  This tiny builder keeps the formatting in one place.
 
 use std::fmt::Write as _;
 
@@ -86,7 +86,7 @@ impl std::fmt::Display for TextTable {
 /// Printable width of a cell in characters.  `str::len` counts *bytes*, so
 /// measuring with it misaligns every column that contains a multi-byte
 /// character — most visibly the `µ` in `Duration`'s `123.4µs` debug output,
-/// which appears in the busy/starved columns of multi-shard ingest tables.
+/// which appears in the busy column of multi-shard ingest tables.
 fn display_width(s: &str) -> usize {
     s.chars().count()
 }

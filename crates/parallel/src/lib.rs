@@ -8,16 +8,19 @@
 //! The quantile phase is unchanged except that the total number of runs is
 //! `r·p`.  All the sequential error lemmas carry over.
 //!
-//! The original hardware is simulated (see DESIGN.md §3): each "processor"
-//! is an OS thread with private data, communicating exclusively through
-//! explicit messages ([`machine`]); a two-level cost model
+//! The original hardware is simulated ([`machine`]): each "processor" is an
+//! OS thread with private data, communicating exclusively through explicit
+//! messages; a two-level cost model
 //! ([`cost_model::CostModel`], the paper's `τ`/`μ` parameters) charges every
 //! message so the analytical complexities of Table 8 can be reported next to
 //! the measured wall-clock times.
 //!
 //! Entry points: [`ParallelOpaq`] (simulated distributed-memory machine) and
 //! [`ShardedOpaq`] ([`sharded`]: real multi-threaded ingestion over a
-//! [`opaq_storage::RunStore`], bit-identical to the sequential fold).
+//! [`opaq_storage::RunStore`], bit-identical to the sequential fold).  A
+//! sharded build starts one scoped thread per shard, at most one per run;
+//! each shard reads its own contiguous runs into one recycled buffer, so
+//! the build holds `S·m` keys of runs for `S` shards of run length `m`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

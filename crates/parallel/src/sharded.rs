@@ -1,27 +1,26 @@
 //! Sharded multi-threaded ingestion: OPAQ's sample phase fanned out to OS
 //! worker threads, with a deterministic sketch-merge tree.
 //!
-//! The paper's one-pass structure makes every run independent until the
-//! final sample merge, which §5 exploits on the SP-2; [`ShardedOpaq`] is the
-//! shared-memory version of that observation:
+//! The paper's §3 parallel form gives every processor its own `n/p`
+//! elements to sample locally and merges the sample lists once;
+//! [`ShardedOpaq`] is the shared-memory version of that:
 //!
 //! ```text
-//!            ┌────────────┐   bounded channels    ┌──────────┐
-//! RunStore ─▶│ dispatcher │──▶ shard 0 runs ─────▶│ worker 0 │─┐
-//!            │ (prefetch  │──▶ shard 1 runs ─────▶│ worker 1 │─┤  sketch
-//!            │  thread)   │──▶ …                  │ …        │ ├─▶ merge
-//!            └────────────┘──▶ shard S−1 runs ───▶│ worker S │─┘   tree
-//!            one sequential                        IncrementalOpaq
-//!            pass over disk                        per shard
+//!            ┌─▶ shard 0:   add_runs(starts[0]..starts[1]) ──┐
+//! RunStore ──┼─▶ shard 1:   add_runs(starts[1]..starts[2]) ──┼─▶ merge tree ─▶ sketch
+//!            └─▶ shard S−1: add_runs(starts[S−1]..r)       ──┘
 //! ```
 //!
-//! * **One reader, many samplers.**  The dispatcher performs the single
-//!   sequential pass over the store — via the storage crate's
-//!   double-buffered prefetcher, so the read of run `i + 1` overlaps the
-//!   fan-out of run `i` — and hands each run to the worker that owns it.
-//!   Disk access stays strictly sequential (the access pattern the paper's
-//!   cost model assumes) while the `O(m log s)` multi-selection work, the
-//!   dominant CPU cost, runs on all shards concurrently.
+//! * **Shards read their own runs.**  Each shard is one scoped OS thread
+//!   running the one read→sample→merge loop, [`IncrementalOpaq::add_runs`],
+//!   over its own run range: it reads each run into its recycled buffer,
+//!   samples it and merges its sample lists once.  No reader thread or
+//!   channel sits in between.  The store serialises the reads themselves
+//!   ([`opaq_storage::FileRunStore`] holds its file behind one mutex, and
+//!   each read is one seek plus one sequential read), so the paper's Table 2
+//!   cost model charges a read the same whichever shard issues it, while the
+//!   `O(m log s)` multi-selection, the dominant CPU cost, runs on all shards
+//!   at once.
 //! * **Contiguous shard assignment.**  Shard `k` of `S` owns the contiguous
 //!   run range `[k·r/S, (k+1)·r/S)`.  Combined with the tie-breaking rule of
 //!   [`QuantileSketch::merge`] (equal values keep left-operand order), this
@@ -32,31 +31,25 @@
 //!   shard sketches in ascending shard order, so equal sample values are
 //!   globally ordered by the run they came from — exactly as in the
 //!   sequential left-to-right fold.
-//! * **Bounded memory, zero steady-state allocation.**  Every run channel
-//!   holds at most `depth` = [`DEFAULT_PREFETCH_DEPTH`] runs, so a slow
-//!   worker back-pressures the dispatcher instead of letting buffered runs
-//!   pile up; peak memory stays at most `(S·(depth + 1) + depth + 2) · m`
-//!   keys (per shard:
-//!   `depth` buffered plus one being sampled; plus the prefetch pipeline's
-//!   `depth + 2`) on top of the `r·s` sample points.  Those buffers
-//!   *recycle*: workers return each sampled run to a shared
-//!   [`BufferPool`] that the prefetching reader refills via
-//!   `RunStore::read_run_into`, so after warm-up no run read allocates
-//!   (watch the `buffer_allocs`/`buffer_reuses` counters in the report's
-//!   [`IoStatsSnapshot`]).
+//! * **Memory and threads.**  A build starts `S = min(threads, r)` threads,
+//!   and each holds one run buffer that it recycles across its runs, so peak
+//!   run memory is `S·m` keys on top of the `r·s` sample points.  Each
+//!   shard's first read allocates its buffer and every later read reuses
+//!   it: the report's [`IoStatsSnapshot`] shows `buffer_allocs == S` and
+//!   `buffer_reuses == r − S`.
 //! * **Observability.**  Each worker reports an [`opaq_metrics::ShardStats`]
-//!   (runs, elements, busy vs. starved wall-clock), and the report carries
-//!   the store's [`IoStatsSnapshot`] delta, so "is ingest I/O-bound or
-//!   CPU-bound?" is answerable per run — the multi-threaded analogue of the
-//!   paper's Table 11/12 I/O-fraction breakdown.
+//!   (runs, elements, sample points, and busy time, which is its
+//!   [`Stage::Ingest`] span's duration), and the report carries the store's
+//!   [`IoStatsSnapshot`] delta with measured and modelled read time — the
+//!   multi-threaded analogue of the paper's Table 11/12 I/O-fraction
+//!   breakdown.
 
-use crossbeam::channel;
 use opaq_core::{
     merge_tree, IncrementalOpaq, Key, OpaqConfig, OpaqError, OpaqResult, QuantileSketch,
 };
 use opaq_metrics::trace::{SpanTag, Stage, TraceSink, ROOT_SPAN_ID};
 use opaq_metrics::{render_shard_table, ShardStats};
-use opaq_storage::{BufferPool, IoStatsSnapshot, RunStore, DEFAULT_PREFETCH_DEPTH};
+use opaq_storage::{IoStatsSnapshot, RunStore};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -71,16 +64,14 @@ pub struct ShardedOpaq {
     threads: usize,
 }
 
-/// What one sharded ingest did: per-shard statistics plus the phase and I/O
-/// totals of the whole pass.
+/// What one sharded ingest did: per-shard statistics plus the merge, total
+/// and I/O figures of the whole pass.
 #[derive(Debug, Clone)]
 pub struct ShardedIngestReport {
     /// Per-shard statistics, ordered by shard index.
     pub shards: Vec<ShardStats>,
     /// The store's I/O counter deltas for this ingest.
     pub io: IoStatsSnapshot,
-    /// Wall-clock time of the dispatch loop (sequential read + fan-out).
-    pub dispatch: Duration,
     /// Wall-clock time of the final sketch-merge tree.
     pub merge: Duration,
     /// Wall-clock time of the whole ingest.
@@ -138,8 +129,8 @@ impl ShardedOpaq {
     /// Ingest every run of `store` and return the sketch.
     ///
     /// # Errors
-    /// [`OpaqError::EmptyDataset`] for an empty store; storage errors from
-    /// the sequential read pass are propagated.
+    /// [`OpaqError::EmptyDataset`] for an empty store; a storage error from
+    /// any shard's reads is propagated (the lowest failing shard's).
     pub fn build_sketch<K, S>(&self, store: &S) -> OpaqResult<QuantileSketch<K>>
     where
         K: Key,
@@ -161,11 +152,10 @@ impl ShardedOpaq {
     }
 
     /// Like [`Self::build_sketch_with_report`], recording ingest-side trace
-    /// spans on `sink`: one [`Stage::Ingest`] span per shard worker
-    /// (covering the worker's whole lifetime, so starvation is visible as
-    /// span length vs. busy time in the report) and one [`Stage::Merge`]
-    /// span for the final merge tree, all parented under `parent`
-    /// (typically the refresh job's root span).
+    /// spans on `sink`: one [`Stage::Ingest`] span per shard worker, whose
+    /// duration is that shard's [`ShardStats::busy`], and one
+    /// [`Stage::Merge`] span for the final merge tree, all parented under
+    /// `parent` (typically the refresh job's root span).
     pub fn build_sketch_traced<K, S>(
         &self,
         store: &S,
@@ -181,7 +171,8 @@ impl ShardedOpaq {
         }
         let runs = store.layout().runs();
         let shards = self.threads.min(runs as usize).max(1);
-        // Contiguous balanced blocks: shard k owns [starts[k], starts[k+1]).
+        // Contiguous balanced blocks: shard k owns [starts[k], starts[k+1]),
+        // never empty since shards <= runs.
         let starts: Vec<u64> = (0..=shards)
             .map(|k| (k as u64 * runs) / shards as u64)
             .collect();
@@ -192,144 +183,70 @@ impl ShardedOpaq {
         let since = |start: u64| sink.now_nanos().saturating_sub(start);
         let total_start = sink.now_nanos();
 
-        type WorkerResult<K> = OpaqResult<(Option<QuantileSketch<K>>, ShardStats)>;
+        let config = self.config;
+        let results: Vec<OpaqResult<(QuantileSketch<K>, ShardStats)>> =
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = starts
+                    .windows(2)
+                    .enumerate()
+                    .map(|(shard, range)| {
+                        let (first, end) = (range[0], range[1]);
+                        scope.spawn(move || {
+                            let mut inc = IncrementalOpaq::new(config)
+                                .expect("ShardedOpaq::new validated the configuration");
+                            let (span, start) = (sink.allocate(), sink.now_nanos());
+                            let read = inc.add_runs(store, first..end);
+                            let busy = since(start);
+                            let tag = match read {
+                                Ok(()) => SpanTag::Untagged,
+                                Err(_) => SpanTag::Error,
+                            };
+                            sink.complete_with(span, parent, Stage::Ingest, tag, start, busy);
+                            read?;
+                            let stats = ShardStats {
+                                shard,
+                                runs: inc.runs_absorbed(),
+                                elements: inc.total_elements(),
+                                sample_points: inc.sketch().map_or(0, QuantileSketch::len),
+                                busy: Duration::from_nanos(busy),
+                            };
+                            let sketch = inc.into_sketch().expect("every shard owns a run");
+                            Ok((sketch, stats))
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|worker| {
+                        worker
+                            .join()
+                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                    })
+                    .collect()
+            });
+        let (sketches, shard_stats): (Vec<_>, Vec<_>) = results
+            .into_iter()
+            .collect::<OpaqResult<Vec<_>>>()?
+            .into_iter()
+            .unzip();
 
-        // One buffer pool shared by the prefetching reader and every worker:
-        // a worker finishes sampling a run and parks the buffer for the
-        // reader to refill, so steady state recycles ~`shards·(depth+1)`
-        // buffers instead of allocating one per run.
-        let pool = BufferPool::<K>::new();
+        // Deterministic merge tree over the shard sketches in ascending
+        // shard index.  Any order-respecting tree yields the same sketch;
+        // pairing halves the depth compared to a left fold.
+        let merge_start = sink.now_nanos();
+        let level: Vec<Arc<QuantileSketch<K>>> = sketches.into_iter().map(Arc::new).collect();
+        let fused = merge_tree(&level)?;
+        drop(level);
+        let sketch = Arc::try_unwrap(fused).unwrap_or_else(|shared| (*shared).clone());
+        let merge_nanos = since(merge_start);
+        let span = sink.allocate();
+        let tag = SpanTag::Untagged;
+        sink.complete_with(span, parent, Stage::Merge, tag, merge_start, merge_nanos);
 
-        let scope_result: OpaqResult<(QuantileSketch<K>, Vec<ShardStats>, Duration, Duration)> =
-            crossbeam::thread::scope(|scope| {
-                let (result_tx, result_rx) = channel::unbounded::<(usize, WorkerResult<K>)>();
-                let mut run_txs: Vec<channel::Sender<Vec<K>>> = Vec::with_capacity(shards);
-                for shard in 0..shards {
-                    let (run_tx, run_rx) = channel::bounded::<Vec<K>>(DEFAULT_PREFETCH_DEPTH);
-                    run_txs.push(run_tx);
-                    let result_tx = result_tx.clone();
-                    let config = self.config;
-                    let pool = &pool;
-                    scope.spawn(move |_| {
-                        // One Ingest span per shard worker, spanning its
-                        // whole lifetime (recv waits included).
-                        let (span, start) = (sink.allocate(), sink.now_nanos());
-                        let finish =
-                            |tag: SpanTag| sink.complete(span, parent, Stage::Ingest, tag, start);
-                        let mut inc = match IncrementalOpaq::<K>::new(config) {
-                            Ok(inc) => inc,
-                            Err(e) => {
-                                let _ = result_tx.send((shard, Err(e)));
-                                finish(SpanTag::Error);
-                                return;
-                            }
-                        };
-                        let mut busy = Duration::ZERO;
-                        let mut starved = Duration::ZERO;
-                        let mut batch = Vec::new();
-                        loop {
-                            let wait_start = sink.now_nanos();
-                            // Channel closed = all of this shard's runs seen.
-                            let Ok(mut run) = run_rx.recv() else { break };
-                            starved += Duration::from_nanos(since(wait_start));
-                            let work_start = sink.now_nanos();
-                            let sampled = inc.sample_into(&mut run, &mut batch);
-                            pool.put(run);
-                            if let Err(e) = sampled {
-                                let _ = result_tx.send((shard, Err(e)));
-                                finish(SpanTag::Error);
-                                return;
-                            }
-                            busy += Duration::from_nanos(since(work_start));
-                        }
-                        let work_start = sink.now_nanos();
-                        if let Err(e) = inc.absorb(batch) {
-                            let _ = result_tx.send((shard, Err(e)));
-                            finish(SpanTag::Error);
-                            return;
-                        }
-                        busy += Duration::from_nanos(since(work_start));
-                        let stats = ShardStats {
-                            shard,
-                            runs: inc.runs_absorbed(),
-                            elements: inc.total_elements(),
-                            sample_points: inc.sketch().map_or(0, QuantileSketch::len),
-                            busy,
-                            starved,
-                        };
-                        let _ = result_tx.send((shard, Ok((inc.into_sketch(), stats))));
-                        finish(SpanTag::Untagged);
-                    });
-                }
-                drop(result_tx);
-
-                // The dispatcher runs on this thread: one sequential,
-                // prefetched pass over the store, fanning each run out to
-                // its owning shard.  A send only fails if the worker died
-                // (which parks an error on the results channel), so errors
-                // are picked up below rather than here.
-                let dispatch_start = sink.now_nanos();
-                let mut current = 0usize;
-                let dispatched = opaq_storage::for_each_run_prefetched_pooled(
-                    store,
-                    DEFAULT_PREFETCH_DEPTH,
-                    &pool,
-                    |run, data| {
-                        while current + 1 < shards && run >= starts[current + 1] {
-                            current += 1;
-                        }
-                        let _ = run_txs[current].send(data);
-                    },
-                );
-                drop(run_txs);
-                let dispatch = Duration::from_nanos(since(dispatch_start));
-
-                let mut sketches: Vec<Option<QuantileSketch<K>>> =
-                    (0..shards).map(|_| None).collect();
-                let mut stats: Vec<Option<ShardStats>> = (0..shards).map(|_| None).collect();
-                let mut first_error: Option<OpaqError> = None;
-                for (shard, result) in result_rx {
-                    match result {
-                        Ok((sketch, stat)) => {
-                            sketches[shard] = sketch;
-                            stats[shard] = Some(stat);
-                        }
-                        Err(e) => {
-                            let _ = first_error.get_or_insert(e);
-                        }
-                    }
-                }
-                dispatched?;
-                if let Some(e) = first_error {
-                    return Err(e);
-                }
-
-                // Deterministic merge tree over the shard sketches in
-                // ascending shard index.  Any order-respecting tree yields
-                // the same sketch; pairing halves the depth compared to a
-                // left fold.
-                let merge_start = sink.now_nanos();
-                let level: Vec<Arc<QuantileSketch<K>>> =
-                    sketches.into_iter().flatten().map(Arc::new).collect();
-                let fused = merge_tree(&level)?;
-                drop(level);
-                let sketch = Arc::try_unwrap(fused).unwrap_or_else(|shared| (*shared).clone());
-                let merge_nanos = since(merge_start);
-                let span = sink.allocate();
-                let tag = SpanTag::Untagged;
-                sink.complete_with(span, parent, Stage::Merge, tag, merge_start, merge_nanos);
-                let merge = Duration::from_nanos(merge_nanos);
-                let shard_stats = stats.into_iter().flatten().collect();
-                Ok((sketch, shard_stats, dispatch, merge))
-            })
-            .expect("sharded ingest scope does not panic");
-
-        let (sketch, shards, dispatch, merge) = scope_result?;
         let report = ShardedIngestReport {
-            shards,
+            shards: shard_stats,
             io: io_delta(io_before, store.io_stats().snapshot()),
-            dispatch,
-            merge,
+            merge: Duration::from_nanos(merge_nanos),
             total: Duration::from_nanos(since(total_start)),
         };
         Ok((sketch, report))
@@ -442,24 +359,37 @@ mod tests {
         }
     }
 
+    /// Buffer counts of one sharded build over `store`.
+    fn buffer_counts<S: RunStore<u64>>(sharded: &ShardedOpaq, store: &S) -> (u64, u64) {
+        let (_, report) = sharded.build_sketch_with_report(store).unwrap();
+        (report.io.buffer_allocs, report.io.buffer_reuses)
+    }
+
     #[test]
-    fn run_buffers_recycle_across_the_ingest() {
-        // 40 runs over 4 shards with depth 2: at most
-        // shards·(depth+1) + depth + 2 = 16 buffers can be in flight before
-        // recycling kicks in, so most of the 40 reads must be reuses.
-        let data: Vec<u64> = (0..40_000).map(|i| (i * 48271) % 9973).collect();
-        let store = MemRunStore::new(data, 1000);
-        let cfg = config(1000, 100);
-        let (_, report) = ShardedOpaq::new(cfg, 4)
+    fn each_shard_allocates_one_run_buffer() {
+        // r = 41 runs, the last a 345-key tail: each shard's first read
+        // allocates its buffer and every later read reuses it.
+        let data: Vec<u64> = (0..40_345).map(|i| (i * 48271) % 9973).collect();
+        let mut path = std::env::temp_dir();
+        path.push(format!("opaq-sharded-buffers-{}.bin", std::process::id()));
+        let file = FileRunStoreBuilder::<u64>::new(&path, 1000)
             .unwrap()
-            .build_sketch_with_report(&store)
+            .append(&data)
+            .unwrap()
+            .finish()
             .unwrap();
-        assert_eq!(report.io.buffer_allocs + report.io.buffer_reuses, 40);
-        assert!(
-            report.io.buffer_allocs <= 16,
-            "allocs: {}",
-            report.io.buffer_allocs
-        );
+        let mem = MemRunStore::new(data, 1000);
+        for shards in [1u64, 3, 4, 8, 41] {
+            let sharded = ShardedOpaq::new(config(1000, 100), shards as usize).unwrap();
+            let expected = (shards, 41 - shards);
+            assert_eq!(buffer_counts(&sharded, &mem), expected, "mem, S = {shards}");
+            assert_eq!(
+                buffer_counts(&sharded, &file),
+                expected,
+                "file, S = {shards}"
+            );
+        }
+        file.remove_file().unwrap();
     }
 
     #[test]
@@ -479,11 +409,61 @@ mod tests {
         assert_eq!(ingest, report.shards.len(), "one ingest span per shard");
         let merges: Vec<_> = spans.iter().filter(|s| s.stage == Stage::Merge).collect();
         assert_eq!(merges.len(), 1);
-        // The report's merge time is the span's: one clock, read once.
+        // The report's merge and busy times are the spans': one clock, read
+        // once per span.
         assert_eq!(report.merge, Duration::from_nanos(merges[0].duration_nanos));
-        assert!(report.merge + report.dispatch <= report.total, "{report:?}");
+        let mut span_busy: Vec<Duration> = spans
+            .iter()
+            .filter(|s| s.stage == Stage::Ingest)
+            .map(|s| Duration::from_nanos(s.duration_nanos))
+            .collect();
+        let mut shard_busy: Vec<Duration> = report.shards.iter().map(|s| s.busy).collect();
+        span_busy.sort_unstable();
+        shard_busy.sort_unstable();
+        assert_eq!(span_busy, shard_busy);
+        assert!(report.merge + shard_busy[0] <= report.total, "{report:?}");
         assert!(spans.iter().all(|s| s.parent == ROOT_SPAN_ID));
         assert!(spans.iter().all(|s| s.tag == SpanTag::Untagged));
+    }
+
+    #[test]
+    fn a_failed_read_fails_the_build_and_tags_its_shard() {
+        use opaq_metrics::trace::{SpanRecorder, TraceId};
+        let mut path = std::env::temp_dir();
+        path.push(format!("opaq-sharded-torn-{}.bin", std::process::id()));
+        let data: Vec<u64> = (0..4000).collect();
+        let file = FileRunStoreBuilder::<u64>::new(&path, 1000)
+            .unwrap()
+            .append(&data)
+            .unwrap()
+            .finish()
+            .unwrap();
+        // Cut the file inside run 3, which shard 1 of 2 owns.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .and_then(|f| f.set_len(3500 * 8))
+            .unwrap();
+        let recorder = std::sync::Arc::new(SpanRecorder::new(64));
+        let sink = TraceSink::new(std::sync::Arc::clone(&recorder), TraceId::mint());
+        let built = ShardedOpaq::new(config(1000, 100), 2)
+            .unwrap()
+            .build_sketch_traced(&file, &sink, ROOT_SPAN_ID);
+        assert!(matches!(built, Err(OpaqError::Storage(_))), "{built:?}");
+        let mut tags: Vec<_> = recorder
+            .trace(sink.trace())
+            .iter()
+            .map(|s| (s.stage, s.tag))
+            .collect();
+        tags.sort_by_key(|&(_, tag)| tag == SpanTag::Error);
+        assert_eq!(
+            tags,
+            [
+                (Stage::Ingest, SpanTag::Untagged),
+                (Stage::Ingest, SpanTag::Error)
+            ]
+        );
+        file.remove_file().unwrap();
     }
 
     #[test]

@@ -292,7 +292,9 @@ mod tests {
             .unwrap();
         assert_eq!(store.layout().runs(), 10);
         let mut back = Vec::new();
-        store.for_each_run(|_, run| back.extend(run)).unwrap();
+        for run in 0..store.layout().runs() {
+            back.extend(store.read_run(run).unwrap());
+        }
         assert_eq!(back, data);
         store.remove_file().unwrap();
     }
@@ -388,11 +390,11 @@ mod tests {
         assert_eq!(store.layout().runs(), 11);
         assert!(store.layout().has_tail_run());
         assert_eq!(store.read_run(10).unwrap().len(), 37);
-        let mut prefetched = Vec::new();
-        store
-            .for_each_run_prefetched(2, |_, run| prefetched.extend(run))
-            .unwrap();
-        assert_eq!(prefetched, data);
+        let mut back = Vec::new();
+        for run in 0..store.layout().runs() {
+            back.extend(store.read_run(run).unwrap());
+        }
+        assert_eq!(back, data);
         store.remove_file().unwrap();
     }
 

@@ -25,22 +25,18 @@
 //!   one sequential read through a fixed 256 KiB window, decoded straight
 //!   into the caller's buffer, so no second run-sized buffer exists.
 //! * [`mem_store`] — an in-memory implementation for tests and small inputs.
-//! * [`prefetch`] — double-buffered read-ahead
-//!   ([`prefetch::for_each_run_prefetched`], also available as
-//!   [`run_store::RunStore::for_each_run_prefetched`]): a background reader
-//!   thread keeps up to `depth` runs buffered so I/O overlaps the consumer's
-//!   sampling work.  This is the I/O front end of the sharded ingestion path
-//!   in `opaq-parallel`.
 //!
 //! The stores are deliberately *pull*-oriented (`read_run(i) -> Vec<K>`,
 //! with the allocation-free twin `read_run_into(i, &mut Vec<K>)` recycling a
 //! caller buffer): OPAQ's one-pass structure means each run is read exactly
-//! once, processed entirely in memory, and dropped.  The prefetcher
-//! preserves that discipline — delivery order, contents and error
-//! propagation are identical to the sequential path; only the wall-clock
-//! overlap differs.  [`prefetch::BufferPool`] closes the recycling loop for
-//! prefetched consumers, and every store counts buffer reuse vs. allocation
-//! in its [`IoStats`].
+//! once, processed entirely in memory, and dropped.  The reader owns the
+//! buffer and the store owns no thread: a sequential build reads every run
+//! into one buffer, and each shard of `opaq-parallel`'s sharded ingest reads
+//! its own contiguous runs into its own buffer, so a build holds one run per
+//! reading thread.  [`FileRunStore`] serialises reads behind one mutex and
+//! each read is one seek plus one sequential read, so the Table 2 cost model
+//! charges a read the same whichever thread issues it.  Every store counts
+//! buffer reuse vs. allocation in its [`IoStats`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -52,7 +48,6 @@ pub mod io_stats;
 pub mod layout;
 pub mod manifest;
 pub mod mem_store;
-pub mod prefetch;
 pub mod run_store;
 pub mod sketch_codec;
 
@@ -63,8 +58,5 @@ pub use io_stats::{IoStats, IoStatsSnapshot};
 pub use layout::RunLayout;
 pub use manifest::{version_vector, AppendFault, ManifestRecord, ManifestReplay, ManifestWriter};
 pub use mem_store::MemRunStore;
-pub use prefetch::{
-    for_each_run_prefetched, for_each_run_prefetched_pooled, BufferPool, DEFAULT_PREFETCH_DEPTH,
-};
 pub use run_store::{RunStore, StorageError, StorageResult};
 pub use sketch_codec::SketchWire;

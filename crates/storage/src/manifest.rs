@@ -44,6 +44,7 @@
 //!   a typed [`StorageError::Corrupt`] (or
 //!   [`StorageError::VersionMismatch`]) instead of being silently dropped.
 
+use crate::sketch_codec::{fnv1a, io_context};
 use crate::{StorageError, StorageResult};
 use bytes::{Buf, BufMut};
 use std::fs::{File, OpenOptions};
@@ -130,15 +131,6 @@ impl ManifestRecord {
             ManifestRecord::TtlSet { .. } => 3,
         }
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -308,13 +300,6 @@ pub struct ManifestReplay {
     pub torn_tail_bytes: u64,
 }
 
-fn io_context(op: &str, path: &Path, e: std::io::Error) -> StorageError {
-    StorageError::Io(std::io::Error::new(
-        e.kind(),
-        format!("{op} manifest {}: {e}", path.display()),
-    ))
-}
-
 /// Replay every complete record in `path` without modifying the file.
 /// A missing file replays as empty (a fresh data dir has no history yet).
 ///
@@ -326,7 +311,7 @@ pub fn replay(path: impl AsRef<Path>) -> StorageResult<ManifestReplay> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(io_context("read", path, e)),
+        Err(e) => return Err(io_context("read manifest", path, e)),
     };
     replay_bytes(&bytes)
 }
@@ -388,15 +373,16 @@ pub fn replay_and_truncate(path: impl AsRef<Path>) -> StorageResult<ManifestRepl
         let file = OpenOptions::new()
             .write(true)
             .open(path)
-            .map_err(|e| io_context("open", path, e))?;
+            .map_err(|e| io_context("open manifest", path, e))?;
         let keep: u64 = replayed
             .records
             .iter()
             .map(|r| encode_record(r).len() as u64)
             .sum();
         file.set_len(keep)
-            .map_err(|e| io_context("truncate", path, e))?;
-        file.sync_data().map_err(|e| io_context("sync", path, e))?;
+            .map_err(|e| io_context("truncate manifest", path, e))?;
+        file.sync_data()
+            .map_err(|e| io_context("sync manifest", path, e))?;
     }
     Ok(replayed)
 }
@@ -441,10 +427,10 @@ impl ManifestWriter {
             .create(true)
             .append(true)
             .open(&path)
-            .map_err(|e| io_context("open", &path, e))?;
+            .map_err(|e| io_context("open manifest", &path, e))?;
         let committed_len = file
             .metadata()
-            .map_err(|e| io_context("open", &path, e))?
+            .map_err(|e| io_context("open manifest", &path, e))?
             .len();
         Ok(ManifestWriter {
             file,
@@ -469,7 +455,7 @@ impl ManifestWriter {
             self.file
                 .set_len(self.committed_len)
                 .and_then(|()| self.file.sync_data())
-                .map_err(|e| io_context("truncate", &self.path, e))?;
+                .map_err(|e| io_context("truncate manifest", &self.path, e))?;
             self.torn = false;
         }
         let bytes = encode_record(record);
@@ -480,7 +466,7 @@ impl ManifestWriter {
             self.file
                 .write_all(&bytes[..keep])
                 .and_then(|()| self.file.sync_data())
-                .map_err(|e| io_context("append", &self.path, e))?;
+                .map_err(|e| io_context("append manifest", &self.path, e))?;
             return Err(StorageError::Io(std::io::Error::other(format!(
                 "injected torn write: {keep} of {} record bytes persisted to {}",
                 bytes.len(),
@@ -490,7 +476,7 @@ impl ManifestWriter {
         self.file
             .write_all(&bytes)
             .and_then(|()| self.file.sync_data())
-            .map_err(|e| io_context("append", &self.path, e))?;
+            .map_err(|e| io_context("append manifest", &self.path, e))?;
         self.torn = false;
         self.committed_len += bytes.len() as u64;
         self.records_appended += 1;

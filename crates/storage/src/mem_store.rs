@@ -93,9 +93,9 @@ mod tests {
         let store = MemRunStore::new(data.clone(), 128);
         assert_eq!(store.layout().runs(), 8);
         let mut reassembled = Vec::new();
-        store
-            .for_each_run(|_, run| reassembled.extend(run))
-            .unwrap();
+        for run in 0..store.layout().runs() {
+            reassembled.extend(store.read_run(run).unwrap());
+        }
         assert_eq!(reassembled, data);
     }
 

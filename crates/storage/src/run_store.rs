@@ -122,8 +122,8 @@ pub trait RunStore<K>: Send + Sync {
     /// existing capacity.
     ///
     /// This is the allocation-free twin of [`RunStore::read_run`]: callers
-    /// that process one run at a time (the sample phase, the sharded
-    /// dispatcher) keep recycling the same buffer, so after the first run no
+    /// that process one run at a time (the sample phase, each shard of the
+    /// sharded ingest) keep recycling the same buffer, so after the first run no
     /// allocation happens on the read path.  The default implementation
     /// falls back to [`RunStore::read_run`] and replaces `buf` wholesale;
     /// [`crate::FileRunStore`] and [`crate::MemRunStore`] override it to
@@ -147,36 +147,6 @@ pub trait RunStore<K>: Send + Sync {
     /// Whether the store holds no elements.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Visit every run in order, calling `f(run_index, run_data)`.
-    ///
-    /// This is the one-pass access pattern OPAQ uses: the default
-    /// implementation simply reads runs sequentially.
-    fn for_each_run(&self, mut f: impl FnMut(u64, Vec<K>)) -> StorageResult<()>
-    where
-        Self: Sized,
-    {
-        for run in 0..self.layout().runs() {
-            let data = self.read_run(run)?;
-            f(run, data);
-        }
-        Ok(())
-    }
-
-    /// Visit every run in order with a background read-ahead thread keeping
-    /// up to `depth` runs buffered, so I/O overlaps the caller's processing
-    /// (`depth = 2` is classic double buffering).
-    ///
-    /// Semantics are identical to [`RunStore::for_each_run`] — same order,
-    /// same data, same error propagation — only the wall-clock overlap
-    /// differs.  See [`crate::prefetch`] for details.
-    fn for_each_run_prefetched(&self, depth: usize, f: impl FnMut(u64, Vec<K>)) -> StorageResult<()>
-    where
-        Self: Sized,
-        K: Send,
-    {
-        crate::prefetch::for_each_run_prefetched(self, depth, f)
     }
 }
 

@@ -76,8 +76,9 @@ fn body_len<K: FixedWidthCodec>(samples: usize) -> usize {
 
 /// FNV-1a 64-bit — tiny, dependency-free, and plenty to catch the torn
 /// writes and bit rot a persisted sketch can suffer (this is an integrity
-/// check, not an authenticity one).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// check, not an authenticity one).  The manifest frames its records with
+/// the same checksum.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -197,12 +198,13 @@ pub fn from_bytes<K: FixedWidthCodec>(bytes: &[u8]) -> StorageResult<SketchWire<
     })
 }
 
-/// Wrap an I/O failure with the operation and path it happened on: "file
-/// not found" alone is useless to an operator juggling data directories.
-fn io_context(op: &str, path: &Path, e: std::io::Error) -> StorageError {
+/// Wrap an I/O failure with the operation and path it happened on ("open
+/// manifest /data/x: …"): "file not found" alone is useless to an operator
+/// juggling data directories.
+pub(crate) fn io_context(op: &str, path: &Path, e: std::io::Error) -> StorageError {
     StorageError::Io(std::io::Error::new(
         e.kind(),
-        format!("{op} sketch file {}: {e}", path.display()),
+        format!("{op} {}: {e}", path.display()),
     ))
 }
 
@@ -215,10 +217,12 @@ pub fn save_synced<K: FixedWidthCodec>(
     wire: &SketchWire<K>,
 ) -> StorageResult<()> {
     let path = path.as_ref();
-    let mut file = std::fs::File::create(path).map_err(|e| io_context("create", path, e))?;
+    let mut file =
+        std::fs::File::create(path).map_err(|e| io_context("create sketch file", path, e))?;
     file.write_all(&to_bytes(wire))
-        .map_err(|e| io_context("write", path, e))?;
-    file.sync_data().map_err(|e| io_context("sync", path, e))?;
+        .map_err(|e| io_context("write sketch file", path, e))?;
+    file.sync_data()
+        .map_err(|e| io_context("sync sketch file", path, e))?;
     Ok(())
 }
 
@@ -227,9 +231,9 @@ pub fn load<K: FixedWidthCodec>(path: impl AsRef<Path>) -> StorageResult<SketchW
     let path = path.as_ref();
     let mut bytes = Vec::new();
     std::fs::File::open(path)
-        .map_err(|e| io_context("open", path, e))?
+        .map_err(|e| io_context("open sketch file", path, e))?
         .read_to_end(&mut bytes)
-        .map_err(|e| io_context("read", path, e))?;
+        .map_err(|e| io_context("read sketch file", path, e))?;
     from_bytes(&bytes)
 }
 

@@ -37,13 +37,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .sample_size(1_000)
         .build()?;
     let estimator = OpaqEstimator::new(config);
-    let (sketch, stats) = estimator.build_sketch_with_stats(&store)?;
+    let sketch = estimator.build_sketch(&store)?;
+    let io = store.io_stats().snapshot();
     println!(
-        "sample phase done: {} sample points, io {:?}, sampling {:?}, merge {:?}",
+        "sample phase done: {} sample points, {} runs read, io {:?}",
         sketch.len(),
-        stats.io,
-        stats.sampling,
-        stats.merge
+        io.read_calls,
+        io.effective_io_time()
     );
 
     // --- 3. quantile phase: dectiles with deterministic bounds --------------

@@ -6,7 +6,7 @@
 //!
 //! Writes a multi-run dataset file, ingests it once sequentially and once
 //! per thread count with [`opaq::ShardedOpaq`], prints the wall-clock and
-//! per-shard busy/starved breakdown, and verifies the central invariant:
+//! per-shard busy breakdown, and verifies the central invariant:
 //! the sharded sketch is **bit-identical** to the sequential one for every
 //! thread count, so parallelism is purely a latency optimisation.
 
@@ -49,9 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let identical = sketch == sequential;
         println!(
             "\nsharded ingest, {threads} threads: {elapsed:?} \
-             (dispatch {:?}, merge {:?}; {:.2}x vs sequential; identical sketch: {identical})",
-            report.dispatch,
+             (merge {:?}, io {:?}; {:.2}x vs sequential; identical sketch: {identical})",
             report.merge,
+            report.io.effective_io_time(),
             sequential_time.as_secs_f64() / elapsed.as_secs_f64(),
         );
         print!("{}", report.render_table());
