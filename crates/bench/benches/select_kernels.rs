@@ -1,38 +1,45 @@
 //! Microbenchmarks for multi-selection and the allocation-free run-ingest
 //! hot path.
 //!
-//! Six questions, answered on 1M-key u64 runs (the paper's experiment
+//! Seven questions, answered on 1M-key u64 runs (the paper's experiment
 //! scale) unless noted:
 //!
 //! 1. **Multi-selection** — `multiselect` of `s = 1000` regular ranks.
 //! 2. **Duplicate-heavy multi-selection** — the same rank set over constant
-//!    and three-valued runs, whose splitters collapse, so `multiselect` skips
-//!    the splitter tree and the recursion's floor and ceiling rules end them.
+//!    and three-valued runs, whose oversample is few-valued, so
+//!    `multiselect` skips the buckets and the recursion's floor and ceiling
+//!    rules end them.
 //! 3. **Bucket-sized multi-selection** — 4 regular ranks of a 4096-key
-//!    slice, the size of one splitter-tree bucket of a 1M-key run, where the
-//!    recursion does the sample phase's in-bucket work.
+//!    slice, where the recursion does in-bucket work.
 //! 4. **Serving set-up** — 500 regular ranks of a 10k-key run, the run
 //!    shape perfbench's `serve-point` samples while it builds its catalog.
-//! 5. **Splitter-tree floor** — slices one key below and at 2^15 and 2^16
+//! 5. **Distribution floor** — slices one key below and at 2^15 and 2^16
 //!    keys, with one rank per 1000 keys and one per 20: each pair times the
-//!    recursion alone against the splitter tree at nearly the same size
-//!    wherever `SPLITTER_TREE_MIN_LEN` falls between them.
-//! 6. **End-to-end `sample_run`** — the hot path's recycled buffer and
+//!    recursion alone against the distribution at nearly the same size
+//!    wherever `DISTRIBUTION_MIN_LEN` falls between them.
+//! 6. **Bucket-map shapes** — 2^16 keys, in quick mode too, with 1000
+//!    regular ranks: log-uniform keys (the log-linear map), rare huge
+//!    outliers (the trimmed range), two far-apart clusters (heavy buckets
+//!    distributed again) and signed keys of both signs (the sign-flipped
+//!    image).  In quick mode these are the only rows above the distribution
+//!    floor, so CI's smoke checks the map choice and the second level
+//!    against a sort.
+//! 7. **End-to-end `sample_run`** — the hot path's recycled buffer and
 //!    `RunSampler` rank cache, and the same without the buffer.
 //!
 //! The multi-selection groups refill one reused buffer with the input
 //! before every timed iteration, so the copy is timed but no allocation is.
 //!
-//! Set `OPAQ_BENCH_QUICK=1` to shrink the input to 20k keys: that mode is
-//! run per-PR in CI as a smoke job, where the *correctness* cross-checks at
-//! the top of each benchmark (every selected value against a sorted copy)
-//! fail loudly if selection regresses; timings at that size are
-//! informational only.
+//! Set `OPAQ_BENCH_QUICK=1` to shrink the 1M-key inputs to 20k keys: that
+//! mode is run per-PR in CI as a smoke job, where the *correctness*
+//! cross-checks at the top of each benchmark (every selected value against
+//! a sorted copy) fail loudly if selection regresses; timings at that size
+//! are informational only.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use opaq_core::{sample_run, RunSampler};
 use opaq_datagen::{KeyGenerator, UniformGenerator};
-use opaq_select::{multiselect, regular_sample_ranks, SelectionStrategy};
+use opaq_select::{multiselect, regular_sample_ranks, RadixKey, SelectionStrategy};
 
 fn quick_mode() -> bool {
     std::env::var_os("OPAQ_BENCH_QUICK").is_some()
@@ -59,7 +66,7 @@ fn keys(seed: u64, n: usize) -> Vec<u64> {
 }
 
 /// The values a full sort puts at `ranks`.
-fn sorted_at(data: &[u64], ranks: &[usize]) -> Vec<u64> {
+fn sorted_at<T: Ord + Copy>(data: &[T], ranks: &[usize]) -> Vec<T> {
     let mut sorted = data.to_vec();
     sorted.sort_unstable();
     ranks.iter().map(|&r| sorted[r]).collect()
@@ -67,10 +74,10 @@ fn sorted_at(data: &[u64], ranks: &[usize]) -> Vec<u64> {
 
 /// Time `multiselect` of `ranks` over `data` in `group` under `name`, after
 /// checking that it selects what a full sort puts at those ranks.
-fn bench_multiselect(
+fn bench_multiselect<T: Ord + RadixKey + std::fmt::Debug>(
     group: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
-    data: &[u64],
+    data: &[T],
     ranks: &[usize],
 ) {
     let mut work = data.to_vec();
@@ -135,8 +142,8 @@ fn bench_serving_setup_multiselect(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_splitter_tree_floor(c: &mut Criterion) {
-    let mut group = c.benchmark_group("splitter_tree_floor");
+fn bench_distribution_floor(c: &mut Criterion) {
+    let mut group = c.benchmark_group("distribution_floor");
     group.sample_size(31);
     for len in [(1 << 15) - 1, 1 << 15, (1 << 16) - 1, 1 << 16] {
         let data = keys(7, len);
@@ -146,6 +153,53 @@ fn bench_splitter_tree_floor(c: &mut Criterion) {
             bench_multiselect(&mut group, &id, &data, &ranks);
         }
     }
+    group.finish();
+}
+
+/// SplitMix64 step: a deterministic key stream per seed.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn bench_bucket_map_shapes(c: &mut Criterion) {
+    let n = 1u64 << 16;
+    let ranks = regular_sample_ranks(n as usize, 1000);
+    let shapes: [(&str, Vec<u64>); 3] = [
+        (
+            "log_uniform",
+            (0..n)
+                .map(|i| {
+                    let octave = mix(i) % 48;
+                    (1 << octave) + (mix(!i) >> (63 - octave))
+                })
+                .collect(),
+        ),
+        (
+            "rare_outliers",
+            (0..n)
+                .map(|i| match mix(i) % 10_000 {
+                    0 => u64::MAX - mix(!i) % 1000,
+                    _ => mix(!i) % 1_000_000,
+                })
+                .collect(),
+        ),
+        (
+            "two_clusters",
+            (0..n)
+                .map(|i| u64::from(mix(i) & 3 != 0) * ((1 << 50) + (1 << 40)) + mix(!i) % 1_000_000)
+                .collect(),
+        ),
+    ];
+    let signed: Vec<i64> = (0..n).map(|i| (mix(i) >> 20) as i64 - (1 << 43)).collect();
+    let mut group = c.benchmark_group(format!("multiselect_1000_of_{n}_shapes"));
+    group.sample_size(31);
+    for (shape, data) in &shapes {
+        bench_multiselect(&mut group, shape, data, &ranks);
+    }
+    bench_multiselect(&mut group, "signed", &signed, &ranks);
     group.finish();
 }
 
@@ -199,7 +253,8 @@ criterion_group!(
     bench_duplicate_heavy_multiselect,
     bench_bucket_sized_multiselect,
     bench_serving_setup_multiselect,
-    bench_splitter_tree_floor,
+    bench_distribution_floor,
+    bench_bucket_map_shapes,
     bench_sample_run_pipeline
 );
 criterion_main!(benches);

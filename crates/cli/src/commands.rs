@@ -26,6 +26,23 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The most worker threads `--threads` (sketch) and `--refresh-threads`
+/// (serve) accept.  Each is one OS thread, so a mistyped count is refused
+/// as a usage error before anything starts rather than asked of the OS.
+pub const MAX_THREADS: u64 = 256;
+
+/// Parse the thread-count option `key` (at most [`MAX_THREADS`]), with a
+/// default.
+fn thread_count(args: &Args, key: &str, default: u64) -> CliResult<u64> {
+    let threads = args.u64_or(key, default)?;
+    if threads > MAX_THREADS {
+        return Err(CliError::Usage(format!(
+            "--{key} must be at most {MAX_THREADS}, got {threads}"
+        )));
+    }
+    Ok(threads)
+}
+
 /// The usage text printed by `opaq help`.
 pub fn usage() -> String {
     "opaq — one-pass quantile estimation for disk-resident data (VLDB 1997 reproduction)
@@ -39,8 +56,9 @@ COMMANDS:
   sketch     --data FILE --n N [--run-length M] [--sample-size S] [--out SKETCH]
              [--threads T]
              one pass over FILE; print dectiles and optionally save the sketch.
-             --threads > 1 shards the ingest over T worker threads; selection
-             is exact, so the sketch is bit-identical for every thread count
+             --threads > 1 shards the ingest over T worker threads (at most
+             256); selection is exact, so the sketch is bit-identical for
+             every thread count
   query      --sketch SKETCH [--q Q] [--phi P1,P2,...]
              estimate quantiles from a saved sketch (no data access)
              --expr 'fetch T/D | coalesce | quantile 0.5' --addr HOST:PORT
@@ -110,7 +128,8 @@ COMMANDS:
              x-opaq-trace-id (echoed when the request sent a valid one,
              minted at the front door otherwise).
              --ttl-ms T ages entries: expired tenants serve stale until a
-             background re-ingest (--refresh-threads workers) republishes.
+             background re-ingest (--refresh-threads workers, at most 256)
+             republishes.
              --data-dir DIR makes the catalog durable: every publish is
              committed to a write-ahead manifest + per-version sketch files
              under DIR, and a restart over the same DIR rebuilds the exact
@@ -254,11 +273,11 @@ pub fn sketch(args: &Args) -> CliResult<String> {
         &["data", "n", "run-length", "sample-size", "out", "threads"],
         &[],
     )?;
-    let (store, run_length, sample_size) = open_store(args)?;
-    let threads = args.u64_or("threads", 1)?;
+    let threads = thread_count(args, "threads", 1)?;
     if threads == 0 {
         return Err(CliError::Usage("--threads must be at least 1".to_string()));
     }
+    let (store, run_length, sample_size) = open_store(args)?;
     let config = OpaqConfig::builder()
         .run_length(run_length)
         .sample_size(sample_size)
@@ -872,7 +891,7 @@ pub fn serve(args: &Args) -> CliResult<String> {
     let run_length = args.u64_or("run-length", 10_000)?;
     let sample_size = args.u64_or("sample-size", 500)?.min(run_length);
     let ttl_ms = args.u64_or("ttl-ms", 0)?;
-    let refresh_threads = args.u64_or("refresh-threads", 1)?.max(1);
+    let refresh_threads = thread_count(args, "refresh-threads", 1)?.max(1);
     let workers = args.u64_or("workers", 8)?.max(1);
     let seed = args.u64_or("seed", 42)?;
     let peer = args.get("peer").map(str::to_string);
@@ -1465,6 +1484,32 @@ mod tests {
         assert!(run("generate", &Args::default()).is_err());
         assert!(run("query", &Args::default()).is_err());
         assert!(run("histogram", &args(&["--sketch", "/nonexistent"])).is_err());
+    }
+
+    #[test]
+    fn thread_counts_above_the_maximum_are_usage_errors() {
+        // The data file does not exist and no address is bound: the count
+        // is refused where the flag is parsed, before a store is opened or
+        // a thread started.
+        let too_many = (MAX_THREADS + 1).to_string();
+        let sketch = args(&[
+            "--data",
+            "/nonexistent",
+            "--n",
+            "10",
+            "--threads",
+            &too_many,
+        ]);
+        let serve = args(&["--addr", "127.0.0.1:0", "--refresh-threads", &too_many]);
+        for (command, argv, flag) in [
+            ("sketch", sketch, "threads"),
+            ("serve", serve, "refresh-threads"),
+        ] {
+            let err = run(command, &argv).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{command}: {err}");
+            let expected = format!("--{flag} must be at most {MAX_THREADS}");
+            assert!(err.to_string().contains(&expected), "{command}: {err}");
+        }
     }
 
     #[test]

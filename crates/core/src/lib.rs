@@ -64,12 +64,18 @@ pub use error::{OpaqError, OpaqResult};
 pub use estimator::OpaqEstimator;
 pub use exact::{exact_quantile, ExactQuantile};
 pub use incremental::IncrementalOpaq;
+pub use opaq_select::RadixKey;
 pub use quantile_phase::QuantileEstimate;
 pub use rank::RankBounds;
 pub use sample_phase::{sample_run, RunSample, RunSampler};
 pub use sketch::{merge_tree, QuantileSketch, SamplePoint};
 
 /// The key bound required by the OPAQ core: totally ordered, cheap to copy,
-/// and shareable across the parallel machine.
-pub trait Key: Ord + Copy + Send + Sync + 'static {}
-impl<T: Ord + Copy + Send + Sync + 'static> Key for T {}
+/// shareable across the parallel machine, and with an order-preserving `u64`
+/// image ([`RadixKey`]) that the sample phase buckets long runs by.
+///
+/// Every type with these bounds is a `Key`.  `RadixKey` is implemented for
+/// `u8`–`u64`, `usize` and `i8`–`i64`; another key type implements it with
+/// an image that orders keys exactly as `Ord` does.
+pub trait Key: Ord + Copy + RadixKey + Send + Sync + 'static {}
+impl<T: Ord + Copy + RadixKey + Send + Sync + 'static> Key for T {}

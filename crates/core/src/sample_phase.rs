@@ -3,7 +3,7 @@
 //! From a run of `m` in-memory elements the phase extracts the `s` elements
 //! of rank `⌈m/s⌉, ⌈2m/s⌉, …, m` by multi-selection (`O(m log s)`): the
 //! paper's recursive median splitting, one exact introselect of the middle
-//! rank per piece, after a splitter-tree bucketing pass on long runs.  Each
+//! rank per piece, after a radix bucketing pass on long runs.  Each
 //! sample comes with its *gap* — the number of new elements of the run it
 //! stands for.  Gaps are what make the error bounds work for runs whose
 //! length is not an exact multiple of `s` (the paper assumes divisibility
@@ -26,9 +26,9 @@
 //! equal length, so steady-state per-run work allocates only the `s`-sized
 //! `values`/`gaps` vectors that outlive the call inside the returned
 //! [`RunSample`], plus the selection's own scratch: on runs of at least
-//! `opaq_select::SPLITTER_TREE_MIN_LEN` keys with `s >= 32`, a 4096-key
-//! oversample and 256 bucket buffers of 128 keys, freed before the call
-//! returns.  That scratch has the same size whatever `m` is, so one run in
+//! `opaq_select::DISTRIBUTION_MIN_LEN` keys with `s >= 32`, the `u64`
+//! images of a 4096-key oversample and 1024 bucket buffers of 64 keys,
+//! freed before the call returns.  That scratch has the same size whatever `m` is, so one run in
 //! memory is the only `m`-sized buffer of the phase.
 
 use crate::{Key, OpaqError, OpaqResult};

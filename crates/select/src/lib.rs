@@ -15,15 +15,18 @@
 //! `⌈log₂(s+1)⌉`.  A selected key that equals a bound the piece inherited
 //! ends that piece's whole band of equal keys in one pass, which ends
 //! constant and few-valued runs.  Slices of at least
-//! [`SPLITTER_TREE_MIN_LEN`] keys with at least 32 ranks are first
-//! *distributed*: 255 splitters from a sorted oversample form an implicit
-//! search tree, one pass sends every key through it into a per-bucket buffer
-//! that is flushed block by block into the slice, the blocks are swapped in
-//! place into value-ordered buckets, and the recursion then runs only inside
-//! each bucket on the ranks that fall in it.  Runs with too few distinct
-//! splitters (constant or few-valued data) skip the buckets.
+//! [`DISTRIBUTION_MIN_LEN`] keys with at least 32 ranks are first
+//! *distributed* into 1024 value-ordered buckets by a radix classifier
+//! (after IPS²Ra): each key's order-preserving `u64` image ([`RadixKey`]) is
+//! mapped to its bucket by a subtract, shift and clamp, under a linear or a
+//! log-linear map chosen per call from a sorted oversample.  One pass
+//! appends every key to a per-bucket buffer that is flushed block by block
+//! into the slice, the blocks are swapped in place into their buckets, and
+//! the recursion then runs only inside each bucket on the ranks that fall in
+//! it.  Slices whose oversample is few-valued (constant or few distinct
+//! keys) skip the buckets.
 //!
-//! Selection works in place on `&mut [T]` where `T: Ord + Copy`, never
+//! Selection works in place on `&mut [T]` where `T: Ord + RadixKey`, never
 //! allocates proportionally to the input (the distribution's bucket buffers
 //! have a fixed size), and is exact: every requested rank holds its order
 //! statistic, so OPAQ sketches do not depend on which path of the selector
@@ -34,8 +37,10 @@
 
 pub mod multiselect;
 mod partition;
+mod radix;
 
-pub use multiselect::{multiselect, multiselect_into, regular_sample_ranks, SPLITTER_TREE_MIN_LEN};
+pub use multiselect::{multiselect, multiselect_into, regular_sample_ranks, DISTRIBUTION_MIN_LEN};
+pub use radix::RadixKey;
 
 /// The single-rank selector of the sample phase.  It has one variant, and
 /// no code path depends on it; it stays only because the benchmark harness

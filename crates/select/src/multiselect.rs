@@ -29,40 +29,49 @@
 //! Taken alone, the recursion still makes about `log₂ s` passes over the
 //! whole run, and a 1M-key run does not fit in cache, so every level pays a
 //! full trip to memory.  Large rank sets on large slices therefore first take
-//! a *splitter-tree* step that replaces the top levels with one
-//! distribution pass, after the classifier of Super Scalar Sample Sort
-//! (Sanders & Winkel, ESA 2004) and the block-wise in-place distribution of
-//! IPS⁴o (Axtmann et al., ESA 2017):
+//! one *distribution* pass that replaces the top levels, with the radix
+//! classifier of IPS²Ra (Axtmann, Witt, Ferizovic & Sanders, "Engineering
+//! In-place (Shared-memory) Sorting Algorithms", TOPC 2022) and the
+//! block-wise in-place distribution of IPS⁴o (Axtmann et al., ESA 2017):
 //!
-//! 1. **Distribute.**  An evenly spaced oversample of `16 × 256` keys is
-//!    sorted and every 16th key becomes one of 255 splitters, laid out as an
-//!    implicit (Eytzinger) search tree.  Bucket `i` holds the keys in
-//!    `(splitter[i-1], splitter[i]]`, so buckets are ordered by value.  One
-//!    pass descends the tree with branch-free comparisons, eight keys
-//!    interleaved, and appends each key to its bucket's buffer of 128 keys.
-//!    A full buffer is flushed as one block into the front of the slice,
-//!    which that pass has already read.  Whole blocks are then swapped into
-//!    block-aligned bucket areas, and a left-to-right cleanup places the
+//! 1. **Classify.**  Every key has an order-preserving `u64` image,
+//!    [`RadixKey::radix`].  The images of an evenly spaced oversample of
+//!    4096 keys are sorted, and the range between the 16th smallest and the
+//!    16th largest becomes 1024 value-ordered buckets under one of two maps:
+//!    *linear*, `(image − low) >> shift`, or *log-linear*, which cuts every
+//!    octave of `image − low` into `2^k` equal buckets, for keys spread over
+//!    many orders of magnitude.  Each call takes the map whose largest bucket
+//!    holds fewer oversample keys.  Either way a key finds its bucket with a
+//!    subtract, a shift or two and a clamp, and no comparison; keys beyond
+//!    the trimmed range land in the first or the last bucket.
+//! 2. **Distribute.**  One pass appends every key to its bucket's buffer of
+//!    64 keys.  A full buffer is flushed as one block into the front of the
+//!    slice, which that pass has already read.  Whole blocks are then swapped
+//!    into block-aligned bucket areas, and a left-to-right cleanup places the
 //!    partial buffers and the blocks that overhang a bucket's edge.
-//! 2. **Select inside buckets.**  The recursion runs inside each bucket on
+//! 3. **Select inside buckets.**  The recursion runs inside each bucket on
 //!    the ranks that fall in it: a few ranks over a few thousand
-//!    cache-resident keys.  Bucket `i`'s ceiling is `splitter[i]`, so a
-//!    bucket that holds one heavy key ends in one selection and one pass.
+//!    cache-resident keys.  A bucket that covers a single image holds one
+//!    key value, so its ranks already hold their order statistics.  A bucket
+//!    with more than 8× the mean share of keys (one cluster of two far apart,
+//!    or a heavy key among spread ones) that itself clears the floors below
+//!    is distributed again on its own slice, at most three levels deep.
 //!
-//! The scratch does not grow with the slice: 256 bucket buffers of 128
-//! keys, two more blocks and the oversample.  Either way every requested
-//! rank holds its exact order statistic, with `<=` on its left and `>=` on
-//! its right.  So the selected values, and every OPAQ sketch
-//! built from them, do not depend on which path ran.
+//! The scratch does not grow with the slice: 1024 bucket buffers of 64 keys,
+//! reused by every level, two more blocks and the oversample's images.
+//! Either way every requested rank holds its exact order statistic, with
+//! `<=` on its left and `>=` on its right.  So the selected values, and every
+//! OPAQ sketch built from them, do not depend on which path ran.
 //!
-//! Slices shorter than [`SPLITTER_TREE_MIN_LEN`] and rank sets of fewer than
+//! Slices shorter than [`DISTRIBUTION_MIN_LEN`] and rank sets of fewer than
 //! 32 ranks go to the recursion directly, which is cheaper there.  So do
-//! runs whose oversample yields fewer than 32 distinct splitters (constant
-//! or few-valued data): their keys would collapse into a handful of buckets,
-//! while the floor and ceiling rules end them in a few passes.
+//! slices whose oversample has fewer than 128 distinct images among its 1023
+//! evenly spaced splitter positions (constant or few-valued data): their keys
+//! would collapse into a handful of buckets, while the floor and ceiling
+//! rules end them in a few passes.
 
 use crate::partition::block_partition_by;
-use crate::SelectionStrategy;
+use crate::{RadixKey, SelectionStrategy};
 
 /// Return the 0-based ranks of the `s` regular samples of a run of length `m`:
 /// the elements of 1-based rank `⌈m/s⌉, ⌈2m/s⌉, …, m`.
@@ -93,13 +102,13 @@ pub fn regular_sample_ranks(m: usize, s: usize) -> Vec<usize> {
 /// `r ∈ ranks`, and the slice is partitioned consistently around those
 /// positions.  Returns the selected values in ascending rank order.
 ///
-/// The bound is `T: Copy` (OPAQ keys are fixed-width scalars): selected
-/// values are plain loads from the reordered slice, never clones through a
-/// reference chain.
+/// The bound is `T: Ord + RadixKey` (OPAQ keys are fixed-width scalars):
+/// long slices are bucketed by the keys' order-preserving `u64` images, and
+/// selected values are plain loads from the reordered slice.
 ///
 /// # Panics
 /// Panics if any rank is out of bounds or if `ranks` contains duplicates.
-pub fn multiselect<T: Ord + Copy>(data: &mut [T], ranks: &[usize]) -> Vec<T> {
+pub fn multiselect<T: Ord + RadixKey>(data: &mut [T], ranks: &[usize]) -> Vec<T> {
     let mut out = Vec::with_capacity(ranks.len());
     multiselect_into(data, ranks, SelectionStrategy::default(), &mut out);
     out
@@ -113,11 +122,12 @@ pub fn multiselect<T: Ord + Copy>(data: &mut [T], ranks: &[usize]) -> Vec<T> {
 /// When `ranks` is already strictly increasing (as produced by
 /// [`regular_sample_ranks`]) no rank copy is made; unsorted rank sets fall
 /// back to one scratch copy for sorting.  Slices of at least
-/// [`SPLITTER_TREE_MIN_LEN`] keys with 32 or more ranks also allocate the
-/// splitter tree's fixed scratch (a 4096-key oversample and 256 bucket
-/// buffers of 128 keys, whatever the slice length), freed before the call
-/// returns; smaller calls allocate nothing beyond what `out` already owns.
-pub fn multiselect_into<T: Ord + Copy>(
+/// [`DISTRIBUTION_MIN_LEN`] keys with 32 or more ranks also allocate the
+/// distribution's fixed scratch (the images of a 4096-key oversample and
+/// 1024 bucket buffers of 64 keys, whatever the slice length), freed before
+/// the call returns; smaller calls allocate nothing beyond what `out`
+/// already owns.
+pub fn multiselect_into<T: Ord + RadixKey>(
     data: &mut [T],
     ranks: &[usize],
     _strategy: SelectionStrategy,
@@ -155,138 +165,276 @@ fn check_bounds(sorted_ranks: &[usize], len: usize) {
     }
 }
 
-/// Slices shorter than this skip the splitter tree.  The splitter
-/// tree's 4096-key oversample and 256 buckets pay off only on slices many
-/// times their size.  At this floor, with one rank per 1000 keys, the tree
-/// and the recursion alone measured even; from 48k keys the tree won by
-/// about 1.25×, and with one rank per 20 keys it won by 1.2–1.3× at every
-/// length from 16k keys up.  With the block-wise distribution the tree
-/// measured even or up to 1.2× faster at this floor, so it still holds.
-pub const SPLITTER_TREE_MIN_LEN: usize = 1 << 15;
+/// Slices shorter than this skip the distribution and run the recursion
+/// alone.  The oversample and the 1024 buckets pay off only on slices many
+/// times their size.  The floor was set for the splitter tree this
+/// classifier replaced: at this length, with one rank per 1000 keys, the
+/// tree and the recursion alone measured even, and from 48k keys the tree
+/// won by about 1.25×.  The radix classifier is cheaper per key than the
+/// tree, so the floor errs on the side of the recursion.
+pub const DISTRIBUTION_MIN_LEN: usize = 1 << 15;
 
-/// Rank sets smaller than this skip the splitter tree: with few ranks the
+/// Rank sets smaller than this skip the distribution: with few ranks the
 /// recursion makes only a few passes, which beat the distribution.  With
-/// 8 ranks the recursion alone measured about 1.4× faster at every length up
-/// to 1M keys, with 16 about 1.1×; with 32 the two were even.
-const SPLITTER_TREE_MIN_RANKS: usize = 32;
+/// 8 ranks the recursion alone measured about 1.4× faster than the splitter
+/// tree at every length up to 1M keys, with 16 about 1.1×; with 32 the two
+/// were even.
+const DISTRIBUTION_MIN_RANKS: usize = 32;
 
-/// Depth of the splitter tree; it has `BUCKETS - 1` splitters.
-const LOG_BUCKETS: usize = 8;
+const LOG_BUCKETS: u32 = 10;
 const BUCKETS: usize = 1 << LOG_BUCKETS;
 
-/// Oversample keys per bucket.
-const OVERSAMPLE: usize = 16;
+/// Oversample keys whose images choose the range and the map.
+const OVERSAMPLE: usize = 4096;
 
-/// Fewer distinct splitters than this means a few-valued run: a handful of
-/// buckets would hold nearly every key, so classifying buys nothing.
+/// Oversample keys left out of the range at each end, so a few outliers do
+/// not stretch it: keys past either end share the first or the last bucket.
+const TRIM: usize = 16;
+
+/// Fewer distinct images than this at the oversample's `BUCKETS - 1` evenly
+/// spaced splitter positions means a few-valued slice: a handful of buckets
+/// would hold nearly every key, so distributing buys nothing.
 const MIN_DISTINCT_SPLITTERS: usize = BUCKETS / 8;
 
-/// Keys classified side by side, so their tree descents overlap.
-const UNROLL: usize = 8;
+/// A bucket with more than this many times the mean share of keys is
+/// distributed again, if it also clears the length and rank floors.
+const HEAVY_SHARE: usize = 8;
+
+/// Most nested distributions of one slice.  Every level shrinks the slice,
+/// but keys laid out to keep one bucket heavy under both maps could make it
+/// shrink slowly; two levels serve clusters, a third nested ones.
+const MAX_DEPTH: usize = 3;
 
 /// Keys per block of the distribution: each bucket buffers this many keys
-/// before it flushes them to the slice as one block.  From 64 to 256 keys
-/// measured even; 16 and 32 were slower.
-const BLOCK: usize = 128;
+/// before it flushes them to the slice as one block.
+const BLOCK: usize = 64;
 
-/// Place every rank of `ranks` (sorted, unique, in bounds): the splitter
-/// tree first where it pays, then exact middle-rank recursion.
-fn select_sorted<T: Ord + Copy>(data: &mut [T], ranks: &[usize]) {
-    let splitters = if data.len() < SPLITTER_TREE_MIN_LEN || ranks.len() < SPLITTER_TREE_MIN_RANKS {
-        None
-    } else {
-        splitters(data)
-    };
-    let Some(splitters) = splitters else {
+/// Place every rank of `ranks` (sorted, unique, in bounds): the distribution
+/// first where it pays, then exact middle-rank recursion.
+fn select_sorted<T: Ord + RadixKey>(data: &mut [T], ranks: &[usize]) {
+    if data.len() < DISTRIBUTION_MIN_LEN || ranks.len() < DISTRIBUTION_MIN_RANKS {
         split_ranks(data, 0, ranks, None, None);
+    } else {
+        distribute_and_select(data, 0, ranks, &mut None, 1);
+    }
+}
+
+/// Distribute `data` (at absolute index `offset`, holding the absolute
+/// `ranks`) into buckets and place each bucket's ranks inside it; the
+/// recursion alone when the oversample is few-valued.  `buffers` is the
+/// bucket scratch, allocated by the first level that distributes and reused
+/// by the levels below it.
+fn distribute_and_select<T: Ord + RadixKey>(
+    data: &mut [T],
+    offset: usize,
+    ranks: &[usize],
+    buffers: &mut Option<Buffers<T>>,
+    depth: usize,
+) {
+    let Some(map) = BucketMap::for_slice(data) else {
+        split_ranks(data, offset, ranks, None, None);
         return;
     };
-    let bounds = distribute(data, &splitter_tree(&splitters));
+    #[cfg(test)]
+    DISTRIBUTIONS.with(|count| count.set(count.get() + 1));
+    let scratch = buffers.get_or_insert_with(|| Buffers::new(data[0]));
+    let bounds = match map {
+        BucketMap::Linear(map) => distribute(data, &map, scratch),
+        BucketMap::LogLinear(map) => distribute(data, &map, scratch),
+    };
 
     // Buckets are value-ordered, so each rank is solved inside its bucket.
-    // Bucket `b`'s largest possible key is `splitters[b]`: a bucket full of
-    // one heavy key ends after one exact selection and one pass.
+    let heavy = HEAVY_SHARE * data.len() / BUCKETS;
     let mut first = 0;
     for b in 0..BUCKETS {
         let (lo, hi) = (bounds[b], bounds[b + 1]);
-        let last = first + ranks[first..].partition_point(|&r| r < hi);
-        let bucket = &mut data[lo..hi];
-        let ceil = splitters.get(b).copied();
-        split_ranks(bucket, lo, &ranks[first..last], None, ceil);
+        let last = first + ranks[first..].partition_point(|&r| r < offset + hi);
+        let (bucket, bucket_ranks) = (&mut data[lo..hi], &ranks[first..last]);
         first = last;
+        if bucket_ranks.is_empty() {
+            continue;
+        }
+        if map.single_image(b) {
+            // One key value: a floor equal to the ceiling ends the piece.
+            let key = Some(bucket[0]);
+            split_ranks(bucket, offset + lo, bucket_ranks, key, key);
+        } else if bucket.len() > heavy
+            && bucket.len() >= DISTRIBUTION_MIN_LEN
+            && bucket_ranks.len() >= DISTRIBUTION_MIN_RANKS
+            && depth < MAX_DEPTH
+        {
+            distribute_and_select(bucket, offset + lo, bucket_ranks, buffers, depth + 1);
+        } else {
+            split_ranks(bucket, offset + lo, bucket_ranks, None, None);
+        }
     }
 }
 
-/// The `BUCKETS - 1` splitters, ascending: every [`OVERSAMPLE`]th key of an
-/// evenly spaced, sorted oversample of `data`.  `None` when fewer than
-/// [`MIN_DISTINCT_SPLITTERS`] of them are distinct.
-fn splitters<T: Ord + Copy>(data: &[T]) -> Option<Vec<T>> {
-    let samples = OVERSAMPLE * BUCKETS;
-    let stride = data.len() / samples;
-    debug_assert!(stride > 0, "slice below the splitter-tree floor");
-    let mut sample: Vec<T> = (0..samples)
-        .map(|i| data[i * stride + stride / 2])
-        .collect();
-    sample.sort_unstable();
-    let splitters: Vec<T> = (1..BUCKETS).map(|b| sample[b * OVERSAMPLE]).collect();
-    let distinct = 1 + splitters.windows(2).filter(|w| w[0] < w[1]).count();
-    (distinct >= MIN_DISTINCT_SPLITTERS).then_some(splitters)
-}
+/// Maps a key's image to its bucket; buckets are ordered by value.
+trait Classify {
+    /// The bucket, below [`BUCKETS`], of a key whose image is `image`.
+    fn bucket(&self, image: u64) -> usize;
 
-/// Lay the sorted `splitters` out as an implicit (Eytzinger) search tree:
-/// node `i` has children `2i` and `2i + 1`, the root is node 1 and node 0 is
-/// unused.  An in-order walk yields the splitters in ascending order.
-fn splitter_tree<T: Copy>(splitters: &[T]) -> [T; BUCKETS] {
-    let mut tree = [splitters[0]; BUCKETS];
-    fill_tree(&mut tree, 1, splitters);
-    tree
-}
-
-/// Lay the sorted `splitters` out under node `node` in Eytzinger order.
-fn fill_tree<T: Copy>(tree: &mut [T; BUCKETS], node: usize, splitters: &[T]) {
-    if splitters.is_empty() {
-        return;
+    /// The bucket of `key`.
+    #[inline(always)]
+    fn bucket_of<T: RadixKey>(&self, key: T) -> usize {
+        self.bucket(key.radix())
     }
-    let mid = splitters.len() / 2;
-    tree[node] = splitters[mid];
-    fill_tree(tree, 2 * node, &splitters[..mid]);
-    fill_tree(tree, 2 * node + 1, &splitters[mid + 1..]);
 }
 
-/// The bucket of `key`: the number of splitters strictly below it.
-///
-/// Nodes stay below `BUCKETS` while descending, so masking the index changes
-/// nothing but lets the compiler drop the bounds check.
-#[inline(always)]
-fn bucket_of<T: Ord>(tree: &[T; BUCKETS], key: &T) -> usize {
-    let mut node = 1;
-    for _ in 0..LOG_BUCKETS {
-        node = 2 * node + usize::from(tree[node & (BUCKETS - 1)] < *key);
+/// `(image − low) >> shift`, clamped to the last bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Linear {
+    low: u64,
+    shift: u32,
+}
+
+impl Linear {
+    /// The narrowest buckets that fit `high − low` into [`BUCKETS`].
+    fn new(low: u64, high: u64) -> Self {
+        let bits = u64::BITS - (high - low).leading_zeros();
+        Self {
+            low,
+            shift: bits.saturating_sub(LOG_BUCKETS),
+        }
     }
-    node - BUCKETS
 }
 
-/// Move every key into its bucket, in place, and return the bucket bounds:
-/// bucket `b` ends up in `data[bounds[b]..bounds[b + 1]]`.
+impl Classify for Linear {
+    #[inline(always)]
+    fn bucket(&self, image: u64) -> usize {
+        ((image.saturating_sub(self.low) >> self.shift) as usize).min(BUCKETS - 1)
+    }
+}
+
+/// Log-linear buckets of `d = image − low`: `d` itself below `2^bits`, and
+/// from there each octave `[2^e, 2^(e+1))` in `2^bits` equal buckets, the
+/// code `(e − bits)·2^bits + (d >> (e − bits))`.  Clamped to the last
+/// bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LogLinear {
+    low: u64,
+    bits: u32,
+}
+
+impl LogLinear {
+    /// The finest octaves that fit `high − low` into [`BUCKETS`].
+    fn new(low: u64, high: u64) -> Self {
+        let mut map = Self {
+            low,
+            bits: LOG_BUCKETS,
+        };
+        while map.code(high - low) >= BUCKETS as u64 {
+            map.bits -= 1;
+        }
+        map
+    }
+
+    #[inline(always)]
+    fn code(&self, d: u64) -> u64 {
+        // `d | 2^bits` has its top bit at `e` for `d >= 2^bits` and at
+        // `bits` below it, where the shift is 0 and the code is `d`.
+        let shift = u64::BITS - 1 - (d | 1 << self.bits).leading_zeros() - self.bits;
+        (u64::from(shift) << self.bits) + (d >> shift)
+    }
+}
+
+impl Classify for LogLinear {
+    #[inline(always)]
+    fn bucket(&self, image: u64) -> usize {
+        (self.code(image.saturating_sub(self.low)) as usize).min(BUCKETS - 1)
+    }
+}
+
+/// The map one call distributes with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BucketMap {
+    Linear(Linear),
+    LogLinear(LogLinear),
+}
+
+impl BucketMap {
+    /// The map for `data` (at least [`OVERSAMPLE`] keys): over the trimmed
+    /// range of the sorted images of an evenly spaced oversample, the linear
+    /// or the log-linear map, whichever puts fewer oversample keys in its
+    /// largest bucket.  `None` when fewer than [`MIN_DISTINCT_SPLITTERS`] of
+    /// the oversample's splitter positions hold distinct images.
+    fn for_slice<T: RadixKey>(data: &[T]) -> Option<Self> {
+        let stride = data.len() / OVERSAMPLE;
+        debug_assert!(stride > 0, "slice shorter than the oversample");
+        let mut images: Vec<u64> = (0..OVERSAMPLE)
+            .map(|i| data[i * stride + stride / 2].radix())
+            .collect();
+        images.sort_unstable();
+        let per_bucket = OVERSAMPLE / BUCKETS;
+        let distinct = 1
+            + (per_bucket..OVERSAMPLE - per_bucket)
+                .step_by(per_bucket)
+                .filter(|&at| images[at] < images[at + per_bucket])
+                .count();
+        if distinct < MIN_DISTINCT_SPLITTERS {
+            return None;
+        }
+        let (low, high) = (images[TRIM], images[OVERSAMPLE - 1 - TRIM]);
+        let linear = Linear::new(low, high);
+        let log = LogLinear::new(low, high);
+        Some(if largest(&images, &log) < largest(&images, &linear) {
+            Self::LogLinear(log)
+        } else {
+            Self::Linear(linear)
+        })
+    }
+
+    /// Whether every image in bucket `b` is one value.  The first and last
+    /// buckets also take the keys beyond the trimmed range, so never.
+    fn single_image(&self, b: usize) -> bool {
+        let inner = b > 0 && b < BUCKETS - 1;
+        inner
+            && match self {
+                Self::Linear(map) => map.shift == 0,
+                Self::LogLinear(map) => b < 1 << map.bits,
+            }
+    }
+}
+
+/// The most `sorted` images that `map` puts in one bucket.  Buckets are
+/// value-ordered, so each bucket's images are one run of `sorted`.
+fn largest(sorted: &[u64], map: &impl Classify) -> usize {
+    let mut most = 0;
+    let mut at = 0;
+    while at < sorted.len() {
+        let bucket = map.bucket(sorted[at]);
+        let run = sorted[at..].partition_point(|&image| map.bucket(image) == bucket);
+        most = most.max(run);
+        at += run;
+    }
+    most
+}
+
+/// Move every key into its bucket under `map`, in place, and return the
+/// bucket bounds: bucket `b` ends up in `data[bounds[b]..bounds[b + 1]]`.
 ///
 /// Block-wise, after IPS⁴o: [`Buffers::fill`] classifies every key and
 /// flushes full buffers as blocks into the slice's front,
 /// [`permute_blocks`] swaps those blocks into block-aligned bucket areas,
 /// and [`cleanup`] fills each bucket's edges from its buffer and from the
 /// block that overhangs its end.
-fn distribute<T: Ord + Copy>(data: &mut [T], tree: &[T; BUCKETS]) -> [usize; BUCKETS + 1] {
+fn distribute<T: RadixKey, C: Classify>(
+    data: &mut [T],
+    map: &C,
+    buffers: &mut Buffers<T>,
+) -> [usize; BUCKETS + 1] {
     let Some(&first) = data.first() else {
         return [0; BUCKETS + 1];
     };
-    let mut buffers = Buffers::new(first);
-    let flushed = buffers.fill(data, tree);
+    let flushed = buffers.fill(data, map);
     let mut bounds = [0usize; BUCKETS + 1];
     for b in 0..BUCKETS {
         bounds[b + 1] = bounds[b] + buffers.blocks[b] * BLOCK + buffers.waiting(b).len();
     }
     let mut overflow = [first; BLOCK];
-    let ends = permute_blocks(data, tree, &bounds, flushed, &mut overflow);
-    cleanup(data, &bounds, &ends, &buffers, &overflow);
+    let ends = permute_blocks(data, map, &bounds, flushed, &mut overflow);
+    cleanup(data, &bounds, &ends, buffers, &overflow);
     bounds
 }
 
@@ -301,15 +449,15 @@ struct Buffers<T> {
     blocks: [usize; BUCKETS],
 }
 
-impl<T: Ord + Copy> Buffers<T> {
-    /// Empty buffers; `filler` only initialises their slots.
+impl<T: RadixKey> Buffers<T> {
+    /// Buffers for one distribution; `filler` only initialises their slots.
     fn new(filler: T) -> Self {
         let keys = vec![filler; BUCKETS * BLOCK].into_boxed_slice();
         Self {
             keys: keys
                 .try_into()
                 .unwrap_or_else(|_| unreachable!("exact length")),
-            next: std::array::from_fn(|b| b * BLOCK),
+            next: [0; BUCKETS],
             blocks: [0; BUCKETS],
         }
     }
@@ -319,47 +467,34 @@ impl<T: Ord + Copy> Buffers<T> {
         &self.keys[b * BLOCK..self.next[b]]
     }
 
-    /// Classify every key of `data` into its bucket's buffer, flushing each
-    /// full buffer as a block to the front of `data`.  Returns the length
-    /// of the flushed front, a multiple of [`BLOCK`].
+    /// Empty every buffer, then classify every key of `data` into its
+    /// bucket's buffer, flushing each full buffer as a block to the front of
+    /// `data`.  Returns the length of the flushed front, a multiple of
+    /// [`BLOCK`].
     ///
     /// A block is flushed only once [`BLOCK`] keys of its bucket have been
     /// read, so it always lands on keys the pass has already read.
-    fn fill(&mut self, data: &mut [T], tree: &[T; BUCKETS]) -> usize {
+    fn fill<C: Classify>(&mut self, data: &mut [T], map: &C) -> usize {
         let Self { keys, next, blocks } = self;
+        *next = std::array::from_fn(|b| b * BLOCK);
+        *blocks = [0; BUCKETS];
         let mut flushed = 0;
-        let mut push = |bucket: usize, key: T, data: &mut [T]| {
-            let bucket = bucket & (BUCKETS - 1);
-            let at = next[bucket];
-            keys[at & (BUCKETS * BLOCK - 1)] = key;
-            if (at + 1) % BLOCK != 0 {
-                next[bucket] = at + 1;
+        for at in 0..data.len() {
+            let key = data[at];
+            // Masking changes nothing, the map clamps, but it lets the
+            // compiler drop the bounds checks.
+            let bucket = map.bucket_of(key) & (BUCKETS - 1);
+            let slot = next[bucket];
+            keys[slot & (BUCKETS * BLOCK - 1)] = key;
+            if (slot + 1) % BLOCK != 0 {
+                next[bucket] = slot + 1;
             } else {
-                let start = at + 1 - BLOCK;
-                data[flushed..flushed + BLOCK].copy_from_slice(&keys[start..=at]);
+                let start = slot + 1 - BLOCK;
+                data[flushed..flushed + BLOCK].copy_from_slice(&keys[start..=slot]);
                 flushed += BLOCK;
                 next[bucket] = start;
                 blocks[bucket] += 1;
             }
-        };
-        let whole = data.len() - data.len() % UNROLL;
-        for at in (0..whole).step_by(UNROLL) {
-            let chunk: [T; UNROLL] = data[at..at + UNROLL].try_into().expect("a whole chunk");
-            // The descents are independent, so the eight loads per level
-            // overlap instead of waiting on each other.
-            let mut nodes = [1usize; UNROLL];
-            for _ in 0..LOG_BUCKETS {
-                for (node, key) in nodes.iter_mut().zip(&chunk) {
-                    *node = 2 * *node + usize::from(tree[*node & (BUCKETS - 1)] < *key);
-                }
-            }
-            for (node, key) in nodes.into_iter().zip(chunk) {
-                push(node - BUCKETS, key, data);
-            }
-        }
-        for at in whole..data.len() {
-            let key = data[at];
-            push(bucket_of(tree, &key), key, data);
         }
         flushed
     }
@@ -384,9 +519,9 @@ fn block_ceil(at: usize) -> usize {
 /// cycle carries the foreign one on, and otherwise the slot is free and the
 /// cycle ends.  The one slot that runs past the end of `data` goes to
 /// `overflow`.
-fn permute_blocks<T: Ord + Copy>(
+fn permute_blocks<T: RadixKey, C: Classify>(
     data: &mut [T],
-    tree: &[T; BUCKETS],
+    map: &C,
     bounds: &[usize; BUCKETS + 1],
     flushed: usize,
     overflow: &mut [T; BLOCK],
@@ -405,16 +540,16 @@ fn permute_blocks<T: Ord + Copy>(
             read[b] -= BLOCK;
             let at = read[b];
             carry.copy_from_slice(&data[at..at + BLOCK]);
-            let mut dest = bucket_of(tree, &carry[0]);
+            let mut dest = map.bucket_of(carry[0]);
             loop {
-                while write[dest] < read[dest] && bucket_of(tree, &data[write[dest]]) == dest {
+                while write[dest] < read[dest] && map.bucket_of(data[write[dest]]) == dest {
                     write[dest] += BLOCK;
                 }
                 let slot = write[dest];
                 write[dest] += BLOCK;
                 if slot < read[dest] {
                     data[slot..slot + BLOCK].swap_with_slice(&mut carry);
-                    dest = bucket_of(tree, &carry[0]);
+                    dest = map.bucket_of(carry[0]);
                 } else {
                     match data.get_mut(slot..slot + BLOCK) {
                         Some(free) => free.copy_from_slice(&carry),
@@ -438,7 +573,7 @@ fn permute_blocks<T: Ord + Copy>(
 /// overhanging keys sit in the next bucket's head, which is filled only
 /// afterwards; if the block is the one that ran past the slice end, it is
 /// in `overflow`.
-fn cleanup<T: Ord + Copy>(
+fn cleanup<T: RadixKey>(
     data: &mut [T],
     bounds: &[usize; BUCKETS + 1],
     ends: &[usize; BUCKETS],
@@ -473,6 +608,8 @@ fn cleanup<T: Ord + Copy>(
 thread_local! {
     /// Exact selections [`split_ranks`] made on this thread.
     static SELECTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Slices [`distribute_and_select`] distributed on this thread.
+    static DISTRIBUTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Exact middle-rank recursion: place every rank of `ranks` inside `data`.
@@ -481,7 +618,7 @@ thread_local! {
 /// `ranks` are absolute, sorted, and all fall inside
 /// `[offset, offset + data.len())`.  `floor` and `ceil`, when known, are
 /// inclusive bounds on every key of the piece: the values of the splits that
-/// made it, or a splitter-tree bucket's upper splitter.  Borrows sub-slices
+/// made it, or a single-image bucket's one key.  Borrows sub-slices
 /// of both `data` and `ranks` — no allocation.
 fn split_ranks<T: Ord + Copy>(
     data: &mut [T],
@@ -621,16 +758,16 @@ mod tests {
     }
 
     #[test]
-    fn splitter_tree_collapses_on_few_valued_runs() {
-        let len = SPLITTER_TREE_MIN_LEN;
+    fn few_valued_slices_get_no_bucket_map() {
+        let len = DISTRIBUTION_MIN_LEN;
         let constant = vec![9_u64; len];
-        assert!(splitters(&constant).is_none());
+        assert!(BucketMap::for_slice(&constant).is_none());
         let few: Vec<u64> = (0..len as u64).map(|i| (i * 2654435761) % 3).collect();
-        assert!(splitters(&few).is_none());
+        assert!(BucketMap::for_slice(&few).is_none());
         let uniform: Vec<u64> = (0..len as u64)
             .map(|i| (i * 2654435761) % 1_000_003)
             .collect();
-        assert!(splitters(&uniform).is_some());
+        assert!(BucketMap::for_slice(&uniform).is_some());
     }
 
     /// SplitMix64 step: a deterministic key stream per seed.
@@ -641,23 +778,87 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Distribute `data` over `tree` and check that the result is a
+    /// `DISTRIBUTION_MIN_LEN` keys spread evenly over 40 octaves.
+    fn log_uniform() -> Vec<u64> {
+        (0..DISTRIBUTION_MIN_LEN as u64)
+            .map(|i| {
+                let octave = mix(i) % 40;
+                (1 << octave) + (mix(!i) >> (63 - octave))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_slice_takes_the_map_with_the_smaller_largest_bucket() {
+        let uniform: Vec<u64> = (0..DISTRIBUTION_MIN_LEN as u64).map(mix).collect();
+        let Some(BucketMap::Linear(map)) = BucketMap::for_slice(&uniform) else {
+            panic!("uniform keys take the linear map");
+        };
+        assert_eq!(map.shift, 64 - LOG_BUCKETS);
+        let Some(BucketMap::LogLinear(map)) = BucketMap::for_slice(&log_uniform()) else {
+            panic!("log-uniform keys take the log-linear map");
+        };
+        assert_eq!(map.bits, 4);
+    }
+
+    proptest! {
+        /// Images below the range's low end, inside it and above its high
+        /// end, in every octave: both maps keep them in order, stay below
+        /// `BUCKETS`, start the range at bucket 0, and put two images in one
+        /// single-image bucket only if they are equal.
+        #[test]
+        fn both_bucket_maps_are_monotone(
+            low in any::<u64>(),
+            width in 0u32..64,
+            span in any::<u64>(),
+            images in proptest::collection::vec(any::<u64>(), 2..40),
+        ) {
+            let high = low.saturating_add(span >> width);
+            let maps = [
+                BucketMap::Linear(Linear::new(low, high)),
+                BucketMap::LogLinear(LogLinear::new(low, high)),
+            ];
+            let mut images: Vec<u64> = images
+                .into_iter()
+                .map(|image| image >> (mix(image) % 64))
+                .chain([0, low.saturating_sub(1), low, high, high.saturating_add(1), u64::MAX])
+                .collect();
+            images.sort_unstable();
+            for map in maps {
+                let bucket = |image: u64| match map {
+                    BucketMap::Linear(map) => map.bucket(image),
+                    BucketMap::LogLinear(map) => map.bucket(image),
+                };
+                prop_assert_eq!(bucket(low), 0);
+                for pair in images.windows(2) {
+                    let (a, b) = (bucket(pair[0]), bucket(pair[1]));
+                    prop_assert!(a <= b && b < BUCKETS, "{:?}: {:?} -> {} {}", map, pair, a, b);
+                    if a == b && map.single_image(a) {
+                        prop_assert_eq!(pair[0], pair[1], "{:?} bucket {}", map, a);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Distribute `data` under `map` and check that the result is a
     /// permutation of the input in which bucket `b` holds exactly the keys
-    /// whose [`bucket_of`] is `b`.
-    fn assert_distributes(mut data: Vec<u64>, tree: &[u64; BUCKETS]) -> [usize; BUCKETS + 1] {
+    /// whose bucket is `b`.
+    fn assert_distributes(mut data: Vec<u64>, map: &impl Classify) -> [usize; BUCKETS + 1] {
         let mut expected = data.clone();
         expected.sort_unstable();
         let mut counts = [0usize; BUCKETS];
-        for key in &data {
-            counts[bucket_of(tree, key)] += 1;
+        for &key in &data {
+            counts[map.bucket_of(key)] += 1;
         }
-        let bounds = distribute(&mut data, tree);
+        let mut buffers = Buffers::new(0);
+        let bounds = distribute(&mut data, map, &mut buffers);
         assert_eq!(bounds[BUCKETS], data.len());
         for b in 0..BUCKETS {
             assert_eq!(bounds[b + 1] - bounds[b], counts[b], "bucket {b} size");
             let bucket = &data[bounds[b]..bounds[b + 1]];
             assert!(
-                bucket.iter().all(|key| bucket_of(tree, key) == b),
+                bucket.iter().all(|&key| map.bucket_of(key) == b),
                 "bucket {b} of {} keys",
                 data.len()
             );
@@ -667,58 +868,64 @@ mod tests {
         bounds
     }
 
-    /// A tree over the splitters `step, 2·step, …, 255·step`.
-    fn spaced_tree(step: u64) -> [u64; BUCKETS] {
-        let splitters: Vec<u64> = (1..BUCKETS as u64).map(|i| i * step).collect();
-        splitter_tree(&splitters)
-    }
-
     #[test]
     fn buckets_are_value_ordered_and_in_place() {
-        let len = SPLITTER_TREE_MIN_LEN + 12_345;
+        let len = DISTRIBUTION_MIN_LEN + 12_345;
         let data: Vec<u64> = (0..len as u64).map(|i| (i * 2654435761) % 50_021).collect();
-        let tree = splitter_tree(&splitters(&data).expect("enough distinct splitters"));
-        assert_distributes(data, &tree);
+        match BucketMap::for_slice(&data).expect("enough distinct splitters") {
+            BucketMap::Linear(map) => assert_distributes(data, &map),
+            BucketMap::LogLinear(map) => assert_distributes(data, &map),
+        };
+        assert_distributes(log_uniform(), &LogLinear::new(1, 1 << 40));
     }
 
     #[test]
     fn a_last_block_past_the_slice_end_is_placed() {
         // A few keys spread thinly over the lower buckets, which stay smaller
-        // than one block or empty; every other key lies above the last
-        // splitter.  The last bucket's area starts at the first block
-        // boundary, and with at most `len % BLOCK` keys below it, its blocks
-        // fill that area up to the boundary past the slice end: the final
-        // block goes to the overflow block, and all but `len % BLOCK` of
-        // its keys overhang the slice.
-        let step = 1 << 20;
-        let len = SPLITTER_TREE_MIN_LEN + 3 * BLOCK + 100;
+        // than one block or empty; every other key lies in the last bucket.
+        // The last bucket's area starts at the first block boundary, and
+        // with at most `len % BLOCK` keys below it, its blocks fill that
+        // area up to the boundary past the slice end: the final block goes
+        // to the overflow block, and all but `len % BLOCK` of its keys
+        // overhang the slice.
+        let map = Linear { low: 0, shift: 20 };
+        let last = (BUCKETS as u64 - 1) << map.shift;
+        let len = DISTRIBUTION_MIN_LEN + 3 * BLOCK + 60;
         let data: Vec<u64> = (0..len as u64)
-            .map(|i| match i % 379 {
-                0 => mix(i) % (BUCKETS as u64 * step),
-                _ => BUCKETS as u64 * step + mix(i) % 1000,
+            .map(|i| match i % 997 {
+                0 => mix(i) % last,
+                _ => last + mix(i) % 1000,
             })
             .collect();
-        let bounds = assert_distributes(data, &spaced_tree(step));
+        let bounds = assert_distributes(data, &map);
         assert!(bounds[BUCKETS - 1] <= len % BLOCK, "{bounds:?}");
+        assert!(bounds[BUCKETS - 1] > 0, "{bounds:?}");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-        /// Slices at block multiples ±1 from the splitter-tree floor up, and
-        /// splitters from `step` to `255·step` over keys below `2^20`: a
-        /// small step leaves buckets smaller than one block or empty and
-        /// piles most keys into the last bucket, whose final block then runs
-        /// past the slice end; a step near `2^12` spreads the keys evenly.
+        /// Slices at block multiples ±1 from the distribution floor up, keys
+        /// below `2^20`, and both maps at every bucket width: a narrow linear
+        /// bucket leaves buckets smaller than one block or empty and piles
+        /// most keys into the last bucket, whose final block then runs past
+        /// the slice end; a shift of 10 spreads the keys evenly, as does a
+        /// log-linear map with few bits per octave.
         #[test]
         fn distribution_places_every_key_in_its_bucket(
             blocks in 0usize..24,
             edge in 0usize..3,
             shift in 0u32..14,
+            log in any::<bool>(),
             seed in any::<u64>(),
         ) {
-            let len = SPLITTER_TREE_MIN_LEN + blocks * BLOCK + edge - 1;
+            let len = DISTRIBUTION_MIN_LEN + blocks * BLOCK + edge - 1;
             let data: Vec<u64> = (0..len as u64).map(|i| mix(seed ^ i) % (1 << 20)).collect();
-            assert_distributes(data, &spaced_tree(1 << shift));
+            let low = mix(seed) % 1024;
+            if log {
+                assert_distributes(data, &LogLinear { low, bits: shift.min(LOG_BUCKETS) });
+            } else {
+                assert_distributes(data, &Linear { low, shift });
+            }
         }
     }
 
@@ -737,22 +944,32 @@ mod tests {
 
     #[test]
     fn distinct_keys_take_one_select_per_rank() {
-        // A permutation of 0..50,000.  A selected key meets a bound only as
-        // its bucket's ceiling splitter, the bucket's largest key, and no
-        // other rank shares its band of one.
+        // A permutation of 0..50,000: no rank shares its band of one, so no
+        // selected key meets a bound.
         let data: Vec<u32> = (0..50_000).map(|i| (i * 7919) % 50_000).collect();
         let ranks = regular_sample_ranks(data.len(), 500);
         assert_eq!(selects_for(data, &ranks), ranks.len());
     }
 
     #[test]
-    fn a_heavy_key_bucket_ends_in_one_select() {
+    fn single_image_buckets_take_no_select() {
+        // 1000 values, so the linear map has one image per bucket: only the
+        // first bucket, which also takes the keys below the trimmed range,
+        // selects.  Each value's copies span about 60 ranks.
+        let data: Vec<u32> = (0..60_000_u64).map(|i| (mix(i) % 1000) as u32).collect();
+        let ranks = regular_sample_ranks(data.len(), 600);
+        let selects = selects_for(data, &ranks);
+        assert!(selects <= 12, "{selects} selects");
+    }
+
+    #[test]
+    fn a_heavy_key_bucket_ends_in_three_selects() {
         // 40,000 distinct even keys and 20,000 copies of one odd key in
-        // their middle: enough distinct splitters for the splitter tree, and
-        // every copy of the heavy key lands in the one bucket whose ceiling
-        // splitter it is.  That bucket's first selection meets its ceiling,
-        // and one pass settles all its heavy ranks; every other rank takes
-        // one selection.  Without the ceiling the bucket would take three.
+        // their middle.  The heavy key's bucket, under 8x the mean share but
+        // below the length floor, goes to the recursion: its first selection
+        // picks the heavy key, and on each side the next one meets it as the
+        // ceiling or the floor, so one pass settles that side's heavy ranks.
+        // Every other rank takes one selection.
         const HEAVY: u32 = 40_001;
         let mut distinct = (0..40_000_u32).map(|j| 2 * ((j * 7919) % 40_000));
         let data: Vec<u32> = (0..60_000)
@@ -764,13 +981,56 @@ mod tests {
                 }
             })
             .collect();
-        assert!(data.len() >= SPLITTER_TREE_MIN_LEN);
+        assert!(data.len() >= DISTRIBUTION_MIN_LEN);
         let ranks = regular_sample_ranks(data.len(), 600);
         let mut sorted = data.clone();
         sorted.sort_unstable();
         let heavy = ranks.iter().filter(|&&r| sorted[r] == HEAVY).count();
         assert!(heavy > 100, "{heavy} heavy ranks");
-        assert_eq!(selects_for(data, &ranks), ranks.len() - heavy + 1);
+        assert_eq!(selects_for(data, &ranks), ranks.len() - heavy + 3);
+    }
+
+    /// Slices distributed while `multiselect` places `ranks` in `data`,
+    /// which it must also get right.
+    fn distributions_for(mut data: Vec<u64>, ranks: &[usize]) -> usize {
+        let mut sorted = data.clone();
+        sorted.sort_unstable();
+        let before = DISTRIBUTIONS.with(std::cell::Cell::get);
+        let picked = multiselect(&mut data, ranks);
+        let distributions = DISTRIBUTIONS.with(std::cell::Cell::get) - before;
+        let expected: Vec<u64> = ranks.iter().map(|&r| sorted[r]).collect();
+        assert_eq!(picked, expected);
+        distributions
+    }
+
+    #[test]
+    fn heavy_buckets_are_distributed_again_down_to_the_depth_cap() {
+        let len = 1 << 18;
+        let ranks = regular_sample_ranks(len, 1000);
+        // Spread keys: one level.
+        let uniform: Vec<u64> = (0..len as u64).map(mix).collect();
+        assert_eq!(distributions_for(uniform, &ranks), 1);
+        // A quarter of the keys in one cluster and the rest in one far
+        // above it: the linear map puts each cluster in one bucket, and the
+        // log-linear map, which spreads the cluster the range starts in,
+        // still leaves the far one whole, so the linear map wins the tie and
+        // both clusters are distributed again.
+        let clusters: Vec<u64> = (0..len as u64)
+            .map(|i| u64::from(mix(i) & 3 != 0) * ((1 << 50) + (1 << 40)) + mix(!i) % 1_000_000)
+            .collect();
+        assert_eq!(distributions_for(clusters, &ranks), 3);
+        // Clusters nested in clusters, each far inside its parent's range:
+        // at every level the keys of the inner clusters share one bucket
+        // under either map, and the cap stops at `MAX_DEPTH` levels.
+        let nested: Vec<u64> = (0..len as u64)
+            .map(|i| match mix(i) % 8 {
+                0 => mix(!i) >> 4,
+                1 => (1 << 59) + (mix(!i) >> 24),
+                2 => ((1 << 59) + (1 << 39)) + (mix(!i) >> 44),
+                _ => ((1 << 59) + (1 << 39) + (1 << 19)) + (mix(!i) >> 54),
+            })
+            .collect();
+        assert_eq!(distributions_for(nested, &ranks), MAX_DEPTH);
     }
 
     #[test]

@@ -1,29 +1,35 @@
-//! Comparison-count ceilings for `multiselect`, a cost gate that host
-//! noise cannot move.
+//! Comparison-count and image-count ceilings for `multiselect`, a cost gate
+//! that host noise cannot move.
 //!
-//! The keys count every `Ord`/`PartialOrd` call in a thread-local counter.
-//! Selection makes no random choices, so for a given input the count is
-//! exact and the same on every run.  Each shape takes `s = 1000` regular
-//! ranks of `2^17` keys, above `SPLITTER_TREE_MIN_LEN`, so the splitter tree
-//! runs wherever the splitters allow.  The ceilings are the counts measured
-//! when they were set: a change that makes selection compare more fails
-//! here, and one that compares less should lower its ceiling.  (At 1M
-//! uniform keys the count is 13.55 per key, against the multiple-selection
-//! lower bound of about log₂ 1000 ≈ 9.97.)
+//! The keys count every `Ord`/`PartialOrd` call, and every `RadixKey::radix`
+//! call, in thread-local counters.  Selection makes no random choices, so
+//! for a given input the counts are exact and the same on every run.  Each
+//! shape takes `s = 1000` regular ranks of `2^17` keys, above
+//! `DISTRIBUTION_MIN_LEN`, so the keys are distributed into buckets wherever
+//! the oversample allows.  The ceilings are the counts measured when they
+//! were set: a change that makes selection compare more fails here, and one
+//! that compares less should lower its ceiling.  The distribution classifies
+//! a key by its image, with no comparison, so the image count is about one
+//! per key for each level of distribution a key goes through: a regression
+//! into extra levels fails that count.  (The multiple-selection lower bound
+//! for comparison-based selection of 1000 ranks is about
+//! log₂ 1000 ≈ 9.97 comparisons per key.)
 
-use opaq_select::{multiselect, regular_sample_ranks, SPLITTER_TREE_MIN_LEN};
+use opaq_select::{multiselect, regular_sample_ranks, RadixKey, DISTRIBUTION_MIN_LEN};
 use std::cell::Cell;
 use std::cmp::Ordering;
 
 thread_local! {
     static COMPARISONS: Cell<u64> = const { Cell::new(0) };
+    static IMAGES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn tick() {
     COMPARISONS.with(|count| count.set(count.get() + 1));
 }
 
-/// A `u64` key that counts its comparisons; equality is not counted.
+/// A `u64` key that counts its comparisons and its images; equality is not
+/// counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Counted(u64);
 
@@ -56,9 +62,16 @@ impl PartialOrd for Counted {
     }
 }
 
+impl RadixKey for Counted {
+    fn radix(self) -> u64 {
+        IMAGES.with(|count| count.set(count.get() + 1));
+        self.0
+    }
+}
+
 const N: usize = 1 << 17;
 const S: usize = 1000;
-const _: () = assert!(N >= SPLITTER_TREE_MIN_LEN);
+const _: () = assert!(N >= DISTRIBUTION_MIN_LEN);
 
 /// SplitMix64 step: a deterministic key stream per seed.
 fn mix(x: u64) -> u64 {
@@ -86,39 +99,76 @@ fn zipf() -> Vec<u64> {
         .collect()
 }
 
-/// Comparisons per key that `multiselect` of `S` regular ranks makes on
-/// `keys`, after checking the selected values against a sort.
-fn comparisons_per_key(keys: Vec<u64>) -> f64 {
+/// Comparisons and images per key that `multiselect` of `S` regular ranks
+/// makes on `keys`, after checking the selected values against a sort.
+fn counts_per_key(keys: Vec<u64>) -> (f64, f64) {
     let ranks = regular_sample_ranks(keys.len(), S);
     let mut sorted = keys.clone();
     sorted.sort_unstable();
     let expected: Vec<Counted> = ranks.iter().map(|&r| Counted(sorted[r])).collect();
     let mut work: Vec<Counted> = keys.into_iter().map(Counted).collect();
-    let before = COMPARISONS.with(Cell::get);
+    let before = (COMPARISONS.with(Cell::get), IMAGES.with(Cell::get));
     let picked = multiselect(&mut work, &ranks);
-    let comparisons = COMPARISONS.with(Cell::get) - before;
+    let comparisons = COMPARISONS.with(Cell::get) - before.0;
+    let images = IMAGES.with(Cell::get) - before.1;
     assert_eq!(picked, expected);
-    comparisons as f64 / work.len() as f64
+    let len = work.len() as f64;
+    (comparisons as f64 / len, images as f64 / len)
 }
 
-fn assert_at_most(shape: &str, keys: Vec<u64>, ceiling: f64) {
-    let per_key = comparisons_per_key(keys);
+/// Hold `multiselect` on `keys` to `comparisons` and `images` per key.
+fn assert_at_most(shape: &str, keys: Vec<u64>, comparisons: f64, images: f64) {
+    let (per_key, images_per_key) = counts_per_key(keys);
     assert!(
-        per_key <= ceiling,
-        "{shape}: {per_key:.4} comparisons per key, over the ceiling of {ceiling}.  The count \
-         includes std's select_nth_unstable, so a toolchain bump may move it: re-measure \
-         before blaming the change"
+        per_key <= comparisons,
+        "{shape}: {per_key:.4} comparisons per key, over the ceiling of {comparisons}.  The \
+         count includes std's select_nth_unstable, so a toolchain bump may move it: \
+         re-measure before blaming the change"
+    );
+    assert!(
+        images_per_key <= images,
+        "{shape}: {images_per_key:.4} images per key, over the ceiling of {images}"
     );
 }
 
 #[test]
 fn uniform_keys() {
-    assert_at_most("uniform", (0..N as u64).map(mix).collect(), 14.28);
+    assert_at_most("uniform", (0..N as u64).map(mix).collect(), 2.50, 1.05);
 }
 
 #[test]
 fn zipf_keys() {
-    assert_at_most("zipf 0.86", zipf(), 13.64);
+    assert_at_most("zipf 0.86", zipf(), 2.47, 1.06);
+}
+
+/// Keys spread evenly over 48 octaves: the log-linear map, one level.
+#[test]
+fn log_uniform_keys() {
+    let keys = (0..N as u64).map(|i| {
+        let octave = mix(i) % 48;
+        (1 << octave) + (mix(!i) >> (63 - octave))
+    });
+    assert_at_most("log-uniform", keys.collect(), 3.26, 1.06);
+}
+
+/// One key in 2000 near `u64::MAX`, the rest below a million: the trimmed
+/// range leaves the outliers out, one level.
+#[test]
+fn rare_outlier_keys() {
+    let keys = (0..N as u64).map(|i| match mix(i) % 2000 {
+        0 => u64::MAX - mix(!i) % 1000,
+        _ => mix(!i) % 1_000_000,
+    });
+    assert_at_most("rare outliers", keys.collect(), 2.58, 1.06);
+}
+
+/// A quarter of the keys in one cluster and the rest far above it: each
+/// cluster lands in one bucket and is distributed again, two levels.
+#[test]
+fn two_cluster_keys() {
+    let keys = (0..N as u64)
+        .map(|i| u64::from(mix(i) & 3 != 0) * ((1 << 50) + (1 << 40)) + mix(!i) % 1_000_000);
+    assert_at_most("two clusters", keys.collect(), 1.66, 2.13);
 }
 
 #[test]
@@ -127,10 +177,11 @@ fn keys_mod_3() {
         "keys mod 3",
         (0..N as u64).map(|i| mix(i) % 3).collect(),
         6.18,
+        0.04,
     );
 }
 
 #[test]
 fn constant_keys() {
-    assert_at_most("constant", vec![7; N], 4.31);
+    assert_at_most("constant", vec![7; N], 4.31, 0.04);
 }

@@ -8,7 +8,7 @@
 //!   quantile phase, deterministic error bounds, exact second pass,
 //!   incremental maintenance, rank estimation.
 //! * [`select`] ([`opaq_select`]) — the sample phase's one multi-selector:
-//!   exact introselect splits behind a splitter-tree distribution.
+//!   exact introselect splits behind a radix-bucket distribution.
 //! * [`storage`] ([`opaq_storage`]) — disk-resident run storage, I/O
 //!   accounting and the disk cost model.
 //! * [`datagen`] ([`opaq_datagen`]) — the paper's workload generators.

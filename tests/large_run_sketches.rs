@@ -1,5 +1,5 @@
-//! Sketches built from runs long enough for the sample phase's splitter-tree
-//! multi-selection (`opaq::select::SPLITTER_TREE_MIN_LEN` keys and up).
+//! Sketches built from runs long enough for the sample phase's bucketing
+//! multi-selection (`opaq::select::DISTRIBUTION_MIN_LEN` keys and up).
 //!
 //! Selection is exact, so the sketch must not depend on which path of the
 //! selector ran or on how the runs are spread over threads: sequential
@@ -9,9 +9,9 @@
 //!
 //! The datasets cover the shapes the sample phase treats differently: spread
 //! keys (uniform, Zipf 0.86), keys left in place or all moved (sorted,
-//! reverse), a heavy Zipf skew whose splitters repeat, so some buckets stay
-//! empty and the heaviest key's bucket is oversized, and few-valued and
-//! constant runs, too few distinct splitters for the tree, which exact
+//! reverse), a heavy Zipf skew whose oversample repeats, so some buckets
+//! stay empty and the heaviest key's bucket is oversized, and few-valued and
+//! constant runs, too few distinct keys for the buckets, which exact
 //! middle-rank recursion ends by its floor and ceiling rules.
 //!
 //! The same datasets, with a short tail run added, are also written to a
@@ -20,13 +20,13 @@
 
 use opaq::core::{RunSample, RunSampler};
 use opaq::datagen::{DatasetSpec, Distribution};
-use opaq::select::{regular_sample_ranks, SelectionStrategy, SPLITTER_TREE_MIN_LEN};
+use opaq::select::{regular_sample_ranks, SelectionStrategy, DISTRIBUTION_MIN_LEN};
 use opaq::{
     FileRunStoreBuilder, MemRunStore, OpaqConfig, OpaqEstimator, QuantileSketch, ShardedOpaq,
 };
 
 /// Three equal runs above the floor, so Lemma 3's `n/s` bound applies as is.
-const M: u64 = SPLITTER_TREE_MIN_LEN as u64 + 34_464;
+const M: u64 = DISTRIBUTION_MIN_LEN as u64 + 34_464;
 const N: u64 = 3 * M;
 const S: u64 = 400;
 
@@ -184,7 +184,7 @@ fn decile_bounds_satisfy_lemma_3() {
 
 /// Each full run is longer than the read window and its byte length is not a
 /// multiple of it, so every run read ends in a part window; the tail run is
-/// shorter than one window and than the splitter-tree floor.
+/// shorter than one window and than the distribution floor.
 #[test]
 fn file_backed_runs_build_the_mem_store_sketch() {
     const TAIL: u64 = 5_000;
