@@ -13,22 +13,27 @@
 //!    slice, where the recursion does in-bucket work.
 //! 4. **Serving set-up** — 500 regular ranks of a 10k-key run, the run
 //!    shape perfbench's `serve-point` samples while it builds its catalog.
-//! 5. **Distribution floor** — slices one key below and at 2^15 and 2^16
-//!    keys, with one rank per 1000 keys and one per 20: each pair times the
-//!    recursion alone against the distribution at nearly the same size
-//!    wherever `DISTRIBUTION_MIN_LEN` falls between them.
+//! 5. **Distribution floor** — slices of 2^13 and 2^14 keys and one key
+//!    below and at 2^15 and 2^16, with 8, 16, 31 and 32 ranks, one rank per
+//!    1000 keys and one per 20.  Rows one key or one rank apart time the
+//!    recursion alone against count and gather at nearly the same size
+//!    wherever `DISTRIBUTION_MIN_LEN` or the 32-rank floor falls between
+//!    them; the rows below 2^15 keys time the recursion alone, the side a
+//!    lower floor would replace.
 //! 6. **Bucket-map shapes** — 2^16 keys, in quick mode too, with 1000
 //!    regular ranks: log-uniform keys (the log-linear map), rare huge
 //!    outliers (the trimmed range), two far-apart clusters (heavy buckets
-//!    distributed again) and signed keys of both signs (the sign-flipped
-//!    image).  In quick mode these are the only rows above the distribution
-//!    floor, so CI's smoke checks the map choice and the second level
-//!    against a sort.
+//!    counted again), sorted keys with 10% duplicates (the map choice by
+//!    gather volume) and signed keys of both signs (the sign-flipped
+//!    image).  In quick mode these and the floor rows at and above 2^15
+//!    keys are the only rows above the distribution floor, so CI's smoke
+//!    checks the map choice and the second level against a sort.
 //! 7. **End-to-end `sample_run`** — the hot path's recycled buffer and
 //!    `RunSampler` rank cache, and the same without the buffer.
 //!
 //! The multi-selection groups refill one reused buffer with the input
-//! before every timed iteration, so the copy is timed but no allocation is.
+//! before every timed iteration and select through one kept
+//! `Multiselector`, so the copy is timed but no allocation is.
 //!
 //! Set `OPAQ_BENCH_QUICK=1` to shrink the 1M-key inputs to 20k keys: that
 //! mode is run per-PR in CI as a smoke job, where the *correctness*
@@ -39,7 +44,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use opaq_core::{sample_run, RunSampler};
 use opaq_datagen::{KeyGenerator, UniformGenerator};
-use opaq_select::{multiselect, regular_sample_ranks, RadixKey, SelectionStrategy};
+use opaq_select::{multiselect, regular_sample_ranks, Multiselector, RadixKey, SelectionStrategy};
 
 fn quick_mode() -> bool {
     std::env::var_os("OPAQ_BENCH_QUICK").is_some()
@@ -72,8 +77,9 @@ fn sorted_at<T: Ord + Copy>(data: &[T], ranks: &[usize]) -> Vec<T> {
     ranks.iter().map(|&r| sorted[r]).collect()
 }
 
-/// Time `multiselect` of `ranks` over `data` in `group` under `name`, after
-/// checking that it selects what a full sort puts at those ranks.
+/// Time the selection of `ranks` from `data` in `group` under `name`
+/// through one kept `Multiselector`, as the sample phase selects, after
+/// checking that `multiselect` selects what a full sort puts at those ranks.
 fn bench_multiselect<T: Ord + RadixKey + std::fmt::Debug>(
     group: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
@@ -86,10 +92,12 @@ fn bench_multiselect<T: Ord + RadixKey + std::fmt::Debug>(
         sorted_at(data, ranks),
         "multiselect selected different values than a sort on {name}"
     );
+    let (mut selector, mut out) = (Multiselector::default(), Vec::new());
     group.bench_function(name, |b| {
         b.iter(|| {
             work.copy_from_slice(data);
-            black_box(multiselect(&mut work, ranks))
+            selector.select_into(&mut work, ranks, &mut out);
+            black_box(&out);
         })
     });
 }
@@ -145,11 +153,21 @@ fn bench_serving_setup_multiselect(c: &mut Criterion) {
 fn bench_distribution_floor(c: &mut Criterion) {
     let mut group = c.benchmark_group("distribution_floor");
     group.sample_size(31);
-    for len in [(1 << 15) - 1, 1 << 15, (1 << 16) - 1, 1 << 16] {
+    for len in [
+        1 << 13,
+        1 << 14,
+        (1 << 15) - 1,
+        1 << 15,
+        (1 << 16) - 1,
+        1 << 16,
+    ] {
         let data = keys(7, len);
-        for per_rank in [1000, 20] {
-            let ranks = regular_sample_ranks(len, len / per_rank);
-            let id = format!("len={len}/s={}", ranks.len());
+        let mut sizes = vec![8, 16, 31, 32, len / 1000, len / 20];
+        sizes.sort_unstable();
+        sizes.dedup();
+        for s in sizes {
+            let ranks = regular_sample_ranks(len, s);
+            let id = format!("len={len}/s={s}");
             bench_multiselect(&mut group, &id, &data, &ranks);
         }
     }
@@ -167,7 +185,7 @@ fn mix(x: u64) -> u64 {
 fn bench_bucket_map_shapes(c: &mut Criterion) {
     let n = 1u64 << 16;
     let ranks = regular_sample_ranks(n as usize, 1000);
-    let shapes: [(&str, Vec<u64>); 3] = [
+    let shapes: [(&str, Vec<u64>); 4] = [
         (
             "log_uniform",
             (0..n)
@@ -192,6 +210,7 @@ fn bench_bucket_map_shapes(c: &mut Criterion) {
                 .map(|i| u64::from(mix(i) & 3 != 0) * ((1 << 50) + (1 << 40)) + mix(!i) % 1_000_000)
                 .collect(),
         ),
+        ("sorted_dup10", (0..n).map(|i| i - i / 10).collect()),
     ];
     let signed: Vec<i64> = (0..n).map(|i| (mix(i) >> 20) as i64 - (1 << 43)).collect();
     let mut group = c.benchmark_group(format!("multiselect_1000_of_{n}_shapes"));

@@ -26,9 +26,10 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The most worker threads `--threads` (sketch) and `--refresh-threads`
-/// (serve) accept.  Each is one OS thread, so a mistyped count is refused
-/// as a usage error before anything starts rather than asked of the OS.
+/// The most threads `--threads` (sketch), `--refresh-threads` and
+/// `--workers` (serve) and `--clients` (serve-bench) accept.  Each is one
+/// OS thread, so a mistyped count is refused as a usage error before
+/// anything starts rather than asked of the OS.
 pub const MAX_THREADS: u64 = 256;
 
 /// Parse the thread-count option `key` (at most [`MAX_THREADS`]), with a
@@ -79,7 +80,8 @@ COMMANDS:
              [--budget B] [--ttl-ms T] [--qps Q] [--slo-p99-ms M]
              [--bench-out FILE]
              replay a mixed read/refresh workload against the serving stack:
-             N client threads issue K requests each across M tenants (every
+             N client threads (at most 256) issue K requests each across M
+             tenants (every
              fifth a tenant-* coalesce plan) while refreshes publish new
              sketch versions live.  Every answer is verified byte-for-byte
              against the sketch version it claims; prints per-tenant
@@ -129,7 +131,8 @@ COMMANDS:
              minted at the front door otherwise).
              --ttl-ms T ages entries: expired tenants serve stale until a
              background re-ingest (--refresh-threads workers, at most 256)
-             republishes.
+             republishes.  --workers W sets the HTTP handler threads
+             (default 8, at most 256).
              --data-dir DIR makes the catalog durable: every publish is
              committed to a write-ahead manifest + per-version sketch files
              under DIR, and a restart over the same DIR rebuilds the exact
@@ -661,7 +664,7 @@ pub fn serve_bench(args: &Args) -> CliResult<String> {
     let spec = LoadSpec {
         topology,
         tenants: args.u64_or("tenants", base.tenants as u64)? as usize,
-        clients: args.u64_or("clients", base.clients as u64)? as usize,
+        clients: thread_count(args, "clients", base.clients as u64)? as usize,
         ops_per_client: args.u64_or("ops", base.ops_per_client)?,
         keys_per_tenant: args.u64_or("keys-per-tenant", base.keys_per_tenant)?,
         run_length: args.u64_or("run-length", base.run_length)?,
@@ -892,7 +895,7 @@ pub fn serve(args: &Args) -> CliResult<String> {
     let sample_size = args.u64_or("sample-size", 500)?.min(run_length);
     let ttl_ms = args.u64_or("ttl-ms", 0)?;
     let refresh_threads = thread_count(args, "refresh-threads", 1)?.max(1);
-    let workers = args.u64_or("workers", 8)?.max(1);
+    let workers = thread_count(args, "workers", 8)?.max(1);
     let seed = args.u64_or("seed", 42)?;
     let peer = args.get("peer").map(str::to_string);
     let peer_poll_ms = args.u64_or("peer-poll-ms", 500)?.max(10);
@@ -1489,8 +1492,8 @@ mod tests {
     #[test]
     fn thread_counts_above_the_maximum_are_usage_errors() {
         // The data file does not exist and no address is bound: the count
-        // is refused where the flag is parsed, before a store is opened or
-        // a thread started.
+        // is refused where the flag is parsed, before a store is opened, a
+        // socket bound or a thread started.
         let too_many = (MAX_THREADS + 1).to_string();
         let sketch = args(&[
             "--data",
@@ -1500,10 +1503,13 @@ mod tests {
             "--threads",
             &too_many,
         ]);
-        let serve = args(&["--addr", "127.0.0.1:0", "--refresh-threads", &too_many]);
+        let serve = |flag| args(&["--addr", "127.0.0.1:0", flag, &too_many]);
+        let serve_bench = args(&["--quick", "--clients", &too_many]);
         for (command, argv, flag) in [
             ("sketch", sketch, "threads"),
-            ("serve", serve, "refresh-threads"),
+            ("serve", serve("--refresh-threads"), "refresh-threads"),
+            ("serve", serve("--workers"), "workers"),
+            ("serve-bench", serve_bench, "clients"),
         ] {
             let err = run(command, &argv).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{command}: {err}");

@@ -18,7 +18,7 @@ use std::ops::Range;
 pub struct IncrementalOpaq<K> {
     config: OpaqConfig,
     sketch: Option<QuantileSketch<K>>,
-    sampler: RunSampler,
+    sampler: RunSampler<K>,
     runs_absorbed: u64,
 }
 
@@ -66,7 +66,7 @@ impl<K: Key> IncrementalOpaq<K> {
     }
 
     /// Sample one run **in place** into `batch`, to be merged by a later
-    /// [`Self::absorb`]: `run` is partially reordered by the selection (the
+    /// [`Self::absorb`]: `run` may be reordered by the selection (the
     /// buffer-reuse contract of [`crate::sample_phase`]), so the caller can
     /// refill it with the next run.  Runs larger than the configured run
     /// length are split.

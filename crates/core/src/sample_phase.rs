@@ -3,7 +3,7 @@
 //! From a run of `m` in-memory elements the phase extracts the `s` elements
 //! of rank `⌈m/s⌉, ⌈2m/s⌉, …, m` by multi-selection (`O(m log s)`): the
 //! paper's recursive median splitting, one exact introselect of the middle
-//! rank per piece, after a radix bucketing pass on long runs.  Each
+//! rank per piece, after a radix count-and-gather pass on long runs.  Each
 //! sample comes with its *gap* — the number of new elements of the run it
 //! stands for.  Gaps are what make the error bounds work for runs whose
 //! length is not an exact multiple of `s` (the paper assumes divisibility
@@ -12,27 +12,31 @@
 //! ## The buffer-reuse contract
 //!
 //! `sample_run` (and [`RunSampler::sample`]) borrows the run as `&mut [K]`
-//! and the selection happens **in place**: on return the slice is *partially
-//! reordered* (each sample value sits at its exact rank, with `<=` on the
-//! left and `>=` on the right).  The sampler relies on that layout itself:
-//! the run minimum is read from the keys before the first sample, about
-//! `m/s` of them, instead of from a second pass over all `m`.  Nothing in
-//! the slice is consumed, which is what makes the ingest loop legal: callers
-//! read the next run **into the same buffer** (`RunStore::read_run_into`)
-//! and sample it again, recycling one `m`-element allocation across the
-//! whole pass.  A caller that needs the run's original order must copy it
-//! first — every OPAQ phase only ever needs each run once, so none do.
+//! and may reorder it: on return the slice is a permutation of the run, in
+//! no promised order.  The run minimum is the order statistic of rank 0,
+//! selected together with the samples, so it needs no second pass and no
+//! layout of the slice.  Nothing in the slice is consumed, which is what
+//! makes the ingest loop legal: callers read the next run **into the same
+//! buffer** (`RunStore::read_run_into`) and sample it again, recycling one
+//! `m`-element allocation across the whole pass.  A caller that needs the
+//! run's original order must copy it first — every OPAQ phase only ever
+//! needs each run once, so none do.
+//!
 //! [`RunSampler`] additionally caches the regular-rank table between runs of
-//! equal length, so steady-state per-run work allocates only the `s`-sized
-//! `values`/`gaps` vectors that outlive the call inside the returned
-//! [`RunSample`], plus the selection's own scratch: on runs of at least
-//! `opaq_select::DISTRIBUTION_MIN_LEN` keys with `s >= 32`, the `u64`
-//! images of a 4096-key oversample and 1024 bucket buffers of 64 keys,
-//! freed before the call returns.  That scratch has the same size whatever `m` is, so one run in
-//! memory is the only `m`-sized buffer of the phase.
+//! equal length and keeps the selection's scratch
+//! ([`opaq_select::Multiselector`]) from run to run, so steady-state
+//! per-run work allocates only the `s`-sized `values`/`gaps` vectors that
+//! outlive the call inside the returned [`RunSample`], plus a few
+//! rank-sized lists and the `u64` images of a 4096-key oversample.  On runs
+//! of at least `opaq_select::DISTRIBUTION_MIN_LEN` keys with `s >= 32` that
+//! scratch is a 256 KB bucket count table, a two-byte bucket id per key
+//! (2 MB at `m` = 1M) and the gathered keys of the buckets that hold a
+//! sample (about 1–2% of a run of spread keys, up to all of it on
+//! adversarial ones).  So beside the run itself the phase holds one
+//! `m`-sized buffer of ids, a quarter of the run's size for `u64` keys.
 
 use crate::{Key, OpaqError, OpaqResult};
-use opaq_select::{multiselect_into, regular_sample_ranks, SelectionStrategy};
+use opaq_select::{regular_sample_ranks, Multiselector, SelectionStrategy};
 
 /// The regular samples of one run, in ascending order, with their gaps.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,9 +69,8 @@ impl<K: Key> RunSample<K> {
     }
 }
 
-/// Extract the `s` regular samples of `run` (which is partially reordered in
-/// the process, as selection is in-place — see the module docs for the
-/// buffer-reuse contract).
+/// Extract the `s` regular samples of `run` (which may be reordered in the
+/// process — see the module docs for the buffer-reuse contract).
 ///
 /// If the run is shorter than `s`, every element becomes a sample with gap 1
 /// — the bounds only get tighter.
@@ -83,21 +86,27 @@ pub fn sample_run<K: Key>(run: &mut [K], s: u64) -> OpaqResult<RunSample<K>> {
 }
 
 /// Reusable sample-phase worker: extracts regular samples run after run,
-/// caching the rank table between runs of the same length.
+/// caching the rank table between runs of the same length and keeping the
+/// selection's scratch.
 ///
 /// Every full-length run of an ingest shares one `(m, s)` pair, so in steady
-/// state [`RunSampler::sample`] recomputes nothing and allocates only the
-/// returned [`RunSample`]'s own `values`/`gaps` vectors.
+/// state [`RunSampler::sample`] recomputes no ranks and grows no scratch.
 #[derive(Debug, Clone)]
-pub struct RunSampler {
+pub struct RunSampler<K> {
     s: u64,
-    /// Regular ranks for a run of length `cached_m` (invalid when
-    /// `cached_m == 0`, i.e. before the first run).
+    /// The ranks selected from a run of length `cached_m`: rank 0 for the
+    /// run minimum, then the regular ranks, unless the first regular rank
+    /// is 0 itself (invalid when `cached_m == 0`, i.e. before the first
+    /// run).
     ranks: Vec<usize>,
+    /// Where the regular ranks start in `ranks`: 1, or 0 when every key is
+    /// a sample.
+    first_sample: usize,
     cached_m: usize,
+    selector: Multiselector<K>,
 }
 
-impl RunSampler {
+impl<K: Key> RunSampler<K> {
     /// Create a sampler taking `s` regular samples per run.  `_strategy`
     /// has one value and changes nothing.
     ///
@@ -112,35 +121,38 @@ impl RunSampler {
         Ok(Self {
             s,
             ranks: Vec::new(),
+            first_sample: 0,
             cached_m: 0,
+            selector: Multiselector::default(),
         })
     }
 
-    /// Extract the regular samples of `run` (partially reordered in place).
+    /// Extract the regular samples of `run` (which may be reordered).
     ///
     /// # Errors
     /// Returns [`OpaqError::EmptyDataset`] if the run is empty.
-    pub fn sample<K: Key>(&mut self, run: &mut [K]) -> OpaqResult<RunSample<K>> {
+    pub fn sample(&mut self, run: &mut [K]) -> OpaqResult<RunSample<K>> {
         if run.is_empty() {
             return Err(OpaqError::EmptyDataset);
         }
         let m = run.len();
         let s_eff = (self.s as usize).min(m);
         if self.cached_m != m {
-            self.ranks = regular_sample_ranks(m, s_eff);
+            let regular = regular_sample_ranks(m, s_eff);
+            self.first_sample = usize::from(regular[0] > 0);
+            self.ranks.clear();
+            self.ranks.extend((self.first_sample > 0).then_some(0));
+            self.ranks.extend(regular);
             self.cached_m = m;
         }
         let mut values = Vec::with_capacity(self.ranks.len());
-        multiselect_into(run, &self.ranks, SelectionStrategy::default(), &mut values);
-        // Selection left nothing but keys `<=` the first sample before it,
-        // so the run minimum is among the first `ranks[0] + 1` keys.
-        let run_min = *run[..=self.ranks[0]]
-            .iter()
-            .min()
-            .expect("non-empty run has a minimum");
-        let mut gaps = Vec::with_capacity(self.ranks.len());
+        self.selector.select_into(run, &self.ranks, &mut values);
+        let run_min = values[0];
+        values.drain(..self.first_sample);
+        let samples = &self.ranks[self.first_sample..];
+        let mut gaps = Vec::with_capacity(samples.len());
         let mut prev_rank_1based = 0u64;
-        for &r in &self.ranks {
+        for &r in samples {
             let rank_1based = (r + 1) as u64;
             gaps.push(rank_1based - prev_rank_1based);
             prev_rank_1based = rank_1based;
@@ -235,9 +247,30 @@ mod tests {
     }
 
     #[test]
+    fn run_min_is_exact_when_it_sits_at_the_end_of_the_run() {
+        // One run long enough to be counted and gathered, one short enough
+        // for the recursion alone, and one where every key is a sample.
+        let mut sampler = RunSampler::new(500, SelectionStrategy::default()).unwrap();
+        for len in [opaq_select::DISTRIBUTION_MIN_LEN + 1_000, 5_000, 500] {
+            let mut run: Vec<u64> = (0..len as u64)
+                .map(|i| 1_000 + (i * 2_654_435_761) % 1_000_003)
+                .collect();
+            *run.last_mut().unwrap() = 7;
+            let mut sorted = run.clone();
+            sorted.sort_unstable();
+            let rs = sampler.sample(&mut run).unwrap();
+            assert_eq!(rs.run_min, 7, "len {len}");
+            let ranks = regular_sample_ranks(len, 500);
+            let expected: Vec<u64> = ranks.iter().map(|&r| sorted[r]).collect();
+            assert_eq!(rs.values, expected, "len {len}");
+            assert_eq!(rs.gaps.iter().sum::<u64>(), len as u64);
+        }
+    }
+
+    #[test]
     fn run_sampler_rejects_zero_s_and_empty_run() {
         assert!(matches!(
-            RunSampler::new(0, SelectionStrategy::default()),
+            RunSampler::<u64>::new(0, SelectionStrategy::default()),
             Err(OpaqError::InvalidConfig(_))
         ));
         let mut sampler = RunSampler::new(4, SelectionStrategy::default()).unwrap();

@@ -15,22 +15,24 @@
 //! `⌈log₂(s+1)⌉`.  A selected key that equals a bound the piece inherited
 //! ends that piece's whole band of equal keys in one pass, which ends
 //! constant and few-valued runs.  Slices of at least
-//! [`DISTRIBUTION_MIN_LEN`] keys with at least 32 ranks are first
-//! *distributed* into 1024 value-ordered buckets by a radix classifier
-//! (after IPS²Ra): each key's order-preserving `u64` image ([`RadixKey`]) is
-//! mapped to its bucket by a subtract, shift and clamp, under a linear or a
-//! log-linear map chosen per call from a sorted oversample.  One pass
-//! appends every key to a per-bucket buffer that is flushed block by block
-//! into the slice, the blocks are swapped in place into their buckets, and
-//! the recursion then runs only inside each bucket on the ranks that fall in
-//! it.  Slices whose oversample is few-valued (constant or few distinct
-//! keys) skip the buckets.
+//! [`DISTRIBUTION_MIN_LEN`] keys with at least 32 ranks first *count, then
+//! gather* (after GPU bucketSelect): each key's order-preserving `u64`
+//! image ([`RadixKey`]) is mapped to one of 65,536 value-ordered buckets by
+//! a subtract, shift and clamp, under a linear or a log-linear map chosen
+//! per call from a sorted oversample (after IPS²Ra's radix classifier).  One
+//! pass counts every bucket and stores each key's bucket id; a second,
+//! reading the ids instead of the images, copies the keys of the few
+//! buckets that hold a rank into a small buffer, and the recursion runs
+//! there, on the ranks that fall in each.  Heavy buckets are counted again on their own keys.
+//! Slices whose oversample is few-valued (constant or few distinct keys)
+//! skip the buckets.
 //!
-//! Selection works in place on `&mut [T]` where `T: Ord + RadixKey`, never
-//! allocates proportionally to the input (the distribution's bucket buffers
-//! have a fixed size), and is exact: every requested rank holds its order
-//! statistic, so OPAQ sketches do not depend on which path of the selector
-//! ran.
+//! Selection works on `&mut [T]` where `T: Ord + RadixKey`, leaves the
+//! slice a permutation of its input, and is exact: the selected values are
+//! the order statistics, so OPAQ sketches do not depend on which path of the
+//! selector ran.  Its scratch (a 256 KB count table, two bytes per key and
+//! the gathered keys) lives in a [`Multiselector`], which a loop over many
+//! runs keeps.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -39,7 +41,9 @@ pub mod multiselect;
 mod partition;
 mod radix;
 
-pub use multiselect::{multiselect, multiselect_into, regular_sample_ranks, DISTRIBUTION_MIN_LEN};
+pub use multiselect::{
+    multiselect, multiselect_into, regular_sample_ranks, Multiselector, DISTRIBUTION_MIN_LEN,
+};
 pub use radix::RadixKey;
 
 /// The single-rank selector of the sample phase.  It has one variant, and

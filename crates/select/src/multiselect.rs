@@ -1,4 +1,4 @@
-//! Multi-selection: place many order statistics simultaneously.
+//! Multi-selection: find many order statistics at once.
 //!
 //! The OPAQ sample phase needs the elements of rank `m/s, 2m/s, …, m` inside
 //! every run.  The paper's recipe (§2.1) is recursive median splitting: find
@@ -28,50 +28,54 @@
 //!
 //! Taken alone, the recursion still makes about `log₂ s` passes over the
 //! whole run, and a 1M-key run does not fit in cache, so every level pays a
-//! full trip to memory.  Large rank sets on large slices therefore first take
-//! one *distribution* pass that replaces the top levels, with the radix
-//! classifier of IPS²Ra (Axtmann, Witt, Ferizovic & Sanders, "Engineering
-//! In-place (Shared-memory) Sorting Algorithms", TOPC 2022) and the
-//! block-wise in-place distribution of IPS⁴o (Axtmann et al., ESA 2017):
+//! full trip to memory.  Yet the sample phase wants only the selected
+//! values.  So large rank sets on large slices *count, then gather*, as
+//! bucketSelect and radixSelect do on GPUs (Alabi, Blanchard, Gordon &
+//! Steinbach, "Fast K-Selection Algorithms for Graphics Processing Units",
+//! JEA 2012), bucketing by the radix classifier of IPS²Ra (Axtmann, Witt,
+//! Ferizovic & Sanders, TOPC 2022):
 //!
-//! 1. **Classify.**  Every key has an order-preserving `u64` image,
-//!    [`RadixKey::radix`].  The images of an evenly spaced oversample of
-//!    4096 keys are sorted, and the range between the 16th smallest and the
-//!    16th largest becomes 1024 value-ordered buckets under one of two maps:
-//!    *linear*, `(image − low) >> shift`, or *log-linear*, which cuts every
-//!    octave of `image − low` into `2^k` equal buckets, for keys spread over
-//!    many orders of magnitude.  Each call takes the map whose largest bucket
-//!    holds fewer oversample keys.  Either way a key finds its bucket with a
-//!    subtract, a shift or two and a clamp, and no comparison; keys beyond
-//!    the trimmed range land in the first or the last bucket.
-//! 2. **Distribute.**  One pass appends every key to its bucket's buffer of
-//!    64 keys.  A full buffer is flushed as one block into the front of the
-//!    slice, which that pass has already read.  Whole blocks are then swapped
-//!    into block-aligned bucket areas, and a left-to-right cleanup places the
-//!    partial buffers and the blocks that overhang a bucket's edge.
-//! 3. **Select inside buckets.**  The recursion runs inside each bucket on
-//!    the ranks that fall in it: a few ranks over a few thousand
-//!    cache-resident keys.  A bucket that covers a single image holds one
-//!    key value, so its ranks already hold their order statistics.  A bucket
-//!    with more than 8× the mean share of keys (one cluster of two far apart,
-//!    or a heavy key among spread ones) that itself clears the floors below
-//!    is distributed again on its own slice, at most three levels deep.
+//! 1. **Map.**  Every key has an order-preserving `u64` image,
+//!    [`RadixKey::radix`].  The sorted images of an evenly spaced 4096-key
+//!    oversample, less `t` at each end, span 65,536 value-ordered buckets
+//!    under a *linear* map, `(image − low) >> shift`, or a *log-linear* one
+//!    that cuts every octave of `image − low` into `2^k` equal buckets; keys
+//!    beyond the range land in the first or the last bucket.  Of both maps
+//!    at `t` = 16 and 128, a call takes the one whose buckets that hold a
+//!    rank's oversample position hold the fewest oversample keys: the
+//!    estimated number of keys to gather.
+//! 2. **Count.**  One pass reads each key's image once, counts the key in
+//!    its bucket and stores the bucket's two-byte id.
+//! 3. **Classify.**  The prefix sums of the counts place every rank in its
+//!    bucket.  A bucket holding a rank is *single-image* if every image in
+//!    it is one value (its ranks all take that key), *heavy* if it holds
+//!    more than 8× the mean share (one of two far-apart clusters, or a heavy
+//!    key among spread ones) and clears the floors below, else *light*.
+//! 4. **Gather.**  One pass reads the stored ids, not the images, and
+//!    writes each key where its bucket's slot says: a light bucket's keys
+//!    fill its slice of a small buffer, a single-image bucket's all land in
+//!    its one slot, every other key in a dump slot, so the pass branches
+//!    only on light keys.  Each heavy bucket is then moved to the slice's
+//!    front by a branchless partition on the stored id, ids alongside.
+//! 5. **Select.**  The recursion runs inside each light bucket's copy on the
+//!    ranks that fall in it; each heavy bucket is counted and gathered again
+//!    on its own keys, at most three levels deep.
 //!
-//! The scratch does not grow with the slice: 1024 bucket buffers of 64 keys,
-//! reused by every level, two more blocks and the oversample's images.
-//! Either way every requested rank holds its exact order statistic, with
-//! `<=` on its left and `>=` on its right.  So the selected values, and every
-//! OPAQ sketch built from them, do not depend on which path ran.
+//! On spread keys 1–2% of a run is copied: each key is read twice and only
+//! its id is written back, where an in-place distribution moved every key.
+//! Every selected value is the exact order statistic whichever path ran, so
+//! OPAQ sketches do not depend on it.  `data` is left a permutation of its
+//! input, and no more is promised.
 //!
 //! Slices shorter than [`DISTRIBUTION_MIN_LEN`] and rank sets of fewer than
 //! 32 ranks go to the recursion directly, which is cheaper there.  So do
 //! slices whose oversample has fewer than 128 distinct images among its 1023
-//! evenly spaced splitter positions (constant or few-valued data): their keys
-//! would collapse into a handful of buckets, while the floor and ceiling
-//! rules end them in a few passes.
+//! evenly spaced splitter positions (constant or few-valued data), which the
+//! floor and ceiling rules end in a few passes.
 
-use crate::partition::block_partition_by;
+use crate::partition::{block_partition_by, block_partition_mirrored};
 use crate::{RadixKey, SelectionStrategy};
+use std::ops::Range;
 
 /// Return the 0-based ranks of the `s` regular samples of a run of length `m`:
 /// the elements of 1-based rank `⌈m/s⌉, ⌈2m/s⌉, …, m`.
@@ -98,174 +102,354 @@ pub fn regular_sample_ranks(m: usize, s: usize) -> Vec<usize> {
 /// Simultaneously select all the order statistics listed in `ranks`
 /// (0-based, may be unsorted but must be unique and in-bounds).
 ///
-/// On return, `data[r]` holds the order statistic of rank `r` for every
-/// `r ∈ ranks`, and the slice is partitioned consistently around those
-/// positions.  Returns the selected values in ascending rank order.
-///
-/// The bound is `T: Ord + RadixKey` (OPAQ keys are fixed-width scalars):
-/// long slices are bucketed by the keys' order-preserving `u64` images, and
-/// selected values are plain loads from the reordered slice.
+/// Returns the selected values in ascending rank order.  `data` is left a
+/// permutation of its input, in no promised order.
 ///
 /// # Panics
 /// Panics if any rank is out of bounds or if `ranks` contains duplicates.
 pub fn multiselect<T: Ord + RadixKey>(data: &mut [T], ranks: &[usize]) -> Vec<T> {
     let mut out = Vec::with_capacity(ranks.len());
-    multiselect_into(data, ranks, SelectionStrategy::default(), &mut out);
+    Multiselector::default().select_into(data, ranks, &mut out);
     out
 }
 
-/// [`multiselect`] writing the selected values into a caller-provided
-/// buffer (cleared first) instead of allocating a fresh one — the hot-path
-/// entry point used by the sample phase.  `_strategy` has one value and
-/// changes nothing.
-///
-/// When `ranks` is already strictly increasing (as produced by
-/// [`regular_sample_ranks`]) no rank copy is made; unsorted rank sets fall
-/// back to one scratch copy for sorting.  Slices of at least
-/// [`DISTRIBUTION_MIN_LEN`] keys with 32 or more ranks also allocate the
-/// distribution's fixed scratch (the images of a 4096-key oversample and
-/// 1024 bucket buffers of 64 keys, whatever the slice length), freed before
-/// the call returns; smaller calls allocate nothing beyond what `out`
-/// already owns.
+/// [`multiselect`] into a caller-provided buffer (cleared first).
+/// `_strategy` has one value and changes nothing.  Each call allocates its
+/// own scratch; a loop over many slices should hold a [`Multiselector`].
 pub fn multiselect_into<T: Ord + RadixKey>(
     data: &mut [T],
     ranks: &[usize],
     _strategy: SelectionStrategy,
     out: &mut Vec<T>,
 ) {
-    out.clear();
-    if ranks.windows(2).all(|w| w[0] < w[1]) {
-        // Pre-sorted (and therefore duplicate-free): select straight off the
-        // caller's slice.
-        check_bounds(ranks, data.len());
-        select_sorted(data, ranks);
-        out.extend(ranks.iter().map(|&r| data[r]));
-    } else {
-        let mut sorted_ranks: Vec<usize> = ranks.to_vec();
-        sorted_ranks.sort_unstable();
-        for pair in sorted_ranks.windows(2) {
+    Multiselector::default().select_into(data, ranks, out);
+}
+
+/// [`multiselect`] with its scratch kept between calls, as the sample phase
+/// does.  Slices of at least [`DISTRIBUTION_MIN_LEN`] keys with 32 or more
+/// ranks use a 256 KB bucket count table, a two-byte bucket id per key and
+/// a buffer for the keys of the buckets that hold a rank (1–2% of a slice
+/// of spread keys); each grows to the largest slice seen.
+#[derive(Clone)]
+pub struct Multiselector<T> {
+    /// Keys per bucket after the count pass, then each bucket's [`Slot`].
+    slots: Vec<u32>,
+    /// Every key's bucket at the current level.
+    ids: Vec<u16>,
+    /// Each level's gathered keys, after its parents'.
+    gather: Vec<T>,
+}
+
+/// Scratch sizes only: the tables are megabytes of bucket ids.
+impl<T> std::fmt::Debug for Multiselector<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ids = self.ids.len();
+        write!(
+            f,
+            "Multiselector {{ ids: {ids}, gathered: {} }}",
+            self.gather.len()
+        )
+    }
+}
+
+/// A selector with no scratch allocated yet.
+impl<T> Default for Multiselector<T> {
+    fn default() -> Self {
+        Self {
+            slots: Vec::new(),
+            ids: Vec::new(),
+            gather: Vec::new(),
+        }
+    }
+}
+
+impl<T: Ord + RadixKey> Multiselector<T> {
+    /// Select the order statistics listed in `ranks` from `data` into `out`
+    /// (cleared first), in ascending rank order; see [`multiselect`].
+    /// Unsorted rank sets are sorted in one scratch copy.
+    ///
+    /// # Panics
+    /// Panics if any rank is out of bounds or if `ranks` contains duplicates.
+    pub fn select_into(&mut self, data: &mut [T], ranks: &[usize], out: &mut Vec<T>) {
+        out.clear();
+        let sorted_ranks;
+        // Pre-sorted ranks are duplicate-free and used as they are.
+        let ranks = if ranks.windows(2).all(|w| w[0] < w[1]) {
+            ranks
+        } else {
+            let mut sorted = ranks.to_vec();
+            sorted.sort_unstable();
+            if let Some(pair) = sorted.windows(2).find(|w| w[0] == w[1]) {
+                panic!("duplicate rank {} in multiselect", pair[0]);
+            }
+            sorted_ranks = sorted;
+            &sorted_ranks
+        };
+        if let Some(&max) = ranks.last() {
+            let len = data.len();
             assert!(
-                pair[0] != pair[1],
-                "duplicate rank {} in multiselect",
-                pair[0]
+                max < len,
+                "rank {max} out of bounds for slice of length {len}"
             );
         }
-        check_bounds(&sorted_ranks, data.len());
-        select_sorted(data, &sorted_ranks);
-        out.extend(sorted_ranks.iter().map(|&r| data[r]));
+        self.select_sorted(data, ranks, out);
+    }
+
+    /// Append the values of `ranks` (sorted, unique, in bounds) to `out`:
+    /// count and gather where it pays, the recursion alone elsewhere.
+    fn select_sorted(&mut self, data: &mut [T], ranks: &[usize], out: &mut Vec<T>) {
+        let len = data.len();
+        // A count and a gather position must fit below a slot's flag bit.
+        if !(DISTRIBUTION_MIN_LEN..FIXED as usize).contains(&len)
+            || ranks.len() < DISTRIBUTION_MIN_RANKS
+        {
+            split_ranks(data, 0, ranks, None, None);
+            out.extend(ranks.iter().map(|&r| data[r]));
+            return;
+        }
+        self.slots.resize(BUCKETS, 0);
+        if self.ids.len() < len {
+            self.ids.resize(len, 0);
+        }
+        let mut scratch = Scratch {
+            slots: (&mut self.slots[..])
+                .try_into()
+                .expect("the slot table has one word per bucket"),
+            gather: &mut self.gather,
+        };
+        scratch.gather.clear();
+        count_gather_select(data, &mut self.ids[..len], 0, ranks, &mut scratch, 1, out);
     }
 }
 
-fn check_bounds(sorted_ranks: &[usize], len: usize) {
-    if let Some(&max) = sorted_ranks.last() {
-        assert!(
-            max < len,
-            "rank {max} out of bounds for slice of length {len}"
-        );
-    }
-}
-
-/// Slices shorter than this skip the distribution and run the recursion
-/// alone.  The oversample and the 1024 buckets pay off only on slices many
-/// times their size.  The floor was set for the splitter tree this
-/// classifier replaced: at this length, with one rank per 1000 keys, the
-/// tree and the recursion alone measured even, and from 48k keys the tree
-/// won by about 1.25×.  The radix classifier is cheaper per key than the
-/// tree, so the floor errs on the side of the recursion.
+/// Slices shorter than this skip the buckets and run the recursion alone:
+/// a count and gather costs a fixed ~150 µs (the 256 KB table, the bucket
+/// walk, the oversample), and with 32 ranks it measured even at this length.
 pub const DISTRIBUTION_MIN_LEN: usize = 1 << 15;
 
-/// Rank sets smaller than this skip the distribution: with few ranks the
-/// recursion makes only a few passes, which beat the distribution.  With
-/// 8 ranks the recursion alone measured about 1.4× faster than the splitter
-/// tree at every length up to 1M keys, with 16 about 1.1×; with 32 the two
-/// were even.
+/// Rank sets smaller than this skip the buckets: the recursion's few passes
+/// beat the count and gather.
 const DISTRIBUTION_MIN_RANKS: usize = 32;
 
-const LOG_BUCKETS: u32 = 10;
+const LOG_BUCKETS: u32 = 16;
 const BUCKETS: usize = 1 << LOG_BUCKETS;
 
 /// Oversample keys whose images choose the range and the map.
 const OVERSAMPLE: usize = 4096;
 
-/// Oversample keys left out of the range at each end, so a few outliers do
-/// not stretch it: keys past either end share the first or the last bucket.
-const TRIM: usize = 16;
+/// Oversample keys left out of the range at each end, one candidate range
+/// per value: keys past either end share the first or the last bucket.
+/// The tight trim keeps outliers, up to 3% of a slice, from coarsening the
+/// other keys' buckets; the loose one keeps those end buckets small.
+const TRIMS: [usize; 2] = [16, 128];
 
-/// Fewer distinct images than this at the oversample's `BUCKETS - 1` evenly
-/// spaced splitter positions means a few-valued slice: a handful of buckets
-/// would hold nearly every key, so distributing buys nothing.
-const MIN_DISTINCT_SPLITTERS: usize = BUCKETS / 8;
+/// Fewer distinct images than this at the oversample's `SPLITTERS - 1`
+/// evenly spaced positions means a few-valued slice: a handful of buckets
+/// would hold nearly every key, so counting buys nothing.
+const MIN_DISTINCT_SPLITTERS: usize = SPLITTERS / 8;
+const SPLITTERS: usize = 1024;
 
-/// A bucket with more than this many times the mean share of keys is
-/// distributed again, if it also clears the length and rank floors.
+/// A bucket with more than this many times the mean share of keys is counted
+/// and gathered again, if it also clears the length and rank floors.
 const HEAVY_SHARE: usize = 8;
 
-/// Most nested distributions of one slice.  Every level shrinks the slice,
-/// but keys laid out to keep one bucket heavy under both maps could make it
-/// shrink slowly; two levels serve clusters, a third nested ones.
+/// Most nested count-and-gather levels of one slice: keys laid out to keep
+/// one bucket heavy under every map could shrink it slowly.  Two levels
+/// serve clusters, a third nested ones.
 const MAX_DEPTH: usize = 3;
 
-/// Keys per block of the distribution: each bucket buffers this many keys
-/// before it flushes them to the slice as one block.
-const BLOCK: usize = 64;
+/// A bucket's word in the slot table during the gather pass: `at`, below
+/// [`FIXED`], for a light bucket, whose next key goes to `gather[at]`, and
+/// [`FIXED`]` | at` for one whose every key goes to `gather[at]`: the one
+/// key a single-image bucket needs, or its level's dump slot.
+type Slot = u32;
+const FIXED: Slot = 1 << 31;
 
-/// Place every rank of `ranks` (sorted, unique, in bounds): the distribution
-/// first where it pays, then exact middle-rank recursion.
-fn select_sorted<T: Ord + RadixKey>(data: &mut [T], ranks: &[usize]) {
-    if data.len() < DISTRIBUTION_MIN_LEN || ranks.len() < DISTRIBUTION_MIN_RANKS {
-        split_ranks(data, 0, ranks, None, None);
-    } else {
-        distribute_and_select(data, 0, ranks, &mut None, 1);
-    }
+/// The scratch one level works in, borrowed from a [`Multiselector`].
+struct Scratch<'a, T> {
+    slots: &'a mut [Slot; BUCKETS],
+    gather: &'a mut Vec<T>,
 }
 
-/// Distribute `data` (at absolute index `offset`, holding the absolute
-/// `ranks`) into buckets and place each bucket's ranks inside it; the
-/// recursion alone when the oversample is few-valued.  `buffers` is the
-/// bucket scratch, allocated by the first level that distributes and reused
-/// by the levels below it.
-fn distribute_and_select<T: Ord + RadixKey>(
+/// Append the values of the absolute `ranks` inside `data` (at absolute
+/// index `offset`) to `out`, in rank order: count, gather and select, or the
+/// recursion alone when the oversample is few-valued.  `ids` is `data`'s
+/// slice of the id scratch.
+fn count_gather_select<T: Ord + RadixKey>(
     data: &mut [T],
+    ids: &mut [u16],
     offset: usize,
     ranks: &[usize],
-    buffers: &mut Option<Buffers<T>>,
+    scratch: &mut Scratch<'_, T>,
     depth: usize,
+    out: &mut Vec<T>,
 ) {
-    let Some(map) = BucketMap::for_slice(data) else {
+    let Some(map) = BucketMap::for_slice(data, offset, ranks) else {
         split_ranks(data, offset, ranks, None, None);
+        out.extend(ranks.iter().map(|&r| data[r - offset]));
         return;
     };
     #[cfg(test)]
     DISTRIBUTIONS.with(|count| count.set(count.get() + 1));
-    let scratch = buffers.get_or_insert_with(|| Buffers::new(data[0]));
-    let bounds = match map {
-        BucketMap::Linear(map) => distribute(data, &map, scratch),
-        BucketMap::LogLinear(map) => distribute(data, &map, scratch),
-    };
+    let base = scratch.gather.len();
+    let pieces = distribute(data, ids, offset, ranks, &map, scratch, depth);
+    for piece in &pieces {
+        let ranks = &ranks[piece.ranks.clone()];
+        let start = offset + piece.start;
+        let Range { start: at, end } = piece.keys.clone();
+        match piece.kind {
+            Kind::Single => out.extend(ranks.iter().map(|_| scratch.gather[at])),
+            Kind::Light => {
+                let keys = &mut scratch.gather[at..end];
+                split_ranks(keys, start, ranks, None, None);
+                out.extend(ranks.iter().map(|&r| keys[r - start]));
+            }
+            Kind::Heavy => count_gather_select(
+                &mut data[at..end],
+                &mut ids[at..end],
+                start,
+                ranks,
+                scratch,
+                depth + 1,
+                out,
+            ),
+        }
+    }
+    scratch.gather.truncate(base);
+}
 
-    // Buckets are value-ordered, so each rank is solved inside its bucket.
-    let heavy = HEAVY_SHARE * data.len() / BUCKETS;
-    let mut first = 0;
-    for b in 0..BUCKETS {
-        let (lo, hi) = (bounds[b], bounds[b + 1]);
-        let last = first + ranks[first..].partition_point(|&r| r < offset + hi);
-        let (bucket, bucket_ranks) = (&mut data[lo..hi], &ranks[first..last]);
-        first = last;
-        if bucket_ranks.is_empty() {
+/// What a bucket that holds a rank becomes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Every image in it is one value: one gathered key answers its ranks.
+    Single,
+    /// Copied into the gather buffer and selected there.
+    Light,
+    /// Grouped at the slice's front and counted again.
+    Heavy,
+}
+
+/// A bucket that holds a rank, after [`distribute`].
+#[derive(Debug)]
+struct Piece {
+    bucket: usize,
+    kind: Kind,
+    /// Keys of the slice in lower buckets, so the bucket's first rank.
+    start: usize,
+    /// Indices of the bucket's ranks in the level's rank set.
+    ranks: Range<usize>,
+    /// Its keys: in the gather buffer (one for a single-image bucket), or
+    /// in the slice for a heavy one.
+    keys: Range<usize>,
+}
+
+/// One level's count and gather over `data` under `map`: its pieces, in
+/// bucket order, with each light or single-image bucket's keys in its `keys`
+/// range of `scratch.gather` and the heavy buckets' keys in theirs at the
+/// front of `data`, `ids` moved alongside.  `data` stays a permutation.
+fn distribute<T: Ord + RadixKey>(
+    data: &mut [T],
+    ids: &mut [u16],
+    offset: usize,
+    ranks: &[usize],
+    map: &BucketMap,
+    scratch: &mut Scratch<'_, T>,
+    depth: usize,
+) -> Vec<Piece> {
+    let slots = &mut *scratch.slots;
+    slots.fill(0);
+    match map {
+        BucketMap::Linear(map) => count(data, ids, map, slots),
+        BucketMap::LogLinear(map) => count(data, ids, map, slots),
+    }
+
+    // A bucket's ranks are those below the keys in it and the buckets before.
+    let heavy = (HEAVY_SHARE * data.len() / BUCKETS).max(DISTRIBUTION_MIN_LEN - 1);
+    let mut pieces = Vec::new();
+    // The level's first gather slot takes the keys it passes over.
+    let dump = FIXED | scratch.gather.len() as Slot;
+    let mut gathered = scratch.gather.len() + 1;
+    let (mut start, mut first) = (0, 0);
+    for (bucket, slot) in slots.iter_mut().enumerate() {
+        let len = *slot as usize;
+        let end = start + len;
+        if first == ranks.len() || ranks[first] - offset >= end {
+            *slot = dump;
+            start = end;
             continue;
         }
-        if map.single_image(b) {
-            // One key value: a floor equal to the ceiling ends the piece.
-            let key = Some(bucket[0]);
-            split_ranks(bucket, offset + lo, bucket_ranks, key, key);
-        } else if bucket.len() > heavy
-            && bucket.len() >= DISTRIBUTION_MIN_LEN
-            && bucket_ranks.len() >= DISTRIBUTION_MIN_RANKS
-            && depth < MAX_DEPTH
-        {
-            distribute_and_select(bucket, offset + lo, bucket_ranks, buffers, depth + 1);
+        let last = first + ranks[first..].partition_point(|&r| r - offset < end);
+        let (kind, keys, word) = if map.single_image(bucket) {
+            (
+                Kind::Single,
+                gathered..gathered + 1,
+                FIXED | gathered as Slot,
+            )
+        } else if len > heavy && last - first >= DISTRIBUTION_MIN_RANKS && depth < MAX_DEPTH {
+            // Its keys are placed once the gather is done.
+            (Kind::Heavy, 0..len, dump)
         } else {
-            split_ranks(bucket, offset + lo, bucket_ranks, None, None);
+            (Kind::Light, gathered..gathered + len, gathered as Slot)
+        };
+        *slot = word;
+        if kind != Kind::Heavy {
+            gathered = keys.end;
+        }
+        pieces.push(Piece {
+            bucket,
+            kind,
+            start,
+            ranks: first..last,
+            keys,
+        });
+        (start, first) = (end, last);
+    }
+
+    if pieces.iter().any(|piece| piece.kind != Kind::Heavy) {
+        scratch.gather.resize(gathered, data[0]);
+        gather(data, ids, slots, scratch.gather);
+    }
+
+    // Heavy buckets to the slice's front in bucket order, one partition on
+    // the stored id each, none for a last one that fills the rest.
+    let mut front = 0;
+    for piece in pieces.iter_mut().filter(|piece| piece.kind == Kind::Heavy) {
+        let len = piece.keys.len();
+        if front + len < data.len() {
+            let id = piece.bucket as u16;
+            let (keys, ids) = (&mut data[front..], &mut ids[front..]);
+            block_partition_mirrored(ids, |&key_id| key_id == id, |a, b| keys.swap(a, b));
+        }
+        piece.keys = front..front + len;
+        front += len;
+    }
+    pieces
+}
+
+/// The count pass: store every key's bucket under `map` in `ids` and count
+/// it in `counts`.  One image per key.
+fn count<T: RadixKey>(
+    data: &[T],
+    ids: &mut [u16],
+    map: &impl Classify,
+    counts: &mut [u32; BUCKETS],
+) {
+    for (key, id) in data.iter().zip(ids.iter_mut()) {
+        // Buckets are below 2^16: an exact cast, and no bounds check.
+        let bucket = map.bucket(key.radix()) as u16;
+        counts[usize::from(bucket)] += 1;
+        *id = bucket;
+    }
+}
+
+/// The gather pass: write every key to the place its [`Slot`] word names,
+/// reading the stored ids, not the images; a light bucket's word then moves on.
+fn gather<T: Copy>(data: &[T], ids: &[u16], slots: &mut [Slot; BUCKETS], gather: &mut [T]) {
+    for (&key, &id) in data.iter().zip(ids) {
+        let slot = slots[usize::from(id)];
+        gather[(slot & !FIXED) as usize] = key;
+        if slot < FIXED {
+            slots[usize::from(id)] = slot + 1;
         }
     }
 }
@@ -274,12 +458,6 @@ fn distribute_and_select<T: Ord + RadixKey>(
 trait Classify {
     /// The bucket, below [`BUCKETS`], of a key whose image is `image`.
     fn bucket(&self, image: u64) -> usize;
-
-    /// The bucket of `key`.
-    #[inline(always)]
-    fn bucket_of<T: RadixKey>(&self, key: T) -> usize {
-        self.bucket(key.radix())
-    }
 }
 
 /// `(image − low) >> shift`, clamped to the last bucket.
@@ -346,43 +524,58 @@ impl Classify for LogLinear {
     }
 }
 
-/// The map one call distributes with.
+/// The map one level counts with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BucketMap {
     Linear(Linear),
     LogLinear(LogLinear),
 }
 
+impl Classify for BucketMap {
+    fn bucket(&self, image: u64) -> usize {
+        match self {
+            Self::Linear(map) => map.bucket(image),
+            Self::LogLinear(map) => map.bucket(image),
+        }
+    }
+}
+
 impl BucketMap {
-    /// The map for `data` (at least [`OVERSAMPLE`] keys): over the trimmed
-    /// range of the sorted images of an evenly spaced oversample, the linear
-    /// or the log-linear map, whichever puts fewer oversample keys in its
-    /// largest bucket.  `None` when fewer than [`MIN_DISTINCT_SPLITTERS`] of
-    /// the oversample's splitter positions hold distinct images.
-    fn for_slice<T: RadixKey>(data: &[T]) -> Option<Self> {
+    /// The map for `data` (at least [`OVERSAMPLE`] keys, at absolute index
+    /// `offset`, holding the absolute `ranks`): of both maps over each
+    /// trimmed range of its oversample, the first with the smallest
+    /// [`gather_volume`].  `None` for a few-valued oversample.
+    fn for_slice<T: RadixKey>(data: &[T], offset: usize, ranks: &[usize]) -> Option<Self> {
         let stride = data.len() / OVERSAMPLE;
         debug_assert!(stride > 0, "slice shorter than the oversample");
         let mut images: Vec<u64> = (0..OVERSAMPLE)
             .map(|i| data[i * stride + stride / 2].radix())
             .collect();
         images.sort_unstable();
-        let per_bucket = OVERSAMPLE / BUCKETS;
+        let per_splitter = OVERSAMPLE / SPLITTERS;
         let distinct = 1
-            + (per_bucket..OVERSAMPLE - per_bucket)
-                .step_by(per_bucket)
-                .filter(|&at| images[at] < images[at + per_bucket])
+            + (per_splitter..OVERSAMPLE - per_splitter)
+                .step_by(per_splitter)
+                .filter(|&at| images[at] < images[at + per_splitter])
                 .count();
         if distinct < MIN_DISTINCT_SPLITTERS {
             return None;
         }
-        let (low, high) = (images[TRIM], images[OVERSAMPLE - 1 - TRIM]);
-        let linear = Linear::new(low, high);
-        let log = LogLinear::new(low, high);
-        Some(if largest(&images, &log) < largest(&images, &linear) {
-            Self::LogLinear(log)
-        } else {
-            Self::Linear(linear)
-        })
+        // Where each rank falls in the sorted oversample.
+        let positions: Vec<usize> = ranks
+            .iter()
+            .map(|&r| ((r - offset) / stride).min(OVERSAMPLE - 1))
+            .collect();
+        TRIMS
+            .iter()
+            .flat_map(|&trim| {
+                let (low, high) = (images[trim], images[OVERSAMPLE - 1 - trim]);
+                [
+                    Self::Linear(Linear::new(low, high)),
+                    Self::LogLinear(LogLinear::new(low, high)),
+                ]
+            })
+            .min_by_key(|map| gather_volume(&images, &positions, map))
     }
 
     /// Whether every image in bucket `b` is one value.  The first and last
@@ -397,218 +590,33 @@ impl BucketMap {
     }
 }
 
-/// The most `sorted` images that `map` puts in one bucket.  Buckets are
-/// value-ordered, so each bucket's images are one run of `sorted`.
-fn largest(sorted: &[u64], map: &impl Classify) -> usize {
-    let mut most = 0;
-    let mut at = 0;
-    while at < sorted.len() {
+/// How many of the `sorted` images share a bucket under `map` with one of
+/// the images at `positions` (ascending): the keys a gather would copy, in
+/// oversample keys.  Buckets are value-ordered, so each bucket's images are
+/// one run of `sorted`.
+fn gather_volume(sorted: &[u64], positions: &[usize], map: &impl Classify) -> usize {
+    let mut volume = 0;
+    let (mut at, mut next) = (0, 0);
+    while at < sorted.len() && next < positions.len() {
         let bucket = map.bucket(sorted[at]);
-        let run = sorted[at..].partition_point(|&image| map.bucket(image) == bucket);
-        most = most.max(run);
-        at += run;
-    }
-    most
-}
-
-/// Move every key into its bucket under `map`, in place, and return the
-/// bucket bounds: bucket `b` ends up in `data[bounds[b]..bounds[b + 1]]`.
-///
-/// Block-wise, after IPS⁴o: [`Buffers::fill`] classifies every key and
-/// flushes full buffers as blocks into the slice's front,
-/// [`permute_blocks`] swaps those blocks into block-aligned bucket areas,
-/// and [`cleanup`] fills each bucket's edges from its buffer and from the
-/// block that overhangs its end.
-fn distribute<T: RadixKey, C: Classify>(
-    data: &mut [T],
-    map: &C,
-    buffers: &mut Buffers<T>,
-) -> [usize; BUCKETS + 1] {
-    let Some(&first) = data.first() else {
-        return [0; BUCKETS + 1];
-    };
-    let flushed = buffers.fill(data, map);
-    let mut bounds = [0usize; BUCKETS + 1];
-    for b in 0..BUCKETS {
-        bounds[b + 1] = bounds[b] + buffers.blocks[b] * BLOCK + buffers.waiting(b).len();
-    }
-    let mut overflow = [first; BLOCK];
-    let ends = permute_blocks(data, map, &bounds, flushed, &mut overflow);
-    cleanup(data, &bounds, &ends, buffers, &overflow);
-    bounds
-}
-
-/// One buffer of [`BLOCK`] keys per bucket, for [`distribute`].
-struct Buffers<T> {
-    /// Bucket `b`'s buffer is `keys[b * BLOCK..(b + 1) * BLOCK]`.
-    keys: Box<[T; BUCKETS * BLOCK]>,
-    /// Where the next key of each bucket goes in `keys`: bucket `b` has
-    /// `keys[b * BLOCK..next[b]]` waiting, always less than a block.
-    next: [usize; BUCKETS],
-    /// Full blocks flushed from each buffer.
-    blocks: [usize; BUCKETS],
-}
-
-impl<T: RadixKey> Buffers<T> {
-    /// Buffers for one distribution; `filler` only initialises their slots.
-    fn new(filler: T) -> Self {
-        let keys = vec![filler; BUCKETS * BLOCK].into_boxed_slice();
-        Self {
-            keys: keys
-                .try_into()
-                .unwrap_or_else(|_| unreachable!("exact length")),
-            next: [0; BUCKETS],
-            blocks: [0; BUCKETS],
+        let mut end = at + 1;
+        while end < sorted.len() && map.bucket(sorted[end]) == bucket {
+            end += 1;
         }
-    }
-
-    /// The keys waiting in bucket `b`'s buffer.
-    fn waiting(&self, b: usize) -> &[T] {
-        &self.keys[b * BLOCK..self.next[b]]
-    }
-
-    /// Empty every buffer, then classify every key of `data` into its
-    /// bucket's buffer, flushing each full buffer as a block to the front of
-    /// `data`.  Returns the length of the flushed front, a multiple of
-    /// [`BLOCK`].
-    ///
-    /// A block is flushed only once [`BLOCK`] keys of its bucket have been
-    /// read, so it always lands on keys the pass has already read.
-    fn fill<C: Classify>(&mut self, data: &mut [T], map: &C) -> usize {
-        let Self { keys, next, blocks } = self;
-        *next = std::array::from_fn(|b| b * BLOCK);
-        *blocks = [0; BUCKETS];
-        let mut flushed = 0;
-        for at in 0..data.len() {
-            let key = data[at];
-            // Masking changes nothing, the map clamps, but it lets the
-            // compiler drop the bounds checks.
-            let bucket = map.bucket_of(key) & (BUCKETS - 1);
-            let slot = next[bucket];
-            keys[slot & (BUCKETS * BLOCK - 1)] = key;
-            if (slot + 1) % BLOCK != 0 {
-                next[bucket] = slot + 1;
-            } else {
-                let start = slot + 1 - BLOCK;
-                data[flushed..flushed + BLOCK].copy_from_slice(&keys[start..=slot]);
-                flushed += BLOCK;
-                next[bucket] = start;
-                blocks[bucket] += 1;
-            }
+        if positions[next] < end {
+            volume += end - at;
+            next += positions[next..].partition_point(|&p| p < end);
         }
-        flushed
+        at = end;
     }
-}
-
-/// Round `at` up to a block boundary.
-fn block_ceil(at: usize) -> usize {
-    at.div_ceil(BLOCK) * BLOCK
-}
-
-/// Swap the full blocks in `data[..flushed]` into bucket areas, in place,
-/// and return each bucket's end of blocks.
-///
-/// Bucket `b`'s blocks go to the block-aligned area that starts at
-/// `block_ceil(bounds[b])`; it has room for all of them, but its last block
-/// may run past `bounds[b + 1]`.  `write[b]` is the next slot of that area
-/// and `read[b]` the end of the flushed blocks not yet looked at inside it,
-/// so slots before `write[b]` are final and slots from `read[b]` on are
-/// free.  Each cycle takes the last unread block of one bucket's area and
-/// carries it to its own bucket's write slot, skipping blocks already in
-/// place there; if that slot holds a foreign block, the two swap and the
-/// cycle carries the foreign one on, and otherwise the slot is free and the
-/// cycle ends.  The one slot that runs past the end of `data` goes to
-/// `overflow`.
-fn permute_blocks<T: RadixKey, C: Classify>(
-    data: &mut [T],
-    map: &C,
-    bounds: &[usize; BUCKETS + 1],
-    flushed: usize,
-    overflow: &mut [T; BLOCK],
-) -> [usize; BUCKETS] {
-    let mut write = [0usize; BUCKETS];
-    let mut read = [0usize; BUCKETS];
-    for b in 0..BUCKETS {
-        let (start, end) = (block_ceil(bounds[b]), block_ceil(bounds[b + 1]));
-        write[b] = start;
-        read[b] = flushed.clamp(start, end);
-    }
-    // Any keys do: the carried block is loaded before it is read.
-    let mut carry = *overflow;
-    for b in 0..BUCKETS {
-        while write[b] < read[b] {
-            read[b] -= BLOCK;
-            let at = read[b];
-            carry.copy_from_slice(&data[at..at + BLOCK]);
-            let mut dest = map.bucket_of(carry[0]);
-            loop {
-                while write[dest] < read[dest] && map.bucket_of(data[write[dest]]) == dest {
-                    write[dest] += BLOCK;
-                }
-                let slot = write[dest];
-                write[dest] += BLOCK;
-                if slot < read[dest] {
-                    data[slot..slot + BLOCK].swap_with_slice(&mut carry);
-                    dest = map.bucket_of(carry[0]);
-                } else {
-                    match data.get_mut(slot..slot + BLOCK) {
-                        Some(free) => free.copy_from_slice(&carry),
-                        None => *overflow = carry,
-                    }
-                    break;
-                }
-            }
-        }
-    }
-    write
-}
-
-/// Complete every bucket, left to right, once [`permute_blocks`] has placed
-/// the full blocks: bucket `b`'s blocks fill `block_ceil(bounds[b])..ends[b]`.
-///
-/// Bucket `b` still lacks its head, `bounds[b]..block_ceil(bounds[b])`,
-/// which holds the overhang of the bucket before (already moved out), and
-/// any tail between its last block and `bounds[b + 1]`.  They take the keys
-/// of its last block that lie past `bounds[b + 1]`, then its buffer.  Those
-/// overhanging keys sit in the next bucket's head, which is filled only
-/// afterwards; if the block is the one that ran past the slice end, it is
-/// in `overflow`.
-fn cleanup<T: RadixKey>(
-    data: &mut [T],
-    bounds: &[usize; BUCKETS + 1],
-    ends: &[usize; BUCKETS],
-    buffers: &Buffers<T>,
-    overflow: &[T; BLOCK],
-) {
-    for b in 0..BUCKETS {
-        let (lo, hi, end) = (bounds[b], bounds[b + 1], ends[b]);
-        let start = block_ceil(lo);
-        let head_end = start.min(hi);
-        let mut at = lo;
-        // A bucket without blocks has `end == start`, which may lie past `hi`.
-        if end > start.max(hi) {
-            let last = end - BLOCK;
-            if end > data.len() {
-                let (inside, over) = overflow.split_at(hi - last);
-                data[last..hi].copy_from_slice(inside);
-                data[at..at + over.len()].copy_from_slice(over);
-                at += over.len();
-            } else {
-                data.copy_within(hi..end, at);
-                at += end - hi;
-            }
-        }
-        let (head, tail) = buffers.waiting(b).split_at(head_end - at);
-        data[at..head_end].copy_from_slice(head);
-        data[end.clamp(head_end, hi)..hi].copy_from_slice(tail);
-    }
+    volume
 }
 
 #[cfg(test)]
 thread_local! {
     /// Exact selections [`split_ranks`] made on this thread.
     static SELECTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    /// Slices [`distribute_and_select`] distributed on this thread.
+    /// Count-and-gather levels [`count_gather_select`] ran on this thread.
     static DISTRIBUTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
@@ -710,10 +718,8 @@ mod tests {
         let picked = multiselect(&mut work, &ranks);
         let expected: Vec<u32> = ranks.iter().map(|&r| sorted[r]).collect();
         assert_eq!(picked, expected);
-        // In-place positions must also be correct.
-        for &r in &ranks {
-            assert_eq!(work[r], sorted[r]);
-        }
+        work.sort_unstable();
+        assert_eq!(work, sorted, "the slice must stay a permutation");
     }
 
     #[test]
@@ -758,16 +764,39 @@ mod tests {
     }
 
     #[test]
+    fn a_selector_reused_across_lengths_matches_sort() {
+        // Long, short, longer and long again: the scratch grows, is reused,
+        // and never leaks one call's keys into the next.
+        let mut selector = Multiselector::default();
+        let mut out = Vec::new();
+        for (len, seed) in [(1 << 16, 1), (20_000, 2), (100_000, 3), (1 << 16, 4)] {
+            let data: Vec<u64> = (0..len as u64).map(|i| mix(seed ^ i) % 1_000_000).collect();
+            let ranks = regular_sample_ranks(len, 500);
+            let mut sorted = data.clone();
+            sorted.sort_unstable();
+            let mut work = data;
+            selector.select_into(&mut work, &ranks, &mut out);
+            let expected: Vec<u64> = ranks.iter().map(|&r| sorted[r]).collect();
+            assert_eq!(out, expected, "len {len}");
+        }
+    }
+
+    /// Regular ranks of `data`, for the map choice.
+    fn map_for(data: &[u64]) -> Option<BucketMap> {
+        BucketMap::for_slice(data, 0, &regular_sample_ranks(data.len(), 1000))
+    }
+
+    #[test]
     fn few_valued_slices_get_no_bucket_map() {
         let len = DISTRIBUTION_MIN_LEN;
         let constant = vec![9_u64; len];
-        assert!(BucketMap::for_slice(&constant).is_none());
+        assert!(map_for(&constant).is_none());
         let few: Vec<u64> = (0..len as u64).map(|i| (i * 2654435761) % 3).collect();
-        assert!(BucketMap::for_slice(&few).is_none());
+        assert!(map_for(&few).is_none());
         let uniform: Vec<u64> = (0..len as u64)
             .map(|i| (i * 2654435761) % 1_000_003)
             .collect();
-        assert!(BucketMap::for_slice(&uniform).is_some());
+        assert!(map_for(&uniform).is_some());
     }
 
     /// SplitMix64 step: a deterministic key stream per seed.
@@ -788,17 +817,48 @@ mod tests {
             .collect()
     }
 
+    /// The sorted images of `data`'s oversample, as the map choice reads it.
+    fn oversample(data: &[u64]) -> Vec<u64> {
+        let stride = data.len() / OVERSAMPLE;
+        let mut images: Vec<u64> = (0..OVERSAMPLE)
+            .map(|i| data[i * stride + stride / 2])
+            .collect();
+        images.sort_unstable();
+        images
+    }
+
     #[test]
-    fn each_slice_takes_the_map_with_the_smaller_largest_bucket() {
+    fn each_slice_takes_the_map_with_the_smallest_gather_volume() {
+        // Uniform keys: linear buckets are narrow everywhere, and the
+        // log-linear map's top octaves are 32x wider.
         let uniform: Vec<u64> = (0..DISTRIBUTION_MIN_LEN as u64).map(mix).collect();
-        let Some(BucketMap::Linear(map)) = BucketMap::for_slice(&uniform) else {
+        let Some(BucketMap::Linear(map)) = map_for(&uniform) else {
             panic!("uniform keys take the linear map");
         };
         assert_eq!(map.shift, 64 - LOG_BUCKETS);
-        let Some(BucketMap::LogLinear(map)) = BucketMap::for_slice(&log_uniform()) else {
+        let Some(BucketMap::LogLinear(map)) = map_for(&log_uniform()) else {
             panic!("log-uniform keys take the log-linear map");
         };
-        assert_eq!(map.bits, 4);
+        assert_eq!(map.bits, 11);
+        // Sorted keys with one in 64 an outlier near `u64::MAX`: the wide
+        // trim's range reaches the outliers and makes the dense keys'
+        // buckets coarse under either map, so the tight trim wins.
+        let outliers: Vec<u64> = (0..DISTRIBUTION_MIN_LEN as u64)
+            .map(|i| match mix(i) % 64 {
+                0 => u64::MAX - mix(!i) % 1000,
+                _ => i,
+            })
+            .collect();
+        let images = oversample(&outliers);
+        let (low, high) = (images[128], images[OVERSAMPLE - 1 - 128]);
+        assert!(
+            high < DISTRIBUTION_MIN_LEN as u64,
+            "the tight trim leaves the outliers out"
+        );
+        assert_eq!(
+            map_for(&outliers),
+            Some(BucketMap::Linear(Linear::new(low, high)))
+        );
     }
 
     proptest! {
@@ -825,13 +885,9 @@ mod tests {
                 .collect();
             images.sort_unstable();
             for map in maps {
-                let bucket = |image: u64| match map {
-                    BucketMap::Linear(map) => map.bucket(image),
-                    BucketMap::LogLinear(map) => map.bucket(image),
-                };
-                prop_assert_eq!(bucket(low), 0);
+                prop_assert_eq!(map.bucket(low), 0);
                 for pair in images.windows(2) {
-                    let (a, b) = (bucket(pair[0]), bucket(pair[1]));
+                    let (a, b) = (map.bucket(pair[0]), map.bucket(pair[1]));
                     prop_assert!(a <= b && b < BUCKETS, "{:?}: {:?} -> {} {}", map, pair, a, b);
                     if a == b && map.single_image(a) {
                         prop_assert_eq!(pair[0], pair[1], "{:?} bucket {}", map, a);
@@ -841,92 +897,125 @@ mod tests {
         }
     }
 
-    /// Distribute `data` under `map` and check that the result is a
-    /// permutation of the input in which bucket `b` holds exactly the keys
-    /// whose bucket is `b`.
-    fn assert_distributes(mut data: Vec<u64>, map: &impl Classify) -> [usize; BUCKETS + 1] {
-        let mut expected = data.clone();
-        expected.sort_unstable();
-        let mut counts = [0usize; BUCKETS];
+    /// Run one level's count and gather over `data` under `map` at `depth`,
+    /// and check what it promises against the keys' buckets.  Returns the
+    /// pieces.
+    fn check_distribute(
+        data: Vec<u64>,
+        ranks: &[usize],
+        map: BucketMap,
+        depth: usize,
+    ) -> Vec<Piece> {
+        let mut slots = vec![0; BUCKETS];
+        let mut gathered = vec![7; 5];
+        let mut scratch = Scratch {
+            slots: (&mut slots[..]).try_into().unwrap(),
+            gather: &mut gathered,
+        };
+        let (mut work, mut ids) = (data.clone(), vec![0; data.len()]);
+        let pieces = distribute(&mut work, &mut ids, 0, ranks, &map, &mut scratch, depth);
+        let mut by_bucket = vec![Vec::new(); BUCKETS];
         for &key in &data {
-            counts[map.bucket_of(key)] += 1;
+            by_bucket[map.bucket(key)].push(key);
         }
-        let mut buffers = Buffers::new(0);
-        let bounds = distribute(&mut data, map, &mut buffers);
-        assert_eq!(bounds[BUCKETS], data.len());
-        for b in 0..BUCKETS {
-            assert_eq!(bounds[b + 1] - bounds[b], counts[b], "bucket {b} size");
-            let bucket = &data[bounds[b]..bounds[b + 1]];
-            assert!(
-                bucket.iter().all(|&key| map.bucket_of(key) == b),
-                "bucket {b} of {} keys",
-                data.len()
+        let sorted = |mut keys: Vec<u64>| {
+            keys.sort_unstable();
+            keys
+        };
+        let (mut front, mut rank) = (0, 0);
+        for piece in &pieces {
+            let b = piece.bucket;
+            let keys = &by_bucket[b];
+            let below: usize = by_bucket[..b].iter().map(Vec::len).sum();
+            assert_eq!(piece.start, below, "bucket {b} start");
+            assert_eq!(piece.ranks.start, rank, "bucket {b} takes the next ranks");
+            rank = piece.ranks.end;
+            assert!(ranks[piece.ranks.clone()]
+                .iter()
+                .all(|&r| r >= below && r < below + keys.len()));
+            let placed = match piece.kind {
+                Kind::Light => &gathered[piece.keys.clone()],
+                Kind::Single => {
+                    assert!(keys.iter().all(|&key| key == gathered[piece.keys.start]));
+                    continue;
+                }
+                Kind::Heavy => {
+                    assert_eq!(piece.keys, front..front + keys.len(), "heavy bucket {b}");
+                    front = piece.keys.end;
+                    let ids = &ids[piece.keys.clone()];
+                    assert!(
+                        ids.iter().all(|&id| usize::from(id) == b),
+                        "ids of bucket {b}"
+                    );
+                    &work[piece.keys.clone()]
+                }
+            };
+            assert_eq!(
+                sorted(placed.to_vec()),
+                sorted(keys.clone()),
+                "bucket {b} keys"
             );
         }
-        data.sort_unstable();
-        assert_eq!(data, expected, "the distribution must only move keys");
-        bounds
-    }
-
-    #[test]
-    fn buckets_are_value_ordered_and_in_place() {
-        let len = DISTRIBUTION_MIN_LEN + 12_345;
-        let data: Vec<u64> = (0..len as u64).map(|i| (i * 2654435761) % 50_021).collect();
-        match BucketMap::for_slice(&data).expect("enough distinct splitters") {
-            BucketMap::Linear(map) => assert_distributes(data, &map),
-            BucketMap::LogLinear(map) => assert_distributes(data, &map),
-        };
-        assert_distributes(log_uniform(), &LogLinear::new(1, 1 << 40));
-    }
-
-    #[test]
-    fn a_last_block_past_the_slice_end_is_placed() {
-        // A few keys spread thinly over the lower buckets, which stay smaller
-        // than one block or empty; every other key lies in the last bucket.
-        // The last bucket's area starts at the first block boundary, and
-        // with at most `len % BLOCK` keys below it, its blocks fill that
-        // area up to the boundary past the slice end: the final block goes
-        // to the overflow block, and all but `len % BLOCK` of its keys
-        // overhang the slice.
-        let map = Linear { low: 0, shift: 20 };
-        let last = (BUCKETS as u64 - 1) << map.shift;
-        let len = DISTRIBUTION_MIN_LEN + 3 * BLOCK + 60;
-        let data: Vec<u64> = (0..len as u64)
-            .map(|i| match i % 997 {
-                0 => mix(i) % last,
-                _ => last + mix(i) % 1000,
-            })
-            .collect();
-        let bounds = assert_distributes(data, &map);
-        assert!(bounds[BUCKETS - 1] <= len % BLOCK, "{bounds:?}");
-        assert!(bounds[BUCKETS - 1] > 0, "{bounds:?}");
+        assert_eq!(rank, ranks.len(), "every rank is in a piece");
+        assert_eq!(&gathered[..5], &[7; 5], "the levels above keep their keys");
+        assert!(work
+            .iter()
+            .zip(&ids)
+            .all(|(&key, &id)| map.bucket(key) == usize::from(id)));
+        assert_eq!(sorted(work), sorted(data), "the slice stays a permutation");
+        pieces
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-        /// Slices at block multiples ±1 from the distribution floor up, keys
-        /// below `2^20`, and both maps at every bucket width: a narrow linear
-        /// bucket leaves buckets smaller than one block or empty and piles
-        /// most keys into the last bucket, whose final block then runs past
-        /// the slice end; a shift of 10 spreads the keys evenly, as does a
-        /// log-linear map with few bits per octave.
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        /// A quarter of the keys spread over `2^40` and up to three narrow
+        /// clusters, each heavy enough to stay in place above the depth
+        /// cap, under either map: every light bucket's keys fill its slice
+        /// of the gather buffer, and the heavy ones the slice's front in
+        /// bucket order, with the ids of their buckets.
         #[test]
-        fn distribution_places_every_key_in_its_bucket(
-            blocks in 0usize..24,
-            edge in 0usize..3,
-            shift in 0u32..14,
-            log in any::<bool>(),
+        fn the_gather_places_light_keys_in_their_slices_and_heavy_keys_in_front(
             seed in any::<u64>(),
+            extra in 8_000usize..20_000,
+            clusters in 1u64..4,
+            log in any::<bool>(),
+            s in 200usize..1200,
+            depth in 1..=MAX_DEPTH,
         ) {
-            let len = DISTRIBUTION_MIN_LEN + blocks * BLOCK + edge - 1;
-            let data: Vec<u64> = (0..len as u64).map(|i| mix(seed ^ i) % (1 << 20)).collect();
-            let low = mix(seed) % 1024;
-            if log {
-                assert_distributes(data, &LogLinear { low, bits: shift.min(LOG_BUCKETS) });
+            let len = 4 * DISTRIBUTION_MIN_LEN + extra;
+            let data: Vec<u64> = (0..len as u64)
+                .map(|i| match mix(seed ^ i) % 4 {
+                    c if c > 0 && c <= clusters => (c << 38) + mix(!seed ^ i) % 1000,
+                    _ => mix(!seed ^ i) >> 24,
+                })
+                .collect();
+            let ranks = regular_sample_ranks(len, s);
+            let (low, high) = (0, 1 << 40);
+            let map = if log {
+                BucketMap::LogLinear(LogLinear::new(low, high))
             } else {
-                assert_distributes(data, &Linear { low, shift });
-            }
+                BucketMap::Linear(Linear::new(low, high))
+            };
+            let pieces = check_distribute(data, &ranks, map, depth);
+            let heavy = pieces.iter().filter(|piece| piece.kind == Kind::Heavy).count();
+            prop_assert_eq!(heavy, if depth < MAX_DEPTH { clusters as usize } else { 0 });
         }
+    }
+
+    #[test]
+    fn single_image_buckets_gather_one_key() {
+        // 3000 values under a unit-width map: one key per rank bucket.
+        let data: Vec<u64> = (0..50_000).map(|i| 1000 + mix(i) % 3000).collect();
+        let ranks = regular_sample_ranks(data.len(), 700);
+        let pieces = check_distribute(data, &ranks, BucketMap::Linear(Linear::new(1000, 4000)), 1);
+        let singles = pieces
+            .iter()
+            .filter(|piece| piece.kind == Kind::Single)
+            .count();
+        assert!(singles > 600, "{singles} single-image buckets");
+        assert!(pieces
+            .iter()
+            .all(|piece| piece.kind != Kind::Single || piece.keys.len() == 1));
     }
 
     /// Exact selections [`split_ranks`] makes for `data` and `ranks`, which
@@ -944,9 +1033,10 @@ mod tests {
 
     #[test]
     fn distinct_keys_take_one_select_per_rank() {
-        // A permutation of 0..50,000: no rank shares its band of one, so no
+        // A permutation of 0..50,000 spaced 4096 apart: each rank's bucket
+        // holds only its own key, and no rank shares its band of one, so no
         // selected key meets a bound.
-        let data: Vec<u32> = (0..50_000).map(|i| (i * 7919) % 50_000).collect();
+        let data: Vec<u32> = (0..50_000).map(|i| ((i * 7919) % 50_000) << 12).collect();
         let ranks = regular_sample_ranks(data.len(), 500);
         assert_eq!(selects_for(data, &ranks), ranks.len());
     }
@@ -954,8 +1044,8 @@ mod tests {
     #[test]
     fn single_image_buckets_take_no_select() {
         // 1000 values, so the linear map has one image per bucket: only the
-        // first bucket, which also takes the keys below the trimmed range,
-        // selects.  Each value's copies span about 60 ranks.
+        // first and last buckets, which also take the keys beyond the
+        // trimmed range, select.  Each value's copies span about 60 ranks.
         let data: Vec<u32> = (0..60_000_u64).map(|i| (mix(i) % 1000) as u32).collect();
         let ranks = regular_sample_ranks(data.len(), 600);
         let selects = selects_for(data, &ranks);
@@ -965,11 +1055,11 @@ mod tests {
     #[test]
     fn a_heavy_key_bucket_ends_in_three_selects() {
         // 40,000 distinct even keys and 20,000 copies of one odd key in
-        // their middle.  The heavy key's bucket, under 8x the mean share but
-        // below the length floor, goes to the recursion: its first selection
-        // picks the heavy key, and on each side the next one meets it as the
-        // ceiling or the floor, so one pass settles that side's heavy ranks.
-        // Every other rank takes one selection.
+        // their middle.  The heavy key's bucket is below the length floor,
+        // so it is gathered: its first selection picks the heavy key, and
+        // on each side the next one meets it as the ceiling or the floor,
+        // so one pass settles that side's heavy ranks.  Every other rank
+        // takes one selection.
         const HEAVY: u32 = 40_001;
         let mut distinct = (0..40_000_u32).map(|j| 2 * ((j * 7919) % 40_000));
         let data: Vec<u32> = (0..60_000)
@@ -990,8 +1080,8 @@ mod tests {
         assert_eq!(selects_for(data, &ranks), ranks.len() - heavy + 3);
     }
 
-    /// Slices distributed while `multiselect` places `ranks` in `data`,
-    /// which it must also get right.
+    /// Count-and-gather levels while `multiselect` selects `ranks` from
+    /// `data`, which it must also get right.
     fn distributions_for(mut data: Vec<u64>, ranks: &[usize]) -> usize {
         let mut sorted = data.clone();
         sorted.sort_unstable();
@@ -1004,24 +1094,22 @@ mod tests {
     }
 
     #[test]
-    fn heavy_buckets_are_distributed_again_down_to_the_depth_cap() {
+    fn heavy_buckets_are_counted_again_down_to_the_depth_cap() {
         let len = 1 << 18;
         let ranks = regular_sample_ranks(len, 1000);
         // Spread keys: one level.
         let uniform: Vec<u64> = (0..len as u64).map(mix).collect();
         assert_eq!(distributions_for(uniform, &ranks), 1);
         // A quarter of the keys in one cluster and the rest in one far
-        // above it: the linear map puts each cluster in one bucket, and the
-        // log-linear map, which spreads the cluster the range starts in,
-        // still leaves the far one whole, so the linear map wins the tie and
-        // both clusters are distributed again.
+        // above it: the far cluster shares one bucket under every map, so
+        // it is counted again.
         let clusters: Vec<u64> = (0..len as u64)
             .map(|i| u64::from(mix(i) & 3 != 0) * ((1 << 50) + (1 << 40)) + mix(!i) % 1_000_000)
             .collect();
-        assert_eq!(distributions_for(clusters, &ranks), 3);
+        assert_eq!(distributions_for(clusters, &ranks), 2);
         // Clusters nested in clusters, each far inside its parent's range:
         // at every level the keys of the inner clusters share one bucket
-        // under either map, and the cap stops at `MAX_DEPTH` levels.
+        // under every map, and the cap stops at `MAX_DEPTH` levels.
         let nested: Vec<u64> = (0..len as u64)
             .map(|i| match mix(i) % 8 {
                 0 => mix(!i) >> 4,

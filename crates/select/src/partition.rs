@@ -6,7 +6,8 @@
 //! The kernel is BlockQuicksort-style (Edelkamp & Weiß, ESA 2016):
 //! comparisons fill a fixed-size offset buffer with unconditional stores and
 //! conditional *increments*, then the matching elements are swapped in bulk,
-//! so no branch in the scan depends on a key comparison.
+//! so no branch in the scan depends on a key comparison.  The same kernel
+//! groups a heavy bucket's keys by their stored bucket ids.
 
 /// Block size of the branchless kernel: 128 offsets fit comfortably in L1
 /// alongside the data block itself, and one `u32` offset buffer costs 512
@@ -22,6 +23,18 @@ const BLOCK: usize = 128;
 /// subsequent swap loop has fully predictable control flow.
 #[inline]
 pub(crate) fn block_partition_by<T, F: Fn(&T) -> bool>(data: &mut [T], pred: F) -> usize {
+    block_partition_mirrored(data, pred, |_, _| {})
+}
+
+/// [`block_partition_by`] that also calls `mirror(a, b)` after each swap of
+/// `data[a]` and `data[b]`, so a second slice beside `data` can make the
+/// same moves.
+#[inline]
+pub(crate) fn block_partition_mirrored<T, F, M>(data: &mut [T], pred: F, mut mirror: M) -> usize
+where
+    F: Fn(&T) -> bool,
+    M: FnMut(usize, usize),
+{
     let mut offsets = [0u32; BLOCK];
     let mut lt = 0usize; // data[..lt] satisfy pred
     let mut base = 0usize;
@@ -39,6 +52,7 @@ pub(crate) fn block_partition_by<T, F: Fn(&T) -> bool>(data: &mut [T], pred: F) 
             // so `lt <= base + off` always; the swap moves a failing element
             // into the scanned region where it stays put.
             data.swap(lt, base + off as usize);
+            mirror(lt, base + off as usize);
             lt += 1;
         }
         base += block_len;

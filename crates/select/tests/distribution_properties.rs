@@ -1,17 +1,18 @@
 //! Property tests for multi-selection.  At or above [`DISTRIBUTION_MIN_LEN`]
-//! `multiselect` distributes the keys in place into value-ordered buckets by
-//! their radix images, block by block, and runs exact middle-rank recursion
-//! inside each bucket; below it, the recursion runs on the whole slice.
+//! `multiselect` counts the keys into value-ordered buckets by their radix
+//! images, gathers the keys of the buckets that hold a rank, and runs exact
+//! middle-rank recursion inside each of them; below it, the recursion runs
+//! on the whole slice.
 //!
 //! Every shape runs with regular and irregular rank sets, and every result
-//! is checked against a full sort: the selected values, the partition around every
-//! requested rank, and that the slice is still a permutation of its input.
+//! is checked against a full sort: the selected values, and that the slice
+//! is still a permutation of its input.
 //! The all-equal, two-valued and few-valued shapes have too few distinct
 //! keys for the buckets to help, so they exercise the recursion's floor
 //! and ceiling rules on whole runs.  The two sample-* shapes put the slice's
 //! extreme keys at evenly spaced positions, where the oversample looks.  The
 //! log-uniform shape takes the log-linear bucket map; the outlier and
-//! two-cluster shapes leave heavy buckets that are distributed again; the
+//! two-cluster shapes leave heavy buckets that are counted again; the
 //! near-max shape puts keys at the top of the image range, and the signed
 //! shapes put negative keys below the sign bit's flip.
 
@@ -136,11 +137,9 @@ fn irregular_ranks(seed: u64, len: usize, count: usize) -> Vec<usize> {
     ranks
 }
 
-/// Check one `multiselect` result against the sorted input `truth`.
-///
-/// The partition is checked segment by segment: with the ranks sorted, every
-/// key strictly between two consecutive ranks must lie between the keys at
-/// those ranks, which gives `<=` left of and `>=` right of every rank.
+/// Check one `multiselect` result against the sorted input `truth`: the
+/// selected values, and that the slice is still a permutation of its input.
+/// Where the values sit in the slice afterwards is not promised.
 fn check<T: Ord + RadixKey + std::fmt::Debug>(
     truth: &[T],
     work: &[T],
@@ -152,25 +151,6 @@ fn check<T: Ord + RadixKey + std::fmt::Debug>(
     sorted_ranks.sort_unstable();
     let expected: Vec<T> = sorted_ranks.iter().map(|&r| truth[r]).collect();
     prop_assert_eq!(got, &expected[..], "{} selected values", what);
-    let mut lo = 0;
-    let mut floor = truth[0];
-    for &r in &sorted_ranks {
-        prop_assert_eq!(work[r], truth[r], "{} value in place at rank {}", what, r);
-        let ceiling = work[r];
-        prop_assert!(
-            work[lo..r].iter().all(|&x| floor <= x && x <= ceiling),
-            "{} partition broken left of rank {}",
-            what,
-            r
-        );
-        floor = ceiling;
-        lo = r + 1;
-    }
-    prop_assert!(
-        work[lo..].iter().all(|&x| floor <= x),
-        "{} partition broken right of the last rank",
-        what
-    );
     let mut permuted = work.to_vec();
     permuted.sort_unstable();
     prop_assert!(
@@ -182,11 +162,10 @@ fn check<T: Ord + RadixKey + std::fmt::Debug>(
 }
 
 /// At `2^17` keys with 1000 regular ranks a cluster of half the keys clears
-/// the distribution's floors on its own, so the two-cluster shape (and any
-/// heavy bucket) is distributed again: every shape at that size, checked
-/// against a sort.
+/// the floors on its own, so the two-cluster shape (and any heavy bucket) is
+/// counted again: every shape at that size, checked against a sort.
 #[test]
-fn every_shape_matches_sort_where_heavy_buckets_are_distributed_again() {
+fn every_shape_matches_sort_where_heavy_buckets_are_counted_again() {
     let len = 1 << 17;
     let ranks = regular_sample_ranks(len, 1000);
     for (shape, data) in shapes(7, len, 5) {
@@ -253,7 +232,7 @@ proptest! {
     }
 
     /// Irregular, unsorted rank sets, from a single rank (which skips the
-    /// distribution) to a few hundred.
+    /// buckets) to a few hundred.
     #[test]
     fn irregular_ranks_match_sort_above_the_floor(
         seed in any::<u64>(),
