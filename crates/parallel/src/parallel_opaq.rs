@@ -16,7 +16,7 @@ use crate::cost_model::CostModel;
 use crate::machine::Machine;
 use crate::sample_merge::sample_merge;
 use opaq_core::{
-    sample_run, Key, OpaqConfig, OpaqError, OpaqResult, QuantileSketch, RunSample, SamplePoint,
+    Key, OpaqConfig, OpaqError, OpaqResult, QuantileSketch, RunSample, RunSampler, SamplePoint,
 };
 use opaq_storage::{DiskModel, FixedWidthCodec, MemRunStore, RunStore};
 use serde::{Deserialize, Serialize};
@@ -298,9 +298,11 @@ impl ParallelOpaq {
         let s = self.config.sample_size;
         let log_s = (s.max(2) as f64).log2();
 
-        // One recycled run buffer per simulated processor (see the
-        // sample-phase buffer-reuse contract).
+        // One recycled run buffer and one sampler, with its selection
+        // scratch, per simulated processor (see the sample-phase
+        // buffer-reuse contract).
         let mut run_buf: Vec<K> = Vec::new();
+        let mut sampler = RunSampler::new(s, self.config.strategy)?;
         for run_idx in 0..layout.runs() {
             let io_start = Instant::now();
             store.read_run_into(run_idx, &mut run_buf)?;
@@ -308,7 +310,7 @@ impl ParallelOpaq {
             modelled.io += self.disk.transfer_time(run_buf.len() as u64 * 8);
 
             let sample_start = Instant::now();
-            let rs = sample_run(&mut run_buf, s)?;
+            let rs = sampler.sample(&mut run_buf)?;
             measured.sampling += sample_start.elapsed();
             modelled.sampling += self.cost.compute((run_buf.len() as f64 * log_s) as u64);
             run_samples.push(rs);

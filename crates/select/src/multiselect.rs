@@ -37,20 +37,20 @@
 //!
 //! 1. **Map.**  Every key has an order-preserving `u64` image,
 //!    [`RadixKey::radix`].  The sorted images of an evenly spaced 4096-key
-//!    oversample, less `t` at each end, span 65,536 value-ordered buckets
+//!    oversample, less 16 at each end, span 65,536 value-ordered buckets
 //!    under a *linear* map, `(image − low) >> shift`, or a *log-linear* one
 //!    that cuts every octave of `image − low` into `2^k` equal buckets; keys
-//!    beyond the range land in the first or the last bucket.  Of both maps
-//!    at `t` = 16 and 128, a call takes the one whose buckets that hold a
-//!    rank's oversample position hold the fewest oversample keys: the
-//!    estimated number of keys to gather.
+//!    beyond the range land in the first or the last bucket.  A call takes
+//!    the map whose buckets that hold a rank's oversample position hold the
+//!    fewer oversample keys: the estimated number of keys to gather.
 //! 2. **Count.**  One pass reads each key's image once, counts the key in
 //!    its bucket and stores the bucket's two-byte id.
 //! 3. **Classify.**  The prefix sums of the counts place every rank in its
 //!    bucket.  A bucket holding a rank is *single-image* if every image in
 //!    it is one value (its ranks all take that key), *heavy* if it holds
-//!    more than 8× the mean share (one of two far-apart clusters, or a heavy
-//!    key among spread ones) and clears the floors below, else *light*.
+//!    [`DISTRIBUTION_MIN_LEN`] keys and 32 ranks, the floors below (one of
+//!    two far-apart clusters, or a heavy key among spread ones), else
+//!    *light*.
 //! 4. **Gather.**  One pass reads the stored ids, not the images, and
 //!    writes each key where its bucket's slot says: a light bucket's keys
 //!    fill its slice of a small buffer, a single-image bucket's all land in
@@ -127,9 +127,11 @@ pub fn multiselect_into<T: Ord + RadixKey>(
 
 /// [`multiselect`] with its scratch kept between calls, as the sample phase
 /// does.  Slices of at least [`DISTRIBUTION_MIN_LEN`] keys with 32 or more
-/// ranks use a 256 KB bucket count table, a two-byte bucket id per key and
-/// a buffer for the keys of the buckets that hold a rank (1–2% of a slice
-/// of spread keys); each grows to the largest slice seen.
+/// ranks use a 256 KB bucket count table, a two-byte bucket id per key,
+/// grown to the largest slice seen, and a buffer for the keys of the
+/// buckets that hold a rank: 1–2% of a slice of spread keys, up to all of
+/// it on clustered or coarsely bucketed ones, of which room for 65,536
+/// keys is kept between calls.
 #[derive(Clone)]
 pub struct Multiselector<T> {
     /// Keys per bucket after the count pass, then each bucket's [`Slot`].
@@ -219,8 +221,14 @@ impl<T: Ord + RadixKey> Multiselector<T> {
         };
         scratch.gather.clear();
         count_gather_select(data, &mut self.ids[..len], 0, ranks, &mut scratch, 1, out);
+        self.gather.shrink_to(KEPT_GATHER);
     }
 }
+
+/// Gathered keys a [`Multiselector`] keeps room for between calls: the
+/// 1–2% of a 1M-key slice of spread keys, while a slice that gathered most
+/// of itself gives the rest back.
+const KEPT_GATHER: usize = 1 << 16;
 
 /// Slices shorter than this skip the buckets and run the recursion alone:
 /// a count and gather costs a fixed ~150 µs (the 256 KB table, the bucket
@@ -237,21 +245,16 @@ const BUCKETS: usize = 1 << LOG_BUCKETS;
 /// Oversample keys whose images choose the range and the map.
 const OVERSAMPLE: usize = 4096;
 
-/// Oversample keys left out of the range at each end, one candidate range
-/// per value: keys past either end share the first or the last bucket.
-/// The tight trim keeps outliers, up to 3% of a slice, from coarsening the
-/// other keys' buckets; the loose one keeps those end buckets small.
-const TRIMS: [usize; 2] = [16, 128];
+/// Oversample keys left out of the range at each end: keys past either end
+/// share the first or the last bucket, so a few outliers do not coarsen the
+/// other keys' buckets.
+const TRIM: usize = 16;
 
 /// Fewer distinct images than this at the oversample's `SPLITTERS - 1`
 /// evenly spaced positions means a few-valued slice: a handful of buckets
 /// would hold nearly every key, so counting buys nothing.
 const MIN_DISTINCT_SPLITTERS: usize = SPLITTERS / 8;
 const SPLITTERS: usize = 1024;
-
-/// A bucket with more than this many times the mean share of keys is counted
-/// and gathered again, if it also clears the length and rank floors.
-const HEAVY_SHARE: usize = 8;
 
 /// Most nested count-and-gather levels of one slice: keys laid out to keep
 /// one bucket heavy under every map could shrink it slowly.  Two levels
@@ -364,7 +367,6 @@ fn distribute<T: Ord + RadixKey>(
     }
 
     // A bucket's ranks are those below the keys in it and the buckets before.
-    let heavy = (HEAVY_SHARE * data.len() / BUCKETS).max(DISTRIBUTION_MIN_LEN - 1);
     let mut pieces = Vec::new();
     // The level's first gather slot takes the keys it passes over.
     let dump = FIXED | scratch.gather.len() as Slot;
@@ -385,7 +387,10 @@ fn distribute<T: Ord + RadixKey>(
                 gathered..gathered + 1,
                 FIXED | gathered as Slot,
             )
-        } else if len > heavy && last - first >= DISTRIBUTION_MIN_RANKS && depth < MAX_DEPTH {
+        } else if len >= DISTRIBUTION_MIN_LEN
+            && last - first >= DISTRIBUTION_MIN_RANKS
+            && depth < MAX_DEPTH
+        {
             // Its keys are placed once the gather is done.
             (Kind::Heavy, 0..len, dump)
         } else {
@@ -542,9 +547,10 @@ impl Classify for BucketMap {
 
 impl BucketMap {
     /// The map for `data` (at least [`OVERSAMPLE`] keys, at absolute index
-    /// `offset`, holding the absolute `ranks`): of both maps over each
-    /// trimmed range of its oversample, the first with the smallest
-    /// [`gather_volume`].  `None` for a few-valued oversample.
+    /// `offset`, holding the absolute `ranks`): of both maps over the
+    /// trimmed range of its oversample, the one with the smaller
+    /// [`gather_volume`], linear on a tie.  `None` for a few-valued
+    /// oversample.
     fn for_slice<T: RadixKey>(data: &[T], offset: usize, ranks: &[usize]) -> Option<Self> {
         let stride = data.len() / OVERSAMPLE;
         debug_assert!(stride > 0, "slice shorter than the oversample");
@@ -566,16 +572,13 @@ impl BucketMap {
             .iter()
             .map(|&r| ((r - offset) / stride).min(OVERSAMPLE - 1))
             .collect();
-        TRIMS
-            .iter()
-            .flat_map(|&trim| {
-                let (low, high) = (images[trim], images[OVERSAMPLE - 1 - trim]);
-                [
-                    Self::Linear(Linear::new(low, high)),
-                    Self::LogLinear(LogLinear::new(low, high)),
-                ]
-            })
-            .min_by_key(|map| gather_volume(&images, &positions, map))
+        let (low, high) = (images[TRIM], images[OVERSAMPLE - 1 - TRIM]);
+        [
+            Self::Linear(Linear::new(low, high)),
+            Self::LogLinear(LogLinear::new(low, high)),
+        ]
+        .into_iter()
+        .min_by_key(|map| gather_volume(&images, &positions, map))
     }
 
     /// Whether every image in bucket `b` is one value.  The first and last
@@ -840,9 +843,10 @@ mod tests {
             panic!("log-uniform keys take the log-linear map");
         };
         assert_eq!(map.bits, 11);
-        // Sorted keys with one in 64 an outlier near `u64::MAX`: the wide
-        // trim's range reaches the outliers and makes the dense keys'
-        // buckets coarse under either map, so the tight trim wins.
+        // Sorted keys with one in 64 an outlier near `u64::MAX`: the
+        // trimmed range reaches the outliers, so one linear bucket would
+        // hold every dense key, while the log-linear map's low octaves keep
+        // them apart.
         let outliers: Vec<u64> = (0..DISTRIBUTION_MIN_LEN as u64)
             .map(|i| match mix(i) % 64 {
                 0 => u64::MAX - mix(!i) % 1000,
@@ -850,15 +854,11 @@ mod tests {
             })
             .collect();
         let images = oversample(&outliers);
-        let (low, high) = (images[128], images[OVERSAMPLE - 1 - 128]);
-        assert!(
-            high < DISTRIBUTION_MIN_LEN as u64,
-            "the tight trim leaves the outliers out"
-        );
-        assert_eq!(
-            map_for(&outliers),
-            Some(BucketMap::Linear(Linear::new(low, high)))
-        );
+        assert!(images[OVERSAMPLE - 1 - TRIM] > u64::MAX - 1000);
+        let Some(BucketMap::LogLinear(map)) = map_for(&outliers) else {
+            panic!("sorted keys with outliers take the log-linear map");
+        };
+        assert_eq!(map.low, images[TRIM]);
     }
 
     proptest! {

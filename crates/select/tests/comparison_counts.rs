@@ -150,7 +150,7 @@ fn log_uniform_keys() {
         let octave = mix(i) % 48;
         (1 << octave) + (mix(!i) >> (63 - octave))
     });
-    assert_at_most("log-uniform", keys.collect(), 0.216, 1.06);
+    assert_at_most("log-uniform", keys.collect(), 0.082, 1.06);
 }
 
 /// One key in 2000 near `u64::MAX`, the rest below a million: the trimmed
