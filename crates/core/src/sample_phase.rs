@@ -32,7 +32,8 @@
 //! scratch is a 256 KB bucket count table, a two-byte bucket id per key
 //! (2 MB at `m` = 1M) and the gathered keys of the buckets that hold a
 //! sample (about 1–2% of a run of spread keys, up to all of it on
-//! adversarial ones).  So beside the run itself the phase holds one
+//! clustered or few-valued ones, of which room for 65,536 keys is kept
+//! between runs).  So beside the run itself the phase holds one
 //! `m`-sized buffer of ids, a quarter of the run's size for `u64` keys.
 
 use crate::{Key, OpaqError, OpaqResult};

@@ -769,11 +769,22 @@ mod tests {
     #[test]
     fn a_selector_reused_across_lengths_matches_sort() {
         // Long, short, longer and long again: the scratch grows, is reused,
-        // and never leaks one call's keys into the next.
+        // and never leaks one call's keys into the next.  The last slice is
+        // 500 values 2^30 apart, so nearly every key is in a light bucket
+        // that holds a rank and is gathered; the room kept afterwards is
+        // still capped.
         let mut selector = Multiselector::default();
         let mut out = Vec::new();
-        for (len, seed) in [(1 << 16, 1), (20_000, 2), (100_000, 3), (1 << 16, 4)] {
-            let data: Vec<u64> = (0..len as u64).map(|i| mix(seed ^ i) % 1_000_000).collect();
+        for (len, seed, values, spacing) in [
+            (1 << 16, 1, 1_000_000, 0),
+            (20_000, 2, 1_000_000, 0),
+            (100_000, 3, 1_000_000, 0),
+            (1 << 16, 4, 1_000_000, 0),
+            (1 << 18, 5, 500, 30),
+        ] {
+            let data: Vec<u64> = (0..len as u64)
+                .map(|i| (mix(seed ^ i) % values) << spacing)
+                .collect();
             let ranks = regular_sample_ranks(len, 500);
             let mut sorted = data.clone();
             sorted.sort_unstable();
@@ -781,6 +792,7 @@ mod tests {
             selector.select_into(&mut work, &ranks, &mut out);
             let expected: Vec<u64> = ranks.iter().map(|&r| sorted[r]).collect();
             assert_eq!(out, expected, "len {len}");
+            assert!(selector.gather.capacity() <= KEPT_GATHER, "len {len}");
         }
     }
 
