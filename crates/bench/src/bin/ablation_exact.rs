@@ -1,50 +1,35 @@
 //! Ablation (§4 extension): the exact-quantile second pass.
 //!
-//! Measures, for several sample sizes, how many candidate elements the
-//! second pass has to buffer (Lemma 3 bounds it by 2n/s) and verifies the
-//! returned value against a full sort.
+//! Prints, for several sample sizes, how many candidate elements the second
+//! pass has to buffer (Lemma 3 bounds it by 2n/s) and whether the returned
+//! value matches a full sort ([`opaq_bench::ablation_exact`]).
 //!
 //! Run with `cargo run --release -p opaq-bench --bin ablation_exact`.
 
-use opaq_bench::{paper_run_length, scaled};
-use opaq_core::{exact_quantile, OpaqConfig, OpaqEstimator};
-use opaq_datagen::DatasetSpec;
-use opaq_metrics::{GroundTruth, TextTable};
-use opaq_storage::MemRunStore;
+use opaq_bench::{ablation_exact, scaled};
+use opaq_metrics::TextTable;
 
 fn main() {
     let n = scaled(1_000_000);
-    let m = paper_run_length(n);
-    let data = DatasetSpec::paper_uniform(n, 21).generate();
-    let truth = GroundTruth::new(&data);
-    let store = MemRunStore::new(data, m);
-
     let mut table = TextTable::new(format!(
         "Ablation: exact second pass, n = {n} — candidates kept vs the 2n/s bound"
     ))
     .header([
         "s",
+        "quantile",
         "candidates kept",
         "bound 2n/s",
-        "median exact?",
-        "p90 exact?",
+        "Lemma 3 cap",
+        "exact?",
     ]);
-
-    for s in [100u64, 250, 500, 1000, 2000] {
-        let config = OpaqConfig::builder()
-            .run_length(m)
-            .sample_size(s)
-            .build()
-            .unwrap();
-        let sketch = OpaqEstimator::new(config).build_sketch(&store).unwrap();
-        let median = exact_quantile(&store, &sketch, 0.5).unwrap();
-        let p90 = exact_quantile(&store, &sketch, 0.9).unwrap();
+    for row in ablation_exact(n) {
         table.row([
-            s.to_string(),
-            median.candidates_kept.to_string(),
-            (2 * n / s).to_string(),
-            (median.value == truth.quantile_value(0.5)).to_string(),
-            (p90.value == truth.quantile_value(0.9)).to_string(),
+            row.s.to_string(),
+            format!("{}%", row.percent),
+            row.candidates_kept.to_string(),
+            (2 * n / row.s).to_string(),
+            row.lemma3_cap.to_string(),
+            row.exact.to_string(),
         ]);
     }
     print!("{}", table.render());

@@ -20,7 +20,9 @@
 #![deny(unsafe_code)]
 
 use opaq_baselines::{AdaptiveIntervalEstimator, ReservoirSampler, StreamingEstimator};
-use opaq_core::{IncrementalOpaq, OpaqConfig, OpaqEstimator, QuantileEstimate, QuantileSketch};
+use opaq_core::{
+    exact_quantile, IncrementalOpaq, OpaqConfig, OpaqEstimator, QuantileEstimate, QuantileSketch,
+};
 use opaq_datagen::DatasetSpec;
 use opaq_metrics::{compute_error_rates, GroundTruth, QuantileBoundsView, RelativeErrorRates};
 use opaq_storage::MemRunStore;
@@ -250,6 +252,57 @@ pub fn ablation_incremental(batch: u64, batches: usize) -> Vec<IncrementalRow> {
         .collect()
 }
 
+/// One quantile of the exact-second-pass ablation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExactRow {
+    /// Sample size `s`.
+    pub s: u64,
+    /// The resolved quantile, in percent (50 or 90).
+    pub percent: u64,
+    /// Candidates the second pass buffered.
+    pub candidates_kept: usize,
+    /// Lemma 3's cap on them: the sketch's `max_elements_between_bounds`
+    /// plus the copies of `e_l` and `e_u` in the data.
+    pub lemma3_cap: u64,
+    /// Whether the exact value equals the full sort's.
+    pub exact: bool,
+}
+
+/// Ablation (§4): the exact second pass over `n` uniform keys (seed 21,
+/// `m = n/10`) resolves the median and p90 for s = 100 … 2000, keeping
+/// only the keys in `[e_l, e_u]`.
+pub fn ablation_exact(n: u64) -> Vec<ExactRow> {
+    let m = paper_run_length(n);
+    let data = DatasetSpec::paper_uniform(n, 21).generate();
+    let truth = GroundTruth::new(&data);
+    let store = MemRunStore::new(data, m);
+    let mut rows = Vec::new();
+    for s in [100u64, 250, 500, 1000, 2000] {
+        let config = OpaqConfig::builder()
+            .run_length(m)
+            .sample_size(s)
+            .build()
+            .expect("valid ablation configuration");
+        let sketch = OpaqEstimator::new(config)
+            .build_sketch(&store)
+            .expect("sample phase succeeds");
+        for (percent, phi) in [(50, 0.5), (90, 0.9)] {
+            let bounds = sketch.estimate(phi).expect("valid phi");
+            let exact = exact_quantile(&store, &sketch, phi).expect("second pass succeeds");
+            rows.push(ExactRow {
+                s,
+                percent,
+                candidates_kept: exact.candidates_kept,
+                lemma3_cap: sketch.max_elements_between_bounds()
+                    + truth.count_eq(bounds.lower)
+                    + truth.count_eq(bounds.upper),
+                exact: exact.value == truth.quantile_value(phi),
+            });
+        }
+    }
+    rows
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,6 +410,19 @@ mod tests {
             assert!(row.rer_n_incremental <= bound + 1e-9, "{row:?}");
             // 4 runs of 5,000 keys per batch, 500 samples each.
             assert_eq!(row.sample_points, 2_000 * (i + 1));
+        }
+    }
+
+    /// §4: at n = 20,000 every exact median and p90 equals the full sort,
+    /// and each second pass keeps at most Lemma 3's `2·(g + (r−1)(g−1))`
+    /// keys plus the copies of the two bounds.
+    #[test]
+    fn ablation_exact_matches_the_sort_within_lemma_3() {
+        let rows = ablation_exact(20_000);
+        assert_eq!(rows.len(), 10);
+        for row in &rows {
+            assert!(row.exact, "{row:?}");
+            assert!(row.candidates_kept as u64 <= row.lemma3_cap, "{row:?}");
         }
     }
 

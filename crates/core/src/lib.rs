@@ -68,7 +68,7 @@ pub use opaq_select::RadixKey;
 pub use quantile_phase::QuantileEstimate;
 pub use rank::RankBounds;
 pub use sample_phase::{sample_run, RunSample, RunSampler};
-pub use sketch::{merge_tree, QuantileSketch, SamplePoint};
+pub use sketch::{merge_tree, QuantileSketch};
 
 /// The key bound required by the OPAQ core: totally ordered, cheap to copy,
 /// shareable across the parallel machine, and with an order-preserving `u64`

@@ -104,8 +104,8 @@ pub fn estimate_rank<K: Key>(
             max_rank_slack: 0,
         });
     }
-    let samples = sketch.samples();
-    let prefix = sketch.prefix_gaps();
+    let values = sketch.values();
+    let prefix = sketch.prefix();
     let r = sketch.runs();
     let g = sketch.max_gap();
     // Worst-case over-count of elements strictly below a sample, contributed
@@ -116,8 +116,8 @@ pub fn estimate_rank<K: Key>(
     // prefix[j] is a lower bound on the number of elements <= L[j], so the
     // true psi-th element cannot exceed L[j].
     let upper_idx = prefix.partition_point(|&covered| covered < psi);
-    debug_assert!(upper_idx < samples.len(), "total coverage equals n >= psi");
-    let upper = samples[upper_idx].value;
+    debug_assert!(upper_idx < values.len(), "total coverage equals n >= psi");
+    let upper = values[upper_idx];
 
     // ----- lower bound: last i with prefix[i] + cross_run_slack <= psi ------
     // prefix[i] + cross_run_slack bounds the number of elements strictly
@@ -129,7 +129,7 @@ pub fn estimate_rank<K: Key>(
         // back to the dataset minimum, which trivially is a lower bound.
         (sketch.dataset_min(), None)
     } else {
-        (samples[candidates - 1].value, Some(candidates - 1))
+        (values[candidates - 1], Some(candidates - 1))
     };
 
     Ok(QuantileEstimate {

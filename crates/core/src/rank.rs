@@ -42,12 +42,11 @@ impl RankBounds {
 
 /// Compute [`RankBounds`] for `value` from a sketch.
 pub fn rank_bounds<K: Key>(sketch: &QuantileSketch<K>, value: K) -> RankBounds {
-    let samples = sketch.samples();
-    let prefix = sketch.prefix_gaps();
-    let covered = samples.partition_point(|s| s.value <= value);
-    let min_rank = if covered == 0 { 0 } else { prefix[covered - 1] };
+    let covered = sketch.values().partition_point(|&v| v <= value);
+    let min_rank = covered.checked_sub(1).map_or(0, |i| sketch.prefix()[i]);
+    // r(g−1) = g + (r−1)(g−1) − 1, so it fits wherever Lemma 1's bound does.
     let slack = sketch.runs() * (sketch.max_gap().saturating_sub(1));
-    let max_rank = (min_rank + slack).min(sketch.total_elements());
+    let max_rank = min_rank.saturating_add(slack).min(sketch.total_elements());
     RankBounds { min_rank, max_rank }
 }
 

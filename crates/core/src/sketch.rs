@@ -1,10 +1,22 @@
 //! The [`QuantileSketch`]: the merged, sorted sample list plus the metadata
 //! the quantile phase needs.
 //!
-//! The sketch *is* the paper's "sorted sample list of size r·s", enriched
-//! with per-sample gaps so that runs of unequal length (tail runs, merged
-//! sketches from different machines) keep their deterministic guarantees.
-//! It supports:
+//! The sketch *is* the paper's "sorted sample list of size r·s", stored as
+//! two columns of equal length:
+//!
+//! * [`QuantileSketch::values`]: the sample values, sorted ascending (ties
+//!   in the order their runs were merged);
+//! * [`QuantileSketch::prefix`]: `prefix[i]` is the number of data elements
+//!   that `values[..=i]` account for, so it is strictly increasing and ends
+//!   at `n`.
+//!
+//! Sample `i` accounts for `prefix[i] − prefix[i−1]` elements of its run
+//! (its *gap*: `m/s` for full runs, less in tail runs; `prefix[−1]` = 0),
+//! and no field stores the gap itself.  The quantile phase indexes the
+//! prefix column: `e_u = L[⌈ψ·s/m⌉]` is the first sample whose prefix
+//! reaches ψ.  Sketches enter and leave as `(value, gap)` pairs, the wire's
+//! form ([`QuantileSketch::assemble`], [`QuantileSketch::pairs`]).  The
+//! sketch supports:
 //!
 //! * quantile estimation ([`QuantileSketch::estimate`], the quantile phase),
 //! * rank estimation of arbitrary values (§4 of the paper),
@@ -21,28 +33,27 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// One entry of the merged sample list: a sample value and the number of
-/// elements of its run that it newly accounts for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SamplePoint<K> {
-    /// The sample value.
-    pub value: K,
-    /// Number of elements of the sample's run represented by this sample
-    /// (the paper's `m/s`; varies only for tail runs).
-    pub gap: u64,
-}
-
 /// The merged, sorted sample list produced by the sample phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantileSketch<K> {
-    samples: Vec<SamplePoint<K>>,
-    /// Prefix sums of the gaps: `prefix_gaps[i]` = sum of `samples[..=i].gap`.
-    prefix_gaps: Vec<u64>,
+    values: Vec<K>,
+    prefix: Vec<u64>,
     total_elements: u64,
     runs: u64,
     max_gap: u64,
     dataset_min: K,
     dataset_max: K,
+}
+
+/// Lemma 1's bound `g + (r−1)(g−1)`, or `None` when it overflows `u64`.
+fn lemma1_bound(runs: u64, max_gap: u64) -> Option<u64> {
+    runs.saturating_sub(1)
+        .checked_mul(max_gap.saturating_sub(1))?
+        .checked_add(max_gap)
+}
+
+fn incompatible(why: impl Into<String>) -> OpaqError {
+    OpaqError::IncompatibleSketches(why.into())
 }
 
 impl<K: Key> QuantileSketch<K> {
@@ -69,14 +80,10 @@ impl<K: Key> QuantileSketch<K> {
             .map(|r| r.run_min)
             .min()
             .expect("at least one run");
-        let dataset_max = run_samples
-            .iter()
-            .map(|r| r.run_max())
-            .max()
-            .expect("at least one run");
 
         let total_samples: usize = run_samples.iter().map(|r| r.values.len()).sum();
-        let mut samples = Vec::with_capacity(total_samples);
+        let mut values = Vec::with_capacity(total_samples);
+        let mut prefix = Vec::with_capacity(total_samples);
 
         // K-way merge of the already-sorted per-run sample lists.
         let mut heap: BinaryHeap<Reverse<(K, usize, usize)>> =
@@ -86,155 +93,153 @@ impl<K: Key> QuantileSketch<K> {
                 heap.push(Reverse((rs.values[0], run_idx, 0)));
             }
         }
+        let mut covered = 0u64;
         while let Some(Reverse((value, run_idx, pos))) = heap.pop() {
             let rs = &run_samples[run_idx];
-            samples.push(SamplePoint {
-                value,
-                gap: rs.gaps[pos],
-            });
+            covered += rs.gaps[pos];
+            values.push(value);
+            prefix.push(covered);
             let next = pos + 1;
             if next < rs.values.len() {
                 heap.push(Reverse((rs.values[next], run_idx, next)));
             }
         }
-        debug_assert!(samples.windows(2).all(|w| w[0].value <= w[1].value));
-
-        Ok(Self::from_parts(
-            samples,
+        debug_assert!(values.windows(2).all(|w| w[0] <= w[1]));
+        debug_assert_eq!(covered, total_elements);
+        // Every run's maximum is its last sample, so the last merged sample
+        // is the dataset maximum.
+        Ok(Self {
+            dataset_max: values[values.len() - 1],
+            values,
+            prefix,
             total_elements,
             runs,
             max_gap,
             dataset_min,
-            dataset_max,
-        ))
+        })
     }
 
-    /// Assemble a sketch from an already-sorted sample list and its metadata.
+    /// Assemble a sketch from an already-sorted list of `(value, gap)` pairs
+    /// and its metadata.  A gap is the number of elements of the sample's
+    /// run that the sample newly accounts for.
     ///
     /// This is the constructor used by the parallel global-merge algorithms,
     /// which produce the sorted sample list through message passing rather
-    /// than through [`QuantileSketch::from_run_samples`].
+    /// than through [`QuantileSketch::from_run_samples`], and by
+    /// [`QuantileSketch::from_wire`].
     ///
     /// # Errors
-    /// [`OpaqError::EmptyDataset`] if `samples` is empty or `total_elements`
-    /// is zero, and [`OpaqError::IncompatibleSketches`] if the samples are
-    /// not sorted by value, the gaps do not sum to `total_elements`, `runs`
-    /// is zero, a gap is zero or exceeds `max_gap` (an understated `max_gap`
-    /// would silently loosen nothing but *tighten* the quantile-phase slack
-    /// below what the data supports, breaking the enclosure guarantee), or
-    /// the samples do not respect `dataset_min`/`dataset_max`.
+    /// [`OpaqError::EmptyDataset`] if `points` is empty or `total_elements`
+    /// is zero, and [`OpaqError::IncompatibleSketches`] if the points are
+    /// not sorted by value, the gaps do not sum to `total_elements` (or
+    /// overflow `u64` on the way), `runs` is zero or exceeds the number of
+    /// points (every run contributes at least one sample), a gap is zero or
+    /// exceeds `max_gap` (an understated `max_gap` would silently loosen
+    /// nothing but *tighten* the quantile-phase slack below what the data
+    /// supports, breaking the enclosure guarantee), Lemma 1's bound
+    /// `g + (r−1)(g−1)` overflows `u64`, or the points do not respect
+    /// `dataset_min`/`dataset_max`.
     pub fn assemble(
-        samples: Vec<SamplePoint<K>>,
+        points: Vec<(K, u64)>,
         total_elements: u64,
         runs: u64,
         max_gap: u64,
         dataset_min: K,
         dataset_max: K,
     ) -> OpaqResult<Self> {
-        if samples.is_empty() || total_elements == 0 {
+        if points.is_empty() || total_elements == 0 {
             return Err(OpaqError::EmptyDataset);
         }
-        if runs == 0 {
-            return Err(OpaqError::IncompatibleSketches(
-                "a non-empty sketch must summarise at least one run".into(),
-            ));
+        if runs == 0 || runs > points.len() as u64 {
+            let why = "runs must be 1..=samples: every run contributes a sample";
+            return Err(incompatible(why));
         }
-        if !samples.windows(2).all(|w| w[0].value <= w[1].value) {
-            return Err(OpaqError::IncompatibleSketches(
-                "sample list must be sorted by value".into(),
-            ));
+        if lemma1_bound(runs, max_gap).is_none() {
+            return Err(incompatible("the Lemma 1 bound overflows u64"));
         }
-        if samples.iter().any(|s| s.gap == 0) {
-            return Err(OpaqError::IncompatibleSketches(
-                "every sample must account for at least one element".into(),
-            ));
+        let mut values = Vec::with_capacity(points.len());
+        let mut prefix = Vec::with_capacity(points.len());
+        let mut covered = 0u64;
+        for (value, gap) in points {
+            if values.last().is_some_and(|&previous| previous > value) {
+                return Err(incompatible("sample list must be sorted by value"));
+            }
+            // Gaps ≥ 1 everywhere, so this also rejects max_gap == 0.
+            if gap == 0 || gap > max_gap {
+                return Err(incompatible(format!(
+                    "sample gap {gap} lies outside 1..={max_gap} (max_gap)"
+                )));
+            }
+            covered = covered
+                .checked_add(gap)
+                .ok_or_else(|| incompatible("sample gaps overflow u64"))?;
+            values.push(value);
+            prefix.push(covered);
         }
-        // Gaps ≥ 1 everywhere, so this also rejects max_gap == 0.
-        let observed_max_gap = samples.iter().map(|s| s.gap).max().expect("non-empty");
-        if observed_max_gap > max_gap {
-            return Err(OpaqError::IncompatibleSketches(format!(
-                "sample gaps reach {observed_max_gap} but max_gap claims {max_gap}"
-            )));
-        }
-        let gap_sum: u64 = samples.iter().map(|s| s.gap).sum();
-        if gap_sum != total_elements {
-            return Err(OpaqError::IncompatibleSketches(format!(
-                "sample gaps sum to {gap_sum}, expected {total_elements}"
+        if covered != total_elements {
+            return Err(incompatible(format!(
+                "sample gaps sum to {covered}, expected {total_elements}"
             )));
         }
         if dataset_min > dataset_max {
-            return Err(OpaqError::IncompatibleSketches(
-                "dataset_min must not exceed dataset_max".into(),
-            ));
+            return Err(incompatible("dataset_min must not exceed dataset_max"));
         }
         // Samples are dataset elements, so they must lie within [min, max],
         // and regular sampling always samples the run maximum, so the
         // largest sample *is* the dataset maximum.  The quantile phase's
         // psi == n short-circuit relies on exactly this invariant.
-        let first = samples.first().expect("non-empty").value;
-        let last = samples.last().expect("non-empty").value;
-        if first < dataset_min {
-            return Err(OpaqError::IncompatibleSketches(
-                "samples must not undercut dataset_min".into(),
+        if values[0] < dataset_min {
+            return Err(incompatible("samples must not undercut dataset_min"));
+        }
+        if values[values.len() - 1] != dataset_max {
+            return Err(incompatible(
+                "the largest sample must equal dataset_max (the run maximum is always sampled)",
             ));
         }
-        if last != dataset_max {
-            return Err(OpaqError::IncompatibleSketches(
-                "the largest sample must equal dataset_max (the run maximum is always sampled)"
-                    .into(),
-            ));
-        }
-        Ok(Self::from_parts(
-            samples,
+        Ok(Self {
+            values,
+            prefix,
             total_elements,
             runs,
             max_gap,
             dataset_min,
             dataset_max,
-        ))
+        })
     }
 
-    /// Assemble a sketch from raw parts (used by merge and by the parallel
-    /// global-merge algorithms, which produce an already-sorted sample list).
-    pub(crate) fn from_parts(
-        samples: Vec<SamplePoint<K>>,
-        total_elements: u64,
-        runs: u64,
-        max_gap: u64,
-        dataset_min: K,
-        dataset_max: K,
-    ) -> Self {
-        let mut prefix_gaps = Vec::with_capacity(samples.len());
-        let mut acc = 0u64;
-        for s in &samples {
-            acc += s.gap;
-            prefix_gaps.push(acc);
-        }
-        debug_assert_eq!(acc, total_elements, "gaps must account for every element");
-        Self {
-            samples,
-            prefix_gaps,
-            total_elements,
-            runs,
-            max_gap,
-            dataset_min,
-            dataset_max,
-        }
+    /// The sample values, sorted ascending.  Equal values keep the order of
+    /// the runs they came from (see [`QuantileSketch::merge`]).
+    pub fn values(&self) -> &[K] {
+        &self.values
     }
 
-    /// The sorted sample list.
-    pub fn samples(&self) -> &[SamplePoint<K>] {
-        &self.samples
+    /// The prefix column, as long as [`QuantileSketch::values`]:
+    /// `prefix()[i]` is the number of data elements that `values()[..=i]`
+    /// account for.  It is strictly increasing, because every sample
+    /// accounts for at least one element, and its last entry is
+    /// [`QuantileSketch::total_elements`].
+    pub fn prefix(&self) -> &[u64] {
+        &self.prefix
+    }
+
+    /// The sample list as `(value, gap)` pairs, the form
+    /// [`QuantileSketch::assemble`] takes and the wire stores: the gap of
+    /// sample `i` is `prefix()[i] − prefix()[i−1]`.
+    pub fn pairs(&self) -> impl ExactSizeIterator<Item = (K, u64)> + '_ {
+        (0..self.values.len()).map(move |i| {
+            let before = if i == 0 { 0 } else { self.prefix[i - 1] };
+            (self.values[i], self.prefix[i] - before)
+        })
     }
 
     /// Number of sample points (`r·s` in the paper's notation).
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.values.len()
     }
 
     /// Whether the sketch holds no samples.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.values.is_empty()
     }
 
     /// Total number of data elements the sketch summarises (`n`).
@@ -263,22 +268,17 @@ impl<K: Key> QuantileSketch<K> {
         self.dataset_max
     }
 
-    /// Prefix sums of the sample gaps (internal to the quantile phase).
-    pub(crate) fn prefix_gaps(&self) -> &[u64] {
-        &self.prefix_gaps
-    }
-
     /// Lemma 1/2 bound: the maximum number of data elements that can lie
     /// between the true quantile and either estimated bound.  Equals
     /// `g + (r−1)(g−1)` which is at most `n/s` when all runs are full.
     pub fn max_elements_per_bound(&self) -> u64 {
-        self.max_gap + (self.runs.saturating_sub(1)) * (self.max_gap.saturating_sub(1))
+        lemma1_bound(self.runs, self.max_gap).unwrap_or(u64::MAX)
     }
 
     /// Lemma 3 bound: the maximum number of data elements in `[e_l, e_u]`,
     /// i.e. twice [`Self::max_elements_per_bound`].
     pub fn max_elements_between_bounds(&self) -> u64 {
-        2 * self.max_elements_per_bound()
+        self.max_elements_per_bound().saturating_mul(2)
     }
 
     /// Estimate the φ-quantile (the quantile phase, formulas (2)–(5)).
@@ -345,7 +345,7 @@ impl<K: Key> QuantileSketch<K> {
             max_gap: self.max_gap,
             dataset_min: self.dataset_min,
             dataset_max: self.dataset_max,
-            samples: self.samples.iter().map(|s| (s.value, s.gap)).collect(),
+            samples: self.pairs().collect(),
         }
     }
 
@@ -357,24 +357,13 @@ impl<K: Key> QuantileSketch<K> {
     /// # Errors
     /// The same errors as [`QuantileSketch::assemble`].
     pub fn from_wire(wire: opaq_storage::SketchWire<K>) -> OpaqResult<Self> {
-        let opaq_storage::SketchWire {
-            total_elements,
-            runs,
-            max_gap,
-            dataset_min,
-            dataset_max,
-            samples,
-        } = wire;
         Self::assemble(
-            samples
-                .into_iter()
-                .map(|(value, gap)| SamplePoint { value, gap })
-                .collect(),
-            total_elements,
-            runs,
-            max_gap,
-            dataset_min,
-            dataset_max,
+            wire.samples,
+            wire.total_elements,
+            wire.runs,
+            wire.max_gap,
+            wire.dataset_min,
+            wire.dataset_max,
         )
     }
 
@@ -397,37 +386,59 @@ impl<K: Key> QuantileSketch<K> {
     /// Callers that may hold "no data yet" should model that as
     /// `Option<QuantileSketch>` (as [`crate::IncrementalOpaq`] does) rather
     /// than as an empty sketch.
+    /// [`OpaqError::IncompatibleSketches`] if the merged element count, run
+    /// count or Lemma 1 bound overflows `u64`.
     pub fn merge(&self, other: &QuantileSketch<K>) -> OpaqResult<QuantileSketch<K>> {
         if self.is_empty() || other.is_empty() {
             return Err(OpaqError::EmptyDataset);
         }
-        let mut samples = Vec::with_capacity(self.samples.len() + other.samples.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.samples.len() && j < other.samples.len() {
-            if self.samples[i].value <= other.samples[j].value {
-                samples.push(self.samples[i]);
+        let overflow = || incompatible("the merged sketch's counts overflow u64");
+        let total_elements = self
+            .total_elements
+            .checked_add(other.total_elements)
+            .ok_or_else(overflow)?;
+        let runs = self.runs.checked_add(other.runs).ok_or_else(overflow)?;
+        let max_gap = self.max_gap.max(other.max_gap);
+        lemma1_bound(runs, max_gap).ok_or_else(overflow)?;
+
+        // One pass over both column pairs: a taken sample's prefix is its
+        // own sketch's prefix plus what the other sketch covered before it.
+        let (a, b) = (self, other);
+        let len = a.len() + b.len();
+        let (mut values, mut prefix) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        let (mut i, mut j, mut a_covered, mut b_covered) = (0, 0, 0, 0);
+        while i < a.len() && j < b.len() {
+            if a.values[i] <= b.values[j] {
+                values.push(a.values[i]);
+                a_covered = a.prefix[i];
                 i += 1;
             } else {
-                samples.push(other.samples[j]);
+                values.push(b.values[j]);
+                b_covered = b.prefix[j];
                 j += 1;
             }
+            prefix.push(a_covered + b_covered);
         }
-        samples.extend_from_slice(&self.samples[i..]);
-        samples.extend_from_slice(&other.samples[j..]);
-        Ok(QuantileSketch::from_parts(
-            samples,
-            self.total_elements + other.total_elements,
-            self.runs + other.runs,
-            self.max_gap.max(other.max_gap),
-            self.dataset_min.min(other.dataset_min),
-            self.dataset_max.max(other.dataset_max),
-        ))
+        // At most one tail is left, and the other sketch is fully covered.
+        values.extend_from_slice(&a.values[i..]);
+        prefix.extend(a.prefix[i..].iter().map(|&p| p + b.total_elements));
+        values.extend_from_slice(&b.values[j..]);
+        prefix.extend(b.prefix[j..].iter().map(|&p| p + a.total_elements));
+        Ok(QuantileSketch {
+            values,
+            prefix,
+            total_elements,
+            runs,
+            max_gap,
+            dataset_min: a.dataset_min.min(b.dataset_min),
+            dataset_max: a.dataset_max.max(b.dataset_max),
+        })
     }
 
     /// Memory footprint of the sketch in sample points (the `r·s` term of the
     /// paper's memory constraint).
     pub fn memory_sample_points(&self) -> usize {
-        self.samples.len()
+        self.values.len()
     }
 }
 
@@ -490,11 +501,8 @@ mod tests {
         assert_eq!(sketch.len(), 30);
         assert_eq!(sketch.total_elements(), 300);
         assert_eq!(sketch.runs(), 3);
-        assert!(sketch
-            .samples()
-            .windows(2)
-            .all(|w| w[0].value <= w[1].value));
-        assert_eq!(sketch.prefix_gaps().last().copied(), Some(300));
+        assert!(sketch.values().windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(sketch.prefix().last().copied(), Some(300));
         assert_eq!(sketch.dataset_min(), 0);
         assert_eq!(sketch.dataset_max(), 199);
         assert_eq!(sketch.max_gap(), 10);
@@ -531,13 +539,10 @@ mod tests {
         assert_eq!(merged.total_elements(), 300);
         assert_eq!(merged.runs(), 3);
         assert_eq!(merged.len(), 30);
-        assert!(merged
-            .samples()
-            .windows(2)
-            .all(|w| w[0].value <= w[1].value));
+        assert!(merged.values().windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(merged.dataset_min(), 0);
         assert_eq!(merged.dataset_max(), 1099);
-        assert_eq!(merged.prefix_gaps().last().copied(), Some(300));
+        assert_eq!(merged.prefix().last().copied(), Some(300));
     }
 
     #[test]
@@ -547,10 +552,7 @@ mod tests {
         let ab = a.merge(&b).unwrap();
         let ba = b.merge(&a).unwrap();
         assert_eq!(ab.total_elements(), ba.total_elements());
-        assert_eq!(
-            ab.samples().iter().map(|s| s.value).collect::<Vec<_>>(),
-            ba.samples().iter().map(|s| s.value).collect::<Vec<_>>()
-        );
+        assert_eq!(ab.values(), ba.values());
     }
 
     #[test]
@@ -618,54 +620,85 @@ mod tests {
             QuantileSketch::<u64>::assemble(vec![], 0, 0, 1, 0, 0),
             Err(OpaqError::EmptyDataset)
         ));
-        let sp = |value, gap| SamplePoint { value, gap };
         // Unsorted samples.
         assert!(matches!(
-            QuantileSketch::assemble(vec![sp(5u64, 1), sp(3, 1)], 2, 1, 1, 3, 5),
+            QuantileSketch::assemble(vec![(5u64, 1), (3, 1)], 2, 1, 1, 3, 5),
             Err(OpaqError::IncompatibleSketches(_))
         ));
         // Gap sum mismatch.
         assert!(matches!(
-            QuantileSketch::assemble(vec![sp(1u64, 2)], 3, 1, 2, 1, 1),
+            QuantileSketch::assemble(vec![(1u64, 2)], 3, 1, 2, 1, 1),
             Err(OpaqError::IncompatibleSketches(_))
         ));
         // Zero gap.
         assert!(matches!(
-            QuantileSketch::assemble(vec![sp(1u64, 0), sp(2, 2)], 2, 1, 2, 1, 2),
+            QuantileSketch::assemble(vec![(1u64, 0), (2, 2)], 2, 1, 2, 1, 2),
             Err(OpaqError::IncompatibleSketches(_))
         ));
         // Zero runs for a non-empty list.
         assert!(matches!(
-            QuantileSketch::assemble(vec![sp(1u64, 1)], 1, 0, 1, 1, 1),
+            QuantileSketch::assemble(vec![(1u64, 1)], 1, 0, 1, 1, 1),
             Err(OpaqError::IncompatibleSketches(_))
         ));
         // Inverted min/max.
         assert!(matches!(
-            QuantileSketch::assemble(vec![sp(1u64, 1)], 1, 1, 1, 9, 1),
+            QuantileSketch::assemble(vec![(1u64, 1)], 1, 1, 1, 9, 1),
             Err(OpaqError::IncompatibleSketches(_))
         ));
         // Understated max_gap: would tighten the quantile-phase slack below
         // what the data supports, so it must be rejected (this also covers
         // max_gap == 0, since every gap is at least 1).
         assert!(matches!(
-            QuantileSketch::assemble(vec![sp(1u64, 5), sp(2, 5)], 10, 1, 4, 1, 2),
+            QuantileSketch::assemble(vec![(1u64, 5), (2, 5)], 10, 1, 4, 1, 2),
             Err(OpaqError::IncompatibleSketches(_))
         ));
         assert!(matches!(
-            QuantileSketch::assemble(vec![sp(4u64, 1)], 1, 1, 0, 2, 4),
+            QuantileSketch::assemble(vec![(4u64, 1)], 1, 1, 0, 2, 4),
             Err(OpaqError::IncompatibleSketches(_))
         ));
         // Largest sample must equal dataset_max: the run maximum is always
         // sampled, and the psi == n short-circuit relies on it.
         assert!(matches!(
-            QuantileSketch::assemble(vec![sp(4u64, 1)], 1, 1, 1, 2, 9),
+            QuantileSketch::assemble(vec![(4u64, 1)], 1, 1, 1, 2, 9),
+            Err(OpaqError::IncompatibleSketches(_))
+        ));
+        // More runs than samples: every run contributes at least one.
+        assert!(matches!(
+            QuantileSketch::assemble(vec![(1u64, 1), (2, 1)], 2, 3, 1, 1, 2),
+            Err(OpaqError::IncompatibleSketches(_))
+        ));
+        // Lemma 1's bound g + (r−1)(g−1) overflows u64.
+        assert!(matches!(
+            QuantileSketch::assemble(vec![(1u64, 1), (2, 1)], 2, 2, u64::MAX, 1, 2),
+            Err(OpaqError::IncompatibleSketches(_))
+        ));
+        // Gaps whose sum wraps around to total_elements.
+        assert!(matches!(
+            QuantileSketch::assemble(vec![(1u64, u64::MAX), (2, 3), (3, 2)], 4, 1, u64::MAX, 1, 3),
             Err(OpaqError::IncompatibleSketches(_))
         ));
         // A valid single-sample sketch assembles.
-        let s = QuantileSketch::assemble(vec![sp(4u64, 1)], 1, 1, 1, 2, 4).unwrap();
+        let s = QuantileSketch::assemble(vec![(4u64, 1)], 1, 1, 1, 2, 4).unwrap();
         assert_eq!(s.max_gap(), 1);
         assert_eq!(s.dataset_min(), 2);
         assert_eq!(s.dataset_max(), 4);
+        // Merging valid sketches whose counts overflow.  One run with a huge
+        // gap ceiling and three runs of small gaps are each valid, but
+        // together (r−1)(g−1) = 3·(2⁶³ − 1) overflows.
+        let wide = QuantileSketch::assemble(vec![(1u64, 1)], 1, 1, 1 << 63, 1, 1).unwrap();
+        let narrow =
+            QuantileSketch::assemble(vec![(1u64, 1), (2, 1), (3, 1)], 3, 3, 1, 1, 3).unwrap();
+        assert!(matches!(
+            wide.merge(&narrow),
+            Err(OpaqError::IncompatibleSketches(_))
+        ));
+        // Two halves of 2⁶³ elements each: the element count overflows.
+        let half =
+            QuantileSketch::assemble(vec![(1u64, 1 << 63)], 1 << 63, 1, 1 << 63, 1, 1).unwrap();
+        assert!(matches!(
+            half.merge(&half),
+            Err(OpaqError::IncompatibleSketches(_))
+        ));
     }
 
     #[test]
@@ -704,6 +737,27 @@ mod tests {
         let mut wire = sketch.to_wire();
         wire.total_elements += 1; // gap-sum mismatch
         assert!(QuantileSketch::from_wire(wire).is_err());
+        let crafted =
+            |total_elements, runs, max_gap, samples: Vec<(u64, u64)>| opaq_storage::SketchWire {
+                total_elements,
+                runs,
+                max_gap,
+                dataset_min: samples[0].0,
+                dataset_max: samples[samples.len() - 1].0,
+                samples,
+            };
+        // A run count whose (r−1)(g−1) overflows the quantile phase's slack.
+        let wire = crafted(10, u64::MAX / 2, 5, vec![(1, 5), (2, 5)]);
+        assert!(matches!(
+            QuantileSketch::from_wire(wire),
+            Err(OpaqError::IncompatibleSketches(_))
+        ));
+        // Gaps that sum to total_elements only by wrapping around.
+        let wire = crafted(4, 1, u64::MAX, vec![(1, u64::MAX), (2, 3), (3, 2)]);
+        assert!(matches!(
+            QuantileSketch::from_wire(wire),
+            Err(OpaqError::IncompatibleSketches(_))
+        ));
     }
 
     #[test]

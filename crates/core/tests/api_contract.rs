@@ -54,8 +54,7 @@ fn sample_list_holds_the_sorted_runs_regular_samples() {
         })
         .collect();
     expected.sort_unstable();
-    let values: Vec<u64> = sketch.samples().iter().map(|s| s.value).collect();
-    assert_eq!(values, expected);
+    assert_eq!(sketch.values(), expected);
 }
 
 #[test]

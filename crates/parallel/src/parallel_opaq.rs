@@ -15,9 +15,7 @@ use crate::bitonic::bitonic_merge;
 use crate::cost_model::CostModel;
 use crate::machine::Machine;
 use crate::sample_merge::sample_merge;
-use opaq_core::{
-    Key, OpaqConfig, OpaqError, OpaqResult, QuantileSketch, RunSample, RunSampler, SamplePoint,
-};
+use opaq_core::{Key, OpaqConfig, OpaqError, OpaqResult, QuantileSketch, RunSample, RunSampler};
 use opaq_storage::{DiskModel, FixedWidthCodec, MemRunStore, RunStore};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -178,7 +176,7 @@ impl ParallelOpaq {
         }
 
         // ---- local phases: one thread per processor -------------------------
-        type LocalOutcome<K> = OpaqResult<(LocalResult<K>, PhaseTimes, PhaseTimes)>;
+        type LocalOutcome<K> = OpaqResult<(QuantileSketch<K>, PhaseTimes, PhaseTimes)>;
         let locals: Vec<LocalOutcome<K>> = std::thread::scope(|scope| {
             let handles: Vec<_> = stores
                 .iter()
@@ -189,30 +187,28 @@ impl ParallelOpaq {
                 .map(|h| h.join().expect("local phase thread panicked"))
                 .collect()
         });
-        let mut local_results = Vec::with_capacity(self.processors);
+        let mut local_sketches = Vec::with_capacity(self.processors);
         let mut measured = PhaseTimes::default();
         let mut modelled = PhaseTimes::default();
         for outcome in locals {
             let (local, meas, model) = outcome?;
             measured = PhaseTimes::max_elementwise(measured, meas);
             modelled = PhaseTimes::max_elementwise(modelled, model);
-            local_results.push(local);
+            local_sketches.push(local);
         }
 
         // ---- global merge of the p local sample lists -----------------------
+        // The merges move whole `(value, gap)` points, ordered by value and
+        // then gap.
         let machine = Machine::new(self.processors, self.cost);
-        let lists: Vec<Vec<SamplePoint<K>>> =
-            local_results.iter().map(|l| l.samples.clone()).collect();
+        let lists: Vec<Vec<(K, u64)>> =
+            local_sketches.iter().map(|l| l.pairs().collect()).collect();
         let per_proc_list: u64 = lists.iter().map(|l| l.len() as u64).max().unwrap_or(0);
-        let keyed: Vec<Vec<KeyedPoint<K>>> = lists
-            .into_iter()
-            .map(|l| l.into_iter().map(KeyedPoint).collect())
-            .collect();
 
         let global_start = Instant::now();
         let (merged_blocks, modelled_comm) = match self.merge {
             MergeAlgorithm::Bitonic => {
-                let out = bitonic_merge(&machine, keyed);
+                let out = bitonic_merge(&machine, lists);
                 (
                     out,
                     self.cost
@@ -220,7 +216,7 @@ impl ParallelOpaq {
                 )
             }
             MergeAlgorithm::Sample => {
-                let out = sample_merge(&machine, keyed);
+                let out = sample_merge(&machine, lists);
                 (
                     out,
                     self.cost.sample_merge_cost(
@@ -235,26 +231,26 @@ impl ParallelOpaq {
         modelled.global_merge = modelled_comm;
 
         // ---- assemble the global sketch --------------------------------------
-        let samples: Vec<SamplePoint<K>> = merged_blocks
-            .into_iter()
-            .flatten()
-            .map(|KeyedPoint(sp)| sp)
-            .collect();
-        let total_elements: u64 = local_results.iter().map(|l| l.total_elements).sum();
-        let runs: u64 = local_results.iter().map(|l| l.runs).sum();
-        let max_gap = local_results.iter().map(|l| l.max_gap).max().unwrap_or(1);
-        let dataset_min = local_results
+        let points: Vec<(K, u64)> = merged_blocks.into_iter().flatten().collect();
+        let total_elements: u64 = local_sketches.iter().map(|l| l.total_elements()).sum();
+        let runs: u64 = local_sketches.iter().map(|l| l.runs()).sum();
+        let max_gap = local_sketches
             .iter()
-            .map(|l| l.min)
+            .map(|l| l.max_gap())
+            .max()
+            .unwrap_or(1);
+        let dataset_min = local_sketches
+            .iter()
+            .map(|l| l.dataset_min())
             .min()
             .expect("at least one processor");
-        let dataset_max = local_results
+        let dataset_max = local_sketches
             .iter()
-            .map(|l| l.max)
+            .map(|l| l.dataset_max())
             .max()
             .expect("at least one processor");
         let sketch = QuantileSketch::assemble(
-            samples,
+            points,
             total_elements,
             runs,
             max_gap,
@@ -286,7 +282,10 @@ impl ParallelOpaq {
 
     /// Local phases of one processor: read runs, sample them, merge the
     /// per-run sample lists into the local sorted sample list.
-    fn local_phases<K, S>(&self, store: &S) -> OpaqResult<(LocalResult<K>, PhaseTimes, PhaseTimes)>
+    fn local_phases<K, S>(
+        &self,
+        store: &S,
+    ) -> OpaqResult<(QuantileSketch<K>, PhaseTimes, PhaseTimes)>
     where
         K: Key,
         S: RunStore<K>,
@@ -324,48 +323,7 @@ impl ParallelOpaq {
             .cost
             .compute((r as f64 * s as f64 * (r.max(2) as f64).log2()) as u64);
 
-        Ok((
-            LocalResult {
-                samples: local_sketch.samples().to_vec(),
-                total_elements: local_sketch.total_elements(),
-                runs: local_sketch.runs(),
-                max_gap: local_sketch.max_gap(),
-                min: local_sketch.dataset_min(),
-                max: local_sketch.dataset_max(),
-            },
-            measured,
-            modelled,
-        ))
-    }
-}
-
-/// The outcome of one processor's local phases.
-struct LocalResult<K> {
-    samples: Vec<SamplePoint<K>>,
-    total_elements: u64,
-    runs: u64,
-    max_gap: u64,
-    min: K,
-    max: K,
-}
-
-/// Wrapper giving [`SamplePoint`] a total order on its value so the generic
-/// merge algorithms can move whole sample points around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct KeyedPoint<K>(SamplePoint<K>);
-
-impl<K: Ord> PartialOrd for KeyedPoint<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K: Ord> Ord for KeyedPoint<K> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .value
-            .cmp(&other.0.value)
-            .then(self.0.gap.cmp(&other.0.gap))
+        Ok((local_sketch, measured, modelled))
     }
 }
 
@@ -436,9 +394,7 @@ mod tests {
         assert_eq!(report.sketch.runs(), sequential.runs());
         assert_eq!(report.sketch.len(), sequential.len());
         // Identical data split identically -> identical sample values.
-        let a: Vec<u64> = report.sketch.samples().iter().map(|s| s.value).collect();
-        let b: Vec<u64> = sequential.samples().iter().map(|s| s.value).collect();
-        assert_eq!(a, b);
+        assert_eq!(report.sketch.values(), sequential.values());
     }
 
     #[test]

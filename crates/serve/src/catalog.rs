@@ -1196,15 +1196,7 @@ impl SketchCatalog {
 /// A structurally valid 1-element sketch used as the never-observable
 /// placeholder of a just-created entry (version 0).
 fn placeholder_sketch() -> QuantileSketch<u64> {
-    QuantileSketch::assemble(
-        vec![opaq_core::SamplePoint { value: 0, gap: 1 }],
-        1,
-        1,
-        1,
-        0,
-        0,
-    )
-    .expect("placeholder sketch is valid")
+    QuantileSketch::assemble(vec![(0, 1)], 1, 1, 1, 0, 0).expect("placeholder sketch is valid")
 }
 
 /// Deterministic, filesystem-safe name for the durable copy of one

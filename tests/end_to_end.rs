@@ -130,26 +130,27 @@ fn parallel_agrees_with_sequential() {
         .build_sketch(&MemRunStore::new(data.clone(), m))
         .unwrap();
 
-    for merge in [MergeAlgorithm::Bitonic, MergeAlgorithm::Sample] {
-        let report = ParallelOpaq::new(config, p)
-            .with_merge(merge)
-            .run_on_partitions(block_partition(&data, p))
-            .unwrap();
-        assert_eq!(report.sketch.total_elements(), sequential.total_elements());
-        assert_eq!(report.sketch.runs(), sequential.runs());
-        let par: Vec<u64> = report.sketch.samples().iter().map(|sp| sp.value).collect();
-        let seq: Vec<u64> = sequential.samples().iter().map(|sp| sp.value).collect();
-        assert_eq!(par, seq, "{merge:?}");
+    // Zipf keys tie heavily, so both merges order equal values by gap; they
+    // must give the same sketch, both columns included.
+    let reports: Vec<_> = [MergeAlgorithm::Bitonic, MergeAlgorithm::Sample]
+        .into_iter()
+        .map(|merge| {
+            ParallelOpaq::new(config, p)
+                .with_merge(merge)
+                .run_on_partitions(block_partition(&data, p))
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(reports[0].sketch, reports[1].sketch, "Bitonic vs Sample");
+    let parallel = &reports[0].sketch;
+    assert_eq!(parallel.total_elements(), sequential.total_elements());
+    assert_eq!(parallel.runs(), sequential.runs());
+    assert_eq!(parallel.values(), sequential.values());
 
-        let truth = GroundTruth::new(&data);
-        for e in report.sketch.estimate_q_quantiles(10).unwrap() {
-            let exact = truth.quantile_value(e.phi);
-            assert!(
-                e.lower <= exact && exact <= e.upper,
-                "{merge:?} phi {}",
-                e.phi
-            );
-        }
+    let truth = GroundTruth::new(&data);
+    for e in parallel.estimate_q_quantiles(10).unwrap() {
+        let exact = truth.quantile_value(e.phi);
+        assert!(e.lower <= exact && exact <= e.upper, "phi {}", e.phi);
     }
 }
 
