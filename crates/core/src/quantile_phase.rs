@@ -38,20 +38,6 @@ pub struct QuantileEstimate<K> {
     pub max_rank_slack: u64,
 }
 
-impl<K: Key> QuantileEstimate<K> {
-    /// Midpoint-style point estimate: the lower bound (the paper evaluates
-    /// accuracy in terms of the interval, but a single representative value
-    /// is convenient for histogram construction).  Returns the upper bound
-    /// when the lower bound degenerated to the dataset minimum.
-    pub fn point_estimate(&self) -> K {
-        if self.lower_sample_index.is_some() {
-            self.lower
-        } else {
-            self.upper
-        }
-    }
-}
-
 /// Estimate the φ-quantile of the dataset summarised by `sketch`.
 ///
 /// The boundaries are well-defined rather than out-of-range: `phi = 0.0`
@@ -255,16 +241,6 @@ mod tests {
         // estimate_rank(1) is bounded below by the dataset minimum.
         let est = sketch.estimate_rank(1).unwrap();
         assert_eq!(est.lower, 0);
-    }
-
-    #[test]
-    fn point_estimate_prefers_lower_bound() {
-        let data: Vec<u64> = (1..=1000).collect();
-        let sketch = sketch_of(data, 100, 10);
-        let est = sketch.estimate(0.5).unwrap();
-        assert_eq!(est.point_estimate(), est.lower);
-        let est = sketch.estimate(0.001).unwrap();
-        assert_eq!(est.point_estimate(), est.upper);
     }
 
     #[test]

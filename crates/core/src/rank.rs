@@ -25,11 +25,6 @@ impl RankBounds {
         self.max_rank - self.min_rank
     }
 
-    /// Midpoint of the interval as a point estimate of the rank.
-    pub fn midpoint(&self) -> u64 {
-        self.min_rank + self.width() / 2
-    }
-
     /// The corresponding bounds on the quantile fraction `rank / n`.
     pub fn phi_bounds(&self, n: u64) -> (f64, f64) {
         assert!(n > 0, "dataset size must be positive");
@@ -122,7 +117,6 @@ mod tests {
             max_rank: 30,
         };
         assert_eq!(rb.width(), 20);
-        assert_eq!(rb.midpoint(), 20);
         let (lo, hi) = rb.phi_bounds(100);
         assert!((lo - 0.1).abs() < 1e-12 && (hi - 0.3).abs() < 1e-12);
     }

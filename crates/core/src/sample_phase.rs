@@ -56,14 +56,6 @@ pub struct RunSample<K> {
 }
 
 impl<K: Key> RunSample<K> {
-    /// The largest sample, which by construction is the run maximum.
-    pub fn run_max(&self) -> K {
-        *self
-            .values
-            .last()
-            .expect("a run sample always has at least one sample")
-    }
-
     /// Largest gap in this run (`⌈m/s⌉` for full regular sampling).
     pub fn max_gap(&self) -> u64 {
         self.gaps.iter().copied().max().unwrap_or(0)
@@ -181,7 +173,7 @@ mod tests {
         assert_eq!(rs.values, vec![10, 20, 30, 40, 50, 60, 70, 80, 90, 100]);
         assert_eq!(rs.gaps, vec![10; 10]);
         assert_eq!(rs.run_min, 1);
-        assert_eq!(rs.run_max(), 100);
+        assert_eq!(*rs.values.last().unwrap(), 100);
         assert_eq!(rs.run_len, 100);
         assert_eq!(rs.max_gap(), 10);
     }
@@ -194,7 +186,7 @@ mod tests {
         let rs = sample_run(&mut run, 16).unwrap();
         assert_eq!(rs.values.len(), 16);
         assert!(rs.values.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(rs.run_max(), *sorted.last().unwrap());
+        assert_eq!(*rs.values.last().unwrap(), *sorted.last().unwrap());
         assert_eq!(rs.run_min, sorted[0]);
         assert_eq!(rs.gaps.iter().sum::<u64>(), 1000);
     }
@@ -204,7 +196,7 @@ mod tests {
         for len in [7usize, 64, 129, 1000] {
             let mut run: Vec<u64> = (0..len as u64).rev().collect();
             let rs = sample_run(&mut run, 5).unwrap();
-            assert_eq!(rs.run_max(), (len - 1) as u64, "len {len}");
+            assert_eq!(*rs.values.last().unwrap(), (len - 1) as u64, "len {len}");
         }
     }
 
@@ -243,7 +235,7 @@ mod tests {
             let rs = sampler.sample(&mut run).unwrap();
             assert_eq!(rs, one_shot, "len {len}");
             assert_eq!(rs.run_len, len as u64);
-            assert_eq!(rs.run_max(), (len - 1) as u64);
+            assert_eq!(*rs.values.last().unwrap(), (len - 1) as u64);
         }
     }
 

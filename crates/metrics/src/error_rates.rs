@@ -34,14 +34,6 @@ impl RelativeErrorRates {
     pub fn rer_a_max(&self) -> f64 {
         self.rer_a_per_quantile.iter().copied().fold(0.0, f64::max)
     }
-
-    /// The mean per-quantile RER_A.
-    pub fn rer_a_mean(&self) -> f64 {
-        if self.rer_a_per_quantile.is_empty() {
-            return 0.0;
-        }
-        self.rer_a_per_quantile.iter().sum::<f64>() / self.rer_a_per_quantile.len() as f64
-    }
 }
 
 /// A full error report: the estimated bounds plus the derived error rates.
@@ -244,7 +236,6 @@ mod tests {
             rer_n: 2.0,
         };
         assert!((rates.rer_a_max() - 0.3).abs() < 1e-12);
-        assert!((rates.rer_a_mean() - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -191,34 +191,6 @@ impl LatencyHistogram {
         self.try_quantile(q).unwrap_or(Duration::ZERO)
     }
 
-    /// Number of recordings that landed in the final (saturation) bucket —
-    /// durations of roughly 2<sup>63</sup> ns and above, including
-    /// `Duration`s clamped to `u64::MAX` ns on the way in.  Non-zero values
-    /// mean the histogram's resolution ceiling was hit and `max()` should be
-    /// read as "at least".
-    pub fn saturated_count(&self) -> u64 {
-        self.buckets[BUCKETS - 1].load(Ordering::Relaxed)
-    }
-
-    /// Add every sample of `other` into `self` (used to aggregate per-tenant
-    /// histograms into fleet-wide ones).
-    pub fn merge_from(&self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let add = theirs.load(Ordering::Relaxed);
-            if add > 0 {
-                mine.fetch_add(add, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.total_nanos
-            .fetch_add(other.total_nanos.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max_nanos
-            .fetch_max(other.max_nanos.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min_nanos
-            .fetch_min(other.min_nanos.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Sum of all recorded latencies in nanoseconds (saturating on the
     /// accumulator, like every other counter here).
     pub fn total_nanos(&self) -> u64 {
@@ -461,7 +433,6 @@ mod tests {
         h.record_nanos(u64::MAX - 2);
         h.record_nanos(u64::MAX - 1);
         h.record_nanos(u64::MAX);
-        assert_eq!(h.saturated_count(), 3);
         // Every quantile of this distribution must clamp to the *exact*
         // recorded maximum, not the bucket bound.
         assert_eq!(h.try_quantile(1.0), Some(Duration::from_nanos(u64::MAX)));
@@ -470,17 +441,12 @@ mod tests {
         let mixed = LatencyHistogram::new();
         mixed.record_nanos(1_000);
         mixed.record_nanos(u64::MAX - 5);
-        assert_eq!(mixed.saturated_count(), 1);
         assert_eq!(
             mixed.try_quantile(1.0),
             Some(Duration::from_nanos(u64::MAX - 5)),
             "exact max, not the saturated bucket bound"
         );
         assert_eq!(mixed.try_quantile(0.25), Some(Duration::from_nanos(1_023)));
-        // Small values don't count as saturated.
-        let small = LatencyHistogram::new();
-        small.record_nanos(5);
-        assert_eq!(small.saturated_count(), 0);
     }
 
     #[test]
@@ -497,19 +463,6 @@ mod tests {
             }
         });
         assert_eq!(h.count(), 80_000);
-    }
-
-    #[test]
-    fn merge_from_aggregates() {
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        a.record_nanos(100);
-        b.record_nanos(1_000_000);
-        b.record_nanos(500);
-        a.merge_from(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), Duration::from_nanos(100));
-        assert_eq!(a.max(), Duration::from_nanos(1_000_000));
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //! This crate computes all three from a sorted copy of the data plus the
 //! estimated bounds, provides exact ground-truth quantiles, a fixed-width
 //! text-table builder used by every experiment binary, lock-free [`latency`] histograms
-//! (p50/p99/p999) for the multi-tenant serving layer in `opaq-serve`,
-//! [`slo`] threshold verdicts for the open-loop serving benchmarks, and
+//! (p50/p99/p999) for the multi-tenant serving layer in `opaq-serve`, and
 //! the serving stack's observability layer: request [`trace`]s and the
 //! Prometheus metric [`registry`].
 //!
@@ -90,7 +89,6 @@ pub mod ground_truth;
 pub mod latency;
 pub mod registry;
 pub mod shard;
-pub mod slo;
 pub mod table;
 pub mod trace;
 
@@ -99,7 +97,6 @@ pub use ground_truth::GroundTruth;
 pub use latency::{render_latency_table, HistogramExport, LatencyHistogram, LatencySnapshot};
 pub use registry::{Counter, Gauge, MetricRegistry};
 pub use shard::{render_shard_table, ShardStats};
-pub use slo::{SloCheck, SloOutcome, SloThresholds};
 pub use table::{fmt2, TextTable};
 pub use trace::{
     render_span_tree, SlowEntry, SlowLog, Span, SpanRecorder, SpanTag, Stage, TraceId, TraceSink,

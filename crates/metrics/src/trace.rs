@@ -197,11 +197,6 @@ impl Stage {
         }
     }
 
-    /// Parse the wire label back into a stage.
-    pub fn from_str_label(s: &str) -> Option<Self> {
-        Stage::ALL.into_iter().find(|st| st.as_str() == s)
-    }
-
     /// Stable wire code (1-based; the ring's slot encoding and, minus one,
     /// the recorder's histogram index).
     fn code(self) -> u64 {
@@ -825,7 +820,6 @@ mod tests {
     fn stage_and_tag_codes_round_trip() {
         for stage in Stage::ALL {
             assert_eq!(Stage::from_code(stage.code()), Some(stage));
-            assert_eq!(Stage::from_str_label(stage.as_str()), Some(stage));
         }
         for code in 0..=6 {
             let tag = SpanTag::from_code(code).expect("tag code");

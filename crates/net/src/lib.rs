@@ -91,12 +91,12 @@
 //!   tenant serve non-fresh tags until its background refresh publishes.
 //!   With [`LoadSpec::target_qps`] the clients hold a fixed **open-loop**
 //!   offered rate and measure latency from each op's scheduled send time
-//!   (coordinated-omission-safe), 503s are tallied as *sheds*, and the one
-//!   [`LoadReport`] carries verdicts for any declared
-//!   [`opaq_metrics::SloThresholds`] — the machinery behind every
-//!   `opaq serve-bench` mode.  A routed fleet with one group is a replica
-//!   fleet, and a replica fleet of one is a single server, so every fleet
-//!   run drives the same [`RoutedFleet`] clients.
+//!   (coordinated-omission-safe) and 503s are tallied as *sheds*; the one
+//!   [`LoadReport`] is the machinery behind every `opaq serve-bench` mode.
+//!   The harness judges answers, not latency: the one latency SLO is the
+//!   server's [`ServerConfig::slo_threshold`].  A routed fleet with one
+//!   group is a replica fleet, and a replica fleet of one is a single
+//!   server, so every fleet run drives the same [`RoutedFleet`] clients.
 
 //! ## Replication + failover model
 //!

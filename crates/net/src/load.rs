@@ -70,9 +70,7 @@ use crate::sync::{bootstrap, Replicator};
 use crate::{NetError, NetResult};
 use opaq_core::{IncrementalOpaq, OpaqConfig, QuantileSketch};
 use opaq_metrics::trace::{format_nanos, TraceSink};
-use opaq_metrics::{
-    render_latency_table, LatencyHistogram, LatencySnapshot, SloOutcome, SloThresholds, TraceId,
-};
+use opaq_metrics::{render_latency_table, LatencyHistogram, LatencySnapshot, TraceId};
 use opaq_query::{merge_tree, PlanExecutor, PlanResponse, PlanSource};
 use opaq_serve::{
     execute_on, next_rand, request_for, CatalogConfig, CatalogStats, DatasetId, Freshness,
@@ -165,9 +163,6 @@ pub struct LoadSpec {
     pub ttl: Option<Duration>,
     /// Aggregate open-loop offered rate; `None` runs closed loop.
     pub target_qps: Option<f64>,
-    /// Declared objectives, judged against the client-observed latency and
-    /// the error/shed rates.
-    pub slo: SloThresholds,
 }
 
 impl Default for LoadSpec {
@@ -185,7 +180,6 @@ impl Default for LoadSpec {
             budget_sample_points: None,
             ttl: None,
             target_qps: None,
-            slo: SloThresholds::default(),
         }
     }
 }
@@ -322,8 +316,6 @@ pub struct LoadReport {
     pub wall: Duration,
     /// The open-loop offered rate, if one was configured.
     pub target_qps: Option<f64>,
-    /// Verdicts for the declared objectives (empty when none declared).
-    pub slo: SloOutcome,
     /// Counters of the catalog of record of group 0 (the in-process catalog
     /// on [`Topology::InProcess`]) at the end of the run.
     pub catalog: CatalogStats,
@@ -336,16 +328,6 @@ impl LoadReport {
     /// Client ops per second over the client phase.
     pub fn throughput(&self) -> f64 {
         self.ops as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Fraction of ops answered with a non-200, non-503 status.
-    pub fn error_rate(&self) -> f64 {
-        (self.http_errors + self.plan_errors) as f64 / (self.ops as f64).max(1.0)
-    }
-
-    /// Fraction of ops shed with 503.
-    pub fn shed_rate(&self) -> f64 {
-        self.sheds as f64 / (self.ops as f64).max(1.0)
     }
 
     /// Render the report as text.
@@ -417,7 +399,6 @@ impl LoadReport {
         if let Some(qps) = self.target_qps {
             out.push_str(&format!("target qps (open loop): {qps:.0}\n"));
         }
-        out.push_str(&self.slo.render("slo verdicts"));
         out.push_str(&self.slow_log);
         out
     }
@@ -824,8 +805,6 @@ impl Fleet {
                     .max(spec.clients * 2 + replicas + 4),
                 ring: Some(Arc::new(RingMembership::new((*ring).clone(), &group.name)?)),
                 replication: Some(Arc::clone(&stats)),
-                // Arm the server-side breach counter with the declared p99.
-                slo_threshold: spec.slo.p99,
                 ..ServerConfig::default()
             };
             config.addr = group.addrs[0].clone();
@@ -1306,14 +1285,7 @@ pub fn run_load(spec: &LoadSpec) -> NetResult<LoadReport> {
         Some(fleet) if spec.topology.kills() => Some(fleet.secondaries[0].remove(0)),
         _ => None,
     };
-    let router = Arc::new(Router::new(
-        &catalogs[0],
-        ServerConfig {
-            // Arm the server-side breach counter with the declared p99.
-            slo_threshold: spec.slo.p99,
-            ..ServerConfig::default()
-        },
-    ));
+    let router = Arc::new(Router::new(&catalogs[0], ServerConfig::default()));
     let new_client = || -> NetResult<Client> {
         Ok(match &fleet {
             Some(fleet) => Client::Wire(fleet.client()?),
@@ -1581,7 +1553,7 @@ pub fn run_load(spec: &LoadSpec) -> NetResult<LoadReport> {
     }
     let (wall, transport) = run?;
     let replicated = |f: fn(&ReplicationStats) -> u64| stats.as_deref().map_or(0, f);
-    let mut report = LoadReport {
+    let report = LoadReport {
         topology: spec.topology,
         ops: get(&tally.claimed),
         plan_ops: get(&tally.plan_ops),
@@ -1616,13 +1588,9 @@ pub fn run_load(spec: &LoadSpec) -> NetResult<LoadReport> {
         latency: latency.snapshot(),
         wall,
         target_qps: spec.target_qps,
-        slo: SloOutcome::default(),
         catalog: catalogs[0].stats(),
         slow_log,
     };
-    report.slo = spec
-        .slo
-        .evaluate(&report.latency, report.error_rate(), report.shed_rate());
     Ok(report)
 }
 
@@ -1744,17 +1712,10 @@ mod tests {
             ops_per_client: 50,
             refresh_rounds: 1,
             target_qps: Some(2_000.0),
-            slo: SloThresholds {
-                p99: Some(Duration::from_secs(5)),
-                max_error_rate: Some(0.0),
-                max_shed_rate: Some(0.0),
-                ..SloThresholds::default()
-            },
             ..LoadSpec::quick()
         })
         .unwrap();
         assert_eq!(report.torn_reads, 0);
-        assert_eq!((report.slo.checks.len(), report.slo.breaches()), (3, 0));
         assert_eq!(report.verified + report.plan_verified, report.ops);
         assert_eq!(report.latency.count, report.ops);
         // 4 clients × 50 ops at 2000 QPS pins the last scheduled send near
@@ -1769,7 +1730,6 @@ mod tests {
             rendered.contains("target qps (open loop): 2000"),
             "{rendered}"
         );
-        assert!(rendered.contains("slo verdicts"), "{rendered}");
     }
 
     #[test]

@@ -99,15 +99,6 @@ impl RoutedFleet {
         })
     }
 
-    /// A fleet dialing the ring's own per-group addresses directly.
-    ///
-    /// # Errors
-    /// Same as [`RoutedFleet::new`].
-    pub fn from_ring(ring: Arc<HashRing>, config: &ReplicaConfig) -> NetResult<Self> {
-        let addrs: Vec<Vec<String>> = ring.groups().iter().map(|g| g.addrs.clone()).collect();
-        Self::new(ring, &addrs, config)
-    }
-
     /// Attach a shared stats block (failovers, breaker gauges, re-routes).
     #[must_use]
     pub fn with_stats(mut self, stats: Arc<ReplicationStats>) -> Self {
@@ -305,7 +296,8 @@ mod tests {
     #[test]
     fn fleet_routes_by_ring_owner() {
         let ring = make_ring(&["a", "b", "c"]);
-        let fleet = RoutedFleet::from_ring(Arc::clone(&ring), &ReplicaConfig::default()).unwrap();
+        let addrs: Vec<Vec<String>> = ring.groups().iter().map(|g| g.addrs.clone()).collect();
+        let fleet = RoutedFleet::new(Arc::clone(&ring), &addrs, &ReplicaConfig::default()).unwrap();
         for i in 0..100 {
             let tenant = format!("tenant-{i}");
             assert_eq!(fleet.owner_index(&tenant), ring.owner_index(&tenant));

@@ -1,5 +1,6 @@
 //! Allocation gates: how many heap allocations, and how many bytes, one
-//! plan costs through `PlanExecutor::execute`.
+//! plan costs through `PlanExecutor::execute`, and one point GET costs
+//! through the server's `route` and `Response::write_to`.
 //!
 //! Counts of work do not drift with the host the way timings do, so these
 //! ceilings hold on any machine.  A counting global allocator tallies
@@ -9,13 +10,16 @@
 //!
 //! The shape is the `query_plan` bench's quick mode: 16 tenants of 20,000
 //! keys, sketched with m = 5,000 and s = 500 (2,000 sample points each).
-//! Each plan runs once to warm up before the counted run.  The ceilings
-//! are the measured counts; a change that lowers a count lowers its
-//! ceiling.  Run with `--nocapture` to print the counts.
+//! Each plan or request runs once to warm up before the counted run.  The
+//! ceilings are the measured counts; a change that lowers a count lowers
+//! its ceiling.  Run with `--nocapture` to print the counts.
 
 use opaq_core::{IncrementalOpaq, OpaqConfig};
+use opaq_metrics::{TraceId, TraceSink};
+use opaq_net::server::route;
+use opaq_net::{Request, ServerConfig, Telemetry};
 use opaq_query::{PlanExecutor, QueryPlan};
-use opaq_serve::{DatasetId, QueryRequest, SketchCatalog, TenantId};
+use opaq_serve::{DatasetId, QueryEngine, QueryRequest, SketchCatalog, TenantId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -136,6 +140,44 @@ fn coalesce_plan_allocations_stay_under_their_ceiling() {
     let executor = PlanExecutor::new(catalog());
     let plan = QueryPlan::parse("fetch tenant-*/events | coalesce | quantile 0.5,0.99").unwrap();
     let (allocs, bytes) = plan_cost(&executor, &plan, "16-source coalesce plan");
-    assert!(allocs <= 289, "{allocs} allocations");
-    assert!(bytes <= 2_058_786, "{bytes} bytes");
+    assert!(allocs <= 155, "{allocs} allocations");
+    assert!(bytes <= 2_055_330, "{bytes} bytes");
+}
+
+/// `GET /v1/tenant-0/events/quantile?phi=0.5` as the request reader parses
+/// it, answered by `route` and framed into a buffer the connection reuses:
+/// the server's whole request path but the socket and the parse.
+#[test]
+fn point_get_route_allocations_stay_under_their_ceiling() {
+    let catalog = catalog();
+    let engine = Arc::new(QueryEngine::new(Arc::clone(&catalog)));
+    let executor = Arc::new(PlanExecutor::new(catalog));
+    let (config, telemetry) = (ServerConfig::default(), Telemetry::new());
+    let request = Request {
+        method: "GET".to_string(),
+        path: "/v1/tenant-0/events/quantile".to_string(),
+        segments: ["v1", "tenant-0", "events", "quantile"]
+            .map(String::from)
+            .to_vec(),
+        query: vec![("phi".to_string(), "0.5".to_string())],
+        headers: Vec::new(),
+        body: Vec::new(),
+        http11: true,
+    };
+    let mut out = Vec::new();
+    let mut get = || {
+        let trace = TraceId::mint();
+        let sink = TraceSink::new(Arc::clone(telemetry.recorder()), trace);
+        let response = route(&engine, &executor, &config, &telemetry, &sink, &request);
+        response
+            .write_to(&mut std::io::sink(), &mut out, true, trace)
+            .unwrap();
+        response.status
+    };
+    assert_eq!(get(), 200);
+    let (status, allocs, bytes) = counted(&mut get);
+    assert_eq!(status, 200);
+    println!("point GET through route: {allocs} allocations, {bytes} bytes");
+    assert!(allocs <= 19, "{allocs} allocations");
+    assert!(bytes <= 819, "{bytes} bytes");
 }

@@ -1,10 +1,9 @@
 //! The load harness end to end over real sockets: a single server with a
-//! TTL probe, an open-loop run under a declared SLO, and a 2-group × 2-replica
-//! ring with and without chaos — every answer verified byte-for-byte, every
-//! 200 ownership-checked, every glob plan replayed against the
-//! unpartitioned-catalog oracle.
+//! TTL probe, an open-loop run at a fixed offered rate, and a 2-group ×
+//! 2-replica ring with and without chaos — every answer verified
+//! byte-for-byte, every 200 ownership-checked, every glob plan replayed
+//! against the unpartitioned-catalog oracle.
 
-use opaq_metrics::SloThresholds;
 use opaq_net::{run_load, LoadSpec, Topology};
 use std::time::Duration;
 
@@ -62,21 +61,12 @@ fn single_server_serves_everything_untorn_and_sees_a_ttl_cycle() {
 }
 
 #[test]
-fn open_loop_holds_the_offered_rate_and_reports_slo_verdicts() {
+fn open_loop_holds_the_offered_rate_and_verifies_every_answer() {
     let report = run_load(&LoadSpec {
         clients: 2,
         ops_per_client: 60,
         refresh_rounds: 1,
         target_qps: Some(1_000.0),
-        slo: SloThresholds {
-            // Generous enough that a loopback run can't breach latency,
-            // strict enough that any error or shed is a breach.
-            p99: Some(Duration::from_secs(5)),
-            p999: Some(Duration::from_secs(10)),
-            max_error_rate: Some(0.0),
-            max_shed_rate: Some(0.0),
-            ..Default::default()
-        },
         ..fleet(1, 1, false)
     })
     .unwrap();
@@ -98,8 +88,6 @@ fn open_loop_holds_the_offered_rate_and_reports_slo_verdicts() {
     );
     assert!(report.plan_ops > 0, "{rendered}");
     assert_eq!(report.refreshes_published, 2, "{rendered}");
-    assert_eq!(report.slo.checks.len(), 4);
-    assert_eq!(report.slo.breaches(), 0, "{rendered}");
     assert!(
         rendered.contains("target qps (open loop): 1000"),
         "{rendered}"

@@ -11,8 +11,8 @@
 //! The original hardware is simulated ([`machine`]): each "processor" is an
 //! OS thread with private data, communicating exclusively through explicit
 //! messages; a two-level cost model
-//! ([`cost_model::CostModel`], the paper's `τ`/`μ` parameters) charges every
-//! message so the analytical complexities of Table 8 can be reported next to
+//! ([`cost_model::CostModel`], the paper's `τ`/`μ` parameters) prices each
+//! phase so the analytical complexities of Table 8 can be reported next to
 //! the measured wall-clock times.
 //!
 //! Entry points: [`ParallelOpaq`] (simulated distributed-memory machine) and

@@ -2,31 +2,26 @@
 //!
 //! Each "processor" is an OS thread with private state; processors
 //! communicate only through explicit point-to-point messages carried by
-//! channels (the "virtual crossbar" the paper assumes).  Every message is
-//! charged against the [`CostModel`] and accumulated per processor, so each
-//! experiment can report modelled communication time next to measured
-//! wall-clock time.
+//! channels (the "virtual crossbar" the paper assumes).  Each processor
+//! counts the messages and words it sends ([`CommStats`]).
 
 use crate::CostModel;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Per-processor communication accounting.
 #[derive(Debug, Default)]
 pub struct CommStats {
     messages_sent: Mutex<u64>,
     words_sent: Mutex<u64>,
-    modelled: Mutex<Duration>,
 }
 
 impl CommStats {
-    fn record(&self, words: u64, modelled: Duration) {
+    fn record(&self, words: u64) {
         *self.messages_sent.lock() += 1;
         *self.words_sent.lock() += words;
-        *self.modelled.lock() += modelled;
     }
 
     /// Number of messages this processor sent.
@@ -37,11 +32,6 @@ impl CommStats {
     /// Number of words this processor sent.
     pub fn words_sent(&self) -> u64 {
         *self.words_sent.lock()
-    }
-
-    /// Modelled communication time charged to this processor.
-    pub fn modelled_time(&self) -> Duration {
-        *self.modelled.lock()
     }
 }
 
@@ -56,7 +46,6 @@ pub struct ProcessorCtx<M> {
     receiver: Receiver<Envelope<M>>,
     /// Messages received out of order, parked per source processor.
     parked: Vec<VecDeque<(u64, M)>>,
-    cost: CostModel,
     stats: Arc<CommStats>,
 }
 
@@ -78,8 +67,8 @@ impl<M: Send> ProcessorCtx<M> {
 
     /// Send `msg` (declared as `words` machine words) to processor `to`.
     ///
-    /// Sending to oneself is allowed (and free in the cost model), which
-    /// keeps collective patterns simple to write.
+    /// Sending to oneself is allowed, which keeps collective patterns simple
+    /// to write.
     ///
     /// # Panics
     /// Panics if `to >= p`.
@@ -89,12 +78,7 @@ impl<M: Send> ProcessorCtx<M> {
             "destination processor {to} out of range (p = {})",
             self.p
         );
-        let modelled = if to == self.id {
-            Duration::ZERO
-        } else {
-            self.cost.message(words)
-        };
-        self.stats.record(words, modelled);
+        self.stats.record(words);
         self.senders[to]
             .send((self.id, words, msg))
             .expect("receiving processor hung up before the algorithm finished");
@@ -181,7 +165,6 @@ impl Machine {
                 senders: senders.clone(),
                 receiver,
                 parked: (0..self.p).map(|_| VecDeque::new()).collect(),
-                cost: self.cost,
                 stats: Arc::clone(&stats[id]),
             })
             .collect();
@@ -273,14 +256,11 @@ mod tests {
         for (id, (_, stats)) in out.iter().enumerate().skip(1) {
             assert_eq!(stats.messages_sent(), 1, "proc {id}");
             assert_eq!(stats.words_sent(), 10);
-            assert!(
-                stats.modelled_time() >= CostModel::sp2().message(10) - Duration::from_nanos(1)
-            );
         }
     }
 
     #[test]
-    fn self_send_is_free_in_the_model() {
+    fn a_processor_can_send_to_itself() {
         let machine = Machine::new(1, CostModel::sp2());
         let out = machine.run::<u64, u64, _>(|ctx| {
             ctx.send(0, 1000, 7);
@@ -288,7 +268,7 @@ mod tests {
             v
         });
         assert_eq!(out[0].0, 7);
-        assert_eq!(out[0].1.modelled_time(), Duration::ZERO);
+        assert_eq!(out[0].1.words_sent(), 1000);
     }
 
     #[test]

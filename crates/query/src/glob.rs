@@ -12,42 +12,43 @@
 //! *name* contains `*` or `?` is not addressable through a textual pattern —
 //! address it through a typed [`crate::Selector::Exact`] instead.
 
+use std::str::Chars;
+
 /// Whether `pattern` matches all of `text` (anchored, `*`/`?` wildcards).
 ///
 /// Iterative two-pointer matcher with star backtracking: linear in
-/// `pattern.len() * text.len()` worst case, no recursion, no allocation
-/// beyond the two char vectors.
+/// `pattern.len() * text.len()` worst case, no recursion and no allocation
+/// (the pointers are `Chars` iterators, cloned to remember a position).
 pub fn glob_match(pattern: &str, text: &str) -> bool {
-    let pattern: Vec<char> = pattern.chars().collect();
-    let text: Vec<char> = text.chars().collect();
-    let (mut p, mut t) = (0usize, 0usize);
-    // Position of the most recent `*` in the pattern, and the text position
-    // its current (shortest-so-far) expansion ends at.
-    let mut star: Option<(usize, usize)> = None;
-    while t < text.len() {
-        match pattern.get(p) {
+    let (mut p, mut t) = (pattern.chars(), text.chars());
+    // The pattern just past the most recent `*`, and the text position its
+    // current (shortest-so-far) expansion ends at.
+    let mut star: Option<(Chars, Chars)> = None;
+    while let Some(tc) = t.clone().next() {
+        let mut rest = p.clone();
+        match rest.next() {
             Some('*') => {
                 // Tentatively match the empty run; remember where to widen.
-                star = Some((p, t));
-                p += 1;
+                p = rest;
+                star = Some((p.clone(), t.clone()));
             }
-            Some(&pc) if pc == '?' || pc == text[t] => {
-                p += 1;
-                t += 1;
+            Some(pc) if pc == '?' || pc == tc => {
+                p = rest;
+                t.next();
             }
-            _ => match star {
+            _ => match &mut star {
                 // Widen the last `*` by one more character and retry.
                 Some((sp, st)) => {
-                    p = sp + 1;
-                    t = st + 1;
-                    star = Some((sp, st + 1));
+                    st.next();
+                    p = sp.clone();
+                    t = st.clone();
                 }
                 None => return false,
             },
         }
     }
     // Text exhausted: the rest of the pattern must be all `*`.
-    pattern[p..].iter().all(|&c| c == '*')
+    p.all(|c| c == '*')
 }
 
 /// Whether `pattern` contains no wildcard characters — i.e. it selects at

@@ -24,13 +24,12 @@
 //!   through [`opaq_storage::sketch_codec`], re-validating checksum and
 //!   sketch invariants on the way in.
 //! * **TTL is stale-while-refresh, never stale-and-block.**  An entry may
-//!   carry a `max_age` (per entry via [`SketchCatalog::set_ttl`], or a
-//!   catalog-wide [`CatalogConfig::default_max_age`]).  An expired entry
-//!   keeps serving its last complete version; the snapshot is merely tagged
-//!   ([`Freshness::Stale`], or [`Freshness::Refreshing`] once the first
-//!   expired access has routed the entry to the installed refresh hook —
-//!   at most one in-flight refresh per entry).  The next publish resets the
-//!   clock and the tag in the same step.
+//!   carry a `max_age`, set per entry via [`SketchCatalog::set_ttl`].  An
+//!   expired entry keeps serving its last complete version; the snapshot is
+//!   merely tagged ([`Freshness::Stale`], or [`Freshness::Refreshing`] once
+//!   the first expired access has routed the entry to the installed refresh
+//!   hook — at most one in-flight refresh per entry).  The next publish
+//!   resets the clock and the tag in the same step.
 
 use crate::{ServeError, ServeResult};
 use opaq_core::QuantileSketch;
@@ -261,9 +260,6 @@ pub struct CatalogConfig {
     /// Requires [`Self::data_dir`]: an evicted entry lives on in its durable
     /// version file.
     pub budget_sample_points: Option<u64>,
-    /// Default `max_age` applied to every new entry (overridable per entry
-    /// with [`SketchCatalog::set_ttl`]); `None` = entries never expire.
-    pub default_max_age: Option<Duration>,
     /// Durable mode: directory holding the write-ahead manifest
     /// ([`MANIFEST_FILE`]) plus one synced sketch file per published
     /// version.  Every publish/evict/TTL change appends a manifest record
@@ -297,12 +293,6 @@ impl CatalogConfigBuilder {
     /// requires [`Self::data_dir`]).
     pub fn budget_sample_points(mut self, budget: u64) -> Self {
         self.config.budget_sample_points = Some(budget);
-        self
-    }
-
-    /// Default `max_age` for every new entry.
-    pub fn default_max_age(mut self, max_age: Duration) -> Self {
-        self.config.default_max_age = Some(max_age);
         self
     }
 
@@ -739,11 +729,7 @@ impl SketchCatalog {
                         }),
                         last_touch: AtomicU64::new(0),
                         published_at_nanos: AtomicU64::new(0),
-                        ttl_nanos: AtomicU64::new(
-                            self.config.default_max_age.map_or(NO_TTL, |age| {
-                                (age.as_nanos().min(u64::MAX as u128) as u64).min(NO_TTL - 1)
-                            }),
-                        ),
+                        ttl_nanos: AtomicU64::new(NO_TTL),
                         refreshing: AtomicBool::new(false),
                     })
                 }),
@@ -1424,7 +1410,6 @@ mod tests {
     fn budget_without_data_dir_is_rejected() {
         let err = SketchCatalog::new(CatalogConfig {
             budget_sample_points: Some(100),
-            default_max_age: None,
             data_dir: None,
         })
         .unwrap_err();
@@ -1436,7 +1421,6 @@ mod tests {
         let config = CatalogConfig::builder()
             .budget_sample_points(200)
             .data_dir("/tmp/opaq-data")
-            .default_max_age(Duration::from_secs(60))
             .build()
             .unwrap();
         assert_eq!(config.budget_sample_points, Some(200));
@@ -1444,7 +1428,6 @@ mod tests {
             config.data_dir.as_deref(),
             Some(Path::new("/tmp/opaq-data"))
         );
-        assert_eq!(config.default_max_age, Some(Duration::from_secs(60)));
 
         // A zero budget is rejected up front, not at first eviction.
         let err = CatalogConfig::builder()
@@ -1600,19 +1583,16 @@ mod tests {
     }
 
     #[test]
-    fn default_max_age_applies_to_new_entries() {
-        let catalog = SketchCatalog::new(CatalogConfig {
-            default_max_age: Some(Duration::ZERO),
-            ..CatalogConfig::default()
-        })
-        .unwrap();
+    fn set_ttl_ages_an_entry_and_none_clears_it() {
+        let catalog = SketchCatalog::unbounded();
         let (t, d) = key("a", "d");
         catalog.publish(&t, &d, sketch_of(0..100)).unwrap();
+        catalog.set_ttl(&t, &d, Some(Duration::ZERO)).unwrap();
         assert_eq!(
             catalog.snapshot(&t, &d).unwrap().freshness,
             Freshness::Stale
         );
-        // Per-entry override clears it.
+        // `None` clears it.
         catalog.set_ttl(&t, &d, None).unwrap();
         assert_eq!(
             catalog.snapshot(&t, &d).unwrap().freshness,

@@ -60,7 +60,6 @@ pub struct RefreshPool {
     tx: Mutex<Option<channel::Sender<Job>>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     progress: Arc<Progress>,
-    failures: Arc<Mutex<Vec<(TenantId, DatasetId, ServeError)>>>,
 }
 
 impl std::fmt::Debug for RefreshPool {
@@ -98,13 +97,11 @@ impl RefreshPool {
         // builds — the expensive part — run concurrently.
         let rx = Arc::new(Mutex::new(rx));
         let progress = Arc::new(Progress::default());
-        let failures = Arc::new(Mutex::new(Vec::new()));
         let workers = (0..workers)
             .map(|i| {
                 let rx = Arc::clone(&rx);
                 let catalog = Arc::clone(&catalog);
                 let progress = Arc::clone(&progress);
-                let failures = Arc::clone(&failures);
                 let recorder = recorder.clone();
                 std::thread::Builder::new()
                     .name(format!("opaq-serve-refresh-{i}"))
@@ -126,12 +123,11 @@ impl RefreshPool {
                                 progress.published.fetch_add(1, Ordering::Release);
                                 sink.finish_root(Stage::Refresh, SpanTag::Untagged);
                             }
-                            Err(e) => {
+                            Err(_) => {
                                 // A TTL-triggered refresh that dies must not
                                 // leave its entry claiming `refreshing`
                                 // forever — reopen the trigger.
                                 catalog.refresh_aborted(&job.tenant, &job.dataset);
-                                failures.lock().push((job.tenant, job.dataset, e));
                                 progress.failed.fetch_add(1, Ordering::Release);
                                 sink.finish_root(Stage::Refresh, SpanTag::Error);
                             }
@@ -145,7 +141,6 @@ impl RefreshPool {
             tx: Mutex::new(Some(tx)),
             workers: Mutex::new(workers),
             progress,
-            failures,
         })
     }
 
@@ -236,11 +231,6 @@ impl RefreshPool {
     /// Refreshes that failed (build or publish error).
     pub fn failed(&self) -> u64 {
         self.progress.failed.load(Ordering::Acquire)
-    }
-
-    /// Drain the recorded failures.
-    pub fn take_failures(&self) -> Vec<(TenantId, DatasetId, ServeError)> {
-        std::mem::take(&mut self.failures.lock())
     }
 
     /// Shut the pool down: close the queue, then join every worker.
@@ -372,10 +362,7 @@ mod tests {
         assert!(pool.wait_idle(Duration::from_secs(10)));
         assert_eq!(pool.failed(), 1);
         assert_eq!(pool.published(), 0);
-        let failures = pool.take_failures();
-        assert_eq!(failures.len(), 1);
         assert!(!catalog.contains(&t, &d));
-        assert!(pool.take_failures().is_empty(), "drained");
     }
 
     #[test]

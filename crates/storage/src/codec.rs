@@ -8,11 +8,10 @@
 //! key overrides [`FixedWidthCodec::decode_extend`] with a bulk path:
 //! `chunks_exact(WIDTH)` + `from_le_bytes`, which the compiler lowers to a
 //! straight native-endian copy on little-endian targets (and to byte-swapped
-//! vector loads elsewhere) — no per-key cursor bookkeeping.  Combined with
-//! [`decode_slice_into`] the run→keys step is allocation-free once the
-//! caller's buffer has warmed up.
+//! vector loads elsewhere) — no per-key cursor bookkeeping.  The file store
+//! decodes each read window straight into the caller's recycled run buffer,
+//! so the run→keys step is allocation-free once that buffer has warmed up.
 
-use crate::{StorageError, StorageResult};
 use bytes::{Buf, BufMut};
 
 /// A key type that can be written to and read from a fixed number of bytes.
@@ -33,7 +32,7 @@ pub trait FixedWidthCodec: Copy + Send + Sync + 'static {
     /// The default walks the buffer key by key through [`Self::decode`];
     /// primitive keys override it with a chunked native decode that the
     /// compiler vectorises.  Callers are responsible for having checked that
-    /// `bytes` holds at least `count * WIDTH` bytes (see [`decode_slice_into`]).
+    /// `bytes` holds at least `count * WIDTH` bytes.
     fn decode_extend(mut bytes: &[u8], count: usize, out: &mut Vec<Self>) {
         debug_assert!(bytes.len() >= count * Self::WIDTH);
         out.reserve(count);
@@ -107,102 +106,44 @@ pub fn encode_slice<K: FixedWidthCodec>(keys: &[K]) -> Vec<u8> {
     out
 }
 
-/// Decode `count` keys from a byte slice.
-///
-/// # Errors
-/// [`StorageError::Corrupt`] if `bytes` holds fewer than `count * WIDTH`
-/// bytes — a truncated buffer is a data-integrity problem, not a programmer
-/// error, so it surfaces as the storage layer's typed corruption error
-/// rather than a panic.
-pub fn decode_slice<K: FixedWidthCodec>(bytes: &[u8], count: usize) -> StorageResult<Vec<K>> {
-    let mut out = Vec::new();
-    decode_slice_into(bytes, count, &mut out)?;
-    Ok(out)
-}
-
-/// Decode `count` keys from a byte slice into `out` (cleared first), reusing
-/// the buffer's existing capacity.
-///
-/// # Errors
-/// [`StorageError::Corrupt`] if `bytes` is shorter than `count * WIDTH`.
-pub fn decode_slice_into<K: FixedWidthCodec>(
-    bytes: &[u8],
-    count: usize,
-    out: &mut Vec<K>,
-) -> StorageResult<()> {
-    let needed = count * K::WIDTH;
-    if bytes.len() < needed {
-        return Err(StorageError::Corrupt(format!(
-            "byte buffer too small: {} bytes for {} keys of width {}",
-            bytes.len(),
-            count,
-            K::WIDTH
-        )));
-    }
-    out.clear();
-    K::decode_extend(bytes, count, out);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn decode_keys<K: FixedWidthCodec>(bytes: &[u8], count: usize) -> Vec<K> {
+        let mut out = Vec::new();
+        K::decode_extend(bytes, count, &mut out);
+        out
+    }
 
     #[test]
     fn u64_round_trip() {
         let keys: Vec<u64> = vec![0, 1, u64::MAX, 42, 1 << 63];
         let bytes = encode_slice(&keys);
         assert_eq!(bytes.len(), keys.len() * 8);
-        assert_eq!(decode_slice::<u64>(&bytes, keys.len()).unwrap(), keys);
+        assert_eq!(decode_keys::<u64>(&bytes, keys.len()), keys);
     }
 
     #[test]
     fn u32_round_trip() {
         let keys: Vec<u32> = (0..100).map(|i| i * 40503).collect();
         let bytes = encode_slice(&keys);
-        assert_eq!(decode_slice::<u32>(&bytes, keys.len()).unwrap(), keys);
+        assert_eq!(decode_keys::<u32>(&bytes, keys.len()), keys);
     }
 
     #[test]
     fn i64_round_trip_negative() {
         let keys: Vec<i64> = vec![i64::MIN, -1, 0, 1, i64::MAX];
         let bytes = encode_slice(&keys);
-        assert_eq!(decode_slice::<i64>(&bytes, keys.len()).unwrap(), keys);
+        assert_eq!(decode_keys::<i64>(&bytes, keys.len()), keys);
     }
 
     #[test]
     fn f64_round_trip() {
         let keys: Vec<f64> = vec![0.0, -1.5, 3.25, f64::MAX, f64::MIN_POSITIVE];
         let bytes = encode_slice(&keys);
-        assert_eq!(decode_slice::<f64>(&bytes, keys.len()).unwrap(), keys);
-    }
-
-    #[test]
-    fn decode_too_small_is_typed_corrupt_error() {
-        let bytes = vec![0u8; 7];
-        let err = decode_slice::<u64>(&bytes, 1).unwrap_err();
-        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
-        assert!(err.to_string().contains("byte buffer too small"), "{err}");
-
-        let mut out = vec![1u64, 2, 3];
-        let err = decode_slice_into::<u64>(&bytes, 1, &mut out).unwrap_err();
-        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
-        // The output buffer is untouched on error.
-        assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn decode_into_reuses_capacity() {
-        let keys: Vec<u64> = (0..1000).collect();
-        let bytes = encode_slice(&keys);
-        let mut out: Vec<u64> = Vec::new();
-        decode_slice_into(&bytes, keys.len(), &mut out).unwrap();
-        assert_eq!(out, keys);
-        let cap = out.capacity();
-        decode_slice_into(&bytes, keys.len(), &mut out).unwrap();
-        assert_eq!(out, keys);
-        assert_eq!(out.capacity(), cap, "second decode reuses the allocation");
+        assert_eq!(decode_keys::<f64>(&bytes, keys.len()), keys);
     }
 
     #[test]
@@ -216,18 +157,16 @@ mod tests {
             .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15))
             .collect();
         let bytes = encode_slice(&u64s);
-        assert_eq!(cursor_decode::<u64>(&bytes, u64s.len()), {
-            let mut v = Vec::new();
-            u64::decode_extend(&bytes, u64s.len(), &mut v);
-            v
-        });
+        assert_eq!(
+            cursor_decode::<u64>(&bytes, u64s.len()),
+            decode_keys::<u64>(&bytes, u64s.len())
+        );
         let i32s: Vec<i32> = (0..257).map(|i| (i * 48271) - 6_000_000).collect();
         let bytes = encode_slice(&i32s);
-        assert_eq!(cursor_decode::<i32>(&bytes, i32s.len()), {
-            let mut v = Vec::new();
-            i32::decode_extend(&bytes, i32s.len(), &mut v);
-            v
-        });
+        assert_eq!(
+            cursor_decode::<i32>(&bytes, i32s.len()),
+            decode_keys::<i32>(&bytes, i32s.len())
+        );
     }
 
     #[test]
@@ -243,13 +182,13 @@ mod tests {
         #[test]
         fn arbitrary_u64_round_trip(keys in proptest::collection::vec(any::<u64>(), 0..200)) {
             let bytes = encode_slice(&keys);
-            prop_assert_eq!(decode_slice::<u64>(&bytes, keys.len()).unwrap(), keys);
+            prop_assert_eq!(decode_keys::<u64>(&bytes, keys.len()), keys);
         }
 
         #[test]
         fn arbitrary_i32_round_trip(keys in proptest::collection::vec(any::<i32>(), 0..200)) {
             let bytes = encode_slice(&keys);
-            prop_assert_eq!(decode_slice::<i32>(&bytes, keys.len()).unwrap(), keys);
+            prop_assert_eq!(decode_keys::<i32>(&bytes, keys.len()), keys);
         }
     }
 }

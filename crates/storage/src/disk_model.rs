@@ -30,15 +30,6 @@ impl DiskModel {
         }
     }
 
-    /// A model for a modern NVMe device (for ablation experiments that ask
-    /// "is OPAQ still I/O bound on current hardware?").
-    pub fn modern_nvme() -> Self {
-        Self {
-            seek: Duration::from_micros(80),
-            bandwidth_bytes_per_sec: 3.0 * 1024.0 * 1024.0 * 1024.0,
-        }
-    }
-
     /// Modelled time to transfer `bytes` bytes in one sequential operation.
     pub fn transfer_time(&self, bytes: u64) -> Duration {
         assert!(
@@ -74,15 +65,6 @@ mod tests {
     fn zero_bytes_costs_one_seek() {
         let model = DiskModel::sp2_node_disk();
         assert_eq!(model.transfer_time(0), model.seek);
-    }
-
-    #[test]
-    fn sp2_is_much_slower_than_nvme() {
-        let bytes = 8 * 1024 * 1024;
-        assert!(
-            DiskModel::sp2_node_disk().transfer_time(bytes)
-                > DiskModel::modern_nvme().transfer_time(bytes) * 10
-        );
     }
 
     #[test]
